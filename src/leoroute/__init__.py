@@ -61,7 +61,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     NoCandidateError,
-    NumericError,
     RepairFailedError,
 )
 from .experiments import (
@@ -113,7 +112,6 @@ __all__ = [
     "DegenerateArcError",
     "NoCandidateError",
     "RepairFailedError",
-    "NumericError",
     "InternalConsistencyError",
     # geometry
     "PhysicalConstants",

@@ -6,6 +6,7 @@ Exit codes form a stable scripting contract:
 * 1 — usage or configuration error
 * 2 — planning failed (no hop count satisfies the interruption budget)
 * 3 — routing failed (no admissible relay continuation was found)
+* 4 — internal error (an invariant that should be unreachable was violated)
 
 Angles are radians (the literal ``pi`` and forms like ``pi/2`` or
 ``0.5pi`` are accepted), distances km, latencies ms. All randomness flows
@@ -40,7 +41,7 @@ from .constellation import (
     load_constellation,
     sample_bpp,
 )
-from .errors import DegenerateArcError, InvalidInputError
+from .errors import DegenerateArcError, InternalConsistencyError, InvalidInputError
 from .experiments import (
     SCHEMA_VERSION,
     STRATEGIES,
@@ -54,6 +55,7 @@ from .experiments import (
     write_table1_csv,
     write_table1_json,
 )
+from .geometry import PhysicalConstants
 from .routing import (
     arc_waypoints,
     route_equal_interval,
@@ -63,7 +65,7 @@ from .routing import (
 
 __version__ = "0.1.0"
 
-_R_EARTH_KM = 6371.0
+_R_EARTH_KM = PhysicalConstants.r_earth
 
 _ANGLE_PATTERN = re.compile(
     r"(?:(\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?pi(?:\s*/\s*(\d+(?:\.\d*)?|\.\d+))?"
@@ -610,6 +612,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
+    except InternalConsistencyError as exc:
+        click.echo(f"internal error: {exc}", err=True)
+        return 4
     return result if isinstance(result, int) else 0
 
 

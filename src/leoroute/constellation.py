@@ -18,7 +18,7 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NoCandidateError
-from .geometry import SpherePoint
+from .geometry import PhysicalConstants, SpherePoint
 
 #: Known constellation shells: name -> (altitude_km, n_sat).
 PRESET_PARAMS: dict[str, tuple[float, int]] = {
@@ -144,7 +144,7 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
 
 
 def from_preset(
-    name: str, seed: int, r_earth: float = 6371.0
+    name: str, seed: int, r_earth: float = PhysicalConstants.r_earth
 ) -> Constellation:
     """Sample a constellation with a preset's altitude and satellite count."""
     preset = ConstellationPreset.by_name(name)

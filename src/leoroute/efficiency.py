@@ -10,8 +10,7 @@ approximations predict it from the constellation density alone:
 * the *binomial* form, which replaces the hop chord by the mean span of a
   hop whose endpoints are both displaced (:func:`mean_hop_span`).
 
-Both take half the hop dome angle as their argument; pass
-``full_hop_angle=True`` to probe the alternative convention.
+Both take half the hop dome angle as their argument.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from .analysis import contact_pdf
 from .errors import InternalConsistencyError, InvalidInputError
 from .quadrature import adaptive_simpson
 
-#: Default quadrature tolerances: outer integral, inner integral.
+#: Absolute tolerance of the contact-angle quadrature.
 OUTER_TOL = 1e-8
-INNER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,13 @@ class EfficiencyEstimates:
                 )
 
 
-def _validate_hop_angle(theta_h: float) -> None:
+def _validate_hop(theta_h: float, n_sat: int, theta_max: float) -> None:
     if not 0.0 < theta_h < math.pi:
         raise InvalidInputError(f"theta_h must be in (0, pi), got {theta_h}")
+    if n_sat < 1:
+        raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
+    if not 0.0 < theta_max <= math.pi:
+        raise InvalidInputError(f"theta_max must be in (0, pi], got {theta_max}")
 
 
 #: Probability levels whose contact-angle quantiles split the integration
@@ -97,21 +99,36 @@ def _density_aware_integral(f, n_sat: int, upper: float, tol: float) -> float:
     )
 
 
+def _ellipe(m: float) -> float:
+    """Complete elliptic integral of the second kind E(m), m in [0, 1].
+
+    Arithmetic-geometric mean with the Legendre sum of squared half
+    differences; E(1) = 1 is returned exactly, where the mean degenerates.
+    """
+    if m >= 1.0:
+        return 1.0
+    a, b, total = 1.0, math.sqrt(1.0 - m), 0.5 * m
+    for k in range(32):
+        if a - b <= 1e-15 * a:
+            break
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        total += 2.0**k * c * c
+    return math.pi / (2.0 * a) * (1.0 - total)
+
+
 def mean_hop_stretch(theta_h: float, n_sat: int, theta_max: float) -> float:
     """Mean factor by which a displaced relay stretches a hop chord.
 
     Averages, over the contact-angle law and a uniform azimuth, the
     length of a chord whose far endpoint is displaced by the contact
     angle, normalized by the undisplaced chord. Approaches 1 as the
-    constellation densifies.
+    constellation densifies. The azimuthal integral of sqrt(a - b cos phi)
+    over [0, pi] is 2 sqrt(a + b) E(2b / (a + b)).
     """
-    _validate_hop_angle(theta_h)
-    if theta_max <= 0.0:
-        raise InvalidInputError(f"theta_max must be positive, got {theta_max}")
-    sin_half = math.sin(theta_h / 2.0)
+    _validate_hop(theta_h, n_sat, theta_max)
     cos_h = math.cos(theta_h)
     sin_h = math.sin(theta_h)
-    prefactor = math.sqrt(2.0) / (2.0 * math.pi * sin_half)
+    prefactor = math.sqrt(2.0) / (2.0 * math.pi * math.sin(theta_h / 2.0))
 
     def outer(theta: float) -> float:
         density = float(contact_pdf(theta, n_sat))
@@ -119,11 +136,7 @@ def mean_hop_stretch(theta_h: float, n_sat: int, theta_max: float) -> float:
             return 0.0
         a = 1.0 - math.cos(theta) * cos_h
         b = math.sin(theta) * sin_h
-
-        def inner(phi: float) -> float:
-            return math.sqrt(max(a - b * math.cos(phi), 0.0))
-
-        return density * adaptive_simpson(inner, 0.0, math.pi, tol=INNER_TOL)
+        return density * 2.0 * math.sqrt(a + b) * _ellipe(2.0 * b / (a + b))
 
     return prefactor * _density_aware_integral(outer, n_sat, theta_max, OUTER_TOL)
 
@@ -134,29 +147,15 @@ def mean_hop_span(theta_h: float, n_sat: int, theta_max: float) -> float:
     Averages, over two independent contact angles, the sine terms a hop
     of dome angle ``theta_h`` picks up when its endpoints slide by the
     contact angles. Approaches sin(theta_h) as the constellation
-    densifies.
+    densifies. The sines sum to 4 sin(theta_h) cos(theta1) cos(theta2), so
+    the mean is sin(theta_h) times the squared cosine moment of the contact
+    law up to ``theta_max``, elementary in u0 = (1 + cos theta_max) / 2.
     """
-    _validate_hop_angle(theta_h)
-    if theta_max <= 0.0:
-        raise InvalidInputError(f"theta_max must be positive, got {theta_max}")
-
-    def outer(theta1: float) -> float:
-        density1 = float(contact_pdf(theta1, n_sat))
-        if density1 == 0.0:
-            return 0.0
-
-        def inner(theta2: float) -> float:
-            spans = (
-                math.sin(theta_h - theta1 - theta2)
-                + math.sin(theta_h + theta1 - theta2)
-                + math.sin(theta_h - theta1 + theta2)
-                + math.sin(theta_h + theta1 + theta2)
-            )
-            return float(contact_pdf(theta2, n_sat)) * spans
-
-        return density1 * _density_aware_integral(inner, n_sat, theta_max, INNER_TOL)
-
-    return 0.25 * _density_aware_integral(outer, n_sat, theta_max, OUTER_TOL)
+    _validate_hop(theta_h, n_sat, theta_max)
+    n = n_sat
+    u0 = (1.0 + math.cos(theta_max)) / 2.0
+    moment = (n - 1) / (n + 1) - 2.0 * n / (n + 1) * u0 ** (n + 1) + u0**n
+    return math.sin(theta_h) * moment * moment
 
 
 def _ideal_chord_ratio(arc_angle: float, n_min: int, n_hat: int) -> float:
@@ -174,17 +173,14 @@ def efficiency_contour(
     n_hat: int,
     n_sat: int,
     theta_max: float,
-    full_hop_angle: bool = False,
 ) -> float:
     """Contour-form efficiency estimate.
 
     Ratio of the ideal total chord to the planned total chord stretched
-    by the mean relay displacement. ``full_hop_angle`` switches the
-    stretch argument from half the hop dome angle (the default
-    convention) to the full one.
+    by the mean relay displacement.
     """
     numer = _ideal_chord_ratio(arc_angle, n_min, n_hat)
-    theta_h = arc_angle / n_hat if full_hop_angle else arc_angle / (2.0 * n_hat)
+    theta_h = arc_angle / (2.0 * n_hat)
     stretch = mean_hop_stretch(theta_h, n_sat, theta_max)
     return numer / (
         n_hat * math.sin(arc_angle / (2.0 * n_hat)) * (2.0 * stretch - 1.0)
@@ -197,7 +193,6 @@ def efficiency_binomial(
     n_hat: int,
     n_sat: int,
     theta_max: float,
-    full_hop_angle: bool = False,
 ) -> float:
     """Binomial-form efficiency estimate.
 
@@ -205,7 +200,7 @@ def efficiency_binomial(
     mean displaced hop span.
     """
     numer = _ideal_chord_ratio(arc_angle, n_min, n_hat)
-    theta_h = arc_angle / n_hat if full_hop_angle else arc_angle / (2.0 * n_hat)
+    theta_h = arc_angle / (2.0 * n_hat)
     return numer / (n_hat * mean_hop_span(theta_h, n_sat, theta_max))
 
 
@@ -233,16 +228,11 @@ def estimate_efficiencies(
     n_sat: int,
     theta_max: float,
     e_measured: Optional[float] = None,
-    full_hop_angle: bool = False,
 ) -> EfficiencyEstimates:
     """Bundle both approximations (and optionally a measurement)."""
     return EfficiencyEstimates(
-        e1_contour=efficiency_contour(
-            arc_angle, n_min, n_hat, n_sat, theta_max, full_hop_angle
-        ),
-        e2_binomial=efficiency_binomial(
-            arc_angle, n_min, n_hat, n_sat, theta_max, full_hop_angle
-        ),
+        e1_contour=efficiency_contour(arc_angle, n_min, n_hat, n_sat, theta_max),
+        e2_binomial=efficiency_binomial(arc_angle, n_min, n_hat, n_sat, theta_max),
         e_measured=e_measured,
         arc_angle=arc_angle,
         n_min=n_min,

@@ -19,9 +19,5 @@ class RepairFailedError(RuntimeError):
     """A hop repair ran out of eligible satellites (maps to a type-II status)."""
 
 
-class NumericError(ArithmeticError):
-    """A numeric intermediate left its valid domain by more than the tolerance."""
-
-
 class InternalConsistencyError(RuntimeError):
     """An internal invariant that should be unreachable was violated."""

@@ -112,7 +112,7 @@ class CellParams:
     arc_angle: float
     d_max_km: float = 3000.0
     epsilon: float = 0.01
-    r_earth_km: float = 6371.0
+    r_earth_km: float = PhysicalConstants.r_earth
 
     def __post_init__(self) -> None:
         if self.n_sat < 1:
@@ -291,45 +291,36 @@ def _run_chunk(args: tuple) -> list[TrialRecord]:
     ]
 
 
-def run_trials(
-    params: CellParams,
-    strategy: str,
-    trials: int,
-    base_seed: int,
-    threads: int = 1,
-) -> tuple[TrialRecord, ...]:
-    """All trial records for one cell and strategy, in trial order.
-
-    ``threads`` caps the number of worker processes; any value yields
-    byte-identical results because per-trial seeds depend only on the
-    trial index and records are reduced in trial order.
-    """
+def _checked_plan(params: CellParams, strategy: str, trials: int) -> Optional[HopPlan]:
+    """Validate a cell request and return its hop plan (equal-interval only)."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     if strategy not in STRATEGIES:
         raise InvalidInputError(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
         )
-    plan: Optional[HopPlan] = None
-    if strategy == "equal-interval":
-        plan = plan_hops(
-            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
-        )
-        if _immediate_type1(plan):
-            # Planning found no feasible hop count at all: every trial is
-            # interrupted before routing, so no constellation is sampled.
-            return tuple(
-                TrialRecord(
-                    trial_index=i,
-                    seed=trial_seed(base_seed, i),
-                    strategy=strategy,
-                    status="type2_interrupted",
-                    latency_ms=None,
-                    n_hops_final=0,
-                    efficiency=None,
-                )
-                for i in range(trials)
+    if strategy != "equal-interval":
+        return None
+    return plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+
+
+def _planned_trials(params, strategy, trials, base_seed, threads, plan) -> tuple:
+    """Trial records of a validated cell whose hop plan is already known."""
+    if plan is not None and _immediate_type1(plan):
+        # Planning found no feasible hop count at all: every trial is
+        # interrupted before routing, so no constellation is sampled.
+        return tuple(
+            TrialRecord(
+                trial_index=i,
+                seed=trial_seed(base_seed, i),
+                strategy=strategy,
+                status="type2_interrupted",
+                latency_ms=None,
+                n_hops_final=0,
+                efficiency=None,
             )
+            for i in range(trials)
+        )
     reference_ms = reference_latency_ms(params)
     workers = max(1, int(threads))
     if workers == 1 or trials < 2 * workers:
@@ -347,6 +338,23 @@ def run_trials(
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda rec: rec.trial_index)
     return tuple(records)
+
+
+def run_trials(
+    params: CellParams,
+    strategy: str,
+    trials: int,
+    base_seed: int,
+    threads: int = 1,
+) -> tuple[TrialRecord, ...]:
+    """All trial records for one cell and strategy, in trial order.
+
+    ``threads`` caps the number of worker processes; any value yields
+    byte-identical results because per-trial seeds depend only on the
+    trial index and records are reduced in trial order.
+    """
+    plan = _checked_plan(params, strategy, trials)
+    return _planned_trials(params, strategy, trials, base_seed, threads, plan)
 
 
 @dataclass(frozen=True)
@@ -381,7 +389,13 @@ def run_cell(
     denominator is never ambiguous. Cells with no completed trial carry
     None for both means.
     """
-    records = run_trials(params, strategy, trials, base_seed, threads=threads)
+    plan = _checked_plan(params, strategy, trials)
+    return _planned_cell(params, strategy, trials, base_seed, threads, plan)
+
+
+def _planned_cell(params, strategy, trials, base_seed, threads, plan) -> CellAggregate:
+    """:func:`run_cell` for a validated cell whose hop plan is already known."""
+    records = _planned_trials(params, strategy, trials, base_seed, threads, plan)
     type2 = sum(1 for r in records if r.status == "type2_interrupted")
     completed = [r for r in records if r.status != "type2_interrupted"]
     mean_latency = (
@@ -390,11 +404,6 @@ def run_cell(
     mean_eff = (
         sum(r.efficiency for r in completed) / len(completed) if completed else None
     )
-    plan: Optional[HopPlan] = None
-    if strategy == "equal-interval":
-        plan = plan_hops(
-            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
-        )
     return CellAggregate(
         strategy=strategy,
         trials=trials,
@@ -443,7 +452,7 @@ def estimate_type2_probability(
         params = CellParams.from_preset(params, epsilon=epsilon)
     else:
         params = replace(params, epsilon=epsilon)
-    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+    plan = _checked_plan(params, "equal-interval", trials)
     if _immediate_type1(plan):
         return Type2Estimate(
             probability=1.0,
@@ -453,7 +462,7 @@ def estimate_type2_probability(
             type1_interrupted=True,
             n_hat=plan.n_hat,
         )
-    agg = run_cell(params, "equal-interval", trials, base_seed, threads=threads)
+    agg = _planned_cell(params, "equal-interval", trials, base_seed, threads, plan)
     return Type2Estimate(
         probability=agg.type2_rate,
         ci_low=agg.type2_ci[0],
@@ -535,7 +544,7 @@ def run_table1(
         measured: dict[float, int] = {}
         for eps in epsilons:
             params = CellParams.from_preset(preset, epsilon=eps)
-            plan = plan_hops(params.arc_angle, params.theta_max, n_sat, eps)
+            plan = _checked_plan(params, "equal-interval", trials)
             n_hat[eps] = plan.n_hat
             rel[eps] = plan.reliable_angle
             mins[eps] = min_sats_grid_minimum(
@@ -546,8 +555,8 @@ def run_table1(
                 prob[eps], ci[eps] = 1.0, (1.0, 1.0)
                 eff[eps], measured[eps] = None, 0
             else:
-                agg = run_cell(
-                    params, "equal-interval", trials, base_seed, threads=threads
+                agg = _planned_cell(
+                    params, "equal-interval", trials, base_seed, threads, plan
                 )
                 prob[eps], ci[eps] = agg.type2_rate, agg.type2_ci
                 eff[eps], measured[eps] = agg.mean_efficiency, agg.measured_count
@@ -619,7 +628,7 @@ class SweepSpec:
         """Cell parameters at one swept value."""
         merged = dict(self.fixed)
         merged[self.variable] = value
-        radius = 6371.0 + float(merged["altitude_km"])
+        radius = PhysicalConstants.r_earth + float(merged["altitude_km"])
         return CellParams(
             n_sat=int(merged["n_sat"]),
             altitude_km=float(merged["altitude_km"]),

@@ -8,7 +8,7 @@ import pytest
 
 from leoroute.cli import main, parse_angle
 from leoroute.constellation import sample_bpp, save_constellation
-from leoroute.errors import InvalidInputError
+from leoroute.errors import InternalConsistencyError, InvalidInputError
 from leoroute.geometry import SpherePoint, dome_angle
 
 
@@ -221,6 +221,19 @@ def test_route_immediate_planning_failure_exits_two(capsys):
     assert payload["hops"] == []
     assert payload["n_hat"] == 9
     assert payload["type1_interrupted"] is True
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    def broken_plan(*args, **kwargs):
+        raise InternalConsistencyError("planned hop count went negative")
+
+    monkeypatch.setattr("leoroute.cli.plan_hops", broken_plan)
+    code, out, err = run_cli(
+        capsys, "analyze", "--preset", "kuiper", "--epsilon", "0.01"
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: planned hop count went negative\n"
 
 
 def test_route_empty_belt_exits_three(capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from leoroute import (
     EfficiencyEstimates,
@@ -18,6 +18,7 @@ from leoroute import (
     mean_hop_stretch,
     measured_efficiency,
 )
+from leoroute.efficiency import _ellipe
 
 STARLINK = (11927, 0.436931)
 ONEWEB = (650, 0.398888)
@@ -29,26 +30,6 @@ GRID = [
     for th in (0.05, 0.1, 0.157, 0.22, 0.31, 0.4)
     for (n, tm) in (ONEWEB, KUIPER, STARLINK, (800, 0.440160))
 ]
-
-# The double quadratures are expensive on dense shells; several tests share
-# the same grid, so evaluations are memoized for the whole module.
-_span_cache: dict = {}
-_stretch_cache: dict = {}
-
-
-def cached_span(theta_h, n_sat, theta_max):
-    key = (theta_h, n_sat, theta_max)
-    if key not in _span_cache:
-        _span_cache[key] = mean_hop_span(theta_h, n_sat, theta_max)
-    return _span_cache[key]
-
-
-def cached_stretch(theta_h, n_sat, theta_max):
-    key = (theta_h, n_sat, theta_max)
-    if key not in _stretch_cache:
-        _stretch_cache[key] = mean_hop_stretch(theta_h, n_sat, theta_max)
-    return _stretch_cache[key]
-
 
 def sample_contact_angles(rng, n_sat, size):
     """Draw contact angles by inverting the closed-form law."""
@@ -75,8 +56,47 @@ def test_stretch_matches_monte_carlo_on_grid():
         scale = math.sqrt(2.0) / (2.0 * math.sin(theta_h / 2.0))
         mc = scale * float(vals.mean())
         sigma = scale * float(vals.std(ddof=1)) / math.sqrt(m)
-        quad = cached_stretch(theta_h, n_sat, theta_max)
+        quad = mean_hop_stretch(theta_h, n_sat, theta_max)
         assert abs(quad - mc) < 3.0 * sigma + 1e-12, (theta_h, n_sat)
+
+
+def test_ellipe_matches_scipy():
+    for m in (0.0, 0.5, 0.9, 1.0 - 1e-12, 1.0):
+        assert _ellipe(m) == pytest.approx(float(special.ellipe(m)), abs=1e-14)
+    assert _ellipe(1.0) == 1.0
+    assert _ellipe(0.0) == math.pi / 2.0
+
+
+def test_stretch_matches_nested_quadrature():
+    """The elliptic reduction against the original double integral."""
+    for theta_h, n_sat, theta_max in (GRID[1], GRID[10], GRID[23]):
+        cos_h, sin_h = math.cos(theta_h), math.sin(theta_h)
+
+        def azimuthal(theta):
+            a = 1.0 - math.cos(theta) * cos_h
+            b = math.sin(theta) * sin_h
+            value, _ = integrate.quad(
+                lambda phi: math.sqrt(max(a - b * math.cos(phi), 0.0)),
+                0.0,
+                math.pi,
+                epsabs=1e-13,
+                epsrel=1e-13,
+            )
+            return float(contact_pdf(theta, n_sat)) * value
+
+        # Break points: the density spike and the kink where a == b.
+        kinks = [t for t in (4.0 / math.sqrt(n_sat), theta_h) if t < theta_max]
+        nested, _ = integrate.quad(
+            azimuthal,
+            0.0,
+            theta_max,
+            points=kinks,
+            limit=200,
+            epsabs=1e-12,
+            epsrel=1e-12,
+        )
+        nested *= math.sqrt(2.0) / (2.0 * math.pi * math.sin(theta_h / 2.0))
+        assert abs(mean_hop_stretch(theta_h, n_sat, theta_max) - nested) < 1e-9
 
 
 def test_stretch_tends_to_one_with_density():
@@ -87,7 +107,7 @@ def test_stretch_tends_to_one_with_density():
 
 def test_stretch_at_least_one_on_grid():
     for theta_h, n_sat, theta_max in GRID:
-        assert cached_stretch(theta_h, n_sat, theta_max) >= 1.0 - 1e-9
+        assert mean_hop_stretch(theta_h, n_sat, theta_max) >= 1.0 - 1e-9
 
 
 def test_stretch_validates_domain():
@@ -119,13 +139,14 @@ def test_span_matches_monte_carlo_on_grid():
         vals[(t1 > theta_max) | (t2 > theta_max)] = 0.0
         mc = float(vals.mean())
         sigma = float(vals.std(ddof=1)) / math.sqrt(m)
-        quad = cached_span(theta_h, n_sat, theta_max)
+        quad = mean_hop_span(theta_h, n_sat, theta_max)
         assert abs(quad - mc) < 3.0 * sigma + 1e-12, (theta_h, n_sat)
 
 
 def test_span_product_closed_form():
     """The four-term integrand collapses to sin(theta_h) cos(t1) cos(t2)."""
-    for theta_h, n_sat, theta_max in GRID:
+    # Sparse shells put visible contact mass beyond theta_max.
+    for theta_h, n_sat, theta_max in GRID + [(0.3, 20, 0.5), (0.2, 60, 0.25)]:
         moment, _ = integrate.quad(
             lambda t: float(contact_pdf(t, n_sat)) * math.cos(t),
             0.0,
@@ -136,7 +157,13 @@ def test_span_product_closed_form():
             epsrel=1e-12,
         )
         closed = math.sin(theta_h) * moment * moment
-        assert abs(cached_span(theta_h, n_sat, theta_max) - closed) < 1e-8
+        assert abs(mean_hop_span(theta_h, n_sat, theta_max) - closed) < 1e-8
+
+
+def test_span_validates_domain():
+    for args in ((0.0, 100, 0.4), (0.2, 0, 0.4), (0.2, 100, 0.0), (0.2, 100, 3.2)):
+        with pytest.raises(InvalidInputError):
+            mean_hop_span(*args)
 
 
 def test_span_tends_to_sin_with_density():
@@ -179,13 +206,6 @@ def test_contour_below_binomial_at_dense_scales():
         e1 = efficiency_contour(math.pi, 9, 10, n_sat, theta_max)
         e2 = efficiency_binomial(math.pi, 9, 10, n_sat, theta_max)
         assert e1 < e2
-
-
-def test_full_hop_angle_knob_changes_values():
-    n_sat, theta_max = STARLINK
-    half = efficiency_contour(math.pi, 9, 10, n_sat, theta_max)
-    full = efficiency_contour(math.pi, 9, 10, n_sat, theta_max, full_hop_angle=True)
-    assert half != full
 
 
 def test_hop_count_ordering_validated():
