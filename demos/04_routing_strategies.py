@@ -52,12 +52,13 @@ print(f"equal-interval   : {route.n_hops} hops, {route.latency:.3f} ms, "
       f"efficiency {floor_ms / route.latency:.1%}")
 print(f"                   hop chain {list(route.hops)}")
 
-# Greedy baselines.
+# Greedy baselines, on the same plan: min-deflection stops after
+# 4 * plan.n_hat hops, max-stepsize keeps within plan.reliable_angle of the arc.
 for name, builder in (
     ("min-deflection", route_min_deflection),
     ("max-stepsize", route_max_stepsize),
 ):
-    route = builder(c, link)
+    route = builder(c, link, plan)
     eff = f"{floor_ms / route.latency:.1%}" if not route.interrupted else "n/a"
     print(f"{name:17s}: {route.n_hops} hops, "
           f"{route.latency if not route.interrupted else float('nan'):.3f} ms, "

@@ -76,6 +76,7 @@ from .experiments import (
     run_cell,
     run_table1,
     run_trials,
+    strategy_router,
     sweep,
     table1_rows,
     write_records_csv,
@@ -89,6 +90,7 @@ from .geometry import (
     chord_distance,
     deflection_angle,
     dome_angle,
+    great_arc,
     los_chord_limit,
     slerp,
 )
@@ -119,6 +121,7 @@ __all__ = [
     "chord_distance",
     "dome_angle",
     "slerp",
+    "great_arc",
     "deflection_angle",
     "los_chord_limit",
     # constellation
@@ -178,6 +181,7 @@ __all__ = [
     "run_cell",
     "estimate_type2_probability",
     "make_endpoints",
+    "strategy_router",
     "run_table1",
     "table1_rows",
     "sweep",

@@ -89,6 +89,11 @@ class HopPlan:
         if self.reliable_angle < 0.0:
             raise InvalidInputError("reliable_angle must be non-negative")
 
+    @property
+    def immediate_type1(self) -> bool:
+        """Planning failed before any feasible hop count existed."""
+        return self.type1_interrupted and self.iterations_used == 1
+
 
 class ContactMean(NamedTuple):
     """Mean contact angle computed two independent ways."""

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import click
 
+from . import __version__
 from .analysis import (
     contact_mean,
     ideal_latency,
@@ -48,6 +49,7 @@ from .experiments import (
     SweepSpec,
     make_endpoints,
     run_table1,
+    strategy_router,
     sweep as run_sweep,
     table1_rows,
     write_records_csv,
@@ -56,14 +58,14 @@ from .experiments import (
     write_table1_json,
 )
 from .geometry import PhysicalConstants
-from .routing import (
-    arc_waypoints,
+from .routing import arc_waypoints
+
+# Unused here; benchmarks/tracing.py wraps these bindings by name.
+from .routing import (  # noqa: F401
     route_equal_interval,
     route_max_stepsize,
     route_min_deflection,
 )
-
-__version__ = "0.1.0"
 
 _R_EARTH_KM = PhysicalConstants.r_earth
 
@@ -271,10 +273,6 @@ def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) ->
         raise click.exceptions.Exit(2)
 
 
-def _route_payload_base(strategy: str) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "strategy": strategy}
-
-
 @cli.command()
 @_constellation_options
 @click.option(
@@ -290,12 +288,6 @@ def _route_payload_base(strategy: str) -> dict:
     show_default=True,
 )
 @click.option("--seed", type=int, default=None, help="Constellation seed (default 0).")
-@click.option(
-    "--belt",
-    type=float,
-    default=None,
-    help="Belt half-width in rad for max-stepsize (default: planned reliable angle).",
-)
 @click.option(
     "--constellation",
     "constellation_path",
@@ -319,7 +311,6 @@ def route(
     dome_angle,
     strategy,
     seed,
-    belt,
     constellation_path,
     out,
 ) -> None:
@@ -347,7 +338,7 @@ def route(
     theta_max = max_hop_angle(radius, base.r_earth, cfg.d_max_km)
     src, dst = make_endpoints(radius, arc)
 
-    payload = _route_payload_base(strategy)
+    payload = {"schema_version": SCHEMA_VERSION, "strategy": strategy}
     exit_code = 0
     if strategy == "ideal":
         # Equivalent to route_ideal away from antipodal, but resolves the
@@ -369,7 +360,6 @@ def route(
         c = base.with_extra_points([src, dst])
         link = LinkSpec(src=src, dst=dst, d_max=cfg.d_max_km, epsilon=cfg.epsilon)
         plan = plan_hops(arc, theta_max, base.n_sat, cfg.epsilon)
-        route_obj = None
         if strategy == "equal-interval":
             payload.update(
                 {
@@ -378,19 +368,13 @@ def route(
                     "type1_interrupted": plan.type1_interrupted,
                 }
             )
-            if plan.type1_interrupted and plan.iterations_used == 1:
-                payload["status"] = "type2_interrupted"
-                payload["hops"] = []
+            if plan.type1_interrupted:
                 exit_code = 2
-            else:
-                route_obj = route_equal_interval(c, link, plan)
-                if plan.type1_interrupted:
-                    exit_code = 2
-        elif strategy == "min-deflection":
-            route_obj = route_min_deflection(c, link)
+        if strategy == "equal-interval" and plan.immediate_type1:
+            payload["status"] = "type2_interrupted"
+            payload["hops"] = []
         else:
-            route_obj = route_max_stepsize(c, link, belt_halfwidth=belt)
-        if route_obj is not None:
+            route_obj = strategy_router(strategy)(c, link, plan)
             payload.update(
                 {
                     "hops": list(route_obj.hops),

@@ -156,17 +156,16 @@ def nearest(
 ) -> int:
     """ID of the satellite closest (by chord) to ``target``.
 
-    Ties break to the lowest ID.
+    Ties break to the lowest ID; IDs in ``exclude`` outside the
+    constellation are ignored.
 
     Raises:
         NoCandidateError: If every satellite is excluded.
     """
     dots = c.unit_vectors @ target.unit_vector()
     if exclude:
-        idx = np.fromiter((i for i in exclude if 0 <= i < c.n_sat), dtype=int)
-        if idx.size:
-            dots = dots.copy()
-            dots[idx] = -2.0
+        idx = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+        dots[idx[(idx >= 0) & (idx < len(dots))]] = -2.0
     best = int(np.argmax(dots))
     if dots[best] == -2.0:
         raise NoCandidateError("all satellites excluded from nearest-satellite query")

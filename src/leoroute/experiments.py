@@ -18,7 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,11 +33,12 @@ from .analysis import (
     n_min_ideal,
     plan_hops,
 )
-from .constellation import PRESET_PARAMS, sample_bpp
+from .constellation import PRESET_PARAMS, Constellation, sample_bpp
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
 from .geometry import PhysicalConstants, SpherePoint
 from .routing import (
+    Route,
     route_equal_interval,
     route_max_stepsize,
     route_min_deflection,
@@ -48,6 +49,28 @@ SCHEMA_VERSION = 1
 
 #: Routing strategies understood by the harness, in canonical output order.
 STRATEGIES = ("ideal", "equal-interval", "min-deflection", "max-stepsize")
+
+
+def strategy_router(
+    strategy: str,
+) -> Callable[[Constellation, LinkSpec, HopPlan], Route]:
+    """The router of a strategy that routes through sampled satellites.
+
+    Every name in :data:`STRATEGIES` but ``ideal`` has one; the ideal
+    route ignores the satellites, so each caller reports it its own way.
+    """
+    # Looked up at call time, so a rebinding of these module names (as
+    # the benchmark tracer does) reaches every caller.
+    if strategy == "equal-interval":
+        return route_equal_interval
+    if strategy == "min-deflection":
+        return route_min_deflection
+    if strategy == "max-stepsize":
+        return route_max_stepsize
+    raise InvalidInputError(
+        f"no router for strategy {strategy!r}; choose from {STRATEGIES[1:]}"
+    )
+
 
 #: Column order of aggregate-record CSV output.
 CSV_FIELDS = (
@@ -217,11 +240,6 @@ def reference_latency_ms(params: CellParams) -> float:
     )
 
 
-def _immediate_type1(plan: HopPlan) -> bool:
-    """Planning failed before any feasible hop count existed."""
-    return plan.type1_interrupted and plan.iterations_used == 1
-
-
 def _run_one(
     params: CellParams,
     strategy: str,
@@ -252,34 +270,16 @@ def _run_one(
         epsilon=params.epsilon,
         constants=params.constants,
     )
-    if strategy == "equal-interval":
-        route = route_equal_interval(c, link, plan)
-    elif strategy == "min-deflection":
-        route = route_min_deflection(c, link)
-    elif strategy == "max-stepsize":
-        route = route_max_stepsize(c, link)
-    else:
-        raise InvalidInputError(
-            f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
-        )
-    if route.interrupted:
-        return TrialRecord(
-            trial_index=trial_index,
-            seed=seed,
-            strategy=strategy,
-            status=route.status.value,
-            latency_ms=None,
-            n_hops_final=route.n_hops,
-            efficiency=None,
-        )
+    route = strategy_router(strategy)(c, link, plan)
+    done = not route.interrupted
     return TrialRecord(
         trial_index=trial_index,
         seed=seed,
         strategy=strategy,
         status=route.status.value,
-        latency_ms=route.latency,
+        latency_ms=route.latency if done else None,
         n_hops_final=route.n_hops,
-        efficiency=measured_efficiency(reference_ms, route.latency),
+        efficiency=measured_efficiency(reference_ms, route.latency) if done else None,
     )
 
 
@@ -292,23 +292,25 @@ def _run_chunk(args: tuple) -> list[TrialRecord]:
 
 
 def _checked_plan(params: CellParams, strategy: str, trials: int) -> Optional[HopPlan]:
-    """Validate a cell request and return its hop plan (equal-interval only)."""
+    """Validate a cell request and return its hop plan (None for ``ideal``)."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     if strategy not in STRATEGIES:
         raise InvalidInputError(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
         )
-    if strategy != "equal-interval":
+    if strategy == "ideal":
         return None
     return plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
 
 
 def _planned_trials(params, strategy, trials, base_seed, threads, plan) -> tuple:
     """Trial records of a validated cell whose hop plan is already known."""
-    if plan is not None and _immediate_type1(plan):
+    if strategy == "equal-interval" and plan.immediate_type1:
         # Planning found no feasible hop count at all: every trial is
-        # interrupted before routing, so no constellation is sampled.
+        # interrupted before routing, so no constellation is sampled. The
+        # greedy baselines do not depend on planning succeeding and route
+        # every trial.
         return tuple(
             TrialRecord(
                 trial_index=i,
@@ -453,7 +455,7 @@ def estimate_type2_probability(
     else:
         params = replace(params, epsilon=epsilon)
     plan = _checked_plan(params, "equal-interval", trials)
-    if _immediate_type1(plan):
+    if plan.immediate_type1:
         return Type2Estimate(
             probability=1.0,
             ci_low=1.0,
@@ -551,7 +553,7 @@ def run_table1(
                 params.arc_angle, params.theta_max, eps
             )
             type1[eps] = plan.type1_interrupted
-            if _immediate_type1(plan):
+            if plan.immediate_type1:
                 prob[eps], ci[eps] = 1.0, (1.0, 1.0)
                 eff[eps], measured[eps] = None, 0
             else:

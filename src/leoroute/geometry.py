@@ -3,8 +3,10 @@
 Positions are spherical coordinates (radius, polar angle, azimuth); all
 computations run on unit 3-vectors internally for numerical robustness near
 the poles. Provides chord/dome-angle distances, great-circle interpolation
-(slerp), deflection from a great-circle plane, and the line-of-sight chord
-limit imposed by the occluding body.
+(:func:`slerp` on points, :func:`great_arc` on unit vectors, the one arc
+parametrization the routing strategies share), deflection from a
+great-circle plane, and the line-of-sight chord limit imposed by the
+occluding body.
 """
 
 from __future__ import annotations
@@ -107,6 +109,42 @@ def dome_angle(a: SpherePoint, b: SpherePoint) -> float:
     return 2.0 * math.asin(min(max(half, -1.0), 1.0))
 
 
+def great_arc(
+    ua: np.ndarray, ub: np.ndarray, t: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points at arc fractions ``t`` from ``ua`` to ``ub``, and the arc's normal.
+
+    Works on unit 3-vectors and follows the shorter arc, so ``t`` = 0 gives
+    ``ua`` and ``t`` = 1 gives ``ub``. Antipodal endpoints have no unique
+    connecting arc; the half great circle through the +z pole (through +x
+    when the endpoints are the poles themselves) is taken so results stay
+    deterministic.
+
+    Returns:
+        The points, shaped ``t``'s shape + (3,), and the unit normal of the
+        arc's plane (oriented so the arc runs counter-clockwise about it).
+
+    Raises:
+        DegenerateArcError: If the endpoints coincide.
+    """
+    cross = np.cross(ua, ub)
+    sin_arc = float(np.linalg.norm(cross))
+    arc = math.atan2(sin_arc, float(ua @ ub))
+    if arc < ANTIPODAL_THRESHOLD:
+        raise DegenerateArcError("endpoints coincide; no arc to follow")
+    t = np.asarray(t, dtype=float)[..., None]
+    if arc < math.pi - ANTIPODAL_THRESHOLD:
+        points = (np.sin((1.0 - t) * arc) * ua + np.sin(t * arc) * ub) / sin_arc
+        return points, cross / sin_arc
+    pole = np.array([0.0, 0.0, 1.0])
+    if abs(float(ua @ pole)) > 1.0 - 1e-9:
+        pole = np.array([1.0, 0.0, 0.0])
+    u = pole - float(pole @ ua) * ua
+    u /= np.linalg.norm(u)
+    points = np.cos(t * math.pi) * ua + np.sin(t * math.pi) * u
+    return points, np.cross(ua, u)
+
+
 def slerp(a: SpherePoint, b: SpherePoint, t: float) -> SpherePoint:
     """Interpolate along the shortest inferior arc from ``a`` to ``b``.
 
@@ -128,12 +166,10 @@ def slerp(a: SpherePoint, b: SpherePoint, t: float) -> SpherePoint:
     omega = dome_angle(a, b)
     if omega > math.pi - ANTIPODAL_THRESHOLD:
         raise DegenerateArcError("antipodal endpoints: shortest arc is undefined")
-    if omega == 0.0:
+    if omega < ANTIPODAL_THRESHOLD:
         return a
-    ua, ub = a.unit_vector(), b.unit_vector()
-    so = math.sin(omega)
-    v = (math.sin((1.0 - t) * omega) * ua + math.sin(t * omega) * ub) / so
-    return SpherePoint.from_unit_vector(v, r)
+    point, _ = great_arc(a.unit_vector(), b.unit_vector(), t)
+    return SpherePoint.from_unit_vector(point, r)
 
 
 def deflection_angle(p: SpherePoint, a: SpherePoint, b: SpherePoint) -> float:
@@ -158,11 +194,10 @@ def arc_normal(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     Raises:
         DegenerateArcError: If the vectors are parallel or antiparallel.
     """
-    n = np.cross(ua, ub)
-    norm = float(np.linalg.norm(n))
-    if norm < ANTIPODAL_THRESHOLD:
-        raise DegenerateArcError("great-circle plane undefined for (anti)parallel points")
-    return n / norm
+    sin_arc = np.linalg.norm(np.cross(ua, ub))
+    if sin_arc < ANTIPODAL_THRESHOLD and float(ua @ ub) < 0.0:
+        raise DegenerateArcError("great-circle plane undefined for antipodal points")
+    return great_arc(ua, ub, 0.0)[1]
 
 
 def los_chord_limit(r: float, r_earth: float) -> float:

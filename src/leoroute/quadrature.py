@@ -9,34 +9,59 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .errors import InternalConsistencyError
+
+#: Recursion depth at which a panel's estimate is accepted as it stands.
+MAX_DEPTH = 60
+#: Integrand evaluations one call may make. The package's integrals take
+#: well under 3000; an integrand that needs far more is not smooth at the
+#: requested tolerance, and without a budget it could run for hours.
+MAX_EVALS = 100_000
+
 
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Classic recursive adaptive Simpson with Richardson extrapolation;
-    suitable for smooth bounded integrands.
+    suitable for smooth bounded integrands. A panel refined
+    :data:`MAX_DEPTH` times returns its current estimate, so an isolated
+    jump still yields an answer.
 
     Args:
         f: Scalar integrand.
         a: Lower bound.
         b: Upper bound (may be below ``a``; the sign flips accordingly).
         tol: Absolute error tolerance.
-        max_depth: Recursion cap; reaching it returns the current estimate.
 
     Returns:
         The integral estimate.
+
+    Raises:
+        InternalConsistencyError: If the tolerance is not met within
+            :data:`MAX_EVALS` integrand evaluations.
     """
     if a == b:
         return 0.0
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson_step(f, a, fa, b, fb)
-    return _recurse(f, a, fa, b, fb, tol, whole, m, fm, max_depth)
+    evals = 0
+
+    def counted(x: float) -> float:
+        nonlocal evals
+        evals += 1
+        if evals > MAX_EVALS:
+            raise InternalConsistencyError(
+                f"adaptive Simpson exceeded {MAX_EVALS} integrand evaluations "
+                f"on [{a}, {b}] at tolerance {tol}"
+            )
+        return f(x)
+
+    fa, fb = counted(a), counted(b)
+    m, fm, whole = _simpson_step(counted, a, fa, b, fb)
+    return _recurse(counted, a, fa, b, fb, tol, whole, m, fm, MAX_DEPTH)
 
 
 def _simpson_step(f, a, fa, b, fb):

@@ -12,9 +12,17 @@ Four strategies are provided:
 * :func:`route_max_stepsize` — greedy baseline that always picks the
   farthest admissible satellite inside a belt around the arc.
 
-A hop is admissible when its chord is at most min(d_max, line-of-sight
-limit). Routes never fail with an exception: infeasibility is reported as
-``type2_interrupted`` status.
+The three strategies that route through sampled satellites share one
+signature, ``(constellation, link, plan) -> Route``: all of them follow the
+hop plan the caller made for the cell (equal-interval places
+``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
+hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
+
+Routing works on the constellation's unit vectors; :class:`SpherePoint`
+appears only at the edges (link endpoints, relay targets). A hop is
+admissible when its chord is at most min(d_max, line-of-sight limit),
+tested as one dot product of unit vectors. Routes never fail with an
+exception: infeasibility is reported as ``type2_interrupted`` status.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Callable, Optional
+from typing import AbstractSet, Optional
 
 import numpy as np
 
@@ -32,7 +40,6 @@ from .analysis import (
     ideal_latency,
     max_hop_angle,
     n_min_ideal,
-    plan_hops,
 )
 from .constellation import Constellation, nearest
 from .errors import (
@@ -46,11 +53,15 @@ from .geometry import (
     ANTIPODAL_THRESHOLD,
     PhysicalConstants,
     SpherePoint,
-    chord_distance,
     dome_angle,
+    great_arc,
     los_chord_limit,
     slerp,
 )
+
+# Unused here; benchmarks/tracing.py wraps these bindings by name.
+from .analysis import plan_hops  # noqa: F401
+from .geometry import chord_distance  # noqa: F401
 
 
 class RouteStatus(Enum):
@@ -105,59 +116,31 @@ class Route:
         return len(self.hop_distances)
 
 
-def _hop_chord_limit(radius: float, link: LinkSpec) -> float:
-    """Longest admissible hop chord in km."""
-    return min(link.d_max, los_chord_limit(radius, link.constants.r_earth))
+def _cos_admissible(radius: float, link: LinkSpec) -> float:
+    """Smallest unit-vector dot product of an admissible hop.
 
-
-def _resolve_endpoint(c: Constellation, point: SpherePoint, role: str) -> int:
-    """ID of the satellite sitting at ``point`` (must match exactly)."""
-    sat = nearest(c, point)
-    gap = float(np.linalg.norm(c.unit_vectors[sat] - point.unit_vector()))
-    if gap > 1e-9 or abs(point.r - c.radius) > 1e-9 * c.radius:
-        raise InvalidInputError(
-            f"{role} endpoint is not a satellite of the constellation"
-        )
-    return sat
-
-
-def _arc_parametrization(
-    src: SpherePoint, dst: SpherePoint
-) -> tuple[Callable[[float], np.ndarray], np.ndarray]:
-    """Unit-vector curve t -> point on the src-dst arc, plus the arc's normal.
-
-    Antipodal endpoints have no unique connecting arc; we pick the half
-    great circle through the +z pole (through +x when the endpoints are
-    the poles themselves) so results stay deterministic.
+    A hop is admissible when its chord is at most min(d_max, line-of-sight
+    limit); for unit vectors u_a, u_b on a sphere of radius r the chord is
+    r * |u_a - u_b| = r * sqrt(2 (1 - u_a . u_b)), so the test is one dot.
     """
-    a = src.unit_vector()
-    b = dst.unit_vector()
-    arc = dome_angle(src, dst)
-    if arc < ANTIPODAL_THRESHOLD:
-        raise DegenerateArcError("endpoints coincide; no arc to follow")
-    if arc < math.pi - ANTIPODAL_THRESHOLD:
-        normal = np.cross(a, b)
-        normal /= np.linalg.norm(normal)
-        sin_arc = math.sin(arc)
+    limit = min(link.d_max, los_chord_limit(radius, link.constants.r_earth))
+    return 1.0 - (limit * limit) / (2.0 * radius * radius)
 
-        def point(t: float) -> np.ndarray:
-            return (
-                math.sin((1.0 - t) * arc) * a + math.sin(t * arc) * b
-            ) / sin_arc
 
-        return point, normal
-    pole = np.array([0.0, 0.0, 1.0])
-    if abs(float(a @ pole)) > 1.0 - 1e-9:
-        pole = np.array([1.0, 0.0, 0.0])
-    u = pole - float(pole @ a) * a
-    u /= np.linalg.norm(u)
-    normal = np.cross(a, u)
-
-    def point(t: float) -> np.ndarray:
-        ang = t * math.pi
-        return math.cos(ang) * a + math.sin(ang) * u
-
-    return point, normal
+def _endpoint_ids(c: Constellation, link: LinkSpec) -> tuple[int, int]:
+    """IDs of the satellites sitting exactly at the link's endpoints."""
+    ids = []
+    for role, point in (("src", link.src), ("dst", link.dst)):
+        sat = nearest(c, point)
+        gap = float(np.linalg.norm(c.unit_vectors[sat] - point.unit_vector()))
+        if gap > 1e-9 or abs(point.r - c.radius) > 1e-9 * c.radius:
+            raise InvalidInputError(
+                f"{role} endpoint is not a satellite of the constellation"
+            )
+        ids.append(sat)
+    if ids[0] == ids[1]:
+        raise InvalidInputError("src and dst must be different satellites")
+    return ids[0], ids[1]
 
 
 def arc_waypoints(
@@ -165,17 +148,17 @@ def arc_waypoints(
 ) -> tuple[SpherePoint, ...]:
     """``n_hops + 1`` equally spaced points along the src-dst arc.
 
-    Unlike plain slerp this resolves antipodal endpoints with the same
-    deterministic half-great-circle convention the routing strategies
-    use, so it works for any separation in (0, pi].
+    Unlike plain slerp this resolves antipodal endpoints with the
+    deterministic half-great-circle convention of
+    :func:`leoroute.geometry.great_arc` that the routing strategies use,
+    so it works for any separation in (0, pi].
     """
     if n_hops < 1:
         raise InvalidInputError(f"n_hops must be >= 1, got {n_hops}")
-    point, _ = _arc_parametrization(src, dst)
-    return tuple(
-        SpherePoint.from_unit_vector(point(i / n_hops), src.r)
-        for i in range(n_hops + 1)
+    points, _ = great_arc(
+        src.unit_vector(), dst.unit_vector(), np.arange(n_hops + 1) / n_hops
     )
+    return tuple(SpherePoint.from_unit_vector(p, src.r) for p in points)
 
 
 def _materialize(
@@ -186,9 +169,8 @@ def _materialize(
     relay_targets: tuple[SpherePoint, ...] = (),
     direct_hop: bool = False,
 ) -> Route:
-    distances = tuple(
-        chord_distance(c.position(a), c.position(b)) for a, b in zip(hops, hops[1:])
-    )
+    steps = np.diff(c.unit_vectors[hops], axis=0)
+    distances = tuple((c.radius * np.linalg.norm(steps, axis=1)).tolist())
     return Route(
         hops=tuple(hops),
         hop_distances=distances,
@@ -245,9 +227,7 @@ def hop_repair(
     Raises:
         RepairFailedError: If at some step no satellite qualifies.
     """
-    radius = c.radius
-    limit = _hop_chord_limit(radius, link)
-    cos_admissible = 1.0 - (limit * limit) / (2.0 * radius * radius)
+    cos_admissible = _cos_admissible(c.radius, link)
     units = c.unit_vectors
     to_vec = units[to_id]
 
@@ -257,16 +237,15 @@ def hop_repair(
         return []
 
     try:
-        _, normal = _arc_parametrization(c.position(from_id), c.position(to_id))
+        _, normal = great_arc(units[from_id], to_vec, 0.0)
     except DegenerateArcError as exc:
         raise RepairFailedError(
             f"cannot repair hop {from_id}->{to_id}: no reference arc"
         ) from exc
 
     blocked = np.zeros(c.n_sat, dtype=bool)
-    for i in exclude:
-        if 0 <= i < c.n_sat:
-            blocked[i] = True
+    ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    blocked[ids[(ids >= 0) & (ids < c.n_sat)]] = True
     blocked[from_id] = True
     blocked[to_id] = True
 
@@ -319,30 +298,19 @@ def route_equal_interval(
             one admissible hop, return that single-hop route (flagged
             ``direct_hop``) instead of the planned multi-hop one.
     """
-    src_id = _resolve_endpoint(c, link.src, "src")
-    dst_id = _resolve_endpoint(c, link.dst, "dst")
-    if src_id == dst_id:
-        raise InvalidInputError("src and dst must be different satellites")
+    src_id, dst_id = _endpoint_ids(c, link)
     consts = link.constants
-    radius = c.radius
-    limit = _hop_chord_limit(radius, link)
-    arc = link.arc_angle
-    theta_max = max_hop_angle(radius, consts.r_earth, link.d_max)
+    units = c.unit_vectors
+    cos_admissible = _cos_admissible(c.radius, link)
 
-    if (
-        allow_direct
-        and arc <= theta_max
-        and chord_distance(c.position(src_id), c.position(dst_id)) <= limit
-    ):
+    if allow_direct and float(units[src_id] @ units[dst_id]) >= cos_admissible:
         return _materialize(
             c, [src_id, dst_id], consts, RouteStatus.OK, direct_hop=True
         )
 
-    point_at, _ = _arc_parametrization(c.position(src_id), c.position(dst_id))
     n = plan.n_hat
-    targets = tuple(
-        SpherePoint.from_unit_vector(point_at(i / n), radius) for i in range(1, n)
-    )
+    points, _ = great_arc(units[src_id], units[dst_id], np.arange(1, n) / n)
+    targets = tuple(SpherePoint.from_unit_vector(p, c.radius) for p in points)
 
     chosen: list[int] = []
     taken: set[int] = {src_id, dst_id}
@@ -365,7 +333,7 @@ def route_equal_interval(
     full: list[int] = [src_id]
     repaired = False
     for a, b in zip(planned, planned[1:]):
-        if chord_distance(c.position(a), c.position(b)) <= limit:
+        if float(units[a] @ units[b]) >= cos_admissible:
             full.append(b)
             continue
         try:
@@ -384,97 +352,62 @@ def route_equal_interval(
 
 
 def _route_greedy(
-    c: Constellation,
-    link: LinkSpec,
-    pick_farthest: bool,
-    belt_halfwidth: Optional[float],
-    max_hops: Optional[int],
+    c: Constellation, link: LinkSpec, plan: HopPlan, pick_farthest: bool
 ) -> Route:
     """Shared greedy walk for the two baseline strategies."""
-    src_id = _resolve_endpoint(c, link.src, "src")
-    dst_id = _resolve_endpoint(c, link.dst, "dst")
-    if src_id == dst_id:
-        raise InvalidInputError("src and dst must be different satellites")
-    consts = link.constants
-    radius = c.radius
-    limit = _hop_chord_limit(radius, link)
-    theta_max = max_hop_angle(radius, consts.r_earth, link.d_max)
-
-    plan = plan_hops(link.arc_angle, theta_max, c.n_sat, link.epsilon)
-    cap = max_hops if max_hops is not None else 4 * plan.n_hat
-    belt = belt_halfwidth if belt_halfwidth is not None else plan.reliable_angle
-
-    _, normal = _arc_parametrization(c.position(src_id), c.position(dst_id))
+    src_id, dst_id = _endpoint_ids(c, link)
     units = c.unit_vectors
-    cos_admissible = 1.0 - (limit * limit) / (2.0 * radius * radius)
+    cos_admissible = _cos_admissible(c.radius, link)
+    _, normal = great_arc(units[src_id], units[dst_id], 0.0)
+    deflection = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
     dots_dst = units @ units[dst_id]
     blocked = np.zeros(c.n_sat, dtype=bool)
-    blocked[src_id] = True
     if pick_farthest:
-        deflection = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
-        in_belt = deflection <= belt
-    else:
-        score = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
+        blocked |= deflection > plan.reliable_angle
+    blocked[src_id] = True
 
     hops = [src_id]
     cur = src_id
-    while len(hops) - 1 < cap:
+    while len(hops) - 1 < 4 * plan.n_hat:
         dots_cur = units @ units[cur]
         if float(dots_cur[dst_id]) >= cos_admissible:
             hops.append(dst_id)
-            return _materialize(c, hops, consts, RouteStatus.OK)
+            return _materialize(c, hops, link.constants, RouteStatus.OK)
         eligible = (
             ~blocked & (dots_cur >= cos_admissible) & (dots_dst > dots_dst[cur])
         )
-        if pick_farthest:
-            eligible &= in_belt
         if not eligible.any():
             break
         if pick_farthest:
             # Farthest admissible hop = smallest dot with the current satellite.
             step = int(np.argmin(np.where(eligible, dots_cur, np.inf)))
         else:
-            step = int(np.argmin(np.where(eligible, score, np.inf)))
+            step = int(np.argmin(np.where(eligible, deflection, np.inf)))
         hops.append(step)
         blocked[step] = True
         cur = step
-    return _materialize(c, hops, consts, RouteStatus.TYPE2_INTERRUPTED)
+    return _materialize(c, hops, link.constants, RouteStatus.TYPE2_INTERRUPTED)
 
 
-def route_min_deflection(
-    c: Constellation, link: LinkSpec, max_hops: Optional[int] = None
-) -> Route:
+def route_min_deflection(c: Constellation, link: LinkSpec, plan: HopPlan) -> Route:
     """Greedy baseline: hug the great-circle arc.
 
     From each satellite, move to the admissible satellite that is strictly
     closer to the destination and deviates least from the src->dst arc;
     take the destination directly as soon as it is admissible. Runs out of
-    candidates or exceeds ``max_hops`` (default 4x the planned hop count)
-    -> ``type2_interrupted``.
+    candidates or exceeds 4x the planned hop count ``plan.n_hat`` ->
+    ``type2_interrupted``.
     """
-    return _route_greedy(
-        c, link, pick_farthest=False, belt_halfwidth=None, max_hops=max_hops
-    )
+    return _route_greedy(c, link, plan, pick_farthest=False)
 
 
-def route_max_stepsize(
-    c: Constellation,
-    link: LinkSpec,
-    belt_halfwidth: Optional[float] = None,
-    max_hops: Optional[int] = None,
-) -> Route:
+def route_max_stepsize(c: Constellation, link: LinkSpec, plan: HopPlan) -> Route:
     """Greedy baseline: longest admissible hop inside a belt around the arc.
 
-    Candidates must lie within ``belt_halfwidth`` (dome angle) of the
-    src->dst arc — default: the planned reliable angle — be admissible
-    from the current satellite, and be strictly closer to the destination;
-    among them the farthest is taken. Same termination rules as
-    :func:`route_min_deflection`.
+    Candidates must lie within the planned reliable angle
+    ``plan.reliable_angle`` (dome angle) of the src->dst arc, be
+    admissible from the current satellite, and be strictly closer to the
+    destination; among them the farthest is taken. Same termination rules
+    as :func:`route_min_deflection`.
     """
-    return _route_greedy(
-        c,
-        link,
-        pick_farthest=True,
-        belt_halfwidth=belt_halfwidth,
-        max_hops=max_hops,
-    )
+    return _route_greedy(c, link, plan, pick_farthest=True)

@@ -6,10 +6,17 @@ import math
 
 import pytest
 
+from leoroute.analysis import LinkSpec, max_hop_angle, plan_hops
 from leoroute.cli import main, parse_angle
 from leoroute.constellation import sample_bpp, save_constellation
 from leoroute.errors import InternalConsistencyError, InvalidInputError
+from leoroute.experiments import make_endpoints
 from leoroute.geometry import SpherePoint, dome_angle
+from leoroute.routing import (
+    route_equal_interval,
+    route_max_stepsize,
+    route_min_deflection,
+)
 
 
 def run_cli(capsys, *argv):
@@ -236,27 +243,70 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert err == "internal error: planned hop count went negative\n"
 
 
-def test_route_empty_belt_exits_three(capsys):
+def test_route_sparse_shell_exits_three(capsys):
+    # 200 satellites cannot carry a pole-to-pole route inside the planned
+    # belt: the walk stalls after one hop.
+    code, out, _ = run_cli(
+        capsys,
+        "route",
+        "--n-sat",
+        "200",
+        "--altitude",
+        "550",
+        "--seed",
+        "0",
+        "--epsilon",
+        "0.5",
+        "--strategy",
+        "max-stepsize",
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["status"] == "type2_interrupted"
+    assert payload["latency_ms"] is None
+
+
+@pytest.mark.parametrize("seed, arc", [(0, math.pi), (3, 10250.0 / 6871.0)])
+@pytest.mark.parametrize("strategy", ["equal-interval", "min-deflection", "max-stepsize"])
+def test_route_matches_library_router(capsys, strategy, seed, arc):
+    """The CLI routes with the plan for the sampled shell's N satellites.
+
+    At 10250 km that plan (n_hat 12) differs from the one for the N + 2
+    satellites of the shell with its endpoints appended (n_hat 11).
+    """
     code, out, _ = run_cli(
         capsys,
         "route",
         "--n-sat",
         "800",
         "--altitude",
-        "550",
-        "--seed",
-        "0",
+        "500",
         "--epsilon",
         "0.1",
+        "--seed",
+        str(seed),
+        "--dome-angle",
+        repr(arc),
         "--strategy",
-        "max-stepsize",
-        "--belt",
-        "0.0",
+        strategy,
     )
-    assert code == 3
     payload = json.loads(out)
-    assert payload["status"] == "type2_interrupted"
-    assert payload["latency_ms"] is None
+    radius = 6371.0 + 500.0
+    theta_max = max_hop_angle(radius, 6371.0, 3000.0)
+    plan = plan_hops(arc, theta_max, 800, 0.1)
+    src, dst = make_endpoints(radius, arc)
+    shell = sample_bpp(800, 6371.0, 500.0, seed).with_extra_points([src, dst])
+    router = {
+        "equal-interval": route_equal_interval,
+        "min-deflection": route_min_deflection,
+        "max-stepsize": route_max_stepsize,
+    }[strategy]
+    route = router(shell, LinkSpec(src=src, dst=dst, epsilon=0.1), plan)
+    assert payload["hops"] == list(route.hops)
+    assert payload["hop_distances_km"] == list(route.hop_distances)
+    assert payload["status"] == route.status.value
+    assert payload.get("n_hat", plan.n_hat) == plan.n_hat
+    assert code == (3 if route.interrupted else 0)
 
 
 def test_route_out_file_and_constellation_file(capsys, tmp_path):

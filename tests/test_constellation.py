@@ -153,8 +153,12 @@ def test_nearest_respects_exclusions():
     assert nearest(c, target) == 0
     second = nearest(c, target, exclude={0})
     assert second != 0
+    # IDs outside the constellation are ignored.
+    assert nearest(c, target, exclude={0, -1, c.n_sat, 10**6}) == second
     with pytest.raises(NoCandidateError):
         nearest(c, target, exclude=set(range(c.n_sat)))
+    with pytest.raises(NoCandidateError):
+        nearest(c, target, exclude=frozenset(range(-3, c.n_sat + 3)))
 
 
 def test_nearest_tie_breaks_lowest_id():
@@ -163,6 +167,7 @@ def test_nearest_tie_breaks_lowest_id():
     c = Constellation(r_earth=R, altitude=550.0, unit_vectors=dup)
     target = c.position(1)
     assert nearest(c, target) == 1  # IDs 1 and 3 tie exactly
+    assert nearest(c, target, exclude={1}) == 3
 
 
 # ---------------------------------------------------------------------------

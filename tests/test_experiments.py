@@ -7,7 +7,14 @@ from dataclasses import replace
 
 import pytest
 
-from leoroute.analysis import latency_floor, max_hop_angle, min_feasible_hops, plan_hops
+from leoroute.analysis import (
+    LinkSpec,
+    latency_floor,
+    max_hop_angle,
+    min_feasible_hops,
+    plan_hops,
+)
+from leoroute.constellation import sample_bpp
 from leoroute.errors import InvalidInputError
 from leoroute.experiments import (
     CSV_FIELDS,
@@ -22,6 +29,7 @@ from leoroute.experiments import (
     run_table1,
     run_trials,
     splitmix64,
+    strategy_router,
     sweep,
     table1_rows,
     table1_to_jsonable,
@@ -305,6 +313,35 @@ def test_sparse_constellation_interrupts_greedy_walks():
     params = CellParams(n_sat=10, altitude_km=550.0, arc_angle=math.pi, epsilon=0.1)
     records = run_trials(params, "min-deflection", trials=30, base_seed=17)
     assert all(r.status == "type2_interrupted" for r in records)
+
+
+@pytest.mark.parametrize("strategy", ["min-deflection", "max-stepsize"])
+def test_greedy_trials_route_with_the_cell_plan(strategy):
+    """Each greedy trial equals a direct router call on the cell's N-satellite plan."""
+    # At 10250 km the plan for N = 800 (n_hat 12) differs from the one for
+    # the N + 2 satellites of a trial shell (n_hat 11).
+    params = CellParams(
+        n_sat=800, altitude_km=500.0, arc_angle=10250.0 / 6871.0, epsilon=0.1
+    )
+    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+    records = run_trials(params, strategy, trials=6, base_seed=11)
+    router = strategy_router(strategy)
+    src, dst = make_endpoints(params.radius, params.arc_angle)
+    link = LinkSpec(src=src, dst=dst, epsilon=params.epsilon)
+    for rec in records:
+        shell = sample_bpp(800, 6371.0, 500.0, rec.seed).with_extra_points([src, dst])
+        route = router(shell, link, plan)
+        assert rec.status == route.status.value
+        assert rec.n_hops_final == route.n_hops
+        assert rec.latency_ms == (None if route.interrupted else route.latency)
+    agg = run_cell(params, strategy, trials=6, base_seed=11)
+    assert (agg.n_hat, agg.reliable_angle) == (plan.n_hat, plan.reliable_angle)
+
+
+def test_strategy_router_rejects_ideal_and_unknown_names():
+    for name in ("ideal", "shortest-path"):
+        with pytest.raises(InvalidInputError):
+            strategy_router(name)
 
 
 def test_estimate_type2_accepts_explicit_params():

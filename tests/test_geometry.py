@@ -15,9 +15,11 @@ from leoroute import (
     chord_distance,
     deflection_angle,
     dome_angle,
+    great_arc,
     los_chord_limit,
     slerp,
 )
+from leoroute.geometry import arc_normal
 
 R = 6371.0
 RS = 6921.0  # 550 km shell
@@ -157,6 +159,47 @@ def test_slerp_matches_colatitude_frame():
                 # and is numerically stable down to machine precision.
                 gap = np.linalg.norm(expected.unit_vector() - got.unit_vector())
                 assert gap < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# great_arc and the antipodal convention
+# ---------------------------------------------------------------------------
+
+
+def test_great_arc_points_and_normal():
+    a, b = pt(1.0, 0.4, 0.1), pt(1.0, 1.9, 2.7)
+    ua, ub = a.unit_vector(), b.unit_vector()
+    ts = np.array([0.0, 0.3, 1.0])
+    points, normal = great_arc(ua, ub, ts)
+    assert points.shape == (3, 3)
+    for t, point in zip(ts, points):
+        assert np.linalg.norm(point - slerp(a, b, float(t)).unit_vector()) < 1e-12
+    assert math.isclose(float(np.linalg.norm(normal)), 1.0, rel_tol=1e-12)
+    assert abs(float(normal @ ua)) < 1e-12 and abs(float(normal @ ub)) < 1e-12
+    assert np.linalg.norm(normal - arc_normal(ua, ub)) < 1e-15
+
+
+def test_great_arc_antipodal_convention():
+    # Equatorial antipodes: the half circle runs through the +z pole.
+    ua, ub = np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])
+    points, normal = great_arc(ua, ub, np.array([0.5, 1.0]))
+    assert np.linalg.norm(points[0] - np.array([0.0, 0.0, 1.0])) < 1e-12
+    assert np.linalg.norm(points[1] - ub) < 1e-12
+    assert abs(float(normal @ points[0])) < 1e-12
+    # The poles themselves: the half circle runs through +x.
+    north, south = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+    mid, _ = great_arc(north, south, 0.5)
+    assert np.linalg.norm(mid - np.array([1.0, 0.0, 0.0])) < 1e-12
+    with pytest.raises(DegenerateArcError):
+        great_arc(ua, ua, 0.5)
+
+
+def test_point_level_arcs_reject_antipodal_endpoints():
+    a, b = pt(R, 0.2, 0.0), pt(R, math.pi - 0.2, math.pi)
+    with pytest.raises(DegenerateArcError):
+        arc_normal(a.unit_vector(), b.unit_vector())
+    with pytest.raises(DegenerateArcError):
+        deflection_angle(pt(R, 1.0, 1.0), a, b)
 
 
 # ---------------------------------------------------------------------------

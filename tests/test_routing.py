@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,11 @@ def attach_endpoints(c, arc):
 
 def admissible_chord(radius):
     return min(D_MAX, los_chord_limit(radius, R_EARTH))
+
+
+def cell_plan(c, arc, epsilon=0.01, **overrides):
+    """Hop plan for the satellites of ``c`` other than the two endpoints."""
+    return replace(plan_hops(arc, THETA_MAX, c.n_sat - 2, epsilon), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +341,24 @@ def test_min_deflection_walks_arc_in_order():
     arc = 2.0
     c2, src, dst, n_chain = arc_chain_constellation(arc, 0.25)
     link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    route = route_min_deflection(c2, link)
+    route = route_min_deflection(c2, link, cell_plan(c2, arc))
     assert route.status is RouteStatus.OK
     body = route.hops[1:-1]
     assert list(body) == sorted(body)
     assert body[0] == 0
     assert all(b - a == 1 for a, b in zip(body, body[1:]))
+    # The walk gives up after 4 * plan.n_hat hops.
+    capped = route_min_deflection(c2, link, cell_plan(c2, arc, n_hat=1))
+    assert capped.status is RouteStatus.TYPE2_INTERRUPTED
+    assert capped.hops == route.hops[:5]
 
 
 def test_max_stepsize_takes_longer_steps():
     arc = 2.0
     c2, src, dst, n_chain = arc_chain_constellation(arc, 0.1)
     link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    wide = route_max_stepsize(c2, link, belt_halfwidth=0.2)
-    narrow = route_min_deflection(c2, link)
+    wide = route_max_stepsize(c2, link, cell_plan(c2, arc, reliable_angle=0.2))
+    narrow = route_min_deflection(c2, link, cell_plan(c2, arc))
     assert wide.status is RouteStatus.OK
     assert len(wide.hops) < len(narrow.hops)
     body = wide.hops[1:-1]
@@ -360,7 +370,10 @@ def test_max_stepsize_two_satellites_direct():
     src, dst = endpoints(arc)
     c = constellation_from_points([src, dst])
     link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    route = route_max_stepsize(c, link, belt_halfwidth=0.1)
+    plan = HopPlan(
+        n_hat=1, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
+    )
+    route = route_max_stepsize(c, link, plan)
     assert route.hops == (0, 1)
     assert route.status is RouteStatus.OK
 
@@ -375,7 +388,7 @@ def test_max_stepsize_empty_belt_interrupts():
     c = constellation_from_points(off_arc)
     c2, src, dst = attach_endpoints(c, arc)
     link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    route = route_max_stepsize(c2, link, belt_halfwidth=0.0)
+    route = route_max_stepsize(c2, link, cell_plan(c2, arc, reliable_angle=0.0))
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
 
 
@@ -388,7 +401,7 @@ def test_min_deflection_sparse_gap_interrupts():
     c = constellation_from_points(near_src + past_gap)
     c2, src, dst = attach_endpoints(c, arc)
     link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    route = route_min_deflection(c2, link)
+    route = route_min_deflection(c2, link, cell_plan(c2, arc))
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
     assert route.hops[0] == 4  # partial route out of the source
 
@@ -398,9 +411,10 @@ def test_greedy_progress_strictly_decreases():
     arc = 2.5
     c2, src, dst = attach_endpoints(c, arc)
     link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
+    plan = cell_plan(c2, arc)
     for route in (
-        route_min_deflection(c2, link),
-        route_max_stepsize(c2, link),
+        route_min_deflection(c2, link, plan),
+        route_max_stepsize(c2, link, plan),
     ):
         assert route.status is not RouteStatus.TYPE2_INTERRUPTED
         gaps = [dome_angle(c2.position(h), dst) for h in route.hops]
@@ -419,8 +433,8 @@ def _sampled_routes(seed, n_sat, arc, epsilon=0.01):
     plan = plan_hops(arc, THETA_MAX, n_sat, epsilon)
     routes = [
         route_equal_interval(c2, link, plan),
-        route_min_deflection(c2, link),
-        route_max_stepsize(c2, link, belt_halfwidth=plan.reliable_angle),
+        route_min_deflection(c2, link, plan),
+        route_max_stepsize(c2, link, plan),
     ]
     return c2, routes
 
@@ -471,8 +485,8 @@ def test_equal_split_reference_is_not_a_floor():
     best = min(
         r.latency
         for r in (
-            route_min_deflection(c2, link),
-            route_max_stepsize(c2, link, belt_halfwidth=plan.reliable_angle),
+            route_min_deflection(c2, link, plan),
+            route_max_stepsize(c2, link, plan),
         )
         if not r.interrupted
     )
