@@ -32,7 +32,7 @@ for _ in range(2000):
         theta=float(np.arccos(rng.uniform(-1.0, 1.0))),
         phi=float(rng.uniform(0.0, 2.0 * np.pi)),
     )
-    sat_id = nearest(shell, ref)
+    sat_id = nearest(shell, ref.unit_vector())
     samples.append(
         float(np.arccos(np.clip(shell.unit_vectors[sat_id] @ ref.unit_vector(), -1, 1)))
     )

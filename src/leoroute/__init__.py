@@ -39,11 +39,8 @@ from .analysis import (
 from .constellation import (
     PRESET_PARAMS,
     Constellation,
-    ConstellationPreset,
-    from_preset,
     load_constellation,
     nearest,
-    random_endpoints,
     sample_bpp,
     save_constellation,
 )
@@ -127,11 +124,8 @@ __all__ = [
     # constellation
     "PRESET_PARAMS",
     "Constellation",
-    "ConstellationPreset",
     "sample_bpp",
-    "from_preset",
     "nearest",
-    "random_endpoints",
     "save_constellation",
     "load_constellation",
     # analysis

@@ -11,6 +11,13 @@ Exit codes form a stable scripting contract:
 Angles are radians (the literal ``pi`` and forms like ``pi/2`` or
 ``0.5pi`` are accepted), distances km, latencies ms. All randomness flows
 from ``--seed``.
+
+``analyze`` and ``route`` describe one experimental cell
+(:class:`~leoroute.experiments.CellParams`), and ``route`` builds its route
+with the Monte Carlo harness's own trial
+(:func:`~leoroute.experiments.route_trial`). ``route --constellation FILE``
+routes over the satellites of the file and takes the satellite count, the
+shell altitude and the body radius from it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,15 +36,13 @@ from .analysis import (
     contact_mean,
     ideal_latency,
     iteration_bound,
-    latency_floor,
-    max_hop_angle,
     min_sats_grid_minimum,
     n_min_ideal,
     plan_hops,
-    LinkSpec,
 )
 from .constellation import (
     PRESET_PARAMS,
+    Constellation,
     load_constellation,
     sample_bpp,
 )
@@ -46,10 +50,12 @@ from .errors import DegenerateArcError, InternalConsistencyError, InvalidInputEr
 from .experiments import (
     SCHEMA_VERSION,
     STRATEGIES,
+    CellParams,
     SweepSpec,
     make_endpoints,
+    reference_latency_ms,
+    route_trial,
     run_table1,
-    strategy_router,
     sweep as run_sweep,
     table1_rows,
     write_records_csv,
@@ -66,8 +72,6 @@ from .routing import (  # noqa: F401
     route_max_stepsize,
     route_min_deflection,
 )
-
-_R_EARTH_KM = PhysicalConstants.r_earth
 
 _ANGLE_PATTERN = re.compile(
     r"(?:(\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?pi(?:\s*/\s*(\d+(?:\.\d*)?|\.\d+))?"
@@ -93,37 +97,6 @@ def parse_angle(text: str) -> float:
     return numerator * math.pi / denominator
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved common settings of a CLI invocation."""
-
-    preset: Optional[str]
-    n_sat: int
-    altitude_km: float
-    d_max_km: float
-    epsilon: float
-    seed: int
-    trials: int
-
-    def __post_init__(self) -> None:
-        if self.n_sat < 1:
-            raise InvalidInputError("n_sat must be >= 1")
-        if self.altitude_km <= 0 or self.d_max_km <= 0:
-            raise InvalidInputError("altitude and d_max must be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidInputError("epsilon must be in (0, 1)")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be >= 1")
-
-    @property
-    def radius(self) -> float:
-        return _R_EARTH_KM + self.altitude_km
-
-    @property
-    def theta_max(self) -> float:
-        return max_hop_angle(self.radius, _R_EARTH_KM, self.d_max_km)
-
-
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -145,19 +118,21 @@ def _merge(flag_value, config: dict, key: str, default):
     return default
 
 
-def _resolve_config(
+def _resolve_cell(
     preset: Optional[str],
     n_sat: Optional[int],
     altitude: Optional[float],
     d_max: Optional[float],
     epsilon: Optional[float],
-    seed: Optional[int],
-    trials: Optional[int],
-    config_path: Optional[str],
-    default_trials: int = 10_000,
-    allow_no_constellation: bool = False,
-) -> RunConfig:
-    config = _load_config_file(config_path)
+    config: dict,
+    dome_angle: str,
+    shell: Optional[Constellation] = None,
+) -> CellParams:
+    """The cell a command's flags and config file describe.
+
+    With ``shell`` (a constellation file), the satellite count, altitude
+    and body radius are the file's.
+    """
     preset = _merge(preset, config, "preset", None)
     n_sat = _merge(n_sat, config, "n_sat", None)
     altitude = _merge(altitude, config, "altitude_km", None)
@@ -170,20 +145,23 @@ def _resolve_config(
                 f"unknown preset {preset!r}; choose from {sorted(PRESET_PARAMS)}"
             )
         altitude, n_sat = PRESET_PARAMS[preset]
+    r_earth = PhysicalConstants.r_earth
+    if shell is not None:
+        n_sat, altitude, r_earth = shell.n_sat, shell.altitude, shell.r_earth
     elif n_sat is None or altitude is None:
-        if not allow_no_constellation:
-            raise InvalidInputError(
-                "constellation unspecified: give --preset or both --n-sat and --altitude"
-            )
-        n_sat, altitude = 1, 550.0  # placeholder; caller uses a file instead
-    return RunConfig(
-        preset=preset,
+        raise InvalidInputError(
+            "constellation unspecified: give --preset or both --n-sat and --altitude"
+        )
+    arc = parse_angle(dome_angle)
+    if not 0.0 < arc <= math.pi:
+        raise InvalidInputError(f"dome angle must be in (0, pi], got {arc}")
+    return CellParams(
         n_sat=int(n_sat),
         altitude_km=float(altitude),
+        arc_angle=arc,
         d_max_km=float(_merge(d_max, config, "d_max_km", 3000.0)),
         epsilon=float(_merge(epsilon, config, "epsilon", 0.01)),
-        seed=int(_merge(seed, config, "seed", 0)),
-        trials=int(_merge(trials, config, "trials", default_trials)),
+        r_earth_km=r_earth,
     )
 
 
@@ -247,16 +225,14 @@ def cli() -> None:
 )
 def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) -> None:
     """Closed-form link analysis: hop plan, contact law, feasibility."""
-    cfg = _resolve_config(
-        preset, n_sat, altitude, d_max, epsilon, None, None, config_path
+    params = _resolve_cell(
+        preset, n_sat, altitude, d_max, epsilon, _load_config_file(config_path),
+        dome_angle,
     )
-    arc = parse_angle(dome_angle)
-    if not 0.0 < arc <= math.pi:
-        raise InvalidInputError(f"dome angle must be in (0, pi], got {arc}")
-    theta_max = cfg.theta_max
-    plan = plan_hops(arc, theta_max, cfg.n_sat, cfg.epsilon)
-    mean = contact_mean(cfg.n_sat)
-    bound = iteration_bound(cfg.epsilon, theta_max, cfg.n_sat)
+    arc, theta_max = params.arc_angle, params.theta_max
+    plan = plan_hops(arc, theta_max, params.n_sat, params.epsilon)
+    mean = contact_mean(params.n_sat)
+    bound = iteration_bound(params.epsilon, theta_max, params.n_sat)
     click.echo(f"max_hop_angle_rad = {theta_max:.6f}")
     click.echo(f"n_min_hops = {n_min_ideal(arc, theta_max)}")
     click.echo(f"n_hat_hops = {plan.n_hat}")
@@ -265,7 +241,7 @@ def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) ->
     click.echo(f"iterations_used = {plan.iterations_used}")
     click.echo(f"contact_mean_rad = {mean.quadrature:.6f}")
     click.echo(
-        f"min_sats_sufficient = {min_sats_grid_minimum(arc, theta_max, cfg.epsilon)}"
+        f"min_sats_sufficient = {min_sats_grid_minimum(arc, theta_max, params.epsilon)}"
     )
     bound_text = f"{bound:.3f}" if bound < 1e6 else f"{bound:.6g}"
     click.echo(f"iteration_bound = {bound_text}")
@@ -293,7 +269,8 @@ def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) ->
     "constellation_path",
     type=click.Path(),
     default=None,
-    help="Load satellites from a JSON file instead of sampling.",
+    help="Load satellites from a JSON file instead of sampling; its size, "
+    "altitude and body radius replace the shell flags.",
 )
 @click.option(
     "--out",
@@ -315,28 +292,14 @@ def route(
     out,
 ) -> None:
     """Build one route between endpoints at the given separation."""
-    cfg = _resolve_config(
-        preset,
-        n_sat,
-        altitude,
-        d_max,
-        epsilon,
-        seed,
-        None,
-        config_path,
-        allow_no_constellation=constellation_path is not None,
-    )
-    arc = parse_angle(dome_angle)
-    if not 0.0 < arc <= math.pi:
-        raise InvalidInputError(f"dome angle must be in (0, pi], got {arc}")
-
+    config = _load_config_file(config_path)
+    shell = None
     if constellation_path is not None:
-        base = load_constellation(constellation_path)
-    else:
-        base = sample_bpp(cfg.n_sat, _R_EARTH_KM, cfg.altitude_km, cfg.seed)
-    radius = base.radius
-    theta_max = max_hop_angle(radius, base.r_earth, cfg.d_max_km)
-    src, dst = make_endpoints(radius, arc)
+        shell = load_constellation(constellation_path)
+    params = _resolve_cell(
+        preset, n_sat, altitude, d_max, epsilon, config, dome_angle, shell
+    )
+    arc, theta_max, radius = params.arc_angle, params.theta_max, params.radius
 
     payload = {"schema_version": SCHEMA_VERSION, "strategy": strategy}
     exit_code = 0
@@ -345,7 +308,7 @@ def route(
         # antipodal ambiguity with the routing convention so the default
         # half-circle separation works for every strategy.
         n_hops = n_min_ideal(arc, theta_max)
-        positions = arc_waypoints(src, dst, n_hops)
+        positions = arc_waypoints(*make_endpoints(radius, arc), n_hops)
         payload.update(
             {
                 "relay_positions": [
@@ -357,9 +320,7 @@ def route(
             }
         )
     else:
-        c = base.with_extra_points([src, dst])
-        link = LinkSpec(src=src, dst=dst, d_max=cfg.d_max_km, epsilon=cfg.epsilon)
-        plan = plan_hops(arc, theta_max, base.n_sat, cfg.epsilon)
+        plan = plan_hops(arc, theta_max, params.n_sat, params.epsilon)
         if strategy == "equal-interval":
             payload.update(
                 {
@@ -374,7 +335,12 @@ def route(
             payload["status"] = "type2_interrupted"
             payload["hops"] = []
         else:
-            route_obj = strategy_router(strategy)(c, link, plan)
+            if shell is None:
+                seed = int(_merge(seed, config, "seed", 0))
+                shell = sample_bpp(
+                    params.n_sat, params.r_earth_km, params.altitude_km, seed
+                )
+            route_obj = route_trial(params, shell, strategy, plan)
             payload.update(
                 {
                     "hops": list(route_obj.hops),
@@ -391,7 +357,7 @@ def route(
         payload["ideal_latency_ms"] = ideal_latency(
             arc, n_min_ideal(arc, theta_max), radius
         )
-        payload["latency_floor_ms"] = latency_floor(arc, theta_max, radius)
+        payload["latency_floor_ms"] = reference_latency_ms(params)
 
     text = json.dumps(payload, indent=2)
     if out is not None:

@@ -18,7 +18,7 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NoCandidateError
-from .geometry import PhysicalConstants, SpherePoint
+from .geometry import SpherePoint
 
 #: Known constellation shells: name -> (altitude_km, n_sat).
 PRESET_PARAMS: dict[str, tuple[float, int]] = {
@@ -26,37 +26,6 @@ PRESET_PARAMS: dict[str, tuple[float, int]] = {
     "oneweb": (1200.0, 650),
     "kuiper": (610.0, 3236),
 }
-
-
-@dataclass(frozen=True)
-class ConstellationPreset:
-    """A named constellation shell (single altitude)."""
-
-    name: str
-    altitude_km: float
-    n_sat: int
-
-    def __post_init__(self) -> None:
-        expected = PRESET_PARAMS.get(self.name)
-        if expected is None:
-            raise InvalidInputError(
-                f"unknown preset {self.name!r}; choose from {sorted(PRESET_PARAMS)}"
-            )
-        if (self.altitude_km, self.n_sat) != expected:
-            raise InvalidInputError(
-                f"preset {self.name!r} must carry {expected}, got "
-                f"({self.altitude_km}, {self.n_sat})"
-            )
-
-    @classmethod
-    def by_name(cls, name: str) -> "ConstellationPreset":
-        """Look up a preset by name."""
-        if name not in PRESET_PARAMS:
-            raise InvalidInputError(
-                f"unknown preset {name!r}; choose from {sorted(PRESET_PARAMS)}"
-            )
-        altitude_km, n_sat = PRESET_PARAMS[name]
-        return cls(name=name, altitude_km=altitude_km, n_sat=n_sat)
 
 
 @dataclass(frozen=True)
@@ -143,26 +112,19 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
     )
 
 
-def from_preset(
-    name: str, seed: int, r_earth: float = PhysicalConstants.r_earth
-) -> Constellation:
-    """Sample a constellation with a preset's altitude and satellite count."""
-    preset = ConstellationPreset.by_name(name)
-    return sample_bpp(preset.n_sat, r_earth, preset.altitude_km, seed)
-
-
 def nearest(
-    c: Constellation, target: SpherePoint, exclude: AbstractSet[int] = frozenset()
+    c: Constellation, target: np.ndarray, exclude: AbstractSet[int] = frozenset()
 ) -> int:
-    """ID of the satellite closest (by chord) to ``target``.
+    """ID of the satellite closest (by chord) to the direction ``target``.
 
-    Ties break to the lowest ID; IDs in ``exclude`` outside the
-    constellation are ignored.
+    ``target`` is a unit 3-vector (``SpherePoint.unit_vector()`` gives one
+    for a point). Ties break to the lowest ID; IDs in ``exclude`` outside
+    the constellation are ignored.
 
     Raises:
         NoCandidateError: If every satellite is excluded.
     """
-    dots = c.unit_vectors @ target.unit_vector()
+    dots = c.unit_vectors @ target
     if exclude:
         idx = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
         dots[idx[(idx >= 0) & (idx < len(dots))]] = -2.0
@@ -170,36 +132,6 @@ def nearest(
     if dots[best] == -2.0:
         raise NoCandidateError("all satellites excluded from nearest-satellite query")
     return best
-
-
-def random_endpoints(
-    c: Constellation, target_dome_angle: float, seed: int
-) -> tuple[int, int]:
-    """Pick a random satellite and the one nearest to a target separation.
-
-    Args:
-        c: Constellation with at least 2 satellites.
-        target_dome_angle: Desired endpoint separation in (0, pi].
-        seed: RNG seed for the first endpoint choice.
-
-    Returns:
-        (src_id, dst_id) where dst's dome angle to src is closest to the
-        target (ties to the lowest ID).
-    """
-    if c.n_sat < 2:
-        raise InvalidInputError("need at least 2 satellites for endpoints")
-    if not 0.0 < target_dome_angle <= math.pi:
-        raise InvalidInputError(
-            f"target dome angle must be in (0, pi], got {target_dome_angle}"
-        )
-    rng = np.random.default_rng(seed)
-    src = int(rng.integers(c.n_sat))
-    dots = c.unit_vectors @ c.unit_vectors[src]
-    angles = np.arccos(np.clip(dots, -1.0, 1.0))
-    gap = np.abs(angles - target_dome_angle)
-    gap[src] = np.inf
-    dst = int(np.argmin(gap))
-    return src, dst
 
 
 def save_constellation(c: Constellation, path: str | Path) -> None:

@@ -240,6 +240,26 @@ def reference_latency_ms(params: CellParams) -> float:
     )
 
 
+def route_trial(
+    params: CellParams, shell: Constellation, strategy: str, plan: HopPlan
+) -> Route:
+    """Route one trial of a cell through the satellites of ``shell``.
+
+    Appends the cell's endpoints to ``shell`` (as IDs ``shell.n_sat`` and
+    ``shell.n_sat + 1``) and routes between them with ``strategy`` under
+    ``plan``, over the cell's link settings and body radius.
+    """
+    src, dst = make_endpoints(params.radius, params.arc_angle)
+    link = LinkSpec(
+        src=src,
+        dst=dst,
+        d_max=params.d_max_km,
+        epsilon=params.epsilon,
+        constants=params.constants,
+    )
+    return strategy_router(strategy)(shell.with_extra_points([src, dst]), link, plan)
+
+
 def _run_one(
     params: CellParams,
     strategy: str,
@@ -259,18 +279,8 @@ def _run_one(
             n_hops_final=reference_hop_count(params),
             efficiency=1.0,
         )
-    src, dst = make_endpoints(params.radius, params.arc_angle)
-    c = sample_bpp(
-        params.n_sat, params.r_earth_km, params.altitude_km, seed
-    ).with_extra_points([src, dst])
-    link = LinkSpec(
-        src=src,
-        dst=dst,
-        d_max=params.d_max_km,
-        epsilon=params.epsilon,
-        constants=params.constants,
-    )
-    route = strategy_router(strategy)(c, link, plan)
+    shell = sample_bpp(params.n_sat, params.r_earth_km, params.altitude_km, seed)
+    route = route_trial(params, shell, strategy, plan)
     done = not route.interrupted
     return TrialRecord(
         trial_index=trial_index,
@@ -738,20 +748,7 @@ def records_to_jsonable(records: Iterable[SweepRecord]) -> dict:
     """JSON mirror of the CSV: same fields, None as null."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "records": [
-            {
-                "swept_value": rec.swept_value,
-                "strategy": rec.strategy,
-                "mean_latency_ms": rec.mean_latency_ms,
-                "type2_rate": rec.type2_rate,
-                "eff_measured": rec.eff_measured,
-                "eff_contour": rec.eff_contour,
-                "eff_binomial": rec.eff_binomial,
-                "trials": rec.trials,
-                "seed": rec.seed,
-            }
-            for rec in records
-        ],
+        "records": [{f: getattr(rec, f) for f in CSV_FIELDS} for rec in records],
     }
 
 

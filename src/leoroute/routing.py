@@ -19,7 +19,7 @@ hop plan the caller made for the cell (equal-interval places
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
 
 Routing works on the constellation's unit vectors; :class:`SpherePoint`
-appears only at the edges (link endpoints, relay targets). A hop is
+appears only at the edges (link endpoints, ideal relay positions). A hop is
 admissible when its chord is at most min(d_max, line-of-sight limit),
 tested as one dot product of unit vectors. Routes never fail with an
 exception: infeasibility is reported as ``type2_interrupted`` status.
@@ -84,8 +84,6 @@ class Route:
         latency: Propagation latency in ms of the hops listed.
         status: ``ok``, ``repaired`` (at least one hop was repaired), or
             ``type2_interrupted`` (no admissible continuation existed).
-        relay_targets: The ideal relay positions the hops were snapped to,
-            kept for diagnostics (empty for the greedy strategies).
         direct_hop: True when the route is the single-hop shortcut taken
             because the endpoints can reach each other directly.
     """
@@ -94,7 +92,6 @@ class Route:
     hop_distances: tuple[float, ...]
     latency: float
     status: RouteStatus
-    relay_targets: tuple[SpherePoint, ...] = ()
     direct_hop: bool = False
 
     def __post_init__(self) -> None:
@@ -131,8 +128,9 @@ def _endpoint_ids(c: Constellation, link: LinkSpec) -> tuple[int, int]:
     """IDs of the satellites sitting exactly at the link's endpoints."""
     ids = []
     for role, point in (("src", link.src), ("dst", link.dst)):
-        sat = nearest(c, point)
-        gap = float(np.linalg.norm(c.unit_vectors[sat] - point.unit_vector()))
+        unit = point.unit_vector()
+        sat = nearest(c, unit)
+        gap = float(np.linalg.norm(c.unit_vectors[sat] - unit))
         if gap > 1e-9 or abs(point.r - c.radius) > 1e-9 * c.radius:
             raise InvalidInputError(
                 f"{role} endpoint is not a satellite of the constellation"
@@ -166,7 +164,6 @@ def _materialize(
     hops: list[int],
     constants: PhysicalConstants,
     status: RouteStatus,
-    relay_targets: tuple[SpherePoint, ...] = (),
     direct_hop: bool = False,
 ) -> Route:
     steps = np.diff(c.unit_vectors[hops], axis=0)
@@ -176,7 +173,6 @@ def _materialize(
         hop_distances=distances,
         latency=sum(distances) / constants.c,
         status=status,
-        relay_targets=relay_targets,
         direct_hop=direct_hop,
     )
 
@@ -309,8 +305,7 @@ def route_equal_interval(
         )
 
     n = plan.n_hat
-    points, _ = great_arc(units[src_id], units[dst_id], np.arange(1, n) / n)
-    targets = tuple(SpherePoint.from_unit_vector(p, c.radius) for p in points)
+    targets, _ = great_arc(units[src_id], units[dst_id], np.arange(1, n) / n)
 
     chosen: list[int] = []
     taken: set[int] = {src_id, dst_id}
@@ -319,11 +314,7 @@ def route_equal_interval(
             relay = nearest(c, target, exclude=taken)
         except NoCandidateError:
             return _materialize(
-                c,
-                [src_id, *chosen],
-                consts,
-                RouteStatus.TYPE2_INTERRUPTED,
-                relay_targets=targets,
+                c, [src_id, *chosen], consts, RouteStatus.TYPE2_INTERRUPTED
             )
         chosen.append(relay)
         taken.add(relay)
@@ -339,16 +330,14 @@ def route_equal_interval(
         try:
             mids = hop_repair(c, a, b, link, exclude=used)
         except RepairFailedError:
-            return _materialize(
-                c, full, consts, RouteStatus.TYPE2_INTERRUPTED, relay_targets=targets
-            )
+            return _materialize(c, full, consts, RouteStatus.TYPE2_INTERRUPTED)
         used.update(mids)
         full.extend(mids)
         full.append(b)
         repaired = repaired or bool(mids)
 
     status = RouteStatus.REPAIRED if repaired else RouteStatus.OK
-    return _materialize(c, full, consts, status, relay_targets=targets)
+    return _materialize(c, full, consts, status)
 
 
 def _route_greedy(

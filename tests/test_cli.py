@@ -8,10 +8,10 @@ import pytest
 
 from leoroute.analysis import LinkSpec, max_hop_angle, plan_hops
 from leoroute.cli import main, parse_angle
-from leoroute.constellation import sample_bpp, save_constellation
+from leoroute.constellation import load_constellation, sample_bpp, save_constellation
 from leoroute.errors import InternalConsistencyError, InvalidInputError
 from leoroute.experiments import make_endpoints
-from leoroute.geometry import SpherePoint, dome_angle
+from leoroute.geometry import PhysicalConstants, SpherePoint, dome_angle
 from leoroute.routing import (
     route_equal_interval,
     route_max_stepsize,
@@ -348,6 +348,38 @@ def test_route_out_file_and_constellation_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["hops"] == payload["hops"]
+
+
+def test_route_constellation_file_uses_its_body_radius(capsys, tmp_path):
+    """A file's r_earth sets the line-of-sight limit, not just the plan.
+
+    On a 500 km shell around a 6000 km body, hops may reach the 3000 km
+    d_max; a 6371 km body would block every chord beyond 2577 km.
+    """
+    path = tmp_path / "shell.json"
+    save_constellation(sample_bpp(3000, 6000.0, 500.0, 0), path)
+    code, out, _ = run_cli(
+        capsys,
+        "route",
+        "--constellation",
+        str(path),
+        "--epsilon",
+        "0.1",
+        "--strategy",
+        "max-stepsize",
+    )
+    payload = json.loads(out)
+    shell = load_constellation(path)
+    theta_max = max_hop_angle(6500.0, 6000.0, 3000.0)
+    plan = plan_hops(math.pi, theta_max, 3000, 0.1)
+    src, dst = make_endpoints(6500.0, math.pi)
+    link = LinkSpec(
+        src=src, dst=dst, epsilon=0.1, constants=PhysicalConstants(r_earth=6000.0)
+    )
+    route = route_max_stepsize(shell.with_extra_points([src, dst]), link, plan)
+    assert code == 0
+    assert payload["hops"] == list(route.hops)
+    assert max(payload["hop_distances_km"]) > 2577.0
 
 
 # ---------------------------------------------------------------------------

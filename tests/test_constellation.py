@@ -14,15 +14,12 @@ from leoroute import (
     PRESET_PARAMS,
     SpherePoint,
     dome_angle,
-    from_preset,
     load_constellation,
     nearest,
-    random_endpoints,
     sample_bpp,
     save_constellation,
 )
 from leoroute.analysis import contact_cdf
-from leoroute.constellation import ConstellationPreset
 
 R = 6371.0
 
@@ -117,17 +114,6 @@ def test_preset_catalogue():
     assert PRESET_PARAMS["kuiper"] == (610.0, 3236)
 
 
-def test_preset_constellation_shape():
-    c = from_preset("oneweb", seed=0)
-    assert c.n_sat == 650
-    assert c.radius == R + 1200.0
-
-
-def test_unknown_preset_rejected():
-    with pytest.raises(InvalidInputError):
-        ConstellationPreset.by_name("iridium")
-
-
 # ---------------------------------------------------------------------------
 # nearest
 # ---------------------------------------------------------------------------
@@ -140,7 +126,7 @@ def test_nearest_matches_brute_force():
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         target = SpherePoint.from_unit_vector(u, c.radius)
-        got = nearest(c, target)
+        got = nearest(c, u)
         brute = min(
             range(c.n_sat), key=lambda i: dome_angle(c.position(i), target)
         )
@@ -149,7 +135,7 @@ def test_nearest_matches_brute_force():
 
 def test_nearest_respects_exclusions():
     c = sample_bpp(50, R, 550.0, seed=2)
-    target = c.position(0)
+    target = c.unit_vectors[0]
     assert nearest(c, target) == 0
     second = nearest(c, target, exclude={0})
     assert second != 0
@@ -165,35 +151,9 @@ def test_nearest_tie_breaks_lowest_id():
     base = sample_bpp(3, R, 550.0, seed=1)
     dup = np.vstack([base.unit_vectors, base.unit_vectors[1]])
     c = Constellation(r_earth=R, altitude=550.0, unit_vectors=dup)
-    target = c.position(1)
+    target = c.unit_vectors[1]
     assert nearest(c, target) == 1  # IDs 1 and 3 tie exactly
     assert nearest(c, target, exclude={1}) == 3
-
-
-# ---------------------------------------------------------------------------
-# random_endpoints
-# ---------------------------------------------------------------------------
-
-
-def test_random_endpoints_near_target():
-    c = sample_bpp(2000, R, 550.0, seed=4)
-    src, dst = random_endpoints(c, 2.0, seed=9)
-    assert src != dst
-    gap = dome_angle(c.position(src), c.position(dst))
-    assert abs(gap - 2.0) < 0.2
-
-
-def test_random_endpoints_deterministic():
-    c = sample_bpp(300, R, 550.0, seed=4)
-    assert random_endpoints(c, 1.5, seed=7) == random_endpoints(c, 1.5, seed=7)
-
-
-def test_random_endpoints_validates_target():
-    c = sample_bpp(10, R, 550.0, seed=0)
-    with pytest.raises(InvalidInputError):
-        random_endpoints(c, 0.0, seed=0)
-    with pytest.raises(InvalidInputError):
-        random_endpoints(c, 3.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

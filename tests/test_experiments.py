@@ -562,11 +562,9 @@ def test_json_mirrors_csv(tmp_path):
     assert payload["schema_version"] == 1
     assert len(payload["records"]) == len(records)
     for entry, rec in zip(payload["records"], records):
-        assert entry["strategy"] == rec.strategy
-        assert entry["mean_latency_ms"] == rec.mean_latency_ms
-        assert entry["eff_measured"] == rec.eff_measured
-        assert entry["eff_contour"] == rec.eff_contour
-        assert entry["eff_binomial"] == rec.eff_binomial
+        assert tuple(entry) == CSV_FIELDS
+        for field in CSV_FIELDS:
+            assert entry[field] == getattr(rec, field)
 
 
 def test_serialization_is_byte_stable(tmp_path):

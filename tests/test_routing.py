@@ -245,18 +245,6 @@ def test_equal_interval_type2_on_hopeless_instance():
     assert route.interrupted
 
 
-def test_equal_interval_relay_targets_recorded():
-    arc = 2.0
-    c = sample_bpp(3000, R_EARTH, ALT, seed=1)
-    c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    plan = plan_hops(arc, THETA_MAX, c.n_sat, 0.01)
-    route = route_equal_interval(c2, link, plan, allow_direct=False)
-    assert len(route.relay_targets) == plan.n_hat - 1
-    for i, tgt in enumerate(route.relay_targets, start=1):
-        assert math.isclose(dome_angle(src, tgt), arc * i / plan.n_hat, abs_tol=5e-8)
-
-
 # ---------------------------------------------------------------------------
 # hop_repair
 # ---------------------------------------------------------------------------
