@@ -109,13 +109,23 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
-def _merge(flag_value, config: dict, key: str, default):
-    """Flag beats config file beats hard default."""
+def _merge(flag_value, config: dict, key: str, default, kind: type):
+    """Flag beats config file beats hard default.
+
+    A config-file value is converted with ``kind``; one that does not
+    convert is a configuration error, and null counts as absent.
+    """
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    value = config.get(key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(
+            f"config value {key}={value!r} is not a valid {kind.__name__}"
+        ) from exc
 
 
 def _resolve_cell(
@@ -133,9 +143,9 @@ def _resolve_cell(
     With ``shell`` (a constellation file), the satellite count, altitude
     and body radius are the file's.
     """
-    preset = _merge(preset, config, "preset", None)
-    n_sat = _merge(n_sat, config, "n_sat", None)
-    altitude = _merge(altitude, config, "altitude_km", None)
+    preset = _merge(preset, config, "preset", None, str)
+    n_sat = _merge(n_sat, config, "n_sat", None, int)
+    altitude = _merge(altitude, config, "altitude_km", None, float)
     explicit = n_sat is not None or altitude is not None
     if preset is not None and explicit:
         raise InvalidInputError("give either --preset or --n-sat/--altitude, not both")
@@ -159,8 +169,8 @@ def _resolve_cell(
         n_sat=int(n_sat),
         altitude_km=float(altitude),
         arc_angle=arc,
-        d_max_km=float(_merge(d_max, config, "d_max_km", 3000.0)),
-        epsilon=float(_merge(epsilon, config, "epsilon", 0.01)),
+        d_max_km=_merge(d_max, config, "d_max_km", 3000.0, float),
+        epsilon=_merge(epsilon, config, "epsilon", 0.01, float),
         r_earth_km=r_earth,
     )
 
@@ -336,7 +346,7 @@ def route(
             payload["hops"] = []
         else:
             if shell is None:
-                seed = int(_merge(seed, config, "seed", 0))
+                seed = _merge(seed, config, "seed", 0, int)
                 shell = sample_bpp(
                     params.n_sat, params.r_earth_km, params.altitude_km, seed
                 )
@@ -403,8 +413,8 @@ def _write_pair(fmt: str, out_base: str, write_csv, write_json) -> list[str]:
 def table1(trials, seed, threads, out, fmt, config_path) -> None:
     """Monte Carlo summary table over the three preset constellations."""
     config = _load_config_file(config_path)
-    trials = int(_merge(trials, config, "trials", 10_000))
-    seed = int(_merge(seed, config, "seed", 0))
+    trials = _merge(trials, config, "trials", 10_000, int)
+    seed = _merge(seed, config, "seed", 0, int)
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     result = run_table1(trials=trials, base_seed=seed, threads=threads)
@@ -504,11 +514,11 @@ def sweep_cmd(
         altitude = preset_altitude if altitude is None else altitude
 
     fixed = {
-        "n_sat": _merge(n_sat, config, "n_sat", None),
-        "altitude_km": _merge(altitude, config, "altitude_km", None),
-        "distance_km": _merge(distance, config, "distance_km", None),
-        "d_max_km": float(_merge(d_max, config, "d_max_km", 3000.0)),
-        "epsilon": float(_merge(epsilon, config, "epsilon", 0.01)),
+        "n_sat": _merge(n_sat, config, "n_sat", None, int),
+        "altitude_km": _merge(altitude, config, "altitude_km", None, float),
+        "distance_km": _merge(distance, config, "distance_km", None, float),
+        "d_max_km": _merge(d_max, config, "d_max_km", 3000.0, float),
+        "epsilon": _merge(epsilon, config, "epsilon", 0.01, float),
     }
     # A preset- or config-supplied value for the swept slot is just a default;
     # drop it rather than reject it.
@@ -516,8 +526,8 @@ def sweep_cmd(
     missing = [k for k, v in fixed.items() if v is None]
     if missing:
         raise InvalidInputError(f"missing fixed parameters: {missing}")
-    trials = int(_merge(trials, config, "trials", 1000))
-    seed = int(_merge(seed, config, "seed", 0))
+    trials = _merge(trials, config, "trials", 1000, int)
+    seed = _merge(seed, config, "seed", 0, int)
 
     chosen = tuple(s.strip() for s in strategies.split(",") if s.strip())
     spec = SweepSpec(

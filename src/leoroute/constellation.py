@@ -4,6 +4,12 @@ Satellites are drawn i.i.d. uniformly on the constellation sphere (a
 binomial point process): cos(theta) uniform on [-1, 1] and phi uniform on
 [0, 2*pi). Positions are immutable after construction and satellite IDs are
 0-based indices into the position list.
+
+:func:`sample_band` and :func:`sample_band_complement` draw the same
+process in two parts, split at a band |u_y| <= s around the xz great
+circle: first the satellites inside the band, then, only when asked, the
+rest. By the restriction property of the binomial point process the two
+parts together are ``n_sat`` i.i.d. uniform satellites.
 """
 
 from __future__ import annotations
@@ -49,12 +55,35 @@ class Constellation:
         units = np.asarray(self.unit_vectors, dtype=float)
         if units.ndim != 2 or units.shape[1] != 3 or units.shape[0] < 1:
             raise InvalidInputError("unit_vectors must be a non-empty (n, 3) array")
-        norms = np.linalg.norm(units, axis=1)
-        units = units / norms[:, None]
+        units = _normalized(units)
         units.setflags(write=False)
         object.__setattr__(self, "unit_vectors", units)
         if self.r_earth <= 0 or self.altitude < 0:
             raise InvalidInputError("require r_earth > 0 and altitude >= 0")
+
+    @classmethod
+    def from_unit_rows(
+        cls,
+        r_earth: float,
+        altitude: float,
+        units: np.ndarray,
+        seed: Optional[int] = None,
+    ) -> "Constellation":
+        """A constellation over rows that are unit vectors already.
+
+        The rows are kept bit for bit (not normalized again) and the array
+        is made read-only; the caller vouches for the shape and the values.
+        """
+        c = object.__new__(cls)
+        units.setflags(write=False)
+        for name, value in (
+            ("r_earth", r_earth),
+            ("altitude", altitude),
+            ("unit_vectors", units),
+            ("seed", seed),
+        ):
+            object.__setattr__(c, name, value)
+        return c
 
     @property
     def radius(self) -> float:
@@ -79,15 +108,27 @@ class Constellation:
         return SpherePoint.from_unit_vector(self.unit_vectors[sat_id], self.radius)
 
     def with_extra_points(self, points: Sequence[SpherePoint]) -> "Constellation":
-        """A new constellation with ``points`` appended at the next IDs."""
-        extra = np.array([p.unit_vector() for p in points])
+        """A new constellation with ``points`` appended at the next IDs.
+
+        Only the appended rows are normalized; the existing ones are kept
+        bit for bit.
+        """
         for p in points:
             if abs(p.r - self.radius) > 1e-9 * self.radius:
                 raise InvalidInputError("extra points must lie on the constellation sphere")
-        units = np.vstack([self.unit_vectors, extra])
-        return Constellation(
-            r_earth=self.r_earth, altitude=self.altitude, unit_vectors=units, seed=self.seed
+        units = np.vstack([self.unit_vectors, point_rows(points)])
+        return Constellation.from_unit_rows(
+            self.r_earth, self.altitude, units, seed=self.seed
         )
+
+
+def _normalized(units: np.ndarray) -> np.ndarray:
+    return units / np.linalg.norm(units, axis=1)[:, None]
+
+
+def point_rows(points: Sequence[SpherePoint]) -> np.ndarray:
+    """Unit-vector rows of ``points``, as a constellation stores them."""
+    return _normalized(np.array([p.unit_vector() for p in points]).reshape(-1, 3))
 
 
 def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Constellation:
@@ -110,6 +151,63 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
     return Constellation(
         r_earth=r_earth, altitude=altitude, unit_vectors=units, seed=int(seed)
     )
+
+
+def _band_rows(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit rows at height ``y`` on the y axis and longitude ``phi`` about it.
+
+    The rows are unit vectors to rounding by construction and are not
+    normalized again.
+    """
+    rho = np.sqrt(1.0 - y * y)
+    rows = np.empty((len(y), 3))
+    np.multiply(rho, np.cos(phi), out=rows[:, 0])
+    rows[:, 1] = y
+    np.multiply(rho, np.sin(phi), out=rows[:, 2])
+    return rows
+
+
+def _check_band(sin_halfwidth: float) -> None:
+    if not 0.0 <= sin_halfwidth <= 1.0:
+        raise InvalidInputError(
+            f"band half-width sine must be in [0, 1], got {sin_halfwidth}"
+        )
+
+
+def sample_band(
+    rng: np.random.Generator, n_sat: int, sin_halfwidth: float
+) -> np.ndarray:
+    """Unit rows of the satellites of a uniform shell inside |u_y| <= s.
+
+    On a uniform sphere u_y is uniform on [-1, 1], so the band of
+    ``n_sat`` satellites holds K ~ Binomial(n_sat, s) of them, each
+    uniform in the band. Draws K, then K heights and K longitudes from
+    ``rng``; :func:`sample_band_complement` continues the same generator
+    with the other ``n_sat - K``.
+
+    Raises:
+        InvalidInputError: If ``n_sat`` < 1 or s is outside [0, 1].
+    """
+    if n_sat < 1:
+        raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
+    _check_band(sin_halfwidth)
+    k = int(rng.binomial(n_sat, sin_halfwidth))
+    y = rng.uniform(-sin_halfwidth, sin_halfwidth, k)
+    return _band_rows(y, rng.uniform(0.0, 2.0 * math.pi, k))
+
+
+def sample_band_complement(
+    rng: np.random.Generator, count: int, sin_halfwidth: float
+) -> np.ndarray:
+    """Unit rows of ``count`` satellites uniform outside the band |u_y| <= s.
+
+    |u_y| is uniform on [s, 1] with a random sign, and the longitude about
+    the y axis is uniform.
+    """
+    _check_band(sin_halfwidth)
+    magnitude = rng.uniform(sin_halfwidth, 1.0, count)
+    y = np.where(rng.random(count) < 0.5, -magnitude, magnitude)
+    return _band_rows(y, rng.uniform(0.0, 2.0 * math.pi, count))
 
 
 def nearest(
@@ -148,8 +246,9 @@ def save_constellation(c: Constellation, path: str | Path) -> None:
 
 def load_constellation(path: str | Path) -> Constellation:
     """Read a constellation previously written by :func:`save_constellation`."""
-    payload = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
     try:
+        payload = json.loads(text)
         r_earth = float(payload["r_earth_km"])
         altitude = float(payload["altitude_km"])
         sats: Iterable[dict] = payload["satellites"]
@@ -161,7 +260,7 @@ def load_constellation(path: str | Path) -> Constellation:
                 for s in sats
             ]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed constellation file {path}: {exc}") from exc
     return Constellation(
         r_earth=r_earth, altitude=altitude, unit_vectors=units, seed=None

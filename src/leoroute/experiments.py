@@ -1,13 +1,24 @@
 """Monte Carlo harness: interruption rates, summary table, parameter sweeps.
 
-Each trial draws a fresh uniform constellation, appends the two endpoints
-as extra satellites at an exact dome-angle separation (IDs n_sat and
-n_sat + 1), routes between them with the requested strategy, and records
-status, latency, and efficiency. Per-trial seeds are derived from the
-base seed with a splitmix64 mix of the trial index, so results are
-deterministic and independent of execution order; trials may run in
-parallel worker processes and are reduced in trial-index order, making
-output byte-identical for any worker count.
+Each trial routes between two endpoints at an exact dome-angle separation
+through a fresh uniform constellation, and records status, latency, and
+efficiency. The endpoints lie in the xz-plane, so the arc's normal is the
+y axis, and a trial draws its shell band first
+(:func:`~leoroute.constellation.sample_band`): only the satellites with
+|u_y| <= sin w, then the two endpoints as the last two satellites. When
+the route on that band shell is certified — no satellite outside the band
+could have changed it — it is the route on the whole shell; otherwise the
+trial draws the rest of the shell from the same generator
+(:func:`~leoroute.constellation.sample_band_complement`) and routes again on
+all ``n_sat`` satellites. Band and complement together are ``n_sat``
+i.i.d. uniform satellites (the restriction property of the binomial point
+process), so the records follow the same law as routing on a full shell.
+
+Per-trial seeds are derived from the base seed with a splitmix64 mix of
+the trial index, so results are deterministic and independent of
+execution order; trials may run in parallel worker processes and are
+reduced in trial-index order, making output byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -33,16 +44,26 @@ from .analysis import (
     n_min_ideal,
     plan_hops,
 )
-from .constellation import PRESET_PARAMS, Constellation, sample_bpp
+from .constellation import (
+    PRESET_PARAMS,
+    Constellation,
+    point_rows,
+    sample_band,
+    sample_band_complement,
+)
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
-from .geometry import PhysicalConstants, SpherePoint
+from .geometry import PhysicalConstants, SpherePoint, great_arc
 from .routing import (
     Route,
+    RouteStatus,
     route_equal_interval,
     route_max_stepsize,
     route_min_deflection,
 )
+
+# Unused here; benchmarks/tracing.py wraps this binding by name.
+from .constellation import sample_bpp  # noqa: F401
 
 #: Version of the CSV/JSON output layout.
 SCHEMA_VERSION = 1
@@ -240,6 +261,18 @@ def reference_latency_ms(params: CellParams) -> float:
     )
 
 
+def _cell_link(params: CellParams) -> LinkSpec:
+    """The link between the cell's endpoints, with its link settings."""
+    src, dst = make_endpoints(params.radius, params.arc_angle)
+    return LinkSpec(
+        src=src,
+        dst=dst,
+        d_max=params.d_max_km,
+        epsilon=params.epsilon,
+        constants=params.constants,
+    )
+
+
 def route_trial(
     params: CellParams, shell: Constellation, strategy: str, plan: HopPlan
 ) -> Route:
@@ -249,56 +282,152 @@ def route_trial(
     ``shell.n_sat + 1``) and routes between them with ``strategy`` under
     ``plan``, over the cell's link settings and body radius.
     """
-    src, dst = make_endpoints(params.radius, params.arc_angle)
-    link = LinkSpec(
-        src=src,
-        dst=dst,
-        d_max=params.d_max_km,
-        epsilon=params.epsilon,
-        constants=params.constants,
+    link = _cell_link(params)
+    return strategy_router(strategy)(
+        shell.with_extra_points([link.src, link.dst]), link, plan
     )
-    return strategy_router(strategy)(shell.with_extra_points([src, dst]), link, plan)
 
 
-def _run_one(
-    params: CellParams,
-    strategy: str,
-    trial_index: int,
-    base_seed: int,
-    plan: Optional[HopPlan],
-    reference_ms: float,
-) -> TrialRecord:
-    seed = trial_seed(base_seed, trial_index)
-    if strategy == "ideal":
-        return TrialRecord(
-            trial_index=trial_index,
-            seed=seed,
-            strategy=strategy,
-            status="ok",
-            latency_ms=reference_ms,
-            n_hops_final=reference_hop_count(params),
-            efficiency=1.0,
+#: Chance that a cap of the band's half-width around a point of the arc
+#: holds no satellite: the contact-law quantile that sets the band of
+#: equal-interval and min-deflection trials.
+_BAND_MISS_PROBABILITY = 1e-4
+
+#: Relative widening of the drawn band over the half-width that certifies
+#: a route, so that rounding at the band's edge cannot matter (sin/asin,
+#: and the arc's normal, which is the y axis only to within 1e-16).
+_BAND_SLACK = 1e-9
+
+
+def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
+    """Half-width w (rad) of the band around the arc that certifies routes.
+
+    max-stepsize keeps to its belt, ``plan.reliable_angle``. The other
+    strategies take the contact-law quantile ((1 + cos w) / 2)^N =
+    ``_BAND_MISS_PROBABILITY``, i.e. sin^2(w / 2) = 1 - alpha^(1/N),
+    except an equal-interval plan that is type-I interrupted: its routes
+    are mostly repaired or interrupted and would almost never certify
+    (97% of oneweb's trials at epsilon 0.1 did not), so its band is the
+    whole sphere.
+    """
+    if strategy == "max-stepsize":
+        return plan.reliable_angle
+    if strategy == "equal-interval" and plan.type1_interrupted:
+        return math.pi / 2.0
+    tail = -math.expm1(math.log(_BAND_MISS_PROBABILITY) / params.n_sat)
+    return 2.0 * math.asin(math.sqrt(tail))
+
+
+def trial_band_sine(params: CellParams, strategy: str, plan: HopPlan) -> float:
+    """Sine s of the band |u_y| <= s that a trial of the cell draws first."""
+    widened = _band_halfwidth(params, strategy, plan) * (1.0 + _BAND_SLACK)
+    return math.sin(min(widened, math.pi / 2.0))
+
+
+@dataclass(frozen=True)
+class _TrialCell:
+    """What every sampled trial of a cell shares, computed once per cell."""
+
+    params: CellParams
+    strategy: str
+    plan: HopPlan
+    link: LinkSpec
+    #: Unit rows of src and dst, the last two satellites of every shell.
+    endpoints: np.ndarray
+    band_sine: float
+    #: The band half-width w that certifies, as its sine and cosine.
+    sin_halfwidth: float
+    cos_halfwidth: float
+    #: Equal-interval relay targets and the arc's unit normal.
+    targets: np.ndarray
+    normal: np.ndarray
+    reference_ms: float
+
+    def shell(self, seed: int, *parts: np.ndarray) -> Constellation:
+        """The satellites of ``parts`` in order, then the two endpoints."""
+        p = self.params
+        return Constellation.from_unit_rows(
+            p.r_earth_km, p.altitude_km, np.vstack([*parts, self.endpoints]), seed
         )
-    shell = sample_bpp(params.n_sat, params.r_earth_km, params.altitude_km, seed)
-    route = route_trial(params, shell, strategy, plan)
+
+    def route(self, shell: Constellation) -> Route:
+        return strategy_router(self.strategy)(shell, self.link, self.plan)
+
+    def certifies(self, route: Route, band_shell: Constellation) -> bool:
+        """True when no satellite outside the band could change ``route``.
+
+        The band is a little wider than w, so every satellite outside it
+        deflects more than w from the arc. max-stepsize never leaves its
+        belt of w, so it is always certified. A completed min-deflection
+        walk is certified when every satellite it took deflects at most w:
+        each was then the least-deflecting candidate of the whole shell
+        too. A completed equal-interval route that was not repaired is
+        certified when it took the direct hop or every relay lies within w
+        of its target: no outside satellite is that close to a point of the
+        arc, so none could have won a snap. Repairs and interruptions are
+        never certified.
+        """
+        if self.strategy == "max-stepsize":
+            return True
+        if route.status is not RouteStatus.OK:
+            return False
+        relays = band_shell.unit_vectors[list(route.hops[1:-1])]
+        if self.strategy == "min-deflection":
+            return bool(np.all(np.abs(relays @ self.normal) <= self.sin_halfwidth))
+        if route.direct_hop:
+            return True
+        closeness = np.einsum("ij,ij->i", relays, self.targets)
+        return bool(np.all(closeness >= self.cos_halfwidth))
+
+
+def _trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> _TrialCell:
+    link = _cell_link(params)
+    endpoints = point_rows([link.src, link.dst])
+    n = plan.n_hat
+    targets, normal = great_arc(endpoints[0], endpoints[1], np.arange(1, n) / n)
+    halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
+    return _TrialCell(
+        params=params,
+        strategy=strategy,
+        plan=plan,
+        link=link,
+        endpoints=endpoints,
+        band_sine=trial_band_sine(params, strategy, plan),
+        sin_halfwidth=math.sin(halfwidth),
+        cos_halfwidth=math.cos(halfwidth),
+        targets=targets,
+        normal=normal,
+        reference_ms=reference_latency_ms(params),
+    )
+
+
+def _run_one(cell: _TrialCell, trial_index: int, base_seed: int) -> TrialRecord:
+    seed = trial_seed(base_seed, trial_index)
+    n_sat = cell.params.n_sat
+    rng = np.random.default_rng(seed)
+    band = sample_band(rng, n_sat, cell.band_sine)
+    shell = cell.shell(seed, band)
+    route = cell.route(shell)
+    if len(band) < n_sat and not cell.certifies(route, shell):
+        rest = sample_band_complement(rng, n_sat - len(band), cell.band_sine)
+        route = cell.route(cell.shell(seed, band, rest))
     done = not route.interrupted
     return TrialRecord(
         trial_index=trial_index,
         seed=seed,
-        strategy=strategy,
+        strategy=cell.strategy,
         status=route.status.value,
         latency_ms=route.latency if done else None,
         n_hops_final=route.n_hops,
-        efficiency=measured_efficiency(reference_ms, route.latency) if done else None,
+        efficiency=(
+            measured_efficiency(cell.reference_ms, route.latency) if done else None
+        ),
     )
 
 
 def _run_chunk(args: tuple) -> list[TrialRecord]:
-    params, strategy, base_seed, start, stop, plan, reference_ms = args
-    return [
-        _run_one(params, strategy, i, base_seed, plan, reference_ms)
-        for i in range(start, stop)
-    ]
+    cell, base_seed, start, stop = args
+    return [_run_one(cell, i, base_seed) for i in range(start, stop)]
 
 
 def _checked_plan(params: CellParams, strategy: str, trials: int) -> Optional[HopPlan]:
@@ -316,6 +445,21 @@ def _checked_plan(params: CellParams, strategy: str, trials: int) -> Optional[Ho
 
 def _planned_trials(params, strategy, trials, base_seed, threads, plan) -> tuple:
     """Trial records of a validated cell whose hop plan is already known."""
+    if strategy == "ideal":
+        reference_ms = reference_latency_ms(params)
+        n_hops = reference_hop_count(params)
+        return tuple(
+            TrialRecord(
+                trial_index=i,
+                seed=trial_seed(base_seed, i),
+                strategy=strategy,
+                status="ok",
+                latency_ms=reference_ms,
+                n_hops_final=n_hops,
+                efficiency=1.0,
+            )
+            for i in range(trials)
+        )
     if strategy == "equal-interval" and plan.immediate_type1:
         # Planning found no feasible hop count at all: every trial is
         # interrupted before routing, so no constellation is sampled. The
@@ -333,17 +477,13 @@ def _planned_trials(params, strategy, trials, base_seed, threads, plan) -> tuple
             )
             for i in range(trials)
         )
-    reference_ms = reference_latency_ms(params)
+    cell = _trial_cell(params, strategy, plan)
     workers = max(1, int(threads))
     if workers == 1 or trials < 2 * workers:
-        return tuple(
-            _run_chunk((params, strategy, base_seed, 0, trials, plan, reference_ms))
-        )
+        return tuple(_run_chunk((cell, base_seed, 0, trials)))
     bounds = [round(i * trials / workers) for i in range(workers + 1)]
     tasks = [
-        (params, strategy, base_seed, lo, hi, plan, reference_ms)
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
+        (cell, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = list(pool.map(_run_chunk, tasks))

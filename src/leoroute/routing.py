@@ -18,6 +18,8 @@ hop plan the caller made for the cell (equal-interval places
 ``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
 
+The link's endpoints are the constellation's last two satellites (src
+second to last, dst last), as the Monte Carlo harness appends them.
 Routing works on the constellation's unit vectors; :class:`SpherePoint`
 appears only at the edges (link endpoints, ideal relay positions). A hop is
 admissible when its chord is at most min(d_max, line-of-sight limit),
@@ -41,12 +43,11 @@ from .analysis import (
     max_hop_angle,
     n_min_ideal,
 )
-from .constellation import Constellation, nearest
+from .constellation import Constellation
 from .errors import (
     DegenerateArcError,
     InternalConsistencyError,
     InvalidInputError,
-    NoCandidateError,
     RepairFailedError,
 )
 from .geometry import (
@@ -61,6 +62,7 @@ from .geometry import (
 
 # Unused here; benchmarks/tracing.py wraps these bindings by name.
 from .analysis import plan_hops  # noqa: F401
+from .constellation import nearest  # noqa: F401
 from .geometry import chord_distance  # noqa: F401
 
 
@@ -125,20 +127,19 @@ def _cos_admissible(radius: float, link: LinkSpec) -> float:
 
 
 def _endpoint_ids(c: Constellation, link: LinkSpec) -> tuple[int, int]:
-    """IDs of the satellites sitting exactly at the link's endpoints."""
-    ids = []
-    for role, point in (("src", link.src), ("dst", link.dst)):
-        unit = point.unit_vector()
-        sat = nearest(c, unit)
-        gap = float(np.linalg.norm(c.unit_vectors[sat] - unit))
-        if gap > 1e-9 or abs(point.r - c.radius) > 1e-9 * c.radius:
+    """IDs of the link's endpoints: the constellation's last two satellites."""
+    ids = (c.n_sat - 2, c.n_sat - 1)
+    for role, point, sat in zip(("src", "dst"), (link.src, link.dst), ids):
+        if (
+            sat < 0
+            or np.linalg.norm(c.unit_vectors[sat] - point.unit_vector()) > 1e-9
+            or abs(point.r - c.radius) > 1e-9 * c.radius
+        ):
             raise InvalidInputError(
-                f"{role} endpoint is not a satellite of the constellation"
+                f"{role} endpoint is not satellite {sat}: routes take the "
+                "link's endpoints as the last two satellites"
             )
-        ids.append(sat)
-    if ids[0] == ids[1]:
-        raise InvalidInputError("src and dst must be different satellites")
-    return ids[0], ids[1]
+    return ids
 
 
 def arc_waypoints(
@@ -307,24 +308,27 @@ def route_equal_interval(
     n = plan.n_hat
     targets, _ = great_arc(units[src_id], units[dst_id], np.arange(1, n) / n)
 
-    chosen: list[int] = []
-    taken: set[int] = {src_id, dst_id}
-    for target in targets:
-        try:
-            relay = nearest(c, target, exclude=taken)
-        except NoCandidateError:
+    # Nearest free satellite per target, ties to the lowest ID.
+    taken = np.empty(n + 1, dtype=np.intp)
+    taken[:2] = src_id, dst_id
+    for k, target in enumerate(targets, start=2):
+        dots = units @ target
+        dots[taken[:k]] = -2.0
+        relay = dots.argmax()
+        if dots[relay] == -2.0:
             return _materialize(
-                c, [src_id, *chosen], consts, RouteStatus.TYPE2_INTERRUPTED
+                c, [src_id, *taken[2:k].tolist()], consts, RouteStatus.TYPE2_INTERRUPTED
             )
-        chosen.append(relay)
-        taken.add(relay)
+        taken[k] = relay
 
-    planned = [src_id, *chosen, dst_id]
+    planned = [src_id, *taken[2:].tolist(), dst_id]
+    rows = units[planned]
+    fits = (np.einsum("ij,ij->i", rows[:-1], rows[1:]) >= cos_admissible).tolist()
     used = set(planned)
     full: list[int] = [src_id]
     repaired = False
-    for a, b in zip(planned, planned[1:]):
-        if float(units[a] @ units[b]) >= cos_admissible:
+    for a, b, fit in zip(planned, planned[1:], fits):
+        if fit:
             full.append(b)
             continue
         try:

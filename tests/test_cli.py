@@ -172,6 +172,45 @@ def test_analyze_config_file_and_flag_precedence(capsys, tmp_path):
     assert "config file" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (
+            ["route", "--strategy", "min-deflection"],
+            {"preset": "oneweb", "seed": "abc"},
+        ),
+        (["analyze"], {"n_sat": "many", "altitude_km": 550}),
+        (["analyze", "--preset", "starlink"], {"epsilon": [0.1]}),
+        (["table1", "--trials", "2"], {"seed": "1.5"}),
+        (
+            ["sweep", "--var", "distance", "--from", "4000", "--to", "4000",
+             "--step", "1"],
+            {"n_sat": 800, "altitude_km": 500, "trials": "x"},
+        ),
+    ],
+    ids=[
+        "route-seed", "analyze-n_sat", "analyze-epsilon", "table1-seed", "sweep-trials"
+    ],
+)
+def test_config_value_of_wrong_type_exits_one(capsys, tmp_path, argv, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 1
+    assert err.startswith("error: config value ")
+    assert len(err.splitlines()) == 1
+
+
+def test_route_constellation_file_not_json_exits_one(capsys, tmp_path):
+    path = tmp_path / "shell.json"
+    path.write_text("not json")
+    code, out, err = run_cli(capsys, "route", "--constellation", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed constellation file ")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # route
 # ---------------------------------------------------------------------------

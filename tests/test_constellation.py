@@ -20,6 +20,7 @@ from leoroute import (
     save_constellation,
 )
 from leoroute.analysis import contact_cdf
+from leoroute.constellation import sample_band, sample_band_complement
 
 R = 6371.0
 
@@ -101,6 +102,45 @@ def test_single_satellite_gap_distribution():
         gaps.append(math.acos(float(np.clip(c.unit_vectors[0, 2], -1, 1))))
     ks = stats.kstest(gaps, lambda th: (1.0 - np.cos(th)) / 2.0)
     assert ks.pvalue > 1e-3
+
+
+def test_band_then_complement_is_a_uniform_shell():
+    """Band plus complement from one generator: n_sat i.i.d. uniform satellites."""
+    n_sat, band_sine, seeds = 3236, 0.1065, 50
+    counts, heights, longitudes = [], [], []
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        band = sample_band(rng, n_sat, band_sine)
+        rest = sample_band_complement(rng, n_sat - len(band), band_sine)
+        assert np.all(np.abs(band[:, 1]) <= band_sine)
+        assert np.all(np.abs(rest[:, 1]) >= band_sine)
+        shell = np.vstack([band, rest])
+        assert np.allclose(np.linalg.norm(shell, axis=1), 1.0, atol=1e-12)
+        counts.append(len(band))
+        heights.append(shell[:, 1])
+        longitudes.append(np.arctan2(shell[:, 2], shell[:, 0]))
+    # u_y (the height along the band's axis) is uniform on [-1, 1] on a
+    # uniform sphere, and the longitude about that axis is uniform.
+    y = np.concatenate(heights)
+    assert stats.kstest(y, stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3
+    phi = np.concatenate(longitudes)
+    assert stats.kstest(phi, stats.uniform(-math.pi, 2.0 * math.pi).cdf).pvalue > 1e-3
+    # K ~ Binomial(n_sat, s).
+    standard_error = math.sqrt(n_sat * band_sine * (1.0 - band_sine) / seeds)
+    assert abs(np.mean(counts) - n_sat * band_sine) < 5.0 * standard_error
+
+
+def test_band_sampler_validates_inputs():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidInputError):
+        sample_band(rng, 0, 0.1)
+    for bad in (-0.1, 1.5):
+        with pytest.raises(InvalidInputError):
+            sample_band(rng, 10, bad)
+        with pytest.raises(InvalidInputError):
+            sample_band_complement(rng, 10, bad)
+    # The whole sphere is one band: every satellite falls in it.
+    assert len(sample_band(rng, 25, 1.0)) == 25
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from leoroute.analysis import (
@@ -14,7 +15,11 @@ from leoroute.analysis import (
     min_feasible_hops,
     plan_hops,
 )
-from leoroute.constellation import sample_bpp
+from leoroute.constellation import (
+    Constellation,
+    sample_band,
+    sample_band_complement,
+)
 from leoroute.errors import InvalidInputError
 from leoroute.experiments import (
     CSV_FIELDS,
@@ -33,6 +38,7 @@ from leoroute.experiments import (
     sweep,
     table1_rows,
     table1_to_jsonable,
+    trial_band_sine,
     trial_seed,
     wilson_interval,
     write_records_csv,
@@ -315,27 +321,53 @@ def test_sparse_constellation_interrupts_greedy_walks():
     assert all(r.status == "type2_interrupted" for r in records)
 
 
-@pytest.mark.parametrize("strategy", ["min-deflection", "max-stepsize"])
-def test_greedy_trials_route_with_the_cell_plan(strategy):
-    """Each greedy trial equals a direct router call on the cell's N-satellite plan."""
-    # At 10250 km the plan for N = 800 (n_hat 12) differs from the one for
-    # the N + 2 satellites of a trial shell (n_hat 11).
-    params = CellParams(
-        n_sat=800, altitude_km=500.0, arc_angle=10250.0 / 6871.0, epsilon=0.1
+@pytest.mark.parametrize(
+    "strategy", ["equal-interval", "min-deflection", "max-stepsize"]
+)
+def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
+    """Each trial equals a router call on its whole shell and the cell's plan.
+
+    A trial routes on the band around the arc first and draws the rest of
+    its shell only when it cannot certify that route; either way its record
+    must be the route over all N satellites (band, then complement, from
+    the trial's seed) under the plan for N satellites.
+    """
+    cells = (
+        # At 10250 km the plan for N = 800 (n_hat 12) differs from the one
+        # for the N + 2 satellites of a trial shell (n_hat 11).
+        CellParams(
+            n_sat=800, altitude_km=500.0, arc_angle=10250.0 / 6871.0, epsilon=0.1
+        ),
+        # About half of its equal-interval band routes fail to certify, so
+        # those trials draw the complement and route again.
+        CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5),
+        # A type-I equal-interval plan: its band is the whole sphere.
+        CellParams.from_preset("oneweb", epsilon=0.1),
+        # Dense: its equal-interval routes certify on the band alone.
+        CellParams.from_preset("starlink", epsilon=0.1),
     )
-    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
-    records = run_trials(params, strategy, trials=6, base_seed=11)
     router = strategy_router(strategy)
-    src, dst = make_endpoints(params.radius, params.arc_angle)
-    link = LinkSpec(src=src, dst=dst, epsilon=params.epsilon)
-    for rec in records:
-        shell = sample_bpp(800, 6371.0, 500.0, rec.seed).with_extra_points([src, dst])
-        route = router(shell, link, plan)
-        assert rec.status == route.status.value
-        assert rec.n_hops_final == route.n_hops
-        assert rec.latency_ms == (None if route.interrupted else route.latency)
-    agg = run_cell(params, strategy, trials=6, base_seed=11)
-    assert (agg.n_hat, agg.reliable_angle) == (plan.n_hat, plan.reliable_angle)
+    for params in cells:
+        plan = plan_hops(
+            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
+        )
+        records = run_trials(params, strategy, trials=6, base_seed=11)
+        src, dst = make_endpoints(params.radius, params.arc_angle)
+        link = LinkSpec(src=src, dst=dst, epsilon=params.epsilon)
+        band_sine = trial_band_sine(params, strategy, plan)
+        for rec in records:
+            rng = np.random.default_rng(rec.seed)
+            band = sample_band(rng, params.n_sat, band_sine)
+            rest = sample_band_complement(rng, params.n_sat - len(band), band_sine)
+            shell = Constellation.from_unit_rows(
+                params.r_earth_km, params.altitude_km, np.vstack([band, rest])
+            ).with_extra_points([src, dst])
+            route = router(shell, link, plan)
+            assert rec.status == route.status.value
+            assert rec.n_hops_final == route.n_hops
+            assert rec.latency_ms == (None if route.interrupted else route.latency)
+        agg = run_cell(params, strategy, trials=6, base_seed=11)
+        assert (agg.n_hat, agg.reliable_angle) == (plan.n_hat, plan.reliable_angle)
 
 
 def test_strategy_router_rejects_ideal_and_unknown_names():
