@@ -14,8 +14,9 @@ from ``--seed``.
 
 ``analyze`` and ``route`` describe one experimental cell
 (:class:`~leoroute.experiments.CellParams`), and ``route`` builds its route
-with the Monte Carlo harness's own trial
-(:func:`~leoroute.experiments.route_trial`). ``route --constellation FILE``
+through the Monte Carlo harness's own trial cell
+(:func:`~leoroute.experiments.trial_cell`) over a whole shell drawn by
+``sample_bpp``. ``route --constellation FILE``
 routes over the satellites of the file and takes the satellite count, the
 shell altitude and the body radius from it.
 """
@@ -54,10 +55,10 @@ from .experiments import (
     SweepSpec,
     make_endpoints,
     reference_latency_ms,
-    route_trial,
     run_table1,
     sweep as run_sweep,
     table1_rows,
+    trial_cell,
     write_records_csv,
     write_records_json,
     write_table1_csv,
@@ -350,7 +351,8 @@ def route(
                 shell = sample_bpp(
                     params.n_sat, params.r_earth_km, params.altitude_km, seed
                 )
-            route_obj = route_trial(params, shell, strategy, plan)
+            cell = trial_cell(params, strategy, plan)
+            route_obj = cell.route(cell.shell(shell.seed, shell.unit_vectors))
             payload.update(
                 {
                     "hops": list(route_obj.hops),

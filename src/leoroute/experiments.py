@@ -6,9 +6,10 @@ efficiency. The endpoints lie in the xz-plane, so the arc's normal is the
 y axis, and a trial draws its shell band first
 (:func:`~leoroute.constellation.sample_band`): only the satellites with
 |u_y| <= sin w, then the two endpoints as the last two satellites. When
-the route on that band shell is certified — no satellite outside the band
-could have changed it — it is the route on the whole shell; otherwise the
-trial draws the rest of the shell from the same generator
+the route on that band shell is certified — its
+:attr:`~leoroute.routing.Route.band_reach` is at most w, so no satellite
+outside the band could have changed it — it is the route on the whole
+shell; otherwise the trial draws the rest of the shell from the same generator
 (:func:`~leoroute.constellation.sample_band_complement`) and routes again on
 all ``n_sat`` satellites. Band and complement together are ``n_sat``
 i.i.d. uniform satellites (the restriction property of the binomial point
@@ -53,10 +54,9 @@ from .constellation import (
 )
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
-from .geometry import PhysicalConstants, SpherePoint, great_arc
+from .geometry import PhysicalConstants, SpherePoint
 from .routing import (
     Route,
-    RouteStatus,
     route_equal_interval,
     route_max_stepsize,
     route_min_deflection,
@@ -261,33 +261,6 @@ def reference_latency_ms(params: CellParams) -> float:
     )
 
 
-def _cell_link(params: CellParams) -> LinkSpec:
-    """The link between the cell's endpoints, with its link settings."""
-    src, dst = make_endpoints(params.radius, params.arc_angle)
-    return LinkSpec(
-        src=src,
-        dst=dst,
-        d_max=params.d_max_km,
-        epsilon=params.epsilon,
-        constants=params.constants,
-    )
-
-
-def route_trial(
-    params: CellParams, shell: Constellation, strategy: str, plan: HopPlan
-) -> Route:
-    """Route one trial of a cell through the satellites of ``shell``.
-
-    Appends the cell's endpoints to ``shell`` (as IDs ``shell.n_sat`` and
-    ``shell.n_sat + 1``) and routes between them with ``strategy`` under
-    ``plan``, over the cell's link settings and body radius.
-    """
-    link = _cell_link(params)
-    return strategy_router(strategy)(
-        shell.with_extra_points([link.src, link.dst]), link, plan
-    )
-
-
 #: Chance that a cap of the band's half-width around a point of the arc
 #: holds no satellite: the contact-law quantile that sets the band of
 #: equal-interval and min-deflection trials.
@@ -318,14 +291,8 @@ def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
     return 2.0 * math.asin(math.sqrt(tail))
 
 
-def trial_band_sine(params: CellParams, strategy: str, plan: HopPlan) -> float:
-    """Sine s of the band |u_y| <= s that a trial of the cell draws first."""
-    widened = _band_halfwidth(params, strategy, plan) * (1.0 + _BAND_SLACK)
-    return math.sin(min(widened, math.pi / 2.0))
-
-
 @dataclass(frozen=True)
-class _TrialCell:
+class TrialCell:
     """What every sampled trial of a cell shares, computed once per cell."""
 
     params: CellParams
@@ -334,16 +301,14 @@ class _TrialCell:
     link: LinkSpec
     #: Unit rows of src and dst, the last two satellites of every shell.
     endpoints: np.ndarray
+    #: Half-width w (rad) of the band that certifies a route: one whose
+    #: ``band_reach`` is at most w.
+    halfwidth: float
+    #: Sine s of the slightly wider band |u_y| <= s a trial draws first.
     band_sine: float
-    #: The band half-width w that certifies, as its sine and cosine.
-    sin_halfwidth: float
-    cos_halfwidth: float
-    #: Equal-interval relay targets and the arc's unit normal.
-    targets: np.ndarray
-    normal: np.ndarray
     reference_ms: float
 
-    def shell(self, seed: int, *parts: np.ndarray) -> Constellation:
+    def shell(self, seed: Optional[int], *parts: np.ndarray) -> Constellation:
         """The satellites of ``parts`` in order, then the two endpoints."""
         p = self.params
         return Constellation.from_unit_rows(
@@ -351,64 +316,48 @@ class _TrialCell:
         )
 
     def route(self, shell: Constellation) -> Route:
+        """Route between the cell's endpoints through ``shell``."""
         return strategy_router(self.strategy)(shell, self.link, self.plan)
 
-    def certifies(self, route: Route, band_shell: Constellation) -> bool:
-        """True when no satellite outside the band could change ``route``.
 
-        The band is a little wider than w, so every satellite outside it
-        deflects more than w from the arc. max-stepsize never leaves its
-        belt of w, so it is always certified. A completed min-deflection
-        walk is certified when every satellite it took deflects at most w:
-        each was then the least-deflecting candidate of the whole shell
-        too. A completed equal-interval route that was not repaired is
-        certified when it took the direct hop or every relay lies within w
-        of its target: no outside satellite is that close to a point of the
-        arc, so none could have won a snap. Repairs and interruptions are
-        never certified.
-        """
-        if self.strategy == "max-stepsize":
-            return True
-        if route.status is not RouteStatus.OK:
-            return False
-        relays = band_shell.unit_vectors[list(route.hops[1:-1])]
-        if self.strategy == "min-deflection":
-            return bool(np.all(np.abs(relays @ self.normal) <= self.sin_halfwidth))
-        if route.direct_hop:
-            return True
-        closeness = np.einsum("ij,ij->i", relays, self.targets)
-        return bool(np.all(closeness >= self.cos_halfwidth))
+def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
+    """The shared part of every trial of a cell routed with ``strategy``.
 
-
-def _trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> _TrialCell:
-    link = _cell_link(params)
-    endpoints = point_rows([link.src, link.dst])
-    n = plan.n_hat
-    targets, normal = great_arc(endpoints[0], endpoints[1], np.arange(1, n) / n)
+    ``leoroute route`` and the Monte Carlo trials both route through it:
+    :meth:`TrialCell.shell` appends the cell's endpoints to a shell's
+    satellites and :meth:`TrialCell.route` routes between them under
+    ``plan``, over the cell's link settings and body radius.
+    """
+    src, dst = make_endpoints(params.radius, params.arc_angle)
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
-    return _TrialCell(
+    return TrialCell(
         params=params,
         strategy=strategy,
         plan=plan,
-        link=link,
-        endpoints=endpoints,
-        band_sine=trial_band_sine(params, strategy, plan),
-        sin_halfwidth=math.sin(halfwidth),
-        cos_halfwidth=math.cos(halfwidth),
-        targets=targets,
-        normal=normal,
+        link=LinkSpec(
+            src=src,
+            dst=dst,
+            d_max=params.d_max_km,
+            epsilon=params.epsilon,
+            constants=params.constants,
+        ),
+        endpoints=point_rows([src, dst]),
+        halfwidth=halfwidth,
+        band_sine=math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0)),
         reference_ms=reference_latency_ms(params),
     )
 
 
-def _run_one(cell: _TrialCell, trial_index: int, base_seed: int) -> TrialRecord:
+def _run_one(cell: TrialCell, trial_index: int, base_seed: int) -> TrialRecord:
     seed = trial_seed(base_seed, trial_index)
     n_sat = cell.params.n_sat
     rng = np.random.default_rng(seed)
     band = sample_band(rng, n_sat, cell.band_sine)
-    shell = cell.shell(seed, band)
-    route = cell.route(shell)
-    if len(band) < n_sat and not cell.certifies(route, shell):
+    route = cell.route(cell.shell(seed, band))
+    # Every satellite outside the band deviates from the arc by more than
+    # the half-width, so a route that reaches no farther is the route on
+    # the whole shell.
+    if len(band) < n_sat and route.band_reach > cell.halfwidth:
         rest = sample_band_complement(rng, n_sat - len(band), cell.band_sine)
         route = cell.route(cell.shell(seed, band, rest))
     done = not route.interrupted
@@ -477,7 +426,7 @@ def _planned_trials(params, strategy, trials, base_seed, threads, plan) -> tuple
             )
             for i in range(trials)
         )
-    cell = _trial_cell(params, strategy, plan)
+    cell = trial_cell(params, strategy, plan)
     workers = max(1, int(threads))
     if workers == 1 or trials < 2 * workers:
         return tuple(_run_chunk((cell, base_seed, 0, trials)))

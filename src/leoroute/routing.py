@@ -25,6 +25,11 @@ appears only at the edges (link endpoints, ideal relay positions). A hop is
 admissible when its chord is at most min(d_max, line-of-sight limit),
 tested as one dot product of unit vectors. Routes never fail with an
 exception: infeasibility is reported as ``type2_interrupted`` status.
+
+Each route also reports its ``band_reach``: how far from the src-dst great
+circle a satellite must lie to be unable to change the route. The Monte
+Carlo harness routes on the satellites of a band around the arc first and
+uses it to decide whether the rest of the shell is needed.
 """
 
 from __future__ import annotations
@@ -88,6 +93,13 @@ class Route:
             ``type2_interrupted`` (no admissible continuation existed).
         direct_hop: True when the route is the single-hop shortcut taken
             because the endpoints can reach each other directly.
+        band_reach: Dome angle (rad) such that adding satellites that
+            deviate from the src-dst great circle by more than it would not
+            change which satellites the route visits. It is the largest
+            relay-to-target angle of an unrepaired equal-interval route,
+            the largest relay deflection of a completed min-deflection
+            walk, the belt of max-stepsize, and pi/2 (any satellite could
+            matter) for repaired or interrupted routes of the other two.
     """
 
     hops: tuple[int, ...]
@@ -95,6 +107,7 @@ class Route:
     latency: float
     status: RouteStatus
     direct_hop: bool = False
+    band_reach: float = math.pi / 2.0
 
     def __post_init__(self) -> None:
         if len(self.hops) < 1:
@@ -129,6 +142,8 @@ def _cos_admissible(radius: float, link: LinkSpec) -> float:
 def _endpoint_ids(c: Constellation, link: LinkSpec) -> tuple[int, int]:
     """IDs of the link's endpoints: the constellation's last two satellites."""
     ids = (c.n_sat - 2, c.n_sat - 1)
+    if c.n_sat >= 2 and float(c.unit_vectors[-2] @ c.unit_vectors[-1]) >= 1.0:
+        raise InvalidInputError("src and dst are the same point")
     for role, point, sat in zip(("src", "dst"), (link.src, link.dst), ids):
         if (
             sat < 0
@@ -166,6 +181,7 @@ def _materialize(
     constants: PhysicalConstants,
     status: RouteStatus,
     direct_hop: bool = False,
+    band_reach: float = math.pi / 2.0,
 ) -> Route:
     steps = np.diff(c.unit_vectors[hops], axis=0)
     distances = tuple((c.radius * np.linalg.norm(steps, axis=1)).tolist())
@@ -175,6 +191,7 @@ def _materialize(
         latency=sum(distances) / constants.c,
         status=status,
         direct_hop=direct_hop,
+        band_reach=band_reach,
     )
 
 
@@ -302,7 +319,7 @@ def route_equal_interval(
 
     if allow_direct and float(units[src_id] @ units[dst_id]) >= cos_admissible:
         return _materialize(
-            c, [src_id, dst_id], consts, RouteStatus.OK, direct_hop=True
+            c, [src_id, dst_id], consts, RouteStatus.OK, direct_hop=True, band_reach=0.0
         )
 
     n = plan.n_hat
@@ -340,8 +357,14 @@ def route_equal_interval(
         full.append(b)
         repaired = repaired or bool(mids)
 
-    status = RouteStatus.REPAIRED if repaired else RouteStatus.OK
-    return _materialize(c, full, consts, status)
+    if repaired:
+        return _materialize(c, full, consts, RouteStatus.REPAIRED)
+    # A satellite deviating from the arc by more than every relay's angle
+    # to its target is farther than that from each target, so it could
+    # not have won a snap.
+    gaps = np.linalg.norm(units[taken[2:]] - targets, axis=1)
+    reach = float(2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(initial=0.0))
+    return _materialize(c, full, consts, RouteStatus.OK, band_reach=reach)
 
 
 def _route_greedy(
@@ -359,13 +382,22 @@ def _route_greedy(
         blocked |= deflection > plan.reliable_angle
     blocked[src_id] = True
 
+    # max-stepsize never looks outside its belt. A completed min-deflection
+    # walk took the least-deflecting candidate at every step, so no
+    # satellite deflecting more than all its relays could have been taken.
+    belt = min(plan.reliable_angle, math.pi / 2.0)
     hops = [src_id]
     cur = src_id
     while len(hops) - 1 < 4 * plan.n_hat:
         dots_cur = units @ units[cur]
         if float(dots_cur[dst_id]) >= cos_admissible:
+            reach = belt if pick_farthest else float(
+                deflection[hops[1:]].max(initial=0.0)
+            )
             hops.append(dst_id)
-            return _materialize(c, hops, link.constants, RouteStatus.OK)
+            return _materialize(
+                c, hops, link.constants, RouteStatus.OK, band_reach=reach
+            )
         eligible = (
             ~blocked & (dots_cur >= cos_admissible) & (dots_dst > dots_dst[cur])
         )
@@ -379,7 +411,13 @@ def _route_greedy(
         hops.append(step)
         blocked[step] = True
         cur = step
-    return _materialize(c, hops, link.constants, RouteStatus.TYPE2_INTERRUPTED)
+    return _materialize(
+        c,
+        hops,
+        link.constants,
+        RouteStatus.TYPE2_INTERRUPTED,
+        band_reach=belt if pick_farthest else math.pi / 2.0,
+    )
 
 
 def route_min_deflection(c: Constellation, link: LinkSpec, plan: HopPlan) -> Route:

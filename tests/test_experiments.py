@@ -38,7 +38,7 @@ from leoroute.experiments import (
     sweep,
     table1_rows,
     table1_to_jsonable,
-    trial_band_sine,
+    trial_cell,
     trial_seed,
     wilson_interval,
     write_records_csv,
@@ -354,7 +354,7 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
         records = run_trials(params, strategy, trials=6, base_seed=11)
         src, dst = make_endpoints(params.radius, params.arc_angle)
         link = LinkSpec(src=src, dst=dst, epsilon=params.epsilon)
-        band_sine = trial_band_sine(params, strategy, plan)
+        band_sine = trial_cell(params, strategy, plan).band_sine
         for rec in records:
             rng = np.random.default_rng(rec.seed)
             band = sample_band(rng, params.n_sat, band_sine)

@@ -55,6 +55,10 @@ def constellation_from_points(points, altitude=ALT):
     return Constellation(r_earth=R_EARTH, altitude=altitude, unit_vectors=units)
 
 
+def constellation_from_units(units):
+    return Constellation(r_earth=R_EARTH, altitude=ALT, unit_vectors=units)
+
+
 def attach_endpoints(c, arc):
     src, dst = endpoints(arc, c.radius)
     return c.with_extra_points([src, dst]), src, dst
@@ -452,6 +456,66 @@ def test_latency_floor_dominates_all_strategies():
         for route in routes:
             if not route.interrupted:
                 assert route.latency >= floor - 1e-9
+
+
+SAMPLED_ROUTERS = (route_equal_interval, route_min_deflection, route_max_stepsize)
+
+
+@pytest.mark.parametrize("router", SAMPLED_ROUTERS)
+def test_satellites_beyond_band_reach_do_not_change_the_route(router):
+    """Routing on the satellites of a band around the arc, then adding the
+    rest: a band route reaching less far than the band is the full route."""
+    arc, n_sat = 2.2, 1500
+    src, dst = endpoints(arc)
+    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
+    plan = plan_hops(arc, THETA_MAX, n_sat, 0.1)
+    certified = differing = 0
+    for sin_band in (0.03, 0.1, 0.2):
+        for seed in range(4):
+            units = sample_bpp(n_sat, R_EARTH, ALT, seed).unit_vectors
+            inside = np.abs(units[:, 1]) <= sin_band  # the arc's normal is y
+            k = int(inside.sum())
+            band = constellation_from_units(units[inside])
+            route = router(band.with_extra_points([src, dst]), link, plan)
+            if router is not route_max_stepsize and route.status is not RouteStatus.OK:
+                assert route.band_reach == math.pi / 2.0
+            # The route's own relays lie within its reach.
+            relays = band.unit_vectors[list(route.hops[1:-1])]
+            assert np.all(np.arcsin(np.abs(relays[:, 1])) <= route.band_reach + 1e-12)
+            shell = constellation_from_units(np.vstack([units[inside], units[~inside]]))
+            full = router(shell.with_extra_points([src, dst]), link, plan)
+            renamed = tuple({k: n_sat, k + 1: n_sat + 1}.get(h, h) for h in route.hops)
+            if route.band_reach < math.asin(sin_band) - 1e-9:
+                certified += 1
+                assert full.hops == renamed
+                assert full.status == route.status
+                assert full.band_reach == route.band_reach
+            else:
+                differing += full.hops != renamed
+    # Both kinds occur, so a reach reported too small would be caught.
+    assert certified >= 1 and differing >= 1
+
+
+def test_routers_reject_coincident_endpoints():
+    src, _ = endpoints(1.0)
+    shell = sample_bpp(200, R_EARTH, ALT, seed=1).with_extra_points([src, src])
+    link = LinkSpec(src=src, dst=src, d_max=D_MAX)
+    plan = plan_hops(1.0, THETA_MAX, 200, 0.01)
+    for router in SAMPLED_ROUTERS:
+        with pytest.raises(InvalidInputError, match="same point"):
+            router(shell, link, plan)
+
+
+def test_routers_reject_endpoints_that_are_not_the_last_two_satellites():
+    src, dst = endpoints(1.0)
+    c = sample_bpp(200, R_EARTH, ALT, seed=1)
+    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
+    plan = plan_hops(1.0, THETA_MAX, 200, 0.01)
+    leading = constellation_from_points([src, dst]).with_extra_points(c.positions)
+    for shell in (c.with_extra_points([dst, src]), leading, c):
+        for router in SAMPLED_ROUTERS:
+            with pytest.raises(InvalidInputError, match="last two"):
+                router(shell, link, plan)
 
 
 def test_equal_split_reference_is_not_a_floor():
