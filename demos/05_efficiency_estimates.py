@@ -19,7 +19,8 @@ import math
 from leoroute import (
     CellParams,
     contact_mean,
-    estimate_efficiencies,
+    efficiency_binomial,
+    efficiency_contour,
     max_hop_angle,
     mean_hop_span,
     mean_hop_stretch,
@@ -58,29 +59,19 @@ for name in ("starlink", "kuiper", "oneweb"):
     print(f"    mean hop span           "
           f"{mean_hop_span(theta_h, params.n_sat, theta_max):.4f} rad")
 
+    contour = efficiency_contour(ARC, n_min, plan.n_hat, params.n_sat, theta_max)
+    binomial = efficiency_binomial(ARC, n_min, plan.n_hat, params.n_sat, theta_max)
+    print(f"    contour estimate        {contour:.4f}")
+    print(f"    binomial estimate       {binomial:.4f}")
     if plan.type1_interrupted:
-        est = estimate_efficiencies(
-            ARC, n_min, plan.n_hat, params.n_sat, theta_max
-        )
-        print(f"    contour estimate        {est.e1_contour:.4f}")
-        print(f"    binomial estimate       {est.e2_binomial:.4f}")
         print()
         continue
 
     cell = run_cell(params, "equal-interval", TRIALS, SEED)
-    est = estimate_efficiencies(
-        ARC,
-        n_min,
-        plan.n_hat,
-        params.n_sat,
-        theta_max,
-        e_measured=cell.mean_efficiency,
-    )
-    print(f"    contour estimate        {est.e1_contour:.4f}")
-    print(f"    binomial estimate       {est.e2_binomial:.4f}")
-    print(f"    measured ({TRIALS} trials)    {est.e_measured:.4f} "
+    measured = cell.mean_efficiency
+    print(f"    measured ({TRIALS} trials)    {measured:.4f} "
           f"(mean latency {cell.mean_latency_ms:.3f} ms)")
-    bracketed = est.e1_contour <= est.e_measured <= est.e2_binomial
+    bracketed = contour <= measured <= binomial
     print(f"    contour <= measured <= binomial: "
           f"{'yes' if bracketed else 'no'}")
     print()

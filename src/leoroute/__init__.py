@@ -20,7 +20,6 @@ Layout:
 from .analysis import (
     ContactMean,
     HopPlan,
-    LinkSpec,
     contact_cdf,
     contact_mean,
     contact_pdf,
@@ -45,10 +44,8 @@ from .constellation import (
     save_constellation,
 )
 from .efficiency import (
-    EfficiencyEstimates,
     efficiency_binomial,
     efficiency_contour,
-    estimate_efficiencies,
     mean_hop_span,
     mean_hop_stretch,
     measured_efficiency,
@@ -67,8 +64,6 @@ from .experiments import (
     SweepSpec,
     Table1Result,
     TrialRecord,
-    Type2Estimate,
-    estimate_type2_probability,
     make_endpoints,
     run_cell,
     run_table1,
@@ -129,7 +124,6 @@ __all__ = [
     "save_constellation",
     "load_constellation",
     # analysis
-    "LinkSpec",
     "HopPlan",
     "ContactMean",
     "max_hop_angle",
@@ -156,24 +150,20 @@ __all__ = [
     "route_min_deflection",
     "route_max_stepsize",
     # efficiency
-    "EfficiencyEstimates",
     "mean_hop_stretch",
     "mean_hop_span",
     "efficiency_contour",
     "efficiency_binomial",
     "measured_efficiency",
-    "estimate_efficiencies",
     # experiments
     "CellParams",
     "TrialRecord",
     "CellAggregate",
-    "Type2Estimate",
     "Table1Result",
     "SweepSpec",
     "SweepRecord",
     "run_trials",
     "run_cell",
-    "estimate_type2_probability",
     "make_endpoints",
     "strategy_router",
     "run_table1",

@@ -12,55 +12,16 @@ feasible at a given confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import PhysicalConstants, SpherePoint, dome_angle
+from .geometry import PhysicalConstants
 from .quadrature import adaptive_simpson
 
 ArrayLike = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """Endpoints plus the physical limits that constrain relaying.
-
-    Attributes:
-        src: One endpoint on the constellation sphere.
-        dst: The other endpoint, same radius.
-        d_max: Maximum chord length a single hop may span, in km.
-        epsilon: Per-route interruption budget in (0, 1).
-        constants: Occluding-body radius and signal speed.
-    """
-
-    src: SpherePoint
-    dst: SpherePoint
-    d_max: float = 3000.0
-    epsilon: float = 0.01
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-
-    def __post_init__(self) -> None:
-        if abs(self.src.r - self.dst.r) > 1e-9 * self.src.r:
-            raise InvalidInputError("link endpoints must share a sphere radius")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidInputError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.d_max <= 0.0:
-            raise InvalidInputError(f"d_max must be positive, got {self.d_max}")
-        if self.src.r <= self.constants.r_earth:
-            raise InvalidInputError("endpoints must sit above the occluding body")
-
-    @property
-    def radius(self) -> float:
-        """Sphere radius shared by both endpoints, in km."""
-        return self.src.r
-
-    @property
-    def arc_angle(self) -> float:
-        """Central angle between the endpoints (shortest inferior arc)."""
-        return dome_angle(self.src, self.dst)
 
 
 @dataclass(frozen=True)

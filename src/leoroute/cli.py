@@ -18,7 +18,9 @@ through the Monte Carlo harness's own trial cell
 (:func:`~leoroute.experiments.trial_cell`) over a whole shell drawn by
 ``sample_bpp``. ``route --constellation FILE``
 routes over the satellites of the file and takes the satellite count, the
-shell altitude and the body radius from it.
+shell altitude and the body radius from it. The router reads the body
+radius, like the endpoints, from the shell it routes through, so the
+file's body sets both the hop plan and each hop's line-of-sight limit.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Satellites are drawn i.i.d. uniformly on the constellation sphere (a
 binomial point process): cos(theta) uniform on [-1, 1] and phi uniform on
-[0, 2*pi). Positions are immutable after construction and satellite IDs are
-0-based indices into the position list.
+[0, 2*pi). A constellation keeps its satellites as read-only unit-vector
+rows, and satellite IDs are 0-based row indices.
 
 :func:`sample_band` and :func:`sample_band_complement` draw the same
 process in two parts, split at a band |u_y| <= s around the xz great
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import AbstractSet, Iterable, Optional, Sequence
 
@@ -94,18 +93,6 @@ class Constellation:
     def n_sat(self) -> int:
         """Number of satellites."""
         return int(self.unit_vectors.shape[0])
-
-    @cached_property
-    def positions(self) -> tuple[SpherePoint, ...]:
-        """Satellite positions as spherical-coordinate points."""
-        r = self.radius
-        return tuple(
-            SpherePoint.from_unit_vector(v, r) for v in self.unit_vectors
-        )
-
-    def position(self, sat_id: int) -> SpherePoint:
-        """Position of one satellite."""
-        return SpherePoint.from_unit_vector(self.unit_vectors[sat_id], self.radius)
 
     def with_extra_points(self, points: Sequence[SpherePoint]) -> "Constellation":
         """A new constellation with ``points`` appended at the next IDs.
@@ -234,12 +221,11 @@ def nearest(
 
 def save_constellation(c: Constellation, path: str | Path) -> None:
     """Write a constellation to a JSON file (header + satellite array)."""
+    points = (SpherePoint.from_unit_vector(u, c.radius) for u in c.unit_vectors)
     payload = {
         "r_earth_km": c.r_earth,
         "altitude_km": c.altitude,
-        "satellites": [
-            {"theta_rad": p.theta, "phi_rad": p.phi} for p in c.positions
-        ],
+        "satellites": [{"theta_rad": p.theta, "phi_rad": p.phi} for p in points],
     }
     Path(path).write_text(json.dumps(payload, indent=2))
 

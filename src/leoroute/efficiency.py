@@ -16,8 +16,6 @@ Both take half the hop dome angle as their argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .analysis import contact_pdf
 from .errors import InternalConsistencyError, InvalidInputError
@@ -25,42 +23,6 @@ from .quadrature import adaptive_simpson
 
 #: Absolute tolerance of the contact-angle quadrature.
 OUTER_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EfficiencyEstimates:
-    """The two approximations, optionally alongside a measured value.
-
-    Attributes:
-        e1_contour: Contour-form efficiency estimate.
-        e2_binomial: Binomial-form efficiency estimate.
-        e_measured: Monte Carlo measured efficiency, when available.
-        arc_angle: Endpoint separation the estimates refer to.
-        n_min: Ideal hop count.
-        n_hat: Planned hop count.
-        n_sat: Constellation size.
-        theta_max: Maximum hop dome angle.
-    """
-
-    e1_contour: float
-    e2_binomial: float
-    e_measured: Optional[float]
-    arc_angle: float
-    n_min: int
-    n_hat: int
-    n_sat: int
-    theta_max: float
-
-    def __post_init__(self) -> None:
-        if self.e1_contour <= 0.0 or self.e2_binomial <= 0.0:
-            raise InvalidInputError("efficiency estimates must be positive")
-        if self.e_measured is not None:
-            if self.e_measured <= 0.0:
-                raise InvalidInputError("measured efficiency must be positive")
-            if self.e_measured > 1.0 + 1e-9:
-                raise InvalidInputError(
-                    "measured efficiency cannot exceed 1 (ideal is a lower bound)"
-                )
 
 
 def _validate_hop(theta_h: float, n_sat: int, theta_max: float) -> None:
@@ -220,23 +182,3 @@ def measured_efficiency(ideal_latency_ms: float, achieved_latency_ms: float) -> 
         )
     return ideal_latency_ms / achieved_latency_ms
 
-
-def estimate_efficiencies(
-    arc_angle: float,
-    n_min: int,
-    n_hat: int,
-    n_sat: int,
-    theta_max: float,
-    e_measured: Optional[float] = None,
-) -> EfficiencyEstimates:
-    """Bundle both approximations (and optionally a measurement)."""
-    return EfficiencyEstimates(
-        e1_contour=efficiency_contour(arc_angle, n_min, n_hat, n_sat, theta_max),
-        e2_binomial=efficiency_binomial(arc_angle, n_min, n_hat, n_sat, theta_max),
-        e_measured=e_measured,
-        arc_angle=arc_angle,
-        n_min=n_min,
-        n_hat=n_hat,
-        n_sat=n_sat,
-        theta_max=theta_max,
-    )

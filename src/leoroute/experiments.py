@@ -28,7 +28,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -36,7 +36,6 @@ import numpy as np
 
 from .analysis import (
     HopPlan,
-    LinkSpec,
     contact_mean,
     latency_floor,
     max_hop_angle,
@@ -74,7 +73,7 @@ STRATEGIES = ("ideal", "equal-interval", "min-deflection", "max-stepsize")
 
 def strategy_router(
     strategy: str,
-) -> Callable[[Constellation, LinkSpec, HopPlan], Route]:
+) -> Callable[[Constellation, float, HopPlan], Route]:
     """The router of a strategy that routes through sampled satellites.
 
     Every name in :data:`STRATEGIES` but ``ideal`` has one; the ideal
@@ -199,10 +198,6 @@ class CellParams:
     def theta_max(self) -> float:
         return max_hop_angle(self.radius, self.r_earth_km, self.d_max_km)
 
-    @property
-    def constants(self) -> PhysicalConstants:
-        return PhysicalConstants(r_earth=self.r_earth_km)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -256,9 +251,7 @@ def reference_latency_ms(params: CellParams) -> float:
     which no admissible route can undercut — so per-trial efficiencies
     are always at most 1, for every strategy.
     """
-    return latency_floor(
-        params.arc_angle, params.theta_max, params.radius, params.constants
-    )
+    return latency_floor(params.arc_angle, params.theta_max, params.radius)
 
 
 #: Chance that a cap of the band's half-width around a point of the arc
@@ -298,7 +291,6 @@ class TrialCell:
     params: CellParams
     strategy: str
     plan: HopPlan
-    link: LinkSpec
     #: Unit rows of src and dst, the last two satellites of every shell.
     endpoints: np.ndarray
     #: Half-width w (rad) of the band that certifies a route: one whose
@@ -317,7 +309,7 @@ class TrialCell:
 
     def route(self, shell: Constellation) -> Route:
         """Route between the cell's endpoints through ``shell``."""
-        return strategy_router(self.strategy)(shell, self.link, self.plan)
+        return strategy_router(self.strategy)(shell, self.params.d_max_km, self.plan)
 
 
 def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
@@ -326,7 +318,8 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     ``leoroute route`` and the Monte Carlo trials both route through it:
     :meth:`TrialCell.shell` appends the cell's endpoints to a shell's
     satellites and :meth:`TrialCell.route` routes between them under
-    ``plan``, over the cell's link settings and body radius.
+    ``plan`` and the cell's hop range; the shell carries the cell's sphere
+    and body radius.
     """
     src, dst = make_endpoints(params.radius, params.arc_angle)
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
@@ -334,13 +327,6 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         params=params,
         strategy=strategy,
         plan=plan,
-        link=LinkSpec(
-            src=src,
-            dst=dst,
-            d_max=params.d_max_km,
-            epsilon=params.epsilon,
-            constants=params.constants,
-        ),
         endpoints=point_rows([src, dst]),
         halfwidth=halfwidth,
         band_sine=math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0)),
@@ -518,59 +504,6 @@ def _planned_cell(params, strategy, trials, base_seed, threads, plan) -> CellAgg
         type1_interrupted=bool(plan.type1_interrupted) if plan else False,
         n_hat=plan.n_hat if plan else None,
         reliable_angle=plan.reliable_angle if plan else None,
-    )
-
-
-@dataclass(frozen=True)
-class Type2Estimate:
-    """Monte Carlo estimate of the routing-interruption probability."""
-
-    probability: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    type1_interrupted: bool
-    n_hat: int
-
-
-def estimate_type2_probability(
-    params: CellParams | str,
-    epsilon: float,
-    trials: int,
-    base_seed: int,
-    threads: int = 1,
-) -> Type2Estimate:
-    """Probability that an equal-interval route fails to materialize.
-
-    Each trial uses a fresh constellation with endpoints at the cell's
-    exact separation. When planning itself fails outright (no feasible
-    hop count exists), the probability is 1.0 by definition and no trials
-    are run; the ``type1_interrupted`` flag records that case.
-    """
-    if trials < 100:
-        raise InvalidInputError(f"need at least 100 trials, got {trials}")
-    if isinstance(params, str):
-        params = CellParams.from_preset(params, epsilon=epsilon)
-    else:
-        params = replace(params, epsilon=epsilon)
-    plan = _checked_plan(params, "equal-interval", trials)
-    if plan.immediate_type1:
-        return Type2Estimate(
-            probability=1.0,
-            ci_low=1.0,
-            ci_high=1.0,
-            trials=trials,
-            type1_interrupted=True,
-            n_hat=plan.n_hat,
-        )
-    agg = _planned_cell(params, "equal-interval", trials, base_seed, threads, plan)
-    return Type2Estimate(
-        probability=agg.type2_rate,
-        ci_low=agg.type2_ci[0],
-        ci_high=agg.type2_ci[1],
-        trials=trials,
-        type1_interrupted=plan.type1_interrupted,
-        n_hat=plan.n_hat,
     )
 
 

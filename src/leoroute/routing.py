@@ -13,18 +13,21 @@ Four strategies are provided:
   farthest admissible satellite inside a belt around the arc.
 
 The three strategies that route through sampled satellites share one
-signature, ``(constellation, link, plan) -> Route``: all of them follow the
+signature, ``(constellation, d_max, plan) -> Route``: all of them follow the
 hop plan the caller made for the cell (equal-interval places
 ``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
 
-The link's endpoints are the constellation's last two satellites (src
-second to last, dst last), as the Monte Carlo harness appends them.
-Routing works on the constellation's unit vectors; :class:`SpherePoint`
-appears only at the edges (link endpoints, ideal relay positions). A hop is
-admissible when its chord is at most min(d_max, line-of-sight limit),
-tested as one dot product of unit vectors. Routes never fail with an
-exception: infeasibility is reported as ``type2_interrupted`` status.
+The constellation alone describes the rest of the route's setting: its
+endpoints are its last two satellites (src second to last, dst last), as
+the Monte Carlo harness appends them, and its ``radius`` and ``r_earth``
+are the sphere and the occluding body. Routing works on the
+constellation's unit vectors; :class:`SpherePoint` appears only at the
+edges (ideal relay positions). A hop is admissible when its chord is at
+most min(d_max, line-of-sight limit), tested as one dot product of unit
+vectors; latency is the summed chord over the signal speed
+``PhysicalConstants.c``. Routes never fail with an exception on a valid
+input: infeasibility is reported as ``type2_interrupted`` status.
 
 Each route also reports its ``band_reach``: how far from the src-dst great
 circle a satellite must lie to be unable to change the route. The Monte
@@ -41,13 +44,7 @@ from typing import AbstractSet, Optional
 
 import numpy as np
 
-from .analysis import (
-    LinkSpec,
-    HopPlan,
-    ideal_latency,
-    max_hop_angle,
-    n_min_ideal,
-)
+from .analysis import HopPlan, ideal_latency, max_hop_angle, n_min_ideal
 from .constellation import Constellation
 from .errors import (
     DegenerateArcError,
@@ -128,33 +125,35 @@ class Route:
         return len(self.hop_distances)
 
 
-def _cos_admissible(radius: float, link: LinkSpec) -> float:
-    """Smallest unit-vector dot product of an admissible hop.
+def _cos_admissible(c: Constellation, d_max: float) -> float:
+    """Smallest unit-vector dot product of an admissible hop in ``c``.
 
     A hop is admissible when its chord is at most min(d_max, line-of-sight
-    limit); for unit vectors u_a, u_b on a sphere of radius r the chord is
-    r * |u_a - u_b| = r * sqrt(2 (1 - u_a . u_b)), so the test is one dot.
+    limit of the body of radius ``c.r_earth``); for unit vectors u_a, u_b on
+    a sphere of radius r the chord is r * |u_a - u_b| =
+    r * sqrt(2 (1 - u_a . u_b)), so the test is one dot.
+
+    Raises:
+        InvalidInputError: If ``d_max`` is not positive or ``c`` holds
+            fewer than two satellites.
     """
-    limit = min(link.d_max, los_chord_limit(radius, link.constants.r_earth))
+    if not d_max > 0.0:
+        raise InvalidInputError(f"d_max must be positive, got {d_max}")
+    if c.n_sat < 2:
+        raise InvalidInputError(f"a hop needs two satellites, got {c.n_sat}")
+    radius = c.radius
+    limit = min(d_max, los_chord_limit(radius, c.r_earth))
     return 1.0 - (limit * limit) / (2.0 * radius * radius)
 
 
-def _endpoint_ids(c: Constellation, link: LinkSpec) -> tuple[int, int]:
-    """IDs of the link's endpoints: the constellation's last two satellites."""
-    ids = (c.n_sat - 2, c.n_sat - 1)
-    if c.n_sat >= 2 and float(c.unit_vectors[-2] @ c.unit_vectors[-1]) >= 1.0:
+def _endpoint_ids(c: Constellation) -> tuple[int, int]:
+    """IDs of src and dst, the last two satellites.
+
+    Callers run :func:`_cos_admissible` first, which makes sure there are two.
+    """
+    if float(c.unit_vectors[-2] @ c.unit_vectors[-1]) >= 1.0:
         raise InvalidInputError("src and dst are the same point")
-    for role, point, sat in zip(("src", "dst"), (link.src, link.dst), ids):
-        if (
-            sat < 0
-            or np.linalg.norm(c.unit_vectors[sat] - point.unit_vector()) > 1e-9
-            or abs(point.r - c.radius) > 1e-9 * c.radius
-        ):
-            raise InvalidInputError(
-                f"{role} endpoint is not satellite {sat}: routes take the "
-                "link's endpoints as the last two satellites"
-            )
-    return ids
+    return c.n_sat - 2, c.n_sat - 1
 
 
 def arc_waypoints(
@@ -178,7 +177,6 @@ def arc_waypoints(
 def _materialize(
     c: Constellation,
     hops: list[int],
-    constants: PhysicalConstants,
     status: RouteStatus,
     direct_hop: bool = False,
     band_reach: float = math.pi / 2.0,
@@ -188,7 +186,7 @@ def _materialize(
     return Route(
         hops=tuple(hops),
         hop_distances=distances,
-        latency=sum(distances) / constants.c,
+        latency=sum(distances) / PhysicalConstants.c,
         status=status,
         direct_hop=direct_hop,
         band_reach=band_reach,
@@ -227,21 +225,24 @@ def hop_repair(
     c: Constellation,
     from_id: int,
     to_id: int,
-    link: LinkSpec,
+    d_max: float,
     exclude: AbstractSet[int] = frozenset(),
 ) -> list[int]:
     """Intermediate satellites making an inadmissible hop admissible.
 
     Walks greedily from ``from_id``: each step takes the satellite that is
-    admissible from the current one, strictly closer to ``to_id`` (by dome
+    admissible (hop chord at most ``d_max`` and in line of sight) from the
+    current one, strictly closer to ``to_id`` (by dome
     angle), not excluded, and deviates least from the from->to arc. Stops
     once ``to_id`` is one admissible hop away. Returns the intermediates
     in visit order (empty when the hop was already admissible).
 
     Raises:
+        InvalidInputError: If ``d_max`` is not positive or ``c`` holds
+            fewer than two satellites.
         RepairFailedError: If at some step no satellite qualifies.
     """
-    cos_admissible = _cos_admissible(c.radius, link)
+    cos_admissible = _cos_admissible(c, d_max)
     units = c.unit_vectors
     to_vec = units[to_id]
 
@@ -290,14 +291,14 @@ def hop_repair(
 
 def route_equal_interval(
     c: Constellation,
-    link: LinkSpec,
+    d_max: float,
     plan: HopPlan,
     allow_direct: bool = True,
 ) -> Route:
     """Route by snapping equally spaced arc targets to nearest satellites.
 
     Stage 1 places ``plan.n_hat - 1`` relay targets at equal intervals on
-    the shortest arc between the link's endpoints. Stage 2 snaps each
+    the shortest arc between the endpoints. Stage 2 snaps each
     target to its nearest satellite, excluding the endpoints and any
     satellite already chosen (so no relay is reused). Stage 3 repairs
     every hop that violates the distance or visibility constraint via
@@ -312,14 +313,13 @@ def route_equal_interval(
             one admissible hop, return that single-hop route (flagged
             ``direct_hop``) instead of the planned multi-hop one.
     """
-    src_id, dst_id = _endpoint_ids(c, link)
-    consts = link.constants
+    cos_admissible = _cos_admissible(c, d_max)
+    src_id, dst_id = _endpoint_ids(c)
     units = c.unit_vectors
-    cos_admissible = _cos_admissible(c.radius, link)
 
     if allow_direct and float(units[src_id] @ units[dst_id]) >= cos_admissible:
         return _materialize(
-            c, [src_id, dst_id], consts, RouteStatus.OK, direct_hop=True, band_reach=0.0
+            c, [src_id, dst_id], RouteStatus.OK, direct_hop=True, band_reach=0.0
         )
 
     n = plan.n_hat
@@ -334,7 +334,7 @@ def route_equal_interval(
         relay = dots.argmax()
         if dots[relay] == -2.0:
             return _materialize(
-                c, [src_id, *taken[2:k].tolist()], consts, RouteStatus.TYPE2_INTERRUPTED
+                c, [src_id, *taken[2:k].tolist()], RouteStatus.TYPE2_INTERRUPTED
             )
         taken[k] = relay
 
@@ -349,31 +349,31 @@ def route_equal_interval(
             full.append(b)
             continue
         try:
-            mids = hop_repair(c, a, b, link, exclude=used)
+            mids = hop_repair(c, a, b, d_max, exclude=used)
         except RepairFailedError:
-            return _materialize(c, full, consts, RouteStatus.TYPE2_INTERRUPTED)
+            return _materialize(c, full, RouteStatus.TYPE2_INTERRUPTED)
         used.update(mids)
         full.extend(mids)
         full.append(b)
         repaired = repaired or bool(mids)
 
     if repaired:
-        return _materialize(c, full, consts, RouteStatus.REPAIRED)
+        return _materialize(c, full, RouteStatus.REPAIRED)
     # A satellite deviating from the arc by more than every relay's angle
     # to its target is farther than that from each target, so it could
     # not have won a snap.
     gaps = np.linalg.norm(units[taken[2:]] - targets, axis=1)
     reach = float(2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(initial=0.0))
-    return _materialize(c, full, consts, RouteStatus.OK, band_reach=reach)
+    return _materialize(c, full, RouteStatus.OK, band_reach=reach)
 
 
 def _route_greedy(
-    c: Constellation, link: LinkSpec, plan: HopPlan, pick_farthest: bool
+    c: Constellation, d_max: float, plan: HopPlan, pick_farthest: bool
 ) -> Route:
     """Shared greedy walk for the two baseline strategies."""
-    src_id, dst_id = _endpoint_ids(c, link)
+    cos_admissible = _cos_admissible(c, d_max)
+    src_id, dst_id = _endpoint_ids(c)
     units = c.unit_vectors
-    cos_admissible = _cos_admissible(c.radius, link)
     _, normal = great_arc(units[src_id], units[dst_id], 0.0)
     deflection = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
     dots_dst = units @ units[dst_id]
@@ -395,9 +395,7 @@ def _route_greedy(
                 deflection[hops[1:]].max(initial=0.0)
             )
             hops.append(dst_id)
-            return _materialize(
-                c, hops, link.constants, RouteStatus.OK, band_reach=reach
-            )
+            return _materialize(c, hops, RouteStatus.OK, band_reach=reach)
         eligible = (
             ~blocked & (dots_cur >= cos_admissible) & (dots_dst > dots_dst[cur])
         )
@@ -414,13 +412,12 @@ def _route_greedy(
     return _materialize(
         c,
         hops,
-        link.constants,
         RouteStatus.TYPE2_INTERRUPTED,
         band_reach=belt if pick_farthest else math.pi / 2.0,
     )
 
 
-def route_min_deflection(c: Constellation, link: LinkSpec, plan: HopPlan) -> Route:
+def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route:
     """Greedy baseline: hug the great-circle arc.
 
     From each satellite, move to the admissible satellite that is strictly
@@ -429,10 +426,10 @@ def route_min_deflection(c: Constellation, link: LinkSpec, plan: HopPlan) -> Rou
     candidates or exceeds 4x the planned hop count ``plan.n_hat`` ->
     ``type2_interrupted``.
     """
-    return _route_greedy(c, link, plan, pick_farthest=False)
+    return _route_greedy(c, d_max, plan, pick_farthest=False)
 
 
-def route_max_stepsize(c: Constellation, link: LinkSpec, plan: HopPlan) -> Route:
+def route_max_stepsize(c: Constellation, d_max: float, plan: HopPlan) -> Route:
     """Greedy baseline: longest admissible hop inside a belt around the arc.
 
     Candidates must lie within the planned reliable angle
@@ -441,4 +438,4 @@ def route_max_stepsize(c: Constellation, link: LinkSpec, plan: HopPlan) -> Route
     destination; among them the farthest is taken. Same termination rules
     as :func:`route_min_deflection`.
     """
-    return _route_greedy(c, link, plan, pick_farthest=True)
+    return _route_greedy(c, d_max, plan, pick_farthest=True)

@@ -13,8 +13,6 @@ import pytest
 
 from leoroute import (
     InvalidInputError,
-    LinkSpec,
-    SpherePoint,
     contact_cdf,
     contact_pdf,
     contact_mean,
@@ -397,37 +395,3 @@ def test_latency_floor_below_equal_split():
         floor = latency_floor(arc, tmax, 6921.0)
         for n in range(k, k + 10):
             assert floor <= ideal_latency(arc, n, 6921.0) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# LinkSpec
-# ---------------------------------------------------------------------------
-
-
-def _endpoints(radius, arc):
-    half = arc / 2.0
-    return (
-        SpherePoint(r=radius, theta=half, phi=0.0),
-        SpherePoint(r=radius, theta=half, phi=math.pi),
-    )
-
-
-def test_link_spec_arc_angle():
-    src, dst = _endpoints(6921.0, 2.0)
-    link = LinkSpec(src=src, dst=dst)
-    assert math.isclose(link.arc_angle, 2.0, abs_tol=1e-9)
-    assert link.radius == 6921.0
-    assert link.d_max == 3000.0
-    assert link.epsilon == 0.01
-
-
-def test_link_spec_validation():
-    src, dst = _endpoints(6921.0, 2.0)
-    with pytest.raises(InvalidInputError):
-        LinkSpec(src=src, dst=SpherePoint(r=7000.0, theta=1.0, phi=0.0))
-    with pytest.raises(InvalidInputError):
-        LinkSpec(src=src, dst=dst, epsilon=0.0)
-    with pytest.raises(InvalidInputError):
-        LinkSpec(src=src, dst=dst, epsilon=1.0)
-    with pytest.raises(InvalidInputError):
-        LinkSpec(src=src, dst=dst, d_max=0.0)

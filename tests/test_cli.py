@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-from leoroute.analysis import LinkSpec, max_hop_angle, plan_hops
+from leoroute.analysis import max_hop_angle, plan_hops
 from leoroute.cli import main, parse_angle
 from leoroute.constellation import load_constellation, sample_bpp, save_constellation
 from leoroute.errors import InternalConsistencyError, InvalidInputError
 from leoroute.experiments import make_endpoints
-from leoroute.geometry import PhysicalConstants, SpherePoint, dome_angle
+from leoroute.geometry import SpherePoint, dome_angle
 from leoroute.routing import (
     route_equal_interval,
     route_max_stepsize,
@@ -340,7 +340,7 @@ def test_route_matches_library_router(capsys, strategy, seed, arc):
         "min-deflection": route_min_deflection,
         "max-stepsize": route_max_stepsize,
     }[strategy]
-    route = router(shell, LinkSpec(src=src, dst=dst, epsilon=0.1), plan)
+    route = router(shell, 3000.0, plan)
     assert payload["hops"] == list(route.hops)
     assert payload["hop_distances_km"] == list(route.hop_distances)
     assert payload["status"] == route.status.value
@@ -412,10 +412,8 @@ def test_route_constellation_file_uses_its_body_radius(capsys, tmp_path):
     theta_max = max_hop_angle(6500.0, 6000.0, 3000.0)
     plan = plan_hops(math.pi, theta_max, 3000, 0.1)
     src, dst = make_endpoints(6500.0, math.pi)
-    link = LinkSpec(
-        src=src, dst=dst, epsilon=0.1, constants=PhysicalConstants(r_earth=6000.0)
-    )
-    route = route_max_stepsize(shell.with_extra_points([src, dst]), link, plan)
+    # The shell carries the 6000 km body to the router.
+    route = route_max_stepsize(shell.with_extra_points([src, dst]), 3000.0, plan)
     assert code == 0
     assert payload["hops"] == list(route.hops)
     assert max(payload["hop_distances_km"]) > 2577.0

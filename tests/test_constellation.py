@@ -25,6 +25,11 @@ from leoroute.constellation import sample_band, sample_band_complement
 R = 6371.0
 
 
+def point(c, sat_id):
+    """Satellite ``sat_id`` of ``c`` as a point, from its unit-vector row."""
+    return SpherePoint.from_unit_vector(c.unit_vectors[sat_id], c.radius)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def test_nearest_matches_brute_force():
         target = SpherePoint.from_unit_vector(u, c.radius)
         got = nearest(c, u)
         brute = min(
-            range(c.n_sat), key=lambda i: dome_angle(c.position(i), target)
+            range(c.n_sat), key=lambda i: dome_angle(point(c, i), target)
         )
         assert got == brute
 
@@ -219,8 +224,8 @@ def test_with_extra_points_appends_at_end():
     b = SpherePoint(r=c.radius, theta=0.3, phi=math.pi)
     bigger = c.with_extra_points([a, b])
     assert bigger.n_sat == 12
-    assert dome_angle(bigger.position(10), a) < 1e-12
-    assert dome_angle(bigger.position(11), b) < 1e-12
+    assert dome_angle(point(bigger, 10), a) < 1e-12
+    assert dome_angle(point(bigger, 11), b) < 1e-12
 
 
 def test_with_extra_points_radius_mismatch():

@@ -7,13 +7,11 @@ import pytest
 from scipy import integrate, special
 
 from leoroute import (
-    EfficiencyEstimates,
     InternalConsistencyError,
     InvalidInputError,
     contact_pdf,
     efficiency_binomial,
     efficiency_contour,
-    estimate_efficiencies,
     mean_hop_span,
     mean_hop_stretch,
     measured_efficiency,
@@ -240,20 +238,13 @@ def test_measured_efficiency_validates_positivity():
 
 
 # ---------------------------------------------------------------------------
-# bundle
+# both estimates on one cell
 # ---------------------------------------------------------------------------
 
 
 def test_estimate_efficiencies_bundle():
     n_sat, theta_max = KUIPER
-    est = estimate_efficiencies(math.pi, 9, 12, n_sat, theta_max, e_measured=0.98)
-    assert isinstance(est, EfficiencyEstimates)
-    assert est.e1_contour > 0
-    assert est.e2_binomial > est.e1_contour
-    assert est.e_measured == 0.98
-    assert est.n_min == 9 and est.n_hat == 12
-
-
-def test_estimate_rejects_impossible_measured():
-    with pytest.raises(InvalidInputError):
-        estimate_efficiencies(math.pi, 9, 12, 3236, 0.433115, e_measured=1.01)
+    contour = efficiency_contour(math.pi, 9, 12, n_sat, theta_max)
+    binomial = efficiency_binomial(math.pi, 9, 12, n_sat, theta_max)
+    assert contour > 0
+    assert binomial > contour

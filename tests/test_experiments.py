@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from leoroute.analysis import (
-    LinkSpec,
     latency_floor,
     max_hop_angle,
     min_feasible_hops,
@@ -26,7 +25,6 @@ from leoroute.experiments import (
     CellParams,
     SweepSpec,
     TrialRecord,
-    estimate_type2_probability,
     make_endpoints,
     reference_hop_count,
     reference_latency_ms,
@@ -46,7 +44,7 @@ from leoroute.experiments import (
     write_table1_csv,
     write_table1_json,
 )
-from leoroute.geometry import PhysicalConstants, dome_angle
+from leoroute.geometry import dome_angle
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,6 @@ def test_cell_params_derived_quantities():
     assert params.theta_max == pytest.approx(
         max_hop_angle(7571.0, 6371.0, 3000.0), rel=1e-12
     )
-    assert isinstance(params.constants, PhysicalConstants)
 
 
 def test_cell_params_from_preset():
@@ -188,7 +185,7 @@ def test_reference_quantities_match_analysis_layer():
     theta_max = params.theta_max
     assert reference_hop_count(params) == min_feasible_hops(2.4, theta_max)
     assert reference_latency_ms(params) == pytest.approx(
-        latency_floor(2.4, theta_max, params.radius, params.constants), rel=1e-15
+        latency_floor(2.4, theta_max, params.radius), rel=1e-15
     )
 
 
@@ -303,15 +300,11 @@ def test_failed_plan_interrupts_every_trial_without_sampling():
     records = run_trials(params, "equal-interval", trials=6, base_seed=0)
     assert all(r.status == "type2_interrupted" for r in records)
     assert all(r.latency_ms is None and r.n_hops_final == 0 for r in records)
-    estimate = estimate_type2_probability("oneweb", epsilon=0.01, trials=100, base_seed=0)
-    assert estimate.probability == 1.0
-    assert estimate.ci_low == estimate.ci_high == 1.0
-    assert estimate.type1_interrupted
-
-
-def test_estimate_type2_requires_enough_trials():
-    with pytest.raises(InvalidInputError):
-        estimate_type2_probability("starlink", epsilon=0.1, trials=99, base_seed=0)
+    agg = run_cell(params, "equal-interval", trials=100, base_seed=0)
+    assert agg.type2_rate == 1.0
+    assert agg.type2_ci == wilson_interval(100, 100)
+    assert agg.type1_interrupted
+    assert agg.measured_count == 0 and agg.mean_efficiency is None
 
 
 def test_sparse_constellation_interrupts_greedy_walks():
@@ -353,7 +346,6 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
         )
         records = run_trials(params, strategy, trials=6, base_seed=11)
         src, dst = make_endpoints(params.radius, params.arc_angle)
-        link = LinkSpec(src=src, dst=dst, epsilon=params.epsilon)
         band_sine = trial_cell(params, strategy, plan).band_sine
         for rec in records:
             rng = np.random.default_rng(rec.seed)
@@ -362,7 +354,7 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
             shell = Constellation.from_unit_rows(
                 params.r_earth_km, params.altitude_km, np.vstack([band, rest])
             ).with_extra_points([src, dst])
-            route = router(shell, link, plan)
+            route = router(shell, params.d_max_km, plan)
             assert rec.status == route.status.value
             assert rec.n_hops_final == route.n_hops
             assert rec.latency_ms == (None if route.interrupted else route.latency)
@@ -377,11 +369,11 @@ def test_strategy_router_rejects_ideal_and_unknown_names():
 
 
 def test_estimate_type2_accepts_explicit_params():
-    params = CellParams(n_sat=800, altitude_km=550.0, arc_angle=1.4449, epsilon=0.5)
-    estimate = estimate_type2_probability(params, epsilon=0.1, trials=100, base_seed=3)
-    assert not estimate.type1_interrupted
-    assert estimate.probability <= 0.05
-    assert estimate.ci_low <= estimate.probability <= estimate.ci_high
+    params = CellParams(n_sat=800, altitude_km=550.0, arc_angle=1.4449, epsilon=0.1)
+    agg = run_cell(params, "equal-interval", trials=100, base_seed=3)
+    assert not agg.type1_interrupted
+    assert agg.type2_rate <= 0.05
+    assert agg.type2_ci[0] <= agg.type2_rate <= agg.type2_ci[1]
 
 
 # ---------------------------------------------------------------------------

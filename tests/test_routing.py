@@ -12,7 +12,6 @@ from leoroute import (
     DegenerateArcError,
     HopPlan,
     InvalidInputError,
-    LinkSpec,
     RepairFailedError,
     Route,
     RouteStatus,
@@ -62,6 +61,11 @@ def constellation_from_units(units):
 def attach_endpoints(c, arc):
     src, dst = endpoints(arc, c.radius)
     return c.with_extra_points([src, dst]), src, dst
+
+
+def sat(c, sat_id):
+    """Satellite ``sat_id`` of ``c`` as a point, from its unit-vector row."""
+    return SpherePoint.from_unit_vector(c.unit_vectors[sat_id], c.radius)
 
 
 def admissible_chord(radius):
@@ -161,14 +165,13 @@ def test_equal_interval_exact_targets_reproduce_ideal():
     decoys = [SpherePoint(r=RS, theta=2.9, phi=float(p)) for p in (0.5, 1.5, 2.5)]
     c = constellation_from_points(targets + decoys)
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX, epsilon=0.01)
-    route = route_equal_interval(c2, link, plan, allow_direct=False)
+    route = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
     assert route.status is RouteStatus.OK
     assert math.isclose(
         route.latency, ideal_latency(arc, plan.n_hat, RS), rel_tol=1e-9
     )
     hop_angles = [
-        dome_angle(c2.position(a), c2.position(b))
+        dome_angle(sat(c2, a), sat(c2, b))
         for a, b in zip(route.hops, route.hops[1:])
     ]
     assert max(hop_angles) - min(hop_angles) < 1e-9
@@ -190,9 +193,8 @@ def test_equal_interval_matches_brute_force_on_small_instance():
     decoys = [SpherePoint(r=RS, theta=2.6, phi=float(p)) for p in (0.3, 1.9, 4.1)]
     c = constellation_from_points(goods + decoys)
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX, epsilon=0.01)
 
-    route = route_equal_interval(c2, link, plan, allow_direct=False)
+    route = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
     assert route.status is RouteStatus.OK
 
     # Exhaustive enumeration over all relay subsets and orders.
@@ -203,7 +205,7 @@ def test_equal_interval_matches_brute_force_on_small_instance():
         for relays in itertools.permutations(range(6), k):
             path = (src_id, *relays, dst_id)
             chords = [
-                chord_distance(c2.position(a), c2.position(b))
+                chord_distance(sat(c2, a), sat(c2, b))
                 for a, b in zip(path, path[1:])
             ]
             if all(ch <= limit for ch in chords):
@@ -219,13 +221,12 @@ def test_equal_interval_direct_hop_shortcut():
     arc = 0.3
     c = sample_bpp(50, R_EARTH, ALT, seed=8)
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
     plan = plan_hops(arc, THETA_MAX, c.n_sat, 0.01)
-    route = route_equal_interval(c2, link, plan, allow_direct=True)
+    route = route_equal_interval(c2, D_MAX, plan, allow_direct=True)
     assert route.direct_hop
     assert route.hops == (50, 51)
     assert route.status is RouteStatus.OK
-    no_shortcut = route_equal_interval(c2, link, plan, allow_direct=False)
+    no_shortcut = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
     assert not no_shortcut.direct_hop
     assert len(no_shortcut.hops) > 2
 
@@ -240,11 +241,10 @@ def test_equal_interval_type2_on_hopeless_instance():
     ]
     c = constellation_from_points(cluster)
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
     plan = HopPlan(
         n_hat=8, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
     )
-    route = route_equal_interval(c2, link, plan, allow_direct=False)
+    route = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
     assert route.interrupted
 
@@ -254,14 +254,10 @@ def test_equal_interval_type2_on_hopeless_instance():
 # ---------------------------------------------------------------------------
 
 
-def repair_link(src, dst):
-    return LinkSpec(src=src, dst=dst, d_max=D_MAX)
-
-
 def test_hop_repair_admissible_is_noop():
     a, b = endpoints(0.3)
     c = constellation_from_points([a, b])
-    assert hop_repair(c, 0, 1, repair_link(a, b)) == []
+    assert hop_repair(c, 0, 1, D_MAX) == []
 
 
 def test_hop_repair_midpoint_single_candidate():
@@ -269,7 +265,7 @@ def test_hop_repair_midpoint_single_candidate():
     a, b = endpoints(0.8)
     mid = slerp(a, b, 0.5)
     c = constellation_from_points([a, b, mid])
-    ints = hop_repair(c, 0, 1, repair_link(a, b))
+    ints = hop_repair(c, 0, 1, D_MAX)
     assert ints == [2]
 
 
@@ -278,7 +274,7 @@ def test_hop_repair_no_candidate_raises():
     far = SpherePoint(r=RS, theta=2.8, phi=2.0)
     c = constellation_from_points([a, b, far])
     with pytest.raises(RepairFailedError):
-        hop_repair(c, 0, 1, repair_link(a, b))
+        hop_repair(c, 0, 1, D_MAX)
 
 
 def test_hop_repair_dense_instance_properties():
@@ -289,15 +285,15 @@ def test_hop_repair_dense_instance_properties():
         a, b = endpoints(arc)
         c2 = c.with_extra_points([a, b])
         from_id, to_id = 1000, 1001
-        ints = hop_repair(c2, from_id, to_id, repair_link(a, b))
+        ints = hop_repair(c2, from_id, to_id, D_MAX)
         chain = [from_id, *ints, to_id]
         assert len(set(chain)) == len(chain)
         gaps_to_target = [
-            dome_angle(c2.position(i), c2.position(to_id)) for i in chain
+            dome_angle(sat(c2, i), sat(c2, to_id)) for i in chain
         ]
         assert all(x > y for x, y in zip(gaps_to_target, gaps_to_target[1:]))
         for u, v in zip(chain, chain[1:]):
-            assert chord_distance(c2.position(u), c2.position(v)) <= limit + 1e-9
+            assert chord_distance(sat(c2, u), sat(c2, v)) <= limit + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +328,14 @@ def test_min_deflection_walks_arc_in_order():
     # forcing the chain walk; IDs were assigned in arc order.
     arc = 2.0
     c2, src, dst, n_chain = arc_chain_constellation(arc, 0.25)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    route = route_min_deflection(c2, link, cell_plan(c2, arc))
+    route = route_min_deflection(c2, D_MAX, cell_plan(c2, arc))
     assert route.status is RouteStatus.OK
     body = route.hops[1:-1]
     assert list(body) == sorted(body)
     assert body[0] == 0
     assert all(b - a == 1 for a, b in zip(body, body[1:]))
     # The walk gives up after 4 * plan.n_hat hops.
-    capped = route_min_deflection(c2, link, cell_plan(c2, arc, n_hat=1))
+    capped = route_min_deflection(c2, D_MAX, cell_plan(c2, arc, n_hat=1))
     assert capped.status is RouteStatus.TYPE2_INTERRUPTED
     assert capped.hops == route.hops[:5]
 
@@ -348,9 +343,8 @@ def test_min_deflection_walks_arc_in_order():
 def test_max_stepsize_takes_longer_steps():
     arc = 2.0
     c2, src, dst, n_chain = arc_chain_constellation(arc, 0.1)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    wide = route_max_stepsize(c2, link, cell_plan(c2, arc, reliable_angle=0.2))
-    narrow = route_min_deflection(c2, link, cell_plan(c2, arc))
+    wide = route_max_stepsize(c2, D_MAX, cell_plan(c2, arc, reliable_angle=0.2))
+    narrow = route_min_deflection(c2, D_MAX, cell_plan(c2, arc))
     assert wide.status is RouteStatus.OK
     assert len(wide.hops) < len(narrow.hops)
     body = wide.hops[1:-1]
@@ -361,11 +355,10 @@ def test_max_stepsize_two_satellites_direct():
     arc = 0.3
     src, dst = endpoints(arc)
     c = constellation_from_points([src, dst])
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
     plan = HopPlan(
         n_hat=1, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
     )
-    route = route_max_stepsize(c, link, plan)
+    route = route_max_stepsize(c, D_MAX, plan)
     assert route.hops == (0, 1)
     assert route.status is RouteStatus.OK
 
@@ -379,8 +372,7 @@ def test_max_stepsize_empty_belt_interrupts():
     ]
     c = constellation_from_points(off_arc)
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    route = route_max_stepsize(c2, link, cell_plan(c2, arc, reliable_angle=0.0))
+    route = route_max_stepsize(c2, D_MAX, cell_plan(c2, arc, reliable_angle=0.0))
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
 
 
@@ -392,8 +384,7 @@ def test_min_deflection_sparse_gap_interrupts():
     past_gap = [slerp(src, dst, t) for t in (0.9, 0.95)]
     c = constellation_from_points(near_src + past_gap)
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    route = route_min_deflection(c2, link, cell_plan(c2, arc))
+    route = route_min_deflection(c2, D_MAX, cell_plan(c2, arc))
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
     assert route.hops[0] == 4  # partial route out of the source
 
@@ -402,14 +393,13 @@ def test_greedy_progress_strictly_decreases():
     c = sample_bpp(2000, R_EARTH, ALT, seed=33)
     arc = 2.5
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
     plan = cell_plan(c2, arc)
     for route in (
-        route_min_deflection(c2, link, plan),
-        route_max_stepsize(c2, link, plan),
+        route_min_deflection(c2, D_MAX, plan),
+        route_max_stepsize(c2, D_MAX, plan),
     ):
         assert route.status is not RouteStatus.TYPE2_INTERRUPTED
-        gaps = [dome_angle(c2.position(h), dst) for h in route.hops]
+        gaps = [dome_angle(sat(c2, h), dst) for h in route.hops]
         assert all(x > y for x, y in zip(gaps, gaps[1:]))
 
 
@@ -421,12 +411,11 @@ def test_greedy_progress_strictly_decreases():
 def _sampled_routes(seed, n_sat, arc, epsilon=0.01):
     c = sample_bpp(n_sat, R_EARTH, ALT, seed=seed)
     c2, src, dst = attach_endpoints(c, arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX, epsilon=epsilon)
     plan = plan_hops(arc, THETA_MAX, n_sat, epsilon)
     routes = [
-        route_equal_interval(c2, link, plan),
-        route_min_deflection(c2, link, plan),
-        route_max_stepsize(c2, link, plan),
+        route_equal_interval(c2, D_MAX, plan),
+        route_min_deflection(c2, D_MAX, plan),
+        route_max_stepsize(c2, D_MAX, plan),
     ]
     return c2, routes
 
@@ -441,7 +430,7 @@ def test_completed_routes_satisfy_constraints():
             assert len(set(route.hops)) == len(route.hops)
             for a, b, d in zip(route.hops, route.hops[1:], route.hop_distances):
                 assert math.isclose(
-                    d, chord_distance(c2.position(a), c2.position(b)), rel_tol=1e-12
+                    d, chord_distance(sat(c2, a), sat(c2, b)), rel_tol=1e-12
                 )
                 assert d <= limit + 1e-9
             assert math.isclose(
@@ -467,7 +456,6 @@ def test_satellites_beyond_band_reach_do_not_change_the_route(router):
     rest: a band route reaching less far than the band is the full route."""
     arc, n_sat = 2.2, 1500
     src, dst = endpoints(arc)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
     plan = plan_hops(arc, THETA_MAX, n_sat, 0.1)
     certified = differing = 0
     for sin_band in (0.03, 0.1, 0.2):
@@ -476,14 +464,14 @@ def test_satellites_beyond_band_reach_do_not_change_the_route(router):
             inside = np.abs(units[:, 1]) <= sin_band  # the arc's normal is y
             k = int(inside.sum())
             band = constellation_from_units(units[inside])
-            route = router(band.with_extra_points([src, dst]), link, plan)
+            route = router(band.with_extra_points([src, dst]), D_MAX, plan)
             if router is not route_max_stepsize and route.status is not RouteStatus.OK:
                 assert route.band_reach == math.pi / 2.0
             # The route's own relays lie within its reach.
             relays = band.unit_vectors[list(route.hops[1:-1])]
             assert np.all(np.arcsin(np.abs(relays[:, 1])) <= route.band_reach + 1e-12)
             shell = constellation_from_units(np.vstack([units[inside], units[~inside]]))
-            full = router(shell.with_extra_points([src, dst]), link, plan)
+            full = router(shell.with_extra_points([src, dst]), D_MAX, plan)
             renamed = tuple({k: n_sat, k + 1: n_sat + 1}.get(h, h) for h in route.hops)
             if route.band_reach < math.asin(sin_band) - 1e-9:
                 certified += 1
@@ -499,23 +487,36 @@ def test_satellites_beyond_band_reach_do_not_change_the_route(router):
 def test_routers_reject_coincident_endpoints():
     src, _ = endpoints(1.0)
     shell = sample_bpp(200, R_EARTH, ALT, seed=1).with_extra_points([src, src])
-    link = LinkSpec(src=src, dst=src, d_max=D_MAX)
     plan = plan_hops(1.0, THETA_MAX, 200, 0.01)
     for router in SAMPLED_ROUTERS:
         with pytest.raises(InvalidInputError, match="same point"):
-            router(shell, link, plan)
+            router(shell, D_MAX, plan)
 
 
-def test_routers_reject_endpoints_that_are_not_the_last_two_satellites():
+ONE_HOP_PLAN = HopPlan(
+    n_hat=1, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
+)
+#: Each sampled router and hop_repair, called as (shell, d_max).
+HOP_RANGE_CALLS = {
+    "equal-interval": lambda c, d_max: route_equal_interval(c, d_max, ONE_HOP_PLAN),
+    "min-deflection": lambda c, d_max: route_min_deflection(c, d_max, ONE_HOP_PLAN),
+    "max-stepsize": lambda c, d_max: route_max_stepsize(c, d_max, ONE_HOP_PLAN),
+    "hop_repair": lambda c, d_max: hop_repair(c, 0, c.n_sat - 1, d_max),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOP_RANGE_CALLS))
+def test_routers_reject_bad_hop_range_and_single_satellite_shells(name):
+    """A hop range that is not positive would otherwise admit hops of length
+    |d_max| (or none); a single satellite has no hop to route."""
+    call = HOP_RANGE_CALLS[name]
     src, dst = endpoints(1.0)
-    c = sample_bpp(200, R_EARTH, ALT, seed=1)
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX)
-    plan = plan_hops(1.0, THETA_MAX, 200, 0.01)
-    leading = constellation_from_points([src, dst]).with_extra_points(c.positions)
-    for shell in (c.with_extra_points([dst, src]), leading, c):
-        for router in SAMPLED_ROUTERS:
-            with pytest.raises(InvalidInputError, match="last two"):
-                router(shell, link, plan)
+    shell = sample_bpp(200, R_EARTH, ALT, seed=1).with_extra_points([src, dst])
+    for d_max in (-D_MAX, 0.0, math.nan):
+        with pytest.raises(InvalidInputError, match="d_max"):
+            call(shell, d_max)
+    with pytest.raises(InvalidInputError, match="two satellites"):
+        call(constellation_from_points([src]), D_MAX)
 
 
 def test_equal_split_reference_is_not_a_floor():
@@ -530,15 +531,14 @@ def test_equal_split_reference_is_not_a_floor():
     src = SpherePoint(r=radius, theta=half, phi=0.0)
     dst = SpherePoint(r=radius, theta=half, phi=math.pi)
     c2 = c.with_extra_points([src, dst])
-    link = LinkSpec(src=src, dst=dst, d_max=D_MAX, epsilon=0.1)
     plan = plan_hops(arc, tmax, 800, 0.1)
     floor = latency_floor(arc, tmax, radius)
     reference = ideal_latency(arc, plan.n_hat, radius)
     best = min(
         r.latency
         for r in (
-            route_min_deflection(c2, link, plan),
-            route_max_stepsize(c2, link, plan),
+            route_min_deflection(c2, D_MAX, plan),
+            route_max_stepsize(c2, D_MAX, plan),
         )
         if not r.interrupted
     )
@@ -555,8 +555,7 @@ def test_starlink_scale_statistics():
     for seed in range(60):
         c = sample_bpp(n_sat, R_EARTH, ALT, seed=seed)
         c2, src, dst = attach_endpoints(c, arc)
-        link = LinkSpec(src=src, dst=dst, d_max=D_MAX, epsilon=0.01)
-        route = route_equal_interval(c2, link, plan)
+        route = route_equal_interval(c2, D_MAX, plan)
         assert route.status is not RouteStatus.TYPE2_INTERRUPTED
         effs.append(floor / route.latency)
     mean_eff = sum(effs) / len(effs)
