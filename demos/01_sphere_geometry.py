@@ -9,15 +9,15 @@ limit that caps how far a single hop may reach.
 import math
 
 from leoroute import (
-    PhysicalConstants,
     SpherePoint,
-    deflection_angle,
     chord_distance,
     dome_angle,
+    great_arc,
     los_chord_limit,
     max_hop_angle,
     slerp,
 )
+from leoroute.geometry import SIGNAL_SPEED_KM_MS
 
 R_EARTH = 6371.0
 RADIUS = R_EARTH + 550.0  # a 550 km shell
@@ -34,14 +34,21 @@ mid = slerp(a, b, 0.5)
 print("midpoint dome to a:", f"{dome_angle(a, mid):.6f} rad (half of a-b)")
 
 # Deflection measures how far a candidate satellite strays from the
-# reference arc; a point on the arc itself has deflection zero.
+# reference arc: |asin(u . n)| for its unit vector u and the arc's normal n,
+# as the routers compute it. A point on the arc itself has deflection zero.
+_, normal = great_arc(a.unit_vector(), b.unit_vector(), 0.0)
+
+
+def deflection(p):
+    return abs(math.asin(float(p.unit_vector() @ normal)))
+
+
 off_arc = SpherePoint(r=RADIUS, theta=math.pi / 3 - 0.1, phi=math.pi / 4)
-print("deflection of mid :", f"{deflection_angle(mid, a, b):.2e} rad")
-print("deflection off-arc:", f"{deflection_angle(off_arc, a, b):.4f} rad")
+print("deflection of mid :", f"{deflection(mid):.2e} rad")
+print("deflection off-arc:", f"{deflection(off_arc):.4f} rad")
 
 # A hop is admissible only below the line-of-sight chord (the Earth
 # otherwise blocks the link) and below the hardware range d_max.
-consts = PhysicalConstants()
 los = los_chord_limit(RADIUS, R_EARTH)
 print("line-of-sight cap :", f"{los:.1f} km")
 for d_max in (3000.0, 8000.0):
@@ -52,4 +59,4 @@ for d_max in (3000.0, 8000.0):
     )
 
 # Latency is pure propagation: chord length over the speed of light.
-print("one 3000 km hop  :", f"{3000.0 / consts.c:.3f} ms")
+print("one 3000 km hop  :", f"{3000.0 / SIGNAL_SPEED_KM_MS:.3f} ms")

@@ -12,13 +12,14 @@ the line-of-sight limit.
 """
 
 from leoroute import (
+    arc_waypoints,
+    ideal_latency,
     latency_floor,
     make_endpoints,
     max_hop_angle,
     n_min_ideal,
     plan_hops,
     route_equal_interval,
-    route_ideal,
     route_max_stepsize,
     route_min_deflection,
     sample_bpp,
@@ -41,8 +42,10 @@ floor_ms = latency_floor(ARC, theta_max, RADIUS)
 print(f"endpoints {DISTANCE_KM:.0f} km apart on an 800-satellite shell")
 print(f"provable latency floor: {floor_ms:.3f} ms\n")
 
-# The unconstrained optimum: relay positions anywhere on the sphere.
-positions, ideal_ms = route_ideal(src, dst, d_max=D_MAX)
+# The unconstrained optimum: equal hops along the great-circle arc, with
+# relay positions anywhere on the sphere.
+positions = arc_waypoints(src, dst, n_min_ideal(ARC, theta_max))
+ideal_ms = ideal_latency(ARC, len(positions) - 1, RADIUS)
 print(f"ideal relays     : {len(positions) - 1} equal hops, {ideal_ms:.3f} ms "
       f"(fewest possible: {n_min_ideal(ARC, theta_max)})")
 

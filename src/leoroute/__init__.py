@@ -8,7 +8,7 @@ geometric optimum -- both in closed form and by Monte Carlo simulation.
 
 Layout:
 
-- :mod:`leoroute.geometry`      -- points on a sphere, chords, arcs, deflection.
+- :mod:`leoroute.geometry`      -- points on a sphere, chords, arcs, horizon.
 - :mod:`leoroute.constellation` -- uniform satellite sampling, presets, I/O.
 - :mod:`leoroute.analysis`      -- contact statistics and hop-count planning.
 - :mod:`leoroute.routing`       -- route construction and repair strategies.
@@ -77,10 +77,8 @@ from .experiments import (
     write_table1_json,
 )
 from .geometry import (
-    PhysicalConstants,
     SpherePoint,
     chord_distance,
-    deflection_angle,
     dome_angle,
     great_arc,
     los_chord_limit,
@@ -92,7 +90,6 @@ from .routing import (
     arc_waypoints,
     hop_repair,
     route_equal_interval,
-    route_ideal,
     route_max_stepsize,
     route_min_deflection,
 )
@@ -108,13 +105,11 @@ __all__ = [
     "RepairFailedError",
     "InternalConsistencyError",
     # geometry
-    "PhysicalConstants",
     "SpherePoint",
     "chord_distance",
     "dome_angle",
     "slerp",
     "great_arc",
-    "deflection_angle",
     "los_chord_limit",
     # constellation
     "PRESET_PARAMS",
@@ -144,7 +139,6 @@ __all__ = [
     "RouteStatus",
     "Route",
     "arc_waypoints",
-    "route_ideal",
     "hop_repair",
     "route_equal_interval",
     "route_min_deflection",

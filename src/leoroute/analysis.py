@@ -18,10 +18,13 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import PhysicalConstants
+from .geometry import SIGNAL_SPEED_KM_MS
 from .quadrature import adaptive_simpson
 
 ArrayLike = Union[float, np.ndarray]
+
+#: Last grid point k of :func:`min_sats_grid`.
+_GRID_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ def max_hop_angle(radius: float, r_earth: float, d_max: float) -> float:
     """
     if not 0.0 < r_earth < radius:
         raise InvalidInputError("require 0 < r_earth < radius")
-    if d_max <= 0.0:
+    if not d_max > 0.0:
         raise InvalidInputError(f"d_max must be positive, got {d_max}")
     horizon = 2.0 * math.acos(r_earth / radius)
     reach = 2.0 * math.asin(min(d_max, 2.0 * radius) / (2.0 * radius))
@@ -166,12 +169,7 @@ def min_feasible_hops(arc_angle: float, theta_max: float) -> int:
     return max(1, math.ceil(arc_angle / theta_max - 1e-12))
 
 
-def latency_floor(
-    arc_angle: float,
-    theta_max: float,
-    radius: float,
-    constants: PhysicalConstants | None = None,
-) -> float:
+def latency_floor(arc_angle: float, theta_max: float, radius: float) -> float:
     """Provable lower bound in ms on any admissible route's latency.
 
     Any route's hop dome angles sum to at least the endpoint separation
@@ -185,11 +183,10 @@ def latency_floor(
         raise InvalidInputError(f"radius must be positive, got {radius}")
     k = min_feasible_hops(arc_angle, theta_max)
     remainder = arc_angle - (k - 1) * theta_max
-    c = (constants or PhysicalConstants()).c
     total_chord_factor = (k - 1) * math.sin(theta_max / 2.0) + math.sin(
         remainder / 2.0
     )
-    return (2.0 * radius / c) * total_chord_factor
+    return (2.0 * radius / SIGNAL_SPEED_KM_MS) * total_chord_factor
 
 
 def iteration_bound(epsilon: float, theta_max: float, n_sat: int) -> float:
@@ -285,37 +282,27 @@ def min_sats_sufficient(
     return math.ceil(n_req)
 
 
-def min_sats_grid(
-    arc_angle: float, theta_max: float, epsilon: float, k_max: int = 20
-) -> list[int]:
+def min_sats_grid(arc_angle: float, theta_max: float, epsilon: float) -> list[int]:
     """Sufficient constellation sizes over a standard search-radius grid.
 
-    Grid point k fixes the search radius at half the per-hop slack of a
-    route with n_min_ideal + k hops and sizes the constellation for it.
+    Grid point k = 0, ..., 20 fixes the search radius at half the per-hop
+    slack of a route with n_min_ideal + k hops and sizes the constellation
+    for it.
     """
-    if k_max < 0:
-        raise InvalidInputError(f"k_max must be >= 0, got {k_max}")
     n_min = n_min_ideal(arc_angle, theta_max)
     sizes: list[int] = []
-    for k in range(k_max + 1):
+    for k in range(_GRID_STEPS + 1):
         theta_t = 0.5 * (theta_max - arc_angle / (n_min + k))
         sizes.append(min_sats_sufficient(arc_angle, theta_max, epsilon, theta_t))
     return sizes
 
 
-def min_sats_grid_minimum(
-    arc_angle: float, theta_max: float, epsilon: float, k_max: int = 20
-) -> int:
+def min_sats_grid_minimum(arc_angle: float, theta_max: float, epsilon: float) -> int:
     """Smallest sufficient constellation size over the search-radius grid."""
-    return min(min_sats_grid(arc_angle, theta_max, epsilon, k_max=k_max))
+    return min(min_sats_grid(arc_angle, theta_max, epsilon))
 
 
-def ideal_latency(
-    arc_angle: float,
-    n_hops: int,
-    radius: float,
-    constants: PhysicalConstants | None = None,
-) -> float:
+def ideal_latency(arc_angle: float, n_hops: int, radius: float) -> float:
     """Propagation latency in ms of n equal hops along the great-circle arc.
 
     This is the latency floor for any n-hop route between the endpoints;
@@ -327,5 +314,6 @@ def ideal_latency(
         raise InvalidInputError(f"n_hops must be >= 1, got {n_hops}")
     if radius <= 0.0:
         raise InvalidInputError(f"radius must be positive, got {radius}")
-    c = (constants or PhysicalConstants()).c
-    return (2.0 * radius * n_hops / c) * math.sin(arc_angle / (2.0 * n_hops))
+    return (2.0 * radius * n_hops / SIGNAL_SPEED_KM_MS) * math.sin(
+        arc_angle / (2.0 * n_hops)
+    )

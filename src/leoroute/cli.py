@@ -66,7 +66,7 @@ from .experiments import (
     write_table1_csv,
     write_table1_json,
 )
-from .geometry import PhysicalConstants
+from .geometry import R_EARTH_KM
 from .routing import arc_waypoints
 
 # Unused here; benchmarks/tracing.py wraps these bindings by name.
@@ -131,6 +131,31 @@ def _merge(flag_value, config: dict, key: str, default, kind: type):
         ) from exc
 
 
+def _resolve_shell(
+    preset: Optional[str],
+    n_sat: Optional[int],
+    altitude: Optional[float],
+    config: dict,
+) -> tuple[Optional[int], Optional[float]]:
+    """Satellite count and altitude from a preset or from explicit values.
+
+    Either may be None when neither flags, config file nor preset give it.
+    """
+    preset = _merge(preset, config, "preset", None, str)
+    n_sat = _merge(n_sat, config, "n_sat", None, int)
+    altitude = _merge(altitude, config, "altitude_km", None, float)
+    explicit = n_sat is not None or altitude is not None
+    if preset is not None and explicit:
+        raise InvalidInputError("give either --preset or --n-sat/--altitude, not both")
+    if preset is not None:
+        if preset not in PRESET_PARAMS:
+            raise InvalidInputError(
+                f"unknown preset {preset!r}; choose from {sorted(PRESET_PARAMS)}"
+            )
+        altitude, n_sat = PRESET_PARAMS[preset]
+    return n_sat, altitude
+
+
 def _resolve_cell(
     preset: Optional[str],
     n_sat: Optional[int],
@@ -146,19 +171,8 @@ def _resolve_cell(
     With ``shell`` (a constellation file), the satellite count, altitude
     and body radius are the file's.
     """
-    preset = _merge(preset, config, "preset", None, str)
-    n_sat = _merge(n_sat, config, "n_sat", None, int)
-    altitude = _merge(altitude, config, "altitude_km", None, float)
-    explicit = n_sat is not None or altitude is not None
-    if preset is not None and explicit:
-        raise InvalidInputError("give either --preset or --n-sat/--altitude, not both")
-    if preset is not None:
-        if preset not in PRESET_PARAMS:
-            raise InvalidInputError(
-                f"unknown preset {preset!r}; choose from {sorted(PRESET_PARAMS)}"
-            )
-        altitude, n_sat = PRESET_PARAMS[preset]
-    r_earth = PhysicalConstants.r_earth
+    n_sat, altitude = _resolve_shell(preset, n_sat, altitude, config)
+    r_earth = R_EARTH_KM
     if shell is not None:
         n_sat, altitude, r_earth = shell.n_sat, shell.altitude, shell.r_earth
     elif n_sat is None or altitude is None:
@@ -317,9 +331,9 @@ def route(
     payload = {"schema_version": SCHEMA_VERSION, "strategy": strategy}
     exit_code = 0
     if strategy == "ideal":
-        # Equivalent to route_ideal away from antipodal, but resolves the
-        # antipodal ambiguity with the routing convention so the default
-        # half-circle separation works for every strategy.
+        # The waypoints resolve antipodal endpoints with the routing
+        # convention, so the default half-circle separation works for
+        # every strategy.
         n_hops = n_min_ideal(arc, theta_max)
         positions = arc_waypoints(*make_endpoints(radius, arc), n_hops)
         payload.update(
@@ -450,12 +464,8 @@ _SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n
 @click.option("--from", "start", type=float, required=True, help="First swept value.")
 @click.option("--to", "stop", type=float, required=True, help="Last swept value (inclusive).")
 @click.option("--step", type=float, required=True, help="Increment between values.")
-@click.option("--preset", type=click.Choice(sorted(PRESET_PARAMS)), default=None)
-@click.option("--n-sat", type=int, default=None, help="Fixed satellite count.")
-@click.option("--altitude", type=float, default=None, help="Fixed altitude in km.")
+@_constellation_options
 @click.option("--distance", type=float, default=None, help="Fixed endpoint distance in km.")
-@click.option("--d-max", type=float, default=None, help="Max hop chord in km (default 3000).")
-@click.option("--epsilon", type=float, default=None, help="Interruption budget (default 0.01).")
 @click.option("--trials", type=int, default=None, help="Trials per cell (default 1000).")
 @click.option("--seed", type=int, default=None, help="Base seed (default 0).")
 @click.option("--threads", type=int, default=1, show_default=True, help="Worker processes.")
@@ -472,13 +482,6 @@ _SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n
     type=click.Choice(["csv", "json", "both"]),
     default="both",
     show_default=True,
-)
-@click.option(
-    "--config",
-    "config_path",
-    type=click.Path(),
-    default=None,
-    help="JSON file with defaults; flags override it.",
 )
 def sweep_cmd(
     var,
@@ -510,16 +513,11 @@ def sweep_cmd(
     explicit = {"n_sat": n_sat, "altitude_km": altitude, "distance_km": distance}
     if explicit.get(variable) is not None:
         raise InvalidInputError(f"cannot fix the swept variable {var!r}")
-    if preset is not None and (n_sat is not None or altitude is not None):
-        raise InvalidInputError("give either --preset or --n-sat/--altitude, not both")
-    if preset is not None:
-        preset_altitude, preset_n = PRESET_PARAMS[preset]
-        n_sat = preset_n if n_sat is None else n_sat
-        altitude = preset_altitude if altitude is None else altitude
+    n_sat, altitude = _resolve_shell(preset, n_sat, altitude, config)
 
     fixed = {
-        "n_sat": _merge(n_sat, config, "n_sat", None, int),
-        "altitude_km": _merge(altitude, config, "altitude_km", None, float),
+        "n_sat": n_sat,
+        "altitude_km": altitude,
         "distance_km": _merge(distance, config, "distance_km", None, float),
         "d_max_km": _merge(d_max, config, "d_max_km", 3000.0, float),
         "epsilon": _merge(epsilon, config, "epsilon", 0.01, float),

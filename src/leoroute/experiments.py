@@ -53,7 +53,7 @@ from .constellation import (
 )
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
-from .geometry import PhysicalConstants, SpherePoint
+from .geometry import R_EARTH_KM, SpherePoint
 from .routing import (
     Route,
     route_equal_interval,
@@ -121,14 +121,17 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return (base_seed ^ splitmix64(trial_index)) & _MASK64
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.959963984540054
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+#: Standard-normal quantile of a two-sided 95% interval.
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidInputError("wilson_interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise InvalidInputError("successes must lie in [0, trials]")
+    z = _Z95
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -155,7 +158,7 @@ class CellParams:
     arc_angle: float
     d_max_km: float = 3000.0
     epsilon: float = 0.01
-    r_earth_km: float = PhysicalConstants.r_earth
+    r_earth_km: float = R_EARTH_KM
 
     def __post_init__(self) -> None:
         if self.n_sat < 1:
@@ -166,7 +169,7 @@ class CellParams:
             raise InvalidInputError(
                 f"arc_angle must be in (0, pi], got {self.arc_angle}"
             )
-        if self.d_max_km <= 0.0 or not 0.0 < self.epsilon < 1.0:
+        if not self.d_max_km > 0.0 or not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError("require d_max_km > 0 and epsilon in (0, 1)")
 
     @classmethod
@@ -477,11 +480,6 @@ def run_cell(
     None for both means.
     """
     plan = _checked_plan(params, strategy, trials)
-    return _planned_cell(params, strategy, trials, base_seed, threads, plan)
-
-
-def _planned_cell(params, strategy, trials, base_seed, threads, plan) -> CellAggregate:
-    """:func:`run_cell` for a validated cell whose hop plan is already known."""
     records = _planned_trials(params, strategy, trials, base_seed, threads, plan)
     type2 = sum(1 for r in records if r.status == "type2_interrupted")
     completed = [r for r in records if r.status != "type2_interrupted"]
@@ -563,7 +561,9 @@ def run_table1(
 
     Closed-form rows (contact mean, hop counts, reliable angles, minimum
     satellites) are exact; interruption rates and efficiencies come from
-    ``trials`` Monte Carlo rounds per preset and epsilon.
+    ``trials`` Monte Carlo rounds per preset and epsilon. Every per-epsilon
+    value but the minimum satellite count is the equal-interval
+    :func:`run_cell` aggregate of the cell.
     """
     columns = []
     for preset in ("starlink", "oneweb", "kuiper"):
@@ -578,22 +578,14 @@ def run_table1(
         measured: dict[float, int] = {}
         for eps in epsilons:
             params = CellParams.from_preset(preset, epsilon=eps)
-            plan = _checked_plan(params, "equal-interval", trials)
-            n_hat[eps] = plan.n_hat
-            rel[eps] = plan.reliable_angle
+            agg = run_cell(params, "equal-interval", trials, base_seed, threads)
+            n_hat[eps], rel[eps] = agg.n_hat, agg.reliable_angle
             mins[eps] = min_sats_grid_minimum(
                 params.arc_angle, params.theta_max, eps
             )
-            type1[eps] = plan.type1_interrupted
-            if plan.immediate_type1:
-                prob[eps], ci[eps] = 1.0, (1.0, 1.0)
-                eff[eps], measured[eps] = None, 0
-            else:
-                agg = _planned_cell(
-                    params, "equal-interval", trials, base_seed, threads, plan
-                )
-                prob[eps], ci[eps] = agg.type2_rate, agg.type2_ci
-                eff[eps], measured[eps] = agg.mean_efficiency, agg.measured_count
+            type1[eps] = agg.type1_interrupted
+            prob[eps], ci[eps] = agg.type2_rate, agg.type2_ci
+            eff[eps], measured[eps] = agg.mean_efficiency, agg.measured_count
         columns.append(
             Table1Column(
                 preset=preset,
@@ -662,7 +654,7 @@ class SweepSpec:
         """Cell parameters at one swept value."""
         merged = dict(self.fixed)
         merged[self.variable] = value
-        radius = PhysicalConstants.r_earth + float(merged["altitude_km"])
+        radius = R_EARTH_KM + float(merged["altitude_km"])
         return CellParams(
             n_sat=int(merged["n_sat"]),
             altitude_km=float(merged["altitude_km"]),

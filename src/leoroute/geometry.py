@@ -4,9 +4,8 @@ Positions are spherical coordinates (radius, polar angle, azimuth); all
 computations run on unit 3-vectors internally for numerical robustness near
 the poles. Provides chord/dome-angle distances, great-circle interpolation
 (:func:`slerp` on points, :func:`great_arc` on unit vectors, the one arc
-parametrization the routing strategies share), deflection from a
-great-circle plane, and the line-of-sight chord limit imposed by the
-occluding body.
+parametrization the routing strategies share), and the line-of-sight chord
+limit imposed by the occluding body.
 """
 
 from __future__ import annotations
@@ -21,26 +20,11 @@ from .errors import DegenerateArcError, InvalidInputError
 #: Tolerance below which two radii are considered equal (km, relative).
 _RADIUS_RTOL = 1e-9
 #: Dome angles above pi - this threshold are treated as antipodal.
-ANTIPODAL_THRESHOLD = 1e-9
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants of the propagation environment.
-
-    Attributes:
-        r_earth: Radius of the occluding body in km.
-        c: Signal propagation speed in km/ms.
-    """
-
-    r_earth: float = 6371.0
-    c: float = 300.0
-
-    def __post_init__(self) -> None:
-        if self.r_earth <= 0:
-            raise InvalidInputError(f"r_earth must be > 0, got {self.r_earth}")
-        if self.c <= 0:
-            raise InvalidInputError(f"c must be > 0, got {self.c}")
+_ANTIPODAL_THRESHOLD = 1e-9
+#: Radius of the occluding body (the Earth) in km.
+R_EARTH_KM = 6371.0
+#: Signal propagation speed in km/ms.
+SIGNAL_SPEED_KM_MS = 300.0
 
 
 @dataclass(frozen=True)
@@ -130,10 +114,10 @@ def great_arc(
     cross = _cross(ua, ub)
     sin_arc = math.sqrt(float(cross @ cross))
     arc = math.atan2(sin_arc, float(ua @ ub))
-    if arc < ANTIPODAL_THRESHOLD:
+    if arc < _ANTIPODAL_THRESHOLD:
         raise DegenerateArcError("endpoints coincide; no arc to follow")
     t = np.asarray(t, dtype=float)[..., None]
-    if arc < math.pi - ANTIPODAL_THRESHOLD:
+    if arc < math.pi - _ANTIPODAL_THRESHOLD:
         points = (np.sin((1.0 - t) * arc) * ua + np.sin(t * arc) * ub) / sin_arc
         return points, cross / sin_arc
     pole = np.array([0.0, 0.0, 1.0])
@@ -175,40 +159,12 @@ def slerp(a: SpherePoint, b: SpherePoint, t: float) -> SpherePoint:
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError(f"arc fraction must be in [0, 1], got {t}")
     omega = dome_angle(a, b)
-    if omega > math.pi - ANTIPODAL_THRESHOLD:
+    if omega > math.pi - _ANTIPODAL_THRESHOLD:
         raise DegenerateArcError("antipodal endpoints: shortest arc is undefined")
-    if omega < ANTIPODAL_THRESHOLD:
+    if omega < _ANTIPODAL_THRESHOLD:
         return a
     point, _ = great_arc(a.unit_vector(), b.unit_vector(), t)
     return SpherePoint.from_unit_vector(point, r)
-
-
-def deflection_angle(p: SpherePoint, a: SpherePoint, b: SpherePoint) -> float:
-    """Angular distance in radians from ``p`` to the great circle through a, b.
-
-    Defined frame-independently as |pi/2 - angle(p, n)| where n is the normal
-    of the plane spanned by ``a`` and ``b``; zero iff ``p`` lies on that
-    great circle. Always in [0, pi/2].
-
-    Raises:
-        DegenerateArcError: If ``a`` and ``b`` are antipodal or coincident in
-            direction (the plane is undefined).
-    """
-    normal = arc_normal(a.unit_vector(), b.unit_vector())
-    s = float(np.dot(p.unit_vector(), normal))
-    return abs(math.asin(min(max(s, -1.0), 1.0)))
-
-
-def arc_normal(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Unit normal of the great-circle plane through two unit vectors.
-
-    Raises:
-        DegenerateArcError: If the vectors are parallel or antiparallel.
-    """
-    sin_arc = np.linalg.norm(np.cross(ua, ub))
-    if sin_arc < ANTIPODAL_THRESHOLD and float(ua @ ub) < 0.0:
-        raise DegenerateArcError("great-circle plane undefined for antipodal points")
-    return great_arc(ua, ub, 0.0)[1]
 
 
 def los_chord_limit(r: float, r_earth: float) -> float:

@@ -1,9 +1,7 @@
 """Multi-hop route construction between two satellites.
 
-Four strategies are provided:
+Three strategies route through sampled satellites:
 
-* :func:`route_ideal` — the latency floor: equally spaced relay positions
-  on the great-circle arc, ignoring where real satellites are.
 * :func:`route_equal_interval` — snap each equally spaced target to its
   nearest real satellite, then repair any hop that breaks the distance or
   visibility constraints.
@@ -12,9 +10,8 @@ Four strategies are provided:
 * :func:`route_max_stepsize` — greedy baseline that always picks the
   farthest admissible satellite inside a belt around the arc.
 
-The three strategies that route through sampled satellites share one
-signature, ``(constellation, d_max, plan) -> Route``: all of them follow the
-hop plan the caller made for the cell (equal-interval places
+They share one signature, ``(constellation, d_max, plan) -> Route``: all of
+them follow the hop plan the caller made for the cell (equal-interval places
 ``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
 
@@ -22,11 +19,12 @@ The constellation alone describes the rest of the route's setting: its
 endpoints are its last two satellites (src second to last, dst last), as
 the Monte Carlo harness appends them, and its ``radius`` and ``r_earth``
 are the sphere and the occluding body. Routing works on the
-constellation's unit vectors; :class:`SpherePoint` appears only at the
-edges (ideal relay positions). A hop is admissible when its chord is at
+constellation's unit vectors; :class:`SpherePoint` appears only in
+:func:`arc_waypoints`, the relay positions of the ideal route (equal hops
+along the great-circle arc). A hop is admissible when its chord is at
 most min(d_max, line-of-sight limit), tested as one dot product of unit
 vectors; latency is the summed chord over the signal speed
-``PhysicalConstants.c``. Routes never fail with an exception on a valid
+``SIGNAL_SPEED_KM_MS``. Routes never fail with an exception on a valid
 input: infeasibility is reported as ``type2_interrupted`` status.
 
 Each route also reports its ``band_reach``: how far from the src-dst great
@@ -40,11 +38,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Optional
+from typing import AbstractSet
 
 import numpy as np
 
-from .analysis import HopPlan, ideal_latency, max_hop_angle, n_min_ideal
+from .analysis import HopPlan
 from .constellation import Constellation
 from .errors import (
     DegenerateArcError,
@@ -52,15 +50,7 @@ from .errors import (
     InvalidInputError,
     RepairFailedError,
 )
-from .geometry import (
-    ANTIPODAL_THRESHOLD,
-    PhysicalConstants,
-    SpherePoint,
-    dome_angle,
-    great_arc,
-    los_chord_limit,
-    slerp,
-)
+from .geometry import SIGNAL_SPEED_KM_MS, SpherePoint, great_arc, los_chord_limit
 
 # Unused here; benchmarks/tracing.py wraps these bindings by name.
 from .analysis import plan_hops  # noqa: F401
@@ -186,39 +176,11 @@ def _materialize(
     return Route(
         hops=tuple(hops),
         hop_distances=distances,
-        latency=sum(distances) / PhysicalConstants.c,
+        latency=sum(distances) / SIGNAL_SPEED_KM_MS,
         status=status,
         direct_hop=direct_hop,
         band_reach=band_reach,
     )
-
-
-def route_ideal(
-    src_pos: SpherePoint,
-    dst_pos: SpherePoint,
-    d_max: float = 3000.0,
-    constants: Optional[PhysicalConstants] = None,
-) -> tuple[tuple[SpherePoint, ...], float]:
-    """Latency-optimal relay positions, unconstrained by real satellites.
-
-    Splits the great-circle arc into the minimum feasible number of equal
-    hops. Returns the hop endpoints (including src and dst) and the total
-    propagation latency in ms; every hop spans the same dome angle.
-
-    Raises:
-        DegenerateArcError: If the endpoints coincide or are antipodal
-            (the connecting arc is not unique).
-    """
-    consts = constants or PhysicalConstants()
-    if abs(src_pos.r - dst_pos.r) > 1e-9 * src_pos.r:
-        raise InvalidInputError("endpoints must share a sphere radius")
-    arc = dome_angle(src_pos, dst_pos)
-    if arc >= math.pi - ANTIPODAL_THRESHOLD:
-        raise DegenerateArcError("antipodal endpoints: ideal arc is not unique")
-    theta_max = max_hop_angle(src_pos.r, consts.r_earth, d_max)
-    n = n_min_ideal(arc, theta_max)
-    positions = tuple(slerp(src_pos, dst_pos, i / n) for i in range(n + 1))
-    return positions, ideal_latency(arc, n, src_pos.r, consts)
 
 
 def hop_repair(
@@ -289,12 +251,7 @@ def hop_repair(
     )
 
 
-def route_equal_interval(
-    c: Constellation,
-    d_max: float,
-    plan: HopPlan,
-    allow_direct: bool = True,
-) -> Route:
+def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route:
     """Route by snapping equally spaced arc targets to nearest satellites.
 
     Stage 1 places ``plan.n_hat - 1`` relay targets at equal intervals on
@@ -305,19 +262,18 @@ def route_equal_interval(
     :func:`hop_repair`; a failed repair ends the route with
     ``type2_interrupted`` status.
 
+    When the endpoints can reach each other in one admissible hop, the
+    route is that single hop (flagged ``direct_hop``) instead of the
+    planned multi-hop one.
+
     The plan is used mechanically: callers that want the planned
     reliability guarantee should check ``plan.type1_interrupted`` first.
-
-    Args:
-        allow_direct: When True and the endpoints can reach each other in
-            one admissible hop, return that single-hop route (flagged
-            ``direct_hop``) instead of the planned multi-hop one.
     """
     cos_admissible = _cos_admissible(c, d_max)
     src_id, dst_id = _endpoint_ids(c)
     units = c.unit_vectors
 
-    if allow_direct and float(units[src_id] @ units[dst_id]) >= cos_admissible:
+    if float(units[src_id] @ units[dst_id]) >= cos_admissible:
         return _materialize(
             c, [src_id, dst_id], RouteStatus.OK, direct_hop=True, band_reach=0.0
         )

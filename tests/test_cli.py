@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ from leoroute.analysis import max_hop_angle, plan_hops
 from leoroute.cli import main, parse_angle
 from leoroute.constellation import load_constellation, sample_bpp, save_constellation
 from leoroute.errors import InternalConsistencyError, InvalidInputError
-from leoroute.experiments import make_endpoints
+from leoroute.experiments import CellParams, make_endpoints, reference_latency_ms
 from leoroute.geometry import SpherePoint, dome_angle
 from leoroute.routing import (
     route_equal_interval,
@@ -147,6 +148,20 @@ def test_analyze_single_satellite_short_arc(capsys):
     # One satellite cannot support the plan: certain planning interruption.
     assert values["type1_interrupted"] == "yes"
     assert code == 2
+
+
+def test_analyze_hop_range_must_be_a_positive_number(capsys):
+    shell = ("analyze", "--n-sat", "800", "--altitude", "500")
+    code, _, err = run_cli(capsys, *shell, "--d-max", "nan")
+    assert code == 1
+    assert "d_max" in err
+    # An unbounded range leaves the hop horizon-limited.
+    code, out, _ = run_cli(capsys, *shell, "--d-max", "inf")
+    assert code == 0
+    horizon = 2.0 * math.acos(6371.0 / 6871.0)
+    assert float(parsed_lines(out)["max_hop_angle_rad"]) == pytest.approx(
+        horizon, abs=1e-6
+    )
 
 
 def test_analyze_config_file_and_flag_precedence(capsys, tmp_path):
@@ -553,6 +568,25 @@ def test_sweep_nsat_with_preset_altitude(capsys, tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["swept_value"] for r in rows] == ["200.0", "400.0"]
     assert all(r["strategy"] == "equal-interval" for r in rows)
+
+
+def test_sweep_takes_its_shell_from_a_config_preset(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"preset": "oneweb", "distance_km": 8000, "epsilon": 0.1})
+    )
+    base = tmp_path / "preset"
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "distance", "--from", "4000", "--to", "4000",
+        "--step", "1000", "--trials", "3", "--strategies", "ideal",
+        "--config", str(config), "--format", "json", "--out", str(base),
+    )
+    assert (code, err) == (0, "")
+    # The swept distance replaces the config's, on oneweb's 7571 km sphere.
+    params = CellParams.from_preset("oneweb", epsilon=0.1, arc_angle=4000.0 / 7571.0)
+    (record,) = json.loads(Path(f"{base}.json").read_text())["records"]
+    assert record["swept_value"] == 4000.0
+    assert record["mean_latency_ms"] == pytest.approx(reference_latency_ms(params))
 
 
 def test_sweep_usage_errors(capsys, tmp_path):

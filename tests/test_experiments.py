@@ -650,6 +650,27 @@ def test_table1_monte_carlo_columns(small_table):
             assert low <= col.type2_probability[eps] <= high
 
 
+def test_table1_cells_are_run_cell_aggregates(small_table):
+    # Every per-epsilon Monte Carlo value is the equal-interval run_cell
+    # aggregate, the interval of oneweb's immediate type-I cell included.
+    fields = lambda agg: (  # noqa: E731
+        agg.n_hat, agg.reliable_angle, agg.type1_interrupted, agg.type2_rate,
+        agg.type2_ci, agg.mean_efficiency, agg.measured_count,
+    )
+    for col in small_table.columns:
+        for eps in small_table.epsilons:
+            params = CellParams.from_preset(col.preset, epsilon=eps)
+            agg = run_cell(params, "equal-interval", 40, 1)
+            assert fields(agg) == (
+                col.n_hat[eps], col.reliable_angle_rad[eps], col.type1[eps],
+                col.type2_probability[eps], col.type2_ci[eps],
+                col.efficiency[eps], col.measured_count[eps],
+            )
+    oneweb = small_table.columns[1]
+    assert oneweb.preset == "oneweb"
+    assert oneweb.type2_ci[0.01] == wilson_interval(40, 40)
+
+
 def test_table1_rows_layout(small_table):
     rows = table1_rows(small_table)
     assert len(rows) == 9

@@ -9,7 +9,6 @@ import pytest
 
 from leoroute import (
     Constellation,
-    DegenerateArcError,
     HopPlan,
     InvalidInputError,
     RepairFailedError,
@@ -19,14 +18,15 @@ from leoroute import (
     arc_waypoints,
     chord_distance,
     dome_angle,
+    great_arc,
     hop_repair,
     ideal_latency,
     latency_floor,
     los_chord_limit,
     max_hop_angle,
+    n_min_ideal,
     plan_hops,
     route_equal_interval,
-    route_ideal,
     route_max_stepsize,
     route_min_deflection,
     sample_bpp,
@@ -98,13 +98,19 @@ def test_route_requires_matching_distances():
 
 
 # ---------------------------------------------------------------------------
-# route_ideal
+# The ideal route: n_min_ideal equal hops along the arc
 # ---------------------------------------------------------------------------
 
 
+def ideal_route(arc):
+    """Relay positions and latency (ms) of the ideal route over ``arc``."""
+    src, dst = endpoints(arc)
+    n = n_min_ideal(arc, THETA_MAX)
+    return arc_waypoints(src, dst, n), ideal_latency(arc, n, RS)
+
+
 def test_route_ideal_short_arc_two_equal_hops():
-    src, dst = endpoints(0.4)
-    positions, latency = route_ideal(src, dst, d_max=D_MAX)
+    positions, latency = ideal_route(0.4)
     assert len(positions) == 3  # two hops
     chord = chord_distance(positions[0], positions[1])
     assert math.isclose(chord, 2.0 * RS * math.sin(0.1), rel_tol=1e-9)
@@ -112,24 +118,16 @@ def test_route_ideal_short_arc_two_equal_hops():
 
 
 def test_route_ideal_starlink_antipodal_scale():
-    src, dst = endpoints(math.pi - 1e-6)
-    _, latency = route_ideal(src, dst, d_max=D_MAX)
+    _, latency = ideal_route(math.pi - 1e-6)
     assert math.isclose(latency, 72.1, abs_tol=0.05)
 
 
 def test_route_ideal_hops_equal_within_tolerance():
-    src, dst = endpoints(2.3)
-    positions, _ = route_ideal(src, dst, d_max=D_MAX)
+    positions, _ = ideal_route(2.3)
     angles = [dome_angle(a, b) for a, b in zip(positions, positions[1:])]
     assert max(angles) - min(angles) < 1e-10
     n = len(angles)
     assert math.isclose(angles[0], 2.3 / n, abs_tol=1e-10)
-
-
-def test_route_ideal_antipodal_rejected():
-    src, dst = endpoints(math.pi)
-    with pytest.raises(DegenerateArcError):
-        route_ideal(src, dst)
 
 
 def test_arc_waypoints_match_slerp_and_resolve_antipodal():
@@ -165,7 +163,7 @@ def test_equal_interval_exact_targets_reproduce_ideal():
     decoys = [SpherePoint(r=RS, theta=2.9, phi=float(p)) for p in (0.5, 1.5, 2.5)]
     c = constellation_from_points(targets + decoys)
     c2, src, dst = attach_endpoints(c, arc)
-    route = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
+    route = route_equal_interval(c2, D_MAX, plan)
     assert route.status is RouteStatus.OK
     assert math.isclose(
         route.latency, ideal_latency(arc, plan.n_hat, RS), rel_tol=1e-9
@@ -194,7 +192,7 @@ def test_equal_interval_matches_brute_force_on_small_instance():
     c = constellation_from_points(goods + decoys)
     c2, src, dst = attach_endpoints(c, arc)
 
-    route = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
+    route = route_equal_interval(c2, D_MAX, plan)
     assert route.status is RouteStatus.OK
 
     # Exhaustive enumeration over all relay subsets and orders.
@@ -222,13 +220,10 @@ def test_equal_interval_direct_hop_shortcut():
     c = sample_bpp(50, R_EARTH, ALT, seed=8)
     c2, src, dst = attach_endpoints(c, arc)
     plan = plan_hops(arc, THETA_MAX, c.n_sat, 0.01)
-    route = route_equal_interval(c2, D_MAX, plan, allow_direct=True)
+    route = route_equal_interval(c2, D_MAX, plan)
     assert route.direct_hop
     assert route.hops == (50, 51)
     assert route.status is RouteStatus.OK
-    no_shortcut = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
-    assert not no_shortcut.direct_hop
-    assert len(no_shortcut.hops) > 2
 
 
 def test_equal_interval_type2_on_hopeless_instance():
@@ -244,7 +239,7 @@ def test_equal_interval_type2_on_hopeless_instance():
     plan = HopPlan(
         n_hat=8, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
     )
-    route = route_equal_interval(c2, D_MAX, plan, allow_direct=False)
+    route = route_equal_interval(c2, D_MAX, plan)
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
     assert route.interrupted
 
@@ -308,10 +303,8 @@ def arc_chain_constellation(arc, spacing):
     with its index, so deflection ordering is deterministic (points placed
     exactly on the arc tie at float-noise level).
     """
-    from leoroute.geometry import arc_normal
-
     src, dst = endpoints(arc)
-    normal = arc_normal(src.unit_vector(), dst.unit_vector())
+    _, normal = great_arc(src.unit_vector(), dst.unit_vector(), 0.0)
     ts = np.arange(spacing, arc - 1e-9, spacing) / arc
     sats = []
     for k, t in enumerate(ts):
