@@ -138,8 +138,12 @@ def reliable_angle(epsilon: float, n_hops: int, n_sat: int) -> float:
     if n_hops < 1:
         raise InvalidInputError(f"n_hops must be >= 1, got {n_hops}")
     _validate_pop(n_sat)
-    per_hop = (1.0 - epsilon) ** (1.0 / n_hops)
-    cos_theta = 2.0 * (1.0 - per_hop) ** (1.0 / n_sat) - 1.0
+    return _contact_quantile((1.0 - epsilon) ** (1.0 / n_hops), n_sat)
+
+
+def _contact_quantile(p: float, n_sat: int) -> float:
+    """Angle below which a fraction ``p`` of contact angles falls."""
+    cos_theta = 2.0 * (1.0 - p) ** (1.0 / n_sat) - 1.0
     return math.acos(min(1.0, max(-1.0, cos_theta)))
 
 
@@ -277,8 +281,9 @@ def min_sats_sufficient(
     # make the quotient an exact integer (float cancellation can push it
     # a few ulps above).
     hops = math.ceil(arc_angle / (theta_max - 2.0 * theta_t) - 1e-9) + 1
-    per_hop = (1.0 - epsilon) ** (1.0 / hops)
-    n_req = math.log1p(-per_hop) / math.log((1.0 + math.cos(theta_t)) / 2.0)
+    # 1 - (1 - epsilon)^(1/hops), kept positive when the power rounds to 1.
+    per_hop_miss = -math.expm1(math.log1p(-epsilon) / hops)
+    n_req = math.log(per_hop_miss) / math.log((1.0 + math.cos(theta_t)) / 2.0)
     return math.ceil(n_req)
 
 

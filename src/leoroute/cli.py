@@ -368,7 +368,7 @@ def route(
                     params.n_sat, params.r_earth_km, params.altitude_km, seed
                 )
             cell = trial_cell(params, strategy, plan)
-            route_obj = cell.route(cell.shell(shell.seed, shell.unit_vectors))
+            route_obj = cell.route(cell.shell(shell.unit_vectors))
             payload.update(
                 {
                     "hops": list(route_obj.hops),

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -41,14 +41,11 @@ class Constellation:
         r_earth: Occluding-body radius in km.
         altitude: Shell altitude above it in km.
         unit_vectors: (n_sat, 3) array of unit direction vectors, read-only.
-        seed: Generation seed, or None for sets loaded from file or built
-            from explicit positions.
     """
 
     r_earth: float
     altitude: float
     unit_vectors: np.ndarray = field(repr=False)
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         units = np.asarray(self.unit_vectors, dtype=float)
@@ -62,11 +59,7 @@ class Constellation:
 
     @classmethod
     def from_unit_rows(
-        cls,
-        r_earth: float,
-        altitude: float,
-        units: np.ndarray,
-        seed: Optional[int] = None,
+        cls, r_earth: float, altitude: float, units: np.ndarray
     ) -> "Constellation":
         """A constellation over rows that are unit vectors already.
 
@@ -75,13 +68,9 @@ class Constellation:
         """
         c = object.__new__(cls)
         units.setflags(write=False)
-        for name, value in (
-            ("r_earth", r_earth),
-            ("altitude", altitude),
-            ("unit_vectors", units),
-            ("seed", seed),
-        ):
-            object.__setattr__(c, name, value)
+        object.__setattr__(c, "r_earth", r_earth)
+        object.__setattr__(c, "altitude", altitude)
+        object.__setattr__(c, "unit_vectors", units)
         return c
 
     @property
@@ -104,9 +93,7 @@ class Constellation:
             if abs(p.r - self.radius) > 1e-9 * self.radius:
                 raise InvalidInputError("extra points must lie on the constellation sphere")
         units = np.vstack([self.unit_vectors, point_rows(points)])
-        return Constellation.from_unit_rows(
-            self.r_earth, self.altitude, units, seed=self.seed
-        )
+        return Constellation.from_unit_rows(self.r_earth, self.altitude, units)
 
 
 def _normalized(units: np.ndarray) -> np.ndarray:
@@ -124,10 +111,12 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
     Bit-reproducible for a given seed.
 
     Raises:
-        InvalidInputError: If ``n_sat`` < 1.
+        InvalidInputError: If ``n_sat`` < 1 or ``seed`` < 0.
     """
     if n_sat < 1:
         raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     cos_theta = rng.uniform(-1.0, 1.0, n_sat)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_sat)
@@ -135,9 +124,7 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
     units = np.stack(
         [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=-1
     )
-    return Constellation(
-        r_earth=r_earth, altitude=altitude, unit_vectors=units, seed=int(seed)
-    )
+    return Constellation(r_earth=r_earth, altitude=altitude, unit_vectors=units)
 
 
 def _band_rows(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -248,6 +235,4 @@ def load_constellation(path: str | Path) -> Constellation:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed constellation file {path}: {exc}") from exc
-    return Constellation(
-        r_earth=r_earth, altitude=altitude, unit_vectors=units, seed=None
-    )
+    return Constellation(r_earth=r_earth, altitude=altitude, unit_vectors=units)

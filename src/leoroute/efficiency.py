@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .analysis import contact_pdf
+from .analysis import _contact_quantile, contact_pdf
 from .errors import InternalConsistencyError, InvalidInputError
 from .quadrature import adaptive_simpson
 
@@ -39,12 +39,6 @@ def _validate_hop(theta_h: float, n_sat: int, theta_max: float) -> None:
 #: width shrinks like 1/sqrt(n_sat); without mass-aware panel boundaries a
 #: fixed-node first pass can miss the spike entirely and terminate early.
 _QUANTILE_LEVELS = (0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
-
-
-def _contact_quantile(p: float, n_sat: int) -> float:
-    """Angle below which a fraction ``p`` of contact angles falls."""
-    x = 2.0 * (1.0 - p) ** (1.0 / n_sat) - 1.0
-    return math.acos(min(1.0, max(-1.0, x)))
 
 
 def _density_aware_integral(f, n_sat: int, upper: float, tol: float) -> float:

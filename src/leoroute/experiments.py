@@ -303,11 +303,11 @@ class TrialCell:
     band_sine: float
     reference_ms: float
 
-    def shell(self, seed: Optional[int], *parts: np.ndarray) -> Constellation:
+    def shell(self, *parts: np.ndarray) -> Constellation:
         """The satellites of ``parts`` in order, then the two endpoints."""
         p = self.params
         return Constellation.from_unit_rows(
-            p.r_earth_km, p.altitude_km, np.vstack([*parts, self.endpoints]), seed
+            p.r_earth_km, p.altitude_km, np.vstack([*parts, self.endpoints])
         )
 
     def route(self, shell: Constellation) -> Route:
@@ -342,13 +342,13 @@ def _run_one(cell: TrialCell, trial_index: int, base_seed: int) -> TrialRecord:
     n_sat = cell.params.n_sat
     rng = np.random.default_rng(seed)
     band = sample_band(rng, n_sat, cell.band_sine)
-    route = cell.route(cell.shell(seed, band))
+    route = cell.route(cell.shell(band))
     # Every satellite outside the band deviates from the arc by more than
     # the half-width, so a route that reaches no farther is the route on
     # the whole shell.
     if len(band) < n_sat and route.band_reach > cell.halfwidth:
         rest = sample_band_complement(rng, n_sat - len(band), cell.band_sine)
-        route = cell.route(cell.shell(seed, band, rest))
+        route = cell.route(cell.shell(band, rest))
     done = not route.interrupted
     return TrialRecord(
         trial_index=trial_index,
@@ -483,12 +483,14 @@ def run_cell(
     records = _planned_trials(params, strategy, trials, base_seed, threads, plan)
     type2 = sum(1 for r in records if r.status == "type2_interrupted")
     completed = [r for r in records if r.status != "type2_interrupted"]
-    mean_latency = (
-        sum(r.latency_ms for r in completed) / len(completed) if completed else None
-    )
-    mean_eff = (
-        sum(r.efficiency for r in completed) / len(completed) if completed else None
-    )
+    if strategy == "ideal":
+        # The records copy the latency floor; their mean can be an ulp off.
+        mean_latency, mean_eff = reference_latency_ms(params), 1.0
+    elif completed:
+        mean_latency = sum(r.latency_ms for r in completed) / len(completed)
+        mean_eff = sum(r.efficiency for r in completed) / len(completed)
+    else:
+        mean_latency = mean_eff = None
     return CellAggregate(
         strategy=strategy,
         trials=trials,
@@ -649,6 +651,9 @@ class SweepSpec:
         missing = required - set(self.fixed)
         if missing:
             raise InvalidInputError(f"fixed is missing {sorted(missing)}")
+        counts = self.values if self.variable == "n_sat" else (self.fixed["n_sat"],)
+        if not all(float(n).is_integer() for n in counts):
+            raise InvalidInputError(f"n_sat must be a whole number, got {counts}")
 
     def cell(self, value: float) -> CellParams:
         """Cell parameters at one swept value."""

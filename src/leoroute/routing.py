@@ -14,6 +14,8 @@ They share one signature, ``(constellation, d_max, plan) -> Route``: all of
 them follow the hop plan the caller made for the cell (equal-interval places
 ``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
+:func:`hop_repair` and both baselines run one greedy relay walk and differ
+only in its score, the satellites they block and the step cap.
 
 The constellation alone describes the rest of the route's setting: its
 endpoints are its last two satellites (src second to last, dst last), as
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet
+from typing import AbstractSet, Optional
 
 import numpy as np
 
@@ -75,11 +77,8 @@ class Route:
             construction was interrupted, in which case this is the prefix
             reached before failing).
         hop_distances: Chord length in km of each consecutive hop.
-        latency: Propagation latency in ms of the hops listed.
         status: ``ok``, ``repaired`` (at least one hop was repaired), or
             ``type2_interrupted`` (no admissible continuation existed).
-        direct_hop: True when the route is the single-hop shortcut taken
-            because the endpoints can reach each other directly.
         band_reach: Dome angle (rad) such that adding satellites that
             deviate from the src-dst great circle by more than it would not
             change which satellites the route visits. It is the largest
@@ -91,9 +90,7 @@ class Route:
 
     hops: tuple[int, ...]
     hop_distances: tuple[float, ...]
-    latency: float
     status: RouteStatus
-    direct_hop: bool = False
     band_reach: float = math.pi / 2.0
 
     def __post_init__(self) -> None:
@@ -113,6 +110,16 @@ class Route:
     def n_hops(self) -> int:
         """Number of hops actually materialized."""
         return len(self.hop_distances)
+
+    @property
+    def latency(self) -> float:
+        """Propagation latency in ms of the hops listed."""
+        return sum(self.hop_distances) / SIGNAL_SPEED_KM_MS
+
+    @property
+    def direct_hop(self) -> bool:
+        """True when the route reached dst in one hop, with no relay."""
+        return self.n_hops == 1 and not self.interrupted
 
 
 def _cos_admissible(c: Constellation, d_max: float) -> float:
@@ -168,19 +175,58 @@ def _materialize(
     c: Constellation,
     hops: list[int],
     status: RouteStatus,
-    direct_hop: bool = False,
     band_reach: float = math.pi / 2.0,
 ) -> Route:
     steps = np.diff(c.unit_vectors[hops], axis=0)
-    distances = tuple((c.radius * np.linalg.norm(steps, axis=1)).tolist())
     return Route(
         hops=tuple(hops),
-        hop_distances=distances,
-        latency=sum(distances) / SIGNAL_SPEED_KM_MS,
+        hop_distances=tuple((c.radius * np.linalg.norm(steps, axis=1)).tolist()),
         status=status,
-        direct_hop=direct_hop,
         band_reach=band_reach,
     )
+
+
+def _deflection(units: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Dome angle |asin(u . n)| of every satellite off the a->b great circle."""
+    _, normal = great_arc(units[a], units[b], 0.0)
+    return np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
+
+
+def _walk(
+    units: np.ndarray,
+    start: int,
+    goal: int,
+    cos_admissible: float,
+    blocked: np.ndarray,
+    score: Optional[np.ndarray],
+    cap: int,
+) -> tuple[list[int], bool]:
+    """Relays from ``start`` toward ``goal``, and whether ``goal`` came in reach.
+
+    Until ``goal`` is one admissible hop away, each step takes the satellite
+    with the lowest ``score`` (the farthest when ``score`` is None) among
+    those admissible from the current one, not ``blocked`` (nor ``start``
+    or ``goal``) and strictly closer to ``goal``, and blocks it. Gives up
+    when none qualifies or after ``cap`` steps.
+    """
+    dots_goal = units @ units[goal]
+    blocked[[start, goal]] = True
+    relays: list[int] = []
+    cur = start
+    while len(relays) < cap:
+        if dots_goal[cur] >= cos_admissible:
+            return relays, True
+        dots_cur = units @ units[cur]
+        eligible = (
+            ~blocked & (dots_cur >= cos_admissible) & (dots_goal > dots_goal[cur])
+        )
+        if not eligible.any():
+            break
+        ranked = dots_cur if score is None else score
+        cur = int(np.argmin(np.where(eligible, ranked, np.inf)))
+        relays.append(cur)
+        blocked[cur] = True
+    return relays, False
 
 
 def hop_repair(
@@ -206,15 +252,10 @@ def hop_repair(
     """
     cos_admissible = _cos_admissible(c, d_max)
     units = c.unit_vectors
-    to_vec = units[to_id]
-
-    cur = from_id
-    cur_dot_to = float(units[cur] @ to_vec)
-    if cur_dot_to >= cos_admissible:
+    if float(units[from_id] @ units[to_id]) >= cos_admissible:
         return []
-
     try:
-        _, normal = great_arc(units[from_id], to_vec, 0.0)
+        deflection = _deflection(units, from_id, to_id)
     except DegenerateArcError as exc:
         raise RepairFailedError(
             f"cannot repair hop {from_id}->{to_id}: no reference arc"
@@ -223,29 +264,16 @@ def hop_repair(
     blocked = np.zeros(c.n_sat, dtype=bool)
     ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
     blocked[ids[(ids >= 0) & (ids < c.n_sat)]] = True
-    blocked[from_id] = True
-    blocked[to_id] = True
-
-    deflection = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
-    dots_to = units @ to_vec
-    result: list[int] = []
-    for _ in range(c.n_sat):
-        eligible = (
-            ~blocked
-            & (units @ units[cur] >= cos_admissible)
-            & (dots_to > cur_dot_to)
+    mids, reached = _walk(
+        units, from_id, to_id, cos_admissible, blocked, deflection, c.n_sat
+    )
+    if reached:
+        return mids
+    if len(mids) < c.n_sat:
+        raise RepairFailedError(
+            f"no admissible satellite advances hop {from_id}->{to_id}"
         )
-        if not eligible.any():
-            raise RepairFailedError(
-                f"no admissible satellite advances hop {from_id}->{to_id}"
-            )
-        step = int(np.argmin(np.where(eligible, deflection, np.inf)))
-        result.append(step)
-        blocked[step] = True
-        cur = step
-        cur_dot_to = float(dots_to[cur])
-        if cur_dot_to >= cos_admissible:
-            return result
+    # Every step blocks a satellite, so only a bug can use up the cap.
     raise InternalConsistencyError(
         f"hop repair for {from_id}->{to_id} exceeded the satellite count"
     )
@@ -274,9 +302,7 @@ def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route
     units = c.unit_vectors
 
     if float(units[src_id] @ units[dst_id]) >= cos_admissible:
-        return _materialize(
-            c, [src_id, dst_id], RouteStatus.OK, direct_hop=True, band_reach=0.0
-        )
+        return _materialize(c, [src_id, dst_id], RouteStatus.OK, band_reach=0.0)
 
     n = plan.n_hat
     targets, _ = great_arc(units[src_id], units[dst_id], np.arange(1, n) / n)
@@ -330,47 +356,23 @@ def _route_greedy(
     cos_admissible = _cos_admissible(c, d_max)
     src_id, dst_id = _endpoint_ids(c)
     units = c.unit_vectors
-    _, normal = great_arc(units[src_id], units[dst_id], 0.0)
-    deflection = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
-    dots_dst = units @ units[dst_id]
-    blocked = np.zeros(c.n_sat, dtype=bool)
-    if pick_farthest:
-        blocked |= deflection > plan.reliable_angle
-    blocked[src_id] = True
-
+    deflection = _deflection(units, src_id, dst_id)
     # max-stepsize never looks outside its belt. A completed min-deflection
     # walk took the least-deflecting candidate at every step, so no
     # satellite deflecting more than all its relays could have been taken.
-    belt = min(plan.reliable_angle, math.pi / 2.0)
-    hops = [src_id]
-    cur = src_id
-    while len(hops) - 1 < 4 * plan.n_hat:
-        dots_cur = units @ units[cur]
-        if float(dots_cur[dst_id]) >= cos_admissible:
-            reach = belt if pick_farthest else float(
-                deflection[hops[1:]].max(initial=0.0)
-            )
-            hops.append(dst_id)
-            return _materialize(c, hops, RouteStatus.OK, band_reach=reach)
-        eligible = (
-            ~blocked & (dots_cur >= cos_admissible) & (dots_dst > dots_dst[cur])
-        )
-        if not eligible.any():
-            break
-        if pick_farthest:
-            # Farthest admissible hop = smallest dot with the current satellite.
-            step = int(np.argmin(np.where(eligible, dots_cur, np.inf)))
-        else:
-            step = int(np.argmin(np.where(eligible, deflection, np.inf)))
-        hops.append(step)
-        blocked[step] = True
-        cur = step
-    return _materialize(
-        c,
-        hops,
-        RouteStatus.TYPE2_INTERRUPTED,
-        band_reach=belt if pick_farthest else math.pi / 2.0,
+    if pick_farthest:
+        blocked, score = deflection > plan.reliable_angle, None
+        reach = min(plan.reliable_angle, math.pi / 2.0)
+    else:
+        blocked, score, reach = np.zeros(c.n_sat, dtype=bool), deflection, math.pi / 2.0
+    relays, reached = _walk(
+        units, src_id, dst_id, cos_admissible, blocked, score, 4 * plan.n_hat
     )
+    if not reached:
+        return _materialize(c, [src_id, *relays], RouteStatus.TYPE2_INTERRUPTED, reach)
+    if not pick_farthest:
+        reach = float(deflection[relays].max(initial=0.0))
+    return _materialize(c, [src_id, *relays, dst_id], RouteStatus.OK, reach)
 
 
 def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route:

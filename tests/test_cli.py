@@ -90,6 +90,12 @@ def test_usage_errors_exit_one(capsys):
     # Nonsensical satellite count.
     code, _, _ = run_cli(capsys, "analyze", "--n-sat", "0", "--altitude", "550")
     assert code == 1
+    # Negative seed: one error line, no traceback.
+    code, _, err = run_cli(
+        capsys, "route", "--preset", "oneweb", "--strategy", "min-deflection",
+        "--seed", "-1",
+    )
+    assert (code, err) == (1, "error: seed must be >= 0, got -1\n")
     # Dome angle outside (0, pi].
     code, _, err = run_cli(
         capsys, "analyze", "--preset", "starlink", "--dome-angle", "2pi"
@@ -127,6 +133,17 @@ def test_analyze_infeasible_plan_exits_two(capsys):
     assert values["type1_interrupted"] == "yes"
     assert values["n_hat_hops"] == "9"
     assert float(values["reliable_angle_rad"]) == pytest.approx(0.2044, abs=2e-3)
+
+
+@pytest.mark.parametrize("preset, epsilon", [("oneweb", "1e-17"), ("starlink", "1e-16")])
+def test_analyze_tiny_epsilon_exits_two(capsys, preset, epsilon):
+    # (1 - epsilon)^(1/h) rounds to 1; the sufficient size must stay finite.
+    code, out, err = run_cli(capsys, "analyze", "--preset", preset, "--epsilon", epsilon)
+    assert (code, err) == (2, "")
+    values = parsed_lines(out)
+    assert len(values) == 9
+    assert values["type1_interrupted"] == "yes"
+    assert int(values["min_sats_sufficient"]) > 0
 
 
 def test_analyze_single_satellite_short_arc(capsys):
@@ -586,7 +603,8 @@ def test_sweep_takes_its_shell_from_a_config_preset(capsys, tmp_path):
     params = CellParams.from_preset("oneweb", epsilon=0.1, arc_angle=4000.0 / 7571.0)
     (record,) = json.loads(Path(f"{base}.json").read_text())["records"]
     assert record["swept_value"] == 4000.0
-    assert record["mean_latency_ms"] == pytest.approx(reference_latency_ms(params))
+    assert record["mean_latency_ms"] == reference_latency_ms(params)
+    assert record["eff_measured"] == 1.0
 
 
 def test_sweep_usage_errors(capsys, tmp_path):
@@ -611,6 +629,14 @@ def test_sweep_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, *common)
     assert code == 1
     assert "missing fixed parameters" in err
+    # A satellite count that is not a whole number would be truncated.
+    code, _, err = run_cli(
+        capsys, "sweep", "--var", "n-sat", "--from", "100.5", "--to", "100.5",
+        "--step", "1", "--altitude", "500", "--distance", "4000",
+        "--strategies", "ideal", "--out", str(tmp_path / "y"),
+    )
+    assert code == 1
+    assert "n_sat must be a whole number" in err
     # Unknown strategy name.
     code, _, err = run_cli(
         capsys, *common, "--n-sat", "300", "--altitude", "550",

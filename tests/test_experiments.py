@@ -400,6 +400,14 @@ def test_sweep_spec_validation():
     incomplete = {k: v for k, v in fixed.items() if k != "epsilon"}
     with pytest.raises(InvalidInputError):
         SweepSpec("n_sat", (400.0, 800.0), incomplete, trials=10, base_seed=0)
+    # A satellite count must be whole, swept or fixed; 400.0 is.
+    with pytest.raises(InvalidInputError):
+        SweepSpec("n_sat", (400.0, 800.5), fixed, trials=10, base_seed=0)
+    with pytest.raises(InvalidInputError):
+        SweepSpec("altitude_km", (500.0,), {**fixed, "n_sat": 800.5}, 10, 0)
+    assert SweepSpec("n_sat", (400.0,), fixed, trials=10, base_seed=0).cell(
+        400.0
+    ).n_sat == 400
 
 
 def test_sweep_spec_cell_derives_arc_from_distance():

@@ -1,0 +1,73 @@
+"""Every import in the package is used, and the root exports what it imports.
+
+Import statements marked ``# noqa: F401`` are exempt: they keep bindings
+that ``benchmarks/tracing.py`` wraps by name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import leoroute
+
+PACKAGE_DIR = Path(leoroute.__file__).parent
+MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree, lines):
+    """(bound name, line) of each import not marked ``# noqa: F401``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            yield name, node.lineno
+
+
+def annotations(tree):
+    """Every annotation expression in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            every += [a for a in (args.vararg, args.kwarg) if a is not None]
+            yield from (a.annotation for a in every if a.annotation is not None)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Names read anywhere in ``tree``, quoted annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    text = path.read_text()
+    tree = ast.parse(text)
+    used = used_names(tree)
+    unused = [
+        f"{name} (line {line})"
+        for name, line in imported_names(tree, text.splitlines())
+        if name not in used
+    ]
+    assert unused == []
+
+
+def test_root_exports_exactly_its_imports():
+    text = (PACKAGE_DIR / "__init__.py").read_text()
+    names = [name for name, _ in imported_names(ast.parse(text), text.splitlines())]
+    assert sorted(leoroute.__all__) == sorted([*names, "__version__"])

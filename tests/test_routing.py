@@ -87,14 +87,13 @@ def test_route_rejects_duplicates():
         Route(
             hops=(1, 2, 1),
             hop_distances=(10.0, 10.0),
-            latency=0.066,
             status=RouteStatus.OK,
         )
 
 
 def test_route_requires_matching_distances():
     with pytest.raises(InvalidInputError):
-        Route(hops=(1, 2), hop_distances=(), latency=0.0, status=RouteStatus.OK)
+        Route(hops=(1, 2), hop_distances=(), status=RouteStatus.OK)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +350,12 @@ def test_max_stepsize_two_satellites_direct():
     plan = HopPlan(
         n_hat=1, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
     )
-    route = route_max_stepsize(c, D_MAX, plan)
-    assert route.hops == (0, 1)
-    assert route.status is RouteStatus.OK
+    # Both greedy walks take dst at once, as a direct hop.
+    for router in (route_max_stepsize, route_min_deflection):
+        route = router(c, D_MAX, plan)
+        assert route.hops == (0, 1)
+        assert route.status is RouteStatus.OK
+        assert route.direct_hop
 
 
 def test_max_stepsize_empty_belt_interrupts():
@@ -380,6 +382,18 @@ def test_min_deflection_sparse_gap_interrupts():
     route = route_min_deflection(c2, D_MAX, cell_plan(c2, arc))
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
     assert route.hops[0] == 4  # partial route out of the source
+
+
+def test_min_deflection_relays_repair_the_whole_hop():
+    # Both walk the src->dst arc by least deflection; under its step cap
+    # the baseline takes the relays that repairing src->dst inserts.
+    c = sample_bpp(2000, R_EARTH, ALT, seed=33)
+    arc = 2.5
+    c2, src, dst = attach_endpoints(c, arc)
+    route = route_min_deflection(c2, D_MAX, cell_plan(c2, arc))
+    assert route.status is RouteStatus.OK
+    assert not route.direct_hop
+    assert list(route.hops[1:-1]) == hop_repair(c2, 2000, 2001, D_MAX)
 
 
 def test_greedy_progress_strictly_decreases():
