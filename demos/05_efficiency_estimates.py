@@ -59,8 +59,8 @@ for name in ("starlink", "kuiper", "oneweb"):
     print(f"    mean hop span           "
           f"{mean_hop_span(theta_h, params.n_sat, theta_max):.4f} rad")
 
-    contour = efficiency_contour(ARC, n_min, plan.n_hat, params.n_sat, theta_max)
-    binomial = efficiency_binomial(ARC, n_min, plan.n_hat, params.n_sat, theta_max)
+    contour = efficiency_contour(ARC, plan.n_hat, params.n_sat, theta_max)
+    binomial = efficiency_binomial(ARC, plan.n_hat, params.n_sat, theta_max)
     print(f"    contour estimate        {contour:.4f}")
     print(f"    binomial estimate       {binomial:.4f}")
     if plan.type1_interrupted:

@@ -97,6 +97,8 @@ def parse_angle(text: str) -> float:
         raise InvalidInputError(f"cannot parse angle {text!r}")
     numerator = float(m.group(1)) if m.group(1) else 1.0
     denominator = float(m.group(2)) if m.group(2) else 1.0
+    if denominator == 0.0:
+        raise InvalidInputError(f"cannot parse angle {text!r}: division by zero")
     return numerator * math.pi / denominator
 
 
@@ -473,7 +475,7 @@ _SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n
     "--strategies",
     default=",".join(STRATEGIES),
     show_default=True,
-    help="Comma-separated strategy subset.",
+    help="Comma-separated strategy subset, non-empty and without repeats.",
 )
 @click.option("--out", default="sweep", show_default=True, help="Output base path.")
 @click.option(

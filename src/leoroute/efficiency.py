@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .analysis import _contact_quantile, contact_pdf
+from .analysis import _contact_quantile, contact_pdf, n_min_ideal
 from .errors import InternalConsistencyError, InvalidInputError
 from .quadrature import adaptive_simpson
 
@@ -114,18 +114,20 @@ def mean_hop_span(theta_h: float, n_sat: int, theta_max: float) -> float:
     return math.sin(theta_h) * moment * moment
 
 
-def _ideal_chord_ratio(arc_angle: float, n_min: int, n_hat: int) -> float:
-    """sin-weighted hop-count ratio shared by both approximations."""
-    if not 0.0 < arc_angle <= math.pi:
-        raise InvalidInputError(f"arc_angle must be in (0, pi], got {arc_angle}")
-    if not 1 <= n_min <= n_hat:
-        raise InvalidInputError("require 1 <= n_min <= n_hat")
+def _ideal_chord_ratio(arc_angle: float, n_hat: int, theta_max: float) -> float:
+    """sin-weighted hop-count ratio shared by both approximations.
+
+    Its hop count is the ideal route's, :func:`~leoroute.analysis.n_min_ideal`;
+    a planned count ``n_hat`` below it is rejected.
+    """
+    n_min = n_min_ideal(arc_angle, theta_max)
+    if n_hat < n_min:
+        raise InvalidInputError(f"require n_hat >= n_min = {n_min}, got {n_hat}")
     return n_min * math.sin(arc_angle / (2.0 * n_min))
 
 
 def efficiency_contour(
     arc_angle: float,
-    n_min: int,
     n_hat: int,
     n_sat: int,
     theta_max: float,
@@ -135,7 +137,7 @@ def efficiency_contour(
     Ratio of the ideal total chord to the planned total chord stretched
     by the mean relay displacement.
     """
-    numer = _ideal_chord_ratio(arc_angle, n_min, n_hat)
+    numer = _ideal_chord_ratio(arc_angle, n_hat, theta_max)
     theta_h = arc_angle / (2.0 * n_hat)
     stretch = mean_hop_stretch(theta_h, n_sat, theta_max)
     return numer / (
@@ -145,7 +147,6 @@ def efficiency_contour(
 
 def efficiency_binomial(
     arc_angle: float,
-    n_min: int,
     n_hat: int,
     n_sat: int,
     theta_max: float,
@@ -155,7 +156,7 @@ def efficiency_binomial(
     Ratio of the ideal total chord to the planned hop count times the
     mean displaced hop span.
     """
-    numer = _ideal_chord_ratio(arc_angle, n_min, n_hat)
+    numer = _ideal_chord_ratio(arc_angle, n_hat, theta_max)
     theta_h = arc_angle / (2.0 * n_hat)
     return numer / (n_hat * mean_hop_span(theta_h, n_sat, theta_max))
 

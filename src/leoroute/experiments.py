@@ -41,7 +41,6 @@ from .analysis import (
     max_hop_angle,
     min_feasible_hops,
     min_sats_grid_minimum,
-    n_min_ideal,
     plan_hops,
 )
 from .constellation import (
@@ -511,20 +510,6 @@ def run_cell(
 # Summary table over the three preset constellations
 # ---------------------------------------------------------------------------
 
-#: Metric rows of the summary table, in output order.
-TABLE1_METRICS = (
-    "altitude_km",
-    "n_sat",
-    "contact_mean_rad",
-    "hop_count",
-    "reliable_angle_rad",
-    "min_sats_sufficient",
-    "type1_interrupted",
-    "type2_probability",
-    "efficiency",
-)
-
-
 @dataclass(frozen=True)
 class Table1Column:
     """All metrics of one preset, keyed by epsilon where applicable."""
@@ -570,38 +555,32 @@ def run_table1(
     columns = []
     for preset in ("starlink", "oneweb", "kuiper"):
         altitude_km, n_sat = PRESET_PARAMS[preset]
-        n_hat: dict[float, int] = {}
-        rel: dict[float, float] = {}
-        mins: dict[float, int] = {}
-        type1: dict[float, bool] = {}
-        prob: dict[float, float] = {}
-        ci: dict[float, tuple[float, float]] = {}
-        eff: dict[float, Optional[float]] = {}
-        measured: dict[float, int] = {}
-        for eps in epsilons:
-            params = CellParams.from_preset(preset, epsilon=eps)
-            agg = run_cell(params, "equal-interval", trials, base_seed, threads)
-            n_hat[eps], rel[eps] = agg.n_hat, agg.reliable_angle
-            mins[eps] = min_sats_grid_minimum(
-                params.arc_angle, params.theta_max, eps
-            )
-            type1[eps] = agg.type1_interrupted
-            prob[eps], ci[eps] = agg.type2_rate, agg.type2_ci
-            eff[eps], measured[eps] = agg.mean_efficiency, agg.measured_count
+        cells = {eps: CellParams.from_preset(preset, epsilon=eps) for eps in epsilons}
+        aggs = {
+            eps: run_cell(params, "equal-interval", trials, base_seed, threads)
+            for eps, params in cells.items()
+        }
+
+        def per_eps(attr: str) -> dict:
+            return {eps: getattr(agg, attr) for eps, agg in aggs.items()}
+
         columns.append(
             Table1Column(
                 preset=preset,
                 altitude_km=altitude_km,
                 n_sat=n_sat,
                 contact_mean_rad=contact_mean(n_sat).quadrature,
-                n_hat=n_hat,
-                reliable_angle_rad=rel,
-                min_sats=mins,
-                type1=type1,
-                type2_probability=prob,
-                type2_ci=ci,
-                efficiency=eff,
-                measured_count=measured,
+                n_hat=per_eps("n_hat"),
+                reliable_angle_rad=per_eps("reliable_angle"),
+                min_sats={
+                    eps: min_sats_grid_minimum(p.arc_angle, p.theta_max, eps)
+                    for eps, p in cells.items()
+                },
+                type1=per_eps("type1_interrupted"),
+                type2_probability=per_eps("type2_rate"),
+                type2_ci=per_eps("type2_ci"),
+                efficiency=per_eps("mean_efficiency"),
+                measured_count=per_eps("measured_count"),
             )
         )
     return Table1Result(
@@ -700,6 +679,10 @@ def sweep(
             raise InvalidInputError(
                 f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
             )
+    if not strategies or len(set(strategies)) != len(strategies):
+        raise InvalidInputError(
+            f"strategies must be non-empty and without repeats, got {tuple(strategies)}"
+        )
     records = []
     for value in spec.values:
         params = spec.cell(value)
@@ -707,16 +690,12 @@ def sweep(
             agg = run_cell(params, strategy, spec.trials, spec.base_seed, threads)
             contour = binomial = None
             if strategy == "equal-interval" and not agg.type1_interrupted:
-                n_min = n_min_ideal(params.arc_angle, params.theta_max)
-                contour = efficiency_contour(
-                    params.arc_angle, n_min, agg.n_hat, params.n_sat, params.theta_max
-                )
-                binomial = efficiency_binomial(
-                    params.arc_angle, n_min, agg.n_hat, params.n_sat, params.theta_max
-                )
+                estimate = (params.arc_angle, agg.n_hat, params.n_sat, params.theta_max)
+                contour = efficiency_contour(*estimate)
+                binomial = efficiency_binomial(*estimate)
             records.append(
                 SweepRecord(
-                    swept_value=value,
+                    swept_value=float(value),
                     strategy=strategy,
                     mean_latency_ms=agg.mean_latency_ms,
                     type2_rate=agg.type2_rate,
@@ -735,32 +714,18 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def _cell_text(value: Optional[float]) -> str:
-    """CSV cell for an optional float: full precision, empty for None."""
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 def write_records_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
-    """Write aggregate records as CSV, one row per record."""
+    """Write aggregate records as CSV, one row per record.
+
+    Floats keep full precision (``str`` of a float round-trips) and None
+    is an empty cell.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for rec in records:
-            writer.writerow(
-                [
-                    _cell_text(rec.swept_value),
-                    rec.strategy,
-                    _cell_text(rec.mean_latency_ms),
-                    _cell_text(rec.type2_rate),
-                    _cell_text(rec.eff_measured),
-                    _cell_text(rec.eff_contour),
-                    _cell_text(rec.eff_binomial),
-                    rec.trials,
-                    rec.seed,
-                ]
-            )
+            values = (getattr(rec, f) for f in CSV_FIELDS)
+            writer.writerow(["" if v is None else str(v) for v in values])
 
 
 def records_to_jsonable(records: Iterable[SweepRecord]) -> dict:
@@ -776,47 +741,41 @@ def write_records_json(records: Iterable[SweepRecord], path: str | Path) -> None
     Path(path).write_text(json.dumps(records_to_jsonable(records), indent=2) + "\n")
 
 
-def _eps_pair(values: dict, epsilons: Sequence[float], fmt) -> str:
-    return " / ".join(fmt(values[eps]) for eps in epsilons)
+#: Rows of the summary table in output order: the metric, the
+#: :class:`Table1Column` attribute that holds it (one value, or a dict of
+#: one value per epsilon) and the text of one value. Rows without a text
+#: appear in the JSON mirror only.
+_TABLE1_ROWS = (
+    ("altitude_km", "altitude_km", "{:g}".format),
+    ("n_sat", "n_sat", str),
+    ("contact_mean_rad", "contact_mean_rad", "{:.4f}".format),
+    ("hop_count", "n_hat", str),
+    ("reliable_angle_rad", "reliable_angle_rad", "{:.4f}".format),
+    ("min_sats_sufficient", "min_sats", str),
+    ("type1_interrupted", "type1", lambda b: "yes" if b else "no"),
+    ("type2_probability", "type2_probability", "{:.2%}".format),
+    ("type2_ci", "type2_ci", None),
+    ("efficiency", "efficiency", "{:.2%}".format),
+    ("measured_count", "measured_count", None),
+)
 
 
 def table1_rows(result: Table1Result) -> list[list[str]]:
-    """Human-readable rows of the summary table (one metric per row)."""
+    """Human-readable rows of the summary table (one metric per row).
 
-    def fmt_opt(x: Optional[float], pattern: str) -> str:
-        return "-" if x is None else pattern.format(x)
-
-    eps = result.epsilons
+    Per-epsilon values are joined with " / " in epsilon order, and a
+    missing value (no completed trial) reads "-".
+    """
     rows = []
-    for metric in TABLE1_METRICS:
+    for metric, attr, fmt in _TABLE1_ROWS:
+        if fmt is None:
+            continue
         row = [metric]
         for col in result.columns:
-            if metric == "altitude_km":
-                row.append(f"{col.altitude_km:g}")
-            elif metric == "n_sat":
-                row.append(str(col.n_sat))
-            elif metric == "contact_mean_rad":
-                row.append(f"{col.contact_mean_rad:.4f}")
-            elif metric == "hop_count":
-                row.append(_eps_pair(col.n_hat, eps, str))
-            elif metric == "reliable_angle_rad":
-                row.append(_eps_pair(col.reliable_angle_rad, eps, "{:.4f}".format))
-            elif metric == "min_sats_sufficient":
-                row.append(_eps_pair(col.min_sats, eps, str))
-            elif metric == "type1_interrupted":
-                row.append(
-                    _eps_pair(col.type1, eps, lambda b: "yes" if b else "no")
-                )
-            elif metric == "type2_probability":
-                row.append(
-                    _eps_pair(col.type2_probability, eps, "{:.2%}".format)
-                )
-            elif metric == "efficiency":
-                row.append(
-                    " / ".join(
-                        fmt_opt(col.efficiency[e], "{:.2%}") for e in eps
-                    )
-                )
+            value = getattr(col, attr)
+            per_eps = isinstance(value, dict)
+            values = [value[e] for e in result.epsilons] if per_eps else [value]
+            row.append(" / ".join("-" if v is None else fmt(v) for v in values))
         rows.append(row)
     return rows
 
@@ -832,8 +791,10 @@ def write_table1_csv(result: Table1Result, path: str | Path) -> None:
 def table1_to_jsonable(result: Table1Result) -> dict:
     """JSON mirror of the summary table with raw (unformatted) numbers."""
 
-    def by_eps(d: dict) -> dict:
-        return {repr(eps): d[eps] for eps in result.epsilons}
+    def raw(value):
+        if isinstance(value, dict):
+            return {repr(eps): value[eps] for eps in result.epsilons}
+        return value
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -842,19 +803,7 @@ def table1_to_jsonable(result: Table1Result) -> dict:
         "epsilons": list(result.epsilons),
         "columns": {
             col.preset: {
-                "altitude_km": col.altitude_km,
-                "n_sat": col.n_sat,
-                "contact_mean_rad": col.contact_mean_rad,
-                "hop_count": by_eps(col.n_hat),
-                "reliable_angle_rad": by_eps(col.reliable_angle_rad),
-                "min_sats_sufficient": by_eps(col.min_sats),
-                "type1_interrupted": by_eps(col.type1),
-                "type2_probability": by_eps(col.type2_probability),
-                "type2_ci": {
-                    repr(eps): list(col.type2_ci[eps]) for eps in result.epsilons
-                },
-                "efficiency": by_eps(col.efficiency),
-                "measured_count": by_eps(col.measured_count),
+                metric: raw(getattr(col, attr)) for metric, attr, _ in _TABLE1_ROWS
             }
             for col in result.columns
         },

@@ -54,7 +54,7 @@ def test_parse_angle_accepts_pi_literals():
 
 
 def test_parse_angle_rejects_garbage():
-    for bad in ("twopi", "pi/", "pi//2", "", "1..2", "pi*pi"):
+    for bad in ("twopi", "pi/", "pi//2", "", "1..2", "pi*pi", "pi/0", "2pi/0.0"):
         with pytest.raises(InvalidInputError):
             parse_angle(bad)
 
@@ -102,6 +102,12 @@ def test_usage_errors_exit_one(capsys):
     )
     assert code == 1
     assert "dome angle" in err
+    # A zero denominator: one error line, no traceback.
+    code, _, err = run_cli(
+        capsys, "analyze", "--preset", "kuiper", "--dome-angle", "pi/0"
+    )
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -645,3 +651,13 @@ def test_sweep_usage_errors(capsys, tmp_path):
     )
     assert code == 1
     assert "unknown strategy" in err
+    # An empty or repeated strategy list.
+    for chosen in (",", "ideal,ideal"):
+        out = tmp_path / f"s{len(chosen)}"
+        code, _, err = run_cli(
+            capsys, *common, "--n-sat", "300", "--altitude", "550",
+            "--trials", "5", "--strategies", chosen, "--out", str(out),
+        )
+        assert code == 1
+        assert "without repeats" in err
+        assert not Path(f"{out}.csv").exists()

@@ -176,24 +176,24 @@ def test_span_tends_to_sin_with_density():
 
 def test_contour_identity_limit():
     # Same hop count and an ultra-dense shell: the ratio collapses to 1.
-    val = efficiency_contour(math.pi, 9, 9, 1_000_000, 0.436931)
+    val = efficiency_contour(math.pi, 9, 1_000_000, 0.436931)
     assert abs(val - 1.0) < 5e-3
 
 
 def test_binomial_identity_limit():
-    val = efficiency_binomial(math.pi, 9, 9, 1_000_000, 0.436931)
+    val = efficiency_binomial(math.pi, 9, 1_000_000, 0.436931)
     assert abs(val - 1.0) < 5e-3
 
 
 def test_contour_dense_shell_window():
     n_sat, theta_max = STARLINK
-    val = efficiency_contour(math.pi, 9, 10, n_sat, theta_max)
+    val = efficiency_contour(math.pi, 10, n_sat, theta_max)
     assert 0.97 <= val <= 1.0
 
 
 def test_contour_decreases_with_extra_hops():
     n_sat, theta_max = STARLINK
-    vals = [efficiency_contour(math.pi, 9, n, n_sat, theta_max) for n in (9, 10, 12, 15)]
+    vals = [efficiency_contour(math.pi, n, n_sat, theta_max) for n in (9, 10, 12, 15)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -201,16 +201,16 @@ def test_contour_below_binomial_at_dense_scales():
     for n_sat, theta_max in (STARLINK, KUIPER, (800, 0.440160), (1000, 0.440160)):
         if n_sat < 400:
             continue
-        e1 = efficiency_contour(math.pi, 9, 10, n_sat, theta_max)
-        e2 = efficiency_binomial(math.pi, 9, 10, n_sat, theta_max)
+        e1 = efficiency_contour(math.pi, 10, n_sat, theta_max)
+        e2 = efficiency_binomial(math.pi, 10, n_sat, theta_max)
         assert e1 < e2
 
 
 def test_hop_count_ordering_validated():
-    with pytest.raises(InvalidInputError):
-        efficiency_contour(math.pi, 10, 9, 1000, 0.44)
-    with pytest.raises(InvalidInputError):
-        efficiency_binomial(math.pi, 0, 9, 1000, 0.44)
+    # The ideal route over pi with hops capped at 0.44 rad takes 9 hops.
+    for estimate in (efficiency_contour, efficiency_binomial):
+        with pytest.raises(InvalidInputError):
+            estimate(math.pi, 8, 1000, 0.44)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def test_measured_efficiency_validates_positivity():
 
 def test_estimate_efficiencies_bundle():
     n_sat, theta_max = KUIPER
-    contour = efficiency_contour(math.pi, 9, 12, n_sat, theta_max)
-    binomial = efficiency_binomial(math.pi, 9, 12, n_sat, theta_max)
+    contour = efficiency_contour(math.pi, 12, n_sat, theta_max)
+    binomial = efficiency_binomial(math.pi, 12, n_sat, theta_max)
     assert contour > 0
     assert binomial > contour

@@ -21,6 +21,7 @@ from leoroute.constellation import (
 )
 from leoroute.errors import InvalidInputError
 from leoroute.experiments import (
+    _TABLE1_ROWS,
     CSV_FIELDS,
     CellParams,
     SweepSpec,
@@ -456,6 +457,44 @@ def test_sweep_record_layout_and_estimates():
         sweep(spec, strategies=("a-star",))
 
 
+def test_sweep_rejects_empty_or_repeated_strategies():
+    spec = SweepSpec(
+        variable="distance_km",
+        values=(4000.0,),
+        fixed={"n_sat": 300, "altitude_km": 550.0, "d_max_km": 3000.0, "epsilon": 0.1},
+        trials=1,
+        base_seed=0,
+    )
+    for strategies in ((), ("ideal", "ideal"), ("ideal", "max-stepsize", "ideal")):
+        with pytest.raises(InvalidInputError, match="without repeats"):
+            sweep(spec, strategies=strategies)
+
+
+def test_integer_swept_values_are_floats_in_both_mirrors(tmp_path):
+    spec = SweepSpec(
+        variable="n_sat",
+        values=(400, 800),
+        fixed={
+            "altitude_km": 550.0,
+            "d_max_km": 3000.0,
+            "epsilon": 0.1,
+            "distance_km": 6000.0,
+        },
+        trials=2,
+        base_seed=0,
+    )
+    records = sweep(spec, strategies=("ideal",))
+    assert [type(r.swept_value) for r in records] == [float, float]
+    write_records_csv(records, tmp_path / "n.csv")
+    write_records_json(records, tmp_path / "n.json")
+    with open(tmp_path / "n.csv", newline="") as fh:
+        cells = [row["swept_value"] for row in csv.DictReader(fh)]
+    entries = json.loads((tmp_path / "n.json").read_text())["records"]
+    assert cells == ["400.0", "800.0"]
+    assert [e["swept_value"] for e in entries] == [400.0, 800.0]
+    assert all(isinstance(e["swept_value"], float) for e in entries)
+
+
 def test_sweep_type2_rate_falls_with_satellite_count():
     # With a 10000 km arc at 550 km altitude and a 10% tolerance, planning
     # is infeasible outright for small shells, then routing failures fade
@@ -722,6 +761,32 @@ def test_table1_serialization(tmp_path, small_table):
     again = tmp_path / "again.json"
     write_table1_json(small_table, again)
     assert again.read_bytes() == json_path.read_bytes()
+
+
+def test_table1_json_mirrors_csv(tmp_path, small_table):
+    # Every CSV cell is its JSON value(s) in the row's text format.
+    write_table1_csv(small_table, tmp_path / "t.csv")
+    write_table1_json(small_table, tmp_path / "t.json")
+    with open(tmp_path / "t.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    columns = json.loads((tmp_path / "t.json").read_text())["columns"]
+    assert list(columns) == header[1:]
+    text = {metric: fmt for metric, _, fmt in _TABLE1_ROWS if fmt is not None}
+    assert [row[0] for row in rows] == list(text)
+    for metric, *cells in rows:
+        fmt = text[metric]
+        for preset, cell in zip(header[1:], cells):
+            value = columns[preset][metric]
+            if isinstance(value, dict):
+                assert list(value) == [repr(e) for e in small_table.epsilons]
+                parts = ["-" if v is None else fmt(v) for v in value.values()]
+                assert cell == " / ".join(parts)
+            else:
+                assert cell == fmt(value)
+    json_only = {metric for metric, _, fmt in _TABLE1_ROWS if fmt is None}
+    assert json_only == {"type2_ci", "measured_count"}
+    for col in columns.values():
+        assert list(col) == [metric for metric, _, _ in _TABLE1_ROWS]
 
 
 def test_table1_respects_requested_epsilons():
