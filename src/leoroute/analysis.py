@@ -11,6 +11,7 @@ feasible at a given confidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -106,12 +107,14 @@ def contact_pdf(theta: ArrayLike, n_sat: int) -> ArrayLike:
     return float(out) if np.isscalar(theta) else out
 
 
+@functools.lru_cache(maxsize=16)
 def contact_mean(n_sat: int) -> ContactMean:
     """Mean contact angle, by quadrature and by an exact product form.
 
     The two values agree to at least three significant figures for
     ``n_sat`` >= 100; the product form is evaluated in log space so it
-    stays finite for very large constellations.
+    stays finite for very large constellations. Results are memoized: every
+    summary table asks again for the same three shells.
     """
     _validate_pop(n_sat)
     n = n_sat

@@ -15,6 +15,15 @@ all ``n_sat`` satellites. Band and complement together are ``n_sat``
 i.i.d. uniform satellites (the restriction property of the binomial point
 process), so the records follow the same law as routing on a full shell.
 
+Equal-interval trials are routed in batches of :attr:`TrialCell.batch`.
+Each trial of a batch draws its band from its own generator, then one
+:func:`~leoroute.routing.route_equal_interval_batch` call computes the
+cell's targets once and routes every band shell of the batch; a trial
+whose route needs the complement draws it from its own generator and is
+routed again on its own. The batch size keeps a batch's work set near
+1 MB, and batching changes no record. The greedy strategies route one
+trial at a time.
+
 Per-trial seeds are derived from the base seed with a splitmix64 mix of
 the trial index, so results are deterministic and independent of
 execution order; trials may run in parallel worker processes and are
@@ -56,6 +65,7 @@ from .geometry import R_EARTH_KM, SpherePoint
 from .routing import (
     Route,
     route_equal_interval,
+    route_equal_interval_batch,
     route_max_stepsize,
     route_min_deflection,
 )
@@ -266,6 +276,12 @@ _BAND_MISS_PROBABILITY = 1e-4
 #: and the arc's normal, which is the y axis only to within 1e-16).
 _BAND_SLACK = 1e-9
 
+#: Cap on the doubles one batch of equal-interval trials holds (about
+#: 1 MB). Each satellite of the batch takes its n_hat - 1 dots with the
+#: targets, its 3 coordinates in its trial's shell and 3 more in the
+#: batch's stacked copy.
+_BATCH_DOUBLES = 1 << 17
+
 
 def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
     """Half-width w (rad) of the band around the arc that certifies routes.
@@ -301,17 +317,26 @@ class TrialCell:
     #: Sine s of the slightly wider band |u_y| <= s a trial draws first.
     band_sine: float
     reference_ms: float
+    #: Trials routed together: as many equal-interval trials as fit in
+    #: ``_BATCH_DOUBLES``; the greedy walks route one trial at a time.
+    batch: int
 
     def shell(self, *parts: np.ndarray) -> Constellation:
         """The satellites of ``parts`` in order, then the two endpoints."""
         p = self.params
         return Constellation.from_unit_rows(
-            p.r_earth_km, p.altitude_km, np.vstack([*parts, self.endpoints])
+            p.r_earth_km, p.altitude_km, np.concatenate([*parts, self.endpoints])
         )
 
     def route(self, shell: Constellation) -> Route:
         """Route between the cell's endpoints through ``shell``."""
         return strategy_router(self.strategy)(shell, self.params.d_max_km, self.plan)
+
+    def route_batch(self, shells: Sequence[Constellation]) -> list[Route]:
+        """:meth:`route` on each of ``shells``, equal-interval in one pass."""
+        if self.strategy == "equal-interval":
+            return route_equal_interval_batch(shells, self.params.d_max_km, self.plan)
+        return [self.route(shell) for shell in shells]
 
 
 def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
@@ -325,46 +350,71 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     """
     src, dst = make_endpoints(params.radius, params.arc_angle)
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
+    band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
+    batch = 1
+    if strategy == "equal-interval":
+        # A band holds Binomial(N, s) satellites: bound them by their mean
+        # plus four standard deviations.
+        mean = params.n_sat * band_sine
+        rows = min(params.n_sat, mean + 4.0 * math.sqrt(mean) + 1.0)
+        batch = max(1, int(_BATCH_DOUBLES // ((plan.n_hat - 1 + 6) * rows)))
     return TrialCell(
         params=params,
         strategy=strategy,
         plan=plan,
         endpoints=point_rows([src, dst]),
         halfwidth=halfwidth,
-        band_sine=math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0)),
+        band_sine=band_sine,
         reference_ms=reference_latency_ms(params),
+        batch=batch,
     )
 
 
-def _run_one(cell: TrialCell, trial_index: int, base_seed: int) -> TrialRecord:
-    seed = trial_seed(base_seed, trial_index)
+def _run_batch(
+    cell: TrialCell, base_seed: int, start: int, stop: int
+) -> list[TrialRecord]:
+    """Records of trials ``start`` to ``stop``, routed on their bands together."""
     n_sat = cell.params.n_sat
-    rng = np.random.default_rng(seed)
-    band = sample_band(rng, n_sat, cell.band_sine)
-    route = cell.route(cell.shell(band))
-    # Every satellite outside the band deviates from the arc by more than
-    # the half-width, so a route that reaches no farther is the route on
-    # the whole shell.
-    if len(band) < n_sat and route.band_reach > cell.halfwidth:
-        rest = sample_band_complement(rng, n_sat - len(band), cell.band_sine)
-        route = cell.route(cell.shell(band, rest))
-    done = not route.interrupted
-    return TrialRecord(
-        trial_index=trial_index,
-        seed=seed,
-        strategy=cell.strategy,
-        status=route.status.value,
-        latency_ms=route.latency if done else None,
-        n_hops_final=route.n_hops,
-        efficiency=(
-            measured_efficiency(cell.reference_ms, route.latency) if done else None
-        ),
-    )
+    seeds = [trial_seed(base_seed, i) for i in range(start, stop)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    shells = [cell.shell(sample_band(rng, n_sat, cell.band_sine)) for rng in rngs]
+    routes = cell.route_batch(shells)
+    records = []
+    trials = zip(range(start, stop), seeds, rngs, shells, routes)
+    for i, seed, rng, shell, route in trials:
+        band = shell.unit_vectors[:-2]
+        # Every satellite outside the band deviates from the arc by more
+        # than the half-width, so a route that reaches no farther is the
+        # route on the whole shell.
+        if len(band) < n_sat and route.band_reach > cell.halfwidth:
+            rest = sample_band_complement(rng, n_sat - len(band), cell.band_sine)
+            route = cell.route(cell.shell(band, rest))
+        done = not route.interrupted
+        records.append(
+            TrialRecord(
+                trial_index=i,
+                seed=seed,
+                strategy=cell.strategy,
+                status=route.status.value,
+                latency_ms=route.latency if done else None,
+                n_hops_final=route.n_hops,
+                efficiency=(
+                    measured_efficiency(cell.reference_ms, route.latency)
+                    if done
+                    else None
+                ),
+            )
+        )
+    return records
 
 
 def _run_chunk(args: tuple) -> list[TrialRecord]:
     cell, base_seed, start, stop = args
-    return [_run_one(cell, i, base_seed) for i in range(start, stop)]
+    return [
+        rec
+        for lo in range(start, stop, cell.batch)
+        for rec in _run_batch(cell, base_seed, lo, min(lo + cell.batch, stop))
+    ]
 
 
 def _checked_plan(params: CellParams, strategy: str, trials: int) -> Optional[HopPlan]:

@@ -21,6 +21,8 @@ from .errors import DegenerateArcError, InvalidInputError
 _RADIUS_RTOL = 1e-9
 #: Dome angles above pi - this threshold are treated as antipodal.
 _ANTIPODAL_THRESHOLD = 1e-9
+#: |u_z| from which a polar angle is taken from the distance to the axis.
+_POLAR_Z = 1.0 - 1e-8
 #: Radius of the occluding body (the Earth) in km.
 R_EARTH_KM = 6371.0
 #: Signal propagation speed in km/ms.
@@ -64,7 +66,14 @@ class SpherePoint:
         if norm == 0.0:
             raise InvalidInputError("zero vector has no direction")
         v = v / norm
-        theta = math.acos(min(max(v[2], -1.0), 1.0))
+        z = min(max(float(v[2]), -1.0), 1.0)
+        if abs(z) < _POLAR_Z:
+            theta = math.acos(z)
+        else:
+            # Within ~1.4e-4 rad of a pole acos(z) has lost half its digits
+            # (and returns 0 below ~1.5e-8 rad); the distance from the axis
+            # has not.
+            theta = math.atan2(math.hypot(v[0], v[1]), z)
         phi = math.atan2(v[1], v[0])
         return cls(r=r, theta=theta, phi=phi)
 
@@ -111,9 +120,7 @@ def great_arc(
     Raises:
         DegenerateArcError: If the endpoints coincide.
     """
-    cross = _cross(ua, ub)
-    sin_arc = math.sqrt(float(cross @ cross))
-    arc = math.atan2(sin_arc, float(ua @ ub))
+    cross, sin_arc, arc = _arc_measure(ua, ub)
     if arc < _ANTIPODAL_THRESHOLD:
         raise DegenerateArcError("endpoints coincide; no arc to follow")
     t = np.asarray(t, dtype=float)[..., None]
@@ -127,6 +134,26 @@ def great_arc(
     u /= np.linalg.norm(u)
     points = np.cos(t * math.pi) * ua + np.sin(t * math.pi) * u
     return points, _cross(ua, u)
+
+
+def coincident(ua: np.ndarray, ub: np.ndarray) -> bool:
+    """True when unit vectors ``ua`` and ``ub`` have no arc between them.
+
+    Uses the arc measure and threshold of :func:`great_arc`, which raises
+    for exactly these pairs.
+    """
+    return _arc_measure(ua, ub)[2] < _ANTIPODAL_THRESHOLD
+
+
+def _arc_measure(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """ua x ub, its length and the angle atan2(|ua x ub|, ua . ub).
+
+    The atan2 form resolves every separation, down to angles whose cosine
+    rounds to 1.
+    """
+    cross = _cross(ua, ub)
+    sin_arc = math.sqrt(float(cross @ cross))
+    return cross, sin_arc, math.atan2(sin_arc, float(ua @ ub))
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

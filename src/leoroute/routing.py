@@ -16,6 +16,8 @@ them follow the hop plan the caller made for the cell (equal-interval places
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
 :func:`hop_repair` and both baselines run one greedy relay walk and differ
 only in its score, the satellites they block and the step cap.
+:func:`route_equal_interval_batch` routes many shells that share their
+endpoints in one pass; :func:`route_equal_interval` is its batch of one.
 
 The constellation alone describes the rest of the route's setting: its
 endpoints are its last two satellites (src second to last, dst last), as
@@ -37,10 +39,11 @@ uses it to decide whether the rest of the shell is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +55,13 @@ from .errors import (
     InvalidInputError,
     RepairFailedError,
 )
-from .geometry import SIGNAL_SPEED_KM_MS, SpherePoint, great_arc, los_chord_limit
+from .geometry import (
+    SIGNAL_SPEED_KM_MS,
+    SpherePoint,
+    coincident,
+    great_arc,
+    los_chord_limit,
+)
 
 # Unused here; benchmarks/tracing.py wraps these bindings by name.
 from .analysis import plan_hops  # noqa: F401
@@ -147,8 +156,10 @@ def _endpoint_ids(c: Constellation) -> tuple[int, int]:
     """IDs of src and dst, the last two satellites.
 
     Callers run :func:`_cos_admissible` first, which makes sure there are two.
+    The endpoints coincide when :func:`~leoroute.geometry.great_arc` finds
+    no arc between them.
     """
-    if float(c.unit_vectors[-2] @ c.unit_vectors[-1]) >= 1.0:
+    if coincident(c.unit_vectors[-2], c.unit_vectors[-1]):
         raise InvalidInputError("src and dst are the same point")
     return c.n_sat - 2, c.n_sat - 1
 
@@ -186,10 +197,21 @@ def _materialize(
     )
 
 
-def _deflection(units: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Dome angle |asin(u . n)| of every satellite off the a->b great circle."""
-    _, normal = great_arc(units[a], units[b], 0.0)
+def _deflection(units: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Dome angle |asin(u . n)| of every satellite off the circle of ``normal``."""
     return np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
+
+
+@functools.lru_cache(maxsize=16)
+def _endpoint_normal(rows: bytes) -> np.ndarray:
+    """Normal of the src->dst arc, from the two endpoint rows' bytes.
+
+    Every trial of a cell shares its endpoints, so the greedy walks of a
+    cell compute their arc once.
+    """
+    _, normal = great_arc(*np.frombuffer(rows).reshape(2, 3), 0.0)
+    normal.setflags(write=False)
+    return normal
 
 
 def _walk(
@@ -206,26 +228,28 @@ def _walk(
     Until ``goal`` is one admissible hop away, each step takes the satellite
     with the lowest ``score`` (the farthest when ``score`` is None) among
     those admissible from the current one, not ``blocked`` (nor ``start``
-    or ``goal``) and strictly closer to ``goal``, and blocks it. Gives up
-    when none qualifies or after ``cap`` steps.
+    or ``goal``) and strictly closer to ``goal``. Gives up when none
+    qualifies or after ``cap`` steps.
+
+    Only what is blocked on entry needs a mask: every relay already taken
+    is farther from ``goal`` than the current satellite, so it never
+    qualifies again, and a step that qualifies never revisits a satellite.
     """
     dots_goal = units @ units[goal]
     blocked[[start, goal]] = True
+    free = ~blocked
     relays: list[int] = []
     cur = start
     while len(relays) < cap:
         if dots_goal[cur] >= cos_admissible:
             return relays, True
         dots_cur = units @ units[cur]
-        eligible = (
-            ~blocked & (dots_cur >= cos_admissible) & (dots_goal > dots_goal[cur])
-        )
-        if not eligible.any():
-            break
+        eligible = free & (dots_cur >= cos_admissible) & (dots_goal > dots_goal[cur])
         ranked = dots_cur if score is None else score
-        cur = int(np.argmin(np.where(eligible, ranked, np.inf)))
+        cur = int(np.where(eligible, ranked, np.inf).argmin())
+        if not eligible[cur]:
+            break
         relays.append(cur)
-        blocked[cur] = True
     return relays, False
 
 
@@ -255,7 +279,7 @@ def hop_repair(
     if float(units[from_id] @ units[to_id]) >= cos_admissible:
         return []
     try:
-        deflection = _deflection(units, from_id, to_id)
+        _, normal = great_arc(units[from_id], units[to_id], 0.0)
     except DegenerateArcError as exc:
         raise RepairFailedError(
             f"cannot repair hop {from_id}->{to_id}: no reference arc"
@@ -265,7 +289,8 @@ def hop_repair(
     ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
     blocked[ids[(ids >= 0) & (ids < c.n_sat)]] = True
     mids, reached = _walk(
-        units, from_id, to_id, cos_admissible, blocked, deflection, c.n_sat
+        units, from_id, to_id, cos_admissible, blocked, _deflection(units, normal),
+        c.n_sat,
     )
     if reached:
         return mids
@@ -273,10 +298,20 @@ def hop_repair(
         raise RepairFailedError(
             f"no admissible satellite advances hop {from_id}->{to_id}"
         )
-    # Every step blocks a satellite, so only a bug can use up the cap.
+    # A walk never revisits a satellite, so only a bug can use up the cap.
     raise InternalConsistencyError(
         f"hop repair for {from_id}->{to_id} exceeded the satellite count"
     )
+
+
+#: A dot product no unit vector reaches: it marks the satellites a snap may
+#: not take and the padding rows of a batch.
+_NEVER = -2.0
+
+#: Most dots one matrix product of the snapping stage computes. OpenBLAS
+#: spreads larger products over threads, and on a shared 2-core host that
+#: made a 224 000-dot product 18x slower than the same work in one thread.
+_PRODUCT_DOTS = 1 << 16
 
 
 def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -285,7 +320,8 @@ def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route
     Stage 1 places ``plan.n_hat - 1`` relay targets at equal intervals on
     the shortest arc between the endpoints. Stage 2 snaps each
     target to its nearest satellite, excluding the endpoints and any
-    satellite already chosen (so no relay is reused). Stage 3 repairs
+    satellite already chosen (so no relay is reused); targets take their
+    satellites in arc order and ties go to the lowest ID. Stage 3 repairs
     every hop that violates the distance or visibility constraint via
     :func:`hop_repair`; a failed repair ends the route with
     ``type2_interrupted`` status.
@@ -296,35 +332,142 @@ def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route
 
     The plan is used mechanically: callers that want the planned
     reliability guarantee should check ``plan.type1_interrupted`` first.
+    This is the batch of one of :func:`route_equal_interval_batch`.
     """
-    cos_admissible = _cos_admissible(c, d_max)
-    src_id, dst_id = _endpoint_ids(c)
-    units = c.unit_vectors
+    return route_equal_interval_batch((c,), d_max, plan)[0]
 
-    if float(units[src_id] @ units[dst_id]) >= cos_admissible:
-        return _materialize(c, [src_id, dst_id], RouteStatus.OK, band_reach=0.0)
+
+def route_equal_interval_batch(
+    shells: Sequence[Constellation], d_max: float, plan: HopPlan
+) -> list[Route]:
+    """:func:`route_equal_interval` on each of ``shells``, in one pass.
+
+    The shells share their sphere, their body and their endpoints (their
+    last two rows), so the targets are computed once. The shells are
+    stacked in blocks as wide as the largest one, and matrix products of
+    the targets with the stack give every dot of every target; the
+    endpoints and the padding can never win a snap. A shell whose targets
+    all have distinct nearest satellites takes them; one whose targets
+    collide takes its satellites target by target from its own dots. The
+    hop fits, the band reach and the hop chords are computed for all shells
+    at once; a shell with an inadmissible hop is repaired on its own.
+
+    Raises:
+        InvalidInputError: As :func:`route_equal_interval`, or if the
+            shells differ in sphere, body or endpoints.
+    """
+    if not shells:
+        return []
+    first = shells[0]
+    cos_admissible = _cos_admissible(first, d_max)
+    _endpoint_ids(first)
+    ends = first.unit_vectors[-2:]
+    for c in shells[1:]:
+        if (c.r_earth, c.altitude) != (first.r_earth, first.altitude) or (
+            c.unit_vectors[-2:].tobytes() != ends.tobytes()
+        ):
+            raise InvalidInputError(
+                "the shells of a batch must share their sphere, body and endpoints"
+            )
+    # Shell b holds counts[b] satellites, then src (ID counts[b]) and dst.
+    counts = [c.n_sat - 2 for c in shells]
+    src, dst = ends
+    if float(src @ dst) >= cos_admissible:
+        return [
+            _materialize(c, [k, k + 1], RouteStatus.OK, band_reach=0.0)
+            for c, k in zip(shells, counts)
+        ]
 
     n = plan.n_hat
-    targets, _ = great_arc(units[src_id], units[dst_id], np.arange(1, n) / n)
+    targets, _ = great_arc(src, dst, np.arange(1, n) / n)
+    batch, width = len(shells), max(counts) + 2
+    if batch == 1:
+        rows = first.unit_vectors
+    else:
+        rows = np.zeros((batch * width, 3))
+        for b, c in enumerate(shells):
+            rows[b * width : b * width + c.n_sat] = c.unit_vectors
+    # dots[k, b, i]: target k against satellite i of shell b.
+    dots = np.empty((n - 1, batch * width))
+    step = max(1, _PRODUCT_DOTS // max(n - 1, 1))
+    for lo in range(0, batch * width, step):
+        np.matmul(targets, rows[lo : lo + step].T, out=dots[:, lo : lo + step])
+    dots = dots.reshape(n - 1, batch, width)
+    for b, k in enumerate(counts):
+        dots[:, b, k:] = _NEVER
+    hops = np.empty((n + 1, batch), dtype=np.intp)
+    hops[0] = counts
+    hops[1:-1] = dots.argmax(axis=2)
+    hops[-1] = hops[0] + 1
+    ranked = np.sort(hops[1:-1], axis=0)
+    collide = (ranked[1:] == ranked[:-1]).any(axis=0).tolist()
+    routes: list[Optional[Route]] = [None] * batch
+    for b, k in enumerate(counts):
+        if collide[b] or k < n - 1:
+            taken = _snap_in_turn(dots[:, b, :k], hops[1:-1, b].tolist())
+            if len(taken) < n - 1:
+                routes[b] = _materialize(
+                    shells[b], [k, *taken], RouteStatus.TYPE2_INTERRUPTED
+                )
+            else:
+                hops[1:-1, b] = taken
 
-    # Nearest free satellite per target, ties to the lowest ID.
-    taken = np.empty(n + 1, dtype=np.intp)
-    taken[:2] = src_id, dst_id
-    for k, target in enumerate(targets, start=2):
-        dots = units @ target
-        dots[taken[:k]] = -2.0
-        relay = dots.argmax()
-        if dots[relay] == -2.0:
-            return _materialize(
-                c, [src_id, *taken[2:k].tolist()], RouteStatus.TYPE2_INTERRUPTED
-            )
+    live = np.flatnonzero([route is None for route in routes])
+    if len(live) == 0:
+        return routes
+    if len(live) < batch:
+        hops = hops[:, live]
+    path = rows[hops + width * live]
+    fits = np.einsum("hbj,hbj->hb", path[:-1], path[1:]) >= cos_admissible
+    fit = fits.all(axis=0)
+    for j in np.flatnonzero(~fit).tolist():
+        b = int(live[j])
+        routes[b] = _repaired(
+            shells[b], hops[:, j].tolist(), fits[:, j].tolist(), d_max
+        )
+
+    # A satellite deviating from the arc by more than every relay's angle
+    # to its target is farther than that from each target, so it could
+    # not have won a snap.
+    path, hops = path[:, fit], hops[:, fit]
+    gaps = np.linalg.norm(path[1:-1] - targets[:, None], axis=2)
+    reach = 2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(axis=0, initial=0.0)
+    chords = first.radius * np.linalg.norm(np.diff(path, axis=0), axis=2)
+    for b, ids, lengths, r in zip(
+        live[fit].tolist(), hops.T.tolist(), chords.T.tolist(), reach.tolist()
+    ):
+        routes[b] = Route(tuple(ids), tuple(lengths), RouteStatus.OK, r)
+    return routes
+
+
+def _snap_in_turn(dots: np.ndarray, nearest: list[int]) -> list[int]:
+    """Satellites the targets take in arc order, without taking one twice.
+
+    ``dots[k]`` holds target k against every satellite and ``nearest[k]``
+    its argmax; a row is overwritten once its target has taken a
+    satellite. Each target takes its nearest satellite not taken before,
+    ties to the lowest ID; stops at the first target that finds none left.
+    """
+    taken = np.empty(len(nearest), dtype=np.intp)
+    seen: set[int] = set()
+    for k, relay in enumerate(nearest):
+        if k == dots.shape[1]:
+            return taken[:k].tolist()
+        if relay in seen:
+            free = dots[k]
+            free[taken[:k]] = _NEVER
+            relay = int(free.argmax())
         taken[k] = relay
+        seen.add(relay)
+    return taken.tolist()
 
-    planned = [src_id, *taken[2:].tolist(), dst_id]
-    rows = units[planned]
-    fits = (np.einsum("ij,ij->i", rows[:-1], rows[1:]) >= cos_admissible).tolist()
+
+def _repaired(
+    c: Constellation, planned: list[int], fits: list[bool], d_max: float
+) -> Route:
+    """The planned route with each hop that does not fit repaired."""
     used = set(planned)
-    full: list[int] = [src_id]
+    full: list[int] = [planned[0]]
     repaired = False
     for a, b, fit in zip(planned, planned[1:], fits):
         if fit:
@@ -338,15 +481,9 @@ def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route
         full.extend(mids)
         full.append(b)
         repaired = repaired or bool(mids)
-
-    if repaired:
-        return _materialize(c, full, RouteStatus.REPAIRED)
-    # A satellite deviating from the arc by more than every relay's angle
-    # to its target is farther than that from each target, so it could
-    # not have won a snap.
-    gaps = np.linalg.norm(units[taken[2:]] - targets, axis=1)
-    reach = float(2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(initial=0.0))
-    return _materialize(c, full, RouteStatus.OK, band_reach=reach)
+    # A hop that fits after all (its dot rounds the other way in
+    # hop_repair) leaves the route ok, but its band reach is not known.
+    return _materialize(c, full, RouteStatus.REPAIRED if repaired else RouteStatus.OK)
 
 
 def _route_greedy(
@@ -356,7 +493,7 @@ def _route_greedy(
     cos_admissible = _cos_admissible(c, d_max)
     src_id, dst_id = _endpoint_ids(c)
     units = c.unit_vectors
-    deflection = _deflection(units, src_id, dst_id)
+    deflection = _deflection(units, _endpoint_normal(units[-2:].tobytes()))
     # max-stepsize never looks outside its belt. A completed min-deflection
     # walk took the least-deflecting candidate at every step, so no
     # satellite deflecting more than all its relays could have been taken.

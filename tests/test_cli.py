@@ -295,6 +295,28 @@ def test_route_ideal_relays_are_evenly_spaced(capsys):
     assert payload["latency_ms"] == pytest.approx(72.1, abs=0.1)
 
 
+@pytest.mark.parametrize(
+    "strategy", ["equal-interval", "min-deflection", "max-stepsize"]
+)
+def test_route_tiny_dome_angles(capsys, strategy):
+    """Endpoints 1e-8 rad apart are one direct hop; 1e-10 rad apart they
+    coincide by the arc threshold of ``great_arc`` (1e-9 rad)."""
+    code, out, _ = run_cli(
+        capsys, "route", "--preset", "starlink", "--strategy", strategy,
+        "--dome-angle", "1e-8",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "ok" and payload["direct_hop"]
+    assert payload["hop_distances_km"] == [pytest.approx(6921.0e-8, rel=1e-6)]
+    code, out, err = run_cli(
+        capsys, "route", "--preset", "starlink", "--strategy", strategy,
+        "--dome-angle", "1e-10",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: src and dst are the same point\n"
+
+
 def test_route_immediate_planning_failure_exits_two(capsys):
     code, out, _ = run_cli(
         capsys, "route", "--preset", "oneweb", "--epsilon", "0.01"

@@ -324,7 +324,9 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
     A trial routes on the band around the arc first and draws the rest of
     its shell only when it cannot certify that route; either way its record
     must be the route over all N satellites (band, then complement, from
-    the trial's seed) under the plan for N satellites.
+    the trial's seed) under the plan for N satellites. Each cell runs more
+    trials than one batch holds, so equal-interval trials are routed in
+    batches, with collisions, repairs and complement draws among them.
     """
     cells = (
         # At 10250 km the plan for N = 800 (n_hat 12) differs from the one
@@ -345,9 +347,11 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
-        records = run_trials(params, strategy, trials=6, base_seed=11)
+        cell = trial_cell(params, strategy, plan)
+        trials = cell.batch + 5
+        records = run_trials(params, strategy, trials=trials, base_seed=11)
         src, dst = make_endpoints(params.radius, params.arc_angle)
-        band_sine = trial_cell(params, strategy, plan).band_sine
+        band_sine = cell.band_sine
         for rec in records:
             rng = np.random.default_rng(rec.seed)
             band = sample_band(rng, params.n_sat, band_sine)
@@ -359,8 +363,38 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
             assert rec.status == route.status.value
             assert rec.n_hops_final == route.n_hops
             assert rec.latency_ms == (None if route.interrupted else route.latency)
-        agg = run_cell(params, strategy, trials=6, base_seed=11)
+        agg = run_cell(params, strategy, trials=trials, base_seed=11)
         assert (agg.n_hat, agg.reliable_angle) == (plan.n_hat, plan.reliable_angle)
+
+
+def test_batched_trials_equal_trials_routed_one_at_a_time(monkeypatch):
+    """Routing a cell's equal-interval trials together changes no record."""
+    cells = (
+        CellParams.from_preset("starlink", epsilon=0.1),
+        CellParams.from_preset("kuiper", epsilon=0.01),
+        # Type-I plan with 68 targets: nearly every trial collides.
+        CellParams.from_preset("oneweb", epsilon=0.1),
+        # Repairs and complement draws in about half the trials.
+        CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5),
+        CellParams(
+            n_sat=800, altitude_km=500.0, arc_angle=15750.0 / 6871.0, epsilon=0.1
+        ),
+    )
+
+    def batch(params):
+        plan = plan_hops(
+            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
+        )
+        return trial_cell(params, "equal-interval", plan).batch
+
+    batched = {
+        params: run_trials(params, "equal-interval", batch(params) + 3, base_seed=5)
+        for params in cells
+    }
+    monkeypatch.setattr("leoroute.experiments._BATCH_DOUBLES", 0)
+    for params, records in batched.items():
+        assert batch(params) == 1
+        assert run_trials(params, "equal-interval", len(records), 5) == records
 
 
 def test_strategy_router_rejects_ideal_and_unknown_names():

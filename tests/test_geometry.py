@@ -51,6 +51,13 @@ def test_unit_vector_round_trip():
     assert math.isclose(dome_angle(p, q), 0.0, abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("theta", [1e-4, 5e-9, math.pi - 5e-9])
+def test_polar_angle_keeps_its_precision_near_the_poles(theta):
+    q = SpherePoint.from_unit_vector(pt(RS, theta, 2.1).unit_vector(), RS)
+    polar = min(q.theta, math.pi - q.theta)
+    assert math.isclose(polar, min(theta, math.pi - theta), rel_tol=1e-8)
+
+
 @given(theta=angles, phi=azimuths)
 def test_unit_vector_components(theta, phi):
     u = pt(R, theta, phi).unit_vector()

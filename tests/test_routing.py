@@ -32,6 +32,7 @@ from leoroute import (
     sample_bpp,
     slerp,
 )
+from leoroute.routing import route_equal_interval_batch
 
 R_EARTH = 6371.0
 RS = 6921.0  # 550 km shell
@@ -241,6 +242,65 @@ def test_equal_interval_type2_on_hopeless_instance():
     route = route_equal_interval(c2, D_MAX, plan)
     assert route.status is RouteStatus.TYPE2_INTERRUPTED
     assert route.interrupted
+
+
+def reference_equal_interval(c, d_max, plan):
+    """Equal-interval routing one target at a time: the loop the batched
+    router replaces, kept as its reference."""
+    units = c.unit_vectors
+    src_id, dst_id = c.n_sat - 2, c.n_sat - 1
+    cos_admissible = 1.0 - (admissible_chord(c.radius) / c.radius) ** 2 / 2.0
+    if units[src_id] @ units[dst_id] >= cos_admissible:
+        return [src_id, dst_id], RouteStatus.OK
+    n = plan.n_hat
+    targets, _ = great_arc(units[src_id], units[dst_id], np.arange(1, n) / n)
+    taken = [src_id, dst_id]
+    for target in targets:
+        dots = units @ target
+        dots[taken] = -2.0
+        if dots.max() == -2.0:
+            return [src_id, *taken[2:]], RouteStatus.TYPE2_INTERRUPTED
+        taken.append(int(dots.argmax()))
+    planned = [src_id, *taken[2:], dst_id]
+    full, status = [src_id], RouteStatus.OK
+    for a, b in zip(planned, planned[1:]):
+        if units[a] @ units[b] < cos_admissible:
+            try:
+                mids = hop_repair(c, a, b, d_max, exclude=set(planned) | set(full))
+            except RepairFailedError:
+                return full, RouteStatus.TYPE2_INTERRUPTED
+            full.extend(mids)
+            status = RouteStatus.REPAIRED
+        full.append(b)
+    return full, status
+
+
+def test_equal_interval_batch_matches_target_by_target_reference():
+    """Shells of one batch differ in size (so the batch pads them), and
+    their targets collide, run out of satellites or need repair."""
+    arc = 2.6
+    src, dst = endpoints(arc)
+    plan = HopPlan(
+        n_hat=12, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
+    )
+    sizes = (0, 3, 11, 12, 40, 150, 400, 1500)
+    shells = [
+        sample_bpp(n, R_EARTH, ALT, seed=1).with_extra_points([src, dst])
+        if n else constellation_from_points([src, dst])
+        for n in sizes
+    ]
+    batch = route_equal_interval_batch(shells, D_MAX, plan)
+    statuses = set()
+    for shell, route in zip(shells, batch):
+        assert route == route_equal_interval(shell, D_MAX, plan)
+        hops, status = reference_equal_interval(shell, D_MAX, plan)
+        assert (route.hops, route.status) == (tuple(hops), status)
+        statuses.add(status)
+    assert statuses == set(RouteStatus)
+
+    other = sample_bpp(50, R_EARTH, ALT, seed=1).with_extra_points(endpoints(2.5))
+    with pytest.raises(InvalidInputError, match="share"):
+        route_equal_interval_batch([shells[-1], other], D_MAX, plan)
 
 
 # ---------------------------------------------------------------------------
