@@ -15,14 +15,15 @@ all ``n_sat`` satellites. Band and complement together are ``n_sat``
 i.i.d. uniform satellites (the restriction property of the binomial point
 process), so the records follow the same law as routing on a full shell.
 
-Equal-interval trials are routed in batches of :attr:`TrialCell.batch`.
-Each trial of a batch draws its band from its own generator, then one
-:func:`~leoroute.routing.route_equal_interval_batch` call computes the
-cell's targets once and routes every band shell of the batch; a trial
-whose route needs the complement draws it from its own generator and is
-routed again on its own. The batch size keeps a batch's work set near
-1 MB, and batching changes no record. The greedy strategies route one
-trial at a time.
+Trials are routed in batches of :attr:`TrialCell.batch`, for every
+sampled strategy. Each trial of a batch draws its band from its own
+generator, then one batch router call routes every band shell of the
+batch: :func:`~leoroute.routing.route_equal_interval_batch` computes the
+cell's targets once and snaps all shells in one pass, and the greedy
+baselines walk all shells in lockstep. A trial whose route needs the
+complement draws it from its own generator and is routed again on its own.
+The batch size keeps a batch's work set near 1 MB, and batching changes no
+record.
 
 Per-trial seeds are derived from the base seed with a splitmix64 mix of
 the trial index, so results are deterministic and independent of
@@ -64,10 +65,13 @@ from .errors import InvalidInputError
 from .geometry import R_EARTH_KM, SpherePoint
 from .routing import (
     Route,
+    contact_band,
     route_equal_interval,
     route_equal_interval_batch,
     route_max_stepsize,
+    route_max_stepsize_batch,
     route_min_deflection,
+    route_min_deflection_batch,
 )
 
 # Unused here; benchmarks/tracing.py wraps this binding by name.
@@ -266,29 +270,34 @@ def reference_latency_ms(params: CellParams) -> float:
     return latency_floor(params.arc_angle, params.theta_max, params.radius)
 
 
-#: Chance that a cap of the band's half-width around a point of the arc
-#: holds no satellite: the contact-law quantile that sets the band of
-#: equal-interval and min-deflection trials.
-_BAND_MISS_PROBABILITY = 1e-4
-
 #: Relative widening of the drawn band over the half-width that certifies
 #: a route, so that rounding at the band's edge cannot matter (sin/asin,
 #: and the arc's normal, which is the y axis only to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the doubles one batch of equal-interval trials holds (about
-#: 1 MB). Each satellite of the batch takes its n_hat - 1 dots with the
+#: Cap on the doubles one batch of trials holds (about 1 MB). Each
+#: satellite of an equal-interval batch takes its n_hat - 1 dots with the
 #: targets, its 3 coordinates in its trial's shell and 3 more in the
-#: batch's stacked copy.
+#: batch's stacked copy; a satellite of a greedy batch takes
+#: ``_WALK_DOUBLES``.
 _BATCH_DOUBLES = 1 << 17
+
+#: Doubles each satellite of a greedy batch takes at the peak of the
+#: lockstep walk: its 3 coordinates in its trial's shell and 3 in the
+#: stack, its deflection, its dots with the goal, its closeness to the
+#: goal, its dots with the current satellite and their masked copy, up to 3
+#: for the copies of its coordinates, closeness, score and ID when the
+#: walks narrow to half the stack, up to 5 while dropping stopped walks
+#: copies its coordinates, closeness and score, and about 1 for its masks.
+_WALK_DOUBLES = 20
 
 
 def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
     """Half-width w (rad) of the band around the arc that certifies routes.
 
     max-stepsize keeps to its belt, ``plan.reliable_angle``. The other
-    strategies take the contact-law quantile ((1 + cos w) / 2)^N =
-    ``_BAND_MISS_PROBABILITY``, i.e. sin^2(w / 2) = 1 - alpha^(1/N),
+    strategies take the contact-law band
+    (:func:`~leoroute.routing.contact_band`) of the cell's N satellites,
     except an equal-interval plan that is type-I interrupted: its routes
     are mostly repaired or interrupted and would almost never certify
     (97% of oneweb's trials at epsilon 0.1 did not), so its band is the
@@ -298,8 +307,7 @@ def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
         return plan.reliable_angle
     if strategy == "equal-interval" and plan.type1_interrupted:
         return math.pi / 2.0
-    tail = -math.expm1(math.log(_BAND_MISS_PROBABILITY) / params.n_sat)
-    return 2.0 * math.asin(math.sqrt(tail))
+    return contact_band(params.n_sat)
 
 
 @dataclass(frozen=True)
@@ -317,8 +325,7 @@ class TrialCell:
     #: Sine s of the slightly wider band |u_y| <= s a trial draws first.
     band_sine: float
     reference_ms: float
-    #: Trials routed together: as many equal-interval trials as fit in
-    #: ``_BATCH_DOUBLES``; the greedy walks route one trial at a time.
+    #: Trials routed together: as many as fit in ``_BATCH_DOUBLES``.
     batch: int
 
     def shell(self, *parts: np.ndarray) -> Constellation:
@@ -333,10 +340,14 @@ class TrialCell:
         return strategy_router(self.strategy)(shell, self.params.d_max_km, self.plan)
 
     def route_batch(self, shells: Sequence[Constellation]) -> list[Route]:
-        """:meth:`route` on each of ``shells``, equal-interval in one pass."""
-        if self.strategy == "equal-interval":
-            return route_equal_interval_batch(shells, self.params.d_max_km, self.plan)
-        return [self.route(shell) for shell in shells]
+        """:meth:`route` on each of ``shells``, in one pass."""
+        # Looked up at call time, as in strategy_router.
+        router = {
+            "equal-interval": route_equal_interval_batch,
+            "min-deflection": route_min_deflection_batch,
+            "max-stepsize": route_max_stepsize_batch,
+        }[self.strategy]
+        return router(shells, self.params.d_max_km, self.plan)
 
 
 def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
@@ -351,13 +362,12 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     src, dst = make_endpoints(params.radius, params.arc_angle)
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
-    batch = 1
-    if strategy == "equal-interval":
-        # A band holds Binomial(N, s) satellites: bound them by their mean
-        # plus four standard deviations.
-        mean = params.n_sat * band_sine
-        rows = min(params.n_sat, mean + 4.0 * math.sqrt(mean) + 1.0)
-        batch = max(1, int(_BATCH_DOUBLES // ((plan.n_hat - 1 + 6) * rows)))
+    # A band holds Binomial(N, s) satellites: bound them by their mean plus
+    # four standard deviations.
+    mean = params.n_sat * band_sine
+    rows = min(params.n_sat, mean + 4.0 * math.sqrt(mean) + 1.0)
+    per_row = plan.n_hat - 1 + 6 if strategy == "equal-interval" else _WALK_DOUBLES
+    batch = max(1, int(_BATCH_DOUBLES // (per_row * rows)))
     return TrialCell(
         params=params,
         strategy=strategy,

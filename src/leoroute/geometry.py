@@ -120,20 +120,43 @@ def great_arc(
     Raises:
         DegenerateArcError: If the endpoints coincide.
     """
+    arc, sin_arc, normal, quarter = _arc_frame(ua, ub)
+    t = np.asarray(t, dtype=float)[..., None]
+    if quarter is None:
+        points = (np.sin((1.0 - t) * arc) * ua + np.sin(t * arc) * ub) / sin_arc
+    else:
+        points = np.cos(t * math.pi) * ua + np.sin(t * math.pi) * quarter
+    return points, normal
+
+
+def arc_normal(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The normal :func:`great_arc` returns, without computing any point.
+
+    Raises:
+        DegenerateArcError: If the endpoints coincide.
+    """
+    return _arc_frame(ua, ub)[2]
+
+
+def _arc_frame(
+    ua: np.ndarray, ub: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray | None]:
+    """Angle, its sine and unit normal of the arc from ``ua`` to ``ub``.
+
+    The last entry is None, or for antipodal endpoints the point a quarter
+    turn along the conventional half great circle.
+    """
     cross, sin_arc, arc = _arc_measure(ua, ub)
     if arc < _ANTIPODAL_THRESHOLD:
         raise DegenerateArcError("endpoints coincide; no arc to follow")
-    t = np.asarray(t, dtype=float)[..., None]
     if arc < math.pi - _ANTIPODAL_THRESHOLD:
-        points = (np.sin((1.0 - t) * arc) * ua + np.sin(t * arc) * ub) / sin_arc
-        return points, cross / sin_arc
+        return arc, sin_arc, cross / sin_arc, None
     pole = np.array([0.0, 0.0, 1.0])
     if abs(float(ua @ pole)) > 1.0 - 1e-9:
         pole = np.array([1.0, 0.0, 0.0])
-    u = pole - float(pole @ ua) * ua
-    u /= np.linalg.norm(u)
-    points = np.cos(t * math.pi) * ua + np.sin(t * math.pi) * u
-    return points, _cross(ua, u)
+    quarter = pole - float(pole @ ua) * ua
+    quarter /= np.linalg.norm(quarter)
+    return arc, sin_arc, _cross(ua, quarter), quarter
 
 
 def coincident(ua: np.ndarray, ub: np.ndarray) -> bool:

@@ -14,10 +14,12 @@ They share one signature, ``(constellation, d_max, plan) -> Route``: all of
 them follow the hop plan the caller made for the cell (equal-interval places
 ``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
-:func:`hop_repair` and both baselines run one greedy relay walk and differ
-only in its score, the satellites they block and the step cap.
-:func:`route_equal_interval_batch` routes many shells that share their
-endpoints in one pass; :func:`route_equal_interval` is its batch of one.
+Each also has a batch router, ``route_*_batch(shells, d_max, plan)``, for
+many shells that share their endpoints: equal-interval snaps all of them in
+one pass, and the greedy baselines walk all of them in lockstep. The
+one-shell routers are batches of one. :func:`hop_repair` and both baselines
+run one greedy relay walk, a batch of walks at a time, and differ only in
+its score, the satellites they block and the step cap.
 
 The constellation alone describes the rest of the route's setting: its
 endpoints are its last two satellites (src second to last, dst last), as
@@ -58,6 +60,7 @@ from .errors import (
 from .geometry import (
     SIGNAL_SPEED_KM_MS,
     SpherePoint,
+    arc_normal,
     coincident,
     great_arc,
     los_chord_limit,
@@ -152,18 +155,6 @@ def _cos_admissible(c: Constellation, d_max: float) -> float:
     return 1.0 - (limit * limit) / (2.0 * radius * radius)
 
 
-def _endpoint_ids(c: Constellation) -> tuple[int, int]:
-    """IDs of src and dst, the last two satellites.
-
-    Callers run :func:`_cos_admissible` first, which makes sure there are two.
-    The endpoints coincide when :func:`~leoroute.geometry.great_arc` finds
-    no arc between them.
-    """
-    if coincident(c.unit_vectors[-2], c.unit_vectors[-1]):
-        raise InvalidInputError("src and dst are the same point")
-    return c.n_sat - 2, c.n_sat - 1
-
-
 def arc_waypoints(
     src: SpherePoint, dst: SpherePoint, n_hops: int
 ) -> tuple[SpherePoint, ...]:
@@ -199,7 +190,8 @@ def _materialize(
 
 def _deflection(units: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Dome angle |asin(u . n)| of every satellite off the circle of ``normal``."""
-    return np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
+    # minimum(maximum(.)) is np.clip without its wrapper's cost.
+    return np.abs(np.arcsin(np.minimum(np.maximum(units @ normal, -1.0), 1.0)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -209,48 +201,131 @@ def _endpoint_normal(rows: bytes) -> np.ndarray:
     Every trial of a cell shares its endpoints, so the greedy walks of a
     cell compute their arc once.
     """
-    _, normal = great_arc(*np.frombuffer(rows).reshape(2, 3), 0.0)
+    normal = arc_normal(*np.frombuffer(rows).reshape(2, 3))
     normal.setflags(write=False)
     return normal
 
 
+#: Chance that a cap of the band's half-width around a point of the arc
+#: holds no satellite: the contact-law quantile that sets the band a
+#: min-deflection walk tries first, and the band the Monte Carlo harness
+#: draws first for equal-interval and min-deflection trials.
+_BAND_MISS_PROBABILITY = 1e-4
+
+
+def contact_band(n_sat: int) -> float:
+    """Half-width w (rad) of the contact-law band for ``n_sat`` satellites.
+
+    A cap of radius w around a point holds none of ``n_sat`` uniform
+    satellites with probability ((1 + cos w) / 2)^N =
+    ``_BAND_MISS_PROBABILITY``, i.e. sin^2(w / 2) = 1 - alpha^(1/N).
+    """
+    tail = -math.expm1(math.log(_BAND_MISS_PROBABILITY) / max(n_sat, 1))
+    return 2.0 * math.asin(math.sqrt(tail))
+
+
+#: Fewest entries of a (B, W) stack worth narrowing to the columns a walk
+#: can take: below it, narrowing costs more than the steps save.
+_NARROW_DOTS = 1 << 11
+
+
+def _ahead_columns(ahead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in a (B, W) stack of the columns ``ahead`` marks.
+
+    Row b lists its marked columns in order, padded to the widest row with
+    other positions; the (B, K) mask of the marked slots comes second. At
+    least one column must be marked.
+    """
+    sizes = ahead.sum(axis=1)
+    flat = np.flatnonzero(ahead)
+    slots = np.arange(sizes.max())
+    at = flat.take(np.minimum((sizes.cumsum() - sizes)[:, None] + slots, flat.size - 1))
+    return at, slots < sizes[:, None]
+
+
 def _walk(
     units: np.ndarray,
-    start: int,
-    goal: int,
+    start: np.ndarray,
+    goal: np.ndarray,
     cos_admissible: float,
     blocked: np.ndarray,
     score: Optional[np.ndarray],
     cap: int,
-) -> tuple[list[int], bool]:
-    """Relays from ``start`` toward ``goal``, and whether ``goal`` came in reach.
+) -> tuple[list[list[int]], list[bool]]:
+    """Relays of each walk toward its goal, and whether the goal came in reach.
 
-    Until ``goal`` is one admissible hop away, each step takes the satellite
-    with the lowest ``score`` (the farthest when ``score`` is None) among
-    those admissible from the current one, not ``blocked`` (nor ``start``
-    or ``goal``) and strictly closer to ``goal``. Gives up when none
-    qualifies or after ``cap`` steps.
+    Walk b runs on the stack ``units[b]`` (``units`` has shape (B, W, 3))
+    from satellite ``start[b]`` to ``goal[b]``. Until its goal is one
+    admissible hop away, each step takes the satellite with the lowest
+    ``score[b]`` (the farthest when ``score`` is None) among those
+    admissible from the current one, not ``blocked[b]`` (nor the goal) and
+    strictly closer to the goal. A walk gives up when none qualifies or
+    after ``cap`` steps. Marks each goal in ``blocked``.
 
-    Only what is blocked on entry needs a mask: every relay already taken
-    is farther from ``goal`` than the current satellite, so it never
-    qualifies again, and a step that qualifies never revisits a satellite.
+    The walks move in lockstep: each step takes one matrix product of
+    every walk's rows with its current satellite, one eligibility mask and
+    one argmin along the rows, and a walk that stops leaves the stack.
+    Progress is strict, so a walk only ever takes satellites closer to its
+    goal than its start, and never a relay twice. When those satellites
+    are at most half the stack, the walks run on them alone, kept in ID
+    order so that ties still go to the lowest ID.
     """
-    dots_goal = units @ units[goal]
-    blocked[[start, goal]] = True
-    free = ~blocked
-    relays: list[int] = []
-    cur = start
-    while len(relays) < cap:
-        if dots_goal[cur] >= cos_admissible:
-            return relays, True
-        dots_cur = units @ units[cur]
-        eligible = free & (dots_cur >= cos_admissible) & (dots_goal > dots_goal[cur])
-        ranked = dots_cur if score is None else score
-        cur = int(np.where(eligible, ranked, np.inf).argmin())
-        if not eligible[cur]:
-            break
-        relays.append(cur)
-    return relays, False
+    lanes = np.arange(len(units))
+    dots_goal = np.matmul(units, units[lanes, goal][:, :, None])[:, :, 0]
+    here = dots_goal[lanes, start]
+    cur = units[lanes, start]
+    blocked[lanes, goal] = True
+    ahead = None
+    if blocked.size > _NARROW_DOTS:
+        ahead = ~blocked & (dots_goal > here[:, None])
+    if ahead is not None and 0 < 2 * np.count_nonzero(ahead) <= ahead.size:
+        kept, slots = _ahead_columns(ahead)
+        rows = units.reshape(-1, 3).take(kept, axis=0)
+        # Closeness to the goal of the satellites a walk may take, -inf
+        # elsewhere.
+        near = np.where(slots, dots_goal.take(kept), -np.inf)
+        score = None if score is None else score.take(kept)
+        ids = kept % units.shape[1]
+    else:
+        rows, ids = units, None
+        near = np.where(blocked, -np.inf, dots_goal)
+    # Per-walk bookkeeping stays in Python: for the few walks of a batch it
+    # costs less than operations on arrays of one entry per walk.
+    width = rows.shape[1]
+    offsets = np.arange(0, len(rows) * width, width)
+    walks = lanes.tolist()
+    columns: list[list[int]] = [[] for _ in walks]
+    reached = [closeness >= cos_admissible for closeness in here.tolist()]
+    going = [not done for done in reached]
+    for step in range(cap):
+        if not all(going):
+            if not any(going):
+                break
+            walks = [b for b, go in zip(walks, going) if go]
+            here, cur, rows, near, score = (
+                None if a is None else a[going] for a in (here, cur, rows, near, score)
+            )
+            offsets = offsets[: len(walks)]
+        dots = np.matmul(rows, cur[:, :, None])[:, :, 0]
+        eligible = (dots >= cos_admissible) & (near > here[:, None])
+        ranked = dots if score is None else score
+        pick = np.where(eligible, ranked, np.inf).argmin(axis=1)
+        pick += offsets
+        moved = eligible.take(pick).tolist()
+        here, cur = near.take(pick), rows.reshape(-1, 3).take(pick, axis=0)
+        # The goal of a walk that took its cap-th relay is not checked.
+        last = step + 1 == cap
+        going = []
+        for b, position, ok, closeness in zip(
+            walks, pick.tolist(), moved, here.tolist()
+        ):
+            if ok:
+                columns[b].append(position % width)
+                reached[b] = closeness >= cos_admissible and not last
+            going.append(ok and not reached[b])
+    if ids is None:
+        return columns, reached
+    return [ids[b].take(cols).tolist() for b, cols in enumerate(columns)], reached
 
 
 def hop_repair(
@@ -279,18 +354,18 @@ def hop_repair(
     if float(units[from_id] @ units[to_id]) >= cos_admissible:
         return []
     try:
-        _, normal = great_arc(units[from_id], units[to_id], 0.0)
+        normal = arc_normal(units[from_id], units[to_id])
     except DegenerateArcError as exc:
         raise RepairFailedError(
             f"cannot repair hop {from_id}->{to_id}: no reference arc"
         ) from exc
 
-    blocked = np.zeros(c.n_sat, dtype=bool)
+    blocked = np.zeros((1, c.n_sat), dtype=bool)
     ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-    blocked[ids[(ids >= 0) & (ids < c.n_sat)]] = True
-    mids, reached = _walk(
-        units, from_id, to_id, cos_admissible, blocked, _deflection(units, normal),
-        c.n_sat,
+    blocked[0, ids[(ids >= 0) & (ids < c.n_sat)]] = True
+    (mids,), (reached,) = _walk(
+        units[None], np.array([from_id]), np.array([to_id]), cos_admissible,
+        blocked, _deflection(units, normal)[None], c.n_sat,
     )
     if reached:
         return mids
@@ -312,6 +387,48 @@ _NEVER = -2.0
 #: spreads larger products over threads, and on a shared 2-core host that
 #: made a 224 000-dot product 18x slower than the same work in one thread.
 _PRODUCT_DOTS = 1 << 16
+
+
+def _shared_ends(
+    shells: Sequence[Constellation], d_max: float
+) -> tuple[float, list[int]]:
+    """Admissible-hop dot of a batch, and the satellites before each
+    shell's endpoints: shell b holds ``counts[b]`` satellites, then src
+    (ID ``counts[b]``) and dst.
+
+    Raises:
+        InvalidInputError: As :func:`_cos_admissible`, if src and dst
+            coincide (:func:`~leoroute.geometry.great_arc` finds no arc
+            between them), or if the shells differ in sphere, body or
+            endpoints (their last two rows).
+    """
+    first = shells[0]
+    # This also makes sure the first shell holds its two endpoints.
+    cos_admissible = _cos_admissible(first, d_max)
+    if coincident(first.unit_vectors[-2], first.unit_vectors[-1]):
+        raise InvalidInputError("src and dst are the same point")
+    ends = first.unit_vectors[-2:].tobytes()
+    for c in shells[1:]:
+        if (c.r_earth, c.altitude) != (first.r_earth, first.altitude) or (
+            c.unit_vectors[-2:].tobytes() != ends
+        ):
+            raise InvalidInputError(
+                "the shells of a batch must share their sphere, body and endpoints"
+            )
+    return cos_admissible, [c.n_sat - 2 for c in shells]
+
+
+def _stacked(shells: Sequence[Constellation]) -> np.ndarray:
+    """The shells' rows in a (B, W, 3) stack as wide as the largest shell.
+
+    Padding rows are zero; a batch of one is a view of its shell.
+    """
+    if len(shells) == 1:
+        return shells[0].unit_vectors[None]
+    rows = np.zeros((len(shells), max(c.n_sat for c in shells), 3))
+    for b, c in enumerate(shells):
+        rows[b, : c.n_sat] = c.unit_vectors
+    return rows
 
 
 def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -358,20 +475,8 @@ def route_equal_interval_batch(
     """
     if not shells:
         return []
-    first = shells[0]
-    cos_admissible = _cos_admissible(first, d_max)
-    _endpoint_ids(first)
-    ends = first.unit_vectors[-2:]
-    for c in shells[1:]:
-        if (c.r_earth, c.altitude) != (first.r_earth, first.altitude) or (
-            c.unit_vectors[-2:].tobytes() != ends.tobytes()
-        ):
-            raise InvalidInputError(
-                "the shells of a batch must share their sphere, body and endpoints"
-            )
-    # Shell b holds counts[b] satellites, then src (ID counts[b]) and dst.
-    counts = [c.n_sat - 2 for c in shells]
-    src, dst = ends
+    cos_admissible, counts = _shared_ends(shells, d_max)
+    src, dst = shells[0].unit_vectors[-2:]
     if float(src @ dst) >= cos_admissible:
         return [
             _materialize(c, [k, k + 1], RouteStatus.OK, band_reach=0.0)
@@ -380,13 +485,9 @@ def route_equal_interval_batch(
 
     n = plan.n_hat
     targets, _ = great_arc(src, dst, np.arange(1, n) / n)
-    batch, width = len(shells), max(counts) + 2
-    if batch == 1:
-        rows = first.unit_vectors
-    else:
-        rows = np.zeros((batch * width, 3))
-        for b, c in enumerate(shells):
-            rows[b * width : b * width + c.n_sat] = c.unit_vectors
+    stack = _stacked(shells)
+    batch, width = stack.shape[:2]
+    rows = stack.reshape(-1, 3)
     # dots[k, b, i]: target k against satellite i of shell b.
     dots = np.empty((n - 1, batch * width))
     step = max(1, _PRODUCT_DOTS // max(n - 1, 1))
@@ -432,7 +533,7 @@ def route_equal_interval_batch(
     path, hops = path[:, fit], hops[:, fit]
     gaps = np.linalg.norm(path[1:-1] - targets[:, None], axis=2)
     reach = 2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(axis=0, initial=0.0)
-    chords = first.radius * np.linalg.norm(np.diff(path, axis=0), axis=2)
+    chords = shells[0].radius * np.linalg.norm(np.diff(path, axis=0), axis=2)
     for b, ids, lengths, r in zip(
         live[fit].tolist(), hops.T.tolist(), chords.T.tolist(), reach.tolist()
     ):
@@ -486,30 +587,100 @@ def _repaired(
     return _materialize(c, full, RouteStatus.REPAIRED if repaired else RouteStatus.OK)
 
 
+def _min_deflection_walks(
+    units: np.ndarray,
+    src: np.ndarray,
+    cos_admissible: float,
+    blocked: np.ndarray,
+    deflection: np.ndarray,
+    cap: int,
+) -> tuple[list[list[int]], list[bool]]:
+    """:func:`_walk` from each ``src`` to the satellite after it, by least
+    deflection, trying the satellites of the contact-law band first.
+
+    A walk takes the least-deflecting candidate at every step, so one that
+    never runs out of candidates in a band around the arc takes the relays
+    it would take on the whole shell: every satellite outside the band
+    deflects more than any it took. Only the walks that run out walk again
+    on every satellite. The band is tried on stacks big enough to narrow.
+    """
+    if blocked.size <= _NARROW_DOTS:
+        return _walk(units, src, src + 1, cos_admissible, blocked, deflection, cap)
+    band = np.array([contact_band(k) for k in src.tolist()])
+    wide = (deflection > band[:, None]) & ~blocked
+    relays, reached = _walk(
+        units, src, src + 1, cos_admissible, blocked | wide, deflection, cap
+    )
+    narrowed = wide.any(axis=1).tolist()
+    redo = [
+        b
+        for b, (mids, done) in enumerate(zip(relays, reached))
+        if narrowed[b] and not done and len(mids) < cap
+    ]
+    if redo:
+        rows = units if len(redo) == len(units) else units[redo]
+        again, done = _walk(
+            rows, src[redo], src[redo] + 1, cos_admissible, blocked[redo],
+            deflection[redo], cap,
+        )
+        for b, mids, ok in zip(redo, again, done):
+            relays[b], reached[b] = mids, ok
+    return relays, reached
+
+
 def _route_greedy(
-    c: Constellation, d_max: float, plan: HopPlan, pick_farthest: bool
-) -> Route:
-    """Shared greedy walk for the two baseline strategies."""
-    cos_admissible = _cos_admissible(c, d_max)
-    src_id, dst_id = _endpoint_ids(c)
-    units = c.unit_vectors
-    deflection = _deflection(units, _endpoint_normal(units[-2:].tobytes()))
-    # max-stepsize never looks outside its belt. A completed min-deflection
-    # walk took the least-deflecting candidate at every step, so no
-    # satellite deflecting more than all its relays could have been taken.
+    shells: Sequence[Constellation], d_max: float, plan: HopPlan, pick_farthest: bool
+) -> list[Route]:
+    """The greedy baselines on each of ``shells``, in one lockstep walk.
+
+    The shells share their sphere, their body and their endpoints, so the
+    deflection of the whole stack takes one product with the arc's normal,
+    and the hop chords and band reaches of all routes are computed at once.
+    """
+    if not shells:
+        return []
+    cos_admissible, counts = _shared_ends(shells, d_max)
+    units = _stacked(shells)
+    width = units.shape[1]
+    deflection = _deflection(
+        units, _endpoint_normal(shells[0].unit_vectors[-2:].tobytes())
+    )
+    blocked = np.zeros(deflection.shape, dtype=bool)
+    for b, k in enumerate(counts):
+        blocked[b, k + 2 :] = True
+    src, cap = np.array(counts), 4 * plan.n_hat
     if pick_farthest:
-        blocked, score = deflection > plan.reliable_angle, None
+        # max-stepsize never looks outside its belt.
+        blocked |= deflection > plan.reliable_angle
+        relays, reached = _walk(units, src, src + 1, cos_admissible, blocked, None, cap)
         reach = min(plan.reliable_angle, math.pi / 2.0)
     else:
-        blocked, score, reach = np.zeros(c.n_sat, dtype=bool), deflection, math.pi / 2.0
-    relays, reached = _walk(
-        units, src_id, dst_id, cos_admissible, blocked, score, 4 * plan.n_hat
-    )
-    if not reached:
-        return _materialize(c, [src_id, *relays], RouteStatus.TYPE2_INTERRUPTED, reach)
-    if not pick_farthest:
-        reach = float(deflection[relays].max(initial=0.0))
-    return _materialize(c, [src_id, *relays, dst_id], RouteStatus.OK, reach)
+        relays, reached = _min_deflection_walks(
+            units, src, cos_admissible, blocked, deflection, cap
+        )
+        reach = math.pi / 2.0
+    paths = [
+        [k, *mids, k + 1] if done else [k, *mids]
+        for k, mids, done in zip(counts, relays, reached)
+    ]
+    flat = [b * width + h for b, path in enumerate(paths) for h in path]
+    steps = np.diff(units.reshape(-1, 3).take(flat, axis=0), axis=0)
+    chords = (shells[0].radius * np.linalg.norm(steps, axis=1)).tolist()
+    seen = deflection.take(flat).tolist()
+    routes = []
+    at = 0
+    for path, done in zip(paths, reached):
+        end = at + len(path)
+        status = RouteStatus.OK if done else RouteStatus.TYPE2_INTERRUPTED
+        deepest = reach
+        if done and not pick_farthest:
+            # A completed min-deflection walk took the least-deflecting
+            # candidate at every step, so no satellite deflecting more
+            # than all its relays could have been taken.
+            deepest = max(seen[at + 1 : end - 1], default=0.0)
+        routes.append(Route(tuple(path), tuple(chords[at : end - 1]), status, deepest))
+        at = end
+    return routes
 
 
 def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -519,9 +690,18 @@ def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route
     closer to the destination and deviates least from the src->dst arc;
     take the destination directly as soon as it is admissible. Runs out of
     candidates or exceeds 4x the planned hop count ``plan.n_hat`` ->
-    ``type2_interrupted``.
+    ``type2_interrupted``. This is the batch of one of
+    :func:`route_min_deflection_batch`.
     """
-    return _route_greedy(c, d_max, plan, pick_farthest=False)
+    return _route_greedy((c,), d_max, plan, pick_farthest=False)[0]
+
+
+def route_min_deflection_batch(
+    shells: Sequence[Constellation], d_max: float, plan: HopPlan
+) -> list[Route]:
+    """:func:`route_min_deflection` on each of ``shells``, which share their
+    sphere, body and endpoints, in one lockstep walk."""
+    return _route_greedy(shells, d_max, plan, pick_farthest=False)
 
 
 def route_max_stepsize(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -531,6 +711,15 @@ def route_max_stepsize(c: Constellation, d_max: float, plan: HopPlan) -> Route:
     ``plan.reliable_angle`` (dome angle) of the src->dst arc, be
     admissible from the current satellite, and be strictly closer to the
     destination; among them the farthest is taken. Same termination rules
-    as :func:`route_min_deflection`.
+    as :func:`route_min_deflection`. This is the batch of one of
+    :func:`route_max_stepsize_batch`.
     """
-    return _route_greedy(c, d_max, plan, pick_farthest=True)
+    return _route_greedy((c,), d_max, plan, pick_farthest=True)[0]
+
+
+def route_max_stepsize_batch(
+    shells: Sequence[Constellation], d_max: float, plan: HopPlan
+) -> list[Route]:
+    """:func:`route_max_stepsize` on each of ``shells``, which share their
+    sphere, body and endpoints, in one lockstep walk."""
+    return _route_greedy(shells, d_max, plan, pick_farthest=True)

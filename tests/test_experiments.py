@@ -397,6 +397,82 @@ def test_batched_trials_equal_trials_routed_one_at_a_time(monkeypatch):
         assert run_trials(params, "equal-interval", len(records), 5) == records
 
 
+#: Greedy cells, each with the n_hat its plan is cut to (None: as planned).
+GREEDY_BATCH_CELLS = (
+    # 60 satellites: most walks dead-end, and interrupted min-deflection
+    # band routes draw the rest of their shell.
+    (CellParams(n_sat=60, altitude_km=500.0, arc_angle=2.0, epsilon=0.1), None),
+    # The strategy-ordering sweep shell at both ends of its range.
+    (
+        CellParams(
+            n_sat=800, altitude_km=500.0, arc_angle=4000.0 / 6871.0, epsilon=0.1
+        ),
+        None,
+    ),
+    (
+        CellParams(
+            n_sat=800, altitude_km=500.0, arc_angle=15750.0 / 6871.0, epsilon=0.1
+        ),
+        None,
+    ),
+    # Plans cut short, so that the 4 n_hat cap ends many walks, some of
+    # them with the goal one hop away after the last relay.
+    (
+        CellParams(
+            n_sat=800, altitude_km=500.0, arc_angle=15750.0 / 6871.0, epsilon=0.1
+        ),
+        2,
+    ),
+    (
+        CellParams(
+            n_sat=800, altitude_km=500.0, arc_angle=11000.0 / 6871.0, epsilon=0.1
+        ),
+        1,
+    ),
+)
+
+
+@pytest.mark.parametrize("strategy", ["min-deflection", "max-stepsize"])
+def test_batched_greedy_trials_equal_trials_routed_one_at_a_time(
+    strategy, monkeypatch
+):
+    """Routing a cell's greedy trials in one lockstep walk changes no record."""
+    import leoroute.experiments as experiments
+
+    drawn = []
+
+    def complement(*args):
+        drawn.append(args)
+        return sample_band_complement(*args)
+
+    monkeypatch.setattr(experiments, "sample_band_complement", complement)
+    capped = dead_ends = 0
+    for params, n_hat in GREEDY_BATCH_CELLS:
+        with monkeypatch.context() as patch:
+            if n_hat is not None:
+                patch.setattr(
+                    experiments,
+                    "plan_hops",
+                    lambda *args, n_hat=n_hat: replace(plan_hops(*args), n_hat=n_hat),
+                )
+            plan = experiments.plan_hops(
+                params.arc_angle, params.theta_max, params.n_sat, params.epsilon
+            )
+            batch = trial_cell(params, strategy, plan).batch
+            assert batch > 1
+            records = run_trials(params, strategy, batch + 5, base_seed=5)
+            patch.setattr(experiments, "_BATCH_DOUBLES", 0)
+            assert trial_cell(params, strategy, plan).batch == 1
+            assert run_trials(params, strategy, len(records), 5) == records
+        for rec in records:
+            if rec.status == "type2_interrupted":
+                capped += rec.n_hops_final == 4 * plan.n_hat
+                dead_ends += rec.n_hops_final < 4 * plan.n_hat
+    assert capped > 0 and dead_ends > 0
+    # Only min-deflection reaches past its band (max-stepsize keeps to it).
+    assert bool(drawn) == (strategy == "min-deflection")
+
+
 def test_strategy_router_rejects_ideal_and_unknown_names():
     for name in ("ideal", "shortest-path"):
         with pytest.raises(InvalidInputError):

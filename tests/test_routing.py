@@ -32,7 +32,12 @@ from leoroute import (
     sample_bpp,
     slerp,
 )
-from leoroute.routing import route_equal_interval_batch
+from leoroute.routing import (
+    contact_band,
+    route_equal_interval_batch,
+    route_max_stepsize_batch,
+    route_min_deflection_batch,
+)
 
 R_EARTH = 6371.0
 RS = 6921.0  # 550 km shell
@@ -301,6 +306,160 @@ def test_equal_interval_batch_matches_target_by_target_reference():
     other = sample_bpp(50, R_EARTH, ALT, seed=1).with_extra_points(endpoints(2.5))
     with pytest.raises(InvalidInputError, match="share"):
         route_equal_interval_batch([shells[-1], other], D_MAX, plan)
+
+
+def reference_walk(units, start, goal, cos_admissible, blocked, score, cap):
+    """One relay walk on one shell, a matrix-vector product per step: the
+    loop the lockstep walk replaces, kept as its reference."""
+    dots_goal = units @ units[goal]
+    free = ~blocked
+    free[[start, goal]] = False
+    relays, cur = [], start
+    while len(relays) < cap:
+        if dots_goal[cur] >= cos_admissible:
+            return relays, True
+        dots_cur = units @ units[cur]
+        eligible = free & (dots_cur >= cos_admissible) & (dots_goal > dots_goal[cur])
+        ranked = dots_cur if score is None else score
+        cur = int(np.where(eligible, ranked, np.inf).argmin())
+        if not eligible[cur]:
+            break
+        relays.append(cur)
+    return relays, False
+
+
+def cos_admissible(c):
+    limit = admissible_chord(c.radius)
+    return 1.0 - (limit * limit) / (2.0 * c.radius * c.radius)
+
+
+def reference_greedy(c, plan, pick_farthest):
+    """A greedy baseline routed on one shell with :func:`reference_walk`."""
+    units = c.unit_vectors
+    src, dst = c.n_sat - 2, c.n_sat - 1
+    _, normal = great_arc(units[src], units[dst], 0.0)
+    deflection = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
+    if pick_farthest:
+        blocked, score = deflection > plan.reliable_angle, None
+        reach = min(plan.reliable_angle, math.pi / 2.0)
+    else:
+        blocked, score, reach = np.zeros(c.n_sat, dtype=bool), deflection, math.pi / 2.0
+    relays, reached = reference_walk(
+        units, src, dst, cos_admissible(c), blocked, score, 4 * plan.n_hat
+    )
+    hops = [src, *relays, dst] if reached else [src, *relays]
+    if reached and not pick_farthest:
+        reach = float(deflection[relays].max(initial=0.0))
+    status = RouteStatus.OK if reached else RouteStatus.TYPE2_INTERRUPTED
+    steps = np.diff(units[hops], axis=0)
+    lengths = tuple(c.radius * np.linalg.norm(steps, axis=1))
+    return Route(tuple(hops), lengths, status, reach)
+
+
+GREEDY_BATCH_ROUTERS = (
+    (route_min_deflection, route_min_deflection_batch, False),
+    (route_max_stepsize, route_max_stepsize_batch, True),
+)
+
+
+def assert_greedy_batch_matches_reference(shells, plan):
+    """Both greedy batch routers equal the reference shell by shell, and so
+    does each batch of one; returns the statuses and hop counts seen."""
+    seen = set()
+    for router, batch_router, pick_farthest in GREEDY_BATCH_ROUTERS:
+        batch = batch_router(shells, D_MAX, plan)
+        assert len(batch) == len(shells)
+        for shell, route in zip(shells, batch):
+            expected = reference_greedy(shell, plan, pick_farthest)
+            assert route == expected
+            assert router(shell, D_MAX, plan) == expected
+            seen.add((pick_farthest, route.status, route.n_hops))
+    return seen
+
+
+def test_greedy_batch_matches_relay_by_relay_reference():
+    """Padded batches of 2- to 1500-satellite shells: walks that complete,
+    dead-end, find their belt empty or hop directly."""
+    arc = 2.6
+    src, dst = endpoints(arc)
+    sizes = (0, 3, 11, 12, 40, 150, 400, 1500)
+    shells = [
+        sample_bpp(n, R_EARTH, ALT, seed=n).with_extra_points([src, dst])
+        if n else constellation_from_points([src, dst])
+        for n in sizes
+    ]
+    # Every satellite twice: each candidate ties with its twin, and the
+    # lower ID must win.
+    twins = sample_bpp(300, R_EARTH, ALT, seed=2).unit_vectors
+    shells.append(
+        constellation_from_units(np.vstack([twins, twins])).with_extra_points(
+            [src, dst]
+        )
+    )
+    plan = HopPlan(
+        n_hat=12, reliable_angle=0.15, type1_interrupted=False, iterations_used=1
+    )
+    seen = assert_greedy_batch_matches_reference(shells, plan)
+    for pick_farthest in (False, True):
+        assert (pick_farthest, RouteStatus.OK) in {s[:2] for s in seen}
+        # The endpoints-only shell dead-ends at once.
+        assert (pick_farthest, RouteStatus.TYPE2_INTERRUPTED, 0) in seen
+
+    # A belt that blocks every candidate.
+    no_belt = replace(plan, reliable_angle=0.0)
+    seen = assert_greedy_batch_matches_reference(shells, no_belt)
+    assert (True, RouteStatus.TYPE2_INTERRUPTED, 0) in seen
+
+    # Endpoints one hop apart: every walk is a direct hop.
+    near = [
+        sample_bpp(n, R_EARTH, ALT, seed=n).with_extra_points(endpoints(0.3))
+        for n in (5, 300)
+    ]
+    seen = assert_greedy_batch_matches_reference(near, plan)
+    assert {s[1:] for s in seen} == {(RouteStatus.OK, 1)}
+
+
+def test_greedy_walk_capped_after_its_last_relay_is_interrupted():
+    """A chain whose goal comes in reach right after the cap-th relay stays
+    type II, as in the relay-by-relay walk; one more planned hop completes."""
+    arc = 1.25
+    chain, src, dst, n_chain = arc_chain_constellation(arc, 0.25)
+    assert n_chain == 4
+    shells = [
+        chain,
+        sample_bpp(200, R_EARTH, ALT, seed=3).with_extra_points([src, dst]),
+    ]
+    one_hop = HopPlan(
+        n_hat=1, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
+    )
+    capped = route_min_deflection_batch(shells, D_MAX, one_hop)[0]
+    assert capped.status is RouteStatus.TYPE2_INTERRUPTED
+    assert capped.hops == (4, 0, 1, 2, 3)
+    assert route_min_deflection(chain, D_MAX, replace(one_hop, n_hat=2)).hops == (
+        4, 0, 1, 2, 3, 5,
+    )
+    assert_greedy_batch_matches_reference(shells, one_hop)
+
+
+def test_min_deflection_walks_the_whole_shell_when_its_band_runs_out():
+    """On a dense shell a min-deflection walk tries the satellites of the
+    contact-law band first; a gap in that band forces the walk on every
+    satellite, which must match the relay-by-relay walk."""
+    arc, n_sat = 2.6, 3000
+    src, dst = endpoints(arc)
+    units = sample_bpp(n_sat, R_EARTH, ALT, seed=8).unit_vectors
+    _, normal = great_arc(src.unit_vector(), dst.unit_vector(), 0.0)
+    # Angle from src along the great circle of the arc.
+    u_src = src.unit_vector()
+    along = np.arctan2(units @ np.cross(normal, u_src), units @ u_src)
+    in_band = np.abs(np.arcsin(units @ normal)) <= contact_band(n_sat)
+    gap = in_band & (np.abs(along - arc / 2.0) < 0.3)
+    shell = constellation_from_units(units[~gap]).with_extra_points([src, dst])
+    plan = plan_hops(arc, THETA_MAX, shell.n_sat - 2, 0.1)
+    route = route_min_deflection(shell, D_MAX, plan)
+    assert route == reference_greedy(shell, plan, pick_farthest=False)
+    assert route.status is RouteStatus.OK
+    assert route.band_reach > contact_band(shell.n_sat - 2)
 
 
 # ---------------------------------------------------------------------------
