@@ -15,8 +15,11 @@ from ``--seed``.
 ``analyze`` and ``route`` describe one experimental cell
 (:class:`~leoroute.experiments.CellParams`), and ``route`` builds its route
 through the Monte Carlo harness's own trial cell
-(:func:`~leoroute.experiments.trial_cell`) over a whole shell drawn by
-``sample_bpp``. ``route --constellation FILE``
+(:func:`~leoroute.experiments.trial_cell`) over a shell drawn by
+``sample_bpp``, band first as a trial is routed
+(:meth:`~leoroute.experiments.TrialCell.route_rows`): through the
+satellites near the endpoints' great circle, and through the whole shell
+only when that route is not certified. ``route --constellation FILE``
 routes over the satellites of the file and takes the satellite count, the
 shell altitude and the body radius from it. The router reads the body
 radius, like the endpoints, from the shell it routes through, so the
@@ -370,7 +373,7 @@ def route(
                     params.n_sat, params.r_earth_km, params.altitude_km, seed
                 )
             cell = trial_cell(params, strategy, plan)
-            route_obj = cell.route(cell.shell(shell.unit_vectors))
+            route_obj = cell.route_rows(shell.unit_vectors)
             payload.update(
                 {
                     "hops": list(route_obj.hops),

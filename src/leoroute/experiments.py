@@ -14,6 +14,9 @@ shell; otherwise the trial draws the rest of the shell from the same generator
 all ``n_sat`` satellites. Band and complement together are ``n_sat``
 i.i.d. uniform satellites (the restriction property of the binomial point
 process), so the records follow the same law as routing on a full shell.
+``leoroute route`` applies the same rule to a whole shell it is given
+(:meth:`TrialCell.route_rows`): it routes on the shell's rows in the band
+first, and on every row only when that route is not certified.
 
 Trials are routed in batches of :attr:`TrialCell.batch`, for every
 sampled strategy. Each trial of a batch draws its band from its own
@@ -38,7 +41,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -65,7 +68,6 @@ from .errors import InvalidInputError
 from .geometry import R_EARTH_KM, SpherePoint
 from .routing import (
     Route,
-    contact_band,
     route_equal_interval,
     route_equal_interval_batch,
     route_max_stepsize,
@@ -283,25 +285,41 @@ _BAND_SLACK = 1e-9
 _BATCH_DOUBLES = 1 << 17
 
 #: Doubles each satellite of a greedy batch takes at the peak of the
-#: lockstep walk: its 3 coordinates in its trial's shell and 3 in the
-#: stack, its deflection, its dots with the goal, its closeness to the
-#: goal, its dots with the current satellite and their masked copy, up to 3
-#: for the copies of its coordinates, closeness, score and ID when the
-#: walks narrow to half the stack, up to 5 while dropping stopped walks
-#: copies its coordinates, closeness and score, and about 1 for its masks.
-_WALK_DOUBLES = 20
+#: lockstep walk, a lane drop: its 3 coordinates in its trial's shell and 3
+#: in the stack, its deflection, its dots with the goal and with the
+#: current satellite, and up to 10 while the drop copies its coordinates,
+#: closeness to the goal and score and the previous drop's copies are still
+#: held. Both copies hold only the walks still going, so a trace of the
+#: 800-satellite sweep cells peaked at 18 per stack row, masks included.
+_WALK_DOUBLES = 18
+
+
+#: Chance that a cap of the band's half-width around a point of the arc
+#: holds no satellite: the contact-law quantile that sets the band drawn
+#: first for equal-interval and min-deflection routes.
+_BAND_MISS_PROBABILITY = 1e-4
+
+
+def contact_band(n_sat: int) -> float:
+    """Half-width w (rad) of the contact-law band for ``n_sat`` satellites.
+
+    A cap of radius w around a point holds none of ``n_sat`` uniform
+    satellites with probability ((1 + cos w) / 2)^N =
+    ``_BAND_MISS_PROBABILITY``, i.e. sin^2(w / 2) = 1 - alpha^(1/N).
+    """
+    tail = -math.expm1(math.log(_BAND_MISS_PROBABILITY) / max(n_sat, 1))
+    return 2.0 * math.asin(math.sqrt(tail))
 
 
 def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
     """Half-width w (rad) of the band around the arc that certifies routes.
 
     max-stepsize keeps to its belt, ``plan.reliable_angle``. The other
-    strategies take the contact-law band
-    (:func:`~leoroute.routing.contact_band`) of the cell's N satellites,
-    except an equal-interval plan that is type-I interrupted: its routes
-    are mostly repaired or interrupted and would almost never certify
-    (97% of oneweb's trials at epsilon 0.1 did not), so its band is the
-    whole sphere.
+    strategies take the contact-law band (:func:`contact_band`) of the
+    cell's N satellites, except an equal-interval plan that is type-I
+    interrupted: its routes are mostly repaired or interrupted and would
+    almost never certify (97% of oneweb's trials at epsilon 0.1 did not),
+    so its band is the whole sphere.
     """
     if strategy == "max-stepsize":
         return plan.reliable_angle
@@ -349,15 +367,32 @@ class TrialCell:
         }[self.strategy]
         return router(shells, self.params.d_max_km, self.plan)
 
+    def route_rows(self, units: np.ndarray) -> Route:
+        """Route between the cell's endpoints through the satellites ``units``,
+        band first, as a trial does.
+
+        Routes through the rows with |u_y| <= ``band_sine`` first, in ID
+        order so that ties still go to the lowest ID, and through every row
+        only when that route's ``band_reach`` exceeds ``halfwidth``. Hop IDs
+        index ``units``, then src (``len(units)``) and dst.
+        """
+        ids = np.flatnonzero(np.abs(units[:, 1]) <= self.band_sine)
+        if len(ids) < len(units):
+            route = self.route(self.shell(units[ids]))
+            if route.band_reach <= self.halfwidth:
+                ids = np.append(ids, [len(units), len(units) + 1])
+                return replace(route, hops=tuple(ids[list(route.hops)].tolist()))
+        return self.route(self.shell(units))
+
 
 def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     """The shared part of every trial of a cell routed with ``strategy``.
 
-    ``leoroute route`` and the Monte Carlo trials both route through it:
-    :meth:`TrialCell.shell` appends the cell's endpoints to a shell's
-    satellites and :meth:`TrialCell.route` routes between them under
-    ``plan`` and the cell's hop range; the shell carries the cell's sphere
-    and body radius.
+    ``leoroute route`` (:meth:`TrialCell.route_rows`) and the Monte Carlo
+    trials both route through it: :meth:`TrialCell.shell` appends the
+    cell's endpoints to a shell's satellites and :meth:`TrialCell.route`
+    routes between them under ``plan`` and the cell's hop range; the shell
+    carries the cell's sphere and body radius.
     """
     src, dst = make_endpoints(params.radius, params.arc_angle)
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)

@@ -34,14 +34,15 @@ vectors; latency is the summed chord over the signal speed
 input: infeasibility is reported as ``type2_interrupted`` status.
 
 Each route also reports its ``band_reach``: how far from the src-dst great
-circle a satellite must lie to be unable to change the route. The Monte
-Carlo harness routes on the satellites of a band around the arc first and
-uses it to decide whether the rest of the shell is needed.
+circle a satellite must lie to be unable to change the route. The routers
+route on every satellite they are given and keep no band of their own: the
+Monte Carlo harness and ``leoroute route`` route on the satellites of a
+band around the arc first and use the reach to decide whether the rest of
+the shell is needed (:mod:`leoroute.experiments`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -194,55 +195,6 @@ def _deflection(units: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return np.abs(np.arcsin(np.minimum(np.maximum(units @ normal, -1.0), 1.0)))
 
 
-@functools.lru_cache(maxsize=16)
-def _endpoint_normal(rows: bytes) -> np.ndarray:
-    """Normal of the src->dst arc, from the two endpoint rows' bytes.
-
-    Every trial of a cell shares its endpoints, so the greedy walks of a
-    cell compute their arc once.
-    """
-    normal = arc_normal(*np.frombuffer(rows).reshape(2, 3))
-    normal.setflags(write=False)
-    return normal
-
-
-#: Chance that a cap of the band's half-width around a point of the arc
-#: holds no satellite: the contact-law quantile that sets the band a
-#: min-deflection walk tries first, and the band the Monte Carlo harness
-#: draws first for equal-interval and min-deflection trials.
-_BAND_MISS_PROBABILITY = 1e-4
-
-
-def contact_band(n_sat: int) -> float:
-    """Half-width w (rad) of the contact-law band for ``n_sat`` satellites.
-
-    A cap of radius w around a point holds none of ``n_sat`` uniform
-    satellites with probability ((1 + cos w) / 2)^N =
-    ``_BAND_MISS_PROBABILITY``, i.e. sin^2(w / 2) = 1 - alpha^(1/N).
-    """
-    tail = -math.expm1(math.log(_BAND_MISS_PROBABILITY) / max(n_sat, 1))
-    return 2.0 * math.asin(math.sqrt(tail))
-
-
-#: Fewest entries of a (B, W) stack worth narrowing to the columns a walk
-#: can take: below it, narrowing costs more than the steps save.
-_NARROW_DOTS = 1 << 11
-
-
-def _ahead_columns(ahead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in a (B, W) stack of the columns ``ahead`` marks.
-
-    Row b lists its marked columns in order, padded to the widest row with
-    other positions; the (B, K) mask of the marked slots comes second. At
-    least one column must be marked.
-    """
-    sizes = ahead.sum(axis=1)
-    flat = np.flatnonzero(ahead)
-    slots = np.arange(sizes.max())
-    at = flat.take(np.minimum((sizes.cumsum() - sizes)[:, None] + slots, flat.size - 1))
-    return at, slots < sizes[:, None]
-
-
 def _walk(
     units: np.ndarray,
     start: np.ndarray,
@@ -265,36 +217,22 @@ def _walk(
     The walks move in lockstep: each step takes one matrix product of
     every walk's rows with its current satellite, one eligibility mask and
     one argmin along the rows, and a walk that stops leaves the stack.
-    Progress is strict, so a walk only ever takes satellites closer to its
-    goal than its start, and never a relay twice. When those satellites
-    are at most half the stack, the walks run on them alone, kept in ID
-    order so that ties still go to the lowest ID.
+    Progress is strict, so a walk never takes a relay twice.
     """
     lanes = np.arange(len(units))
     dots_goal = np.matmul(units, units[lanes, goal][:, :, None])[:, :, 0]
     here = dots_goal[lanes, start]
     cur = units[lanes, start]
     blocked[lanes, goal] = True
-    ahead = None
-    if blocked.size > _NARROW_DOTS:
-        ahead = ~blocked & (dots_goal > here[:, None])
-    if ahead is not None and 0 < 2 * np.count_nonzero(ahead) <= ahead.size:
-        kept, slots = _ahead_columns(ahead)
-        rows = units.reshape(-1, 3).take(kept, axis=0)
-        # Closeness to the goal of the satellites a walk may take, -inf
-        # elsewhere.
-        near = np.where(slots, dots_goal.take(kept), -np.inf)
-        score = None if score is None else score.take(kept)
-        ids = kept % units.shape[1]
-    else:
-        rows, ids = units, None
-        near = np.where(blocked, -np.inf, dots_goal)
+    # Closeness to the goal of the satellites a walk may take, -inf
+    # elsewhere.
+    near = np.where(blocked, -np.inf, dots_goal)
     # Per-walk bookkeeping stays in Python: for the few walks of a batch it
     # costs less than operations on arrays of one entry per walk.
-    width = rows.shape[1]
-    offsets = np.arange(0, len(rows) * width, width)
+    width = units.shape[1]
+    offsets = np.arange(0, len(units) * width, width)
     walks = lanes.tolist()
-    columns: list[list[int]] = [[] for _ in walks]
+    relays: list[list[int]] = [[] for _ in walks]
     reached = [closeness >= cos_admissible for closeness in here.tolist()]
     going = [not done for done in reached]
     for step in range(cap):
@@ -302,17 +240,18 @@ def _walk(
             if not any(going):
                 break
             walks = [b for b, go in zip(walks, going) if go]
-            here, cur, rows, near, score = (
-                None if a is None else a[going] for a in (here, cur, rows, near, score)
+            here, cur, units, near, score = (
+                None if a is None else a[going]
+                for a in (here, cur, units, near, score)
             )
             offsets = offsets[: len(walks)]
-        dots = np.matmul(rows, cur[:, :, None])[:, :, 0]
+        dots = np.matmul(units, cur[:, :, None])[:, :, 0]
         eligible = (dots >= cos_admissible) & (near > here[:, None])
         ranked = dots if score is None else score
         pick = np.where(eligible, ranked, np.inf).argmin(axis=1)
         pick += offsets
         moved = eligible.take(pick).tolist()
-        here, cur = near.take(pick), rows.reshape(-1, 3).take(pick, axis=0)
+        here, cur = near.take(pick), units.reshape(-1, 3).take(pick, axis=0)
         # The goal of a walk that took its cap-th relay is not checked.
         last = step + 1 == cap
         going = []
@@ -320,12 +259,10 @@ def _walk(
             walks, pick.tolist(), moved, here.tolist()
         ):
             if ok:
-                columns[b].append(position % width)
+                relays[b].append(position % width)
                 reached[b] = closeness >= cos_admissible and not last
             going.append(ok and not reached[b])
-    if ids is None:
-        return columns, reached
-    return [ids[b].take(cols).tolist() for b, cols in enumerate(columns)], reached
+    return relays, reached
 
 
 def hop_repair(
@@ -587,47 +524,6 @@ def _repaired(
     return _materialize(c, full, RouteStatus.REPAIRED if repaired else RouteStatus.OK)
 
 
-def _min_deflection_walks(
-    units: np.ndarray,
-    src: np.ndarray,
-    cos_admissible: float,
-    blocked: np.ndarray,
-    deflection: np.ndarray,
-    cap: int,
-) -> tuple[list[list[int]], list[bool]]:
-    """:func:`_walk` from each ``src`` to the satellite after it, by least
-    deflection, trying the satellites of the contact-law band first.
-
-    A walk takes the least-deflecting candidate at every step, so one that
-    never runs out of candidates in a band around the arc takes the relays
-    it would take on the whole shell: every satellite outside the band
-    deflects more than any it took. Only the walks that run out walk again
-    on every satellite. The band is tried on stacks big enough to narrow.
-    """
-    if blocked.size <= _NARROW_DOTS:
-        return _walk(units, src, src + 1, cos_admissible, blocked, deflection, cap)
-    band = np.array([contact_band(k) for k in src.tolist()])
-    wide = (deflection > band[:, None]) & ~blocked
-    relays, reached = _walk(
-        units, src, src + 1, cos_admissible, blocked | wide, deflection, cap
-    )
-    narrowed = wide.any(axis=1).tolist()
-    redo = [
-        b
-        for b, (mids, done) in enumerate(zip(relays, reached))
-        if narrowed[b] and not done and len(mids) < cap
-    ]
-    if redo:
-        rows = units if len(redo) == len(units) else units[redo]
-        again, done = _walk(
-            rows, src[redo], src[redo] + 1, cos_admissible, blocked[redo],
-            deflection[redo], cap,
-        )
-        for b, mids, ok in zip(redo, again, done):
-            relays[b], reached[b] = mids, ok
-    return relays, reached
-
-
 def _route_greedy(
     shells: Sequence[Constellation], d_max: float, plan: HopPlan, pick_farthest: bool
 ) -> list[Route]:
@@ -642,23 +538,20 @@ def _route_greedy(
     cos_admissible, counts = _shared_ends(shells, d_max)
     units = _stacked(shells)
     width = units.shape[1]
-    deflection = _deflection(
-        units, _endpoint_normal(shells[0].unit_vectors[-2:].tobytes())
-    )
+    deflection = _deflection(units, arc_normal(*shells[0].unit_vectors[-2:]))
     blocked = np.zeros(deflection.shape, dtype=bool)
     for b, k in enumerate(counts):
         blocked[b, k + 2 :] = True
-    src, cap = np.array(counts), 4 * plan.n_hat
     if pick_farthest:
         # max-stepsize never looks outside its belt.
         blocked |= deflection > plan.reliable_angle
-        relays, reached = _walk(units, src, src + 1, cos_admissible, blocked, None, cap)
-        reach = min(plan.reliable_angle, math.pi / 2.0)
+        score, reach = None, min(plan.reliable_angle, math.pi / 2.0)
     else:
-        relays, reached = _min_deflection_walks(
-            units, src, cos_admissible, blocked, deflection, cap
-        )
-        reach = math.pi / 2.0
+        score, reach = deflection, math.pi / 2.0
+    src = np.array(counts)
+    relays, reached = _walk(
+        units, src, src + 1, cos_admissible, blocked, score, 4 * plan.n_hat
+    )
     paths = [
         [k, *mids, k + 1] if done else [k, *mids]
         for k, mids, done in zip(counts, relays, reached)

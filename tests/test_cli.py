@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leoroute.analysis import max_hop_angle, plan_hops
@@ -447,6 +448,37 @@ def test_route_out_file_and_constellation_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["hops"] == payload["hops"]
+
+
+@pytest.mark.parametrize("strategy", ["equal-interval", "min-deflection", "max-stepsize"])
+def test_route_constellation_file_hops_index_the_file(capsys, tmp_path, strategy):
+    """``route`` routes on the band around the arc first, but its hop IDs
+    are the file's: each relay is a satellite of the file, and src and dst
+    follow the file's last satellite."""
+    path = tmp_path / "shell.json"
+    save_constellation(sample_bpp(3000, 6371.0, 550.0, 2), path)
+    code, out, _ = run_cli(
+        capsys, "route", "--constellation", str(path), "--epsilon", "0.1",
+        "--dome-angle", "2.5", "--strategy", strategy,
+    )
+    payload = json.loads(out)
+    shell = load_constellation(path)
+    src, dst = make_endpoints(shell.radius, 2.5)
+    whole = shell.with_extra_points([src, dst])
+    plan = plan_hops(2.5, max_hop_angle(shell.radius, 6371.0, 3000.0), 3000, 0.1)
+    router = {
+        "equal-interval": route_equal_interval,
+        "min-deflection": route_min_deflection,
+        "max-stepsize": route_max_stepsize,
+    }[strategy]
+    assert code == 0
+    hops = payload["hops"]
+    assert (hops[0], hops[-1]) == (3000, 3001)
+    assert max(hops[1:-1]) < 3000
+    assert hops == list(router(whole, 3000.0, plan).hops)
+    steps = np.diff(whole.unit_vectors[hops], axis=0)
+    chords = shell.radius * np.linalg.norm(steps, axis=1)
+    assert payload["hop_distances_km"] == chords.tolist()
 
 
 def test_route_constellation_file_uses_its_body_radius(capsys, tmp_path):

@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo harness: seeding, aggregation, sweeps, table."""
 
 import csv
+import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,14 +20,17 @@ from leoroute.constellation import (
     Constellation,
     sample_band,
     sample_band_complement,
+    sample_bpp,
 )
 from leoroute.errors import InvalidInputError
 from leoroute.experiments import (
     _TABLE1_ROWS,
     CSV_FIELDS,
+    STRATEGIES,
     CellParams,
     SweepSpec,
     TrialRecord,
+    contact_band,
     make_endpoints,
     reference_hop_count,
     reference_latency_ms,
@@ -45,7 +50,7 @@ from leoroute.experiments import (
     write_table1_csv,
     write_table1_json,
 )
-from leoroute.geometry import dome_angle
+from leoroute.geometry import R_EARTH_KM, dome_angle
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +476,79 @@ def test_batched_greedy_trials_equal_trials_routed_one_at_a_time(
     assert capped > 0 and dead_ends > 0
     # Only min-deflection reaches past its band (max-stepsize keeps to it).
     assert bool(drawn) == (strategy == "min-deflection")
+
+
+def band_first_route(cell, units):
+    """The band-first route of ``units``, checked against the route on the
+    whole shell, and whether its band certified it."""
+    route = cell.route_rows(units)
+    assert route == cell.route(cell.shell(units))
+    band = np.abs(units[:, 1]) <= cell.band_sine
+    return route, bool(
+        not band.all()
+        and cell.route(cell.shell(units[band])).band_reach <= cell.halfwidth
+    )
+
+
+def test_band_first_route_equals_the_route_on_the_whole_shell():
+    """``TrialCell.route_rows`` (what ``leoroute route`` calls) routes on the
+    band first and returns the route on every satellite it is given, with
+    the shell's own IDs, whether the band certifies it or not."""
+    certified = Counter()
+    for preset, strategy, epsilon, seed in itertools.product(
+        ("starlink", "kuiper", "oneweb"), STRATEGIES[1:], (0.1, 0.01), range(3)
+    ):
+        params = CellParams.from_preset(preset, epsilon=epsilon)
+        plan = plan_hops(
+            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
+        )
+        if strategy == "equal-interval" and plan.immediate_type1:
+            continue
+        cell = trial_cell(params, strategy, plan)
+        units = sample_bpp(params.n_sat, R_EARTH_KM, params.altitude_km, seed)
+        certified[band_first_route(cell, units.unit_vectors)[1]] += 1
+    assert certified[True] > 0
+
+    statuses, plans = Counter(), Counter()
+    for n_sat, d_max, arc, strategy, seed in itertools.product(
+        (60, 400, 2000), (1500.0, 5000.0), (0.3, 2.0, math.pi), STRATEGIES[1:],
+        range(3),
+    ):
+        params = CellParams(n_sat, 550.0, arc, d_max, epsilon=0.1)
+        plan = plan_hops(arc, params.theta_max, n_sat, params.epsilon)
+        if strategy == "equal-interval" and plan.immediate_type1:
+            continue
+        cell = trial_cell(params, strategy, plan)
+        units = sample_bpp(n_sat, R_EARTH_KM, 550.0, seed).unit_vectors
+        route, sure = band_first_route(cell, units)
+        statuses[route.status.value] += 1
+        plans[plan.type1_interrupted] += 1
+        certified[sure] += 1
+    assert set(statuses) == {"ok", "repaired", "type2_interrupted"}
+    assert plans[True] > 0 and plans[False] > 0
+    assert certified[False] > 0
+
+    # Every satellite has a twin, so ties must still go to the lower ID.
+    units = np.repeat(sample_bpp(1000, R_EARTH_KM, 550.0, 1).unit_vectors, 2, axis=0)
+    params = CellParams(2000, 550.0, 2.0, epsilon=0.1)
+    plan = plan_hops(2.0, params.theta_max, params.n_sat, params.epsilon)
+    for strategy in STRATEGIES[1:]:
+        route, sure = band_first_route(trial_cell(params, strategy, plan), units)
+        assert sure and all(h % 2 == 0 for h in route.hops[1:-1])
+
+    # A gap in the contact-law band around mid-arc pushes the min-deflection
+    # walk out of the band, so its band route is not certified.
+    arc = 2.6
+    units = sample_bpp(3000, R_EARTH_KM, 550.0, 8).unit_vectors
+    along = np.arctan2(units[:, 0], units[:, 2])
+    gap = (np.abs(units[:, 1]) <= math.sin(2.0 * contact_band(3000))) & (
+        np.abs(along) < 0.3
+    )
+    params = CellParams(3000 - int(gap.sum()), 550.0, arc, epsilon=0.1)
+    plan = plan_hops(arc, params.theta_max, params.n_sat, params.epsilon)
+    cell = trial_cell(params, "min-deflection", plan)
+    route, sure = band_first_route(cell, units[~gap])
+    assert route.status.value == "ok" and not sure
 
 
 def test_strategy_router_rejects_ideal_and_unknown_names():

@@ -32,8 +32,8 @@ from leoroute import (
     sample_bpp,
     slerp,
 )
+from leoroute.experiments import contact_band
 from leoroute.routing import (
-    contact_band,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
@@ -442,9 +442,10 @@ def test_greedy_walk_capped_after_its_last_relay_is_interrupted():
 
 
 def test_min_deflection_walks_the_whole_shell_when_its_band_runs_out():
-    """On a dense shell a min-deflection walk tries the satellites of the
-    contact-law band first; a gap in that band forces the walk on every
-    satellite, which must match the relay-by-relay walk."""
+    """A gap in the contact-law band pushes a min-deflection walk out of
+    it: the walk on the whole shell must match the relay-by-relay walk and
+    report a reach beyond the band, so that a route made band first
+    (``TrialCell.route_rows``) falls back to the whole shell."""
     arc, n_sat = 2.6, 3000
     src, dst = endpoints(arc)
     units = sample_bpp(n_sat, R_EARTH, ALT, seed=8).unit_vectors
