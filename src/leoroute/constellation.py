@@ -96,8 +96,8 @@ class Constellation:
         return Constellation.from_unit_rows(self.r_earth, self.altitude, units)
 
 
-def _normalized(units: np.ndarray) -> np.ndarray:
-    return units / np.linalg.norm(units, axis=1)[:, None]
+def _normalized(units: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.divide(units, np.linalg.norm(units, axis=1)[:, None], out=out)
 
 
 def point_rows(points: Sequence[SpherePoint]) -> np.ndarray:
@@ -120,11 +120,15 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
     rng = np.random.default_rng(seed)
     cos_theta = rng.uniform(-1.0, 1.0, n_sat)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_sat)
-    sin_theta = np.sqrt(1.0 - cos_theta**2)
-    units = np.stack(
-        [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=-1
-    )
-    return Constellation(r_earth=r_earth, altitude=altitude, unit_vectors=units)
+    sin_theta = np.sqrt(1.0 - cos_theta * cos_theta)
+    # Built and normalized in one array, as the constructor would normalize
+    # them, without its copies.
+    units = np.empty((n_sat, 3))
+    np.multiply(sin_theta, np.cos(phi), out=units[:, 0])
+    np.multiply(sin_theta, np.sin(phi), out=units[:, 1])
+    units[:, 2] = cos_theta
+    _normalized(units, out=units)
+    return Constellation.from_unit_rows(r_earth, altitude, units)
 
 
 def _band_rows(y: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -22,11 +22,11 @@ Trials are routed in batches of :attr:`TrialCell.batch`, for every
 sampled strategy. Each trial of a batch draws its band from its own
 generator, then one batch router call routes every band shell of the
 batch: :func:`~leoroute.routing.route_equal_interval_batch` computes the
-cell's targets once and snaps all shells in one pass, and the greedy
-baselines walk all shells in lockstep. A trial whose route needs the
-complement draws it from its own generator and is routed again on its own.
-The batch size keeps a batch's work set near 1 MB, and batching changes no
-record.
+cell's targets once, snaps all shells in one lockstep pass and repairs
+them in rounds of one lockstep walk each, and the greedy baselines walk all
+shells in lockstep. A trial whose route needs the complement draws it from
+its own generator and is routed again on its own. The batch size keeps a
+batch's work set under 1 MB, and batching changes no record.
 
 Per-trial seeds are derived from the base seed with a splitmix64 mix of
 the trial index, so results are deterministic and independent of
@@ -67,6 +67,7 @@ from .efficiency import efficiency_binomial, efficiency_contour, measured_effici
 from .errors import InvalidInputError
 from .geometry import R_EARTH_KM, SpherePoint
 from .routing import (
+    _PRODUCT_DOTS,
     Route,
     route_equal_interval,
     route_equal_interval_batch,
@@ -277,11 +278,13 @@ def reference_latency_ms(params: CellParams) -> float:
 #: and the arc's normal, which is the y axis only to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the doubles one batch of trials holds (about 1 MB). Each
-#: satellite of an equal-interval batch takes its n_hat - 1 dots with the
-#: targets, its 3 coordinates in its trial's shell and 3 more in the
-#: batch's stacked copy; a satellite of a greedy batch takes
-#: ``_WALK_DOUBLES``.
+#: Cap on the doubles one batch of trials holds (1 MB). Each satellite of
+#: an equal-interval batch takes its 3 coordinates in its trial's shell and
+#: 3 more in the batch's stacked copy, and the batch holds one work area of
+#: at most n_hat - 1 doubles a satellite and at most
+#: ``routing._PRODUCT_DOTS``: a group of target dots while it snaps, the
+#: lanes of one repair walk while it repairs. A satellite of a greedy batch
+#: takes ``_WALK_DOUBLES``.
 _BATCH_DOUBLES = 1 << 17
 
 #: Doubles each satellite of a greedy batch takes at the peak of the
@@ -343,7 +346,8 @@ class TrialCell:
     #: Sine s of the slightly wider band |u_y| <= s a trial draws first.
     band_sine: float
     reference_ms: float
-    #: Trials routed together: as many as fit in ``_BATCH_DOUBLES``.
+    #: Trials routed together: as many as fit in ``_BATCH_DOUBLES``. An
+    #: equal-interval batch's cost per satellite does not grow with n_hat.
     batch: int
 
     def shell(self, *parts: np.ndarray) -> Constellation:
@@ -401,8 +405,17 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     # four standard deviations.
     mean = params.n_sat * band_sine
     rows = min(params.n_sat, mean + 4.0 * math.sqrt(mean) + 1.0)
-    per_row = plan.n_hat - 1 + 6 if strategy == "equal-interval" else _WALK_DOUBLES
-    batch = max(1, int(_BATCH_DOUBLES // (per_row * rows)))
+    if strategy == "equal-interval":
+        # 6 doubles a row and a work area of min((n_hat - 1) rows,
+        # _PRODUCT_DOTS): the batch fits when either bound of the work area
+        # does.
+        batch = max(
+            _BATCH_DOUBLES // ((plan.n_hat + 5) * rows),
+            (_BATCH_DOUBLES - _PRODUCT_DOTS) // (6 * rows),
+        )
+    else:
+        batch = _BATCH_DOUBLES // (_WALK_DOUBLES * rows)
+    batch = max(1, int(batch))
     return TrialCell(
         params=params,
         strategy=strategy,

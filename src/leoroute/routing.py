@@ -16,10 +16,12 @@ them follow the hop plan the caller made for the cell (equal-interval places
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
 Each also has a batch router, ``route_*_batch(shells, d_max, plan)``, for
 many shells that share their endpoints: equal-interval snaps all of them in
-one pass, and the greedy baselines walk all of them in lockstep. The
-one-shell routers are batches of one. :func:`hop_repair` and both baselines
-run one greedy relay walk, a batch of walks at a time, and differ only in
-its score, the satellites they block and the step cap.
+one lockstep pass over its targets and repairs them in rounds, one lockstep
+walk per round, and the greedy baselines walk all of them in lockstep. The
+one-shell routers are batches of one, and :func:`hop_repair` is a repair
+round of one lane. Repairs and both baselines run one greedy relay walk, a
+batch of walks at a time, and differ only in its score, the satellites they
+block and the step cap.
 
 The constellation alone describes the rest of the route's setting: its
 endpoints are its last two satellites (src second to last, dst last), as
@@ -189,10 +191,11 @@ def _materialize(
     )
 
 
-def _deflection(units: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Dome angle |asin(u . n)| of every satellite off the circle of ``normal``."""
+def _deflection(dots: np.ndarray) -> np.ndarray:
+    """Dome angle |asin(u . n)| off a great circle, from each satellite's dot
+    u . n with the circle's normal."""
     # minimum(maximum(.)) is np.clip without its wrapper's cost.
-    return np.abs(np.arcsin(np.minimum(np.maximum(units @ normal, -1.0), 1.0)))
+    return np.abs(np.arcsin(np.minimum(np.maximum(dots, -1.0), 1.0)))
 
 
 def _walk(
@@ -279,51 +282,105 @@ def hop_repair(
     current one, strictly closer to ``to_id`` (by dome
     angle), not excluded, and deviates least from the from->to arc. Stops
     once ``to_id`` is one admissible hop away. Returns the intermediates
-    in visit order (empty when the hop was already admissible).
+    in visit order (empty when the hop was already admissible). An
+    equal-interval route repairs its hops with this walk, many at once.
 
     Raises:
         InvalidInputError: If ``d_max`` is not positive or ``c`` holds
             fewer than two satellites.
-        RepairFailedError: If at some step no satellite qualifies.
+        RepairFailedError: If the hop has no reference arc or at some step
+            no satellite qualifies.
     """
     cos_admissible = _cos_admissible(c, d_max)
-    units = c.unit_vectors
-    if float(units[from_id] @ units[to_id]) >= cos_admissible:
-        return []
-    try:
-        normal = arc_normal(units[from_id], units[to_id])
-    except DegenerateArcError as exc:
-        raise RepairFailedError(
-            f"cannot repair hop {from_id}->{to_id}: no reference arc"
-        ) from exc
-
     blocked = np.zeros((1, c.n_sat), dtype=bool)
     ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
     blocked[0, ids[(ids >= 0) & (ids < c.n_sat)]] = True
-    (mids,), (reached,) = _walk(
-        units[None], np.array([from_id]), np.array([to_id]), cos_admissible,
-        blocked, _deflection(units, normal)[None], c.n_sat,
+    (mids,) = _repair_round(
+        c.unit_vectors[None], [0], [from_id], [to_id], cos_admissible, blocked
     )
-    if reached:
-        return mids
-    if len(mids) < c.n_sat:
+    if mids is None:
         raise RepairFailedError(
-            f"no admissible satellite advances hop {from_id}->{to_id}"
+            f"no admissible relay path repairs hop {from_id}->{to_id}"
         )
-    # A walk never revisits a satellite, so only a bug can use up the cap.
-    raise InternalConsistencyError(
-        f"hop repair for {from_id}->{to_id} exceeded the satellite count"
-    )
+    return mids
 
 
 #: A dot product no unit vector reaches: it marks the satellites a snap may
 #: not take and the padding rows of a batch.
 _NEVER = -2.0
 
-#: Most dots one matrix product of the snapping stage computes. OpenBLAS
-#: spreads larger products over threads, and on a shared 2-core host that
-#: made a 224 000-dot product 18x slower than the same work in one thread.
+#: Most dots one matrix product of the snapping stage computes, and the
+#: most doubles the work area of an equal-interval batch holds: a group of
+#: target dots while it snaps, the lanes of one repair walk while it
+#: repairs. OpenBLAS spreads larger products over threads, and on a shared
+#: 2-core host that made a 224 000-dot product 18x slower than the same
+#: work in one thread.
 _PRODUCT_DOTS = 1 << 16
+
+#: Doubles each row of a repair lane takes at the peak of its walk: the
+#: lane's copy of its shell's rows (3), its dots with the arc's normal and
+#: its deflection (2), and the lockstep walk's own (a trace of table1's
+#: oneweb cell peaked at 6.2).
+_REPAIR_DOUBLES = 12
+
+
+def _repair_round(
+    stack: np.ndarray,
+    ids: list[int],
+    start: list[int],
+    goal: list[int],
+    cos_admissible: float,
+    blocked: np.ndarray,
+) -> list[Optional[list[int]]]:
+    """Relays that repair hop ``start[j]`` -> ``goal[j]`` of each lane j.
+
+    Lane j routes on the rows ``stack[ids[j]]`` and may not take the
+    satellites of ``blocked[j]``. A hop that fits after all (its scalar dot
+    rounds the other way) needs no relay. Every other lane walks from its
+    start, scored by the deflection from its own start->goal arc, until its
+    goal is one admissible hop away; a lane whose hop has no reference arc
+    or whose walk dead-ends gets None. The lanes walk in lockstep, as many
+    at a time as ``_PRODUCT_DOTS`` holds.
+    """
+    relays: list[Optional[list[int]]] = [None] * len(ids)
+    walkers, normals = [], []
+    for j, (b, a, z) in enumerate(zip(ids, start, goal)):
+        units = stack[b]
+        if float(units[a] @ units[z]) >= cos_admissible:
+            relays[j] = []
+            continue
+        try:
+            normals.append(arc_normal(units[a], units[z]))
+        except DegenerateArcError:
+            continue
+        walkers.append(j)
+    width = stack.shape[1]
+    chunk = max(1, _PRODUCT_DOTS // (_REPAIR_DOUBLES * width))
+    for lo in range(0, len(walkers), chunk):
+        lanes = walkers[lo : lo + chunk]
+        rows = [ids[j] for j in lanes]
+        units = stack if rows == list(range(len(stack))) else stack[rows]
+        # One matrix-vector product per lane, as for a shell on its own.
+        tilt = np.matmul(units, np.array(normals[lo : lo + chunk])[:, :, None])
+        mids, reached = _walk(
+            units,
+            np.array([start[j] for j in lanes]),
+            np.array([goal[j] for j in lanes]),
+            cos_admissible,
+            blocked[lanes],
+            _deflection(tilt[:, :, 0]),
+            width,
+        )
+        for j, path, done in zip(lanes, mids, reached):
+            if done:
+                relays[j] = path
+            elif len(path) >= width:
+                # A walk never revisits a satellite, so only a bug can use
+                # up the cap.
+                raise InternalConsistencyError(
+                    f"hop repair for {start[j]}->{goal[j]} exceeded the satellite count"
+                )
+    return relays
 
 
 def _shared_ends(
@@ -376,8 +433,9 @@ def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route
     target to its nearest satellite, excluding the endpoints and any
     satellite already chosen (so no relay is reused); targets take their
     satellites in arc order and ties go to the lowest ID. Stage 3 repairs
-    every hop that violates the distance or visibility constraint via
-    :func:`hop_repair`; a failed repair ends the route with
+    every hop that violates the distance or visibility constraint with the
+    greedy walk of :func:`hop_repair`, which may not take a planned
+    satellite or an earlier repair's; a failed repair ends the route with
     ``type2_interrupted`` status.
 
     When the endpoints can reach each other in one admissible hop, the
@@ -398,13 +456,12 @@ def route_equal_interval_batch(
 
     The shells share their sphere, their body and their endpoints (their
     last two rows), so the targets are computed once. The shells are
-    stacked in blocks as wide as the largest one, and matrix products of
-    the targets with the stack give every dot of every target; the
-    endpoints and the padding can never win a snap. A shell whose targets
-    all have distinct nearest satellites takes them; one whose targets
-    collide takes its satellites target by target from its own dots. The
-    hop fits, the band reach and the hop chords are computed for all shells
-    at once; a shell with an inadmissible hop is repaired on its own.
+    stacked in blocks as wide as the largest one, and every shell snaps in
+    one lockstep pass over the targets; the endpoints and the padding can
+    never win a snap. The hop fits, the band reach and the
+    hop chords are computed for all shells at once. The shells with an
+    inadmissible hop are repaired together: round r walks the r-th such
+    hop of every shell still repairing, all in one lockstep walk.
 
     Raises:
         InvalidInputError: As :func:`route_equal_interval`, or if the
@@ -424,45 +481,33 @@ def route_equal_interval_batch(
     targets, _ = great_arc(src, dst, np.arange(1, n) / n)
     stack = _stacked(shells)
     batch, width = stack.shape[:2]
-    rows = stack.reshape(-1, 3)
-    # dots[k, b, i]: target k against satellite i of shell b.
-    dots = np.empty((n - 1, batch * width))
-    step = max(1, _PRODUCT_DOTS // max(n - 1, 1))
-    for lo in range(0, batch * width, step):
-        np.matmul(targets, rows[lo : lo + step].T, out=dots[:, lo : lo + step])
-    dots = dots.reshape(n - 1, batch, width)
-    for b, k in enumerate(counts):
-        dots[:, b, k:] = _NEVER
     hops = np.empty((n + 1, batch), dtype=np.intp)
     hops[0] = counts
-    hops[1:-1] = dots.argmax(axis=2)
+    hops[1:-1] = _snap(stack, counts, targets)
     hops[-1] = hops[0] + 1
-    ranked = np.sort(hops[1:-1], axis=0)
-    collide = (ranked[1:] == ranked[:-1]).any(axis=0).tolist()
     routes: list[Optional[Route]] = [None] * batch
+    # A shell with fewer satellites than targets runs out at its last one.
     for b, k in enumerate(counts):
-        if collide[b] or k < n - 1:
-            taken = _snap_in_turn(dots[:, b, :k], hops[1:-1, b].tolist())
-            if len(taken) < n - 1:
-                routes[b] = _materialize(
-                    shells[b], [k, *taken], RouteStatus.TYPE2_INTERRUPTED
-                )
-            else:
-                hops[1:-1, b] = taken
+        if k < n - 1:
+            routes[b] = _materialize(
+                shells[b], hops[: k + 1, b].tolist(), RouteStatus.TYPE2_INTERRUPTED
+            )
 
     live = np.flatnonzero([route is None for route in routes])
     if len(live) == 0:
         return routes
     if len(live) < batch:
         hops = hops[:, live]
-    path = rows[hops + width * live]
+    path = stack.reshape(-1, 3)[hops + width * live]
     fits = np.einsum("hbj,hbj->hb", path[:-1], path[1:]) >= cos_admissible
     fit = fits.all(axis=0)
-    for j in np.flatnonzero(~fit).tolist():
-        b = int(live[j])
-        routes[b] = _repaired(
-            shells[b], hops[:, j].tolist(), fits[:, j].tolist(), d_max
+    if not fit.all():
+        bad = live[~fit].tolist()
+        repaired = _repaired(
+            shells, stack, bad, hops[:, ~fit], fits[:, ~fit], cos_admissible
         )
+        for b, route in zip(bad, repaired):
+            routes[b] = route
 
     # A satellite deviating from the arc by more than every relay's angle
     # to its target is farther than that from each target, so it could
@@ -478,50 +523,152 @@ def route_equal_interval_batch(
     return routes
 
 
-def _snap_in_turn(dots: np.ndarray, nearest: list[int]) -> list[int]:
-    """Satellites the targets take in arc order, without taking one twice.
+def _snap(stack: np.ndarray, counts: list[int], targets: np.ndarray) -> np.ndarray:
+    """Satellite each target takes in each shell of the stack, (targets, B).
 
-    ``dots[k]`` holds target k against every satellite and ``nearest[k]``
-    its argmax; a row is overwritten once its target has taken a
-    satellite. Each target takes its nearest satellite not taken before,
-    ties to the lowest ID; stops at the first target that finds none left.
+    Targets take their satellites in arc order: each takes its nearest
+    satellite of its shell not taken before, ties to the lowest ID; shell
+    b's endpoints (IDs ``counts[b]`` on) and padding are never taken. A
+    shell runs out at target ``counts[b]``, and its later entries are
+    meaningless.
+
+    The dots come in groups of targets against every row of the stack,
+    about ``_PRODUCT_DOTS`` at a time. When no shell's targets in a group
+    share a nearest satellite, each target takes its nearest one;
+    otherwise the group's targets take theirs one at a time, every shell
+    in lockstep, each target masking its pick from the rest.
     """
-    taken = np.empty(len(nearest), dtype=np.intp)
-    seen: set[int] = set()
-    for k, relay in enumerate(nearest):
-        if k == dots.shape[1]:
-            return taken[:k].tolist()
-        if relay in seen:
-            free = dots[k]
-            free[taken[:k]] = _NEVER
-            relay = int(free.argmax())
-        taken[k] = relay
-        seen.add(relay)
-    return taken.tolist()
+    batch, width = stack.shape[:2]
+    rows = stack.reshape(-1, 3)
+    offsets = np.arange(0, batch * width, width)
+    # Rows of the stack no target may take, as indices into it.
+    taken = np.flatnonzero(np.arange(width) >= np.array(counts)[:, None])
+    picks = np.empty((len(targets), batch), dtype=np.intp)
+    size = min(len(targets), max(2, _PRODUCT_DOTS // len(rows)))
+    group = np.empty((size, len(rows)))
+    for lo in range(0, len(targets), size):
+        hi = min(lo + size, len(targets))
+        dots = _target_dots(targets, rows, lo, hi, group)
+        dots[:, taken] = _NEVER
+        near = dots.reshape(-1, batch, width).argmax(axis=2)
+        held = near + offsets
+        ranked = np.sort(held, axis=0)
+        if (ranked[1:] == ranked[:-1]).any():
+            for j in range(1, hi - lo):
+                row = dots[j]
+                row[held[:j]] = _NEVER
+                row.reshape(batch, width).argmax(axis=1, out=near[j])
+                np.add(near[j], offsets, out=held[j])
+        picks[lo:hi] = near
+        taken = np.append(taken, held)
+    return picks
+
+
+def _target_dots(
+    targets: np.ndarray, rows: np.ndarray, lo: int, hi: int, out: np.ndarray
+) -> np.ndarray:
+    """Dots of targets ``lo`` to ``hi`` with every row, (hi - lo, rows),
+    written into ``out``.
+
+    Each product takes at least two targets when there are two, since a
+    product of one target is a matrix-vector product and rounds
+    differently, and at most ``_PRODUCT_DOTS`` dots when it can.
+    """
+    first = max(0, min(lo, hi - 2))
+    group = targets[first:hi]
+    dots = out[: len(group)]
+    step = max(1, _PRODUCT_DOTS // len(group))
+    for at in range(0, len(rows), step):
+        np.matmul(group, rows[at : at + step].T, out=dots[:, at : at + step])
+    return dots[lo - first :]
 
 
 def _repaired(
-    c: Constellation, planned: list[int], fits: list[bool], d_max: float
-) -> Route:
-    """The planned route with each hop that does not fit repaired."""
-    used = set(planned)
-    full: list[int] = [planned[0]]
-    repaired = False
-    for a, b, fit in zip(planned, planned[1:], fits):
-        if fit:
-            full.append(b)
-            continue
-        try:
-            mids = hop_repair(c, a, b, d_max, exclude=used)
-        except RepairFailedError:
-            return _materialize(c, full, RouteStatus.TYPE2_INTERRUPTED)
-        used.update(mids)
-        full.extend(mids)
-        full.append(b)
-        repaired = repaired or bool(mids)
-    # A hop that fits after all (its dot rounds the other way in
-    # hop_repair) leaves the route ok, but its band reach is not known.
-    return _materialize(c, full, RouteStatus.REPAIRED if repaired else RouteStatus.OK)
+    shells: Sequence[Constellation],
+    stack: np.ndarray,
+    ids: list[int],
+    planned: np.ndarray,
+    fits: np.ndarray,
+    cos_admissible: float,
+) -> list[Route]:
+    """Routes along the planned hops ``planned[:, j]`` through shell
+    ``ids[j]`` of the batch, with every hop that does not fit repaired.
+
+    Round r repairs the r-th hop that does not fit of every route still
+    repairing, in one :func:`_repair_round`: a relay may not be a planned
+    satellite, a relay of an earlier round or padding. A failed repair ends
+    its route with ``type2_interrupted`` status at the satellite before the
+    hop.
+    """
+    n = len(planned) - 1
+    bad = [np.flatnonzero(~f).tolist() for f in fits.T]
+    sizes = np.array([shells[b].n_sat for b in ids])
+    blocked = np.arange(stack.shape[1]) >= sizes[:, None]
+    blocked[np.arange(len(ids)), planned] = True
+    planned = planned.T.tolist()
+    relays: list[dict[int, list[int]]] = [{} for _ in ids]
+    ends = [n] * len(ids)
+    going = list(range(len(ids)))
+    for r in range(max(map(len, bad))):
+        going = [j for j in going if r < len(bad[j])]
+        hops = [bad[j][r] for j in going]
+        found = _repair_round(
+            stack,
+            [ids[j] for j in going],
+            [planned[j][h] for j, h in zip(going, hops)],
+            [planned[j][h + 1] for j, h in zip(going, hops)],
+            cos_admissible,
+            blocked[going],
+        )
+        still = []
+        for j, h, mids in zip(going, hops, found):
+            if mids is None:
+                ends[j] = h
+                continue
+            relays[j][h] = mids
+            blocked[j, mids] = True
+            still.append(j)
+        going = still
+
+    paths = []
+    for hops, inserted, end in zip(planned, relays, ends):
+        # Repaired hops come in hop order.
+        path, at = [], 0
+        for h, mids in inserted.items():
+            path += hops[at : h + 1] + mids
+            at = h + 1
+        paths.append(path + hops[at : end + 1])
+    _, chords = _path_chords(stack, shells[0].radius, ids, paths)
+    routes = []
+    at = 0
+    for path, inserted, end in zip(paths, relays, ends):
+        if end < n:
+            status = RouteStatus.TYPE2_INTERRUPTED
+        elif any(inserted.values()):
+            status = RouteStatus.REPAIRED
+        else:
+            # A hop that fits after all leaves the route ok, but its band
+            # reach is not known.
+            status = RouteStatus.OK
+        lengths = tuple(chords[at : at + len(path) - 1])
+        routes.append(Route(tuple(path), lengths, status))
+        at += len(path)
+    return routes
+
+
+def _path_chords(
+    units: np.ndarray, radius: float, lanes: Sequence[int], paths: list[list[int]]
+) -> tuple[list[int], list[float]]:
+    """Rows of the stack ``units`` that paths visit, path j through shell
+    ``lanes[j]``, and the chord (km) from each to the next.
+
+    A path of k satellites takes k entries of both lists; its last chord
+    leads to the next path and means nothing.
+    """
+    width = units.shape[1]
+    flat = [b * width + h for b, path in zip(lanes, paths) for h in path]
+    steps = np.diff(units.reshape(-1, 3).take(flat, axis=0), axis=0)
+    return flat, (radius * np.linalg.norm(steps, axis=1)).tolist()
 
 
 def _route_greedy(
@@ -537,8 +684,7 @@ def _route_greedy(
         return []
     cos_admissible, counts = _shared_ends(shells, d_max)
     units = _stacked(shells)
-    width = units.shape[1]
-    deflection = _deflection(units, arc_normal(*shells[0].unit_vectors[-2:]))
+    deflection = _deflection(units @ arc_normal(*shells[0].unit_vectors[-2:]))
     blocked = np.zeros(deflection.shape, dtype=bool)
     for b, k in enumerate(counts):
         blocked[b, k + 2 :] = True
@@ -556,9 +702,7 @@ def _route_greedy(
         [k, *mids, k + 1] if done else [k, *mids]
         for k, mids, done in zip(counts, relays, reached)
     ]
-    flat = [b * width + h for b, path in enumerate(paths) for h in path]
-    steps = np.diff(units.reshape(-1, 3).take(flat, axis=0), axis=0)
-    chords = (shells[0].radius * np.linalg.norm(steps, axis=1)).tolist()
+    flat, chords = _path_chords(units, shells[0].radius, range(len(paths)), paths)
     seen = deflection.take(flat).tolist()
     routes = []
     at = 0

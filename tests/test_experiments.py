@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from leoroute.constellation import (
     sample_band_complement,
     sample_bpp,
 )
+from leoroute import experiments
 from leoroute.errors import InvalidInputError
 from leoroute.experiments import (
     _TABLE1_ROWS,
@@ -400,6 +402,69 @@ def test_batched_trials_equal_trials_routed_one_at_a_time(monkeypatch):
     for params, records in batched.items():
         assert batch(params) == 1
         assert run_trials(params, "equal-interval", len(records), 5) == records
+
+
+#: Distances (km) of the benchmark's strategy-ordering sweep on the
+#: 800-satellite, 500 km shell.
+SWEEP_DISTANCES_KM = tuple(4000.0 + 250.0 * k for k in range(48))
+
+
+def batch_doubles(cell, base_seed):
+    """Doubles one batch of ``cell`` holds while it is routed: its band
+    shells, and the peak of what routing them allocates."""
+    n_sat = cell.params.n_sat
+    rngs = [np.random.default_rng(trial_seed(base_seed, i)) for i in range(cell.batch)]
+    shells = [cell.shell(sample_band(rng, n_sat, cell.band_sine)) for rng in rngs]
+    tracemalloc.start()
+    try:
+        cell.route_batch(shells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak + sum(c.unit_vectors.nbytes for c in shells)) / 8
+
+
+def test_trial_batches_stay_within_their_budget():
+    """Every batch of a table1 cell and of a benchmark sweep cell holds at
+    most ``_BATCH_DOUBLES`` doubles, and an equal-interval batch is charged
+    a cost per row that does not grow with n_hat: oneweb eps 0.1 (n_hat 69)
+    routes at least 8 shells at once, and no table1 cell's batch is smaller
+    than with a charge of n_hat + 5 doubles a row."""
+    cells = [
+        (CellParams.from_preset(preset, epsilon=eps), ("equal-interval",))
+        for preset in ("starlink", "oneweb", "kuiper")
+        for eps in (0.1, 0.01)
+    ]
+    cells += [
+        (
+            CellParams(n_sat=800, altitude_km=500.0, arc_angle=d / 6871.0, epsilon=0.1),
+            ("equal-interval", "min-deflection", "max-stepsize"),
+        )
+        for d in SWEEP_DISTANCES_KM
+    ]
+    batches = {}
+    for params, strategies in cells:
+        plan = plan_hops(
+            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
+        )
+        for strategy in strategies:
+            if strategy == "equal-interval" and plan.immediate_type1:
+                continue
+            cell = trial_cell(params, strategy, plan)
+            assert batch_doubles(cell, base_seed=3) <= experiments._BATCH_DOUBLES
+            batches[params, strategy] = cell.batch
+    floors = {
+        ("starlink", 0.1): 12,
+        ("starlink", 0.01): 11,
+        ("kuiper", 0.1): 18,
+        ("kuiper", 0.01): 17,
+        ("oneweb", 0.1): 8,
+    }
+    table1 = {
+        key: batches[CellParams.from_preset(key[0], epsilon=key[1]), "equal-interval"]
+        for key in floors
+    }
+    assert all(table1[key] >= floor for key, floor in floors.items()), table1
 
 
 #: Greedy cells, each with the n_hat its plan is cut to (None: as planned).

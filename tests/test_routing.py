@@ -32,8 +32,10 @@ from leoroute import (
     sample_bpp,
     slerp,
 )
+from leoroute import routing
 from leoroute.experiments import contact_band
 from leoroute.routing import (
+    _materialize,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
@@ -280,6 +282,26 @@ def reference_equal_interval(c, d_max, plan):
     return full, status
 
 
+def assert_equal_interval_batch_matches_reference(shells, plan):
+    """Each route of the batch equals its own batch of one and the
+    target-by-target reference; returns the statuses seen."""
+    statuses = set()
+    for shell, route in zip(shells, route_equal_interval_batch(shells, D_MAX, plan)):
+        assert route == route_equal_interval(shell, D_MAX, plan)
+        hops, status = reference_equal_interval(shell, D_MAX, plan)
+        assert (route.hops, route.status) == (tuple(hops), status)
+        statuses.add(status)
+    return statuses
+
+
+def product_groups(shells, plan):
+    """Targets per product group of a batch, and those of its last group."""
+    rows = len(shells) * max(c.n_sat for c in shells)
+    targets = plan.n_hat - 1
+    size = min(targets, max(2, routing._PRODUCT_DOTS // rows))
+    return size, targets - size * ((targets - 1) // size)
+
+
 def test_equal_interval_batch_matches_target_by_target_reference():
     """Shells of one batch differ in size (so the batch pads them), and
     their targets collide, run out of satellites or need repair."""
@@ -294,18 +316,142 @@ def test_equal_interval_batch_matches_target_by_target_reference():
         if n else constellation_from_points([src, dst])
         for n in sizes
     ]
-    batch = route_equal_interval_batch(shells, D_MAX, plan)
-    statuses = set()
-    for shell, route in zip(shells, batch):
-        assert route == route_equal_interval(shell, D_MAX, plan)
-        hops, status = reference_equal_interval(shell, D_MAX, plan)
-        assert (route.hops, route.status) == (tuple(hops), status)
-        statuses.add(status)
-    assert statuses == set(RouteStatus)
+    # 11 targets in groups of 5: the last group holds one target.
+    assert product_groups(shells, plan) == (5, 1)
+    assert assert_equal_interval_batch_matches_reference(shells, plan) == set(
+        RouteStatus
+    )
+
+    # One target, in a product of its own.
+    one = replace(plan, n_hat=2)
+    assert product_groups(shells, one) == (1, 1)
+    statuses = assert_equal_interval_batch_matches_reference(shells, one)
+    assert RouteStatus.REPAIRED in statuses
+
+    # Oneweb-like: 68 targets on shells of at most 650 satellites, where
+    # most targets share their nearest satellite with a neighbour.
+    altitude = 1200.0
+    src, dst = endpoints(math.pi, R_EARTH + altitude)
+    oneweb = replace(plan, n_hat=69, type1_interrupted=True)
+    dense = [
+        sample_bpp(n, R_EARTH, altitude, seed=seed).with_extra_points([src, dst])
+        for seed, n in enumerate((650, 520, 650, 600, 431))
+    ]
+    # Groups of 20 targets, the last of 8.
+    assert product_groups(dense, oneweb) == (20, 8)
+    targets, _ = great_arc(
+        src.unit_vector(), dst.unit_vector(), np.arange(1, 69) / 69
+    )
+    for shell in dense:
+        nearest = (shell.unit_vectors[:-2] @ targets.T).argmax(axis=0)
+        assert len(set(nearest.tolist())) < 40
+    statuses = assert_equal_interval_batch_matches_reference(dense, oneweb)
+    assert RouteStatus.TYPE2_INTERRUPTED in statuses
 
     other = sample_bpp(50, R_EARTH, ALT, seed=1).with_extra_points(endpoints(2.5))
     with pytest.raises(InvalidInputError, match="share"):
         route_equal_interval_batch([shells[-1], other], D_MAX, plan)
+
+
+def reference_hop_repair(c, from_id, to_id, exclude):
+    """Relays that repair one hop, walked relay by relay; None on failure."""
+    units = c.unit_vectors
+    if units[from_id] @ units[to_id] >= cos_admissible(c):
+        return []
+    _, normal = great_arc(units[from_id], units[to_id], 0.0)
+    score = np.abs(np.arcsin(np.clip(units @ normal, -1.0, 1.0)))
+    blocked = np.zeros(c.n_sat, dtype=bool)
+    blocked[list(exclude)] = True
+    relays, reached = reference_walk(
+        units, from_id, to_id, cos_admissible(c), blocked, score, c.n_sat
+    )
+    return relays if reached else None
+
+
+def reference_repaired(c, planned, fits):
+    """The planned route with each hop that does not fit repaired, one hop
+    of one shell at a time: the loop the repair rounds replace, kept as
+    their reference. Returns the route and the rounds it took."""
+    used = set(planned)
+    full = [planned[0]]
+    repaired = False
+    rounds = 0
+    for a, b, fit in zip(planned, planned[1:], fits):
+        if fit:
+            full.append(b)
+            continue
+        rounds += 1
+        mids = reference_hop_repair(c, a, b, used)
+        if mids is None:
+            return _materialize(c, full, RouteStatus.TYPE2_INTERRUPTED), rounds
+        used.update(mids)
+        full.extend(mids)
+        full.append(b)
+        repaired = repaired or bool(mids)
+    status = RouteStatus.REPAIRED if repaired else RouteStatus.OK
+    return _materialize(c, full, status), rounds
+
+
+@pytest.mark.parametrize("lanes_per_walk", [1, 3, 7])
+def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
+    """A padded batch of planned routes whose lanes need 0, 1 and several
+    repair rounds; some fail in their first round and some in a later one.
+    Zig-zag routes walk back over the relays of their previous round."""
+    arc = 2.0
+    src, dst = endpoints(arc)
+    even = (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6)
+    late = (0.1, 0.15, 0.2, 0.25, 0.5)
+    zigzag = (0.1, 0.6, 0.35, 0.7, 0.9)
+    apart = (0.15, 0.4, 0.45, 0.7, 0.75)
+    lanes = (
+        # (satellites, seed, relay targets as arc fractions)
+        (1000, 0, even),
+        (600, 0, late),
+        (600, 0, zigzag),
+        (300, 3, apart),
+        (40, 0, zigzag),
+        (300, 3, zigzag),
+        (100, 5, apart),
+    )
+    shells, planned = [], []
+    for n, seed, fractions in lanes:
+        shell = sample_bpp(n, R_EARTH, ALT, seed=seed).with_extra_points([src, dst])
+        targets, _ = great_arc(
+            src.unit_vector(), dst.unit_vector(), np.array(fractions)
+        )
+        relays = []
+        for t in targets:
+            dots = shell.unit_vectors[:-2] @ t
+            dots[relays] = -2.0
+            relays.append(int(dots.argmax()))
+        shells.append(shell)
+        planned.append([n, *relays, n + 1])
+    stack = routing._stacked(shells)
+    width = stack.shape[1]
+    monkeypatch.setattr(
+        routing, "_REPAIR_DOUBLES", routing._PRODUCT_DOTS // (lanes_per_walk * width)
+    )
+    planned = np.array(planned).T
+    cos_min = cos_admissible(shells[0])
+    path = np.stack([c.unit_vectors[hops] for c, hops in zip(shells, planned.T)])
+    fits = (np.einsum("bhj,bhj->bh", path[:, :-1], path[:, 1:]) >= cos_min).T
+
+    ids = list(range(len(shells)))
+    routes = routing._repaired(shells, stack, ids, planned, fits, cos_min)
+    outcomes = []
+    for shell, hops, fit, route in zip(shells, planned.T, fits.T, routes):
+        expected, rounds = reference_repaired(shell, hops.tolist(), fit.tolist())
+        assert route == expected
+        outcomes.append((rounds, route.status))
+    assert outcomes == [
+        (0, RouteStatus.OK),
+        (1, RouteStatus.REPAIRED),
+        (3, RouteStatus.REPAIRED),
+        (3, RouteStatus.REPAIRED),
+        (1, RouteStatus.TYPE2_INTERRUPTED),
+        (2, RouteStatus.TYPE2_INTERRUPTED),
+        (3, RouteStatus.TYPE2_INTERRUPTED),
+    ]
 
 
 def reference_walk(units, start, goal, cos_admissible, blocked, score, cap):
