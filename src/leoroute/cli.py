@@ -417,7 +417,7 @@ def _write_pair(fmt: str, out_base: str, write_csv, write_json) -> list[str]:
 @cli.command()
 @click.option("--trials", type=int, default=None, help="Trials per cell (default 10000).")
 @click.option("--seed", type=int, default=None, help="Base seed (default 0).")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, at most one per CPU.")
 @click.option("--out", default="table1", show_default=True, help="Output base path.")
 @click.option(
     "--format",
@@ -473,7 +473,7 @@ _SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n
 @click.option("--distance", type=float, default=None, help="Fixed endpoint distance in km.")
 @click.option("--trials", type=int, default=None, help="Trials per cell (default 1000).")
 @click.option("--seed", type=int, default=None, help="Base seed (default 0).")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, at most one per CPU.")
 @click.option(
     "--strategies",
     default=",".join(STRATEGIES),

@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -490,51 +491,46 @@ def _checked_plan(params: CellParams, strategy: str, trials: int) -> Optional[Ho
 
 def _planned_trials(params, strategy, trials, base_seed, threads, plan) -> tuple:
     """Trial records of a validated cell whose hop plan is already known."""
-    if strategy == "ideal":
-        reference_ms = reference_latency_ms(params)
-        n_hops = reference_hop_count(params)
+    if strategy == "ideal" or (strategy == "equal-interval" and plan.immediate_type1):
+        # Every trial gets the same record. An ideal trial takes the
+        # reference route. A plan with no feasible hop count at all
+        # interrupts every equal-interval trial before routing, so no
+        # constellation is sampled; the greedy baselines do not depend on
+        # planning succeeding and route every trial.
+        ideal = strategy == "ideal"
+        latency_ms = reference_latency_ms(params) if ideal else None
+        n_hops = reference_hop_count(params) if ideal else 0
         return tuple(
             TrialRecord(
                 trial_index=i,
                 seed=trial_seed(base_seed, i),
                 strategy=strategy,
-                status="ok",
-                latency_ms=reference_ms,
+                status="ok" if ideal else "type2_interrupted",
+                latency_ms=latency_ms,
                 n_hops_final=n_hops,
-                efficiency=1.0,
-            )
-            for i in range(trials)
-        )
-    if strategy == "equal-interval" and plan.immediate_type1:
-        # Planning found no feasible hop count at all: every trial is
-        # interrupted before routing, so no constellation is sampled. The
-        # greedy baselines do not depend on planning succeeding and route
-        # every trial.
-        return tuple(
-            TrialRecord(
-                trial_index=i,
-                seed=trial_seed(base_seed, i),
-                strategy=strategy,
-                status="type2_interrupted",
-                latency_ms=None,
-                n_hops_final=0,
-                efficiency=None,
+                efficiency=1.0 if ideal else None,
             )
             for i in range(trials)
         )
     cell = trial_cell(params, strategy, plan)
-    workers = max(1, int(threads))
+    workers = min(max(1, int(threads)), _cpu_count())
     if workers == 1 or trials < 2 * workers:
         return tuple(_run_chunk((cell, base_seed, 0, trials)))
     bounds = [round(i * trials / workers) for i in range(workers + 1)]
     tasks = [
         (cell, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
     ]
+    # The chunks come back in task order, which is trial order.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_run_chunk, tasks))
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda rec: rec.trial_index)
-    return tuple(records)
+        return tuple(rec for chunk in pool.map(_run_chunk, tasks) for rec in chunk)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_trials(
@@ -546,9 +542,10 @@ def run_trials(
 ) -> tuple[TrialRecord, ...]:
     """All trial records for one cell and strategy, in trial order.
 
-    ``threads`` caps the number of worker processes; any value yields
-    byte-identical results because per-trial seeds depend only on the
-    trial index and records are reduced in trial order.
+    ``threads`` caps the number of worker processes, which never exceeds
+    the CPUs this process may run on; any value yields byte-identical
+    results because per-trial seeds depend only on the trial index and
+    records are reduced in trial order.
     """
     plan = _checked_plan(params, strategy, trials)
     return _planned_trials(params, strategy, trials, base_seed, threads, plan)

@@ -21,7 +21,8 @@ walk per round, and the greedy baselines walk all of them in lockstep. The
 one-shell routers are batches of one, and :func:`hop_repair` is a repair
 round of one lane. Repairs and both baselines run one greedy relay walk, a
 batch of walks at a time, and differ only in its score, the satellites they
-block and the step cap.
+block and the step cap. Every router builds its routes from hop paths over
+its batch stack in one place.
 
 The constellation alone describes the rest of the route's setting: its
 endpoints are its last two satellites (src second to last, dst last), as
@@ -48,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
@@ -174,21 +176,6 @@ def arc_waypoints(
         src.unit_vector(), dst.unit_vector(), np.arange(n_hops + 1) / n_hops
     )
     return tuple(SpherePoint.from_unit_vector(p, src.r) for p in points)
-
-
-def _materialize(
-    c: Constellation,
-    hops: list[int],
-    status: RouteStatus,
-    band_reach: float = math.pi / 2.0,
-) -> Route:
-    steps = np.diff(c.unit_vectors[hops], axis=0)
-    return Route(
-        hops=tuple(hops),
-        hop_distances=tuple((c.radius * np.linalg.norm(steps, axis=1)).tolist()),
-        status=status,
-        band_reach=band_reach,
-    )
 
 
 def _deflection(dots: np.ndarray) -> np.ndarray:
@@ -383,12 +370,13 @@ def _repair_round(
     return relays
 
 
-def _shared_ends(
+def _stack(
     shells: Sequence[Constellation], d_max: float
-) -> tuple[float, list[int]]:
-    """Admissible-hop dot of a batch, and the satellites before each
-    shell's endpoints: shell b holds ``counts[b]`` satellites, then src
-    (ID ``counts[b]``) and dst.
+) -> tuple[float, list[int], np.ndarray]:
+    """The frame of a batch: its admissible-hop dot, the satellites before
+    each shell's endpoints (shell b holds ``counts[b]``, then src with ID
+    ``counts[b]`` and dst), and the shells' rows in a (B, W, 3) stack as wide
+    as the largest shell, zero-padded; a batch of one is a view of its shell.
 
     Raises:
         InvalidInputError: As :func:`_cos_admissible`, if src and dst
@@ -409,20 +397,41 @@ def _shared_ends(
             raise InvalidInputError(
                 "the shells of a batch must share their sphere, body and endpoints"
             )
-    return cos_admissible, [c.n_sat - 2 for c in shells]
-
-
-def _stacked(shells: Sequence[Constellation]) -> np.ndarray:
-    """The shells' rows in a (B, W, 3) stack as wide as the largest shell.
-
-    Padding rows are zero; a batch of one is a view of its shell.
-    """
+    counts = [c.n_sat - 2 for c in shells]
     if len(shells) == 1:
-        return shells[0].unit_vectors[None]
-    rows = np.zeros((len(shells), max(c.n_sat for c in shells), 3))
+        return cos_admissible, counts, first.unit_vectors[None]
+    stack = np.zeros((len(shells), max(counts) + 2, 3))
     for b, c in enumerate(shells):
-        rows[b, : c.n_sat] = c.unit_vectors
-    return rows
+        stack[b, : c.n_sat] = c.unit_vectors
+    return cos_admissible, counts, stack
+
+
+def _routes(
+    stack: np.ndarray,
+    radius: float,
+    lanes: Sequence[int],
+    paths: Sequence[Sequence[int]],
+    statuses: Sequence[RouteStatus],
+    reaches: Sequence[float],
+) -> list[Route]:
+    """The routes along ``paths``, path j through shell ``lanes[j]`` of the
+    stack, with status ``statuses[j]`` and band reach ``reaches[j]``.
+
+    Every route is built here: one gather of the rows the paths visit and
+    one chord (km) from each to the next, r * |u_a - u_b|.
+    """
+    sizes = [len(path) for path in paths]
+    flat = np.fromiter(chain.from_iterable(paths), np.intp, sum(sizes))
+    flat += np.repeat(np.multiply(lanes, stack.shape[1]), sizes)
+    steps = np.diff(stack.reshape(-1, 3).take(flat, axis=0), axis=0)
+    # A path's last chord leads to the next path and means nothing.
+    chords = (radius * np.linalg.norm(steps, axis=1)).tolist()
+    routes, at = [], 0
+    for path, size, status, reach in zip(paths, sizes, statuses, reaches):
+        end = at + size
+        routes.append(Route(tuple(path), tuple(chords[at : end - 1]), status, reach))
+        at = end
+    return routes
 
 
 def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -458,10 +467,10 @@ def route_equal_interval_batch(
     last two rows), so the targets are computed once. The shells are
     stacked in blocks as wide as the largest one, and every shell snaps in
     one lockstep pass over the targets; the endpoints and the padding can
-    never win a snap. The hop fits, the band reach and the
-    hop chords are computed for all shells at once. The shells with an
-    inadmissible hop are repaired together: round r walks the r-th such
-    hop of every shell still repairing, all in one lockstep walk.
+    never win a snap. The hop fits and the band reach are computed for all
+    shells at once. The shells with an inadmissible hop are repaired
+    together: round r walks the r-th such hop of every shell still
+    repairing, all in one lockstep walk.
 
     Raises:
         InvalidInputError: As :func:`route_equal_interval`, or if the
@@ -469,58 +478,43 @@ def route_equal_interval_batch(
     """
     if not shells:
         return []
-    cos_admissible, counts = _shared_ends(shells, d_max)
+    cos_admissible, counts, stack = _stack(shells, d_max)
+    batch = len(shells)
     src, dst = shells[0].unit_vectors[-2:]
     if float(src @ dst) >= cos_admissible:
-        return [
-            _materialize(c, [k, k + 1], RouteStatus.OK, band_reach=0.0)
-            for c, k in zip(shells, counts)
-        ]
+        paths = [[k, k + 1] for k in counts]
+        statuses, reaches = [RouteStatus.OK] * batch, [0.0] * batch
+        return _routes(stack, shells[0].radius, range(batch), paths, statuses, reaches)
 
     n = plan.n_hat
     targets, _ = great_arc(src, dst, np.arange(1, n) / n)
-    stack = _stacked(shells)
-    batch, width = stack.shape[:2]
     hops = np.empty((n + 1, batch), dtype=np.intp)
     hops[0] = counts
     hops[1:-1] = _snap(stack, counts, targets)
     hops[-1] = hops[0] + 1
-    routes: list[Optional[Route]] = [None] * batch
-    # A shell with fewer satellites than targets runs out at its last one.
-    for b, k in enumerate(counts):
-        if k < n - 1:
-            routes[b] = _materialize(
-                shells[b], hops[: k + 1, b].tolist(), RouteStatus.TYPE2_INTERRUPTED
-            )
-
-    live = np.flatnonzero([route is None for route in routes])
-    if len(live) == 0:
-        return routes
-    if len(live) < batch:
-        hops = hops[:, live]
-    path = stack.reshape(-1, 3)[hops + width * live]
+    path = stack.reshape(-1, 3)[hops + stack.shape[1] * np.arange(batch)]
     fits = np.einsum("hbj,hbj->hb", path[:-1], path[1:]) >= cos_admissible
-    fit = fits.all(axis=0)
-    if not fit.all():
-        bad = live[~fit].tolist()
-        repaired = _repaired(
-            shells, stack, bad, hops[:, ~fit], fits[:, ~fit], cos_admissible
-        )
-        for b, route in zip(bad, repaired):
-            routes[b] = route
-
     # A satellite deviating from the arc by more than every relay's angle
     # to its target is farther than that from each target, so it could
     # not have won a snap.
-    path, hops = path[:, fit], hops[:, fit]
     gaps = np.linalg.norm(path[1:-1] - targets[:, None], axis=2)
     reach = 2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(axis=0, initial=0.0)
-    chords = shells[0].radius * np.linalg.norm(np.diff(path, axis=0), axis=2)
-    for b, ids, lengths, r in zip(
-        live[fit].tolist(), hops.T.tolist(), chords.T.tolist(), reach.tolist()
-    ):
-        routes[b] = Route(tuple(ids), tuple(lengths), RouteStatus.OK, r)
-    return routes
+    paths, statuses, reaches = hops.T.tolist(), [RouteStatus.OK] * batch, reach.tolist()
+    bad = []
+    for b, (k, fit) in enumerate(zip(counts, fits.all(axis=0).tolist())):
+        if k < n - 1:
+            # A shell with fewer satellites than targets runs out at its last one.
+            del paths[b][k + 1 :]
+            statuses[b], reaches[b] = RouteStatus.TYPE2_INTERRUPTED, math.pi / 2.0
+        elif not fit:
+            bad.append(b)
+    if bad:
+        fixed, settled = _repaired(
+            stack, counts, bad, hops[:, bad], fits[:, bad], cos_admissible
+        )
+        for b, repaired, status in zip(bad, fixed, settled):
+            paths[b], statuses[b], reaches[b] = repaired, status, math.pi / 2.0
+    return _routes(stack, shells[0].radius, range(batch), paths, statuses, reaches)
 
 
 def _snap(stack: np.ndarray, counts: list[int], targets: np.ndarray) -> np.ndarray:
@@ -584,25 +578,26 @@ def _target_dots(
 
 
 def _repaired(
-    shells: Sequence[Constellation],
     stack: np.ndarray,
+    counts: list[int],
     ids: list[int],
     planned: np.ndarray,
     fits: np.ndarray,
     cos_admissible: float,
-) -> list[Route]:
-    """Routes along the planned hops ``planned[:, j]`` through shell
-    ``ids[j]`` of the batch, with every hop that does not fit repaired.
+) -> tuple[list[list[int]], list[RouteStatus]]:
+    """Paths along the planned hops ``planned[:, j]`` through shell
+    ``ids[j]`` of the batch, with every hop that does not fit repaired, and
+    their statuses.
 
     Round r repairs the r-th hop that does not fit of every route still
     repairing, in one :func:`_repair_round`: a relay may not be a planned
-    satellite, a relay of an earlier round or padding. A failed repair ends
-    its route with ``type2_interrupted`` status at the satellite before the
-    hop.
+    satellite, a relay of an earlier round or padding (shell b holds
+    ``counts[b] + 2`` satellites). A failed repair ends its route with
+    ``type2_interrupted`` status at the satellite before the hop.
     """
     n = len(planned) - 1
     bad = [np.flatnonzero(~f).tolist() for f in fits.T]
-    sizes = np.array([shells[b].n_sat for b in ids])
+    sizes = np.array([counts[b] + 2 for b in ids])
     blocked = np.arange(stack.shape[1]) >= sizes[:, None]
     blocked[np.arange(len(ids)), planned] = True
     planned = planned.T.tolist()
@@ -630,7 +625,7 @@ def _repaired(
             still.append(j)
         going = still
 
-    paths = []
+    paths, statuses = [], []
     for hops, inserted, end in zip(planned, relays, ends):
         # Repaired hops come in hop order.
         path, at = [], 0
@@ -638,37 +633,15 @@ def _repaired(
             path += hops[at : h + 1] + mids
             at = h + 1
         paths.append(path + hops[at : end + 1])
-    _, chords = _path_chords(stack, shells[0].radius, ids, paths)
-    routes = []
-    at = 0
-    for path, inserted, end in zip(paths, relays, ends):
         if end < n:
-            status = RouteStatus.TYPE2_INTERRUPTED
+            statuses.append(RouteStatus.TYPE2_INTERRUPTED)
         elif any(inserted.values()):
-            status = RouteStatus.REPAIRED
+            statuses.append(RouteStatus.REPAIRED)
         else:
             # A hop that fits after all leaves the route ok, but its band
             # reach is not known.
-            status = RouteStatus.OK
-        lengths = tuple(chords[at : at + len(path) - 1])
-        routes.append(Route(tuple(path), lengths, status))
-        at += len(path)
-    return routes
-
-
-def _path_chords(
-    units: np.ndarray, radius: float, lanes: Sequence[int], paths: list[list[int]]
-) -> tuple[list[int], list[float]]:
-    """Rows of the stack ``units`` that paths visit, path j through shell
-    ``lanes[j]``, and the chord (km) from each to the next.
-
-    A path of k satellites takes k entries of both lists; its last chord
-    leads to the next path and means nothing.
-    """
-    width = units.shape[1]
-    flat = [b * width + h for b, path in zip(lanes, paths) for h in path]
-    steps = np.diff(units.reshape(-1, 3).take(flat, axis=0), axis=0)
-    return flat, (radius * np.linalg.norm(steps, axis=1)).tolist()
+            statuses.append(RouteStatus.OK)
+    return paths, statuses
 
 
 def _route_greedy(
@@ -677,24 +650,19 @@ def _route_greedy(
     """The greedy baselines on each of ``shells``, in one lockstep walk.
 
     The shells share their sphere, their body and their endpoints, so the
-    deflection of the whole stack takes one product with the arc's normal,
-    and the hop chords and band reaches of all routes are computed at once.
+    deflection of the whole stack takes one product with the arc's normal.
     """
     if not shells:
         return []
-    cos_admissible, counts = _shared_ends(shells, d_max)
-    units = _stacked(shells)
+    cos_admissible, counts, units = _stack(shells, d_max)
     deflection = _deflection(units @ arc_normal(*shells[0].unit_vectors[-2:]))
-    blocked = np.zeros(deflection.shape, dtype=bool)
-    for b, k in enumerate(counts):
-        blocked[b, k + 2 :] = True
+    src = np.array(counts)
+    # Padding is never taken.
+    blocked = np.arange(units.shape[1]) >= src[:, None] + 2
+    score = None if pick_farthest else deflection
     if pick_farthest:
         # max-stepsize never looks outside its belt.
         blocked |= deflection > plan.reliable_angle
-        score, reach = None, min(plan.reliable_angle, math.pi / 2.0)
-    else:
-        score, reach = deflection, math.pi / 2.0
-    src = np.array(counts)
     relays, reached = _walk(
         units, src, src + 1, cos_admissible, blocked, score, 4 * plan.n_hat
     )
@@ -702,22 +670,24 @@ def _route_greedy(
         [k, *mids, k + 1] if done else [k, *mids]
         for k, mids, done in zip(counts, relays, reached)
     ]
-    flat, chords = _path_chords(units, shells[0].radius, range(len(paths)), paths)
-    seen = deflection.take(flat).tolist()
-    routes = []
-    at = 0
-    for path, done in zip(paths, reached):
-        end = at + len(path)
-        status = RouteStatus.OK if done else RouteStatus.TYPE2_INTERRUPTED
-        deepest = reach
-        if done and not pick_farthest:
-            # A completed min-deflection walk took the least-deflecting
-            # candidate at every step, so no satellite deflecting more
-            # than all its relays could have been taken.
-            deepest = max(seen[at + 1 : end - 1], default=0.0)
-        routes.append(Route(tuple(path), tuple(chords[at : end - 1]), status, deepest))
-        at = end
-    return routes
+    statuses = [
+        RouteStatus.OK if done else RouteStatus.TYPE2_INTERRUPTED for done in reached
+    ]
+    if pick_farthest:
+        reaches = [min(plan.reliable_angle, math.pi / 2.0)] * len(paths)
+    else:
+        # A completed min-deflection walk took the least-deflecting
+        # candidate at every step, so no satellite deflecting more than all
+        # its relays could have been taken.
+        width = units.shape[1]
+        flat = [b * width + h for b, mids in enumerate(relays) for h in mids]
+        seen = deflection.take(np.array(flat, dtype=np.intp)).tolist()
+        reaches, at = [], 0
+        for mids, done in zip(relays, reached):
+            end = at + len(mids)
+            reaches.append(max(seen[at:end], default=0.0) if done else math.pi / 2.0)
+            at = end
+    return _routes(units, shells[0].radius, range(len(paths)), paths, statuses, reaches)
 
 
 def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route:

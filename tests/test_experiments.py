@@ -260,6 +260,32 @@ def test_run_trials_identical_for_any_worker_count():
     assert [r.seed for r in serial] == [trial_seed(99, i) for i in range(24)]
 
 
+def test_worker_processes_capped_at_cpu_count(monkeypatch):
+    """A worker count above the CPU count starts one worker per CPU; the
+    executor is faked, so no process starts."""
+    asked = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    params = CellParams(n_sat=500, altitude_km=550.0, arc_angle=2.0, epsilon=0.1)
+    many = run_trials(params, "equal-interval", trials=24, base_seed=99, threads=64)
+    assert asked == [2]
+    assert many == run_trials(params, "equal-interval", 24, base_seed=99, threads=1)
+
+
 def test_per_trial_efficiency_never_exceeds_one():
     params = CellParams(n_sat=800, altitude_km=550.0, arc_angle=2.2, epsilon=0.1)
     for strategy in ("equal-interval", "min-deflection", "max-stepsize"):
@@ -386,6 +412,8 @@ def test_batched_trials_equal_trials_routed_one_at_a_time(monkeypatch):
         CellParams(
             n_sat=800, altitude_km=500.0, arc_angle=15750.0 / 6871.0, epsilon=0.1
         ),
+        # Endpoints one hop apart: every trial is a direct hop.
+        CellParams(n_sat=800, altitude_km=500.0, arc_angle=0.3, epsilon=0.1),
     )
 
     def batch(params):
@@ -499,6 +527,8 @@ GREEDY_BATCH_CELLS = (
         ),
         1,
     ),
+    # Endpoints one hop apart: every walk is a direct hop.
+    (CellParams(n_sat=800, altitude_km=500.0, arc_angle=0.3, epsilon=0.1), None),
 )
 
 

@@ -1,10 +1,13 @@
 """Every import in the package is used, and the root exports what it imports.
 
 Import statements marked ``# noqa: F401`` are exempt: they keep bindings
-that ``benchmarks/tracing.py`` wraps by name.
+that ``benchmarks/tracing.py`` wraps by name, and each must be one that its
+``HOOKS`` wrap.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,16 +16,18 @@ import leoroute
 
 PACKAGE_DIR = Path(leoroute.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
-def imported_names(tree, lines):
-    """(bound name, line) of each import not marked ``# noqa: F401``."""
+def imported_names(tree, lines, hook_only=False):
+    """(bound name, line) of each import not marked ``# noqa: F401``, or of
+    each import so marked when ``hook_only``."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if "# noqa: F401" in lines[node.lineno - 1]:
+        if ("# noqa: F401" in lines[node.lineno - 1]) != hook_only:
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
@@ -71,3 +76,20 @@ def test_root_exports_exactly_its_imports():
     text = (PACKAGE_DIR / "__init__.py").read_text()
     names = [name for name, _ in imported_names(ast.parse(text), text.splitlines())]
     assert sorted(leoroute.__all__) == sorted([*names, "__version__"])
+
+
+def test_hook_only_imports_are_wrapped_by_the_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("leoroute_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    hooked = {(module, path) for _, module, path, _, _ in tracing.HOOKS}
+    unhooked = []
+    for path in MODULES:
+        text = path.read_text()
+        lines = text.splitlines()
+        for name, line in imported_names(ast.parse(text), lines, hook_only=True):
+            if (f"leoroute.{path.stem}", name) not in hooked:
+                unhooked.append(f"{path.name}: {name} (line {line})")
+    assert unhooked == []

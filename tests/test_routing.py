@@ -35,7 +35,6 @@ from leoroute import (
 from leoroute import routing
 from leoroute.experiments import contact_band
 from leoroute.routing import (
-    _materialize,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
@@ -328,6 +327,23 @@ def test_equal_interval_batch_matches_target_by_target_reference():
     statuses = assert_equal_interval_batch_matches_reference(shells, one)
     assert RouteStatus.REPAIRED in statuses
 
+    # Endpoints one hop apart: every route is a direct hop.
+    near = [
+        sample_bpp(n, R_EARTH, ALT, seed=1).with_extra_points(endpoints(0.3))
+        for n in (5, 40, 300)
+    ]
+    assert assert_equal_interval_batch_matches_reference(near, plan) == {
+        RouteStatus.OK
+    }
+    for shell, route in zip(near, route_equal_interval_batch(near, D_MAX, plan)):
+        k = shell.n_sat - 2
+        u_src, u_dst = shell.unit_vectors[k:]
+        assert route.hops == (k, k + 1)
+        assert route.band_reach == 0.0
+        assert route.hop_distances == pytest.approx(
+            (shell.radius * np.linalg.norm(u_dst - u_src),), rel=1e-15
+        )
+
     # Oneweb-like: 68 targets on shells of at most 650 satellites, where
     # most targets share their nearest satellite with a neighbour.
     altitude = 1200.0
@@ -372,6 +388,12 @@ def reference_repaired(c, planned, fits):
     """The planned route with each hop that does not fit repaired, one hop
     of one shell at a time: the loop the repair rounds replace, kept as
     their reference. Returns the route and the rounds it took."""
+
+    def route(hops, status):
+        steps = np.diff(c.unit_vectors[hops], axis=0)
+        lengths = tuple(c.radius * np.linalg.norm(steps, axis=1))
+        return Route(tuple(hops), lengths, status)
+
     used = set(planned)
     full = [planned[0]]
     repaired = False
@@ -383,13 +405,13 @@ def reference_repaired(c, planned, fits):
         rounds += 1
         mids = reference_hop_repair(c, a, b, used)
         if mids is None:
-            return _materialize(c, full, RouteStatus.TYPE2_INTERRUPTED), rounds
+            return route(full, RouteStatus.TYPE2_INTERRUPTED), rounds
         used.update(mids)
         full.extend(mids)
         full.append(b)
         repaired = repaired or bool(mids)
     status = RouteStatus.REPAIRED if repaired else RouteStatus.OK
-    return _materialize(c, full, status), rounds
+    return route(full, status), rounds
 
 
 @pytest.mark.parametrize("lanes_per_walk", [1, 3, 7])
@@ -426,7 +448,7 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
             relays.append(int(dots.argmax()))
         shells.append(shell)
         planned.append([n, *relays, n + 1])
-    stack = routing._stacked(shells)
+    _, counts, stack = routing._stack(shells, D_MAX)
     width = stack.shape[1]
     monkeypatch.setattr(
         routing, "_REPAIR_DOUBLES", routing._PRODUCT_DOTS // (lanes_per_walk * width)
@@ -437,7 +459,9 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
     fits = (np.einsum("bhj,bhj->bh", path[:, :-1], path[:, 1:]) >= cos_min).T
 
     ids = list(range(len(shells)))
-    routes = routing._repaired(shells, stack, ids, planned, fits, cos_min)
+    paths, statuses = routing._repaired(stack, counts, ids, planned, fits, cos_min)
+    reaches = [math.pi / 2.0] * len(ids)
+    routes = routing._routes(stack, shells[0].radius, ids, paths, statuses, reaches)
     outcomes = []
     for shell, hops, fit, route in zip(shells, planned.T, fits.T, routes):
         expected, rounds = reference_repaired(shell, hops.tolist(), fit.tolist())
