@@ -68,7 +68,6 @@ from .experiments import (
     run_cell,
     run_table1,
     run_trials,
-    strategy_router,
     sweep,
     table1_rows,
     write_records_csv,
@@ -159,7 +158,6 @@ __all__ = [
     "run_trials",
     "run_cell",
     "make_endpoints",
-    "strategy_router",
     "run_table1",
     "table1_rows",
     "sweep",

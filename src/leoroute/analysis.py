@@ -141,12 +141,14 @@ def reliable_angle(epsilon: float, n_hops: int, n_sat: int) -> float:
     if n_hops < 1:
         raise InvalidInputError(f"n_hops must be >= 1, got {n_hops}")
     _validate_pop(n_sat)
-    return _contact_quantile((1.0 - epsilon) ** (1.0 / n_hops), n_sat)
+    miss = 1.0 - (1.0 - epsilon) ** (1.0 / n_hops)
+    # The power rounds to 1 for epsilon below about 1e-15; the log form does not.
+    return _contact_quantile(miss or -math.expm1(math.log1p(-epsilon) / n_hops), n_sat)
 
 
-def _contact_quantile(p: float, n_sat: int) -> float:
-    """Angle below which a fraction ``p`` of contact angles falls."""
-    cos_theta = 2.0 * (1.0 - p) ** (1.0 / n_sat) - 1.0
+def _contact_quantile(tail: float, n_sat: int) -> float:
+    """Angle that a fraction ``tail`` of contact angles exceeds."""
+    cos_theta = 2.0 * tail ** (1.0 / n_sat) - 1.0
     return math.acos(min(1.0, max(-1.0, cos_theta)))
 
 

@@ -45,7 +45,7 @@ def _density_aware_integral(f, n_sat: int, upper: float, tol: float) -> float:
     """Integrate ``f`` over [0, upper] with panels split at density quantiles."""
     cuts = [0.0]
     for p in _QUANTILE_LEVELS:
-        q = _contact_quantile(p, n_sat)
+        q = _contact_quantile(1.0 - p, n_sat)
         if cuts[-1] + 1e-15 < q < upper - 1e-15:
             cuts.append(q)
     cuts.append(upper)

@@ -24,9 +24,10 @@ generator, then one batch router call routes every band shell of the
 batch: :func:`~leoroute.routing.route_equal_interval_batch` computes the
 cell's targets once, snaps all shells in one lockstep pass and repairs
 them in rounds of one lockstep walk each, and the greedy baselines walk all
-shells in lockstep. A trial whose route needs the complement draws it from
-its own generator and is routed again on its own. The batch size keeps a
-batch's work set under 1 MB, and batching changes no record.
+shells in lockstep. The trials that need the complement draw it from their
+own generators, and one more batch router call routes their whole shells.
+The batch size keeps a batch's band shells under 1 MB, and batching
+changes no record.
 
 Per-trial seeds are derived from the base seed with a splitmix64 mix of
 the trial index, so results are deterministic and independent of
@@ -70,43 +71,21 @@ from .geometry import R_EARTH_KM, SpherePoint
 from .routing import (
     _PRODUCT_DOTS,
     Route,
-    route_equal_interval,
     route_equal_interval_batch,
-    route_max_stepsize,
     route_max_stepsize_batch,
-    route_min_deflection,
     route_min_deflection_batch,
 )
 
-# Unused here; benchmarks/tracing.py wraps this binding by name.
+# Unused here; benchmarks/tracing.py wraps these bindings by name.
 from .constellation import sample_bpp  # noqa: F401
+from .routing import route_equal_interval, route_max_stepsize  # noqa: F401
+from .routing import route_min_deflection  # noqa: F401
 
 #: Version of the CSV/JSON output layout.
 SCHEMA_VERSION = 1
 
 #: Routing strategies understood by the harness, in canonical output order.
 STRATEGIES = ("ideal", "equal-interval", "min-deflection", "max-stepsize")
-
-
-def strategy_router(
-    strategy: str,
-) -> Callable[[Constellation, float, HopPlan], Route]:
-    """The router of a strategy that routes through sampled satellites.
-
-    Every name in :data:`STRATEGIES` but ``ideal`` has one; the ideal
-    route ignores the satellites, so each caller reports it its own way.
-    """
-    # Looked up at call time, so a rebinding of these module names (as
-    # the benchmark tracer does) reaches every caller.
-    if strategy == "equal-interval":
-        return route_equal_interval
-    if strategy == "min-deflection":
-        return route_min_deflection
-    if strategy == "max-stepsize":
-        return route_max_stepsize
-    raise InvalidInputError(
-        f"no router for strategy {strategy!r}; choose from {STRATEGIES[1:]}"
-    )
 
 
 #: Column order of aggregate-record CSV output.
@@ -279,13 +258,15 @@ def reference_latency_ms(params: CellParams) -> float:
 #: and the arc's normal, which is the y axis only to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the doubles one batch of trials holds (1 MB). Each satellite of
-#: an equal-interval batch takes its 3 coordinates in its trial's shell and
-#: 3 more in the batch's stacked copy, and the batch holds one work area of
-#: at most n_hat - 1 doubles a satellite and at most
+#: Cap on the doubles one batch of band shells holds (1 MB). Each satellite
+#: of an equal-interval batch takes its 3 coordinates in its trial's shell
+#: and 3 more in the batch's stacked copy, and the batch holds one work area
+#: of at most n_hat - 1 doubles a satellite and at most
 #: ``routing._PRODUCT_DOTS``: a group of target dots while it snaps, the
 #: lanes of one repair walk while it repairs. A satellite of a greedy batch
-#: takes ``_WALK_DOUBLES``.
+#: takes ``_WALK_DOUBLES``. The cap sizes band batches; a batch's re-routes
+#: add their whole shells, at most 2 a batch on table1 (5 seeds x 400
+#: trials) and 4 on the 800-satellite sweep (48 distances x 200 trials).
 _BATCH_DOUBLES = 1 << 17
 
 #: Doubles each satellite of a greedy batch takes at the peak of the
@@ -351,20 +332,18 @@ class TrialCell:
     #: equal-interval batch's cost per satellite does not grow with n_hat.
     batch: int
 
-    def shell(self, *parts: np.ndarray) -> Constellation:
-        """The satellites of ``parts`` in order, then the two endpoints."""
+    def shell(self, units: np.ndarray) -> Constellation:
+        """The satellites ``units`` in order, then the two endpoints."""
         p = self.params
         return Constellation.from_unit_rows(
-            p.r_earth_km, p.altitude_km, np.concatenate([*parts, self.endpoints])
+            p.r_earth_km, p.altitude_km, np.concatenate([units, self.endpoints])
         )
 
-    def route(self, shell: Constellation) -> Route:
-        """Route between the cell's endpoints through ``shell``."""
-        return strategy_router(self.strategy)(shell, self.params.d_max_km, self.plan)
-
     def route_batch(self, shells: Sequence[Constellation]) -> list[Route]:
-        """:meth:`route` on each of ``shells``, in one pass."""
-        # Looked up at call time, as in strategy_router.
+        """Routes between the cell's endpoints through each of ``shells``, in
+        one pass, under ``plan`` and the cell's hop range."""
+        # Looked up at call time, so a rebinding of these module names (as
+        # the benchmark tracer does) reaches every route.
         router = {
             "equal-interval": route_equal_interval_batch,
             "min-deflection": route_min_deflection_batch,
@@ -372,33 +351,57 @@ class TrialCell:
         }[self.strategy]
         return router(shells, self.params.d_max_km, self.plan)
 
+    def route_band_first(
+        self, bands: Sequence[np.ndarray], n_rows: int, whole: Callable
+    ) -> tuple[list[Route], list[int]]:
+        """Routes through the shells of ``bands``, in one batch, and then
+        through the whole shell ``whole(k)`` of each band k short of
+        ``n_rows`` satellites whose route reaches past ``halfwidth`` (so a
+        satellite outside the band could have changed it), in one more
+        batch; and the indices k of the routes so replaced."""
+        routes = self.route_batch([self.shell(band) for band in bands])
+        redo = [
+            k
+            for k, (band, route) in enumerate(zip(bands, routes))
+            if len(band) < n_rows and route.band_reach > self.halfwidth
+        ]
+        again = self.route_batch([self.shell(whole(k)) for k in redo]) if redo else []
+        for k, route in zip(redo, again):
+            routes[k] = route
+        return routes, redo
+
     def route_rows(self, units: np.ndarray) -> Route:
         """Route between the cell's endpoints through the satellites ``units``,
         band first, as a trial does.
 
         Routes through the rows with |u_y| <= ``band_sine`` first, in ID
-        order so that ties still go to the lowest ID, and through every row
-        only when that route's ``band_reach`` exceeds ``halfwidth``. Hop IDs
+        order so that ties still go to the lowest ID, and through every row,
+        in their own order, only when that route is not certified. Hop IDs
         index ``units``, then src (``len(units)``) and dst.
         """
+        n = len(units)
         ids = np.flatnonzero(np.abs(units[:, 1]) <= self.band_sine)
-        if len(ids) < len(units):
-            route = self.route(self.shell(units[ids]))
-            if route.band_reach <= self.halfwidth:
-                ids = np.append(ids, [len(units), len(units) + 1])
-                return replace(route, hops=tuple(ids[list(route.hops)].tolist()))
-        return self.route(self.shell(units))
+        (route,), redo = self.route_band_first([units[ids]], n, lambda _: units)
+        if redo:
+            return route
+        ids = np.append(ids, [n, n + 1])
+        return replace(route, hops=tuple(ids[list(route.hops)].tolist()))
 
 
 def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     """The shared part of every trial of a cell routed with ``strategy``.
 
     ``leoroute route`` (:meth:`TrialCell.route_rows`) and the Monte Carlo
-    trials both route through it: :meth:`TrialCell.shell` appends the
-    cell's endpoints to a shell's satellites and :meth:`TrialCell.route`
-    routes between them under ``plan`` and the cell's hop range; the shell
-    carries the cell's sphere and body radius.
+    trials both route through it, band first
+    (:meth:`TrialCell.route_band_first`): :meth:`TrialCell.shell` appends
+    the cell's endpoints to a shell's satellites and
+    :meth:`TrialCell.route_batch` routes between them under ``plan`` and the
+    cell's hop range; the shell carries the cell's sphere and body radius.
+    Raises InvalidInputError for ``ideal``, which routes through no
+    satellites, and for a strategy not in :data:`STRATEGIES`.
     """
+    if strategy not in STRATEGIES[1:]:
+        raise InvalidInputError(f"{strategy!r} is not one of {STRATEGIES[1:]}")
     src, dst = make_endpoints(params.radius, params.arc_angle)
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
@@ -436,32 +439,26 @@ def _run_batch(
     n_sat = cell.params.n_sat
     seeds = [trial_seed(base_seed, i) for i in range(start, stop)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    shells = [cell.shell(sample_band(rng, n_sat, cell.band_sine)) for rng in rngs]
-    routes = cell.route_batch(shells)
+    bands = [sample_band(rng, n_sat, cell.band_sine) for rng in rngs]
+
+    def whole(k: int) -> np.ndarray:
+        # The rest of the shell is drawn only for a trial that needs it.
+        rest = sample_band_complement(rngs[k], n_sat - len(bands[k]), cell.band_sine)
+        return np.concatenate([bands[k], rest])
+
+    routes, _ = cell.route_band_first(bands, n_sat, whole)
     records = []
-    trials = zip(range(start, stop), seeds, rngs, shells, routes)
-    for i, seed, rng, shell, route in trials:
-        band = shell.unit_vectors[:-2]
-        # Every satellite outside the band deviates from the arc by more
-        # than the half-width, so a route that reaches no farther is the
-        # route on the whole shell.
-        if len(band) < n_sat and route.band_reach > cell.halfwidth:
-            rest = sample_band_complement(rng, n_sat - len(band), cell.band_sine)
-            route = cell.route(cell.shell(band, rest))
-        done = not route.interrupted
+    for i, seed, route in zip(range(start, stop), seeds, routes):
+        latency = None if route.interrupted else route.latency
         records.append(
             TrialRecord(
                 trial_index=i,
                 seed=seed,
                 strategy=cell.strategy,
                 status=route.status.value,
-                latency_ms=route.latency if done else None,
+                latency_ms=latency,
                 n_hops_final=route.n_hops,
-                efficiency=(
-                    measured_efficiency(cell.reference_ms, route.latency)
-                    if done
-                    else None
-                ),
+                efficiency=latency and measured_efficiency(cell.reference_ms, latency),
             )
         )
     return records

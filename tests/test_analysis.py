@@ -6,6 +6,7 @@ shells, the sign-change reformulation of the planner's stopping rule, and
 an empirical coverage check straight from sampled constellations.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -149,6 +150,18 @@ def test_reliable_angle_defining_equation():
         theta_r = reliable_angle(eps, n_hops, n_sat)
         target = (1.0 - eps) ** (1.0 / n_hops)
         assert abs(float(contact_cdf(theta_r, n_sat)) - target) < 1e-12
+
+
+def test_reliable_angle_survives_tiny_epsilon():
+    """At ordinary epsilon the per-hop miss is 1 - (1 - eps)^(1/n), bit for
+    bit; where that power rounds to 1 the miss still is not 0."""
+    for eps, n_hops, n_sat in itertools.product((0.1, 0.01), (1, 9, 69), (650, 11927)):
+        miss = 1.0 - (1.0 - eps) ** (1.0 / n_hops)
+        expected = math.acos(min(1.0, max(-1.0, 2.0 * miss ** (1.0 / n_sat) - 1.0)))
+        assert reliable_angle(eps, n_hops, n_sat) == expected
+    for eps in (1e-16, 1e-17, 1e-18, 1e-19, 1e-20):
+        assert (1.0 - eps) ** (1.0 / 16) == 1.0
+        assert reliable_angle(eps, 16, 11927) < math.pi / 2.0
 
 
 def test_reliable_angle_shrinks_with_density():

@@ -142,15 +142,30 @@ def test_analyze_infeasible_plan_exits_two(capsys):
     assert float(values["reliable_angle_rad"]) == pytest.approx(0.2044, abs=2e-3)
 
 
-@pytest.mark.parametrize("preset, epsilon", [("oneweb", "1e-17"), ("starlink", "1e-16")])
+@pytest.mark.parametrize("preset, epsilon", [("oneweb", "1e-17")])
 def test_analyze_tiny_epsilon_exits_two(capsys, preset, epsilon):
-    # (1 - epsilon)^(1/h) rounds to 1; the sufficient size must stay finite.
+    # (1 - epsilon)^(1/h) rounds to 1; the sufficient size must stay finite,
+    # and oneweb is type-I at its first hop count.
     code, out, err = run_cli(capsys, "analyze", "--preset", preset, "--epsilon", epsilon)
     assert (code, err) == (2, "")
     values = parsed_lines(out)
     assert len(values) == 9
     assert values["type1_interrupted"] == "yes"
+    assert values["n_hat_hops"] == "9" and values["iterations_used"] == "1"
     assert int(values["min_sats_sufficient"]) > 0
+
+
+def test_analyze_tiny_epsilon_keeps_the_reliable_angle(capsys):
+    # (1 - epsilon)^(1/h) rounds to 1, but the per-hop miss must not round
+    # to 0: the reliable angle stays small and the plan is not type-I.
+    code, out, err = run_cli(
+        capsys, "analyze", "--preset", "starlink", "--epsilon", "1e-16"
+    )
+    assert (code, err) == (0, "")
+    values = parsed_lines(out)
+    assert values["n_hat_hops"] == "16"
+    assert values["type1_interrupted"] == "no"
+    assert float(values["reliable_angle_rad"]) == pytest.approx(0.1152, abs=1e-4)
 
 
 def test_analyze_single_satellite_short_arc(capsys):

@@ -40,7 +40,6 @@ from leoroute.experiments import (
     run_table1,
     run_trials,
     splitmix64,
-    strategy_router,
     sweep,
     table1_rows,
     table1_to_jsonable,
@@ -53,6 +52,12 @@ from leoroute.experiments import (
     write_table1_json,
 )
 from leoroute.geometry import R_EARTH_KM, dome_angle
+from leoroute.routing import (
+    route_equal_interval,
+    route_equal_interval_batch,
+    route_max_stepsize,
+    route_min_deflection,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +380,11 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
         # Dense: its equal-interval routes certify on the band alone.
         CellParams.from_preset("starlink", epsilon=0.1),
     )
-    router = strategy_router(strategy)
+    router = {
+        "equal-interval": route_equal_interval,
+        "min-deflection": route_min_deflection,
+        "max-stepsize": route_max_stepsize,
+    }[strategy]
     for params in cells:
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
@@ -577,11 +586,11 @@ def band_first_route(cell, units):
     """The band-first route of ``units``, checked against the route on the
     whole shell, and whether its band certified it."""
     route = cell.route_rows(units)
-    assert route == cell.route(cell.shell(units))
+    assert [route] == cell.route_batch([cell.shell(units)])
     band = np.abs(units[:, 1]) <= cell.band_sine
     return route, bool(
         not band.all()
-        and cell.route(cell.shell(units[band])).band_reach <= cell.halfwidth
+        and cell.route_batch([cell.shell(units[band])])[0].band_reach <= cell.halfwidth
     )
 
 
@@ -646,10 +655,58 @@ def test_band_first_route_equals_the_route_on_the_whole_shell():
     assert route.status.value == "ok" and not sure
 
 
-def test_strategy_router_rejects_ideal_and_unknown_names():
+def test_trial_cell_rejects_ideal_and_unknown_names():
+    params = CellParams.from_preset("kuiper", epsilon=0.1)
+    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
     for name in ("ideal", "shortest-path"):
         with pytest.raises(InvalidInputError):
-            strategy_router(name)
+            trial_cell(params, name, plan)
+
+
+def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
+    """A batch of trials routes its band shells in one router call, and the
+    whole shells of the trials it cannot certify in one more: never one
+    call per trial, and never through a one-shell router."""
+    params = CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5)
+    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+    cell = trial_cell(params, "equal-interval", plan)
+    log = []
+
+    def counted(shells, *args):
+        log.append(len(shells))
+        return route_equal_interval_batch(shells, *args)
+
+    def complement(*args):
+        log.append("rest")
+        return sample_band_complement(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a trial went through a one-shell router")
+
+    monkeypatch.setattr(experiments, "route_equal_interval_batch", counted)
+    monkeypatch.setattr(experiments, "sample_band_complement", complement)
+    for name in ("route_equal_interval", "route_min_deflection", "route_max_stepsize"):
+        monkeypatch.setattr(experiments, name, forbidden)
+    sizes = (cell.batch, 5)
+    records = run_trials(params, "equal-interval", sum(sizes), base_seed=11)
+    assert len(records) == sum(sizes)
+    # Each batch: its band call, the complements its re-routes draw, and
+    # then one call that routes that many whole shells.
+    at, rerouted = 0, []
+    for size in sizes:
+        assert log[at] == size
+        drawn = 0
+        while at + 1 + drawn < len(log) and log[at + 1 + drawn] == "rest":
+            drawn += 1
+        at += 1 + drawn
+        if drawn:
+            assert log[at] == drawn
+            at += 1
+        rerouted.append(drawn)
+    assert at == len(log)
+    calls = sum(entry != "rest" for entry in log)
+    assert calls == len(sizes) + sum(drawn > 0 for drawn in rerouted)
+    assert any(rerouted)
 
 
 def test_estimate_type2_accepts_explicit_params():
