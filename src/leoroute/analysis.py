@@ -192,9 +192,7 @@ def latency_floor(arc_angle: float, theta_max: float, radius: float) -> float:
         raise InvalidInputError(f"radius must be positive, got {radius}")
     k = min_feasible_hops(arc_angle, theta_max)
     remainder = arc_angle - (k - 1) * theta_max
-    total_chord_factor = (k - 1) * math.sin(theta_max / 2.0) + math.sin(
-        remainder / 2.0
-    )
+    total_chord_factor = (k - 1) * math.sin(theta_max / 2.0) + math.sin(remainder / 2.0)
     return (2.0 * radius / SIGNAL_SPEED_KM_MS) * total_chord_factor
 
 
@@ -243,19 +241,12 @@ def plan_hops(
                 f"hop planner exceeded its iteration cap of {cap}"
             )
         theta_r = reliable_angle(epsilon, n, n_sat)
-        slack = 0.5 * (theta_max - arc_angle / n)
-        if theta_r < slack:
+        # The slack is below ``upper``, so at most one of the two ends holds.
+        if theta_r < 0.5 * (theta_max - arc_angle / n) or theta_r > upper:
             return HopPlan(
                 n_hat=n,
                 reliable_angle=theta_r,
-                type1_interrupted=False,
-                iterations_used=iterations,
-            )
-        if theta_r > upper:
-            return HopPlan(
-                n_hat=n,
-                reliable_angle=theta_r,
-                type1_interrupted=True,
+                type1_interrupted=theta_r > upper,
                 iterations_used=iterations,
             )
         n += 1

@@ -197,6 +197,29 @@ def _resolve_cell(
     )
 
 
+# Options that several commands share.
+_config_option = click.option(
+    "--config",
+    "config_path",
+    type=click.Path(),
+    default=None,
+    help="JSON file with defaults; flags override it.",
+)
+_dome_angle_option = click.option(
+    "--dome-angle",
+    default="pi",
+    show_default=True,
+    help="Endpoint separation in radians (pi literals allowed).",
+)
+_format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["csv", "json", "both"]),
+    default="both",
+    show_default=True,
+)
+
+
 def _constellation_options(f):
     f = click.option(
         "--preset",
@@ -217,14 +240,7 @@ def _constellation_options(f):
         default=None,
         help="Interruption budget in (0, 1) (default 0.01).",
     )(f)
-    f = click.option(
-        "--config",
-        "config_path",
-        type=click.Path(),
-        default=None,
-        help="JSON file with defaults; flags override it.",
-    )(f)
-    return f
+    return _config_option(f)
 
 
 def _print_version(ctx: click.Context, _param, value: bool) -> None:
@@ -249,12 +265,7 @@ def cli() -> None:
 
 @cli.command()
 @_constellation_options
-@click.option(
-    "--dome-angle",
-    default="pi",
-    show_default=True,
-    help="Endpoint separation in radians (pi literals allowed).",
-)
+@_dome_angle_option
 def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) -> None:
     """Closed-form link analysis: hop plan, contact law, feasibility."""
     params = _resolve_cell(
@@ -283,12 +294,7 @@ def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) ->
 
 @cli.command()
 @_constellation_options
-@click.option(
-    "--dome-angle",
-    default="pi",
-    show_default=True,
-    help="Endpoint separation in radians (pi literals allowed).",
-)
+@_dome_angle_option
 @click.option(
     "--strategy",
     type=click.Choice(list(STRATEGIES)),
@@ -403,14 +409,10 @@ def route(
 
 def _write_pair(fmt: str, out_base: str, write_csv, write_json) -> list[str]:
     paths = []
-    if fmt in ("csv", "both"):
-        path = f"{out_base}.csv"
-        write_csv(path)
-        paths.append(path)
-    if fmt in ("json", "both"):
-        path = f"{out_base}.json"
-        write_json(path)
-        paths.append(path)
+    for ext, write in (("csv", write_csv), ("json", write_json)):
+        if fmt in (ext, "both"):
+            paths.append(f"{out_base}.{ext}")
+            write(paths[-1])
     return paths
 
 
@@ -419,20 +421,8 @@ def _write_pair(fmt: str, out_base: str, write_csv, write_json) -> list[str]:
 @click.option("--seed", type=int, default=None, help="Base seed (default 0).")
 @click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, at most one per CPU.")
 @click.option("--out", default="table1", show_default=True, help="Output base path.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json", "both"]),
-    default="both",
-    show_default=True,
-)
-@click.option(
-    "--config",
-    "config_path",
-    type=click.Path(),
-    default=None,
-    help="JSON file with defaults; flags override it.",
-)
+@_format_option
+@_config_option
 def table1(trials, seed, threads, out, fmt, config_path) -> None:
     """Monte Carlo summary table over the three preset constellations."""
     config = _load_config_file(config_path)
@@ -481,13 +471,7 @@ _SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n
     help="Comma-separated strategy subset, non-empty and without repeats.",
 )
 @click.option("--out", default="sweep", show_default=True, help="Output base path.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json", "both"]),
-    default="both",
-    show_default=True,
-)
+@_format_option
 def sweep_cmd(
     var,
     start,
@@ -573,10 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (InvalidInputError, DegenerateArcError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except OSError as exc:
+    except (InvalidInputError, DegenerateArcError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except InternalConsistencyError as exc:

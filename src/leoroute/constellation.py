@@ -5,11 +5,12 @@ binomial point process): cos(theta) uniform on [-1, 1] and phi uniform on
 [0, 2*pi). A constellation keeps its satellites as read-only unit-vector
 rows, and satellite IDs are 0-based row indices.
 
-:func:`sample_band` and :func:`sample_band_complement` draw the same
+:func:`sample_bands` and :func:`sample_band_complement` draw the same
 process in two parts, split at a band |u_y| <= s around the xz great
-circle: first the satellites inside the band, then, only when asked, the
-rest. By the restriction property of the binomial point process the two
-parts together are ``n_sat`` i.i.d. uniform satellites.
+circle: first the satellites inside the band, for a batch of shells at
+once, then, only when asked, the rest of one shell. By the restriction
+property of the binomial point process the two parts together are
+``n_sat`` i.i.d. uniform satellites.
 """
 
 from __future__ import annotations
@@ -131,18 +132,15 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
     return Constellation.from_unit_rows(r_earth, altitude, units)
 
 
-def _band_rows(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Unit rows at height ``y`` on the y axis and longitude ``phi`` about it.
-
-    The rows are unit vectors to rounding by construction and are not
-    normalized again.
-    """
-    rho = np.sqrt(1.0 - y * y)
-    rows = np.empty((len(y), 3))
-    np.multiply(rho, np.cos(phi), out=rows[:, 0])
-    rows[:, 1] = y
-    np.multiply(rho, np.sin(phi), out=rows[:, 2])
-    return rows
+def _unit_rows(rows: np.ndarray, y: np.ndarray, u: np.ndarray) -> None:
+    """Write the unit rows at height ``y`` on the y axis and longitude
+    2 pi u about it into ``rows``, overwriting ``y`` and ``u``. The rows are
+    unit vectors to rounding and are not normalized again."""
+    rows[..., 1] = y
+    rho = np.sqrt(np.subtract(1.0, np.square(y, out=y), out=y), out=y)
+    phi = np.multiply(u, 2.0 * math.pi, out=u)
+    np.multiply(np.cos(phi, out=rows[..., 0]), rho, out=rows[..., 0])
+    np.multiply(np.sin(phi, out=rows[..., 2]), rho, out=rows[..., 2])
 
 
 def _check_band(sin_halfwidth: float) -> None:
@@ -152,40 +150,56 @@ def _check_band(sin_halfwidth: float) -> None:
         )
 
 
-def sample_band(
-    rng: np.random.Generator, n_sat: int, sin_halfwidth: float
-) -> np.ndarray:
-    """Unit rows of the satellites of a uniform shell inside |u_y| <= s.
+def sample_bands(
+    rngs: Sequence[np.random.Generator], n_sat: int, s: float
+) -> tuple[np.ndarray, list[int]]:
+    """The satellites inside |u_y| <= s of one uniform shell per generator:
+    shell b's unit rows are ``rows[b, :counts[b]]`` of one zero-padded
+    (B, max K + 2, 3) array, which keeps two rows for each shell's endpoints.
 
-    On a uniform sphere u_y is uniform on [-1, 1], so the band of
-    ``n_sat`` satellites holds K ~ Binomial(n_sat, s) of them, each
-    uniform in the band. Draws K, then K heights and K longitudes from
-    ``rng``; :func:`sample_band_complement` continues the same generator
-    with the other ``n_sat - K``.
+    On a uniform sphere u_y is uniform on [-1, 1], so the band holds
+    K ~ Binomial(n_sat, s) satellites, each uniform in it. Each generator
+    draws its K, then 2K uniforms, heights -s + 2s u and longitudes 2 pi u:
+    bit for bit two ``uniform`` calls. :func:`sample_band_complement`
+    continues it with the other n_sat - K. One pass turns the batch to rows.
 
     Raises:
         InvalidInputError: If ``n_sat`` < 1 or s is outside [0, 1].
     """
     if n_sat < 1:
         raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
-    _check_band(sin_halfwidth)
-    k = int(rng.binomial(n_sat, sin_halfwidth))
-    y = rng.uniform(-sin_halfwidth, sin_halfwidth, k)
-    return _band_rows(y, rng.uniform(0.0, 2.0 * math.pi, k))
+    _check_band(s)
+    counts = [int(rng.binomial(n_sat, s)) for rng in rngs]
+    width = max(counts, default=0) + 2
+    heights, longitudes = uniforms = np.zeros((2, len(counts), width))
+    for b, (rng, k) in enumerate(zip(rngs, counts)):
+        uniforms[:, b, :k] = rng.random(2 * k).reshape(2, k)
+    heights *= 2.0 * s
+    heights -= s
+    rows = np.empty((len(counts), width, 3))
+    _unit_rows(rows, heights, longitudes)
+    for b, k in enumerate(counts):
+        rows[b, k:] = 0.0
+    return rows, counts
 
 
 def sample_band_complement(
-    rng: np.random.Generator, count: int, sin_halfwidth: float
-) -> np.ndarray:
-    """Unit rows of ``count`` satellites uniform outside the band |u_y| <= s.
+    rng: np.random.Generator, s: float, out: np.ndarray
+) -> None:
+    """Write into ``out`` the unit rows of ``len(out)`` satellites uniform
+    outside the band |u_y| <= s.
 
     |u_y| is uniform on [s, 1] with a random sign, and the longitude about
-    the y axis is uniform.
+    the y axis is uniform: 3 ``len(out)`` uniforms give magnitudes
+    s + (1 - s) u, signs (negative below 1/2) and longitudes, bit for bit
+    the values of ``uniform``, ``random`` and ``uniform`` calls.
     """
-    _check_band(sin_halfwidth)
-    magnitude = rng.uniform(sin_halfwidth, 1.0, count)
-    y = np.where(rng.random(count) < 0.5, -magnitude, magnitude)
-    return _band_rows(y, rng.uniform(0.0, 2.0 * math.pi, count))
+    _check_band(s)
+    y, sign, longitudes = rng.random(3 * len(out)).reshape(3, len(out))
+    y *= 1.0 - s
+    y += s
+    np.negative(y, out=y, where=sign < 0.5)
+    _unit_rows(out, y, longitudes)
 
 
 def nearest(

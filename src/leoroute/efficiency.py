@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .analysis import _contact_quantile, contact_pdf, n_min_ideal
 from .errors import InternalConsistencyError, InvalidInputError
-from .quadrature import adaptive_simpson
 
-#: Absolute tolerance of the contact-angle quadrature.
-OUTER_TOL = 1e-8
+# Unused here; benchmarks/tracing.py wraps this binding by name.
+from .quadrature import adaptive_simpson  # noqa: F401
 
 
 def _validate_hop(theta_h: float, n_sat: int, theta_max: float) -> None:
@@ -36,40 +37,40 @@ def _validate_hop(theta_h: float, n_sat: int, theta_max: float) -> None:
 
 #: Probability levels whose contact-angle quantiles split the integration
 #: domain. Dense shells concentrate the contact density in a spike whose
-#: width shrinks like 1/sqrt(n_sat); without mass-aware panel boundaries a
-#: fixed-node first pass can miss the spike entirely and terminate early.
+#: width shrinks like 1/sqrt(n_sat); panels that do not follow the mass
+#: would put few nodes on the spike.
 _QUANTILE_LEVELS = (0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
 
+#: The 16-point Gauss-Legendre rule on [-1, 1]. It is symmetric, so its
+#: eight positive nodes and their weights give the rest.
+_HALF_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_HALF_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+_NODES = np.array([-x for x in reversed(_HALF_NODES)] + list(_HALF_NODES))
+_WEIGHTS = np.array(list(reversed(_HALF_WEIGHTS)) + list(_HALF_WEIGHTS))
 
-def _density_aware_integral(f, n_sat: int, upper: float, tol: float) -> float:
-    """Integrate ``f`` over [0, upper] with panels split at density quantiles."""
-    cuts = [0.0]
-    for p in _QUANTILE_LEVELS:
-        q = _contact_quantile(1.0 - p, n_sat)
-        if cuts[-1] + 1e-15 < q < upper - 1e-15:
-            cuts.append(q)
-    cuts.append(upper)
-    per_panel = tol / (len(cuts) - 1)
-    return sum(
-        adaptive_simpson(f, a, b, tol=per_panel) for a, b in zip(cuts, cuts[1:])
-    )
 
-
-def _ellipe(m: float) -> float:
-    """Complete elliptic integral of the second kind E(m), m in [0, 1].
+def _ellipe(m: np.ndarray) -> np.ndarray:
+    """Complete elliptic integral of the second kind E(m), element-wise for
+    m in [0, 1].
 
     Arithmetic-geometric mean with the Legendre sum of squared half
     differences; E(1) = 1 is returned exactly, where the mean degenerates.
     """
-    if m >= 1.0:
-        return 1.0
-    a, b, total = 1.0, math.sqrt(1.0 - m), 0.5 * m
+    flat = m >= 1.0
+    # b = 1 where m >= 1 makes those means converge at once.
+    a, b, total = np.ones_like(m), np.sqrt(np.where(flat, 1.0, 1.0 - m)), 0.5 * m
     for k in range(32):
-        if a - b <= 1e-15 * a:
+        if np.all(a - b <= 1e-15 * a):
             break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
         total += 2.0**k * c * c
-    return math.pi / (2.0 * a) * (1.0 - total)
+    return np.where(flat, 1.0, math.pi / (2.0 * a) * (1.0 - total))
 
 
 def mean_hop_stretch(theta_h: float, n_sat: int, theta_max: float) -> float:
@@ -80,21 +81,22 @@ def mean_hop_stretch(theta_h: float, n_sat: int, theta_max: float) -> float:
     angle, normalized by the undisplaced chord. Approaches 1 as the
     constellation densifies. The azimuthal integral of sqrt(a - b cos phi)
     over [0, pi] is 2 sqrt(a + b) E(2b / (a + b)).
+
+    The contact angle is integrated by the 16-point Gauss-Legendre rule, all
+    nodes at once, on panels split at the quantiles of ``_QUANTILE_LEVELS``
+    and at ``theta_h``, where E's argument reaches 1 and the integrand kinks.
     """
     _validate_hop(theta_h, n_sat, theta_max)
-    cos_h = math.cos(theta_h)
-    sin_h = math.sin(theta_h)
+    inner = [_contact_quantile(1.0 - p, n_sat) for p in _QUANTILE_LEVELS]
+    inner.append(theta_h)
+    cuts = np.array(sorted({0.0, theta_max, *(t for t in inner if t < theta_max)}))
+    half = 0.5 * np.diff(cuts)[:, None]
+    theta = cuts[:-1, None] + half * (1.0 + _NODES)
+    a = 1.0 - np.cos(theta) * math.cos(theta_h)
+    b = np.sin(theta) * math.sin(theta_h)
+    f = contact_pdf(theta, n_sat) * 2.0 * np.sqrt(a + b) * _ellipe(2.0 * b / (a + b))
     prefactor = math.sqrt(2.0) / (2.0 * math.pi * math.sin(theta_h / 2.0))
-
-    def outer(theta: float) -> float:
-        density = float(contact_pdf(theta, n_sat))
-        if density == 0.0:
-            return 0.0
-        a = 1.0 - math.cos(theta) * cos_h
-        b = math.sin(theta) * sin_h
-        return density * 2.0 * math.sqrt(a + b) * _ellipe(2.0 * b / (a + b))
-
-    return prefactor * _density_aware_integral(outer, n_sat, theta_max, OUTER_TOL)
+    return prefactor * float(np.sum(half * _WEIGHTS * f))
 
 
 def mean_hop_span(theta_h: float, n_sat: int, theta_max: float) -> float:
@@ -127,10 +129,7 @@ def _ideal_chord_ratio(arc_angle: float, n_hat: int, theta_max: float) -> float:
 
 
 def efficiency_contour(
-    arc_angle: float,
-    n_hat: int,
-    n_sat: int,
-    theta_max: float,
+    arc_angle: float, n_hat: int, n_sat: int, theta_max: float
 ) -> float:
     """Contour-form efficiency estimate.
 
@@ -146,10 +145,7 @@ def efficiency_contour(
 
 
 def efficiency_binomial(
-    arc_angle: float,
-    n_hat: int,
-    n_sat: int,
-    theta_max: float,
+    arc_angle: float, n_hat: int, n_sat: int, theta_max: float
 ) -> float:
     """Binomial-form efficiency estimate.
 

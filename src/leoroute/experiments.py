@@ -4,7 +4,7 @@ Each trial routes between two endpoints at an exact dome-angle separation
 through a fresh uniform constellation, and records status, latency, and
 efficiency. The endpoints lie in the xz-plane, so the arc's normal is the
 y axis, and a trial draws its shell band first
-(:func:`~leoroute.constellation.sample_band`): only the satellites with
+(:func:`~leoroute.constellation.sample_bands`): only the satellites with
 |u_y| <= sin w, then the two endpoints as the last two satellites. When
 the route on that band shell is certified — its
 :attr:`~leoroute.routing.Route.band_reach` is at most w, so no satellite
@@ -19,15 +19,16 @@ process), so the records follow the same law as routing on a full shell.
 first, and on every row only when that route is not certified.
 
 Trials are routed in batches of :attr:`TrialCell.batch`, for every
-sampled strategy. Each trial of a batch draws its band from its own
-generator, then one batch router call routes every band shell of the
-batch: :func:`~leoroute.routing.route_equal_interval_batch` computes the
+sampled strategy. Each trial draws its band count and one block of
+uniforms from its own generator, and one trig pass writes every band's
+rows, then its endpoints, straight into the batch's
+:class:`~leoroute.routing.ShellStack`. One batch router call routes the
+stack: :func:`~leoroute.routing.route_equal_interval_batch` computes the
 cell's targets once, snaps all shells in one lockstep pass and repairs
-them in rounds of one lockstep walk each, and the greedy baselines walk all
-shells in lockstep. The trials that need the complement draw it from their
-own generators, and one more batch router call routes their whole shells.
-The batch size keeps a batch's band shells under 1 MB, and batching
-changes no record.
+them in rounds of one lockstep walk each, and the greedy baselines walk
+all shells in lockstep. The trials that need the complement draw it into
+one more stack, after their band rows, for one more router call. The
+batch size keeps a batch under 1 MB, and batching changes no record.
 
 Per-trial seeds are derived from the base seed with a splitmix64 mix of
 the trial index, so results are deterministic and independent of
@@ -60,17 +61,17 @@ from .analysis import (
 )
 from .constellation import (
     PRESET_PARAMS,
-    Constellation,
     point_rows,
-    sample_band,
     sample_band_complement,
+    sample_bands,
 )
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
-from .geometry import R_EARTH_KM, SpherePoint
+from .geometry import R_EARTH_KM, SpherePoint, coincident
 from .routing import (
     _PRODUCT_DOTS,
     Route,
+    ShellStack,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
@@ -132,11 +133,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
-        / denom
-    )
+    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # At boundary counts, center -/+ half equals the boundary exactly in
     # real arithmetic; clamp away the floating-point residue so the
     # interval always contains the point estimate.
@@ -181,13 +178,7 @@ class CellParams:
                 f"unknown preset {name!r}; choose from {sorted(PRESET_PARAMS)}"
             )
         altitude_km, n_sat = PRESET_PARAMS[name]
-        return cls(
-            n_sat=n_sat,
-            altitude_km=altitude_km,
-            arc_angle=arc_angle,
-            d_max_km=d_max_km,
-            epsilon=epsilon,
-        )
+        return cls(n_sat, altitude_km, arc_angle, d_max_km, epsilon)
 
     @property
     def radius(self) -> float:
@@ -258,24 +249,26 @@ def reference_latency_ms(params: CellParams) -> float:
 #: and the arc's normal, which is the y axis only to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the doubles one batch of band shells holds (1 MB). Each satellite
-#: of an equal-interval batch takes its 3 coordinates in its trial's shell
-#: and 3 more in the batch's stacked copy, and the batch holds one work area
-#: of at most n_hat - 1 doubles a satellite and at most
+#: Cap on the doubles one batch of trials holds (1 MB). A satellite of an
+#: equal-interval batch is charged 6, which covers the draw's peak: its 3
+#: coordinates in the batch stack, its 2 uniforms and its share of the
+#: trials' generators (a trace peaked at 5.9 a stack row). The uniforms are
+#: freed before routing starts, and the batch then holds one work area of
+#: at most n_hat - 1 doubles a satellite and at most
 #: ``routing._PRODUCT_DOTS``: a group of target dots while it snaps, the
 #: lanes of one repair walk while it repairs. A satellite of a greedy batch
-#: takes ``_WALK_DOUBLES``. The cap sizes band batches; a batch's re-routes
-#: add their whole shells, at most 2 a batch on table1 (5 seeds x 400
-#: trials) and 4 on the 800-satellite sweep (48 distances x 200 trials).
+#: takes ``_WALK_DOUBLES``. A batch's re-routes add their whole shells, at
+#: most 2 a batch on table1 (5 seeds x 400 trials) and 4 on the
+#: 800-satellite sweep (48 distances x 200 trials).
 _BATCH_DOUBLES = 1 << 17
 
 #: Doubles each satellite of a greedy batch takes at the peak of the
-#: lockstep walk, a lane drop: its 3 coordinates in its trial's shell and 3
-#: in the stack, its deflection, its dots with the goal and with the
-#: current satellite, and up to 10 while the drop copies its coordinates,
-#: closeness to the goal and score and the previous drop's copies are still
-#: held. Both copies hold only the walks still going, so a trace of the
-#: 800-satellite sweep cells peaked at 18 per stack row, masks included.
+#: lockstep walk, a lane drop: its 3 coordinates in the stack, its
+#: deflection, its dots with the goal and with the current satellite, and
+#: up to 10 while the drop copies its coordinates, closeness to the goal
+#: and score and the previous drop's copies are still held. Both copies
+#: hold only the walks still going, so a trace of the 800-satellite sweep
+#: cells peaked at 16 per stack row, masks included.
 _WALK_DOUBLES = 18
 
 
@@ -332,16 +325,26 @@ class TrialCell:
     #: equal-interval batch's cost per satellite does not grow with n_hat.
     batch: int
 
-    def shell(self, units: np.ndarray) -> Constellation:
-        """The satellites ``units`` in order, then the two endpoints."""
+    def stack(self, rows: np.ndarray, counts: list[int]) -> ShellStack:
+        """The shells whose satellites are ``rows[b, :counts[b]]``, each
+        followed by the cell's endpoints, which this writes into the next
+        two rows."""
+        lanes = np.arange(len(counts))
+        rows[lanes, counts] = self.endpoints[0]
+        rows[lanes, np.add(counts, 1)] = self.endpoints[1]
         p = self.params
-        return Constellation.from_unit_rows(
-            p.r_earth_km, p.altitude_km, np.concatenate([units, self.endpoints])
-        )
+        return ShellStack(rows, counts, p.radius, p.r_earth_km)
 
-    def route_batch(self, shells: Sequence[Constellation]) -> list[Route]:
-        """Routes between the cell's endpoints through each of ``shells``, in
-        one pass, under ``plan`` and the cell's hop range."""
+    def stack_one(self, units: np.ndarray) -> ShellStack:
+        """The stack of one shell: the satellites ``units``, then the cell's
+        endpoints."""
+        rows = np.empty((1, len(units) + 2, 3))
+        rows[0, : len(units)] = units
+        return self.stack(rows, [len(units)])
+
+    def route_batch(self, stack: ShellStack) -> list[Route]:
+        """Routes between the cell's endpoints through each shell of
+        ``stack``, in one pass, under ``plan`` and the cell's hop range."""
         # Looked up at call time, so a rebinding of these module names (as
         # the benchmark tracer does) reaches every route.
         router = {
@@ -349,25 +352,25 @@ class TrialCell:
             "min-deflection": route_min_deflection_batch,
             "max-stepsize": route_max_stepsize_batch,
         }[self.strategy]
-        return router(shells, self.params.d_max_km, self.plan)
+        return router(stack, self.params.d_max_km, self.plan)
 
     def route_band_first(
-        self, bands: Sequence[np.ndarray], n_rows: int, whole: Callable
+        self, bands: ShellStack, n_rows: int, whole: Callable
     ) -> tuple[list[Route], list[int]]:
-        """Routes through the shells of ``bands``, in one batch, and then
-        through the whole shell ``whole(k)`` of each band k short of
-        ``n_rows`` satellites whose route reaches past ``halfwidth`` (so a
-        satellite outside the band could have changed it), in one more
-        batch; and the indices k of the routes so replaced."""
-        routes = self.route_batch([self.shell(band) for band in bands])
+        """Routes through the band shells of ``bands``, in one batch, and
+        then through the whole shells ``whole(redo)`` of the bands k in
+        ``redo``: those short of ``n_rows`` satellites whose route reaches
+        past ``halfwidth`` (so a satellite outside the band could have
+        changed it), in one more batch; and ``redo``."""
+        routes = self.route_batch(bands)
         redo = [
             k
-            for k, (band, route) in enumerate(zip(bands, routes))
-            if len(band) < n_rows and route.band_reach > self.halfwidth
+            for k, (count, route) in enumerate(zip(bands.counts, routes))
+            if count < n_rows and route.band_reach > self.halfwidth
         ]
-        again = self.route_batch([self.shell(whole(k)) for k in redo]) if redo else []
-        for k, route in zip(redo, again):
-            routes[k] = route
+        if redo:
+            for k, route in zip(redo, self.route_batch(whole(redo))):
+                routes[k] = route
         return routes, redo
 
     def route_rows(self, units: np.ndarray) -> Route:
@@ -381,7 +384,9 @@ class TrialCell:
         """
         n = len(units)
         ids = np.flatnonzero(np.abs(units[:, 1]) <= self.band_sine)
-        (route,), redo = self.route_band_first([units[ids]], n, lambda _: units)
+        (route,), redo = self.route_band_first(
+            self.stack_one(units[ids]), n, lambda _: self.stack_one(units)
+        )
         if redo:
             return route
         ids = np.append(ids, [n, n + 1])
@@ -393,16 +398,17 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
 
     ``leoroute route`` (:meth:`TrialCell.route_rows`) and the Monte Carlo
     trials both route through it, band first
-    (:meth:`TrialCell.route_band_first`): :meth:`TrialCell.shell` appends
-    the cell's endpoints to a shell's satellites and
-    :meth:`TrialCell.route_batch` routes between them under ``plan`` and the
-    cell's hop range; the shell carries the cell's sphere and body radius.
-    Raises InvalidInputError for ``ideal``, which routes through no
-    satellites, and for a strategy not in :data:`STRATEGIES`.
+    (:meth:`TrialCell.route_band_first`). Raises InvalidInputError for
+    ``ideal``, which routes through no satellites, for a strategy not in
+    :data:`STRATEGIES`, and when the endpoints coincide
+    (:func:`~leoroute.geometry.great_arc` finds no arc between them).
     """
     if strategy not in STRATEGIES[1:]:
         raise InvalidInputError(f"{strategy!r} is not one of {STRATEGIES[1:]}")
     src, dst = make_endpoints(params.radius, params.arc_angle)
+    endpoints = point_rows([src, dst])
+    if coincident(*endpoints):
+        raise InvalidInputError("src and dst are the same point")
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
     # A band holds Binomial(N, s) satellites: bound them by their mean plus
@@ -424,7 +430,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         params=params,
         strategy=strategy,
         plan=plan,
-        endpoints=point_rows([src, dst]),
+        endpoints=endpoints,
         halfwidth=halfwidth,
         band_sine=band_sine,
         reference_ms=reference_latency_ms(params),
@@ -436,15 +442,19 @@ def _run_batch(
     cell: TrialCell, base_seed: int, start: int, stop: int
 ) -> list[TrialRecord]:
     """Records of trials ``start`` to ``stop``, routed on their bands together."""
-    n_sat = cell.params.n_sat
+    n_sat, sine = cell.params.n_sat, cell.band_sine
     seeds = [trial_seed(base_seed, i) for i in range(start, stop)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    bands = [sample_band(rng, n_sat, cell.band_sine) for rng in rngs]
+    bands = cell.stack(*sample_bands(rngs, n_sat, sine))
 
-    def whole(k: int) -> np.ndarray:
-        # The rest of the shell is drawn only for a trial that needs it.
-        rest = sample_band_complement(rngs[k], n_sat - len(bands[k]), cell.band_sine)
-        return np.concatenate([bands[k], rest])
+    def whole(redo: list[int]) -> ShellStack:
+        # The rest of a shell is drawn only for a trial that needs it.
+        rows = np.empty((len(redo), n_sat + 2, 3))
+        for shell, k in zip(rows, redo):
+            count = bands.counts[k]
+            shell[:count] = bands.rows[k, :count]
+            sample_band_complement(rngs[k], sine, shell[count:n_sat])
+        return cell.stack(rows, [n_sat] * len(redo))
 
     routes, _ = cell.route_band_first(bands, n_sat, whole)
     records = []

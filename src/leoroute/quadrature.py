@@ -1,8 +1,8 @@
-"""Adaptive Simpson quadrature for the package's smooth 1-D integrands.
+"""Adaptive Simpson quadrature for smooth 1-D integrands.
 
-A small, dependency-free implementation is kept in-package because the
-analysis and efficiency contracts pin specific absolute tolerances for
-every integral they evaluate.
+Only :func:`~leoroute.analysis.contact_mean` uses it now, at the absolute
+tolerance its recorded benchmark reference pins exactly; it goes once that
+reference is compared within a tolerance instead.
 """
 
 from __future__ import annotations

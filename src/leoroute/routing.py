@@ -14,27 +14,28 @@ They share one signature, ``(constellation, d_max, plan) -> Route``: all of
 them follow the hop plan the caller made for the cell (equal-interval places
 ``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
-Each also has a batch router, ``route_*_batch(shells, d_max, plan)``, for
-many shells that share their endpoints: equal-interval snaps all of them in
-one lockstep pass over its targets and repairs them in rounds, one lockstep
-walk per round, and the greedy baselines walk all of them in lockstep. The
-one-shell routers are batches of one, and :func:`hop_repair` is a repair
-round of one lane. Repairs and both baselines run one greedy relay walk, a
-batch of walks at a time, and differ only in its score, the satellites they
-block and the step cap. Every router builds its routes from hop paths over
-its batch stack in one place.
+Each also has a batch router, ``route_*_batch(stack, d_max, plan)``, for
+a :class:`ShellStack` of shells that share their endpoints: equal-interval
+snaps all of them in one lockstep pass over its targets and repairs them
+in rounds, one lockstep walk per round, and the greedy baselines walk all
+of them in lockstep. The one-shell routers are batches of one
+(:meth:`ShellStack.of`), and :func:`hop_repair` is a repair round of one
+lane. Repairs and both baselines run one greedy relay walk, a batch of
+walks at a time, and differ only in its score, the satellites they block
+and the step cap. Every router builds its routes from hop paths over its
+stack in one place.
 
-The constellation alone describes the rest of the route's setting: its
-endpoints are its last two satellites (src second to last, dst last), as
-the Monte Carlo harness appends them, and its ``radius`` and ``r_earth``
-are the sphere and the occluding body. Routing works on the
-constellation's unit vectors; :class:`SpherePoint` appears only in
-:func:`arc_waypoints`, the relay positions of the ideal route (equal hops
-along the great-circle arc). A hop is admissible when its chord is at
-most min(d_max, line-of-sight limit), tested as one dot product of unit
-vectors; latency is the summed chord over the signal speed
-``SIGNAL_SPEED_KM_MS``. Routes never fail with an exception on a valid
-input: infeasibility is reported as ``type2_interrupted`` status.
+The shell alone describes the rest of the route's setting: its endpoints
+are its last two satellites (src second to last, dst last), as the Monte
+Carlo harness appends them, and its ``radius`` and ``r_earth`` are the
+sphere and the occluding body. Routing works on unit vectors;
+:class:`SpherePoint` appears only in :func:`arc_waypoints`, the relay
+positions of the ideal route (equal hops along the great-circle arc). A
+hop is admissible when its chord is at most min(d_max, line-of-sight
+limit), tested as one dot product of unit vectors; latency is the summed
+chord over the signal speed ``SIGNAL_SPEED_KM_MS``. Routes never fail with
+an exception on a valid input: infeasibility is reported as
+``type2_interrupted`` status.
 
 Each route also reports its ``band_reach``: how far from the src-dst great
 circle a satellite must lie to be unable to change the route. The routers
@@ -139,7 +140,7 @@ class Route:
         return self.n_hops == 1 and not self.interrupted
 
 
-def _cos_admissible(c: Constellation, d_max: float) -> float:
+def _cos_admissible(c: "Constellation | ShellStack", d_max: float) -> float:
     """Smallest unit-vector dot product of an admissible hop in ``c``.
 
     A hop is admissible when its chord is at most min(d_max, line-of-sight
@@ -148,13 +149,10 @@ def _cos_admissible(c: Constellation, d_max: float) -> float:
     r * sqrt(2 (1 - u_a . u_b)), so the test is one dot.
 
     Raises:
-        InvalidInputError: If ``d_max`` is not positive or ``c`` holds
-            fewer than two satellites.
+        InvalidInputError: If ``d_max`` is not positive.
     """
     if not d_max > 0.0:
         raise InvalidInputError(f"d_max must be positive, got {d_max}")
-    if c.n_sat < 2:
-        raise InvalidInputError(f"a hop needs two satellites, got {c.n_sat}")
     radius = c.radius
     limit = min(d_max, los_chord_limit(radius, c.r_earth))
     return 1.0 - (limit * limit) / (2.0 * radius * radius)
@@ -279,6 +277,8 @@ def hop_repair(
             no satellite qualifies.
     """
     cos_admissible = _cos_admissible(c, d_max)
+    if c.n_sat < 2:
+        raise InvalidInputError(f"a hop needs two satellites, got {c.n_sat}")
     blocked = np.zeros((1, c.n_sat), dtype=bool)
     ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
     blocked[0, ids[(ids >= 0) & (ids < c.n_sat)]] = True
@@ -370,45 +370,61 @@ def _repair_round(
     return relays
 
 
-def _stack(
-    shells: Sequence[Constellation], d_max: float
-) -> tuple[float, list[int], np.ndarray]:
-    """The frame of a batch: its admissible-hop dot, the satellites before
-    each shell's endpoints (shell b holds ``counts[b]``, then src with ID
-    ``counts[b]`` and dst), and the shells' rows in a (B, W, 3) stack as wide
-    as the largest shell, zero-padded; a batch of one is a view of its shell.
+@dataclass(frozen=True)
+class ShellStack:
+    """A batch of shells that share their sphere (``radius``, km), their
+    body (``r_earth``, km) and their endpoints, stacked for the batch
+    routers.
 
-    Raises:
-        InvalidInputError: As :func:`_cos_admissible`, if src and dst
-            coincide (:func:`~leoroute.geometry.great_arc` finds no arc
-            between them), or if the shells differ in sphere, body or
-            endpoints (their last two rows).
+    Shell b holds ``counts[b]`` satellites, then src (ID ``counts[b]``) and
+    dst, as the rows ``rows[b, :counts[b] + 2]`` of one (B, W, 3) array of
+    unit vectors, zero-padded to W rows. The routers trust the stack as
+    given; :meth:`of` checks the shells it stacks.
     """
-    first = shells[0]
-    # This also makes sure the first shell holds its two endpoints.
-    cos_admissible = _cos_admissible(first, d_max)
-    if coincident(first.unit_vectors[-2], first.unit_vectors[-1]):
-        raise InvalidInputError("src and dst are the same point")
-    ends = first.unit_vectors[-2:].tobytes()
-    for c in shells[1:]:
-        if (c.r_earth, c.altitude) != (first.r_earth, first.altitude) or (
-            c.unit_vectors[-2:].tobytes() != ends
-        ):
-            raise InvalidInputError(
-                "the shells of a batch must share their sphere, body and endpoints"
-            )
-    counts = [c.n_sat - 2 for c in shells]
-    if len(shells) == 1:
-        return cos_admissible, counts, first.unit_vectors[None]
-    stack = np.zeros((len(shells), max(counts) + 2, 3))
-    for b, c in enumerate(shells):
-        stack[b, : c.n_sat] = c.unit_vectors
-    return cos_admissible, counts, stack
+
+    rows: np.ndarray
+    counts: list[int]
+    radius: float
+    r_earth: float
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Unit rows of src and dst."""
+        return self.rows[0, self.counts[0] : self.counts[0] + 2]
+
+    @classmethod
+    def of(cls, shells: Sequence[Constellation]) -> "ShellStack":
+        """The stack of ``shells``, whose endpoints are their last two
+        satellites, as wide as the largest one.
+
+        Raises:
+            InvalidInputError: If the first shell holds fewer than two
+                satellites, if src and dst coincide
+                (:func:`~leoroute.geometry.great_arc` finds no arc between
+                them), or if the shells differ in sphere, body or endpoints.
+        """
+        first = shells[0]
+        if first.n_sat < 2:
+            raise InvalidInputError(f"a hop needs two satellites, got {first.n_sat}")
+        if coincident(first.unit_vectors[-2], first.unit_vectors[-1]):
+            raise InvalidInputError("src and dst are the same point")
+        ends = first.unit_vectors[-2:].tobytes()
+        for c in shells[1:]:
+            if (c.r_earth, c.altitude) != (first.r_earth, first.altitude) or (
+                c.unit_vectors[-2:].tobytes() != ends
+            ):
+                raise InvalidInputError(
+                    "the shells of a batch must share their sphere, body and endpoints"
+                )
+        counts = [c.n_sat - 2 for c in shells]
+        rows = np.zeros((len(shells), max(counts) + 2, 3))
+        for b, c in enumerate(shells):
+            rows[b, : c.n_sat] = c.unit_vectors
+        return cls(rows, counts, first.radius, first.r_earth)
 
 
 def _routes(
-    stack: np.ndarray,
-    radius: float,
+    stack: ShellStack,
     lanes: Sequence[int],
     paths: Sequence[Sequence[int]],
     statuses: Sequence[RouteStatus],
@@ -422,10 +438,10 @@ def _routes(
     """
     sizes = [len(path) for path in paths]
     flat = np.fromiter(chain.from_iterable(paths), np.intp, sum(sizes))
-    flat += np.repeat(np.multiply(lanes, stack.shape[1]), sizes)
-    steps = np.diff(stack.reshape(-1, 3).take(flat, axis=0), axis=0)
+    flat += np.repeat(np.multiply(lanes, stack.rows.shape[1]), sizes)
+    steps = np.diff(stack.rows.reshape(-1, 3).take(flat, axis=0), axis=0)
     # A path's last chord leads to the next path and means nothing.
-    chords = (radius * np.linalg.norm(steps, axis=1)).tolist()
+    chords = (stack.radius * np.linalg.norm(steps, axis=1)).tolist()
     routes, at = [], 0
     for path, size, status, reach in zip(paths, sizes, statuses, reaches):
         end = at + size
@@ -455,44 +471,40 @@ def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route
     reliability guarantee should check ``plan.type1_interrupted`` first.
     This is the batch of one of :func:`route_equal_interval_batch`.
     """
-    return route_equal_interval_batch((c,), d_max, plan)[0]
+    return route_equal_interval_batch(ShellStack.of([c]), d_max, plan)[0]
 
 
 def route_equal_interval_batch(
-    shells: Sequence[Constellation], d_max: float, plan: HopPlan
+    stack: ShellStack, d_max: float, plan: HopPlan
 ) -> list[Route]:
-    """:func:`route_equal_interval` on each of ``shells``, in one pass.
+    """:func:`route_equal_interval` on each shell of ``stack``, in one pass.
 
-    The shells share their sphere, their body and their endpoints (their
-    last two rows), so the targets are computed once. The shells are
-    stacked in blocks as wide as the largest one, and every shell snaps in
-    one lockstep pass over the targets; the endpoints and the padding can
-    never win a snap. The hop fits and the band reach are computed for all
-    shells at once. The shells with an inadmissible hop are repaired
-    together: round r walks the r-th such hop of every shell still
-    repairing, all in one lockstep walk.
+    The shells share their sphere, their body and their endpoints, so the
+    targets are computed once. Every shell snaps in one lockstep pass over
+    the targets; the endpoints and the padding can never win a snap. The
+    hop fits and the band reach are computed for all shells at once. The
+    shells with an inadmissible hop are repaired together: round r walks
+    the r-th such hop of every shell still repairing, all in one lockstep
+    walk.
 
     Raises:
-        InvalidInputError: As :func:`route_equal_interval`, or if the
-            shells differ in sphere, body or endpoints.
+        InvalidInputError: If ``d_max`` is not positive.
     """
-    if not shells:
-        return []
-    cos_admissible, counts, stack = _stack(shells, d_max)
-    batch = len(shells)
-    src, dst = shells[0].unit_vectors[-2:]
+    cos_admissible = _cos_admissible(stack, d_max)
+    rows, counts, batch = stack.rows, stack.counts, len(stack.counts)
+    src, dst = stack.ends
     if float(src @ dst) >= cos_admissible:
         paths = [[k, k + 1] for k in counts]
         statuses, reaches = [RouteStatus.OK] * batch, [0.0] * batch
-        return _routes(stack, shells[0].radius, range(batch), paths, statuses, reaches)
+        return _routes(stack, range(batch), paths, statuses, reaches)
 
     n = plan.n_hat
     targets, _ = great_arc(src, dst, np.arange(1, n) / n)
     hops = np.empty((n + 1, batch), dtype=np.intp)
     hops[0] = counts
-    hops[1:-1] = _snap(stack, counts, targets)
+    hops[1:-1] = _snap(rows, counts, targets)
     hops[-1] = hops[0] + 1
-    path = stack.reshape(-1, 3)[hops + stack.shape[1] * np.arange(batch)]
+    path = rows.reshape(-1, 3)[hops + rows.shape[1] * np.arange(batch)]
     fits = np.einsum("hbj,hbj->hb", path[:-1], path[1:]) >= cos_admissible
     # A satellite deviating from the arc by more than every relay's angle
     # to its target is farther than that from each target, so it could
@@ -510,11 +522,11 @@ def route_equal_interval_batch(
             bad.append(b)
     if bad:
         fixed, settled = _repaired(
-            stack, counts, bad, hops[:, bad], fits[:, bad], cos_admissible
+            stack, bad, hops[:, bad], fits[:, bad], cos_admissible
         )
         for b, repaired, status in zip(bad, fixed, settled):
             paths[b], statuses[b], reaches[b] = repaired, status, math.pi / 2.0
-    return _routes(stack, shells[0].radius, range(batch), paths, statuses, reaches)
+    return _routes(stack, range(batch), paths, statuses, reaches)
 
 
 def _snap(stack: np.ndarray, counts: list[int], targets: np.ndarray) -> np.ndarray:
@@ -578,8 +590,7 @@ def _target_dots(
 
 
 def _repaired(
-    stack: np.ndarray,
-    counts: list[int],
+    stack: ShellStack,
     ids: list[int],
     planned: np.ndarray,
     fits: np.ndarray,
@@ -592,13 +603,13 @@ def _repaired(
     Round r repairs the r-th hop that does not fit of every route still
     repairing, in one :func:`_repair_round`: a relay may not be a planned
     satellite, a relay of an earlier round or padding (shell b holds
-    ``counts[b] + 2`` satellites). A failed repair ends its route with
+    ``stack.counts[b] + 2`` satellites). A failed repair ends its route with
     ``type2_interrupted`` status at the satellite before the hop.
     """
     n = len(planned) - 1
     bad = [np.flatnonzero(~f).tolist() for f in fits.T]
-    sizes = np.array([counts[b] + 2 for b in ids])
-    blocked = np.arange(stack.shape[1]) >= sizes[:, None]
+    sizes = np.array([stack.counts[b] + 2 for b in ids])
+    blocked = np.arange(stack.rows.shape[1]) >= sizes[:, None]
     blocked[np.arange(len(ids)), planned] = True
     planned = planned.T.tolist()
     relays: list[dict[int, list[int]]] = [{} for _ in ids]
@@ -608,7 +619,7 @@ def _repaired(
         going = [j for j in going if r < len(bad[j])]
         hops = [bad[j][r] for j in going]
         found = _repair_round(
-            stack,
+            stack.rows,
             [ids[j] for j in going],
             [planned[j][h] for j, h in zip(going, hops)],
             [planned[j][h + 1] for j, h in zip(going, hops)],
@@ -645,17 +656,16 @@ def _repaired(
 
 
 def _route_greedy(
-    shells: Sequence[Constellation], d_max: float, plan: HopPlan, pick_farthest: bool
+    stack: ShellStack, d_max: float, plan: HopPlan, pick_farthest: bool
 ) -> list[Route]:
-    """The greedy baselines on each of ``shells``, in one lockstep walk.
+    """The greedy baselines on each shell of ``stack``, in one lockstep walk.
 
     The shells share their sphere, their body and their endpoints, so the
     deflection of the whole stack takes one product with the arc's normal.
     """
-    if not shells:
-        return []
-    cos_admissible, counts, units = _stack(shells, d_max)
-    deflection = _deflection(units @ arc_normal(*shells[0].unit_vectors[-2:]))
+    cos_admissible = _cos_admissible(stack, d_max)
+    counts, units = stack.counts, stack.rows
+    deflection = _deflection(units @ arc_normal(*stack.ends))
     src = np.array(counts)
     # Padding is never taken.
     blocked = np.arange(units.shape[1]) >= src[:, None] + 2
@@ -687,7 +697,7 @@ def _route_greedy(
             end = at + len(mids)
             reaches.append(max(seen[at:end], default=0.0) if done else math.pi / 2.0)
             at = end
-    return _routes(units, shells[0].radius, range(len(paths)), paths, statuses, reaches)
+    return _routes(stack, range(len(paths)), paths, statuses, reaches)
 
 
 def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -700,15 +710,14 @@ def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route
     ``type2_interrupted``. This is the batch of one of
     :func:`route_min_deflection_batch`.
     """
-    return _route_greedy((c,), d_max, plan, pick_farthest=False)[0]
+    return _route_greedy(ShellStack.of([c]), d_max, plan, pick_farthest=False)[0]
 
 
 def route_min_deflection_batch(
-    shells: Sequence[Constellation], d_max: float, plan: HopPlan
+    stack: ShellStack, d_max: float, plan: HopPlan
 ) -> list[Route]:
-    """:func:`route_min_deflection` on each of ``shells``, which share their
-    sphere, body and endpoints, in one lockstep walk."""
-    return _route_greedy(shells, d_max, plan, pick_farthest=False)
+    """:func:`route_min_deflection` on each shell of ``stack``, in one lockstep walk."""
+    return _route_greedy(stack, d_max, plan, pick_farthest=False)
 
 
 def route_max_stepsize(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -721,12 +730,11 @@ def route_max_stepsize(c: Constellation, d_max: float, plan: HopPlan) -> Route:
     as :func:`route_min_deflection`. This is the batch of one of
     :func:`route_max_stepsize_batch`.
     """
-    return _route_greedy((c,), d_max, plan, pick_farthest=True)[0]
+    return _route_greedy(ShellStack.of([c]), d_max, plan, pick_farthest=True)[0]
 
 
 def route_max_stepsize_batch(
-    shells: Sequence[Constellation], d_max: float, plan: HopPlan
+    stack: ShellStack, d_max: float, plan: HopPlan
 ) -> list[Route]:
-    """:func:`route_max_stepsize` on each of ``shells``, which share their
-    sphere, body and endpoints, in one lockstep walk."""
-    return _route_greedy(shells, d_max, plan, pick_farthest=True)
+    """:func:`route_max_stepsize` on each shell of ``stack``, in one lockstep walk."""
+    return _route_greedy(stack, d_max, plan, pick_farthest=True)

@@ -1,7 +1,9 @@
 """Uniform satellite sampling, presets, nearest search, persistence."""
 
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from leoroute import (
     save_constellation,
 )
 from leoroute.analysis import contact_cdf
-from leoroute.constellation import sample_band, sample_band_complement
+from leoroute.constellation import sample_band_complement, sample_bands
 
 R = 6371.0
 
@@ -109,6 +111,19 @@ def test_single_satellite_gap_distribution():
     assert ks.pvalue > 1e-3
 
 
+def sample_band(rng, n_sat, band_sine):
+    """One shell's band rows: the batch of one of ``sample_bands``."""
+    rows, (k,) = sample_bands([rng], n_sat, band_sine)
+    return rows[0, :k]
+
+
+def sample_rest(rng, count, band_sine):
+    """``count`` satellites outside the band, in an array of their own."""
+    rest = np.empty((count, 3))
+    sample_band_complement(rng, band_sine, rest)
+    return rest
+
+
 def test_band_then_complement_is_a_uniform_shell():
     """Band plus complement from one generator: n_sat i.i.d. uniform satellites."""
     n_sat, band_sine, seeds = 3236, 0.1065, 50
@@ -116,7 +131,7 @@ def test_band_then_complement_is_a_uniform_shell():
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         band = sample_band(rng, n_sat, band_sine)
-        rest = sample_band_complement(rng, n_sat - len(band), band_sine)
+        rest = sample_rest(rng, n_sat - len(band), band_sine)
         assert np.all(np.abs(band[:, 1]) <= band_sine)
         assert np.all(np.abs(rest[:, 1]) >= band_sine)
         shell = np.vstack([band, rest])
@@ -135,6 +150,62 @@ def test_band_then_complement_is_a_uniform_shell():
     assert abs(np.mean(counts) - n_sat * band_sine) < 5.0 * standard_error
 
 
+def trial_band_rows(y, phi):
+    """Unit rows at height ``y`` and longitude ``phi``, as one trial made
+    them before its draws were batched."""
+    rho = np.sqrt(1.0 - y * y)
+    rows = np.empty((len(y), 3))
+    np.multiply(rho, np.cos(phi), out=rows[:, 0])
+    rows[:, 1] = y
+    np.multiply(rho, np.sin(phi), out=rows[:, 2])
+    return rows
+
+
+def trial_band(rng, n_sat, band_sine):
+    """One trial's band, drawn with two ``uniform`` calls."""
+    k = int(rng.binomial(n_sat, band_sine))
+    y = rng.uniform(-band_sine, band_sine, k)
+    return trial_band_rows(y, rng.uniform(0.0, 2.0 * math.pi, k))
+
+
+def trial_complement(rng, count, band_sine):
+    """One trial's complement, drawn with ``uniform``, ``random`` and
+    ``uniform`` calls."""
+    magnitude = rng.uniform(band_sine, 1.0, count)
+    y = np.where(rng.random(count) < 0.5, -magnitude, magnitude)
+    return trial_band_rows(y, rng.uniform(0.0, 2.0 * math.pi, count))
+
+
+@pytest.mark.parametrize("band_sine", [0.0, 0.0555, 0.21, 1.0])
+def test_batch_draw_equals_the_trial_by_trial_draws(band_sine):
+    """The batch draw, a batch of one and the complement give, bit for bit,
+    the rows and the generator states of each trial drawn on its own."""
+    empty = Counter()
+    for n_sat, size in itertools.product((1, 650, 800, 11927), (1, 48)):
+        seeds = [1000 * n_sat + 7 * size + j for j in range(size)]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        rows, counts = sample_bands(rngs, n_sat, band_sine)
+        assert rows.shape == (size, max(counts) + 2, 3)
+        empty[size, min(counts) == 0, max(counts) > 0] += 1
+        for rng, seed, shell, k in zip(rngs, seeds, rows, counts):
+            own, one = (np.random.default_rng(seed) for _ in range(2))
+            expected = trial_band(own, n_sat, band_sine).tobytes()
+            assert shell[:k].tobytes() == expected
+            assert sample_band(one, n_sat, band_sine).tobytes() == expected
+            assert not shell[k:].any()
+            rest = np.empty((n_sat - k, 3))
+            sample_band_complement(rng, band_sine, rest)
+            expected = trial_complement(own, n_sat - k, band_sine).tobytes()
+            assert rest.tobytes() == expected
+            assert sample_rest(one, n_sat - k, band_sine).tobytes() == expected
+            assert rng.bit_generator.state == own.bit_generator.state
+            assert one.bit_generator.state == own.bit_generator.state
+    if 0.0 < band_sine < 1.0:
+        # A batch of 48 that mixes empty and non-empty bands, and an empty
+        # batch of one.
+        assert empty[48, True, True] > 0 and empty[1, True, False] > 0
+
+
 def test_band_sampler_validates_inputs():
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidInputError):
@@ -143,7 +214,7 @@ def test_band_sampler_validates_inputs():
         with pytest.raises(InvalidInputError):
             sample_band(rng, 10, bad)
         with pytest.raises(InvalidInputError):
-            sample_band_complement(rng, 10, bad)
+            sample_rest(rng, 10, bad)
     # The whole sphere is one band: every satellite falls in it.
     assert len(sample_band(rng, 25, 1.0)) == 25
 

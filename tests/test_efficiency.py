@@ -16,7 +16,10 @@ from leoroute import (
     mean_hop_stretch,
     measured_efficiency,
 )
-from leoroute.efficiency import _ellipe
+from leoroute.analysis import _contact_quantile, n_min_ideal, plan_hops
+from leoroute.efficiency import _NODES, _QUANTILE_LEVELS, _WEIGHTS, _ellipe
+from leoroute.experiments import CellParams
+from leoroute.quadrature import adaptive_simpson
 
 STARLINK = (11927, 0.436931)
 ONEWEB = (650, 0.398888)
@@ -59,10 +62,11 @@ def test_stretch_matches_monte_carlo_on_grid():
 
 
 def test_ellipe_matches_scipy():
-    for m in (0.0, 0.5, 0.9, 1.0 - 1e-12, 1.0):
-        assert _ellipe(m) == pytest.approx(float(special.ellipe(m)), abs=1e-14)
-    assert _ellipe(1.0) == 1.0
-    assert _ellipe(0.0) == math.pi / 2.0
+    m = np.array([0.0, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+    e = _ellipe(m)
+    assert e == pytest.approx(special.ellipe(m), abs=1e-14)
+    assert e[-1] == 1.0
+    assert e[0] == math.pi / 2.0
 
 
 def test_stretch_matches_nested_quadrature():
@@ -95,6 +99,58 @@ def test_stretch_matches_nested_quadrature():
         )
         nested *= math.sqrt(2.0) / (2.0 * math.pi * math.sin(theta_h / 2.0))
         assert abs(mean_hop_stretch(theta_h, n_sat, theta_max) - nested) < 1e-9
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert np.max(np.abs(_NODES - nodes)) <= 1e-15
+    assert np.max(np.abs(_WEIGHTS - weights)) <= 1e-15
+
+
+def simpson_stretch(theta_h, n_sat, theta_max):
+    """:func:`mean_hop_stretch` by adaptive Simpson, one scalar integrand
+    evaluation at a time, on the quantile panels, to 1e-10."""
+    cos_h, sin_h = math.cos(theta_h), math.sin(theta_h)
+
+    def outer(theta):
+        a = 1.0 - math.cos(theta) * cos_h
+        b = math.sin(theta) * sin_h
+        density = float(contact_pdf(theta, n_sat))
+        e = float(_ellipe(np.array([2.0 * b / (a + b)]))[0])
+        return density * 2.0 * math.sqrt(a + b) * e
+
+    quantiles = [_contact_quantile(1.0 - p, n_sat) for p in _QUANTILE_LEVELS]
+    cuts = sorted({0.0, theta_max, *(t for t in quantiles if t < theta_max)})
+    total = sum(
+        adaptive_simpson(outer, a, b, tol=1e-10 / len(cuts))
+        for a, b in zip(cuts, cuts[1:])
+    )
+    return total * math.sqrt(2.0) / (2.0 * math.pi * math.sin(theta_h / 2.0))
+
+
+def test_contour_matches_adaptive_simpson():
+    """On the benchmark's 48 sweep distances and the six preset cells."""
+    cells = [
+        CellParams(n_sat=800, altitude_km=500.0, arc_angle=d / 6871.0, epsilon=0.1)
+        for d in (4000.0 + 250.0 * k for k in range(48))
+    ]
+    cells += [
+        CellParams.from_preset(name, epsilon=eps)
+        for name in ("starlink", "oneweb", "kuiper")
+        for eps in (0.1, 0.01)
+    ]
+    for p in cells:
+        n_hat = plan_hops(p.arc_angle, p.theta_max, p.n_sat, p.epsilon).n_hat
+        n_min = n_min_ideal(p.arc_angle, p.theta_max)
+        theta_h = p.arc_angle / (2.0 * n_hat)
+        stretch = simpson_stretch(theta_h, p.n_sat, p.theta_max)
+        expected = (n_min * math.sin(p.arc_angle / (2.0 * n_min))) / (
+            n_hat * math.sin(theta_h) * (2.0 * stretch - 1.0)
+        )
+        contour = efficiency_contour(p.arc_angle, n_hat, p.n_sat, p.theta_max)
+        assert abs(contour - expected) < 1e-8
 
 
 def test_stretch_tends_to_one_with_density():

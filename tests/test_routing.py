@@ -35,6 +35,7 @@ from leoroute import (
 from leoroute import routing
 from leoroute.experiments import contact_band
 from leoroute.routing import (
+    ShellStack,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
@@ -285,7 +286,8 @@ def assert_equal_interval_batch_matches_reference(shells, plan):
     """Each route of the batch equals its own batch of one and the
     target-by-target reference; returns the statuses seen."""
     statuses = set()
-    for shell, route in zip(shells, route_equal_interval_batch(shells, D_MAX, plan)):
+    batch = route_equal_interval_batch(ShellStack.of(shells), D_MAX, plan)
+    for shell, route in zip(shells, batch):
         assert route == route_equal_interval(shell, D_MAX, plan)
         hops, status = reference_equal_interval(shell, D_MAX, plan)
         assert (route.hops, route.status) == (tuple(hops), status)
@@ -335,7 +337,9 @@ def test_equal_interval_batch_matches_target_by_target_reference():
     assert assert_equal_interval_batch_matches_reference(near, plan) == {
         RouteStatus.OK
     }
-    for shell, route in zip(near, route_equal_interval_batch(near, D_MAX, plan)):
+    for shell, route in zip(
+        near, route_equal_interval_batch(ShellStack.of(near), D_MAX, plan)
+    ):
         k = shell.n_sat - 2
         u_src, u_dst = shell.unit_vectors[k:]
         assert route.hops == (k, k + 1)
@@ -366,7 +370,7 @@ def test_equal_interval_batch_matches_target_by_target_reference():
 
     other = sample_bpp(50, R_EARTH, ALT, seed=1).with_extra_points(endpoints(2.5))
     with pytest.raises(InvalidInputError, match="share"):
-        route_equal_interval_batch([shells[-1], other], D_MAX, plan)
+        ShellStack.of([shells[-1], other])
 
 
 def reference_hop_repair(c, from_id, to_id, exclude):
@@ -448,8 +452,8 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
             relays.append(int(dots.argmax()))
         shells.append(shell)
         planned.append([n, *relays, n + 1])
-    _, counts, stack = routing._stack(shells, D_MAX)
-    width = stack.shape[1]
+    stack = ShellStack.of(shells)
+    width = stack.rows.shape[1]
     monkeypatch.setattr(
         routing, "_REPAIR_DOUBLES", routing._PRODUCT_DOTS // (lanes_per_walk * width)
     )
@@ -459,9 +463,9 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
     fits = (np.einsum("bhj,bhj->bh", path[:, :-1], path[:, 1:]) >= cos_min).T
 
     ids = list(range(len(shells)))
-    paths, statuses = routing._repaired(stack, counts, ids, planned, fits, cos_min)
+    paths, statuses = routing._repaired(stack, ids, planned, fits, cos_min)
     reaches = [math.pi / 2.0] * len(ids)
-    routes = routing._routes(stack, shells[0].radius, ids, paths, statuses, reaches)
+    routes = routing._routes(stack, ids, paths, statuses, reaches)
     outcomes = []
     for shell, hops, fit, route in zip(shells, planned.T, fits.T, routes):
         expected, rounds = reference_repaired(shell, hops.tolist(), fit.tolist())
@@ -537,7 +541,7 @@ def assert_greedy_batch_matches_reference(shells, plan):
     does each batch of one; returns the statuses and hop counts seen."""
     seen = set()
     for router, batch_router, pick_farthest in GREEDY_BATCH_ROUTERS:
-        batch = batch_router(shells, D_MAX, plan)
+        batch = batch_router(ShellStack.of(shells), D_MAX, plan)
         assert len(batch) == len(shells)
         for shell, route in zip(shells, batch):
             expected = reference_greedy(shell, plan, pick_farthest)
@@ -602,7 +606,7 @@ def test_greedy_walk_capped_after_its_last_relay_is_interrupted():
     one_hop = HopPlan(
         n_hat=1, reliable_angle=0.1, type1_interrupted=False, iterations_used=1
     )
-    capped = route_min_deflection_batch(shells, D_MAX, one_hop)[0]
+    capped = route_min_deflection_batch(ShellStack.of(shells), D_MAX, one_hop)[0]
     assert capped.status is RouteStatus.TYPE2_INTERRUPTED
     assert capped.hops == (4, 0, 1, 2, 3)
     assert route_min_deflection(chain, D_MAX, replace(one_hop, n_hat=2)).hops == (
@@ -879,6 +883,31 @@ def test_satellites_beyond_band_reach_do_not_change_the_route(router):
                 differing += full.hops != renamed
     # Both kinds occur, so a reach reported too small would be caught.
     assert certified >= 1 and differing >= 1
+
+
+def test_shell_stack_checks_the_shells_it_stacks():
+    """``ShellStack.of`` rejects a shell without two satellites, coincident
+    endpoints and shells that differ in sphere, body or endpoints."""
+    src, dst = endpoints(1.0)
+    shell = sample_bpp(50, R_EARTH, ALT, seed=1).with_extra_points([src, dst])
+    with pytest.raises(InvalidInputError, match="two satellites"):
+        ShellStack.of([constellation_from_points([src])])
+    with pytest.raises(InvalidInputError, match="same point"):
+        ShellStack.of([shell.with_extra_points([src, src])])
+    others = (
+        sample_bpp(50, R_EARTH, ALT, seed=2).with_extra_points(endpoints(1.1)),
+        Constellation(R_EARTH, ALT + 1.0, shell.unit_vectors),
+        Constellation(R_EARTH + 1.0, ALT, shell.unit_vectors),
+    )
+    for other in others:
+        with pytest.raises(InvalidInputError, match="share"):
+            ShellStack.of([shell, other])
+    small = sample_bpp(20, R_EARTH, ALT, seed=3).with_extra_points([src, dst])
+    stack = ShellStack.of([shell, small, shell])
+    assert (stack.counts, stack.rows.shape) == ([50, 20, 50], (3, 52, 3))
+    assert stack.rows[1, :22].tobytes() == small.unit_vectors.tobytes()
+    assert not stack.rows[1, 22:].any()
+    assert stack.ends.tobytes() == shell.unit_vectors[-2:].tobytes()
 
 
 def test_routers_reject_coincident_endpoints():
