@@ -121,7 +121,8 @@ def _merge(flag_value, config: dict, key: str, default, kind: type):
     """Flag beats config file beats hard default.
 
     A config-file value is converted with ``kind``; one that does not
-    convert is a configuration error, and null counts as absent.
+    convert exactly is a configuration error, and null counts as absent.
+    A bool is no number, and an int setting takes only integral values.
     """
     if flag_value is not None:
         return flag_value
@@ -129,11 +130,18 @@ def _merge(flag_value, config: dict, key: str, default, kind: type):
     if value is None:
         return default
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if (
+        converted is None
+        or (kind is not str and isinstance(value, bool))
+        or (kind is int and isinstance(value, float) and converted != value)
+    ):
         raise InvalidInputError(
             f"config value {key}={value!r} is not a valid {kind.__name__}"
-        ) from exc
+        )
+    return converted
 
 
 def _resolve_shell(

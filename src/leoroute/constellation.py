@@ -52,6 +52,10 @@ class Constellation:
         units = np.asarray(self.unit_vectors, dtype=float)
         if units.ndim != 2 or units.shape[1] != 3 or units.shape[0] < 1:
             raise InvalidInputError("unit_vectors must be a non-empty (n, 3) array")
+        if not np.isfinite(units).all():
+            raise InvalidInputError("unit_vectors must be finite")
+        if not np.linalg.norm(units, axis=1).all():
+            raise InvalidInputError("zero vector has no direction")
         units = _normalized(units)
         units.setflags(write=False)
         object.__setattr__(self, "unit_vectors", units)

@@ -6,6 +6,10 @@ the poles. Provides chord/dome-angle distances, great-circle interpolation
 (:func:`slerp` on points, :func:`great_arc` on unit vectors, the one arc
 parametrization the routing strategies share), and the line-of-sight chord
 limit imposed by the occluding body.
+
+Every point measure (:func:`dome_angle`, :func:`chord_distance`,
+:func:`slerp`) uses the unit-vector measure of :func:`great_arc` and of every
+route hop: the angle atan2(|u_a x u_b|, u_a . u_b) and the chord r |u_a - u_b|.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ class SpherePoint:
     phi: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise InvalidInputError(f"radius must be > 0, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise InvalidInputError(f"radius must be finite and > 0, got {self.r}")
+        if not math.isfinite(self.phi):
+            raise InvalidInputError(f"azimuth must be finite, got {self.phi}")
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise InvalidInputError(f"polar angle must be in [0, pi], got {self.theta}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
@@ -85,21 +91,17 @@ def _require_same_radius(a: SpherePoint, b: SpherePoint) -> float:
 
 
 def chord_distance(a: SpherePoint, b: SpherePoint) -> float:
-    """Straight-line (chord) distance in km between two points on one sphere."""
+    """Straight-line (chord) distance in km between two points on one sphere:
+    r * |u_a - u_b|, the chord every route hop takes."""
     r = _require_same_radius(a, b)
-    inner = (
-        1.0
-        - math.cos(a.theta) * math.cos(b.theta)
-        - math.sin(a.theta) * math.sin(b.theta) * math.cos(a.phi - b.phi)
-    )
-    return r * math.sqrt(2.0 * max(inner, 0.0))
+    return r * float(np.linalg.norm(a.unit_vector() - b.unit_vector()))
 
 
 def dome_angle(a: SpherePoint, b: SpherePoint) -> float:
-    """Central angle in radians subtended by two points on one sphere."""
-    r = _require_same_radius(a, b)
-    half = chord_distance(a, b) / (2.0 * r)
-    return 2.0 * math.asin(min(max(half, -1.0), 1.0))
+    """Central angle in radians subtended by two points on one sphere, by
+    the arc measure of :func:`great_arc`."""
+    _require_same_radius(a, b)
+    return _arc_measure(a.unit_vector(), b.unit_vector())[2]
 
 
 def great_arc(
@@ -208,12 +210,13 @@ def slerp(a: SpherePoint, b: SpherePoint, t: float) -> SpherePoint:
     r = _require_same_radius(a, b)
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError(f"arc fraction must be in [0, 1], got {t}")
-    omega = dome_angle(a, b)
-    if omega > math.pi - _ANTIPODAL_THRESHOLD:
+    ua, ub = a.unit_vector(), b.unit_vector()
+    omega = _arc_measure(ua, ub)[2]
+    if omega >= math.pi - _ANTIPODAL_THRESHOLD:
         raise DegenerateArcError("antipodal endpoints: shortest arc is undefined")
     if omega < _ANTIPODAL_THRESHOLD:
         return a
-    point, _ = great_arc(a.unit_vector(), b.unit_vector(), t)
+    point, _ = great_arc(ua, ub, t)
     return SpherePoint.from_unit_vector(point, r)
 
 

@@ -271,14 +271,19 @@ def hop_repair(
     equal-interval route repairs its hops with this walk, many at once.
 
     Raises:
-        InvalidInputError: If ``d_max`` is not positive or ``c`` holds
-            fewer than two satellites.
+        InvalidInputError: If ``d_max`` is not positive, ``c`` holds
+            fewer than two satellites, or ``from_id`` or ``to_id`` is not
+            in [0, n_sat).
         RepairFailedError: If the hop has no reference arc or at some step
             no satellite qualifies.
     """
     cos_admissible = _cos_admissible(c, d_max)
     if c.n_sat < 2:
         raise InvalidInputError(f"a hop needs two satellites, got {c.n_sat}")
+    if not (0 <= from_id < c.n_sat and 0 <= to_id < c.n_sat):
+        raise InvalidInputError(
+            f"hop {from_id}->{to_id} names a satellite outside [0, {c.n_sat})"
+        )
     blocked = np.zeros((1, c.n_sat), dtype=bool)
     ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
     blocked[0, ids[(ids >= 0) & (ids < c.n_sat)]] = True

@@ -241,9 +241,25 @@ def test_analyze_config_file_and_flag_precedence(capsys, tmp_path):
              "--step", "1"],
             {"n_sat": 800, "altitude_km": 500, "trials": "x"},
         ),
+        # A bool is no number, and an int setting takes no fraction.
+        (
+            ["analyze", "--dome-angle", "1.0"],
+            {"n_sat": True, "altitude_km": 500, "epsilon": 0.1},
+        ),
+        (
+            ["analyze", "--dome-angle", "1.0"],
+            {"n_sat": 800.7, "altitude_km": 500, "epsilon": 0.1},
+        ),
+        (
+            ["analyze", "--dome-angle", "1.0"],
+            {"n_sat": 800, "altitude_km": 500, "epsilon": 0.1, "d_max_km": True},
+        ),
+        (["table1", "--trials", "2"], {"seed": 1.5}),
     ],
     ids=[
-        "route-seed", "analyze-n_sat", "analyze-epsilon", "table1-seed", "sweep-trials"
+        "route-seed", "analyze-n_sat", "analyze-epsilon", "table1-seed", "sweep-trials",
+        "analyze-n_sat-bool", "analyze-n_sat-fraction", "analyze-d_max-bool",
+        "table1-seed-fraction",
     ],
 )
 def test_config_value_of_wrong_type_exits_one(capsys, tmp_path, argv, config):
@@ -255,10 +271,40 @@ def test_config_value_of_wrong_type_exits_one(capsys, tmp_path, argv, config):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("n_sat", [800, 800.0, "800"])
+def test_config_int_setting_takes_integral_values(capsys, tmp_path, n_sat):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"n_sat": n_sat, "altitude_km": 500, "epsilon": 0.1}))
+    angle = ("--dome-angle", "1.0")
+    code, out, _ = run_cli(capsys, "analyze", "--config", str(path), *angle)
+    assert code == 0
+    flags = ("--n-sat", "800", "--altitude", "500", "--epsilon", "0.1")
+    assert out == run_cli(capsys, "analyze", *flags, *angle)[1]
+
+
 def test_route_constellation_file_not_json_exits_one(capsys, tmp_path):
     path = tmp_path / "shell.json"
     path.write_text("not json")
     code, out, err = run_cli(capsys, "route", "--constellation", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed constellation file ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_route_constellation_file_with_non_finite_satellite_exits_one(
+    capsys, tmp_path, bad
+):
+    # Python's json writes and reads NaN and Infinity; such a row is no point.
+    path = tmp_path / "shell.json"
+    save_constellation(sample_bpp(300, 6371.0, 550.0, 0), path)
+    payload = json.loads(path.read_text())
+    payload["satellites"][7]["phi_rad"] = bad
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        capsys, "route", "--constellation", str(path), "--strategy", "min-deflection"
+    )
     assert code == 1
     assert out == ""
     assert err.startswith("error: malformed constellation file ")

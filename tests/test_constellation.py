@@ -67,6 +67,23 @@ def test_unit_vectors_read_only():
         c.unit_vectors[0, 0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([0.0, 0.0, 0.0], "zero vector has no direction"),
+        ([np.nan, 0.0, 1.0], "finite"),
+        ([0.0, np.inf, 0.0], "finite"),
+    ],
+)
+def test_constellation_rejects_rows_without_a_direction(bad, message):
+    rows = np.array([[1.0, 0.0, 0.0], bad, [0.0, 0.0, 2.0]])
+    with pytest.raises(InvalidInputError, match=message):
+        Constellation(r_earth=R, altitude=550.0, unit_vectors=rows)
+    rows[1] = [0.0, 3.0, 0.0]
+    c = Constellation(r_earth=R, altitude=550.0, unit_vectors=rows)
+    assert np.array_equal(c.unit_vectors, np.eye(3))
+
+
 def test_mean_direction_near_zero():
     # Uniformity on the sphere: the resultant vector has length O(1/sqrt(N)).
     c = sample_bpp(20_000, R, 550.0, seed=7)

@@ -17,6 +17,7 @@ from leoroute import (
     los_chord_limit,
     slerp,
 )
+from leoroute.geometry import coincident
 
 R = 6371.0
 RS = 6921.0  # 550 km shell
@@ -41,6 +42,9 @@ def test_point_rejects_bad_radius():
         SpherePoint(r=0.0, theta=1.0, phi=0.0)
     with pytest.raises(InvalidInputError):
         SpherePoint(r=-5.0, theta=1.0, phi=0.0)
+    for r, phi in [(math.inf, 0.0), (math.nan, 0.0), (RS, math.nan), (RS, math.inf)]:
+        with pytest.raises(InvalidInputError):
+            SpherePoint(r=r, theta=1.0, phi=phi)
 
 
 def test_unit_vector_round_trip():
@@ -101,6 +105,25 @@ def test_chord_matches_dome_relation(t1, p1, t2, p2):
     assert math.isclose(d, 2.0 * RS * math.sin(ang / 2.0), rel_tol=0, abs_tol=1e-6)
 
 
+def random_points(rng, count):
+    """``count`` points on the 550 km shell at least 0.05 rad off the poles."""
+    thetas = rng.uniform(0.05, math.pi - 0.05, count)
+    phis = rng.uniform(0.0, 2.0 * math.pi, count)
+    return [pt(RS, t, p) for t, p in zip(thetas, phis)]
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-7, 1e-5, 1e-3])
+def test_close_meridian_pairs_measure_their_separation(gap):
+    # theta_b - theta_a is exact (Sterbenz), so it is the true separation;
+    # the unit vectors' rounding (~1e-16 rad) is all the error left.
+    for a in random_points(np.random.default_rng(5), 500):
+        b = pt(RS, a.theta + gap, a.phi)
+        exact = b.theta - a.theta
+        assert abs(dome_angle(a, b) - exact) <= 1e-15 + 1e-12 * exact
+        chord = 2.0 * RS * math.sin(exact / 2.0)
+        assert abs(chord_distance(a, b) - chord) <= RS * (1e-15 + 1e-12 * exact)
+
+
 def test_dome_angle_mismatched_radii_rejected():
     with pytest.raises(InvalidInputError):
         dome_angle(pt(R, 1.0, 0.0), pt(RS, 1.0, 0.0))
@@ -116,14 +139,33 @@ def test_dome_angle_mismatched_radii_rejected():
 def test_slerp_splits_angle_proportionally(t1, p1, t2, p2, t):
     a, b = pt(RS, t1, p1), pt(RS, t2, p2)
     total = dome_angle(a, b)
-    if total < 1e-6 or total > math.pi - 1e-3:
+    if total < 1e-9 or total > math.pi - 1e-3:
         return
     m = slerp(a, b, t)
     assert math.isclose(m.r, RS, rel_tol=1e-12)
-    # Chord-based angle measurement carries ~1e-8 float noise near zero
-    # separation, so the proportionality check allows for it.
-    assert math.isclose(dome_angle(a, m), t * total, abs_tol=5e-8)
-    assert math.isclose(dome_angle(m, b), (1.0 - t) * total, abs_tol=5e-8)
+    # The slack is SpherePoint.from_unit_vector's: its acos loses up to
+    # ~1e-12 rad just outside 1.4e-4 rad of a pole.
+    assert math.isclose(dome_angle(a, m), t * total, abs_tol=1e-11)
+    assert math.isclose(dome_angle(m, b), (1.0 - t) * total, abs_tol=1e-11)
+
+
+def test_slerp_on_close_pairs_agrees_with_coincident():
+    """Pairs 3e-10 to 1e-8 rad apart straddle the coincidence threshold:
+    slerp never calls them antipodal, returns ``a`` itself exactly for the
+    pairs :func:`coincident` names, and splits the others proportionally."""
+    rng = np.random.default_rng(11)
+    for a, gap in zip(random_points(rng, 2000), np.geomspace(3e-10, 1e-8, 2000)):
+        ua = a.unit_vector()
+        tangent = np.cross(ua, rng.normal(size=3))
+        tangent /= np.linalg.norm(tangent)
+        b = SpherePoint.from_unit_vector(math.cos(gap) * ua + math.sin(gap) * tangent, RS)
+        t = float(rng.uniform())
+        m = slerp(a, b, t)
+        assert (m is a) == coincident(ua, b.unit_vector())
+        if m is not a:
+            total = dome_angle(a, b)
+            assert math.isclose(dome_angle(a, m), t * total, abs_tol=1e-14)
+            assert math.isclose(dome_angle(m, b), (1.0 - t) * total, abs_tol=1e-14)
 
 
 def test_slerp_endpoints_exact():

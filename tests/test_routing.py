@@ -665,6 +665,15 @@ def test_hop_repair_no_candidate_raises():
         hop_repair(c, 0, 1, D_MAX)
 
 
+@pytest.mark.parametrize("from_id, to_id", [(0, -1), (0, 50), (-1, 13), (50, 13)])
+def test_hop_repair_rejects_ids_outside_the_shell(from_id, to_id):
+    c = sample_bpp(50, R_EARTH, ALT, seed=1)
+    with pytest.raises(InvalidInputError, match="outside"):
+        hop_repair(c, from_id, to_id, D_MAX)
+    # Out-of-range exclusions are still ignored.
+    assert hop_repair(c, 0, 13, D_MAX, exclude={-1, 50}) == hop_repair(c, 0, 13, D_MAX)
+
+
 def test_hop_repair_dense_instance_properties():
     rng_arcs = (0.7, 0.9, 1.2)
     c = sample_bpp(1000, R_EARTH, ALT, seed=21)
