@@ -12,6 +12,22 @@ Angles are radians (the literal ``pi`` and forms like ``pi/2`` or
 ``0.5pi`` are accepted), distances km, latencies ms. All randomness flows
 from ``--seed``.
 
+Each setting comes from its flag, else from the JSON object of
+``--config FILE``, else from the command's default (``-``: not read;
+``unset``: no default). A preset gives ``n_sat`` and ``altitude_km``.
+Every value in the file is checked, read or not:
+
+| Key           | Flag         | Kind  | `analyze` | `route` | `table1` | `sweep` |
+| ------------- | ------------ | ----- | --------- | ------- | -------- | ------- |
+| `preset`      | `--preset`   | str   | unset     | unset   | -        | unset   |
+| `n_sat`       | `--n-sat`    | int   | unset     | unset   | -        | unset   |
+| `altitude_km` | `--altitude` | float | unset     | unset   | -        | unset   |
+| `distance_km` | `--distance` | float | -         | -       | -        | unset   |
+| `d_max_km`    | `--d-max`    | float | 3000      | 3000    | -        | 3000    |
+| `epsilon`     | `--epsilon`  | float | 0.01      | 0.01    | -        | 0.01    |
+| `trials`      | `--trials`   | int   | -         | -       | 10000    | 1000    |
+| `seed`        | `--seed`     | int   | -         | 0       | 0        | 0       |
+
 ``analyze`` and ``route`` describe one experimental cell
 (:class:`~leoroute.experiments.CellParams`), and ``route`` builds its route
 through the Monte Carlo harness's own trial cell
@@ -117,75 +133,79 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
-def _merge(flag_value, config: dict, key: str, default, kind: type):
-    """Flag beats config file beats hard default.
+_SHELL = ("analyze", "route", "sweep")
+_SEEDED = ("route", "table1", "sweep")
 
-    A config-file value is converted with ``kind``; one that does not
-    convert exactly is a configuration error, and null counts as absent.
-    A bool is no number, and an int setting takes only integral values.
+#: Every setting a command takes from a flag or from ``--config``, by config
+#: key: its flag, kind, help and, for each command that reads it, default.
+#: A flag beats the config file, which beats the command's default.
+_SETTINGS = {
+    "preset": ("--preset", str, "Named constellation shell", dict.fromkeys(_SHELL)),
+    "n_sat": ("--n-sat", int, "Satellite count", dict.fromkeys(_SHELL)),
+    "altitude_km": ("--altitude", float, "Shell altitude in km", dict.fromkeys(_SHELL)),
+    "distance_km": ("--distance", float, "Fixed endpoint distance in km", {"sweep": None}),
+    "d_max_km": ("--d-max", float, "Max hop chord in km", dict.fromkeys(_SHELL, 3000.0)),
+    "epsilon": ("--epsilon", float, "Interruption budget in (0, 1)", dict.fromkeys(_SHELL, 0.01)),
+    "trials": ("--trials", int, "Trials per cell", {"table1": 10_000, "sweep": 1000}),
+    "seed": ("--seed", int, "Seed of the sampled shells", dict.fromkeys(_SEEDED, 0)),
+}
+
+
+def _settings(command: str, config_path: Optional[str], **flags) -> dict:
+    """The settings ``command`` reads, by config key: each flag, else its
+    config-file value, else the command's default. A preset stands in for
+    ``n_sat`` and ``altitude_km``, and does not appear itself.
+
+    Every config-file value is checked, read or not: one that does not
+    convert exactly to its kind is a configuration error, and null counts
+    as absent. A bool is no number, and an int setting takes only
+    integral values.
     """
-    if flag_value is not None:
-        return flag_value
-    value = config.get(key)
-    if value is None:
-        return default
-    try:
-        converted = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        converted = None
-    if (
-        converted is None
-        or (kind is not str and isinstance(value, bool))
-        or (kind is int and isinstance(value, float) and converted != value)
-    ):
-        raise InvalidInputError(
-            f"config value {key}={value!r} is not a valid {kind.__name__}"
-        )
-    return converted
-
-
-def _resolve_shell(
-    preset: Optional[str],
-    n_sat: Optional[int],
-    altitude: Optional[float],
-    config: dict,
-) -> tuple[Optional[int], Optional[float]]:
-    """Satellite count and altitude from a preset or from explicit values.
-
-    Either may be None when neither flags, config file nor preset give it.
-    """
-    preset = _merge(preset, config, "preset", None, str)
-    n_sat = _merge(n_sat, config, "n_sat", None, int)
-    altitude = _merge(altitude, config, "altitude_km", None, float)
-    explicit = n_sat is not None or altitude is not None
-    if preset is not None and explicit:
-        raise InvalidInputError("give either --preset or --n-sat/--altitude, not both")
+    config = _load_config_file(config_path)
+    settings = {}
+    for key, (_, kind, _, defaults) in _SETTINGS.items():
+        value = config.get(key)
+        if value is not None:
+            try:
+                converted = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                converted = None
+            if (
+                converted is None
+                or (kind is not str and isinstance(value, bool))
+                or (kind is int and isinstance(value, float) and converted != value)
+            ):
+                raise InvalidInputError(
+                    f"config value {key}={value!r} is not a valid {kind.__name__}"
+                )
+            value = converted
+        if command in defaults:
+            if flags.get(key) is not None:
+                value = flags[key]
+            settings[key] = defaults[command] if value is None else value
+    preset = settings.pop("preset", None)
     if preset is not None:
+        if settings["n_sat"] is not None or settings["altitude_km"] is not None:
+            raise InvalidInputError(
+                "give either --preset or --n-sat/--altitude, not both"
+            )
         if preset not in PRESET_PARAMS:
             raise InvalidInputError(
                 f"unknown preset {preset!r}; choose from {sorted(PRESET_PARAMS)}"
             )
-        altitude, n_sat = PRESET_PARAMS[preset]
-    return n_sat, altitude
+        settings["altitude_km"], settings["n_sat"] = PRESET_PARAMS[preset]
+    return settings
 
 
-def _resolve_cell(
-    preset: Optional[str],
-    n_sat: Optional[int],
-    altitude: Optional[float],
-    d_max: Optional[float],
-    epsilon: Optional[float],
-    config: dict,
-    dome_angle: str,
-    shell: Optional[Constellation] = None,
+def _cell(
+    settings: dict, dome_angle: str, shell: Optional[Constellation] = None
 ) -> CellParams:
-    """The cell a command's flags and config file describe.
+    """The cell ``settings`` describe at the given dome angle.
 
     With ``shell`` (a constellation file), the satellite count, altitude
     and body radius are the file's.
     """
-    n_sat, altitude = _resolve_shell(preset, n_sat, altitude, config)
-    r_earth = R_EARTH_KM
+    n_sat, altitude, r_earth = settings["n_sat"], settings["altitude_km"], R_EARTH_KM
     if shell is not None:
         n_sat, altitude, r_earth = shell.n_sat, shell.altitude, shell.r_earth
     elif n_sat is None or altitude is None:
@@ -199,20 +219,32 @@ def _resolve_cell(
         n_sat=int(n_sat),
         altitude_km=float(altitude),
         arc_angle=arc,
-        d_max_km=_merge(d_max, config, "d_max_km", 3000.0, float),
-        epsilon=_merge(epsilon, config, "epsilon", 0.01, float),
+        d_max_km=settings["d_max_km"],
+        epsilon=settings["epsilon"],
         r_earth_km=r_earth,
     )
 
 
-# Options that several commands share.
-_config_option = click.option(
-    "--config",
-    "config_path",
-    type=click.Path(),
-    default=None,
-    help="JSON file with defaults; flags override it.",
-)
+def _setting_options(command: str):
+    """Add ``--config`` and the flag of each setting ``command`` reads."""
+
+    def decorate(f):
+        f = click.option(
+            "--config", "config_path", type=click.Path(),
+            help="JSON file with defaults; flags override it.",
+        )(f)
+        for key, (flag, kind, text, defaults) in reversed(_SETTINGS.items()):
+            if command in defaults:
+                default = defaults[command]
+                if key == "preset":
+                    kind = click.Choice(sorted(PRESET_PARAMS))
+                note = "." if default is None else f" (default {default:g})."
+                f = click.option(flag, key, type=kind, help=text + note)(f)
+        return f
+
+    return decorate
+
+
 _dome_angle_option = click.option(
     "--dome-angle",
     default="pi",
@@ -226,29 +258,6 @@ _format_option = click.option(
     default="both",
     show_default=True,
 )
-
-
-def _constellation_options(f):
-    f = click.option(
-        "--preset",
-        type=click.Choice(sorted(PRESET_PARAMS)),
-        default=None,
-        help="Named constellation shell.",
-    )(f)
-    f = click.option("--n-sat", type=int, default=None, help="Satellite count.")(f)
-    f = click.option(
-        "--altitude", type=float, default=None, help="Shell altitude in km."
-    )(f)
-    f = click.option(
-        "--d-max", type=float, default=None, help="Max hop chord in km (default 3000)."
-    )(f)
-    f = click.option(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="Interruption budget in (0, 1) (default 0.01).",
-    )(f)
-    return _config_option(f)
 
 
 def _print_version(ctx: click.Context, _param, value: bool) -> None:
@@ -272,14 +281,11 @@ def cli() -> None:
 
 
 @cli.command()
-@_constellation_options
+@_setting_options("analyze")
 @_dome_angle_option
-def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) -> None:
+def analyze(config_path, dome_angle, **flags) -> None:
     """Closed-form link analysis: hop plan, contact law, feasibility."""
-    params = _resolve_cell(
-        preset, n_sat, altitude, d_max, epsilon, _load_config_file(config_path),
-        dome_angle,
-    )
+    params = _cell(_settings("analyze", config_path, **flags), dome_angle)
     arc, theta_max = params.arc_angle, params.theta_max
     plan = plan_hops(arc, theta_max, params.n_sat, params.epsilon)
     mean = contact_mean(params.n_sat)
@@ -301,7 +307,7 @@ def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) ->
 
 
 @cli.command()
-@_constellation_options
+@_setting_options("route")
 @_dome_angle_option
 @click.option(
     "--strategy",
@@ -309,7 +315,6 @@ def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) ->
     default="equal-interval",
     show_default=True,
 )
-@click.option("--seed", type=int, default=None, help="Constellation seed (default 0).")
 @click.option(
     "--constellation",
     "constellation_path",
@@ -324,27 +329,13 @@ def analyze(preset, n_sat, altitude, d_max, epsilon, config_path, dome_angle) ->
     default=None,
     help="Write the route JSON here instead of stdout.",
 )
-def route(
-    preset,
-    n_sat,
-    altitude,
-    d_max,
-    epsilon,
-    config_path,
-    dome_angle,
-    strategy,
-    seed,
-    constellation_path,
-    out,
-) -> None:
+def route(config_path, dome_angle, strategy, constellation_path, out, **flags) -> None:
     """Build one route between endpoints at the given separation."""
-    config = _load_config_file(config_path)
+    settings = _settings("route", config_path, **flags)
     shell = None
     if constellation_path is not None:
         shell = load_constellation(constellation_path)
-    params = _resolve_cell(
-        preset, n_sat, altitude, d_max, epsilon, config, dome_angle, shell
-    )
+    params = _cell(settings, dome_angle, shell)
     arc, theta_max, radius = params.arc_angle, params.theta_max, params.radius
 
     payload = {"schema_version": SCHEMA_VERSION, "strategy": strategy}
@@ -382,9 +373,8 @@ def route(
             payload["hops"] = []
         else:
             if shell is None:
-                seed = _merge(seed, config, "seed", 0, int)
                 shell = sample_bpp(
-                    params.n_sat, params.r_earth_km, params.altitude_km, seed
+                    params.n_sat, params.r_earth_km, params.altitude_km, settings["seed"]
                 )
             cell = trial_cell(params, strategy, plan)
             route_obj = cell.route_rows(shell.unit_vectors)
@@ -425,20 +415,16 @@ def _write_pair(fmt: str, out_base: str, write_csv, write_json) -> list[str]:
 
 
 @cli.command()
-@click.option("--trials", type=int, default=None, help="Trials per cell (default 10000).")
-@click.option("--seed", type=int, default=None, help="Base seed (default 0).")
+@_setting_options("table1")
 @click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, at most one per CPU.")
 @click.option("--out", default="table1", show_default=True, help="Output base path.")
 @_format_option
-@_config_option
-def table1(trials, seed, threads, out, fmt, config_path) -> None:
+def table1(threads, out, fmt, config_path, **flags) -> None:
     """Monte Carlo summary table over the three preset constellations."""
-    config = _load_config_file(config_path)
-    trials = _merge(trials, config, "trials", 10_000, int)
-    seed = _merge(seed, config, "seed", 0, int)
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    result = run_table1(trials=trials, base_seed=seed, threads=threads)
+    settings = _settings("table1", config_path, **flags)
+    result = run_table1(
+        trials=settings["trials"], base_seed=settings["seed"], threads=threads
+    )
     paths = _write_pair(
         fmt,
         out,
@@ -467,10 +453,7 @@ _SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n
 @click.option("--from", "start", type=float, required=True, help="First swept value.")
 @click.option("--to", "stop", type=float, required=True, help="Last swept value (inclusive).")
 @click.option("--step", type=float, required=True, help="Increment between values.")
-@_constellation_options
-@click.option("--distance", type=float, default=None, help="Fixed endpoint distance in km.")
-@click.option("--trials", type=int, default=None, help="Trials per cell (default 1000).")
-@click.option("--seed", type=int, default=None, help="Base seed (default 0).")
+@_setting_options("sweep")
 @click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, at most one per CPU.")
 @click.option(
     "--strategies",
@@ -481,52 +464,19 @@ _SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n
 @click.option("--out", default="sweep", show_default=True, help="Output base path.")
 @_format_option
 def sweep_cmd(
-    var,
-    start,
-    stop,
-    step,
-    preset,
-    n_sat,
-    altitude,
-    distance,
-    d_max,
-    epsilon,
-    trials,
-    seed,
-    threads,
-    strategies,
-    out,
-    fmt,
-    config_path,
+    var, start, stop, step, threads, strategies, out, fmt, config_path, **flags
 ) -> None:
     """Sweep one parameter and record per-strategy aggregates."""
-    config = _load_config_file(config_path)
     variable = _SWEEP_VARS[var]
     if step <= 0 or stop < start:
         raise InvalidInputError("need step > 0 and --to >= --from")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     values = tuple(start + i * step for i in range(count))
-
-    explicit = {"n_sat": n_sat, "altitude_km": altitude, "distance_km": distance}
-    if explicit.get(variable) is not None:
+    if flags[variable] is not None:
         raise InvalidInputError(f"cannot fix the swept variable {var!r}")
-    n_sat, altitude = _resolve_shell(preset, n_sat, altitude, config)
-
-    fixed = {
-        "n_sat": n_sat,
-        "altitude_km": altitude,
-        "distance_km": _merge(distance, config, "distance_km", None, float),
-        "d_max_km": _merge(d_max, config, "d_max_km", 3000.0, float),
-        "epsilon": _merge(epsilon, config, "epsilon", 0.01, float),
-    }
-    # A preset- or config-supplied value for the swept slot is just a default;
-    # drop it rather than reject it.
-    fixed.pop(variable, None)
-    missing = [k for k, v in fixed.items() if v is None]
-    if missing:
-        raise InvalidInputError(f"missing fixed parameters: {missing}")
-    trials = _merge(trials, config, "trials", 1000, int)
-    seed = _merge(seed, config, "seed", 0, int)
+    # The swept values replace any value a preset or config file gives.
+    fixed = _settings("sweep", config_path, **flags)
+    trials, seed = fixed.pop("trials"), fixed.pop("seed")
 
     chosen = tuple(s.strip() for s in strategies.split(",") if s.strip())
     spec = SweepSpec(

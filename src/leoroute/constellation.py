@@ -59,8 +59,10 @@ class Constellation:
         units = _normalized(units)
         units.setflags(write=False)
         object.__setattr__(self, "unit_vectors", units)
-        if self.r_earth <= 0 or self.altitude < 0:
-            raise InvalidInputError("require r_earth > 0 and altitude >= 0")
+        if not (0 < self.r_earth < math.inf and 0 <= self.altitude < math.inf):
+            raise InvalidInputError(
+                "require a finite r_earth > 0 and a finite altitude >= 0"
+            )
 
     @classmethod
     def from_unit_rows(

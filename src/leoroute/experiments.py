@@ -715,7 +715,9 @@ class SweepSpec:
     """A one-dimensional parameter sweep.
 
     ``fixed`` holds the non-swept quantities: ``n_sat``, ``altitude_km``,
-    ``d_max_km``, ``epsilon``, and ``distance_km`` minus the swept one.
+    ``distance_km``, ``d_max_km`` and ``epsilon`` minus the swept one; a
+    None value counts as missing, and a value for the swept one is
+    replaced by each swept value.
     Distances are great-circle lengths along the constellation sphere in
     km; the arc angle of a cell is distance / sphere radius.
     """
@@ -735,13 +737,15 @@ class SweepSpec:
             raise InvalidInputError("values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise InvalidInputError("values must be strictly increasing")
+        missing = [
+            key
+            for key in ("n_sat", "altitude_km", "distance_km", "d_max_km", "epsilon")
+            if key != self.variable and self.fixed.get(key) is None
+        ]
+        if missing:
+            raise InvalidInputError(f"missing fixed parameters: {missing}")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        required = {"n_sat", "altitude_km", "d_max_km", "epsilon", "distance_km"}
-        required.discard(self.variable)
-        missing = required - set(self.fixed)
-        if missing:
-            raise InvalidInputError(f"fixed is missing {sorted(missing)}")
         counts = self.values if self.variable == "n_sat" else (self.fixed["n_sat"],)
         if not all(float(n).is_integer() for n in counts):
             raise InvalidInputError(f"n_sat must be a whole number, got {counts}")

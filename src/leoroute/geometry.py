@@ -25,8 +25,6 @@ from .errors import DegenerateArcError, InvalidInputError
 _RADIUS_RTOL = 1e-9
 #: Dome angles above pi - this threshold are treated as antipodal.
 _ANTIPODAL_THRESHOLD = 1e-9
-#: |u_z| from which a polar angle is taken from the distance to the axis.
-_POLAR_Z = 1.0 - 1e-8
 #: Radius of the occluding body (the Earth) in km.
 R_EARTH_KM = 6371.0
 #: Signal propagation speed in km/ms.
@@ -72,14 +70,9 @@ class SpherePoint:
         if norm == 0.0:
             raise InvalidInputError("zero vector has no direction")
         v = v / norm
-        z = min(max(float(v[2]), -1.0), 1.0)
-        if abs(z) < _POLAR_Z:
-            theta = math.acos(z)
-        else:
-            # Within ~1.4e-4 rad of a pole acos(z) has lost half its digits
-            # (and returns 0 below ~1.5e-8 rad); the distance from the axis
-            # has not.
-            theta = math.atan2(math.hypot(v[0], v[1]), z)
+        # acos(z) loses digits near a pole; atan2 of the distance from the
+        # axis and z does not, anywhere.
+        theta = math.atan2(math.hypot(v[0], v[1]), v[2])
         phi = math.atan2(v[1], v[0])
         return cls(r=r, theta=theta, phi=phi)
 

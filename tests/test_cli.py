@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from leoroute.analysis import max_hop_angle, plan_hops
-from leoroute.cli import main, parse_angle
+from leoroute.cli import _SETTINGS, main, parse_angle
 from leoroute.constellation import load_constellation, sample_bpp, save_constellation
 from leoroute.errors import InternalConsistencyError, InvalidInputError
 from leoroute.experiments import CellParams, make_endpoints, reference_latency_ms
@@ -255,14 +255,23 @@ def test_analyze_config_file_and_flag_precedence(capsys, tmp_path):
             {"n_sat": 800, "altitude_km": 500, "epsilon": 0.1, "d_max_km": True},
         ),
         (["table1", "--trials", "2"], {"seed": 1.5}),
+        # Every value is checked, also where the command would not read it:
+        # the file's type-I plan samples no shell, and ideal samples none.
+        (["route", "--constellation", "shell.json"], {"seed": "abc"}),
+        (["route", "--preset", "oneweb", "--strategy", "ideal"], {"seed": "abc"}),
     ],
     ids=[
         "route-seed", "analyze-n_sat", "analyze-epsilon", "table1-seed", "sweep-trials",
         "analyze-n_sat-bool", "analyze-n_sat-fraction", "analyze-d_max-bool",
-        "table1-seed-fraction",
+        "table1-seed-fraction", "route-file-seed-unread", "route-ideal-seed-unread",
     ],
 )
-def test_config_value_of_wrong_type_exits_one(capsys, tmp_path, argv, config):
+def test_config_value_of_wrong_type_exits_one(
+    capsys, tmp_path, monkeypatch, argv, config
+):
+    monkeypatch.chdir(tmp_path)
+    if "shell.json" in argv:
+        save_constellation(sample_bpp(650, 6371.0, 1200.0, 0), "shell.json")
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     code, _, err = run_cli(capsys, *argv, "--config", str(path))
@@ -280,6 +289,63 @@ def test_config_int_setting_takes_integral_values(capsys, tmp_path, n_sat):
     assert code == 0
     flags = ("--n-sat", "800", "--altitude", "500", "--epsilon", "0.1")
     assert out == run_cli(capsys, "analyze", *flags, *angle)[1]
+
+
+#: For each setting: a command line that reads it, and two values other than
+#: its default that lead to different outcomes.
+SETTING_CASES = {
+    "preset": (["analyze", "--dome-angle", "1.0"], "kuiper", "oneweb"),
+    "n_sat": (["analyze", "--altitude", "500", "--epsilon", "0.1"], 800, 2000),
+    "altitude_km": (["analyze", "--n-sat", "800", "--epsilon", "0.1"], 500.0, 1200.0),
+    "distance_km": (
+        ["sweep", "--var", "n-sat", "--from", "800", "--to", "800", "--step", "1",
+         "--altitude", "500", "--epsilon", "0.1", "--trials", "3",
+         "--strategies", "ideal,max-stepsize", "--out", "out"],
+        4000.0,
+        8000.0,
+    ),
+    "d_max_km": (["analyze", "--preset", "kuiper"], 2500.0, 2000.0),
+    "epsilon": (["analyze", "--preset", "kuiper"], 0.1, 0.05),
+    "trials": (
+        ["sweep", "--var", "distance", "--from", "4000", "--to", "4000", "--step", "1",
+         "--n-sat", "300", "--altitude", "550", "--epsilon", "0.1",
+         "--strategies", "ideal", "--out", "out"],
+        3,
+        5,
+    ),
+    "seed": (
+        ["route", "--n-sat", "800", "--altitude", "500", "--epsilon", "0.1",
+         "--strategy", "min-deflection"],
+        1,
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(_SETTINGS))
+def test_config_value_acts_as_its_flag(capsys, tmp_path, monkeypatch, key):
+    """A config-file value gives the outcome of the same flag, and a flag
+    beats the file."""
+    monkeypatch.chdir(tmp_path)
+    argv, value, other = SETTING_CASES[key]
+    flag = _SETTINGS[key][0]
+
+    def outcome(*extra, config=None):
+        """Exit code, stdout, stderr and the bytes of each written file."""
+        if config is not None:
+            Path("run.json").write_text(json.dumps(config))
+            extra += ("--config", "run.json")
+        for old in Path().glob("out.*"):
+            old.unlink()
+        result = run_cli(capsys, *argv, *extra)
+        return result, {p.name: p.read_bytes() for p in sorted(Path().glob("out.*"))}
+
+    as_flag = outcome(flag, str(value))
+    assert outcome(config={key: value}) == as_flag
+    assert outcome(flag, str(value), config={key: other}) == as_flag
+    # Neither the default nor the other value gives the same outcome.
+    assert outcome() != as_flag
+    assert outcome(flag, str(other)) != as_flag
 
 
 def test_route_constellation_file_not_json_exits_one(capsys, tmp_path):

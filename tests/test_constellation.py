@@ -84,6 +84,15 @@ def test_constellation_rejects_rows_without_a_direction(bad, message):
     assert np.array_equal(c.unit_vectors, np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "r_earth, altitude",
+    [(math.inf, 550.0), (math.nan, 550.0), (R, math.inf), (R, math.nan)],
+)
+def test_constellation_rejects_a_non_finite_body_or_shell(r_earth, altitude):
+    with pytest.raises(InvalidInputError, match="finite r_earth > 0"):
+        Constellation(r_earth=r_earth, altitude=altitude, unit_vectors=np.eye(3))
+
+
 def test_mean_direction_near_zero():
     # Uniformity on the sphere: the resultant vector has length O(1/sqrt(N)).
     c = sample_bpp(20_000, R, 550.0, seed=7)
