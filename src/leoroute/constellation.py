@@ -5,12 +5,13 @@ binomial point process): cos(theta) uniform on [-1, 1] and phi uniform on
 [0, 2*pi). A constellation keeps its satellites as read-only unit-vector
 rows, and satellite IDs are 0-based row indices.
 
-:func:`sample_bands` and :func:`sample_band_complement` draw the same
-process in two parts, split at a band |u_y| <= s around the xz great
-circle: first the satellites inside the band, for a batch of shells at
-once, then, only when asked, the rest of one shell. By the restriction
-property of the binomial point process the two parts together are
-``n_sat`` i.i.d. uniform satellites.
+:func:`sample_band_counts`, :func:`sample_bands` and
+:func:`sample_band_complement` draw the same process in two parts, split at
+a band |u_y| <= s around the xz great circle: first how many satellites
+fall inside the band and where, for a batch of shells at once, then, only
+when asked, the rest of one shell. By the restriction property of the
+binomial point process the two parts together are ``n_sat`` i.i.d.
+uniform satellites, whichever generators draw them.
 """
 
 from __future__ import annotations
@@ -59,10 +60,7 @@ class Constellation:
         units = _normalized(units)
         units.setflags(write=False)
         object.__setattr__(self, "unit_vectors", units)
-        if not (0 < self.r_earth < math.inf and 0 <= self.altitude < math.inf):
-            raise InvalidInputError(
-                "require a finite r_earth > 0 and a finite altitude >= 0"
-            )
+        _check_sphere(self.r_earth, self.altitude)
 
     @classmethod
     def from_unit_rows(
@@ -101,6 +99,13 @@ class Constellation:
                 raise InvalidInputError("extra points must lie on the constellation sphere")
         units = np.vstack([self.unit_vectors, point_rows(points)])
         return Constellation.from_unit_rows(self.r_earth, self.altitude, units)
+
+
+def _check_sphere(r_earth: float, altitude: float) -> None:
+    if not (0 < r_earth < math.inf and 0 <= altitude < math.inf):
+        raise InvalidInputError(
+            "require a finite r_earth > 0 and a finite altitude >= 0"
+        )
 
 
 def _normalized(units: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -156,18 +161,14 @@ def _check_band(sin_halfwidth: float) -> None:
         )
 
 
-def sample_bands(
-    rngs: Sequence[np.random.Generator], n_sat: int, s: float
-) -> tuple[np.ndarray, list[int]]:
-    """The satellites inside |u_y| <= s of one uniform shell per generator:
-    shell b's unit rows are ``rows[b, :counts[b]]`` of one zero-padded
-    (B, max K + 2, 3) array, which keeps two rows for each shell's endpoints.
+def sample_band_counts(
+    rng: np.random.Generator, n_sat: int, s: float, size: int
+) -> np.ndarray:
+    """How many of ``n_sat`` uniform satellites fall inside |u_y| <= s, for
+    each of ``size`` shells, in one call.
 
-    On a uniform sphere u_y is uniform on [-1, 1], so the band holds
-    K ~ Binomial(n_sat, s) satellites, each uniform in it. Each generator
-    draws its K, then 2K uniforms, heights -s + 2s u and longitudes 2 pi u:
-    bit for bit two ``uniform`` calls. :func:`sample_band_complement`
-    continues it with the other n_sat - K. One pass turns the batch to rows.
+    On a uniform sphere u_y is uniform on [-1, 1], so a band holds
+    K ~ Binomial(n_sat, s) satellites.
 
     Raises:
         InvalidInputError: If ``n_sat`` < 1 or s is outside [0, 1].
@@ -175,18 +176,43 @@ def sample_bands(
     if n_sat < 1:
         raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
     _check_band(s)
-    counts = [int(rng.binomial(n_sat, s)) for rng in rngs]
+    return rng.binomial(n_sat, s, size)
+
+
+def sample_bands(
+    rng: np.random.Generator, counts: Sequence[int], s: float
+) -> np.ndarray:
+    """The satellites of bands |u_y| <= s that hold ``counts[b]`` satellites
+    each: shell b's unit rows are ``rows[b, :counts[b]]`` of one zero-padded
+    (B, max K + 2, 3) array, which keeps two rows for each shell's endpoints.
+
+    Each satellite of a band is uniform in it. One ``random`` call draws
+    2 K uniforms a band, band after band: its K heights -s + 2 s u, then its
+    K longitudes 2 pi u, bit for bit two ``uniform`` calls. So drawing the
+    bands in one batch or in several, in order, gives the same rows. One
+    pass turns the batch to rows.
+
+    Raises:
+        InvalidInputError: If s is outside [0, 1].
+    """
+    _check_band(s)
     width = max(counts, default=0) + 2
     heights, longitudes = uniforms = np.zeros((2, len(counts), width))
-    for b, (rng, k) in enumerate(zip(rngs, counts)):
-        uniforms[:, b, :k] = rng.random(2 * k).reshape(2, k)
+    drawn = rng.random(2 * sum(counts))
+    at = 0
+    for b, k in enumerate(counts):
+        uniforms[:, b, :k] = drawn[at : at + 2 * k].reshape(2, k)
+        at += 2 * k
+    # Freed before the rows are made, so the draw's peak stays at the rows
+    # and the padded uniforms.
+    del drawn
     heights *= 2.0 * s
     heights -= s
     rows = np.empty((len(counts), width, 3))
     _unit_rows(rows, heights, longitudes)
     for b, k in enumerate(counts):
         rows[b, k:] = 0.0
-    return rows, counts
+    return rows
 
 
 def sample_band_complement(
@@ -230,33 +256,60 @@ def nearest(
     return best
 
 
+#: Layout of the constellation file: version 2 stores unit-vector rows,
+#: version 1 (no ``version`` field) polar angles.
+_FILE_VERSION = 2
+
+
 def save_constellation(c: Constellation, path: str | Path) -> None:
-    """Write a constellation to a JSON file (header + satellite array)."""
-    points = (SpherePoint.from_unit_vector(u, c.radius) for u in c.unit_vectors)
+    """Write a constellation to a JSON file: its header, then each
+    satellite's unit-vector row, which JSON floats keep bit for bit."""
     payload = {
+        "version": _FILE_VERSION,
         "r_earth_km": c.r_earth,
         "altitude_km": c.altitude,
-        "satellites": [{"theta_rad": p.theta, "phi_rad": p.phi} for p in points],
+        "satellites": c.unit_vectors.tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=2))
 
 
 def load_constellation(path: str | Path) -> Constellation:
-    """Read a constellation previously written by :func:`save_constellation`."""
+    """Read a constellation written by :func:`save_constellation`: the rows
+    of a version 2 file bit for bit, or the polar angles of a version 1
+    file, turned into rows.
+
+    Raises:
+        InvalidInputError: If the file is not such a constellation, or a
+            version 2 row is not a finite unit vector (to 1e-12).
+    """
     text = Path(path).read_text()
     try:
         payload = json.loads(text)
         r_earth = float(payload["r_earth_km"])
         altitude = float(payload["altitude_km"])
-        sats: Iterable[dict] = payload["satellites"]
-        units = np.array(
-            [
-                SpherePoint(
-                    r=r_earth + altitude, theta=s["theta_rad"], phi=s["phi_rad"]
-                ).unit_vector()
-                for s in sats
-            ]
-        )
+        sats: Iterable = payload["satellites"]
+        version = payload.get("version", 1)
+        if version == 1:
+            units = np.array(
+                [
+                    SpherePoint(
+                        r=r_earth + altitude, theta=s["theta_rad"], phi=s["phi_rad"]
+                    ).unit_vector()
+                    for s in sats
+                ]
+            )
+        elif version == _FILE_VERSION:
+            units = np.array(sats, dtype=float)
+            if units.ndim != 2 or units.shape[1:] != (3,) or not len(units):
+                raise ValueError("satellites must be a non-empty list of 3-vectors")
+            norms = np.linalg.norm(units, axis=1)
+            if not (np.abs(norms - 1.0) <= 1e-12).all():
+                raise ValueError("satellites must be finite unit vectors")
+        else:
+            raise ValueError(f"unknown version {version!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed constellation file {path}: {exc}") from exc
-    return Constellation(r_earth=r_earth, altitude=altitude, unit_vectors=units)
+    if version == 1:
+        return Constellation(r_earth=r_earth, altitude=altitude, unit_vectors=units)
+    _check_sphere(r_earth, altitude)
+    return Constellation.from_unit_rows(r_earth, altitude, units)

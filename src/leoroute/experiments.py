@@ -18,23 +18,30 @@ process), so the records follow the same law as routing on a full shell.
 (:meth:`TrialCell.route_rows`): it routes on the shell's rows in the band
 first, and on every row only when that route is not certified.
 
-Trials are routed in batches of :attr:`TrialCell.batch`, for every
-sampled strategy. Each trial draws its band count and one block of
-uniforms from its own generator, and one trig pass writes every band's
-rows, then its endpoints, straight into the batch's
-:class:`~leoroute.routing.ShellStack`. One batch router call routes the
-stack: :func:`~leoroute.routing.route_equal_interval_batch` computes the
-cell's targets once, snaps all shells in one lockstep pass and repairs
-them in rounds of one lockstep walk each, and the greedy baselines walk
-all shells in lockstep. The trials that need the complement draw it into
-one more stack, after their band rows, for one more router call. The
-batch size keeps a batch under 1 MB, and batching changes no record.
+Random streams. Trials come in blocks of ``_BLOCK_TRIALS`` (64), counted
+from trial 0: trial i is lane i % 64 of block i // 64. Each block has one
+generator, seeded by :func:`block_seed` (a splitmix64 hash of the base
+seed and the block index). It first draws the band counts of all 64 lanes
+in one call, then the bands' uniforms lane by lane, in lane order. The
+rest of a shell is drawn only for a trial whose band route is not
+certified, from that trial's own generator, seeded by :func:`trial_seed`.
+So a trial's record depends only on the base seed and its index, never on
+how many trials run, how they are batched or how many workers run them.
+Results differ from releases that built one generator per trial.
 
-Per-trial seeds are derived from the base seed with a splitmix64 mix of
-the trial index, so results are deterministic and independent of
-execution order; trials may run in parallel worker processes and are
-reduced in trial-index order, making output byte-identical for any worker
-count.
+Trials are routed in batches of :attr:`TrialCell.batch` within a block,
+for every sampled strategy. One ``random`` call draws the batch's bands,
+and one trig pass writes every band's rows, then its endpoints, straight
+into the batch's :class:`~leoroute.routing.ShellStack`. One batch router
+call routes the stack: :func:`~leoroute.routing.route_equal_interval_batch`
+computes the cell's targets once, snaps all shells in one lockstep pass
+and repairs them in rounds of one lockstep walk each, and the greedy
+baselines walk all shells in lockstep. The trials that need the
+complement draw it into one more stack, after their band rows, for one
+more router call. The batch size keeps a batch under 1 MB.
+
+Worker processes take whole blocks, and records are reduced in trial-index
+order, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from .constellation import (
     PRESET_PARAMS,
     point_rows,
     sample_band_complement,
+    sample_band_counts,
     sample_bands,
 )
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
@@ -114,8 +122,23 @@ def splitmix64(x: int) -> int:
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
-    """Per-trial RNG seed; order-independent in ``trial_index``."""
+    """Seed of a trial's complement stream; order-independent in
+    ``trial_index``."""
     return (base_seed ^ splitmix64(trial_index)) & _MASK64
+
+
+#: Trials whose bands one generator draws: trial i is lane i % 64 of block
+#: i // 64.
+_BLOCK_TRIALS = 64
+
+#: Mixed into every block seed, so that a block's stream is no trial's
+#: complement stream.
+_BLOCK_DOMAIN = 0x626C6F636B5F3634
+
+
+def block_seed(base_seed: int, block: int) -> int:
+    """Seed of the band stream of trials ``64 block`` to ``64 block + 63``."""
+    return splitmix64(trial_seed(base_seed, block) ^ _BLOCK_DOMAIN)
 
 
 #: Standard-normal quantile of a two-sided 95% interval.
@@ -191,7 +214,13 @@ class CellParams:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one Monte Carlo trial."""
+    """Outcome of one Monte Carlo trial.
+
+    ``seed`` is :func:`trial_seed` of the trial: the seed of its complement
+    stream, which it draws from only when its band route is not certified.
+    Its band is lane ``trial_index % 64`` of the block ``trial_index // 64``
+    (:func:`block_seed`).
+    """
 
     trial_index: int
     seed: int
@@ -251,15 +280,14 @@ _BAND_SLACK = 1e-9
 
 #: Cap on the doubles one batch of trials holds (1 MB). A satellite of an
 #: equal-interval batch is charged 6, which covers the draw's peak: its 3
-#: coordinates in the batch stack, its 2 uniforms and its share of the
-#: trials' generators (a trace peaked at 5.9 a stack row). The uniforms are
-#: freed before routing starts, and the batch then holds one work area of
-#: at most n_hat - 1 doubles a satellite and at most
-#: ``routing._PRODUCT_DOTS``: a group of target dots while it snaps, the
-#: lanes of one repair walk while it repairs. A satellite of a greedy batch
-#: takes ``_WALK_DOUBLES``. A batch's re-routes add their whole shells, at
-#: most 2 a batch on table1 (5 seeds x 400 trials) and 4 on the
-#: 800-satellite sweep (48 distances x 200 trials).
+#: coordinates in the batch stack and its 2 uniforms (a trace peaked at 5.0
+#: a stack row). The uniforms are freed before routing starts, and the
+#: batch then holds one work area of at most n_hat - 1 doubles a satellite
+#: and at most ``routing._PRODUCT_DOTS``: a group of target dots while it
+#: snaps, the lanes of one repair walk while it repairs. A satellite of a
+#: greedy batch takes ``_WALK_DOUBLES``. A batch's re-routes add their
+#: whole shells, at most 1 a batch on table1 (5 seeds x 400 trials) and 2
+#: on the 800-satellite sweep (48 distances x 200 trials, seed 7).
 _BATCH_DOUBLES = 1 << 17
 
 #: Doubles each satellite of a greedy batch takes at the peak of the
@@ -321,8 +349,9 @@ class TrialCell:
     #: Sine s of the slightly wider band |u_y| <= s a trial draws first.
     band_sine: float
     reference_ms: float
-    #: Trials routed together: as many as fit in ``_BATCH_DOUBLES``. An
-    #: equal-interval batch's cost per satellite does not grow with n_hat.
+    #: Trials routed together: as many as fit in ``_BATCH_DOUBLES``, and at
+    #: most one block. An equal-interval batch's cost per satellite does not
+    #: grow with n_hat.
     batch: int
 
     def stack(self, rows: np.ndarray, counts: list[int]) -> ShellStack:
@@ -425,7 +454,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         )
     else:
         batch = _BATCH_DOUBLES // (_WALK_DOUBLES * rows)
-    batch = max(1, int(batch))
+    batch = max(1, min(int(batch), _BLOCK_TRIALS))
     return TrialCell(
         params=params,
         strategy=strategy,
@@ -439,31 +468,37 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
 
 
 def _run_batch(
-    cell: TrialCell, base_seed: int, start: int, stop: int
+    cell: TrialCell,
+    base_seed: int,
+    rng: np.random.Generator,
+    counts: list[int],
+    start: int,
 ) -> list[TrialRecord]:
-    """Records of trials ``start`` to ``stop``, routed on their bands together."""
+    """Records of the trials from ``start`` on whose bands hold ``counts``
+    satellites, drawn from their block's generator ``rng`` and routed
+    together."""
     n_sat, sine = cell.params.n_sat, cell.band_sine
-    seeds = [trial_seed(base_seed, i) for i in range(start, stop)]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    bands = cell.stack(*sample_bands(rngs, n_sat, sine))
+    bands = cell.stack(sample_bands(rng, counts, sine), counts)
 
     def whole(redo: list[int]) -> ShellStack:
-        # The rest of a shell is drawn only for a trial that needs it.
+        # The rest of a shell is drawn only for a trial that needs it, from
+        # the trial's own generator.
         rows = np.empty((len(redo), n_sat + 2, 3))
         for shell, k in zip(rows, redo):
-            count = bands.counts[k]
+            count = counts[k]
             shell[:count] = bands.rows[k, :count]
-            sample_band_complement(rngs[k], sine, shell[count:n_sat])
+            own = np.random.default_rng(trial_seed(base_seed, start + k))
+            sample_band_complement(own, sine, shell[count:n_sat])
         return cell.stack(rows, [n_sat] * len(redo))
 
     routes, _ = cell.route_band_first(bands, n_sat, whole)
     records = []
-    for i, seed, route in zip(range(start, stop), seeds, routes):
+    for i, route in enumerate(routes, start):
         latency = None if route.interrupted else route.latency
         records.append(
             TrialRecord(
                 trial_index=i,
-                seed=seed,
+                seed=trial_seed(base_seed, i),
                 strategy=cell.strategy,
                 status=route.status.value,
                 latency_ms=latency,
@@ -475,12 +510,20 @@ def _run_batch(
 
 
 def _run_chunk(args: tuple) -> list[TrialRecord]:
+    """Records of trials ``start`` to ``stop``; ``start`` begins a block."""
     cell, base_seed, start, stop = args
-    return [
-        rec
-        for lo in range(start, stop, cell.batch)
-        for rec in _run_batch(cell, base_seed, lo, min(lo + cell.batch, stop))
-    ]
+    records = []
+    for first in range(start, stop, _BLOCK_TRIALS):
+        rng = np.random.default_rng(block_seed(base_seed, first // _BLOCK_TRIALS))
+        counts = sample_band_counts(
+            rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS
+        ).tolist()
+        last = min(first + _BLOCK_TRIALS, stop)
+        for lo in range(first, last, cell.batch):
+            hi = min(lo + cell.batch, last)
+            lanes = counts[lo - first : hi - first]
+            records += _run_batch(cell, base_seed, rng, lanes, lo)
+    return records
 
 
 def _checked_plan(params: CellParams, strategy: str, trials: int) -> Optional[HopPlan]:
@@ -520,13 +563,16 @@ def _planned_trials(params, strategy, trials, base_seed, threads, plan) -> tuple
             for i in range(trials)
         )
     cell = trial_cell(params, strategy, plan)
-    workers = min(max(1, int(threads)), _cpu_count())
-    if workers == 1 or trials < 2 * workers:
+    blocks = -(-trials // _BLOCK_TRIALS)
+    workers = min(max(1, int(threads)), _cpu_count(), blocks)
+    if workers == 1:
         return tuple(_run_chunk((cell, base_seed, 0, trials)))
-    bounds = [round(i * trials / workers) for i in range(workers + 1)]
-    tasks = [
-        (cell, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+    # Each worker takes whole blocks.
+    bounds = [
+        min(round(i * blocks / workers) * _BLOCK_TRIALS, trials)
+        for i in range(workers + 1)
     ]
+    tasks = [(cell, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     # The chunks come back in task order, which is trial order.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return tuple(rec for chunk in pool.map(_run_chunk, tasks) for rec in chunk)
@@ -550,9 +596,12 @@ def run_trials(
     """All trial records for one cell and strategy, in trial order.
 
     ``threads`` caps the number of worker processes, which never exceeds
-    the CPUs this process may run on; any value yields byte-identical
-    results because per-trial seeds depend only on the trial index and
-    records are reduced in trial order.
+    the CPUs this process may run on or the blocks of 64 trials; any value
+    yields byte-identical results because a trial's random draws depend
+    only on the base seed and its index (lane ``i % 64`` of block
+    ``i // 64``, and its own complement stream) and records are reduced in
+    trial order. The records of the first t trials are the same for any
+    ``trials`` >= t.
     """
     plan = _checked_plan(params, strategy, trials)
     return _planned_trials(params, strategy, trials, base_seed, threads, plan)

@@ -362,19 +362,24 @@ def test_route_constellation_file_not_json_exits_one(capsys, tmp_path):
 def test_route_constellation_file_with_non_finite_satellite_exits_one(
     capsys, tmp_path, bad
 ):
-    # Python's json writes and reads NaN and Infinity; such a row is no point.
+    # Python's json writes and reads NaN and Infinity; such a row is no
+    # point, whether the file holds unit rows or (version 1) polar angles.
     path = tmp_path / "shell.json"
     save_constellation(sample_bpp(300, 6371.0, 550.0, 0), path)
-    payload = json.loads(path.read_text())
-    payload["satellites"][7]["phi_rad"] = bad
-    path.write_text(json.dumps(payload))
-    code, out, err = run_cli(
-        capsys, "route", "--constellation", str(path), "--strategy", "min-deflection"
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: malformed constellation file ")
-    assert len(err.splitlines()) == 1
+    rows = json.loads(path.read_text())
+    rows["satellites"][7][2] = bad
+    angles = {"r_earth_km": 6371.0, "altitude_km": 550.0}
+    angles["satellites"] = [{"theta_rad": 1.0, "phi_rad": 0.1 * k} for k in range(300)]
+    angles["satellites"][7]["phi_rad"] = bad
+    for payload in (rows, angles):
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "route", "--constellation", str(path), "--strategy", "min-deflection"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed constellation file ")
+        assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +580,21 @@ def test_route_out_file_and_constellation_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["hops"] == payload["hops"]
+
+
+@pytest.mark.parametrize("strategy", ["equal-interval", "min-deflection", "max-stepsize"])
+def test_route_saved_shell_prints_the_seeded_payload(capsys, tmp_path, strategy):
+    """``route --constellation`` over a saved shell prints, byte for byte,
+    what ``route --seed`` prints for the same shell."""
+    path = tmp_path / "shell.json"
+    save_constellation(sample_bpp(2000, 6371.0, 550.0, 4), path)
+    flags = ("--epsilon", "0.1", "--dome-angle", "2.0", "--strategy", strategy)
+    seeded = run_cli(
+        capsys, "route", "--n-sat", "2000", "--altitude", "550", "--seed", "4", *flags
+    )
+    saved = run_cli(capsys, "route", "--constellation", str(path), *flags)
+    assert seeded[0] == 0
+    assert saved == seeded
 
 
 @pytest.mark.parametrize("strategy", ["equal-interval", "min-deflection", "max-stepsize"])

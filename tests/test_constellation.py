@@ -22,7 +22,11 @@ from leoroute import (
     save_constellation,
 )
 from leoroute.analysis import contact_cdf
-from leoroute.constellation import sample_band_complement, sample_bands
+from leoroute.constellation import (
+    sample_band_complement,
+    sample_band_counts,
+    sample_bands,
+)
 
 R = 6371.0
 
@@ -138,9 +142,10 @@ def test_single_satellite_gap_distribution():
 
 
 def sample_band(rng, n_sat, band_sine):
-    """One shell's band rows: the batch of one of ``sample_bands``."""
-    rows, (k,) = sample_bands([rng], n_sat, band_sine)
-    return rows[0, :k]
+    """One shell's band rows: its count, then the batch of one of
+    ``sample_bands``."""
+    counts = sample_band_counts(rng, n_sat, band_sine, 1).tolist()
+    return sample_bands(rng, counts, band_sine)[0, : counts[0]]
 
 
 def sample_rest(rng, count, band_sine):
@@ -187,9 +192,8 @@ def trial_band_rows(y, phi):
     return rows
 
 
-def trial_band(rng, n_sat, band_sine):
-    """One trial's band, drawn with two ``uniform`` calls."""
-    k = int(rng.binomial(n_sat, band_sine))
+def trial_band(rng, k, band_sine):
+    """One band of ``k`` satellites, drawn with two ``uniform`` calls."""
     y = rng.uniform(-band_sine, band_sine, k)
     return trial_band_rows(y, rng.uniform(0.0, 2.0 * math.pi, k))
 
@@ -204,28 +208,44 @@ def trial_complement(rng, count, band_sine):
 
 @pytest.mark.parametrize("band_sine", [0.0, 0.0555, 0.21, 1.0])
 def test_batch_draw_equals_the_trial_by_trial_draws(band_sine):
-    """The batch draw, a batch of one and the complement give, bit for bit,
-    the rows and the generator states of each trial drawn on its own."""
+    """From one generator, the counts, then the bands in one batch, in
+    batches of one or in uneven batches, give bit for bit the rows and the
+    generator state of each band drawn on its own with ``uniform`` calls,
+    in order; and the complement the rows of its own ``uniform``,
+    ``random`` and ``uniform`` calls."""
     empty = Counter()
     for n_sat, size in itertools.product((1, 650, 800, 11927), (1, 48)):
-        seeds = [1000 * n_sat + 7 * size + j for j in range(size)]
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        rows, counts = sample_bands(rngs, n_sat, band_sine)
+        seed = 1000 * n_sat + 7 * size
+        rng, own, one, split = (np.random.default_rng(seed) for _ in range(4))
+        counts = sample_band_counts(rng, n_sat, band_sine, size).tolist()
+        assert counts == own.binomial(n_sat, band_sine, size).tolist()
+        for other in (one, split):
+            assert sample_band_counts(other, n_sat, band_sine, size).tolist() == counts
+        rows = sample_bands(rng, counts, band_sine)
         assert rows.shape == (size, max(counts) + 2, 3)
         empty[size, min(counts) == 0, max(counts) > 0] += 1
-        for rng, seed, shell, k in zip(rngs, seeds, rows, counts):
-            own, one = (np.random.default_rng(seed) for _ in range(2))
-            expected = trial_band(own, n_sat, band_sine).tobytes()
-            assert shell[:k].tobytes() == expected
-            assert sample_band(one, n_sat, band_sine).tobytes() == expected
-            assert not shell[k:].any()
-            rest = np.empty((n_sat - k, 3))
-            sample_band_complement(rng, band_sine, rest)
-            expected = trial_complement(own, n_sat - k, band_sine).tobytes()
-            assert rest.tobytes() == expected
-            assert sample_rest(one, n_sat - k, band_sine).tobytes() == expected
-            assert rng.bit_generator.state == own.bit_generator.state
-            assert one.bit_generator.state == own.bit_generator.state
+        expected = [trial_band(own, k, band_sine).tobytes() for k in counts]
+        assert [shell[:k].tobytes() for shell, k in zip(rows, counts)] == expected
+        assert not any(shell[k:].any() for shell, k in zip(rows, counts))
+        singles = [sample_bands(one, [k], band_sine)[0, :k].tobytes() for k in counts]
+        assert singles == expected
+        pieces, at = [], 0
+        for width in itertools.cycle((5, 1, 17)):
+            part = counts[at : at + width]
+            if not part:
+                break
+            batch = sample_bands(split, part, band_sine)
+            pieces += [shell[:k].tobytes() for shell, k in zip(batch, part)]
+            at += width
+        assert pieces == expected
+        rest = np.empty((n_sat - counts[-1], 3))
+        sample_band_complement(rng, band_sine, rest)
+        expected = trial_complement(own, len(rest), band_sine).tobytes()
+        assert rest.tobytes() == expected
+        for other in (one, split):
+            assert sample_rest(other, len(rest), band_sine).tobytes() == expected
+            assert other.bit_generator.state == own.bit_generator.state
+        assert rng.bit_generator.state == own.bit_generator.state
     if 0.0 < band_sine < 1.0:
         # A batch of 48 that mixes empty and non-empty bands, and an empty
         # batch of one.
@@ -304,15 +324,76 @@ def test_nearest_tie_breaks_lowest_id():
 
 
 def test_save_load_round_trip(tmp_path):
-    c = sample_bpp(100, R, 610.0, seed=13)
-    path = tmp_path / "c.json"
-    save_constellation(c, path)
+    """A file keeps each satellite's unit row, so a saved shell loads back
+    bit for bit, however its rows were made."""
+    c = sample_bpp(2000, R, 550.0, seed=4)
+    rows = np.random.default_rng(3).normal(size=(500, 3))
+    d = Constellation(r_earth=6000.0, altitude=610.0, unit_vectors=rows)
+    for shell in (c, d):
+        path = tmp_path / "c.json"
+        save_constellation(shell, path)
+        loaded = load_constellation(path)
+        assert loaded.unit_vectors.tobytes() == shell.unit_vectors.tobytes()
+        assert (loaded.r_earth, loaded.altitude) == (shell.r_earth, shell.altitude)
+        blob = json.loads(path.read_text())
+        assert {"version", "r_earth_km", "altitude_km", "satellites"} <= set(blob)
+        assert blob["version"] == 2
+
+
+def test_version_one_files_still_load(tmp_path):
+    """A file of polar angles, without a version, loads as before."""
+    c = sample_bpp(300, R, 550.0, seed=6)
+    points = [SpherePoint.from_unit_vector(u, c.radius) for u in c.unit_vectors]
+    path = tmp_path / "old.json"
+    path.write_text(
+        json.dumps(
+            {
+                "r_earth_km": R,
+                "altitude_km": 550.0,
+                "satellites": [{"theta_rad": p.theta, "phi_rad": p.phi} for p in points],
+            }
+        )
+    )
     loaded = load_constellation(path)
-    assert loaded.n_sat == c.n_sat
-    assert loaded.radius == c.radius
-    assert np.allclose(loaded.unit_vectors, c.unit_vectors, atol=1e-12)
-    blob = json.loads(path.read_text())
-    assert {"r_earth_km", "altitude_km", "satellites"} <= set(blob)
+    expected = np.array([p.unit_vector() for p in points])
+    expected /= np.linalg.norm(expected, axis=1)[:, None]
+    assert loaded.unit_vectors.tobytes() == expected.tobytes()
+    assert np.allclose(loaded.unit_vectors, c.unit_vectors, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "satellites, version",
+    [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-9, 0.0]], 2),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0]], 2),
+        ([[1.0, 0.0, 0.0, 0.0]], 2),
+        ([], 2),
+        ([[1.0, 0.0, 0.0]], 3),
+    ],
+    ids=["not-unit", "ragged", "four-columns", "empty", "unknown-version"],
+)
+def test_malformed_files_are_rejected(tmp_path, satellites, version):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {"version": version, "r_earth_km": R, "altitude_km": 550.0,
+             "satellites": satellites}
+        )
+    )
+    with pytest.raises(InvalidInputError, match="malformed constellation file"):
+        load_constellation(path)
+
+
+def test_version_two_file_checks_its_header(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {"version": 2, "r_earth_km": -1.0, "altitude_km": 550.0,
+             "satellites": [[1.0, 0.0, 0.0]]}
+        )
+    )
+    with pytest.raises(InvalidInputError, match="finite r_earth"):
+        load_constellation(path)
 
 
 def test_with_extra_points_appends_at_end():

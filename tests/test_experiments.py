@@ -20,6 +20,7 @@ from leoroute.analysis import (
 from leoroute.constellation import (
     Constellation,
     sample_band_complement,
+    sample_band_counts,
     sample_bands,
     sample_bpp,
 )
@@ -32,6 +33,7 @@ from leoroute.experiments import (
     CellParams,
     SweepSpec,
     TrialRecord,
+    block_seed,
     contact_band,
     make_endpoints,
     reference_hop_count,
@@ -286,9 +288,13 @@ def test_worker_processes_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessExecutor)
     monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
     params = CellParams(n_sat=500, altitude_km=550.0, arc_angle=2.0, epsilon=0.1)
-    many = run_trials(params, "equal-interval", trials=24, base_seed=99, threads=64)
+    # Workers take whole blocks of 64 trials, so 130 trials give three.
+    many = run_trials(params, "equal-interval", trials=130, base_seed=99, threads=64)
     assert asked == [2]
-    assert many == run_trials(params, "equal-interval", 24, base_seed=99, threads=1)
+    assert many == run_trials(params, "equal-interval", 130, base_seed=99, threads=1)
+    # One block never starts a pool.
+    run_trials(params, "equal-interval", trials=64, base_seed=99, threads=64)
+    assert asked == [2]
 
 
 def test_per_trial_efficiency_never_exceeds_one():
@@ -390,16 +396,24 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
         cell = trial_cell(params, strategy, plan)
-        trials = cell.batch + 5
+        trials = max(cell.batch, experiments._BLOCK_TRIALS) + 5
         records = run_trials(params, strategy, trials=trials, base_seed=11)
         src, dst = make_endpoints(params.radius, params.arc_angle)
         band_sine = cell.band_sine
         for rec in records:
-            rng = np.random.default_rng(rec.seed)
-            rows, (k,) = sample_bands([rng], params.n_sat, band_sine)
+            # The band is a lane of its block's stream, and the rest of the
+            # shell comes from the trial's own stream.
+            block, lane = divmod(rec.trial_index, experiments._BLOCK_TRIALS)
+            rng = np.random.default_rng(block_seed(11, block))
+            counts = sample_band_counts(
+                rng, params.n_sat, band_sine, experiments._BLOCK_TRIALS
+            ).tolist()
+            k = counts[lane]
             units = np.empty((params.n_sat, 3))
-            units[:k] = rows[0, :k]
-            sample_band_complement(rng, band_sine, units[k:])
+            units[:k] = sample_bands(rng, counts[: lane + 1], band_sine)[lane, :k]
+            assert rec.seed == experiments.trial_seed(11, rec.trial_index)
+            rest = np.random.default_rng(rec.seed)
+            sample_band_complement(rest, band_sine, units[k:])
             shell = Constellation.from_unit_rows(
                 params.r_earth_km, params.altitude_km, units
             ).with_extra_points([src, dst])
@@ -456,10 +470,11 @@ def batch_doubles(cell, base_seed):
     untraced first, so that one-time imports (the first ``default_rng``
     imports ``secrets``) are not counted."""
     band_only = replace(cell, halfwidth=math.pi / 2.0)
-    experiments._run_batch(band_only, base_seed, 0, cell.batch)
+    chunk = (band_only, base_seed, 0, cell.batch)
+    experiments._run_chunk(chunk)
     tracemalloc.start()
     try:
-        experiments._run_batch(band_only, base_seed, 0, cell.batch)
+        experiments._run_chunk(chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -674,49 +689,155 @@ def test_trial_cell_rejects_ideal_and_unknown_names():
 
 
 def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
-    """A batch of trials routes its band shells in one router call, and the
-    whole shells of the trials it cannot certify in one more: never one
-    call per trial, and never through a one-shell router."""
+    """A block draws its band counts once; each batch of trials within it
+    draws its bands in one call, routes them in one router call, and
+    routes the whole shells of the trials it cannot certify in one more,
+    each after drawing its complement: never one call per trial, and never
+    through a one-shell router."""
     params = CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5)
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
     cell = trial_cell(params, "equal-interval", plan)
     log = []
 
     def counted(stack, *args):
-        log.append(len(stack.counts))
+        log.append(("route", len(stack.counts)))
         return route_equal_interval_batch(stack, *args)
 
+    def bands(rng, counts, s):
+        log.append(("bands", len(counts)))
+        return sample_bands(rng, counts, s)
+
+    def band_counts(*args):
+        log.append(("counts", args[-1]))
+        return sample_band_counts(*args)
+
     def complement(*args):
-        log.append("rest")
+        log.append(("rest", 1))
         return sample_band_complement(*args)
 
     def forbidden(*args):
         raise AssertionError("a trial went through a one-shell router")
 
     monkeypatch.setattr(experiments, "route_equal_interval_batch", counted)
+    monkeypatch.setattr(experiments, "sample_bands", bands)
+    monkeypatch.setattr(experiments, "sample_band_counts", band_counts)
     monkeypatch.setattr(experiments, "sample_band_complement", complement)
     for name in ("route_equal_interval", "route_min_deflection", "route_max_stepsize"):
         monkeypatch.setattr(experiments, name, forbidden)
-    sizes = (cell.batch, 5)
-    records = run_trials(params, "equal-interval", sum(sizes), base_seed=11)
-    assert len(records) == sum(sizes)
-    # Each batch: its band call, the complements its re-routes draw, and
-    # then one call that routes that many whole shells.
+    block = experiments._BLOCK_TRIALS
+    trials = 2 * block + 5
+    records = run_trials(params, "equal-interval", trials, base_seed=11)
+    assert len(records) == trials
+    # Batches never cross a block, and the last block holds 5 trials.
+    sizes = [
+        [min(cell.batch, stop - lo) for lo in range(first, stop, cell.batch)]
+        for first, stop in ((0, block), (block, 2 * block), (2 * block, trials))
+    ]
     at, rerouted = 0, []
-    for size in sizes:
-        assert log[at] == size
-        drawn = 0
-        while at + 1 + drawn < len(log) and log[at + 1 + drawn] == "rest":
-            drawn += 1
-        at += 1 + drawn
-        if drawn:
-            assert log[at] == drawn
-            at += 1
-        rerouted.append(drawn)
+    for batches in sizes:
+        assert log[at] == ("counts", block)
+        at += 1
+        for size in batches:
+            assert log[at : at + 2] == [("bands", size), ("route", size)]
+            at += 2
+            drawn = 0
+            while at < len(log) and log[at] == ("rest", 1):
+                drawn += 1
+                at += 1
+            if drawn:
+                assert log[at] == ("route", drawn)
+                at += 1
+            rerouted.append(drawn)
     assert at == len(log)
-    calls = sum(entry != "rest" for entry in log)
-    assert calls == len(sizes) + sum(drawn > 0 for drawn in rerouted)
     assert any(rerouted)
+
+
+#: Cells whose trials re-route: about half of the equal-interval band
+#: routes on the first and the min-deflection band routes on the second do
+#: not certify.
+REROUTING_CELLS = (
+    (CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5),
+     "equal-interval"),
+    (CellParams(n_sat=60, altitude_km=500.0, arc_angle=2.0, epsilon=0.1),
+     "min-deflection"),
+    (CellParams(n_sat=800, altitude_km=500.0, arc_angle=2.0, epsilon=0.1),
+     "max-stepsize"),
+)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES[1:])
+def test_fewer_trials_give_a_prefix_of_the_records(strategy):
+    """The records of 40 trials are the first 40 of 150, which cross two
+    block boundaries."""
+    params = CellParams(n_sat=800, altitude_km=500.0, arc_angle=2.0, epsilon=0.1)
+    many = run_trials(params, strategy, trials=150, base_seed=21)
+    assert run_trials(params, strategy, trials=40, base_seed=21) == many[:40]
+
+
+def test_records_are_equal_for_one_two_and_three_workers(monkeypatch):
+    """130 trials are three blocks, one worker each when three may run: a
+    chunk split that is not block-aligned would change the records."""
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
+    for params, strategy in REROUTING_CELLS[:2]:
+        one = run_trials(params, strategy, trials=130, base_seed=8, threads=1)
+        for threads in (2, 3):
+            assert run_trials(params, strategy, 130, 8, threads=threads) == one
+
+
+def test_records_do_not_depend_on_the_batch_size(monkeypatch):
+    """Batches of 1, 2 or 3 trials, forced through ``_BATCH_DOUBLES``, give
+    the records of the full-size batches."""
+    for params, strategy in REROUTING_CELLS:
+        plan = plan_hops(
+            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
+        )
+        records = run_trials(params, strategy, trials=70, base_seed=4)
+        assert trial_cell(params, strategy, plan).batch > 3
+        for size in (1, 2, 3):
+            # The batch grows by at most one trial a double, so the least
+            # budget that holds ``size`` trials holds exactly that many.
+            low, high = 0, experiments._BATCH_DOUBLES
+            while high - low > 1:
+                mid = (low + high) // 2
+                monkeypatch.setattr(experiments, "_BATCH_DOUBLES", mid)
+                batch = trial_cell(params, strategy, plan).batch
+                low, high = (mid, high) if batch < size else (low, mid)
+            monkeypatch.setattr(experiments, "_BATCH_DOUBLES", high)
+            assert trial_cell(params, strategy, plan).batch == size
+            assert run_trials(params, strategy, trials=70, base_seed=4) == records
+            monkeypatch.undo()
+
+
+def test_a_cell_builds_one_generator_per_block_and_per_reroute(monkeypatch):
+    """150 trials build 3 block generators, then one generator for each
+    trial that draws its complement, seeded with that trial's seed."""
+    seeds, drawn = [], []
+    default_rng = np.random.default_rng
+
+    def counted_rng(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    def complement(*args):
+        drawn.append(args)
+        return sample_band_complement(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(experiments, "sample_band_complement", complement)
+    for params, strategy in REROUTING_CELLS:
+        seeds.clear()
+        drawn.clear()
+        records = run_trials(params, strategy, trials=150, base_seed=13)
+        blocks = [block_seed(13, b) for b in range(3)]
+        assert [seed for seed in seeds if seed in blocks] == blocks
+        own = [seed for seed in seeds if seed not in blocks]
+        assert len(seeds) == 3 + len(drawn)
+        assert len(own) == len(set(own)) == len(drawn)
+        assert set(own) <= {rec.seed for rec in records}
+        assert bool(drawn) == (strategy != "max-stepsize")
+    # No block stream is the complement stream of one of the first trials.
+    trial_seeds = {experiments.trial_seed(13, i) for i in range(100 * 64)}
+    assert trial_seeds.isdisjoint(block_seed(13, b) for b in range(100))
 
 
 def test_estimate_type2_accepts_explicit_params():
