@@ -31,11 +31,13 @@ Every value in the file is checked, read or not:
 ``analyze`` and ``route`` describe one experimental cell
 (:class:`~leoroute.experiments.CellParams`), and ``route`` builds its route
 through the Monte Carlo harness's own trial cell
-(:func:`~leoroute.experiments.trial_cell`) over a shell drawn by
-``sample_bpp``, band first as a trial is routed
-(:meth:`~leoroute.experiments.TrialCell.route_rows`): through the
+(:func:`~leoroute.experiments.trial_cell`), band first as a trial is
+routed (:meth:`~leoroute.experiments.TrialCell.route_rows`): through the
 satellites near the endpoints' great circle, and through the whole shell
-only when that route is not certified. ``route --constellation FILE``
+only when that route is not certified. ``--seed`` draws the shell of
+``sample_bpp``, but builds only its band's satellites
+(:func:`~leoroute.constellation.sample_bpp_band`), and builds the whole
+shell only for that second route. ``route --constellation FILE``
 routes over the satellites of the file and takes the satellite count, the
 shell altitude and the body radius from it. The router reads the body
 radius, like the endpoints, from the shell it routes through, so the
@@ -52,6 +54,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import click
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -67,6 +70,7 @@ from .constellation import (
     Constellation,
     load_constellation,
     sample_bpp,
+    sample_bpp_band,
 )
 from .errors import DegenerateArcError, InternalConsistencyError, InvalidInputError
 from .experiments import (
@@ -340,6 +344,7 @@ def route(config_path, dome_angle, strategy, constellation_path, out, **flags) -
 
     payload = {"schema_version": SCHEMA_VERSION, "strategy": strategy}
     exit_code = 0
+    cell = None
     if strategy == "ideal":
         # The waypoints resolve antipodal endpoints with the routing
         # convention, so the default half-circle separation works for
@@ -372,12 +377,19 @@ def route(config_path, dome_angle, strategy, constellation_path, out, **flags) -
             payload["status"] = "type2_interrupted"
             payload["hops"] = []
         else:
-            if shell is None:
-                shell = sample_bpp(
-                    params.n_sat, params.r_earth_km, params.altitude_km, settings["seed"]
-                )
             cell = trial_cell(params, strategy, plan)
-            route_obj = cell.route_rows(shell.unit_vectors)
+            n_sat, s = params.n_sat, cell.band_sine
+            if shell is None:
+                seed = settings["seed"]
+                ids, rows = sample_bpp_band(n_sat, seed, s)
+                draw = (n_sat, params.r_earth_km, params.altitude_km, seed)
+                route_obj = cell.route_rows(
+                    n_sat, ids, rows, lambda: sample_bpp(*draw).unit_vectors
+                )
+            else:
+                units = shell.unit_vectors
+                ids = np.flatnonzero(np.abs(units[:, 1]) <= s)
+                route_obj = cell.route_rows(n_sat, ids, units[ids], lambda: units)
             payload.update(
                 {
                     "hops": list(route_obj.hops),
@@ -394,7 +406,9 @@ def route(config_path, dome_angle, strategy, constellation_path, out, **flags) -
         payload["ideal_latency_ms"] = ideal_latency(
             arc, n_min_ideal(arc, theta_max), radius
         )
-        payload["latency_floor_ms"] = reference_latency_ms(params)
+        payload["latency_floor_ms"] = (
+            reference_latency_ms(params) if cell is None else cell.reference_ms
+        )
 
     text = json.dumps(payload, indent=2)
     if out is not None:

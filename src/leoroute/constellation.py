@@ -4,6 +4,9 @@ Satellites are drawn i.i.d. uniformly on the constellation sphere (a
 binomial point process): cos(theta) uniform on [-1, 1] and phi uniform on
 [0, 2*pi). A constellation keeps its satellites as read-only unit-vector
 rows, and satellite IDs are 0-based row indices.
+:func:`sample_bpp_band` draws the random numbers of a whole
+:func:`sample_bpp` shell but builds only the rows of its satellites with
+|u_y| <= s, bit for bit as :func:`sample_bpp` builds them.
 
 :func:`sample_band_counts`, :func:`sample_bands` and
 :func:`sample_band_complement` draw the same process in two parts, split at
@@ -117,6 +120,35 @@ def point_rows(points: Sequence[SpherePoint]) -> np.ndarray:
     return _normalized(np.array([p.unit_vector() for p in points]).reshape(-1, 3))
 
 
+def _bpp_draw(n_sat: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(theta), phi and sin(theta) of the ``n_sat`` satellites that
+    ``seed`` draws."""
+    if n_sat < 1:
+        raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    cos_theta = rng.uniform(-1.0, 1.0, n_sat)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n_sat)
+    sin_theta = np.square(cos_theta)
+    np.sqrt(np.subtract(1.0, sin_theta, out=sin_theta), out=sin_theta)
+    return cos_theta, phi, sin_theta
+
+
+def _bpp_rows(
+    cos_theta: np.ndarray, phi: np.ndarray, sin_theta: np.ndarray
+) -> np.ndarray:
+    """Unit rows of the satellites at polar angles theta and longitudes phi,
+    each row bit for bit the same for any subset of satellites."""
+    # Built and normalized in one array, as the constructor would normalize
+    # them, without its copies.
+    units = np.empty((len(phi), 3))
+    np.multiply(sin_theta, np.cos(phi), out=units[:, 0])
+    np.multiply(sin_theta, np.sin(phi), out=units[:, 1])
+    units[:, 2] = cos_theta
+    return _normalized(units, out=units)
+
+
 def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Constellation:
     """Sample ``n_sat`` i.i.d. uniform satellites on the shell sphere.
 
@@ -125,22 +157,49 @@ def sample_bpp(n_sat: int, r_earth: float, altitude: float, seed: int) -> Conste
     Raises:
         InvalidInputError: If ``n_sat`` < 1 or ``seed`` < 0.
     """
-    if n_sat < 1:
-        raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, n_sat)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_sat)
-    sin_theta = np.sqrt(1.0 - cos_theta * cos_theta)
-    # Built and normalized in one array, as the constructor would normalize
-    # them, without its copies.
-    units = np.empty((n_sat, 3))
-    np.multiply(sin_theta, np.cos(phi), out=units[:, 0])
-    np.multiply(sin_theta, np.sin(phi), out=units[:, 1])
-    units[:, 2] = cos_theta
-    _normalized(units, out=units)
+    units = _bpp_rows(*_bpp_draw(n_sat, seed))
     return Constellation.from_unit_rows(r_earth, altitude, units)
+
+
+#: Relative margin of the band draw's trig-free bound, far above its
+#: rounding error.
+_BAND_MARGIN = 1e-9
+
+
+def sample_bpp_band(n_sat: int, seed: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """IDs and unit rows of the satellites of
+    ``sample_bpp(n_sat, r_earth, altitude, seed)`` with |u_y| <= s, in ID
+    order, bit for bit; the other rows are never built.
+
+    With d = |phi - pi rint(phi / pi)|, |u_y| = sin(theta) |sin(phi)| >=
+    sin(theta) 2 d / pi, so every satellite of the band has
+    d sin(theta) <= s pi / 2. Only the satellites that meet this bound (with
+    a relative margin for rounding) are turned into rows, and the rows are
+    then held to |u_y| <= s exactly.
+
+    Raises:
+        InvalidInputError: If ``n_sat`` < 1, ``seed`` < 0 or s is outside
+            [0, 1].
+    """
+    _check_band(s)
+    cos_theta, phi, sin_theta = _bpp_draw(n_sat, seed)
+    ids = None
+    # A band of sine 1 is the whole sphere, which no bound narrows.
+    if s < 1.0:
+        d = np.divide(phi, math.pi)
+        np.rint(d, out=d)
+        d *= -math.pi
+        d += phi
+        np.abs(d, out=d)
+        d *= sin_theta
+        ids = np.flatnonzero(d <= 0.5 * math.pi * s * (1.0 + _BAND_MARGIN))
+        # Freed before the rows are made, so the draw's peak stays at its
+        # three whole-shell arrays.
+        del d
+        cos_theta, phi, sin_theta = cos_theta[ids], phi[ids], sin_theta[ids]
+    rows = _bpp_rows(cos_theta, phi, sin_theta)
+    keep = np.flatnonzero(np.abs(rows[:, 1]) <= s)
+    return (keep if ids is None else ids[keep]), rows[keep]
 
 
 def _unit_rows(rows: np.ndarray, y: np.ndarray, u: np.ndarray) -> None:

@@ -14,9 +14,9 @@ shell; otherwise the trial draws the rest of the shell from the same generator
 all ``n_sat`` satellites. Band and complement together are ``n_sat``
 i.i.d. uniform satellites (the restriction property of the binomial point
 process), so the records follow the same law as routing on a full shell.
-``leoroute route`` applies the same rule to a whole shell it is given
-(:meth:`TrialCell.route_rows`): it routes on the shell's rows in the band
-first, and on every row only when that route is not certified.
+``leoroute route`` applies the same rule to one shell
+(:meth:`TrialCell.route_rows`): it routes on the shell's band first, and
+asks for the whole shell only when that route is not certified.
 
 Random streams. Trials come in blocks of ``_BLOCK_TRIALS`` (64), counted
 from trial 0: trial i is lane i % 64 of block i // 64. Each block has one
@@ -402,23 +402,25 @@ class TrialCell:
                 routes[k] = route
         return routes, redo
 
-    def route_rows(self, units: np.ndarray) -> Route:
-        """Route between the cell's endpoints through the satellites ``units``,
-        band first, as a trial does.
+    def route_rows(
+        self, n_sat: int, ids: np.ndarray, rows: np.ndarray, whole: Callable
+    ) -> Route:
+        """Route between the cell's endpoints through a shell of ``n_sat``
+        satellites, band first, as a trial does.
 
-        Routes through the rows with |u_y| <= ``band_sine`` first, in ID
-        order so that ties still go to the lowest ID, and through every row,
-        in their own order, only when that route is not certified. Hop IDs
-        index ``units``, then src (``len(units)``) and dst.
+        Routes first through the band: the shell's satellites with
+        |u_y| <= ``band_sine``, with IDs ``ids`` (ascending, so that ties
+        still go to the lowest ID) and unit rows ``rows``. Only when that
+        route is not certified does it call ``whole()`` for the shell's
+        ``n_sat`` rows and route through them. Hop IDs index the whole
+        shell, then src (``n_sat``) and dst.
         """
-        n = len(units)
-        ids = np.flatnonzero(np.abs(units[:, 1]) <= self.band_sine)
         (route,), redo = self.route_band_first(
-            self.stack_one(units[ids]), n, lambda _: self.stack_one(units)
+            self.stack_one(rows), n_sat, lambda _: self.stack_one(whole())
         )
         if redo:
             return route
-        ids = np.append(ids, [n, n + 1])
+        ids = np.append(ids, [n_sat, n_sat + 1])
         return replace(route, hops=tuple(ids[list(route.hops)].tolist()))
 
 

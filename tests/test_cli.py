@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, output, exit codes."""
 
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -12,7 +13,12 @@ from leoroute.analysis import max_hop_angle, plan_hops
 from leoroute.cli import _SETTINGS, main, parse_angle
 from leoroute.constellation import load_constellation, sample_bpp, save_constellation
 from leoroute.errors import InternalConsistencyError, InvalidInputError
-from leoroute.experiments import CellParams, make_endpoints, reference_latency_ms
+from leoroute.experiments import (
+    CellParams,
+    make_endpoints,
+    reference_latency_ms,
+    trial_cell,
+)
 from leoroute.geometry import SpherePoint, dome_angle
 from leoroute.routing import (
     route_equal_interval,
@@ -656,6 +662,83 @@ def test_route_constellation_file_uses_its_body_radius(capsys, tmp_path):
     assert code == 0
     assert payload["hops"] == list(route.hops)
     assert max(payload["hop_distances_km"]) > 2577.0
+
+
+def whole_shell_band(n_sat, seed, s):
+    """The band of a shell picked out of the whole ``sample_bpp`` shell."""
+    units = sample_bpp(n_sat, 6371.0, 550.0, seed).unit_vectors
+    ids = np.flatnonzero(np.abs(units[:, 1]) <= s)
+    return ids, units[ids]
+
+
+def check_seeded_route(capsys, monkeypatch, params, strategy, seed, argv):
+    """``route --seed`` prints, byte for byte, what it prints when it picks
+    the band out of the whole ``sample_bpp`` shell; its hops are the route
+    on the whole shell; and it draws the whole shell only when the band
+    route is not certified. Returns whether the band certified the route
+    (None when the plan routes nothing)."""
+    drawn = []
+
+    def spy(*args):
+        drawn.append(args)
+        return sample_bpp(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("leoroute.cli.sample_bpp", spy)
+        result = run_cli(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr("leoroute.cli.sample_bpp_band", whole_shell_band)
+        assert run_cli(capsys, *argv) == result
+
+    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+    if strategy == "equal-interval" and plan.immediate_type1:
+        assert drawn == []
+        return None
+    cell = trial_cell(params, strategy, plan)
+    units = sample_bpp(params.n_sat, 6371.0, params.altitude_km, seed).unit_vectors
+    band = np.abs(units[:, 1]) <= cell.band_sine
+    certified = bool(
+        band.all()
+        or cell.route_batch(cell.stack_one(units[band]))[0].band_reach
+        <= cell.halfwidth
+    )
+    assert len(drawn) == (0 if certified else 1)
+    (route,) = cell.route_batch(cell.stack_one(units))
+    assert json.loads(result[1])["hops"] == list(route.hops)
+    return certified
+
+
+@pytest.mark.parametrize("dome", ["pi", "2.0"])
+@pytest.mark.parametrize("epsilon", ["0.1", "0.01"])
+@pytest.mark.parametrize("preset", ["starlink", "kuiper", "oneweb"])
+@pytest.mark.parametrize("strategy", ["equal-interval", "min-deflection", "max-stepsize"])
+def test_route_seed_draws_only_the_band(
+    capsys, monkeypatch, preset, strategy, epsilon, dome
+):
+    params = CellParams.from_preset(
+        preset, arc_angle=parse_angle(dome), epsilon=float(epsilon)
+    )
+    argv = ("route", "--preset", preset, "--strategy", strategy, "--epsilon",
+            epsilon, "--dome-angle", dome, "--seed", "7")
+    check_seeded_route(capsys, monkeypatch, params, strategy, 7, argv)
+
+
+def test_route_seed_draws_the_whole_shell_for_an_uncertified_band(
+    capsys, monkeypatch
+):
+    certified = []
+    for n_sat, d_max, arc, strategy, seed in itertools.product(
+        (60, 400), (1500.0, 5000.0), (0.3, 2.0, math.pi),
+        ("equal-interval", "min-deflection", "max-stepsize"), range(3),
+    ):
+        params = CellParams(n_sat, 550.0, arc, d_max, epsilon=0.1)
+        argv = ("route", "--n-sat", str(n_sat), "--altitude", "550", "--d-max",
+                repr(d_max), "--dome-angle", repr(arc), "--strategy", strategy,
+                "--epsilon", "0.1", "--seed", str(seed))
+        certified.append(
+            check_seeded_route(capsys, monkeypatch, params, strategy, seed, argv)
+        )
+    assert certified.count(True) > 0 and certified.count(False) > 0
 
 
 # ---------------------------------------------------------------------------

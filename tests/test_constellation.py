@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from leoroute import (
@@ -26,6 +28,7 @@ from leoroute.constellation import (
     sample_band_complement,
     sample_band_counts,
     sample_bands,
+    sample_bpp_band,
 )
 
 R = 6371.0
@@ -263,6 +266,54 @@ def test_band_sampler_validates_inputs():
             sample_rest(rng, 10, bad)
     # The whole sphere is one band: every satellite falls in it.
     assert len(sample_band(rng, 25, 1.0)) == 25
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_sat=st.integers(1, 3000),
+    seed=st.integers(0, 2**64),
+    s=st.sampled_from([0.0, 1e-12, 1.0]) | st.floats(0.0, 1.0),
+    edge=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from([0.0, 1.0])),
+)
+def test_band_draw_is_the_band_of_the_whole_shell(n_sat, seed, s, edge):
+    """``sample_bpp_band`` keeps, bit for bit and in ID order, exactly the
+    rows of ``sample_bpp`` with |u_y| <= s. With ``edge`` the band's edge
+    is a satellite's own |u_y|, or 1 ulp from it."""
+    units = sample_bpp(n_sat, R, 550.0, seed).unit_vectors
+    if edge is not None:
+        k, toward = edge
+        s = float(min(np.nextafter(abs(units[k % n_sat, 1]), toward), 1.0))
+    ids, rows = sample_bpp_band(n_sat, seed, s)
+    want = np.flatnonzero(np.abs(units[:, 1]) <= s)
+    np.testing.assert_array_equal(ids, want)
+    assert rows.shape == (len(want), 3)
+    assert rows.tobytes() == units[want].tobytes()
+
+
+def test_band_draw_edges_and_whole_sphere():
+    units = sample_bpp(2000, R, 550.0, 9).unit_vectors
+    height = np.abs(units[:, 1])
+    for k in range(0, 2000, 97):
+        for s, inside in (
+            (np.nextafter(height[k], 0.0), False),
+            (height[k], True),
+            (np.nextafter(height[k], 1.0), True),
+        ):
+            ids, _ = sample_bpp_band(2000, 9, float(s))
+            assert (k in ids) == inside
+    ids, rows = sample_bpp_band(2000, 9, 1.0)
+    np.testing.assert_array_equal(ids, np.arange(2000))
+    assert rows.tobytes() == units.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_sat, seed, s",
+    [(0, 0, 0.5), (-3, 0, 0.5), (10, -1, 0.5), (10, 0, -0.1), (10, 0, 1.5),
+     (10, 0, math.nan)],
+)
+def test_band_draw_validates_inputs(n_sat, seed, s):
+    with pytest.raises(InvalidInputError):
+        sample_bpp_band(n_sat, seed, s)
 
 
 # ---------------------------------------------------------------------------

@@ -604,15 +604,24 @@ def test_batched_greedy_trials_equal_trials_routed_one_at_a_time(
 
 def band_first_route(cell, units):
     """The band-first route of ``units``, checked against the route on the
-    whole shell, and whether its band certified it."""
-    route = cell.route_rows(units)
+    whole shell, and whether its band certified it: then the whole shell
+    must not have been asked for."""
+    ids = np.flatnonzero(np.abs(units[:, 1]) <= cell.band_sine)
+    asked = []
+
+    def whole():
+        asked.append(True)
+        return units
+
+    route = cell.route_rows(len(units), ids, units[ids], whole)
     assert [route] == cell.route_batch(cell.stack_one(units))
-    band = np.abs(units[:, 1]) <= cell.band_sine
-    return route, bool(
-        not band.all()
-        and cell.route_batch(cell.stack_one(units[band]))[0].band_reach
+    sure = bool(
+        len(ids) < len(units)
+        and cell.route_batch(cell.stack_one(units[ids]))[0].band_reach
         <= cell.halfwidth
     )
+    assert asked == ([] if sure or len(ids) == len(units) else [True])
+    return route, sure
 
 
 def test_band_first_route_equals_the_route_on_the_whole_shell():
