@@ -544,10 +544,9 @@ def _snap(stack: np.ndarray, counts: list[int], targets: np.ndarray) -> np.ndarr
     meaningless.
 
     The dots come in groups of targets against every row of the stack,
-    about ``_PRODUCT_DOTS`` at a time. When no shell's targets in a group
-    share a nearest satellite, each target takes its nearest one;
-    otherwise the group's targets take theirs one at a time, every shell
-    in lockstep, each target masking its pick from the rest.
+    about ``_PRODUCT_DOTS`` at a time. The group's targets take their
+    satellites one at a time, every shell in lockstep, each target masking
+    the picks before it.
     """
     batch, width = stack.shape[:2]
     rows = stack.reshape(-1, 3)
@@ -561,16 +560,11 @@ def _snap(stack: np.ndarray, counts: list[int], targets: np.ndarray) -> np.ndarr
         hi = min(lo + size, len(targets))
         dots = _target_dots(targets, rows, lo, hi, group)
         dots[:, taken] = _NEVER
-        near = dots.reshape(-1, batch, width).argmax(axis=2)
-        held = near + offsets
-        ranked = np.sort(held, axis=0)
-        if (ranked[1:] == ranked[:-1]).any():
-            for j in range(1, hi - lo):
-                row = dots[j]
-                row[held[:j]] = _NEVER
-                row.reshape(batch, width).argmax(axis=1, out=near[j])
-                np.add(near[j], offsets, out=held[j])
-        picks[lo:hi] = near
+        held = np.empty((hi - lo, batch), dtype=np.intp)
+        for j, row in enumerate(dots):
+            row[held[:j]] = _NEVER
+            row.reshape(batch, width).argmax(axis=1, out=picks[lo + j])
+            np.add(picks[lo + j], offsets, out=held[j])
         taken = np.append(taken, held)
     return picks
 

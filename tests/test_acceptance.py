@@ -32,6 +32,7 @@ from leoroute.analysis import (
     plan_hops,
     reliable_angle,
 )
+from leoroute import experiments
 from leoroute.efficiency import mean_hop_span
 from leoroute.experiments import (
     CellParams,
@@ -161,31 +162,32 @@ def test_desk_scale_runtime(desk_scale_table):
 def test_interruption_rates_at_scale(desk_scale_table):
     result, _ = desk_scale_table
     by_name = {col.preset: col for col in result.columns}
+    misses = []
     for preset in ("starlink", "kuiper"):
         for eps in EPSILONS:
-            assert by_name[preset].type2_probability[eps] < 0.001, (
-                preset,
-                eps,
-                by_name[preset].type2_probability[eps],
-            )
+            rate = by_name[preset].type2_probability[eps]
+            if not rate < 0.001:
+                misses.append(f"{preset} eps {eps}: {rate} against < 0.001")
     # Known divergence: this implementation interrupts far more often on
     # the sparse shell than the frozen 9.41% target.
     oneweb_rate = by_name["oneweb"].type2_probability[0.1]
-    assert oneweb_rate == pytest.approx(ONEWEB_TYPE2_TARGET, abs=0.015), oneweb_rate
+    if oneweb_rate != pytest.approx(ONEWEB_TYPE2_TARGET, abs=0.015):
+        misses.append(
+            f"oneweb eps 0.1: {oneweb_rate} against {ONEWEB_TYPE2_TARGET} +/- 0.015"
+        )
+    assert not misses, "; ".join(misses)
 
 
 def test_efficiency_means_at_scale(desk_scale_table):
     result, _ = desk_scale_table
     by_name = {col.preset: col for col in result.columns}
+    misses = []
     for preset, targets in EFFICIENCY_TARGET.items():
         for eps, target in zip(EPSILONS, targets):
             measured = by_name[preset].efficiency[eps]
-            assert measured is not None, (preset, eps)
-            assert measured == pytest.approx(target, abs=0.007), (
-                preset,
-                eps,
-                measured,
-            )
+            if measured is None or measured != pytest.approx(target, abs=0.007):
+                misses.append(f"{preset} eps {eps}: {measured} against {target}")
+    assert not misses, "; ".join(misses) + " (each +/- 0.007)"
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +326,20 @@ def test_hop_span_product_to_sum_identity():
     )
 
 
-def test_trials_are_reproducible_across_worker_counts():
+def test_trials_are_reproducible_across_worker_counts(monkeypatch):
+    # 130 trials are three blocks of 64, so a pool of two workers starts,
+    # even on a host with one CPU.
+    started = []
+    pool = experiments.ProcessPoolExecutor
+
+    def counted_pool(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
     params = CellParams(n_sat=400, altitude_km=550.0, arc_angle=1.8, epsilon=0.1)
-    serial = run_trials(params, "min-deflection", trials=16, base_seed=5, threads=1)
-    parallel = run_trials(params, "min-deflection", trials=16, base_seed=5, threads=3)
+    serial = run_trials(params, "min-deflection", trials=130, base_seed=5, threads=1)
+    parallel = run_trials(params, "min-deflection", trials=130, base_seed=5, threads=2)
+    assert started == [2]
     assert serial == parallel

@@ -212,8 +212,6 @@ def test_reference_quantities_match_analysis_layer():
 def test_trial_record_validation():
     ok = dict(
         trial_index=0,
-        seed=1,
-        strategy="equal-interval",
         status="ok",
         latency_ms=50.0,
         n_hops_final=9,
@@ -257,14 +255,24 @@ def test_run_trials_validation():
         run_trials(params, "dijkstra", trials=5, base_seed=1)
 
 
-def test_run_trials_identical_for_any_worker_count():
+def test_run_trials_identical_for_any_worker_count(monkeypatch):
+    """130 trials are three blocks, so two workers start even on one CPU."""
+    started = []
+    pool = experiments.ProcessPoolExecutor
+
+    def counted_pool(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
     params = CellParams(n_sat=500, altitude_km=550.0, arc_angle=2.0, epsilon=0.1)
-    serial = run_trials(params, "equal-interval", trials=24, base_seed=99, threads=1)
-    two = run_trials(params, "equal-interval", trials=24, base_seed=99, threads=2)
-    four = run_trials(params, "equal-interval", trials=24, base_seed=99, threads=4)
-    assert serial == two == four
-    assert [r.trial_index for r in serial] == list(range(24))
-    assert [r.seed for r in serial] == [trial_seed(99, i) for i in range(24)]
+    serial = run_trials(params, "equal-interval", trials=130, base_seed=99, threads=1)
+    assert started == []
+    two = run_trials(params, "equal-interval", trials=130, base_seed=99, threads=2)
+    assert started == [2]
+    assert serial == two
+    assert [r.trial_index for r in serial] == list(range(130))
 
 
 def test_worker_processes_capped_at_cpu_count(monkeypatch):
@@ -312,23 +320,62 @@ def test_per_trial_efficiency_never_exceeds_one():
 # ---------------------------------------------------------------------------
 
 
-def test_run_cell_matches_manual_reduction():
-    params = CellParams(n_sat=400, altitude_km=550.0, arc_angle=1.4449, epsilon=0.1)
-    records = run_trials(params, "equal-interval", trials=80, base_seed=3)
-    agg = run_cell(params, "equal-interval", trials=80, base_seed=3)
+def _spy_run_trials(monkeypatch):
+    """The arguments and records of every ``experiments.run_trials`` call."""
+    calls = []
+    real = experiments.run_trials
+
+    def spy(*args):
+        records = real(*args)
+        calls.append((args, records))
+        return records
+
+    monkeypatch.setattr(experiments, "run_trials", spy)
+    return calls
+
+
+_SMALL_SHELL = CellParams(n_sat=400, altitude_km=550.0, arc_angle=1.4449, epsilon=0.1)
+
+
+@pytest.mark.parametrize(
+    "params, strategy",
+    [
+        (_SMALL_SHELL, "ideal"),
+        # An immediate type-I plan: every record is the same interruption.
+        (CellParams.from_preset("oneweb", epsilon=0.01), "equal-interval"),
+        # A type-I plan that still routes.
+        (CellParams.from_preset("oneweb", epsilon=0.1), "equal-interval"),
+        *[(_SMALL_SHELL, strategy) for strategy in STRATEGIES[1:]],
+    ],
+    ids=["ideal", "oneweb-0.01", "oneweb-0.1", *STRATEGIES[1:]],
+)
+def test_run_cell_matches_manual_reduction(monkeypatch, params, strategy):
+    """``run_cell`` reduces the records of its one ``run_trials`` call."""
+    calls = _spy_run_trials(monkeypatch)
+    agg = run_cell(params, strategy, trials=80, base_seed=3)
+    [(args, records)] = calls
+    assert args == (params, strategy, 80, 3, 1)
     type2 = [r for r in records if r.status == "type2_interrupted"]
     completed = [r for r in records if r.status != "type2_interrupted"]
-    assert agg.trials == 80
+    assert (agg.strategy, agg.trials, agg.base_seed) == (strategy, 80, 3)
     assert agg.type2_count == len(type2)
     assert agg.type2_rate == pytest.approx(len(type2) / 80, abs=1e-15)
     assert agg.type2_ci == wilson_interval(len(type2), 80)
     assert agg.measured_count == len(completed)
-    assert agg.mean_latency_ms == pytest.approx(
-        sum(r.latency_ms for r in completed) / len(completed), rel=1e-12
-    )
-    assert agg.mean_efficiency == pytest.approx(
-        sum(r.efficiency for r in completed) / len(completed), rel=1e-12
-    )
+    if completed:
+        assert agg.mean_latency_ms == pytest.approx(
+            sum(r.latency_ms for r in completed) / len(completed), rel=1e-12
+        )
+        assert agg.mean_efficiency == pytest.approx(
+            sum(r.efficiency for r in completed) / len(completed), rel=1e-12
+        )
+    else:
+        assert agg.mean_latency_ms is None and agg.mean_efficiency is None
+    if strategy == "ideal":
+        assert (agg.n_hat, agg.reliable_angle, agg.type1_interrupted) == (
+            None, None, False
+        )
+        return
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
     assert agg.n_hat == plan.n_hat
     assert agg.reliable_angle == plan.reliable_angle
@@ -411,8 +458,7 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
             k = counts[lane]
             units = np.empty((params.n_sat, 3))
             units[:k] = sample_bands(rng, counts[: lane + 1], band_sine)[lane, :k]
-            assert rec.seed == experiments.trial_seed(11, rec.trial_index)
-            rest = np.random.default_rng(rec.seed)
+            rest = np.random.default_rng(trial_seed(11, rec.trial_index))
             sample_band_complement(rest, band_sine, units[k:])
             shell = Constellation.from_unit_rows(
                 params.r_earth_km, params.altitude_km, units
@@ -842,7 +888,7 @@ def test_a_cell_builds_one_generator_per_block_and_per_reroute(monkeypatch):
         own = [seed for seed in seeds if seed not in blocks]
         assert len(seeds) == 3 + len(drawn)
         assert len(own) == len(set(own)) == len(drawn)
-        assert set(own) <= {rec.seed for rec in records}
+        assert set(own) <= {trial_seed(13, rec.trial_index) for rec in records}
         assert bool(drawn) == (strategy != "max-stepsize")
     # No block stream is the complement stream of one of the first trials.
     trial_seeds = {experiments.trial_seed(13, i) for i in range(100 * 64)}
@@ -905,7 +951,8 @@ def test_sweep_spec_cell_derives_arc_from_distance():
     assert cell.n_sat == 800 and cell.epsilon == 0.1
 
 
-def test_sweep_record_layout_and_estimates():
+def test_sweep_record_layout_and_estimates(monkeypatch):
+    calls = _spy_run_trials(monkeypatch)
     spec = SweepSpec(
         variable="n_sat",
         values=(400.0, 800.0),
@@ -920,6 +967,12 @@ def test_sweep_record_layout_and_estimates():
     )
     records = sweep(spec)
     assert len(records) == 8  # 2 swept values x 4 strategies
+    # One run_trials call per cell.
+    assert [args for args, _ in calls] == [
+        (spec.cell(value), strategy, 30, 3, 1)
+        for value in spec.values
+        for strategy in STRATEGIES
+    ]
     assert [r.strategy for r in records[:4]] == [
         "ideal",
         "equal-interval",
@@ -1269,8 +1322,14 @@ def test_table1_json_mirrors_csv(tmp_path, small_table):
         assert list(col) == [metric for metric, _, _ in _TABLE1_ROWS]
 
 
-def test_table1_respects_requested_epsilons():
+def test_table1_respects_requested_epsilons(monkeypatch):
+    calls = _spy_run_trials(monkeypatch)
     result = run_table1(epsilons=(0.1,), trials=1, base_seed=0)
     assert result.epsilons == (0.1,)
+    # One run_trials call per preset cell.
+    assert [args for args, _ in calls] == [
+        (CellParams.from_preset(preset, epsilon=0.1), "equal-interval", 1, 0, 1)
+        for preset in ("starlink", "oneweb", "kuiper")
+    ]
     for col in result.columns:
         assert set(col.n_hat) == {0.1}
