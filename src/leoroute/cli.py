@@ -482,6 +482,8 @@ def sweep_cmd(
 ) -> None:
     """Sweep one parameter and record per-strategy aggregates."""
     variable = _SWEEP_VARS[var]
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InvalidInputError("--from, --to and --step must be finite")
     if step <= 0 or stop < start:
         raise InvalidInputError("need step > 0 and --to >= --from")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1

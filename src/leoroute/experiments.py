@@ -29,8 +29,10 @@ So a trial's record depends only on the base seed and its index, never on
 how many trials run, how they are batched or how many workers run them.
 Results differ from releases that built one generator per trial.
 
-Trials are routed in batches of :attr:`TrialCell.batch` within a block,
-for every sampled strategy. One ``random`` call draws the batch's bands,
+A block is routed as one batch, for every sampled strategy, unless its
+band stack, its lanes times its largest band count plus 2 rows, would
+pass ``_BATCH_ROWS`` (65536); then it splits into batches of as many
+lanes as fit, at least one. One ``random`` call draws the batch's bands,
 and one trig pass writes every band's rows, then its endpoints, straight
 into the batch's :class:`~leoroute.routing.ShellStack`. One batch router
 call routes the stack: :func:`~leoroute.routing.route_equal_interval_batch`
@@ -38,7 +40,7 @@ computes the cell's targets once, snaps all shells in one lockstep pass
 and repairs them in rounds of one lockstep walk each, and the greedy
 baselines walk all shells in lockstep. The trials that need the
 complement draw it into one more stack, after their band rows, for one
-more router call. The batch size keeps a batch under 1 MB.
+more router call.
 
 Worker processes take whole blocks, and records are reduced in trial-index
 order, so output is byte-identical for any worker count.
@@ -83,7 +85,6 @@ from .efficiency import efficiency_binomial, efficiency_contour, measured_effici
 from .errors import InvalidInputError
 from .geometry import R_EARTH_KM, SpherePoint, coincident
 from .routing import (
-    _PRODUCT_DOTS,
     Route,
     ShellStack,
     route_equal_interval_batch,
@@ -185,8 +186,14 @@ class CellParams:
     def __post_init__(self) -> None:
         if self.n_sat < 1:
             raise InvalidInputError(f"n_sat must be >= 1, got {self.n_sat}")
-        if self.altitude_km <= 0.0:
-            raise InvalidInputError("altitude_km must be positive")
+        if not 0.0 < self.altitude_km < math.inf:
+            raise InvalidInputError(
+                f"altitude_km must be finite and positive, got {self.altitude_km}"
+            )
+        if not 0.0 < self.r_earth_km < math.inf:
+            raise InvalidInputError(
+                f"r_earth_km must be finite and positive, got {self.r_earth_km}"
+            )
         if not 0.0 < self.arc_angle <= math.pi:
             raise InvalidInputError(
                 f"arc_angle must be in (0, pi], got {self.arc_angle}"
@@ -282,26 +289,9 @@ def reference_latency_ms(params: CellParams) -> float:
 #: and the arc's normal, which is the y axis only to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the doubles one batch of trials holds (1 MB). A satellite of an
-#: equal-interval batch is charged 6, which covers the draw's peak: its 3
-#: coordinates in the batch stack and its 2 uniforms (a trace peaked at 5.0
-#: a stack row). The uniforms are freed before routing starts, and the
-#: batch then holds one work area of at most n_hat - 1 doubles a satellite
-#: and at most ``routing._PRODUCT_DOTS``: a group of target dots while it
-#: snaps, the lanes of one repair walk while it repairs. A satellite of a
-#: greedy batch takes ``_WALK_DOUBLES``. A batch's re-routes add their
-#: whole shells, at most 1 a batch on table1 (5 seeds x 400 trials) and 2
-#: on the 800-satellite sweep (48 distances x 200 trials, seed 7).
-_BATCH_DOUBLES = 1 << 17
-
-#: Doubles each satellite of a greedy batch takes at the peak of the
-#: lockstep walk, a lane drop: its 3 coordinates in the stack, its
-#: deflection, its dots with the goal and with the current satellite, and
-#: up to 10 while the drop copies its coordinates, closeness to the goal
-#: and score and the previous drop's copies are still held. Both copies
-#: hold only the walks still going, so a trace of the 800-satellite sweep
-#: cells peaked at 16 per stack row, masks included.
-_WALK_DOUBLES = 18
+#: Cap on the rows of one batch's band stack: 64 bands of up to 1022
+#: satellites each, with their endpoints.
+_BATCH_ROWS = 1 << 16
 
 
 #: Chance that a cap of the band's half-width around a point of the arc
@@ -353,10 +343,6 @@ class TrialCell:
     #: Sine s of the slightly wider band |u_y| <= s a trial draws first.
     band_sine: float
     reference_ms: float
-    #: Trials routed together: as many as fit in ``_BATCH_DOUBLES``, and at
-    #: most one block. An equal-interval batch's cost per satellite does not
-    #: grow with n_hat.
-    batch: int
 
     def stack(self, rows: np.ndarray, counts: list[int]) -> ShellStack:
         """The shells whose satellites are ``rows[b, :counts[b]]``, each
@@ -378,8 +364,8 @@ class TrialCell:
     def route_batch(self, stack: ShellStack) -> list[Route]:
         """Routes between the cell's endpoints through each shell of
         ``stack``, in one pass, under ``plan`` and the cell's hop range."""
-        # Looked up at call time, so a rebinding of these module names (as
-        # the benchmark tracer does) reaches every route.
+        # Looked up at call time, so a test that rebinds one of these module
+        # names reaches every route.
         router = {
             "equal-interval": route_equal_interval_batch,
             "min-deflection": route_min_deflection_batch,
@@ -446,21 +432,6 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         raise InvalidInputError("src and dst are the same point")
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
-    # A band holds Binomial(N, s) satellites: bound them by their mean plus
-    # four standard deviations.
-    mean = params.n_sat * band_sine
-    rows = min(params.n_sat, mean + 4.0 * math.sqrt(mean) + 1.0)
-    if strategy == "equal-interval":
-        # 6 doubles a row and a work area of min((n_hat - 1) rows,
-        # _PRODUCT_DOTS): the batch fits when either bound of the work area
-        # does.
-        batch = max(
-            _BATCH_DOUBLES // ((plan.n_hat + 5) * rows),
-            (_BATCH_DOUBLES - _PRODUCT_DOTS) // (6 * rows),
-        )
-    else:
-        batch = _BATCH_DOUBLES // (_WALK_DOUBLES * rows)
-    batch = max(1, min(int(batch), _BLOCK_TRIALS))
     return TrialCell(
         params=params,
         strategy=strategy,
@@ -469,7 +440,6 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         halfwidth=halfwidth,
         band_sine=band_sine,
         reference_ms=reference_latency_ms(params),
-        batch=batch,
     )
 
 
@@ -514,19 +484,19 @@ def _run_batch(
 
 
 def _run_chunk(args: tuple) -> list[TrialRecord]:
-    """Records of trials ``start`` to ``stop``; ``start`` begins a block."""
+    """Records of trials ``start`` to ``stop``; ``start`` begins a block.
+    Each block's batches are sized from its band counts."""
     cell, base_seed, start, stop = args
     records = []
     for first in range(start, stop, _BLOCK_TRIALS):
         rng = np.random.default_rng(block_seed(base_seed, first // _BLOCK_TRIALS))
         counts = sample_band_counts(
             rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS
-        ).tolist()
-        last = min(first + _BLOCK_TRIALS, stop)
-        for lo in range(first, last, cell.batch):
-            hi = min(lo + cell.batch, last)
-            lanes = counts[lo - first : hi - first]
-            records += _run_batch(cell, base_seed, rng, lanes, lo)
+        )[: stop - first].tolist()
+        batch = max(1, _BATCH_ROWS // (max(counts) + 2))
+        for lo in range(0, len(counts), batch):
+            lanes = counts[lo : lo + batch]
+            records += _run_batch(cell, base_seed, rng, lanes, first + lo)
     return records
 
 

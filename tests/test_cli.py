@@ -945,3 +945,24 @@ def test_sweep_usage_errors(capsys, tmp_path):
         assert code == 1
         assert "without repeats" in err
         assert not Path(f"{out}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--from", "nan"), ("--from", "-inf"), ("--to", "inf"), ("--to", "nan"),
+     ("--step", "nan"), ("--step", "inf")],
+)
+def test_sweep_range_must_be_finite(capsys, tmp_path, flag, value):
+    """A range bound that is not finite is a usage error: exit code 1, one
+    line on stderr and no file written."""
+    bounds = {"--from": "4000", "--to": "7000", "--step": "3000", flag: value}
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "distance",
+        *(f"{key}={text}" for key, text in bounds.items()),
+        "--n-sat", "300", "--altitude", "550", "--trials", "3",
+        "--out", str(tmp_path / "s"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --from, --to and --step must be finite\n"
+    assert list(tmp_path.iterdir()) == []

@@ -4,7 +4,6 @@ import csv
 import itertools
 import json
 import math
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -153,8 +152,12 @@ def test_cell_params_validation():
     CellParams(**good)
     with pytest.raises(InvalidInputError):
         CellParams(**{**good, "n_sat": 0})
-    with pytest.raises(InvalidInputError):
-        CellParams(**{**good, "altitude_km": 0.0})
+    for altitude in (0.0, -550.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="altitude_km"):
+            CellParams(**{**good, "altitude_km": altitude})
+    for r_earth in (0.0, -6371.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="r_earth_km"):
+            CellParams(**{**good, "r_earth_km": r_earth})
     with pytest.raises(InvalidInputError):
         CellParams(**{**good, "arc_angle": 0.0})
     with pytest.raises(InvalidInputError):
@@ -163,6 +166,8 @@ def test_cell_params_validation():
         CellParams(**{**good, "d_max_km": -1.0})
     with pytest.raises(InvalidInputError):
         CellParams(**{**good, "epsilon": 1.0})
+    # An unlimited hop range is a valid cell.
+    assert CellParams(**{**good, "d_max_km": math.inf}).theta_max > 0.0
 
 
 def test_cell_params_derived_quantities():
@@ -415,9 +420,9 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
     A trial routes on the band around the arc first and draws the rest of
     its shell only when it cannot certify that route; either way its record
     must be the route over all N satellites (band, then complement, from
-    the trial's seed) under the plan for N satellites. Each cell runs more
-    trials than one batch holds, so equal-interval trials are routed in
-    batches, with collisions, repairs and complement draws among them.
+    the trial's seed) under the plan for N satellites. Each cell runs a
+    block of trials, routed as one batch, and 5 more, so trials are routed
+    in batches, with collisions, repairs and complement draws among them.
     """
     cells = (
         # At 10250 km the plan for N = 800 (n_hat 12) differs from the one
@@ -443,7 +448,7 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
         cell = trial_cell(params, strategy, plan)
-        trials = max(cell.batch, experiments._BLOCK_TRIALS) + 5
+        trials = experiments._BLOCK_TRIALS + 5
         records = run_trials(params, strategy, trials=trials, base_seed=11)
         src, dst = make_endpoints(params.radius, params.arc_angle)
         band_sine = cell.band_sine
@@ -471,7 +476,34 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
         assert (agg.n_hat, agg.reliable_angle) == (plan.n_hat, plan.reliable_angle)
 
 
-def test_batched_trials_equal_trials_routed_one_at_a_time(monkeypatch):
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """``(first trial, lanes)`` of every batch routed from now on. Each batch
+    is checked as it comes: it stays within its block, and a batch of more
+    than one lane holds at most ``_BATCH_ROWS`` band rows."""
+    sizes = []
+    run_batch = experiments._run_batch
+
+    def logged(cell, base_seed, rng, counts, start):
+        block = experiments._BLOCK_TRIALS
+        assert start // block == (start + len(counts) - 1) // block
+        rows = len(counts) * (max(counts) + 2)
+        assert len(counts) == 1 or rows <= experiments._BATCH_ROWS
+        sizes.append((start, len(counts)))
+        return run_batch(cell, base_seed, rng, counts, start)
+
+    monkeypatch.setattr(experiments, "_run_batch", logged)
+    return sizes
+
+
+def one_by_one(trials):
+    """The batches of ``trials`` trials routed one at a time."""
+    return [(i, 1) for i in range(trials)]
+
+
+def test_batched_trials_equal_trials_routed_one_at_a_time(
+    monkeypatch, batch_sizes
+):
     """Routing a cell's equal-interval trials together changes no record."""
     cells = (
         CellParams.from_preset("starlink", epsilon=0.1),
@@ -487,20 +519,17 @@ def test_batched_trials_equal_trials_routed_one_at_a_time(monkeypatch):
         CellParams(n_sat=800, altitude_km=500.0, arc_angle=0.3, epsilon=0.1),
     )
 
-    def batch(params):
-        plan = plan_hops(
-            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
-        )
-        return trial_cell(params, "equal-interval", plan).batch
-
+    trials = experiments._BLOCK_TRIALS + 3
     batched = {
-        params: run_trials(params, "equal-interval", batch(params) + 3, base_seed=5)
+        params: run_trials(params, "equal-interval", trials, base_seed=5)
         for params in cells
     }
-    monkeypatch.setattr("leoroute.experiments._BATCH_DOUBLES", 0)
+    assert batch_sizes == [(0, experiments._BLOCK_TRIALS), (64, 3)] * len(cells)
+    batch_sizes.clear()
+    monkeypatch.setattr(experiments, "_BATCH_ROWS", 0)
     for params, records in batched.items():
-        assert batch(params) == 1
-        assert run_trials(params, "equal-interval", len(records), 5) == records
+        assert run_trials(params, "equal-interval", trials, 5) == records
+    assert batch_sizes == one_by_one(trials) * len(cells)
 
 
 #: Distances (km) of the benchmark's strategy-ordering sweep on the
@@ -508,31 +537,12 @@ def test_batched_trials_equal_trials_routed_one_at_a_time(monkeypatch):
 SWEEP_DISTANCES_KM = tuple(4000.0 + 250.0 * k for k in range(48))
 
 
-def batch_doubles(cell, base_seed):
-    """Doubles one batch of ``cell`` holds at its peak while its trials are
-    drawn into their stack, routed on their bands and recorded. The budget
-    sizes band batches: a half-width of pi/2 certifies every band route, so
-    that no trial is routed again on its whole shell. The batch runs once
-    untraced first, so that one-time imports (the first ``default_rng``
-    imports ``secrets``) are not counted."""
-    band_only = replace(cell, halfwidth=math.pi / 2.0)
-    chunk = (band_only, base_seed, 0, cell.batch)
-    experiments._run_chunk(chunk)
-    tracemalloc.start()
-    try:
-        experiments._run_chunk(chunk)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / 8
-
-
-def test_trial_batches_stay_within_their_budget():
-    """Every batch of a table1 cell and of a benchmark sweep cell holds at
-    most ``_BATCH_DOUBLES`` doubles, and an equal-interval batch is charged
-    a cost per row that does not grow with n_hat: oneweb eps 0.1 (n_hat 69)
-    routes at least 8 shells at once, and no table1 cell's batch is smaller
-    than with a charge of n_hat + 5 doubles a row."""
+def test_trial_batches_stay_within_their_budget(monkeypatch, batch_sizes):
+    """A block of every table1 cell and of every benchmark sweep cell is one
+    batch. A block whose band stack would pass ``_BATCH_ROWS`` splits into
+    batches of as many lanes as fit, and its records are those of batches
+    of one."""
+    block = experiments._BLOCK_TRIALS
     cells = [
         (CellParams.from_preset(preset, epsilon=eps), ("equal-interval",))
         for preset in ("starlink", "oneweb", "kuiper")
@@ -545,29 +555,37 @@ def test_trial_batches_stay_within_their_budget():
         )
         for d in SWEEP_DISTANCES_KM
     ]
-    batches = {}
     for params, strategies in cells:
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
         for strategy in strategies:
-            if strategy == "equal-interval" and plan.immediate_type1:
-                continue
-            cell = trial_cell(params, strategy, plan)
-            assert batch_doubles(cell, base_seed=3) <= experiments._BATCH_DOUBLES
-            batches[params, strategy] = cell.batch
-    floors = {
-        ("starlink", 0.1): 12,
-        ("starlink", 0.01): 11,
-        ("kuiper", 0.1): 18,
-        ("kuiper", 0.01): 17,
-        ("oneweb", 0.1): 8,
-    }
-    table1 = {
-        key: batches[CellParams.from_preset(key[0], epsilon=key[1]), "equal-interval"]
-        for key in floors
-    }
-    assert all(table1[key] >= floor for key, floor in floors.items()), table1
+            batch_sizes.clear()
+            run_trials(params, strategy, block, base_seed=3)
+            # An immediately type-I equal-interval plan routes nothing.
+            skipped = strategy == "equal-interval" and plan.immediate_type1
+            assert batch_sizes == ([] if skipped else [(0, block)])
+
+    # Type-I equal-interval plans route on the whole sphere. With 3000
+    # satellites a batch holds 21 lanes; with 20000, 3.
+    split = CellParams(3000, 550.0, math.pi, d_max_km=1000.0, epsilon=0.5)
+    batch_sizes.clear()
+    records = run_trials(split, "equal-interval", 70, base_seed=3)
+    assert batch_sizes == [(0, 21), (21, 21), (42, 21), (63, 1), (64, 6)]
+    assert {r.status for r in records} == {"repaired", "type2_interrupted"}
+    # This plan fails at once, so run_trials routes none of its trials; its
+    # chunk routes them all the same.
+    whole = CellParams(20000, 550.0, math.pi, d_max_km=100.0, epsilon=0.1)
+    plan = plan_hops(whole.arc_angle, whole.theta_max, whole.n_sat, whole.epsilon)
+    chunk = (trial_cell(whole, "equal-interval", plan), 3, 0, 7)
+    batch_sizes.clear()
+    chunk_records = experiments._run_chunk(chunk)
+    assert batch_sizes == [(0, 3), (3, 3), (6, 1)]
+    batch_sizes.clear()
+    monkeypatch.setattr(experiments, "_BATCH_ROWS", 0)
+    assert run_trials(split, "equal-interval", 70, base_seed=3) == records
+    assert experiments._run_chunk(chunk) == chunk_records
+    assert batch_sizes == one_by_one(70) + one_by_one(7)
 
 
 #: Greedy cells, each with the n_hat its plan is cut to (None: as planned).
@@ -609,7 +627,7 @@ GREEDY_BATCH_CELLS = (
 
 @pytest.mark.parametrize("strategy", ["min-deflection", "max-stepsize"])
 def test_batched_greedy_trials_equal_trials_routed_one_at_a_time(
-    strategy, monkeypatch
+    strategy, monkeypatch, batch_sizes
 ):
     """Routing a cell's greedy trials in one lockstep walk changes no record."""
     import leoroute.experiments as experiments
@@ -633,12 +651,14 @@ def test_batched_greedy_trials_equal_trials_routed_one_at_a_time(
             plan = experiments.plan_hops(
                 params.arc_angle, params.theta_max, params.n_sat, params.epsilon
             )
-            batch = trial_cell(params, strategy, plan).batch
-            assert batch > 1
-            records = run_trials(params, strategy, batch + 5, base_seed=5)
-            patch.setattr(experiments, "_BATCH_DOUBLES", 0)
-            assert trial_cell(params, strategy, plan).batch == 1
-            assert run_trials(params, strategy, len(records), 5) == records
+            trials = experiments._BLOCK_TRIALS + 5
+            batch_sizes.clear()
+            records = run_trials(params, strategy, trials, base_seed=5)
+            assert batch_sizes == [(0, experiments._BLOCK_TRIALS), (64, 5)]
+            batch_sizes.clear()
+            patch.setattr(experiments, "_BATCH_ROWS", 0)
+            assert run_trials(params, strategy, trials, 5) == records
+            assert batch_sizes == one_by_one(trials)
         for rec in records:
             if rec.status == "type2_interrupted":
                 capped += rec.n_hops_final == 4 * plan.n_hat
@@ -744,11 +764,12 @@ def test_trial_cell_rejects_ideal_and_unknown_names():
 
 
 def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
-    """A block draws its band counts once; each batch of trials within it
-    draws its bands in one call, routes them in one router call, and
-    routes the whole shells of the trials it cannot certify in one more,
-    each after drawing its complement: never one call per trial, and never
-    through a one-shell router."""
+    """A block draws its band counts once and is one batch, or, under a
+    smaller ``_BATCH_ROWS``, batches of as many lanes as the budget holds
+    for its largest band. Each batch draws its bands in one call, routes
+    them in one router call, and routes the whole shells of the trials it
+    cannot certify in one more, each after drawing its complement: never
+    one call per trial, and never through a one-shell router."""
     params = CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5)
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
     cell = trial_cell(params, "equal-interval", plan)
@@ -762,9 +783,12 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
         log.append(("bands", len(counts)))
         return sample_bands(rng, counts, s)
 
+    drawn_counts = []
+
     def band_counts(*args):
         log.append(("counts", args[-1]))
-        return sample_band_counts(*args)
+        drawn_counts.append(sample_band_counts(*args))
+        return drawn_counts[-1]
 
     def complement(*args):
         log.append(("rest", 1))
@@ -781,30 +805,38 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
         monkeypatch.setattr(experiments, name, forbidden)
     block = experiments._BLOCK_TRIALS
     trials = 2 * block + 5
-    records = run_trials(params, "equal-interval", trials, base_seed=11)
-    assert len(records) == trials
-    # Batches never cross a block, and the last block holds 5 trials.
-    sizes = [
-        [min(cell.batch, stop - lo) for lo in range(first, stop, cell.batch)]
-        for first, stop in ((0, block), (block, 2 * block), (2 * block, trials))
-    ]
-    at, rerouted = 0, []
-    for batches in sizes:
-        assert log[at] == ("counts", block)
-        at += 1
-        for size in batches:
-            assert log[at : at + 2] == [("bands", size), ("route", size)]
-            at += 2
-            drawn = 0
-            while at < len(log) and log[at] == ("rest", 1):
-                drawn += 1
-                at += 1
-            if drawn:
-                assert log[at] == ("route", drawn)
-                at += 1
-            rerouted.append(drawn)
-    assert at == len(log)
-    assert any(rerouted)
+    blocks = ((0, block), (block, 2 * block), (2 * block, trials))
+    # The default budget, then one of 6 lanes a batch: these bands hold
+    # 134 +- 9 satellites, at most 157.
+    for rows in (experiments._BATCH_ROWS, 1000):
+        log.clear()
+        drawn_counts.clear()
+        monkeypatch.setattr(experiments, "_BATCH_ROWS", rows)
+        records = run_trials(params, "equal-interval", trials, base_seed=11)
+        assert len(records) == trials and len(drawn_counts) == len(blocks)
+        at, rerouted, splits = 0, [], []
+        for counts, (first, stop) in zip(drawn_counts, blocks):
+            # Batches never cross a block, and the last block holds 5 trials.
+            lanes = stop - first
+            size = max(1, rows // (max(counts[:lanes]) + 2))
+            sizes = [min(size, lanes - lo) for lo in range(0, lanes, size)]
+            splits.append(len(sizes) > 1)
+            assert log[at] == ("counts", block)
+            at += 1
+            for size in sizes:
+                assert log[at : at + 2] == [("bands", size), ("route", size)]
+                at += 2
+                drawn = 0
+                while at < len(log) and log[at] == ("rest", 1):
+                    drawn += 1
+                    at += 1
+                if drawn:
+                    assert log[at] == ("route", drawn)
+                    at += 1
+                rerouted.append(drawn)
+        assert at == len(log)
+        assert any(rerouted)
+        assert any(splits) == (rows == 1000)
 
 
 #: Cells whose trials re-route: about half of the equal-interval band
@@ -839,28 +871,36 @@ def test_records_are_equal_for_one_two_and_three_workers(monkeypatch):
             assert run_trials(params, strategy, 130, 8, threads=threads) == one
 
 
-def test_records_do_not_depend_on_the_batch_size(monkeypatch):
-    """Batches of 1, 2 or 3 trials, forced through ``_BATCH_DOUBLES``, give
-    the records of the full-size batches."""
+def test_records_do_not_depend_on_the_batch_size(monkeypatch, batch_sizes):
+    """Batches of 1, 2 or 3 trials, forced through ``_BATCH_ROWS``, give
+    the records of whole blocks."""
+    block = experiments._BLOCK_TRIALS
     for params, strategy in REROUTING_CELLS:
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
+        sine = trial_cell(params, strategy, plan).band_sine
         records = run_trials(params, strategy, trials=70, base_seed=4)
-        assert trial_cell(params, strategy, plan).batch > 3
+        # The widest band stack row of each block: of all 64 lanes, then 6.
+        widths = [
+            max(
+                sample_band_counts(
+                    np.random.default_rng(block_seed(4, b)), params.n_sat, sine, block
+                )[:lanes]
+            )
+            + 2
+            for b, lanes in enumerate((block, 6))
+        ]
         for size in (1, 2, 3):
-            # The batch grows by at most one trial a double, so the least
-            # budget that holds ``size`` trials holds exactly that many.
-            low, high = 0, experiments._BATCH_DOUBLES
-            while high - low > 1:
-                mid = (low + high) // 2
-                monkeypatch.setattr(experiments, "_BATCH_DOUBLES", mid)
-                batch = trial_cell(params, strategy, plan).batch
-                low, high = (mid, high) if batch < size else (low, mid)
-            monkeypatch.setattr(experiments, "_BATCH_DOUBLES", high)
-            assert trial_cell(params, strategy, plan).batch == size
-            assert run_trials(params, strategy, trials=70, base_seed=4) == records
-            monkeypatch.undo()
+            batch_sizes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "_BATCH_ROWS", size * max(widths))
+                assert run_trials(params, strategy, 70, base_seed=4) == records
+            assert batch_sizes == [
+                (first + lo, min(size, lanes - lo))
+                for first, lanes in ((0, block), (block, 6))
+                for lo in range(0, lanes, size)
+            ]
 
 
 def test_a_cell_builds_one_generator_per_block_and_per_reroute(monkeypatch):
