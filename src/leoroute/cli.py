@@ -42,10 +42,17 @@ routes over the satellites of the file and takes the satellite count, the
 shell altitude and the body radius from it. The router reads the body
 radius, like the endpoints, from the shell it routes through, so the
 file's body sets both the hop plan and each hop's line-of-sight limit.
+
+Arguments are parsed by the standard library's :mod:`argparse`. A flag is
+spelled out in full (``--pre`` is no ``--preset``), the word after a flag
+is its value whatever it starts with (``--from -inf``), ``--flag=value``
+is ``--flag value``, and a repeated flag takes its last value. A parse
+error is a usage error: argparse's message on stderr and exit code 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -53,7 +60,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import click
 import numpy as np
 
 from . import __version__
@@ -155,17 +161,18 @@ _SETTINGS = {
 }
 
 
-def _settings(command: str, config_path: Optional[str], **flags) -> dict:
-    """The settings ``command`` reads, by config key: each flag, else its
-    config-file value, else the command's default. A preset stands in for
-    ``n_sat`` and ``altitude_km``, and does not appear itself.
+def _settings(args: argparse.Namespace) -> dict:
+    """The settings ``args.command`` reads, by config key: each flag, else
+    its value in the ``--config`` file, else the command's default. A
+    preset stands in for ``n_sat`` and ``altitude_km``, and does not appear
+    itself.
 
     Every config-file value is checked, read or not: one that does not
     convert exactly to its kind is a configuration error, and null counts
     as absent. A bool is no number, and an int setting takes only
     integral values.
     """
-    config = _load_config_file(config_path)
+    config = _load_config_file(args.config_path)
     settings = {}
     for key, (_, kind, _, defaults) in _SETTINGS.items():
         value = config.get(key)
@@ -183,10 +190,11 @@ def _settings(command: str, config_path: Optional[str], **flags) -> dict:
                     f"config value {key}={value!r} is not a valid {kind.__name__}"
                 )
             value = converted
-        if command in defaults:
-            if flags.get(key) is not None:
-                value = flags[key]
-            settings[key] = defaults[command] if value is None else value
+        if args.command in defaults:
+            flag = getattr(args, key)
+            if flag is not None:
+                value = flag
+            settings[key] = defaults[args.command] if value is None else value
     preset = settings.pop("preset", None)
     if preset is not None:
         if settings["n_sat"] is not None or settings["altitude_km"] is not None:
@@ -229,117 +237,119 @@ def _cell(
     )
 
 
-def _setting_options(command: str):
-    """Add ``--config`` and the flag of each setting ``command`` reads."""
+_SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n_sat"}
 
-    def decorate(f):
-        f = click.option(
-            "--config", "config_path", type=click.Path(),
-            help="JSON file with defaults; flags override it.",
-        )(f)
-        for key, (flag, kind, text, defaults) in reversed(_SETTINGS.items()):
-            if command in defaults:
-                default = defaults[command]
-                if key == "preset":
-                    kind = click.Choice(sorted(PRESET_PARAMS))
-                note = "." if default is None else f" (default {default:g})."
-                f = click.option(flag, key, type=kind, help=text + note)(f)
-        return f
+_DOME_ANGLE = {
+    "default": "pi",
+    "help": "Endpoint separation in radians, pi literals allowed (default pi).",
+}
+_THREADS = {
+    "type": int,
+    "default": 1,
+    "help": "Worker processes, at most one per CPU (default 1).",
+}
+_FORMAT = {
+    "dest": "fmt",
+    "choices": ("csv", "json", "both"),
+    "default": "both",
+    "help": "Files to write (default both).",
+}
 
-    return decorate
+#: The options of each command besides ``--config`` and its settings, by
+#: flag: the keywords that add the option to the command's parser.
+_OPTIONS = {
+    "analyze": {"--dome-angle": _DOME_ANGLE},
+    "route": {
+        "--dome-angle": _DOME_ANGLE,
+        "--strategy": {
+            "choices": STRATEGIES,
+            "default": "equal-interval",
+            "help": "Routing strategy (default equal-interval).",
+        },
+        "--constellation": {
+            "dest": "constellation_path",
+            "metavar": "FILE",
+            "help": "Load satellites from a JSON file instead of sampling; its "
+            "size, altitude and body radius replace the shell flags.",
+        },
+        "--out": {
+            "metavar": "FILE",
+            "help": "Write the route JSON here instead of stdout.",
+        },
+    },
+    "table1": {
+        "--threads": _THREADS,
+        "--out": {"default": "table1", "help": "Output base path (default table1)."},
+        "--format": _FORMAT,
+    },
+    "sweep": {
+        "--var": {
+            "choices": sorted(_SWEEP_VARS),
+            "required": True,
+            "help": "Quantity to sweep.",
+        },
+        "--from": {
+            "dest": "start", "type": float, "required": True,
+            "help": "First swept value.",
+        },
+        "--to": {
+            "dest": "stop", "type": float, "required": True,
+            "help": "Last swept value (inclusive).",
+        },
+        "--step": {
+            "type": float, "required": True, "help": "Increment between values.",
+        },
+        "--threads": _THREADS,
+        "--strategies": {
+            "default": ",".join(STRATEGIES),
+            "help": "Comma-separated strategy subset, non-empty and without "
+            "repeats (default all four).",
+        },
+        "--out": {"default": "sweep", "help": "Output base path (default sweep)."},
+        "--format": _FORMAT,
+    },
+}
 
-
-_dome_angle_option = click.option(
-    "--dome-angle",
-    default="pi",
-    show_default=True,
-    help="Endpoint separation in radians (pi literals allowed).",
+#: Every flag that takes a value: all but ``--help`` and ``--version``.
+_VALUE_FLAGS = frozenset(
+    [
+        "--config",
+        *(flag for flag, *_ in _SETTINGS.values()),
+        *(flag for options in _OPTIONS.values() for flag in options),
+    ]
 )
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json", "both"]),
-    default="both",
-    show_default=True,
-)
 
 
-def _print_version(ctx: click.Context, _param, value: bool) -> None:
-    if not value or ctx.resilient_parsing:
-        return
-    click.echo(f"leoroute {__version__} (output schema v{SCHEMA_VERSION})")
-    ctx.exit(0)
-
-
-@click.group()
-@click.option(
-    "--version",
-    is_flag=True,
-    expose_value=False,
-    is_eager=True,
-    callback=_print_version,
-    help="Print version and output schema version.",
-)
-def cli() -> None:
-    """Minimum-latency multi-hop routing between satellites on a sphere."""
-
-
-@cli.command()
-@_setting_options("analyze")
-@_dome_angle_option
-def analyze(config_path, dome_angle, **flags) -> None:
+def analyze(args: argparse.Namespace) -> int:
     """Closed-form link analysis: hop plan, contact law, feasibility."""
-    params = _cell(_settings("analyze", config_path, **flags), dome_angle)
+    params = _cell(_settings(args), args.dome_angle)
     arc, theta_max = params.arc_angle, params.theta_max
     plan = plan_hops(arc, theta_max, params.n_sat, params.epsilon)
     mean = contact_mean(params.n_sat)
     bound = iteration_bound(params.epsilon, theta_max, params.n_sat)
-    click.echo(f"max_hop_angle_rad = {theta_max:.6f}")
-    click.echo(f"n_min_hops = {n_min_ideal(arc, theta_max)}")
-    click.echo(f"n_hat_hops = {plan.n_hat}")
-    click.echo(f"reliable_angle_rad = {plan.reliable_angle:.6f}")
-    click.echo(f"type1_interrupted = {'yes' if plan.type1_interrupted else 'no'}")
-    click.echo(f"iterations_used = {plan.iterations_used}")
-    click.echo(f"contact_mean_rad = {mean.quadrature:.6f}")
-    click.echo(
+    print(f"max_hop_angle_rad = {theta_max:.6f}")
+    print(f"n_min_hops = {n_min_ideal(arc, theta_max)}")
+    print(f"n_hat_hops = {plan.n_hat}")
+    print(f"reliable_angle_rad = {plan.reliable_angle:.6f}")
+    print(f"type1_interrupted = {'yes' if plan.type1_interrupted else 'no'}")
+    print(f"iterations_used = {plan.iterations_used}")
+    print(f"contact_mean_rad = {mean.quadrature:.6f}")
+    print(
         f"min_sats_sufficient = {min_sats_grid_minimum(arc, theta_max, params.epsilon)}"
     )
     bound_text = f"{bound:.3f}" if bound < 1e6 else f"{bound:.6g}"
-    click.echo(f"iteration_bound = {bound_text}")
-    if plan.type1_interrupted:
-        raise click.exceptions.Exit(2)
+    print(f"iteration_bound = {bound_text}")
+    return 2 if plan.type1_interrupted else 0
 
 
-@cli.command()
-@_setting_options("route")
-@_dome_angle_option
-@click.option(
-    "--strategy",
-    type=click.Choice(list(STRATEGIES)),
-    default="equal-interval",
-    show_default=True,
-)
-@click.option(
-    "--constellation",
-    "constellation_path",
-    type=click.Path(),
-    default=None,
-    help="Load satellites from a JSON file instead of sampling; its size, "
-    "altitude and body radius replace the shell flags.",
-)
-@click.option(
-    "--out",
-    type=click.Path(),
-    default=None,
-    help="Write the route JSON here instead of stdout.",
-)
-def route(config_path, dome_angle, strategy, constellation_path, out, **flags) -> None:
+def route(args: argparse.Namespace) -> int:
     """Build one route between endpoints at the given separation."""
-    settings = _settings("route", config_path, **flags)
+    settings = _settings(args)
+    strategy = args.strategy
     shell = None
-    if constellation_path is not None:
-        shell = load_constellation(constellation_path)
-    params = _cell(settings, dome_angle, shell)
+    if args.constellation_path is not None:
+        shell = load_constellation(args.constellation_path)
+    params = _cell(settings, args.dome_angle, shell)
     arc, theta_max, radius = params.arc_angle, params.theta_max, params.radius
 
     payload = {"schema_version": SCHEMA_VERSION, "strategy": strategy}
@@ -411,12 +421,11 @@ def route(config_path, dome_angle, strategy, constellation_path, out, **flags) -
         )
 
     text = json.dumps(payload, indent=2)
-    if out is not None:
-        Path(out).write_text(text + "\n")
+    if args.out is not None:
+        Path(args.out).write_text(text + "\n")
     else:
-        click.echo(text)
-    if exit_code:
-        raise click.exceptions.Exit(exit_code)
+        print(text)
+    return exit_code
 
 
 def _write_pair(fmt: str, out_base: str, write_csv, write_json) -> list[str]:
@@ -428,59 +437,31 @@ def _write_pair(fmt: str, out_base: str, write_csv, write_json) -> list[str]:
     return paths
 
 
-@cli.command()
-@_setting_options("table1")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, at most one per CPU.")
-@click.option("--out", default="table1", show_default=True, help="Output base path.")
-@_format_option
-def table1(threads, out, fmt, config_path, **flags) -> None:
+def table1(args: argparse.Namespace) -> int:
     """Monte Carlo summary table over the three preset constellations."""
-    settings = _settings("table1", config_path, **flags)
+    settings = _settings(args)
     result = run_table1(
-        trials=settings["trials"], base_seed=settings["seed"], threads=threads
+        trials=settings["trials"], base_seed=settings["seed"], threads=args.threads
     )
     paths = _write_pair(
-        fmt,
-        out,
+        args.fmt,
+        args.out,
         lambda p: write_table1_csv(result, p),
         lambda p: write_table1_json(result, p),
     )
     header = ["metric"] + [col.preset for col in result.columns]
     widths = [max(len(header[i]), 22) for i in range(len(header))]
-    click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in table1_rows(result):
-        click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     for path in paths:
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
+    return 0
 
 
-_SWEEP_VARS = {"distance": "distance_km", "altitude": "altitude_km", "n-sat": "n_sat"}
-
-
-@cli.command(name="sweep")
-@click.option(
-    "--var",
-    type=click.Choice(sorted(_SWEEP_VARS)),
-    required=True,
-    help="Quantity to sweep.",
-)
-@click.option("--from", "start", type=float, required=True, help="First swept value.")
-@click.option("--to", "stop", type=float, required=True, help="Last swept value (inclusive).")
-@click.option("--step", type=float, required=True, help="Increment between values.")
-@_setting_options("sweep")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker processes, at most one per CPU.")
-@click.option(
-    "--strategies",
-    default=",".join(STRATEGIES),
-    show_default=True,
-    help="Comma-separated strategy subset, non-empty and without repeats.",
-)
-@click.option("--out", default="sweep", show_default=True, help="Output base path.")
-@_format_option
-def sweep_cmd(
-    var, start, stop, step, threads, strategies, out, fmt, config_path, **flags
-) -> None:
+def sweep(args: argparse.Namespace) -> int:
     """Sweep one parameter and record per-strategy aggregates."""
+    var, start, stop, step = args.var, args.start, args.stop, args.step
     variable = _SWEEP_VARS[var]
     if not all(map(math.isfinite, (start, stop, step))):
         raise InvalidInputError("--from, --to and --step must be finite")
@@ -488,13 +469,13 @@ def sweep_cmd(
         raise InvalidInputError("need step > 0 and --to >= --from")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     values = tuple(start + i * step for i in range(count))
-    if flags[variable] is not None:
+    if getattr(args, variable) is not None:
         raise InvalidInputError(f"cannot fix the swept variable {var!r}")
     # The swept values replace any value a preset or config file gives.
-    fixed = _settings("sweep", config_path, **flags)
+    fixed = _settings(args)
     trials, seed = fixed.pop("trials"), fixed.pop("seed")
 
-    chosen = tuple(s.strip() for s in strategies.split(",") if s.strip())
+    chosen = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     spec = SweepSpec(
         variable=variable,
         values=values,
@@ -502,42 +483,102 @@ def sweep_cmd(
         trials=trials,
         base_seed=seed,
     )
-    records = run_sweep(spec, strategies=chosen, threads=threads)
+    records = run_sweep(spec, strategies=chosen, threads=args.threads)
     paths = _write_pair(
-        fmt,
-        out,
+        args.fmt,
+        args.out,
         lambda p: write_records_csv(records, p),
         lambda p: write_records_json(records, p),
     )
-    click.echo(
+    print(
         f"swept {variable} over {len(values)} values x {len(chosen)} strategies "
         f"({trials} trials each)"
     )
     for path in paths:
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The ``leoroute`` parser: a subparser for each command, with
+    ``--config``, the flag of each setting the command reads and its
+    options. No parser takes ``-h`` or abbreviated flags."""
+    plain = {"add_help": False, "allow_abbrev": False}
+    help_text = "Show this message and exit."
+    # The raw formatter prints the version line as it is, however narrow
+    # the terminal.
+    root = argparse.ArgumentParser(
+        prog="leoroute",
+        description="Minimum-latency multi-hop routing between satellites on a sphere.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **plain,
+    )
+    root.add_argument("--help", action="help", help=help_text)
+    root.add_argument(
+        "--version",
+        action="version",
+        version=f"leoroute {__version__} (output schema v{SCHEMA_VERSION})",
+        help="Print version and output schema version.",
+    )
+    commands = root.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for run in (analyze, route, table1, sweep):
+        name = run.__name__
+        command = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, **plain
+        )
+        command.set_defaults(run=run)
+        command.add_argument("--help", action="help", help=help_text)
+        command.add_argument(
+            "--config", dest="config_path", metavar="FILE",
+            help="JSON file with defaults; flags override it.",
+        )
+        for key, (flag, kind, text, defaults) in _SETTINGS.items():
+            if name in defaults:
+                default = defaults[name]
+                note = "." if default is None else f" (default {default:g})."
+                choices = sorted(PRESET_PARAMS) if key == "preset" else None
+                command.add_argument(
+                    flag, dest=key, type=kind, choices=choices, help=text + note
+                )
+        for flag, keywords in _OPTIONS[name].items():
+            command.add_argument(flag, **keywords)
+    return root
+
+
+_PARSER = _parser()
+
+
+def _joined(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each flag that takes a value joined to the word after
+    it (``--from -inf`` becomes ``--from=-inf``), so that word is the value
+    whatever it starts with; argparse alone would read ``-inf`` as an
+    unknown flag. Words after ``--`` are left as they are."""
+    words, i = list(argv), 0
+    while i < len(words) - 1 and words[i] != "--":
+        if words[i] in _VALUE_FLAGS:
+            words[i : i + 2] = [f"{words[i]}={words[i + 1]}"]
+        i += 1
+    return words
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI, mapping failures onto the documented exit codes.
 
-    In non-standalone mode click swallows ``Exit`` and hands back its code as
-    the return value, so deliberate exits (type-I -> 2, type-II -> 3) arrive
-    here as integers rather than exceptions.
+    A command returns its own exit code. argparse ends ``--help`` and
+    ``--version`` with ``SystemExit(0)`` and a parse error, after its
+    message on stderr, with ``SystemExit(2)``, which exits 1 here.
     """
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+        args = _PARSER.parse_args(_joined(sys.argv[1:] if argv is None else argv))
+        return args.run(args)
+    except SystemExit as exc:
+        return 1 if exc.code else 0
     except (InvalidInputError, DegenerateArcError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalConsistencyError as exc:
-        click.echo(f"internal error: {exc}", err=True)
+        print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    return result if isinstance(result, int) else 0
 
 
 def entrypoint() -> None:

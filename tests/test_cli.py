@@ -117,6 +117,90 @@ def test_usage_errors_exit_one(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [[], ["analyze"], ["route"], ["table1"], ["sweep"]])
+def test_help_exits_zero(capsys, command):
+    code, out, _ = run_cli(capsys, *command, "--help")
+    assert code == 0
+    assert out
+
+
+def test_no_command_exits_one(capsys):
+    code, out, err = run_cli(capsys)
+    assert (code, out) == (1, "")
+    assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        ["analyze", "--preset", "kuiper", "--bogus"],
+        ["sweep", "--from", "4000", "--to", "4000", "--step", "1", "--n-sat", "300",
+         "--altitude", "550", "--trials", "3", "--strategies", "ideal"],
+        ["route", "--preset", "kuiper", "--strategy", "a-star"],
+        ["analyze", "--preset", "mars"],
+        ["route", "--preset", "kuiper", "--seed", "1.5"],
+        # No abbreviated flags.
+        ["analyze", "--pre", "starlink"],
+        ["analyze", "--pre=starlink"],
+        # No short help flag, and --version belongs to the group alone.
+        ["analyze", "-h"],
+        ["route", "--preset", "kuiper", "--version"],
+    ],
+    ids=[
+        "unknown-command", "unknown-option", "missing-var", "unknown-strategy",
+        "unknown-preset", "fractional-seed", "abbreviated-flag",
+        "abbreviated-flag-equals", "short-help", "command-version",
+    ],
+)
+def test_parse_errors_exit_one(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_repeated_flag_takes_its_last_value(capsys):
+    last = run_cli(capsys, "analyze", "--preset", "kuiper", "--epsilon", "0.01")
+    assert last[0] == 0
+    repeated = ("--preset", "oneweb", "--epsilon", "0.5")
+    assert run_cli(capsys, "analyze", *repeated, "--preset", "kuiper",
+                   "--epsilon", "0.01") == last
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "kuiper", "--epsilon", "0.1", "--dome-angle", "pi/2"],
+        ["route", "--preset", "oneweb", "--strategy", "min-deflection", "--seed", "3",
+         "--dome-angle", "2.0"],
+    ],
+    ids=["analyze", "route"],
+)
+def test_flag_equals_value_is_flag_then_value(capsys, argv):
+    spaced = run_cli(capsys, *argv)
+    assert spaced[0] == 0
+    joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert run_cli(capsys, argv[0], *joined) == spaced
+
+
+def test_a_value_may_start_with_a_dash(capsys, tmp_path):
+    """The word after a flag is its value, whatever it starts with."""
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "distance", "--from", "-inf", "--to", "7000",
+        "--step", "3000", "--n-sat", "300", "--altitude", "550",
+        "--out", str(tmp_path / "s"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --from, --to and --step must be finite\n"
+    code, out, err = run_cli(
+        capsys, "analyze", "--preset", "kuiper", "--dome-angle", "-pi"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: cannot parse angle '-pi'\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every import in the package is used, and the root exports what it imports.
+"""Every import in the package is used, the root exports what it imports,
+and numpy is the one package needed at run time.
 
 Import statements marked ``# noqa: F401`` are exempt: they keep bindings
 that ``benchmarks/tracing.py`` wraps by name, and each must be one that its
@@ -7,6 +8,9 @@ that ``benchmarks/tracing.py`` wraps by name, and each must be one that its
 
 import ast
 import importlib.util
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +21,7 @@ import leoroute
 PACKAGE_DIR = Path(leoroute.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def imported_names(tree, lines, hook_only=False):
@@ -93,3 +98,20 @@ def test_hook_only_imports_are_wrapped_by_the_tracer(monkeypatch):
             if (f"leoroute.{path.stem}", name) not in hooked:
                 unhooked.append(f"{path.name}: {name} (line {line})")
     assert unhooked == []
+
+
+def test_the_command_line_needs_only_numpy():
+    """A fresh interpreter imports the command line without click, and the
+    package declares numpy as its only run-time dependency."""
+    path = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, leoroute.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    loaded = ast.literal_eval(done.stdout)
+    assert "leoroute.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "click"] == []
+    tomllib = pytest.importorskip("tomllib")
+    required = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in required] == ["numpy"]

@@ -24,7 +24,7 @@ def table_rows(text):
 
 
 def expected_rows():
-    commands = list(cli.cli.commands)
+    commands = list(cli._OPTIONS)
     rows = [["Key", "Flag", "Kind", *(f"`{c}`" for c in commands)]]
     for key, (flag, kind, _, defaults) in cli._SETTINGS.items():
         cells = [
