@@ -31,8 +31,8 @@ Every value in the file is checked, read or not:
 ``analyze`` and ``route`` describe one experimental cell
 (:class:`~leoroute.experiments.CellParams`), and ``route`` builds its route
 through the Monte Carlo harness's own trial cell
-(:func:`~leoroute.experiments.trial_cell`), band first as a trial is
-routed (:meth:`~leoroute.experiments.TrialCell.route_rows`): through the
+(:func:`~leoroute.experiments.trial_cell`), band first
+(:meth:`~leoroute.experiments.TrialCell.route_rows`): through the
 satellites near the endpoints' great circle, and through the whole shell
 only when that route is not certified. ``--seed`` draws the shell of
 ``sample_bpp``, but builds only its band's satellites

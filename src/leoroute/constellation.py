@@ -10,11 +10,14 @@ rows, and satellite IDs are 0-based row indices.
 
 :func:`sample_band_counts`, :func:`sample_bands` and
 :func:`sample_band_complement` draw the same process in two parts, split at
-a band |u_y| <= s around the xz great circle: first how many satellites
-fall inside the band and where, for a batch of shells at once, then, only
-when asked, the rest of one shell. By the restriction property of the
-binomial point process the two parts together are ``n_sat`` i.i.d.
-uniform satellites, whichever generators draw them.
+a patch: the band |u_y| <= s around the xz great circle, cut to the
+longitudes |phi - pi/2| <= L about the y axis, phi = atan2(u_z, u_x)
+(L = pi keeps the whole band). First they draw how many satellites fall
+inside the patch and where, for a batch of shells at once, then, only when
+asked, the rest of one shell: the band outside the patch and everything
+outside the band. By the restriction property of the binomial point
+process the two parts together are ``n_sat`` i.i.d. uniform satellites,
+whichever generators draw them.
 """
 
 from __future__ import annotations
@@ -202,13 +205,12 @@ def sample_bpp_band(n_sat: int, seed: int, s: float) -> tuple[np.ndarray, np.nda
     return (keep if ids is None else ids[keep]), rows[keep]
 
 
-def _unit_rows(rows: np.ndarray, y: np.ndarray, u: np.ndarray) -> None:
+def _unit_rows(rows: np.ndarray, y: np.ndarray, phi: np.ndarray) -> None:
     """Write the unit rows at height ``y`` on the y axis and longitude
-    2 pi u about it into ``rows``, overwriting ``y`` and ``u``. The rows are
-    unit vectors to rounding and are not normalized again."""
+    ``phi`` about it into ``rows``, overwriting ``y``. The rows are unit
+    vectors to rounding and are not normalized again."""
     rows[..., 1] = y
     rho = np.sqrt(np.subtract(1.0, np.square(y, out=y), out=y), out=y)
-    phi = np.multiply(u, 2.0 * math.pi, out=u)
     np.multiply(np.cos(phi, out=rows[..., 0]), rho, out=rows[..., 0])
     np.multiply(np.sin(phi, out=rows[..., 2]), rho, out=rows[..., 2])
 
@@ -220,41 +222,61 @@ def _check_band(sin_halfwidth: float) -> None:
         )
 
 
-def sample_band_counts(
-    rng: np.random.Generator, n_sat: int, s: float, size: int
-) -> np.ndarray:
-    """How many of ``n_sat`` uniform satellites fall inside |u_y| <= s, for
-    each of ``size`` shells, in one call.
+def _check_span(span: float) -> None:
+    if not 0.0 < span <= math.pi:
+        raise InvalidInputError(f"patch half-span must be in (0, pi], got {span}")
 
-    On a uniform sphere u_y is uniform on [-1, 1], so a band holds
-    K ~ Binomial(n_sat, s) satellites.
+
+def sample_band_counts(
+    rng: np.random.Generator,
+    n_sat: int,
+    s: float,
+    size: int,
+    span: float = math.pi,
+) -> np.ndarray:
+    """How many of ``n_sat`` uniform satellites fall inside the patch
+    |u_y| <= s, |phi - pi/2| <= ``span``, for each of ``size`` shells, in
+    one call.
+
+    On a uniform sphere u_y is uniform on [-1, 1] and the longitude phi is
+    uniform and independent of it, so a patch holds
+    K ~ Binomial(n_sat, s span / pi) satellites.
 
     Raises:
-        InvalidInputError: If ``n_sat`` < 1 or s is outside [0, 1].
+        InvalidInputError: If ``n_sat`` < 1, s is outside [0, 1] or
+            ``span`` outside (0, pi].
     """
     if n_sat < 1:
         raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
     _check_band(s)
-    return rng.binomial(n_sat, s, size)
+    _check_span(span)
+    return rng.binomial(n_sat, s * (span / math.pi), size)
 
 
 def sample_bands(
-    rng: np.random.Generator, counts: Sequence[int], s: float
+    rng: np.random.Generator,
+    counts: Sequence[int],
+    s: float,
+    span: float = math.pi,
 ) -> np.ndarray:
-    """The satellites of bands |u_y| <= s that hold ``counts[b]`` satellites
-    each: shell b's unit rows are ``rows[b, :counts[b]]`` of one zero-padded
-    (B, max K + 2, 3) array, which keeps two rows for each shell's endpoints.
+    """The satellites of patches |u_y| <= s, |phi - pi/2| <= ``span`` that
+    hold ``counts[b]`` satellites each: shell b's unit rows are
+    ``rows[b, :counts[b]]`` of one zero-padded (B, max K + 2, 3) array,
+    which keeps two rows for each shell's endpoints.
 
-    Each satellite of a band is uniform in it. One ``random`` call draws
-    2 K uniforms a band, band after band: its K heights -s + 2 s u, then its
-    K longitudes 2 pi u, bit for bit two ``uniform`` calls. So drawing the
-    bands in one batch or in several, in order, gives the same rows. One
-    pass turns the batch to rows.
+    Each satellite of a patch is uniform in it. One ``random`` call draws
+    2 K uniforms a patch, patch after patch: its K heights, then its K
+    longitudes, bit for bit ``uniform(-s, s)`` and ``uniform`` calls on
+    [pi/2 - span, pi/2 + span] ([0, 2 pi] for the whole band). So drawing
+    the patches in one batch or in several, in order, gives the same rows.
+    One pass turns the batch to rows.
 
     Raises:
-        InvalidInputError: If s is outside [0, 1].
+        InvalidInputError: If s is outside [0, 1] or ``span`` outside
+            (0, pi].
     """
     _check_band(s)
+    _check_span(span)
     width = max(counts, default=0) + 2
     heights, longitudes = uniforms = np.zeros((2, len(counts), width))
     drawn = rng.random(2 * sum(counts))
@@ -265,8 +287,11 @@ def sample_bands(
     # Freed before the rows are made, so the draw's peak stays at the rows
     # and the padded uniforms.
     del drawn
-    heights *= 2.0 * s
-    heights -= s
+    _scale(heights, -s, s)
+    if span < math.pi:
+        _scale(longitudes, 0.5 * math.pi - span, 0.5 * math.pi + span)
+    else:
+        _scale(longitudes, 0.0, 2.0 * math.pi)
     rows = np.empty((len(counts), width, 3))
     _unit_rows(rows, heights, longitudes)
     for b, k in enumerate(counts):
@@ -274,21 +299,50 @@ def sample_bands(
     return rows
 
 
+def _scale(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Map the uniforms ``u`` on [0, 1) onto [low, high) in place, bit for
+    bit as ``Generator.uniform(low, high)`` maps them."""
+    u *= high - low
+    u += low
+    return u
+
+
 def sample_band_complement(
-    rng: np.random.Generator, s: float, out: np.ndarray
+    rng: np.random.Generator, s: float, out: np.ndarray, span: float = math.pi
 ) -> None:
     """Write into ``out`` the unit rows of ``len(out)`` satellites uniform
-    outside the band |u_y| <= s.
+    outside the patch |u_y| <= s, |phi - pi/2| <= ``span``: in the band
+    outside the patch's longitudes, or outside the band.
 
-    |u_y| is uniform on [s, 1] with a random sign, and the longitude about
-    the y axis is uniform: 3 ``len(out)`` uniforms give magnitudes
-    s + (1 - s) u, signs (negative below 1/2) and longitudes, bit for bit
-    the values of ``uniform``, ``random`` and ``uniform`` calls.
+    3 ``len(out)`` uniforms give each satellite its magnitude |u_y| from u,
+    its sign (negative below 1/2) and its longitude from v. A share
+    q = s (pi - span) / (pi - s span) of the complement lies in the band.
+    There (u < q), |u_y| = (s / q) u and the longitude is v mapped onto
+    [pi/2 + span, 5 pi/2 - span]; elsewhere |u_y| is u - q mapped from
+    [0, 1 - q) onto [s, 1] and the longitude v mapped onto [0, 2 pi], each
+    map as ``uniform`` makes it. For the whole band (q = 0) the rows are
+    bit for bit those of ``uniform``, ``random`` and ``uniform`` calls.
+
+    Raises:
+        InvalidInputError: If s is outside [0, 1] or ``span`` outside
+            (0, pi].
     """
     _check_band(s)
+    _check_span(span)
     y, sign, longitudes = rng.random(3 * len(out)).reshape(3, len(out))
-    y *= 1.0 - s
-    y += s
+    rest = math.pi - s * span
+    share = s * (math.pi - span) / rest if rest > 0.0 else 0.0
+    inside = y < share
+    # Taken before the rest's formulas overwrite the uniforms.
+    band_y = y[inside] * (s / share if share > 0.0 else 0.0)
+    band_phi = _scale(longitudes[inside], 0.5 * math.pi + span, 2.5 * math.pi - span)
+    if share < 1.0:
+        y -= share
+        y *= (1.0 - s) / (1.0 - share)
+        y += s
+    _scale(longitudes, 0.0, 2.0 * math.pi)
+    y[inside] = band_y
+    longitudes[inside] = band_phi
     np.negative(y, out=y, where=sign < 0.5)
     _unit_rows(out, y, longitudes)
 

@@ -3,43 +3,56 @@
 Each trial routes between two endpoints at an exact dome-angle separation
 through a fresh uniform constellation, and records status, latency, and
 efficiency. The endpoints lie in the xz-plane, so the arc's normal is the
-y axis, and a trial draws its shell band first
-(:func:`~leoroute.constellation.sample_bands`): only the satellites with
-|u_y| <= sin w, then the two endpoints as the last two satellites. When
-the route on that band shell is certified — its
+y axis and the arc runs along the longitudes phi = atan2(u_z, u_x) from
+pi/2 - a/2 (src) to pi/2 + a/2 (dst). A trial draws a patch of its shell
+first (:func:`~leoroute.constellation.sample_bands`): only the satellites
+of the band |u_y| <= sin w whose longitudes lie within L of pi/2, then the
+two endpoints as the last two satellites. L is a/2 plus a margin m, capped
+at pi: m = w for equal-interval and theta_max + w for the greedy walks,
+and a band of the whole sphere keeps L = pi. When the route on that patch
+shell is certified, it is the route on the whole shell; otherwise the
+trial draws the rest of the shell, uniform outside the patch, from its own
+generator (:func:`~leoroute.constellation.sample_band_complement`) and
+routes again on all ``n_sat`` satellites. Patch and complement together
+are ``n_sat`` i.i.d. uniform satellites (the restriction property of the
+binomial point process), so the records follow the same law as routing on
+a full shell.
+
+A route is certified (:meth:`TrialCell.route_band_first`) when its
 :attr:`~leoroute.routing.Route.band_reach` is at most w, so no satellite
-outside the band could have changed it — it is the route on the whole
-shell; otherwise the trial draws the rest of the shell from the same generator
-(:func:`~leoroute.constellation.sample_band_complement`) and routes again on
-all ``n_sat`` satellites. Band and complement together are ``n_sat``
-i.i.d. uniform satellites (the restriction property of the binomial point
-process), so the records follow the same law as routing on a full shell.
-``leoroute route`` applies the same rule to one shell
-(:meth:`TrialCell.route_rows`): it routes on the shell's band first, and
-asks for the whole shell only when that route is not certified.
+outside the band could have changed it, and, for a greedy walk, when no
+satellite of the band outside the patch could lie within theta_max of a
+node the walk scanned: cos D + s |u_y| < cos theta_max at src and every
+relay u, D being u's distance in longitude from the patch's edge.
+Equal-interval needs no along-arc test: its targets lie on the arc, so a
+satellite outside the patch is at least m = w from each of them, farther
+than the relay that a certified route's target took. ``leoroute route``
+applies the band rule to one shell (:meth:`TrialCell.route_rows`): it
+routes on the shell's whole band first, and asks for the whole shell only
+when that route is not certified.
 
 Random streams. Trials come in blocks of ``_BLOCK_TRIALS`` (64), counted
 from trial 0: trial i is lane i % 64 of block i // 64. Each block has one
 generator, seeded by :func:`block_seed` (a splitmix64 hash of the base
-seed and the block index). It first draws the band counts of all 64 lanes
-in one call, then the bands' uniforms lane by lane, in lane order. The
-rest of a shell is drawn only for a trial whose band route is not
+seed and the block index). It first draws the patch counts of all 64
+lanes in one call, then the patches' uniforms lane by lane, in lane order.
+The rest of a shell is drawn only for a trial whose patch route is not
 certified, from that trial's own generator, seeded by :func:`trial_seed`.
 So a trial's record depends only on the base seed and its index, never on
 how many trials run, how they are batched or how many workers run them.
 Results differ from releases that built one generator per trial.
 
 A block is routed as one batch, for every sampled strategy, unless its
-band stack, its lanes times its largest band count plus 2 rows, would
+patch stack, its lanes times its largest patch count plus 2 rows, would
 pass ``_BATCH_ROWS`` (65536); then it splits into batches of as many
-lanes as fit, at least one. One ``random`` call draws the batch's bands,
-and one trig pass writes every band's rows, then its endpoints, straight
-into the batch's :class:`~leoroute.routing.ShellStack`. One batch router
+lanes as fit, at least one. One ``random`` call draws the batch's
+patches, and one trig pass writes every patch's rows, then its endpoints,
+straight into the batch's :class:`~leoroute.routing.ShellStack`. One batch router
 call routes the stack: :func:`~leoroute.routing.route_equal_interval_batch`
 computes the cell's targets once, snaps all shells in one lockstep pass
 and repairs them in rounds of one lockstep walk each, and the greedy
 baselines walk all shells in lockstep. The trials that need the
-complement draw it into one more stack, after their band rows, for one
+complement draw it into one more stack, after their patch rows, for one
 more router call.
 
 Worker processes take whole blocks, and records are reduced in trial-index
@@ -60,6 +73,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -134,8 +148,8 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return (base_seed ^ splitmix64(trial_index)) & _MASK64
 
 
-#: Trials whose bands one generator draws: trial i is lane i % 64 of block
-#: i // 64.
+#: Trials whose patches one generator draws: trial i is lane i % 64 of
+#: block i // 64.
 _BLOCK_TRIALS = 64
 
 #: Mixed into every block seed, so that a block's stream is no trial's
@@ -144,7 +158,7 @@ _BLOCK_DOMAIN = 0x626C6F636B5F3634
 
 
 def block_seed(base_seed: int, block: int) -> int:
-    """Seed of the band stream of trials ``64 block`` to ``64 block + 63``."""
+    """Seed of the patch stream of trials ``64 block`` to ``64 block + 63``."""
     return splitmix64(trial_seed(base_seed, block) ^ _BLOCK_DOMAIN)
 
 
@@ -229,10 +243,13 @@ class CellParams:
 class TrialRecord:
     """Outcome of one Monte Carlo trial of a cell.
 
-    Its band is lane ``trial_index % 64`` of the block ``trial_index // 64``
-    (:func:`block_seed`); the rest of its shell, drawn only when its band
-    route is not certified, comes from the stream seeded by
-    :func:`trial_seed`. The strategy and base seed are the caller's.
+    Its patch (the satellites of the band around its arc whose longitudes
+    lie within the cell's span of the arc's midpoint) is lane
+    ``trial_index % 64`` of the block ``trial_index // 64``
+    (:func:`block_seed`); the rest of its shell, uniform outside the patch
+    and drawn only when its patch route is not certified (the band reach,
+    and for a greedy walk the along-arc test), comes from the stream seeded
+    by :func:`trial_seed`. The strategy and base seed are the caller's.
     """
 
     trial_index: int
@@ -284,12 +301,13 @@ def reference_latency_ms(params: CellParams) -> float:
     return latency_floor(params.arc_angle, params.theta_max, params.radius)
 
 
-#: Relative widening of the drawn band over the half-width that certifies
-#: a route, so that rounding at the band's edge cannot matter (sin/asin,
-#: and the arc's normal, which is the y axis only to within 1e-16).
+#: Relative widening of the drawn band and patch over the half-width and
+#: half-span that certify a route, so that rounding at their edges cannot
+#: matter (sin/asin, atan2, and the arc's normal, which is the y axis only
+#: to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the rows of one batch's band stack: 64 bands of up to 1022
+#: Cap on the rows of one batch's patch stack: 64 patches of up to 1022
 #: satellites each, with their endpoints.
 _BATCH_ROWS = 1 << 16
 
@@ -328,6 +346,23 @@ def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
     return contact_band(params.n_sat)
 
 
+def _patch_span(params: CellParams, strategy: str, halfwidth: float) -> float:
+    """Half-span L (rad) of the longitudes |phi - pi/2| <= L of the patch
+    of the band |u_y| <= sin w that certifies routes, pi for the whole band.
+
+    The arc runs from longitude pi/2 - a/2 (src) to pi/2 + a/2 (dst), and
+    L is a/2 plus a margin: w for equal-interval, whose targets lie on the
+    arc, so a satellite outside the patch is more than w from each of them;
+    theta_max + w for the greedy walks, whose nodes the harness also tests
+    against the patch's edge (:meth:`TrialCell.route_band_first`). A band
+    of the whole sphere (w = pi/2) certifies any route, so it stays whole.
+    """
+    if halfwidth >= math.pi / 2.0:
+        return math.pi
+    margin = halfwidth if strategy == "equal-interval" else params.theta_max + halfwidth
+    return min(params.arc_angle / 2.0 + margin, math.pi)
+
+
 @dataclass(frozen=True)
 class TrialCell:
     """What every sampled trial of a cell shares, computed once per cell."""
@@ -340,8 +375,15 @@ class TrialCell:
     #: Half-width w (rad) of the band that certifies a route: one whose
     #: ``band_reach`` is at most w.
     halfwidth: float
-    #: Sine s of the slightly wider band |u_y| <= s a trial draws first.
+    #: Sine s of the slightly wider band |u_y| <= s whose patch a trial
+    #: draws first.
     band_sine: float
+    #: Half-span L (rad) of the longitudes |phi - pi/2| <= L of the patch
+    #: that certifies a route (:func:`_patch_span`), pi for the whole band.
+    span: float
+    #: Half-span of the slightly wider patch of the band a trial draws
+    #: first.
+    drawn_span: float
     reference_ms: float
 
     def stack(self, rows: np.ndarray, counts: list[int]) -> ShellStack:
@@ -374,23 +416,64 @@ class TrialCell:
         return router(stack, self.params.d_max_km, self.plan)
 
     def route_band_first(
-        self, bands: ShellStack, n_rows: int, whole: Callable
+        self, bands: ShellStack, n_rows: int, whole: Callable, span: float
     ) -> tuple[list[Route], list[int]]:
-        """Routes through the band shells of ``bands``, in one batch, and
-        then through the whole shells ``whole(redo)`` of the bands k in
-        ``redo``: those short of ``n_rows`` satellites whose route reaches
-        past ``halfwidth`` (so a satellite outside the band could have
-        changed it), in one more batch; and ``redo``."""
+        """Routes through the shells of ``bands``, in one batch, and then
+        through the whole shells ``whole(redo)`` of the shells k in
+        ``redo``, in one more batch; and ``redo``.
+
+        The shells of ``bands`` hold the satellites of a patch of the band
+        (:func:`_patch_span`): the longitudes |phi - pi/2| <= ``span``, pi
+        for the whole band. ``redo`` holds those short of ``n_rows``
+        satellites whose route a satellite outside the patch could have
+        changed: its route reaches past ``halfwidth``, or it is a greedy
+        walk on a patch narrower than the band and a satellite outside the
+        patch could lie in hop range of a node it scanned
+        (:meth:`_leaves_patch`).
+        """
         routes = self.route_batch(bands)
+        uncertified = np.array([r.band_reach > self.halfwidth for r in routes])
+        if span < math.pi and self.strategy != "equal-interval":
+            uncertified |= self._leaves_patch(bands, routes, span)
         redo = [
             k
-            for k, (count, route) in enumerate(zip(bands.counts, routes))
-            if count < n_rows and route.band_reach > self.halfwidth
+            for k, (count, bad) in enumerate(zip(bands.counts, uncertified.tolist()))
+            if count < n_rows and bad
         ]
         if redo:
             for k, route in zip(redo, self.route_batch(whole(redo))):
                 routes[k] = route
         return routes, redo
+
+    def _leaves_patch(
+        self, bands: ShellStack, routes: list[Route], span: float
+    ) -> np.ndarray:
+        """Whether a satellite of the band outside the patch |phi - pi/2| <=
+        ``span`` could lie within theta_max of a node of each route.
+
+        A walk only looks at satellites within theta_max of a node it
+        scanned: src and every relay. (The gather takes dst too, which
+        changes nothing: it sits as far from the edge as src.) A node u at
+        distance D = span - |phi_u - pi/2| in longitude from the patch's
+        edge has u . v <= max(cos D, 0) + s |u_y| with every satellite v of
+        the band |v_y| <= s outside the patch, so no such v is in range when
+        this stays below cos theta_max. The drawn patch is slightly wider
+        than ``span``, which absorbs rounding. One gather of every route's
+        nodes and one reduction give every route's answer.
+        """
+        sizes = [len(route.hops) for route in routes]
+        flat = np.fromiter(
+            chain.from_iterable(route.hops for route in routes), np.intp, sum(sizes)
+        )
+        width = bands.rows.shape[1]
+        flat += np.repeat(np.arange(0, len(routes) * width, width), sizes)
+        nodes = bands.rows.reshape(-1, 3).take(flat, axis=0)
+        # |phi - pi/2| of a node is its longitude from the arc's midpoint +z.
+        edge = span - np.abs(np.arctan2(nodes[:, 0], nodes[:, 2]))
+        reach = np.maximum(np.cos(edge), 0.0)
+        reach += self.band_sine * np.abs(nodes[:, 1])
+        starts = np.cumsum([0] + sizes[:-1])
+        return np.maximum.reduceat(reach, starts) >= math.cos(self.params.theta_max)
 
     def route_rows(
         self, n_sat: int, ids: np.ndarray, rows: np.ndarray, whole: Callable
@@ -406,7 +489,7 @@ class TrialCell:
         shell, then src (``n_sat``) and dst.
         """
         (route,), redo = self.route_band_first(
-            self.stack_one(rows), n_sat, lambda _: self.stack_one(whole())
+            self.stack_one(rows), n_sat, lambda _: self.stack_one(whole()), math.pi
         )
         if redo:
             return route
@@ -418,7 +501,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     """The shared part of every trial of a cell routed with ``strategy``.
 
     ``leoroute route`` (:meth:`TrialCell.route_rows`) and the Monte Carlo
-    trials both route through it, band first
+    trials both route through it, band or patch first
     (:meth:`TrialCell.route_band_first`). Raises InvalidInputError for
     ``ideal``, which routes through no satellites, for a strategy not in
     :data:`STRATEGIES`, and when the endpoints coincide
@@ -432,6 +515,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         raise InvalidInputError("src and dst are the same point")
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
+    span = _patch_span(params, strategy, halfwidth)
     return TrialCell(
         params=params,
         strategy=strategy,
@@ -439,6 +523,8 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         endpoints=endpoints,
         halfwidth=halfwidth,
         band_sine=band_sine,
+        span=span,
+        drawn_span=min(span * (1.0 + _BAND_SLACK), math.pi),
         reference_ms=reference_latency_ms(params),
     )
 
@@ -450,11 +536,11 @@ def _run_batch(
     counts: list[int],
     start: int,
 ) -> list[TrialRecord]:
-    """Records of the trials from ``start`` on whose bands hold ``counts``
-    satellites, drawn from their block's generator ``rng`` and routed
-    together."""
-    n_sat, sine = cell.params.n_sat, cell.band_sine
-    bands = cell.stack(sample_bands(rng, counts, sine), counts)
+    """Records of the trials from ``start`` on whose patches hold
+    ``counts`` satellites, drawn from their block's generator ``rng`` and
+    routed together."""
+    n_sat, sine, span = cell.params.n_sat, cell.band_sine, cell.drawn_span
+    patches = cell.stack(sample_bands(rng, counts, sine, span), counts)
 
     def whole(redo: list[int]) -> ShellStack:
         # The rest of a shell is drawn only for a trial that needs it, from
@@ -462,12 +548,12 @@ def _run_batch(
         rows = np.empty((len(redo), n_sat + 2, 3))
         for shell, k in zip(rows, redo):
             count = counts[k]
-            shell[:count] = bands.rows[k, :count]
+            shell[:count] = patches.rows[k, :count]
             own = np.random.default_rng(trial_seed(base_seed, start + k))
-            sample_band_complement(own, sine, shell[count:n_sat])
+            sample_band_complement(own, sine, shell[count:n_sat], span)
         return cell.stack(rows, [n_sat] * len(redo))
 
-    routes, _ = cell.route_band_first(bands, n_sat, whole)
+    routes, _ = cell.route_band_first(patches, n_sat, whole, cell.span)
     records = []
     for i, route in enumerate(routes, start):
         latency = None if route.interrupted else route.latency
@@ -485,13 +571,13 @@ def _run_batch(
 
 def _run_chunk(args: tuple) -> list[TrialRecord]:
     """Records of trials ``start`` to ``stop``; ``start`` begins a block.
-    Each block's batches are sized from its band counts."""
+    Each block's batches are sized from its patch counts."""
     cell, base_seed, start, stop = args
     records = []
     for first in range(start, stop, _BLOCK_TRIALS):
         rng = np.random.default_rng(block_seed(base_seed, first // _BLOCK_TRIALS))
         counts = sample_band_counts(
-            rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS
+            rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS, cell.drawn_span
         )[: stop - first].tolist()
         batch = max(1, _BATCH_ROWS // (max(counts) + 2))
         for lo in range(0, len(counts), batch):

@@ -268,6 +268,132 @@ def test_band_sampler_validates_inputs():
     assert len(sample_band(rng, 25, 1.0)) == 25
 
 
+def patch_longitude(rows):
+    """|phi - pi/2| of each row, phi = atan2(u_z, u_x): its longitude about
+    the y axis from the +z axis."""
+    return np.abs(np.arctan2(rows[:, 0], rows[:, 2]))
+
+
+@pytest.mark.parametrize("span", [0.4, 1.8418, 3.0])
+def test_patch_then_complement_is_a_uniform_shell(span):
+    """Patch plus complement from one generator: n_sat i.i.d. uniform
+    satellites, and no complement row inside the patch."""
+    n_sat, band_sine, seeds = 3236, 0.1065, 50
+    counts, heights, longitudes = [], [], []
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        (k,) = sample_band_counts(rng, n_sat, band_sine, 1, span).tolist()
+        patch = sample_bands(rng, [k], band_sine, span)[0, :k]
+        rest = np.empty((n_sat - k, 3))
+        sample_band_complement(rng, band_sine, rest, span)
+        assert np.all(np.abs(patch[:, 1]) <= band_sine)
+        assert np.all(patch_longitude(patch) <= span * (1.0 + 1e-12))
+        inside = (np.abs(rest[:, 1]) < band_sine) & (
+            patch_longitude(rest) < span * (1.0 - 1e-12)
+        )
+        assert not inside.any()
+        shell = np.vstack([patch, rest])
+        assert np.allclose(np.linalg.norm(shell, axis=1), 1.0, atol=1e-12)
+        counts.append(k)
+        heights.append(shell[:, 1])
+        longitudes.append(np.arctan2(shell[:, 2], shell[:, 0]))
+    y = np.concatenate(heights)
+    assert stats.kstest(y, stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3
+    phi = np.concatenate(longitudes)
+    assert stats.kstest(phi, stats.uniform(-math.pi, 2.0 * math.pi).cdf).pvalue > 1e-3
+    # The complement's band share and the rest each hold their share too.
+    band = np.abs(y) <= band_sine
+    circle = stats.uniform(-math.pi, 2.0 * math.pi).cdf
+    assert stats.kstest(phi[band], circle).pvalue > 1e-3
+    # K ~ Binomial(n_sat, s L / pi).
+    p = band_sine * span / math.pi
+    standard_error = math.sqrt(n_sat * p * (1.0 - p) / seeds)
+    assert abs(np.mean(counts) - n_sat * p) < 5.0 * standard_error
+
+
+def trial_patch(rng, k, band_sine, span):
+    """One patch of ``k`` satellites, drawn with two ``uniform`` calls."""
+    y = rng.uniform(-band_sine, band_sine, k)
+    phi = rng.uniform(0.5 * math.pi - span, 0.5 * math.pi + span, k)
+    return trial_band_rows(y, phi)
+
+
+def trial_patch_complement(rng, count, band_sine, span):
+    """One trial's complement of a patch, from three ``random`` calls: the
+    band share q first, then the rest of the shell."""
+    u, sign, v = rng.random(count), rng.random(count), rng.random(count)
+    q = band_sine * (math.pi - span) / (math.pi - band_sine * span)
+    in_band = u < q
+    # A band of the whole sphere leaves no rest.
+    outer = (u - q) * ((1.0 - band_sine) / (1.0 - q)) + band_sine if q < 1.0 else u
+    magnitude = np.where(in_band, u * (band_sine / q), outer)
+    low = 0.5 * math.pi + span
+    phi = np.where(
+        in_band, low + (2.5 * math.pi - span - low) * v, 2.0 * math.pi * v
+    )
+    return trial_band_rows(np.where(sign < 0.5, -magnitude, magnitude), phi)
+
+
+@pytest.mark.parametrize("band_sine, span", [(0.0555, 0.9), (0.21, 2.5), (1.0, 1.3)])
+def test_patch_batch_draw_equals_the_trial_by_trial_draws(band_sine, span):
+    """From one generator, the patch counts, then the patches in one batch,
+    in batches of one or in uneven batches, give bit for bit the rows and
+    the generator state of each patch drawn on its own with ``uniform``
+    calls, in order; and the complement the rows of its own three
+    ``random`` calls."""
+    for n_sat, size in itertools.product((1, 650, 11927), (1, 48)):
+        seed = 1000 * n_sat + 7 * size
+        rng, own, one, split = (np.random.default_rng(seed) for _ in range(4))
+        counts = sample_band_counts(rng, n_sat, band_sine, size, span).tolist()
+        assert counts == own.binomial(n_sat, band_sine * span / math.pi, size).tolist()
+        for other in (one, split):
+            again = sample_band_counts(other, n_sat, band_sine, size, span)
+            assert again.tolist() == counts
+        rows = sample_bands(rng, counts, band_sine, span)
+        assert rows.shape == (size, max(counts) + 2, 3)
+        expected = [trial_patch(own, k, band_sine, span).tobytes() for k in counts]
+        assert [shell[:k].tobytes() for shell, k in zip(rows, counts)] == expected
+        assert not any(shell[k:].any() for shell, k in zip(rows, counts))
+        singles = [
+            sample_bands(one, [k], band_sine, span)[0, :k].tobytes() for k in counts
+        ]
+        assert singles == expected
+        pieces, at = [], 0
+        for width in itertools.cycle((5, 1, 17)):
+            part = counts[at : at + width]
+            if not part:
+                break
+            batch = sample_bands(split, part, band_sine, span)
+            pieces += [shell[:k].tobytes() for shell, k in zip(batch, part)]
+            at += width
+        assert pieces == expected
+        rest = np.empty((n_sat - counts[-1], 3))
+        sample_band_complement(rng, band_sine, rest, span)
+        expected = trial_patch_complement(own, len(rest), band_sine, span).tobytes()
+        assert rest.tobytes() == expected
+        for other in (one, split):
+            again = np.empty_like(rest)
+            sample_band_complement(other, band_sine, again, span)
+            assert again.tobytes() == expected
+            assert other.bit_generator.state == own.bit_generator.state
+        assert rng.bit_generator.state == own.bit_generator.state
+
+
+def test_patch_sampler_validates_its_span():
+    rng = np.random.default_rng(0)
+    for bad in (0.0, -1.0, 3.2, math.nan):
+        with pytest.raises(InvalidInputError, match="half-span"):
+            sample_band_counts(rng, 10, 0.1, 1, bad)
+        with pytest.raises(InvalidInputError, match="half-span"):
+            sample_bands(rng, [3], 0.1, bad)
+        with pytest.raises(InvalidInputError, match="half-span"):
+            sample_band_complement(rng, 0.1, np.empty((3, 3)), bad)
+    # A patch of the whole band is the band.
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    whole = sample_bands(a, [40], 0.3, math.pi)
+    assert whole.tobytes() == sample_bands(b, [40], 0.3).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n_sat=st.integers(1, 3000),

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoroute.analysis import (
     latency_floor,
@@ -417,10 +419,10 @@ def test_sparse_constellation_interrupts_greedy_walks():
 def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
     """Each trial equals a router call on its whole shell and the cell's plan.
 
-    A trial routes on the band around the arc first and draws the rest of
-    its shell only when it cannot certify that route; either way its record
-    must be the route over all N satellites (band, then complement, from
-    the trial's seed) under the plan for N satellites. Each cell runs a
+    A trial routes on a patch of the band around the arc first and draws
+    the rest of its shell only when it cannot certify that route; either way
+    its record must be the route over all N satellites (patch, then
+    complement, from the trial's seed) under the plan for N satellites. Each cell runs a
     block of trials, routed as one batch, and 5 more, so trials are routed
     in batches, with collisions, repairs and complement draws among them.
     """
@@ -451,20 +453,20 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
         trials = experiments._BLOCK_TRIALS + 5
         records = run_trials(params, strategy, trials=trials, base_seed=11)
         src, dst = make_endpoints(params.radius, params.arc_angle)
-        band_sine = cell.band_sine
+        band_sine, span = cell.band_sine, cell.drawn_span
         for rec in records:
-            # The band is a lane of its block's stream, and the rest of the
+            # The patch is a lane of its block's stream, and the rest of the
             # shell comes from the trial's own stream.
             block, lane = divmod(rec.trial_index, experiments._BLOCK_TRIALS)
             rng = np.random.default_rng(block_seed(11, block))
             counts = sample_band_counts(
-                rng, params.n_sat, band_sine, experiments._BLOCK_TRIALS
+                rng, params.n_sat, band_sine, experiments._BLOCK_TRIALS, span
             ).tolist()
             k = counts[lane]
             units = np.empty((params.n_sat, 3))
-            units[:k] = sample_bands(rng, counts[: lane + 1], band_sine)[lane, :k]
+            units[:k] = sample_bands(rng, counts[: lane + 1], band_sine, span)[lane, :k]
             rest = np.random.default_rng(trial_seed(11, rec.trial_index))
-            sample_band_complement(rest, band_sine, units[k:])
+            sample_band_complement(rest, band_sine, units[k:], span)
             shell = Constellation.from_unit_rows(
                 params.r_earth_km, params.altitude_km, units
             ).with_extra_points([src, dst])
@@ -664,7 +666,8 @@ def test_batched_greedy_trials_equal_trials_routed_one_at_a_time(
                 capped += rec.n_hops_final == 4 * plan.n_hat
                 dead_ends += rec.n_hops_final < 4 * plan.n_hat
     assert capped > 0 and dead_ends > 0
-    # Only min-deflection reaches past its band (max-stepsize keeps to it).
+    # Only min-deflection reaches past its band: max-stepsize keeps to it,
+    # and none of these walks comes near its patch's edge.
     assert bool(drawn) == (strategy == "min-deflection")
 
 
@@ -751,6 +754,114 @@ def test_band_first_route_equals_the_route_on_the_whole_shell():
     assert route.status.value == "ok" and not sure
 
 
+def patch_and_whole_routes(cell, seed, lanes):
+    """The routes of ``lanes`` trial shells through their patches, band
+    first (:meth:`TrialCell.route_band_first`), the shells it re-routed,
+    and the routes through the whole shells: each shell's patch rows, then
+    its own drawn complement."""
+    params, s, span = cell.params, cell.band_sine, cell.drawn_span
+    rng = np.random.default_rng(seed)
+    counts = sample_band_counts(rng, params.n_sat, s, lanes, span).tolist()
+    patches = cell.stack(sample_bands(rng, counts, s, span), counts)
+    rows = np.empty((lanes, params.n_sat + 2, 3))
+    for b, k in enumerate(counts):
+        rows[b, :k] = patches.rows[b, :k]
+        sample_band_complement(rng, s, rows[b, k : params.n_sat], span)
+    wholes = cell.stack(rows, [params.n_sat] * lanes)
+
+    def whole(redo):
+        return cell.stack(rows[redo], [params.n_sat] * len(redo))
+
+    routes, redo = cell.route_band_first(patches, params.n_sat, whole, cell.span)
+    return routes, redo, cell.route_batch(wholes), counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shell=st.sampled_from(["800", "starlink", "kuiper", "oneweb"]),
+    arc=st.floats(0.3, math.pi),
+    strategy=st.sampled_from(STRATEGIES[1:]),
+    epsilon=st.sampled_from([0.1, 0.01]),
+    narrow=st.just(1.0) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_certified_patch_routes_are_the_routes_on_the_whole_shell(
+    shell, arc, strategy, epsilon, narrow, seed
+):
+    """Whenever a trial's route through its patch is certified, it is hop
+    for hop the route through the patch rows plus that trial's drawn
+    complement. A greedy walk's patch may also be narrowed toward
+    a/2 + theta_max (``narrow`` < 1), since its certificate must hold for
+    any patch; equal-interval keeps its margin w, which its certificate
+    needs."""
+    if shell == "800":
+        params = CellParams(800, 500.0, arc, epsilon=epsilon)
+    else:
+        params = CellParams.from_preset(shell, epsilon=epsilon, arc_angle=arc)
+    plan = plan_hops(arc, params.theta_max, params.n_sat, params.epsilon)
+    if strategy == "equal-interval" and plan.immediate_type1:
+        return
+    cell = trial_cell(params, strategy, plan)
+    if strategy != "equal-interval" and cell.span < math.pi:
+        span = arc / 2.0 + params.theta_max + narrow * cell.halfwidth
+        cell = replace(cell, span=span, drawn_span=min(span * (1.0 + 1e-9), math.pi))
+    routes, redo, wholes, counts = patch_and_whole_routes(cell, seed, 8)
+    n_sat = params.n_sat
+    for k, (route, on_whole) in enumerate(zip(routes, wholes)):
+        if k in redo:
+            assert route == on_whole
+            continue
+        # The patch route's src and dst are IDs counts[k] and counts[k] + 1.
+        ids = list(range(counts[k])) + [n_sat, n_sat + 1]
+        assert [ids[h] for h in route.hops] == list(on_whole.hops)
+        assert route.status == on_whole.status
+        assert route.hop_distances == on_whole.hop_distances
+
+
+def test_a_walk_that_overruns_dst_toward_the_patch_edge_is_rerouted():
+    """A max-stepsize walk keeps to its belt, so its band certifies it; but
+    a relay that overruns dst toward the patch's edge at a high latitude is
+    in hop range of the band outside the patch, so its trial re-routes on
+    the whole shell."""
+    params = CellParams(60, 500.0, 2.0, epsilon=0.1)
+    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+    cell = trial_cell(params, "max-stepsize", plan)
+    assert cell.span < math.pi
+
+    def at(along, latitude):
+        """The unit row at ``along`` rad in longitude from the arc's
+        midpoint and ``latitude`` rad off the arc."""
+        phi = 0.5 * math.pi + along
+        return [
+            math.cos(latitude) * math.cos(phi),
+            math.sin(latitude),
+            math.cos(latitude) * math.sin(phi),
+        ]
+
+    # src and dst sit at -1 and +1 rad; the fifth relay is 0.15 rad past dst.
+    relays = [(-0.6, 0.08), (-0.2, 0.25), (0.21, 0.44), (0.66, 0.5), (1.15, 0.5)]
+    patch = np.array([at(*r) for r in relays + [(1.0, 0.12)]])
+    (route,) = cell.route_batch(cell.stack_one(patch))
+    assert route.status.value == "ok" and route.hops == (6, 0, 1, 2, 3, 4, 5, 7)
+    assert route.band_reach <= cell.halfwidth
+    # A satellite of the band just outside the patch: the rest of the shell.
+    units = np.vstack([patch, [at(cell.drawn_span + 0.01, 0.3)]])
+    asked = []
+
+    def whole(redo):
+        asked.append(redo)
+        return cell.stack_one(units)
+
+    (patch_first,), redo = cell.route_band_first(
+        cell.stack_one(patch), len(units), whole, cell.span
+    )
+    assert redo == [0] and asked == [[0]]
+    assert [patch_first] == cell.route_batch(cell.stack_one(units))
+    # The same rows as a whole band are certified by the band alone.
+    _, redo = cell.route_band_first(cell.stack_one(patch), len(units), whole, math.pi)
+    assert redo == []
+
+
 def test_trial_cell_rejects_ideal_and_unknown_names():
     params = CellParams.from_preset("kuiper", epsilon=0.1)
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
@@ -764,9 +875,9 @@ def test_trial_cell_rejects_ideal_and_unknown_names():
 
 
 def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
-    """A block draws its band counts once and is one batch, or, under a
+    """A block draws its patch counts once and is one batch, or, under a
     smaller ``_BATCH_ROWS``, batches of as many lanes as the budget holds
-    for its largest band. Each batch draws its bands in one call, routes
+    for its largest patch. Each batch draws its patches in one call, routes
     them in one router call, and routes the whole shells of the trials it
     cannot certify in one more, each after drawing its complement: never
     one call per trial, and never through a one-shell router."""
@@ -779,14 +890,14 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
         log.append(("route", len(stack.counts)))
         return route_equal_interval_batch(stack, *args)
 
-    def bands(rng, counts, s):
-        log.append(("bands", len(counts)))
-        return sample_bands(rng, counts, s)
+    def bands(*args):
+        log.append(("bands", len(args[1])))
+        return sample_bands(*args)
 
     drawn_counts = []
 
     def band_counts(*args):
-        log.append(("counts", args[-1]))
+        log.append(("counts", args[3]))
         drawn_counts.append(sample_band_counts(*args))
         return drawn_counts[-1]
 
@@ -806,8 +917,8 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
     block = experiments._BLOCK_TRIALS
     trials = 2 * block + 5
     blocks = ((0, block), (block, 2 * block), (2 * block, trials))
-    # The default budget, then one of 6 lanes a batch: these bands hold
-    # 134 +- 9 satellites, at most 157.
+    # The default budget, then one of 9 to 11 lanes a batch: these patches
+    # hold 78 +- 8 satellites, at most 103.
     for rows in (experiments._BATCH_ROWS, 1000):
         log.clear()
         drawn_counts.clear()
@@ -879,13 +990,17 @@ def test_records_do_not_depend_on_the_batch_size(monkeypatch, batch_sizes):
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
-        sine = trial_cell(params, strategy, plan).band_sine
+        cell = trial_cell(params, strategy, plan)
         records = run_trials(params, strategy, trials=70, base_seed=4)
-        # The widest band stack row of each block: of all 64 lanes, then 6.
+        # The widest patch stack row of each block: of all 64 lanes, then 6.
         widths = [
             max(
                 sample_band_counts(
-                    np.random.default_rng(block_seed(4, b)), params.n_sat, sine, block
+                    np.random.default_rng(block_seed(4, b)),
+                    params.n_sat,
+                    cell.band_sine,
+                    block,
+                    cell.drawn_span,
                 )[:lanes]
             )
             + 2
