@@ -215,6 +215,7 @@ def iteration_bound(epsilon: float, theta_max: float, n_sat: int) -> float:
     return math.log1p(-epsilon) / denom
 
 
+@functools.lru_cache(maxsize=64)
 def plan_hops(
     arc_angle: float, theta_max: float, n_sat: int, epsilon: float
 ) -> HopPlan:
@@ -225,7 +226,8 @@ def plan_hops(
     and theta_max/2. Dropping below the slack ends the search with a
     feasible plan; exceeding theta_max/2 ends it with a type-I
     interruption (no hop count can satisfy the budget). Boundary equality
-    keeps searching.
+    keeps searching. The plan of a cell is cached, as every trial, table
+    and route of the cell asks for it again.
     """
     if not 0.0 < arc_angle <= math.pi:
         raise InvalidInputError(f"arc_angle must be in (0, pi], got {arc_angle}")

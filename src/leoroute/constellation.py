@@ -8,8 +8,9 @@ rows, and satellite IDs are 0-based row indices.
 :func:`sample_bpp` shell but builds only the rows of its satellites with
 |u_y| <= s, bit for bit as :func:`sample_bpp` builds them.
 
-:func:`sample_band_counts`, :func:`sample_bands` and
-:func:`sample_band_complement` draw the same process in two parts, split at
+:func:`sample_band_counts`, :func:`sample_patches` (or
+:func:`sample_bands`, its unit rows) and :func:`sample_band_complement`
+draw the same process in two parts, split at
 a patch: the band |u_y| <= s around the xz great circle, cut to the
 longitudes |phi - pi/2| <= L about the y axis, phi = atan2(u_z, u_x)
 (L = pi keeps the whole band). First they draw how many satellites fall
@@ -253,23 +254,23 @@ def sample_band_counts(
     return rng.binomial(n_sat, s * (span / math.pi), size)
 
 
-def sample_bands(
+def sample_patches(
     rng: np.random.Generator,
     counts: Sequence[int],
     s: float,
     span: float = math.pi,
-) -> np.ndarray:
-    """The satellites of patches |u_y| <= s, |phi - pi/2| <= ``span`` that
-    hold ``counts[b]`` satellites each: shell b's unit rows are
-    ``rows[b, :counts[b]]`` of one zero-padded (B, max K + 2, 3) array,
-    which keeps two rows for each shell's endpoints.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heights u_y and longitudes phi of the satellites of patches
+    |u_y| <= s, |phi - pi/2| <= ``span`` that hold ``counts[b]``
+    satellites each: shell b's are ``[b, :counts[b]]`` of two (B, max K + 2)
+    arrays, whose other entries are padding.
 
     Each satellite of a patch is uniform in it. One ``random`` call draws
     2 K uniforms a patch, patch after patch: its K heights, then its K
     longitudes, bit for bit ``uniform(-s, s)`` and ``uniform`` calls on
     [pi/2 - span, pi/2 + span] ([0, 2 pi] for the whole band). So drawing
-    the patches in one batch or in several, in order, gives the same rows.
-    One pass turns the batch to rows.
+    the patches in one batch or in several, in order, gives the same
+    satellites.
 
     Raises:
         InvalidInputError: If s is outside [0, 1] or ``span`` outside
@@ -292,10 +293,37 @@ def sample_bands(
         _scale(longitudes, 0.5 * math.pi - span, 0.5 * math.pi + span)
     else:
         _scale(longitudes, 0.0, 2.0 * math.pi)
-    rows = np.empty((len(counts), width, 3))
-    _unit_rows(rows, heights, longitudes)
+    return heights, longitudes
+
+
+def sample_bands(
+    rng: np.random.Generator,
+    counts: Sequence[int],
+    s: float,
+    span: float = math.pi,
+) -> np.ndarray:
+    """The satellites of :func:`sample_patches`' patches as unit rows:
+    shell b's are ``rows[b, :counts[b]]`` of one zero-padded
+    (B, max K + 2, 3) array, which keeps two rows for each shell's
+    endpoints. One pass turns the batch to rows.
+
+    Raises:
+        InvalidInputError: If s is outside [0, 1] or ``span`` outside
+            (0, pi].
+    """
+    heights, longitudes = sample_patches(rng, counts, s, span)
+    rows = unit_rows(heights, longitudes)
     for b, k in enumerate(counts):
         rows[b, k:] = 0.0
+    return rows
+
+
+def unit_rows(heights: np.ndarray, longitudes: np.ndarray) -> np.ndarray:
+    """Unit rows of the satellites at ``heights`` u_y and ``longitudes``
+    phi = atan2(u_z, u_x), overwriting ``heights``; each row is bit for bit
+    the same whichever other satellites the arrays hold."""
+    rows = np.empty(heights.shape + (3,))
+    _unit_rows(rows, heights, longitudes)
     return rows
 
 

@@ -31,6 +31,20 @@ applies the band rule to one shell (:meth:`TrialCell.route_rows`): it
 routes on the shell's whole band first, and asks for the whole shell only
 when that route is not certified.
 
+Snap windows. An equal-interval target j sits on the arc at longitude
+phi_j = pi/2 - a/2 + j a/n, and a satellite at longitude phi is at least
+|phi - phi_j| from it. So a satellite farther than w in longitude from
+every target cannot beat a pick within w, and where the windows
+|phi - phi_j| <= w hold at most half the patch (starlink: 0.889 and 1.000
+of 3.253 rad), a trial routes only the satellites of its patch inside
+them first (:meth:`TrialCell.window_stack`). Their rows are all it builds
+from the patch's uniforms; a route through them with band reach at most w
+is the route through the whole shell, and any other trial routes again on
+its whole shell: the patch's rows, built from the kept uniforms in drawn
+order, then its complement. Elsewhere the windows would save less than
+picking them costs (kuiper: 2.347 and 2.560 of 3.355 rad; on the sweep
+shell they overlap), and a trial routes its whole patch first.
+
 Random streams. Trials come in blocks of ``_BLOCK_TRIALS`` (64), counted
 from trial 0: trial i is lane i % 64 of block i // 64. Each block has one
 generator, seeded by :func:`block_seed` (a splitmix64 hash of the base
@@ -46,7 +60,8 @@ A block is routed as one batch, for every sampled strategy, unless its
 patch stack, its lanes times its largest patch count plus 2 rows, would
 pass ``_BATCH_ROWS`` (65536); then it splits into batches of as many
 lanes as fit, at least one. One ``random`` call draws the batch's
-patches, and one trig pass writes every patch's rows, then its endpoints,
+patches, and one trig pass writes every patch's rows (only its window
+satellites', where the cell has snap windows), then its endpoints,
 straight into the batch's :class:`~leoroute.routing.ShellStack`. One batch router
 call routes the stack: :func:`~leoroute.routing.route_equal_interval_batch`
 computes the cell's targets once, snaps all shells in one lockstep pass
@@ -68,6 +83,7 @@ follow from the base seed and that index.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -94,6 +110,8 @@ from .constellation import (
     sample_band_complement,
     sample_band_counts,
     sample_bands,
+    sample_patches,
+    unit_rows,
 )
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
@@ -101,6 +119,7 @@ from .geometry import R_EARTH_KM, SpherePoint, coincident
 from .routing import (
     Route,
     ShellStack,
+    pack_lanes,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
@@ -247,9 +266,10 @@ class TrialRecord:
     lie within the cell's span of the arc's midpoint) is lane
     ``trial_index % 64`` of the block ``trial_index // 64``
     (:func:`block_seed`); the rest of its shell, uniform outside the patch
-    and drawn only when its patch route is not certified (the band reach,
-    and for a greedy walk the along-arc test), comes from the stream seeded
-    by :func:`trial_seed`. The strategy and base seed are the caller's.
+    and drawn only when its patch (or snap-window) route is not certified
+    (the band reach, and for a greedy walk the along-arc test), comes from
+    the stream seeded by :func:`trial_seed`. The strategy and base seed are
+    the caller's.
     """
 
     trial_index: int
@@ -363,6 +383,34 @@ def _patch_span(params: CellParams, strategy: str, halfwidth: float) -> float:
     return min(params.arc_angle / 2.0 + margin, math.pi)
 
 
+def _snap_windows(
+    params: CellParams, strategy: str, plan: HopPlan, halfwidth: float, span: float
+) -> Optional[tuple[float, float, int, float]]:
+    """Equal-interval's snap windows on a patch of half-span ``span``, or
+    None where they would keep more than half of it.
+
+    Target j (1 to n - 1) sits on the arc at longitude
+    phi_j = pi/2 - a/2 + j a/n, and its window is the part of the band
+    within w of it in longitude, widened by ``_BAND_SLACK``. A satellite at
+    longitude phi is at least |phi - phi_j| from target j, so one outside
+    every window is farther than w from every target and cannot beat a
+    pick within w: a route through the windows whose band reach is at most
+    w is the route through the whole shell. Returns the first target's
+    longitude, the targets' spacing, their count and the windows'
+    half-width.
+    """
+    targets = plan.n_hat - 1
+    if strategy != "equal-interval" or span >= math.pi or targets < 1:
+        return None
+    step = params.arc_angle / plan.n_hat
+    reach = halfwidth * (1.0 + _BAND_SLACK)
+    # The windows' union: apart, or each overlapping the next.
+    cover = (targets - 1) * min(2.0 * reach, step) + 2.0 * reach
+    if cover > span:
+        return None
+    return 0.5 * (math.pi - params.arc_angle) + step, step, targets, reach
+
+
 @dataclass(frozen=True)
 class TrialCell:
     """What every sampled trial of a cell shares, computed once per cell."""
@@ -385,6 +433,10 @@ class TrialCell:
     #: first.
     drawn_span: float
     reference_ms: float
+    #: Equal-interval's snap windows (:func:`_snap_windows`): a trial
+    #: routes only the satellites of its patch inside them first. None
+    #: routes the whole patch first.
+    windows: Optional[tuple[float, float, int, float]]
 
     def stack(self, rows: np.ndarray, counts: list[int]) -> ShellStack:
         """The shells whose satellites are ``rows[b, :counts[b]]``, each
@@ -402,6 +454,34 @@ class TrialCell:
         rows = np.empty((1, len(units) + 2, 3))
         rows[0, : len(units)] = units
         return self.stack(rows, [len(units)])
+
+    def in_windows(self, longitudes: np.ndarray) -> np.ndarray:
+        """Whether each satellite at ``longitudes`` lies in one of the
+        cell's snap windows."""
+        first, step, targets, reach = self.windows
+        along = np.subtract(longitudes, first)
+        along /= step
+        # The index of the nearest target, counted from 0.
+        nearest = np.minimum(np.maximum(along, 0.0), targets - 1.0)
+        along -= np.rint(nearest, out=nearest)
+        return np.abs(along, out=along) <= reach / step
+
+    def window_stack(
+        self, heights: np.ndarray, longitudes: np.ndarray, counts: list[int]
+    ) -> ShellStack:
+        """The shells of the satellites of each patch (heights u_y and
+        longitudes of :func:`~leoroute.constellation.sample_patches`, shell
+        b's the first ``counts[b]``) that lie in the cell's snap windows,
+        in drawn order, each followed by the cell's endpoints. Only their
+        rows are built."""
+        keep = self.in_windows(longitudes)
+        keep &= np.arange(keep.shape[1]) < np.array(counts)[:, None]
+        source, target, kept = pack_lanes(keep)
+        rows = np.zeros((len(counts), max(kept) + 2, 3))
+        rows.reshape(-1, 3)[target] = unit_rows(
+            heights.take(source), longitudes.take(source)
+        )
+        return self.stack(rows, kept)
 
     def route_batch(self, stack: ShellStack) -> list[Route]:
         """Routes between the cell's endpoints through each shell of
@@ -424,8 +504,9 @@ class TrialCell:
 
         The shells of ``bands`` hold the satellites of a patch of the band
         (:func:`_patch_span`): the longitudes |phi - pi/2| <= ``span``, pi
-        for the whole band. ``redo`` holds those short of ``n_rows``
-        satellites whose route a satellite outside the patch could have
+        for the whole band; or only those of its snap windows
+        (:meth:`window_stack`). ``redo`` holds those short of ``n_rows``
+        satellites whose route a satellite they lack could have
         changed: its route reaches past ``halfwidth``, or it is a greedy
         walk on a patch narrower than the band and a satellite outside the
         patch could lie in hop range of a node it scanned
@@ -497,8 +578,10 @@ class TrialCell:
         return replace(route, hops=tuple(ids[list(route.hops)].tolist()))
 
 
+@functools.lru_cache(maxsize=64)
 def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
-    """The shared part of every trial of a cell routed with ``strategy``.
+    """The shared part of every trial of a cell routed with ``strategy``,
+    cached like the plan it takes.
 
     ``leoroute route`` (:meth:`TrialCell.route_rows`) and the Monte Carlo
     trials both route through it, band or patch first
@@ -511,6 +594,8 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         raise InvalidInputError(f"{strategy!r} is not one of {STRATEGIES[1:]}")
     src, dst = make_endpoints(params.radius, params.arc_angle)
     endpoints = point_rows([src, dst])
+    # Every caller of the cached cell shares them.
+    endpoints.setflags(write=False)
     if coincident(*endpoints):
         raise InvalidInputError("src and dst are the same point")
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
@@ -526,6 +611,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         span=span,
         drawn_span=min(span * (1.0 + _BAND_SLACK), math.pi),
         reference_ms=reference_latency_ms(params),
+        windows=_snap_windows(params, strategy, plan, halfwidth, span),
     )
 
 
@@ -538,9 +624,23 @@ def _run_batch(
 ) -> list[TrialRecord]:
     """Records of the trials from ``start`` on whose patches hold
     ``counts`` satellites, drawn from their block's generator ``rng`` and
-    routed together."""
+    routed together: through their snap windows first, when the cell has
+    them, else through their patches."""
     n_sat, sine, span = cell.params.n_sat, cell.band_sine, cell.drawn_span
-    patches = cell.stack(sample_bands(rng, counts, sine, span), counts)
+    if cell.windows is None:
+        patches = cell.stack(sample_bands(rng, counts, sine, span), counts)
+
+        def patch(k: int, out: np.ndarray) -> None:
+            out[:] = patches.rows[k, : len(out)]
+
+    else:
+        heights, longitudes = sample_patches(rng, counts, sine, span)
+        patches = cell.window_stack(heights, longitudes, counts)
+
+        def patch(k: int, out: np.ndarray) -> None:
+            # The rows of the patch, bit for bit as its draw builds them.
+            count = len(out)
+            out[:] = unit_rows(heights[k, :count].copy(), longitudes[k, :count])
 
     def whole(redo: list[int]) -> ShellStack:
         # The rest of a shell is drawn only for a trial that needs it, from
@@ -548,7 +648,7 @@ def _run_batch(
         rows = np.empty((len(redo), n_sat + 2, 3))
         for shell, k in zip(rows, redo):
             count = counts[k]
-            shell[:count] = patches.rows[k, :count]
+            patch(k, shell[:count])
             own = np.random.default_rng(trial_seed(base_seed, start + k))
             sample_band_complement(own, sine, shell[count:n_sat], span)
         return cell.stack(rows, [n_sat] * len(redo))

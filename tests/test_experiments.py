@@ -24,6 +24,8 @@ from leoroute.constellation import (
     sample_band_counts,
     sample_bands,
     sample_bpp,
+    sample_patches,
+    unit_rows,
 )
 from leoroute import experiments
 from leoroute.errors import InvalidInputError
@@ -816,6 +818,117 @@ def test_certified_patch_routes_are_the_routes_on_the_whole_shell(
         assert [ids[h] for h in route.hops] == list(on_whole.hops)
         assert route.status == on_whole.status
         assert route.hop_distances == on_whole.hop_distances
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shell=st.sampled_from(["800", "3000", "starlink", "kuiper"]),
+    arc=st.floats(0.3, math.pi),
+    epsilon=st.sampled_from([0.1, 0.01]),
+    seed=st.integers(0, 2**32),
+)
+def test_certified_window_routes_are_the_routes_on_the_whole_shell(
+    shell, arc, epsilon, seed
+):
+    """An equal-interval route through the satellites of a patch that lie
+    within w of a target's longitude, certified by its band reach (at most
+    w), is hop for hop the route through the whole shell: the patch's rows,
+    then its drawn complement. The windows are set from the arc here, so
+    this holds also where a cell does not take them."""
+    if shell in ("800", "3000"):
+        params = CellParams(int(shell), 500.0, arc, epsilon=epsilon)
+    else:
+        params = CellParams.from_preset(shell, epsilon=epsilon, arc_angle=arc)
+    plan = plan_hops(arc, params.theta_max, params.n_sat, params.epsilon)
+    if plan.type1_interrupted or plan.n_hat < 2:
+        return
+    n, n_sat, lanes = plan.n_hat, params.n_sat, 8
+    cell = trial_cell(params, "equal-interval", plan)
+    reach = cell.halfwidth * (1.0 + 1e-9)
+    first = 0.5 * math.pi - 0.5 * arc + arc / n
+    cell = replace(cell, windows=(first, arc / n, n - 1, reach))
+    s, span = cell.band_sine, cell.drawn_span
+    rng = np.random.default_rng(seed)
+    counts = sample_band_counts(rng, n_sat, s, lanes, span).tolist()
+    heights, longitudes = sample_patches(rng, counts, s, span)
+    windows = cell.window_stack(heights, longitudes, counts)
+    rows = np.empty((lanes, n_sat + 2, 3))
+    for b, k in enumerate(counts):
+        rows[b, :k] = unit_rows(heights[b, :k].copy(), longitudes[b, :k])
+        sample_band_complement(rng, s, rows[b, k:n_sat], span)
+    wholes = cell.route_batch(cell.stack(rows, [n_sat] * lanes))
+    centers = first + np.arange(n - 1) * (arc / n)
+    for b, (route, on_whole) in enumerate(zip(cell.route_batch(windows), wholes)):
+        along = longitudes[b, : counts[b], None]
+        inside = (np.abs(along - centers) <= reach).any(axis=1)
+        assert np.array_equal(cell.in_windows(along[:, 0]), inside)
+        # The window shell's rows are the patch rows inside, in drawn order.
+        ids = np.flatnonzero(inside).tolist()
+        assert windows.counts[b] == len(ids)
+        assert windows.rows[b, : len(ids)].tobytes() == rows[b, ids].tobytes()
+        if route.band_reach > cell.halfwidth:
+            continue
+        ids += [n_sat, n_sat + 1]
+        assert [ids[h] for h in route.hops] == list(on_whole.hops)
+        assert route.status == on_whole.status
+        assert route.hop_distances == on_whole.hop_distances
+
+
+def test_windows_only_where_they_drop_half_the_patch(monkeypatch):
+    """Equal-interval trials route through their snap windows first where
+    the windows cover at most half the patch: on starlink (0.889 and 1.000
+    of 3.253 rad), not on kuiper (2.347 and 2.560 of 3.355), nor on the
+    sweep shell, whose windows overlap, nor on a whole-sphere band. A
+    windowed block routes stacks of its window satellites, and its records
+    are those of whole shells (see
+    ``test_trials_route_their_full_shell_with_the_cell_plan``)."""
+    covers = {}
+    cells = [
+        CellParams.from_preset(preset, epsilon=eps)
+        for preset in ("starlink", "kuiper", "oneweb")
+        for eps in (0.1, 0.01)
+    ]
+    cells += [
+        CellParams(800, 500.0, d / 6871.0, epsilon=0.1) for d in SWEEP_DISTANCES_KM
+    ]
+    for params in cells:
+        plan = plan_hops(
+            params.arc_angle, params.theta_max, params.n_sat, params.epsilon
+        )
+        if plan.immediate_type1:
+            continue
+        cell = trial_cell(params, "equal-interval", plan)
+        for strategy in ("min-deflection", "max-stepsize"):
+            assert trial_cell(params, strategy, plan).windows is None
+        if cell.windows is None:
+            continue
+        first, step, targets, reach = cell.windows
+        assert targets == plan.n_hat - 1
+        assert step == pytest.approx(params.arc_angle / plan.n_hat)
+        covers[params.n_sat, params.epsilon] = (
+            round(targets * 2.0 * reach, 3), round(2.0 * cell.span, 3)
+        )
+    assert covers == {(11927, 0.1): (0.889, 3.253), (11927, 0.01): (1.0, 3.253)}
+
+    widths = []
+
+    def logged(stack, *args):
+        widths.append(max(stack.counts))
+        return route_equal_interval_batch(stack, *args)
+
+    monkeypatch.setattr(experiments, "route_equal_interval_batch", logged)
+    params = CellParams.from_preset("starlink", epsilon=0.1)
+    run_trials(params, "equal-interval", trials=64, base_seed=3)
+    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+    cell = trial_cell(params, "equal-interval", plan)
+    counts = sample_band_counts(
+        np.random.default_rng(block_seed(3, 0)),
+        params.n_sat,
+        cell.band_sine,
+        64,
+        cell.drawn_span,
+    )
+    assert widths[0] < 0.5 * max(counts)
 
 
 def test_a_walk_that_overruns_dst_toward_the_patch_edge_is_rerouted():

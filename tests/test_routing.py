@@ -373,6 +373,92 @@ def test_equal_interval_batch_matches_target_by_target_reference():
         ShellStack.of([shells[-1], other])
 
 
+def test_strip_snap_equals_the_snap_on_every_row(monkeypatch):
+    """Picks read from the strip near the arc are bit for bit the picks of
+    every row of the stack: on whole oneweb-like shells, one of them of
+    twin satellites (ties go to the lower ID), and with a narrow strip
+    whose lanes stray past it or run out of satellites, which snap again
+    on all their rows. Small snaps, which the strip would not pay for, are
+    let through here to test it, and read every row otherwise."""
+    altitude = 1200.0
+    src, dst = endpoints(math.pi, R_EARTH + altitude)
+    shells = [
+        sample_bpp(n, R_EARTH, altitude, seed=seed).with_extra_points([src, dst])
+        for seed, n in enumerate((650, 650, 600, 650, 520, 650, 431))
+    ]
+    twins = sample_bpp(325, R_EARTH, altitude, seed=9).unit_vectors.repeat(2, axis=0)
+    shells.append(
+        Constellation(R_EARTH, altitude, twins).with_extra_points([src, dst])
+    )
+    stack = ShellStack.of(shells)
+    snap = routing._snap
+    calls = []
+
+    def logged(rows, counts, targets):
+        calls.append(list(counts))
+        return snap(rows, counts, targets)
+
+    monkeypatch.setattr(routing, "_snap", logged)
+    targets, normal = great_arc(*stack.ends, np.arange(1, 69) / 69)
+    one = ShellStack.of(shells[:1])
+    routing._snap_near_arc(one, targets, normal)
+    routing._snap_near_arc(stack, targets, normal)
+    assert calls[0] == one.counts and len(calls[1]) == len(shells)
+    assert all(k < 0.5 * n for k, n in zip(calls[1], stack.counts))
+    monkeypatch.setattr(routing, "_STRIP_DOTS", 0)
+    fell_back = set()
+    # (targets + 1, satellites a cap of the strip's half-width holds)
+    for n_hat, satellites in ((69, 25), (12, 25), (20, 4), (69, 3)):
+        monkeypatch.setattr(routing, "_STRIP_SATELLITES", satellites)
+        targets, normal = great_arc(*stack.ends, np.arange(1, n_hat) / n_hat)
+        calls.clear()
+        picks = routing._snap_near_arc(stack, targets, normal)
+        assert np.array_equal(picks, snap(stack.rows, stack.counts, targets))
+        # A target takes the odd twin only once the even one is taken.
+        twin = picks[:, -1].tolist()
+        assert all(h % 2 == 0 or h - 1 in twin[:j] for j, h in enumerate(twin))
+        # The first call snaps the strips, fewer rows than the shells'.
+        strips = calls[0]
+        assert all(k < 0.5 * n for k, n in zip(strips, stack.counts))
+        if len(calls) > 1:
+            (redo,) = calls[1:]
+            assert 0 < len(redo) <= len(shells)
+            fell_back.add((n_hat, satellites, len(redo) < len(shells)))
+            short = [k < n_hat - 1 for k in strips]
+            assert sum(short) <= len(redo)
+    # A narrow strip: some lanes stray, some run out, some keep their picks.
+    assert (20, 4, True) in fell_back and (69, 3, False) in fell_back
+
+    # A strip of three satellites on a short arc of 19 targets runs out,
+    # though every target lies within h of each of the three.
+    src, dst = endpoints(0.3, R_EARTH + altitude)
+    targets, normal = great_arc(
+        src.unit_vector(), dst.unit_vector(), np.arange(1, 20) / 20
+    )
+    units = sample_bpp(2000, R_EARTH, altitude, seed=4).unit_vectors
+    far = units[units @ targets[9] < math.cos(0.6)]
+    units = np.vstack([far[:600], targets[[3, 9, 15]], far[600:]])
+    shell = Constellation(R_EARTH, altitude, units).with_extra_points([src, dst])
+    stack = ShellStack.of([shell])
+    monkeypatch.setattr(routing, "_STRIP_SATELLITES", 25)
+    calls.clear()
+    picks = routing._snap_near_arc(stack, targets, normal)
+    assert calls == [[3], stack.counts]
+    assert np.array_equal(picks, snap(stack.rows, stack.counts, targets))
+
+    # Most of a band lies near its arc, so a band stack snaps every row.
+    band = [
+        Constellation(R_EARTH, altitude, units[np.abs(units[:, 1]) < 0.2])
+        for units in (c.unit_vectors[:-2] for c in shells[:3])
+    ]
+    band = [c.with_extra_points([src, dst]) for c in band]
+    stack = ShellStack.of(band)
+    calls.clear()
+    targets, normal = great_arc(*stack.ends, np.arange(1, 12) / 12)
+    routing._snap_near_arc(stack, targets, normal)
+    assert calls == [stack.counts]
+
+
 def reference_hop_repair(c, from_id, to_id, exclude):
     """Relays that repair one hop, walked relay by relay; None on failure."""
     units = c.unit_vectors
