@@ -8,17 +8,18 @@ rows, and satellite IDs are 0-based row indices.
 :func:`sample_bpp` shell but builds only the rows of its satellites with
 |u_y| <= s, bit for bit as :func:`sample_bpp` builds them.
 
-:func:`sample_band_counts`, :func:`sample_patches` (or
-:func:`sample_bands`, its unit rows) and :func:`sample_band_complement`
-draw the same process in two parts, split at
-a patch: the band |u_y| <= s around the xz great circle, cut to the
-longitudes |phi - pi/2| <= L about the y axis, phi = atan2(u_z, u_x)
-(L = pi keeps the whole band). First they draw how many satellites fall
-inside the patch and where, for a batch of shells at once, then, only when
-asked, the rest of one shell: the band outside the patch and everything
-outside the band. By the restriction property of the binomial point
-process the two parts together are ``n_sat`` i.i.d. uniform satellites,
-whichever generators draw them.
+:func:`sample_band_counts`, :func:`sample_bands` and
+:func:`sample_band_complement` draw the same process in two parts, split
+at a region of the band |u_y| <= s around the xz great circle: its
+satellites whose longitudes phi = atan2(u_z, u_x) about the y axis lie in
+one of ``count`` equal windows, |phi - (first + j pitch)| <= r. One window
+|phi - pi/2| <= L is a patch of the band around the arc's midpoint, and
+:data:`WHOLE_BAND` the whole band. First they draw how many satellites
+fall inside the region and where, for a batch of shells at once, then,
+only when asked, the rest of one shell: the band between the windows and
+everything outside the band. By the restriction property of the binomial
+point process the two parts together are ``n_sat`` i.i.d. uniform
+satellites, whichever generators draw them.
 """
 
 from __future__ import annotations
@@ -223,9 +224,47 @@ def _check_band(sin_halfwidth: float) -> None:
         )
 
 
-def _check_span(span: float) -> None:
-    if not 0.0 < span <= math.pi:
-        raise InvalidInputError(f"patch half-span must be in (0, pi], got {span}")
+#: The region of the whole band: one window of half-width pi about pi.
+WHOLE_BAND = (math.pi, 0.0, 1, math.pi)
+
+
+def _check_region(region: tuple[float, float, int, float]) -> None:
+    """Check that the windows of ``region`` (first centre, pitch, count,
+    half-width r), |phi - (first + j pitch)| <= r for j below count, are
+    non-empty and apart.
+
+    Raises:
+        InvalidInputError: If a window is empty or two of them meet.
+    """
+    first, pitch, count, r = region
+    if not (
+        math.isfinite(first)
+        and count >= 1
+        and r > 0.0
+        and (count == 1 or 2.0 * r < pitch)
+        and (count - 1) * pitch + 2.0 * r <= 2.0 * math.pi
+    ):
+        raise InvalidInputError(
+            f"longitude windows must be non-empty and apart, got {region}"
+        )
+
+
+def _spread(
+    u: np.ndarray, low: float, high: float, count: int, pitch: float, step: float
+) -> None:
+    """Map the uniforms ``u`` on [0, 1) in place onto ``count`` intervals,
+    uniform on their union: interval j starts at low + j pitch and is
+    ``step`` long, except the last, which ends at ``high``. u times their
+    total length is a distance along them, laid end to end. One interval
+    maps bit for bit as :func:`_scale`."""
+    skip = pitch - step
+    u *= high - low - (count - 1) * skip
+    if count > 1:
+        passed = np.divide(u, step)
+        np.minimum(np.floor(passed, out=passed), count - 1, out=passed)
+        passed *= skip
+        u += passed
+    u += low
 
 
 def sample_band_counts(
@@ -233,51 +272,55 @@ def sample_band_counts(
     n_sat: int,
     s: float,
     size: int,
-    span: float = math.pi,
+    region: tuple[float, float, int, float] = WHOLE_BAND,
 ) -> np.ndarray:
-    """How many of ``n_sat`` uniform satellites fall inside the patch
-    |u_y| <= s, |phi - pi/2| <= ``span``, for each of ``size`` shells, in
-    one call.
+    """How many of ``n_sat`` uniform satellites fall inside the part of the
+    band |u_y| <= s in the windows of ``region``, for each of ``size``
+    shells, in one call.
 
     On a uniform sphere u_y is uniform on [-1, 1] and the longitude phi is
-    uniform and independent of it, so a patch holds
-    K ~ Binomial(n_sat, s span / pi) satellites.
+    uniform and independent of it, so windows of half-width r hold
+    K ~ Binomial(n_sat, s M / pi) satellites, M = count r being half their
+    total width.
 
     Raises:
-        InvalidInputError: If ``n_sat`` < 1, s is outside [0, 1] or
-            ``span`` outside (0, pi].
+        InvalidInputError: If ``n_sat`` < 1, s is outside [0, 1], or a
+            window is empty or two of them meet.
     """
     if n_sat < 1:
         raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
     _check_band(s)
-    _check_span(span)
-    return rng.binomial(n_sat, s * (span / math.pi), size)
+    _check_region(region)
+    _, _, count, r = region
+    return rng.binomial(n_sat, s * (count * r / math.pi), size)
 
 
-def sample_patches(
+def sample_bands(
     rng: np.random.Generator,
     counts: Sequence[int],
     s: float,
-    span: float = math.pi,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Heights u_y and longitudes phi of the satellites of patches
-    |u_y| <= s, |phi - pi/2| <= ``span`` that hold ``counts[b]``
-    satellites each: shell b's are ``[b, :counts[b]]`` of two (B, max K + 2)
-    arrays, whose other entries are padding.
+    region: tuple[float, float, int, float] = WHOLE_BAND,
+) -> np.ndarray:
+    """Unit rows of the satellites of regions of the band |u_y| <= s, in the
+    windows of ``region``, that hold ``counts[b]`` satellites each: shell
+    b's are ``rows[b, :counts[b]]`` of one zero-padded (B, max K + 2, 3)
+    array, which keeps two rows for each shell's endpoints.
 
-    Each satellite of a patch is uniform in it. One ``random`` call draws
-    2 K uniforms a patch, patch after patch: its K heights, then its K
-    longitudes, bit for bit ``uniform(-s, s)`` and ``uniform`` calls on
-    [pi/2 - span, pi/2 + span] ([0, 2 pi] for the whole band). So drawing
-    the patches in one batch or in several, in order, gives the same
-    satellites.
+    Each satellite of a region is uniform in it. One ``random`` call draws
+    2 K uniforms a region, region after region: its K heights, then its K
+    longitudes, bit for bit ``uniform(-s, s)`` and, for one window,
+    ``uniform(first - r, first + r)`` calls; several windows share the
+    longitudes' uniforms (:func:`_spread`). So drawing the regions in one
+    batch or in several, in order, gives the same satellites. One trig pass
+    turns the batch to rows.
 
     Raises:
-        InvalidInputError: If s is outside [0, 1] or ``span`` outside
-            (0, pi].
+        InvalidInputError: If s is outside [0, 1], a window is empty or
+            two of them meet.
     """
     _check_band(s)
-    _check_span(span)
+    _check_region(region)
+    first, pitch, count, r = region
     width = max(counts, default=0) + 2
     heights, longitudes = uniforms = np.zeros((2, len(counts), width))
     drawn = rng.random(2 * sum(counts))
@@ -289,41 +332,12 @@ def sample_patches(
     # and the padded uniforms.
     del drawn
     _scale(heights, -s, s)
-    if span < math.pi:
-        _scale(longitudes, 0.5 * math.pi - span, 0.5 * math.pi + span)
-    else:
-        _scale(longitudes, 0.0, 2.0 * math.pi)
-    return heights, longitudes
-
-
-def sample_bands(
-    rng: np.random.Generator,
-    counts: Sequence[int],
-    s: float,
-    span: float = math.pi,
-) -> np.ndarray:
-    """The satellites of :func:`sample_patches`' patches as unit rows:
-    shell b's are ``rows[b, :counts[b]]`` of one zero-padded
-    (B, max K + 2, 3) array, which keeps two rows for each shell's
-    endpoints. One pass turns the batch to rows.
-
-    Raises:
-        InvalidInputError: If s is outside [0, 1] or ``span`` outside
-            (0, pi].
-    """
-    heights, longitudes = sample_patches(rng, counts, s, span)
-    rows = unit_rows(heights, longitudes)
-    for b, k in enumerate(counts):
-        rows[b, k:] = 0.0
-    return rows
-
-
-def unit_rows(heights: np.ndarray, longitudes: np.ndarray) -> np.ndarray:
-    """Unit rows of the satellites at ``heights`` u_y and ``longitudes``
-    phi = atan2(u_z, u_x), overwriting ``heights``; each row is bit for bit
-    the same whichever other satellites the arrays hold."""
+    last = first + (count - 1) * pitch
+    _spread(longitudes, first - r, last + r, count, pitch, 2.0 * r)
     rows = np.empty(heights.shape + (3,))
     _unit_rows(rows, heights, longitudes)
+    for b, k in enumerate(counts):
+        rows[b, k:] = 0.0
     return rows
 
 
@@ -336,34 +350,43 @@ def _scale(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def sample_band_complement(
-    rng: np.random.Generator, s: float, out: np.ndarray, span: float = math.pi
+    rng: np.random.Generator,
+    s: float,
+    out: np.ndarray,
+    region: tuple[float, float, int, float] = WHOLE_BAND,
 ) -> None:
     """Write into ``out`` the unit rows of ``len(out)`` satellites uniform
-    outside the patch |u_y| <= s, |phi - pi/2| <= ``span``: in the band
-    outside the patch's longitudes, or outside the band.
+    outside the part of the band |u_y| <= s in the windows of ``region``:
+    in the band between the windows, or outside the band.
 
     3 ``len(out)`` uniforms give each satellite its magnitude |u_y| from u,
-    its sign (negative below 1/2) and its longitude from v. A share
-    q = s (pi - span) / (pi - s span) of the complement lies in the band.
-    There (u < q), |u_y| = (s / q) u and the longitude is v mapped onto
-    [pi/2 + span, 5 pi/2 - span]; elsewhere |u_y| is u - q mapped from
+    its sign (negative below 1/2) and its longitude from v. With M half the
+    windows' total width, a share q = s (pi - M) / (pi - s M) of the
+    complement lies in the band. There (u < q), |u_y| = (s / q) u and the
+    longitude is v spread over the gaps between the windows
+    (:func:`_spread`; for one window, v mapped onto
+    [first + r, first + 2 pi - r]); elsewhere |u_y| is u - q mapped from
     [0, 1 - q) onto [s, 1] and the longitude v mapped onto [0, 2 pi], each
     map as ``uniform`` makes it. For the whole band (q = 0) the rows are
     bit for bit those of ``uniform``, ``random`` and ``uniform`` calls.
 
     Raises:
-        InvalidInputError: If s is outside [0, 1] or ``span`` outside
-            (0, pi].
+        InvalidInputError: If s is outside [0, 1], a window is empty or
+            two of them meet.
     """
     _check_band(s)
-    _check_span(span)
+    _check_region(region)
+    first, pitch, count, r = region
     y, sign, longitudes = rng.random(3 * len(out)).reshape(3, len(out))
-    rest = math.pi - s * span
-    share = s * (math.pi - span) / rest if rest > 0.0 else 0.0
+    half = count * r
+    rest = math.pi - s * half
+    share = s * (math.pi - half) / rest if rest > 0.0 else 0.0
     inside = y < share
     # Taken before the rest's formulas overwrite the uniforms.
     band_y = y[inside] * (s / share if share > 0.0 else 0.0)
-    band_phi = _scale(longitudes[inside], 0.5 * math.pi + span, 2.5 * math.pi - span)
+    band_phi = longitudes[inside]
+    gaps = first + r, first + 2.0 * math.pi - r
+    _spread(band_phi, *gaps, count, pitch, pitch - 2.0 * r)
     if share < 1.0:
         y -= share
         y *= (1.0 - s) / (1.0 - share)

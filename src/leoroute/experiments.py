@@ -4,19 +4,20 @@ Each trial routes between two endpoints at an exact dome-angle separation
 through a fresh uniform constellation, and records status, latency, and
 efficiency. The endpoints lie in the xz-plane, so the arc's normal is the
 y axis and the arc runs along the longitudes phi = atan2(u_z, u_x) from
-pi/2 - a/2 (src) to pi/2 + a/2 (dst). A trial draws a patch of its shell
-first (:func:`~leoroute.constellation.sample_bands`): only the satellites
-of the band |u_y| <= sin w whose longitudes lie within L of pi/2, then the
-two endpoints as the last two satellites. L is a/2 plus a margin m, capped
-at pi: m = w for equal-interval and theta_max + w for the greedy walks,
-and a band of the whole sphere keeps L = pi. When the route on that patch
-shell is certified, it is the route on the whole shell; otherwise the
-trial draws the rest of the shell, uniform outside the patch, from its own
-generator (:func:`~leoroute.constellation.sample_band_complement`) and
-routes again on all ``n_sat`` satellites. Patch and complement together
-are ``n_sat`` i.i.d. uniform satellites (the restriction property of the
-binomial point process), so the records follow the same law as routing on
-a full shell.
+pi/2 - a/2 (src) to pi/2 + a/2 (dst). A trial draws a region of its
+shell first (:func:`~leoroute.constellation.sample_bands`): only the
+satellites of the band |u_y| <= sin w whose longitudes lie in the cell's
+windows (:func:`_region`), then the two endpoints as the last two
+satellites. Equal-interval draws a window of half-width w about each
+target's longitude, or the one window they cover where two of them meet;
+a greedy walk draws the patch |phi - pi/2| <= a/2 + theta_max + w; and a
+band of the whole sphere is drawn whole. When the route on that shell is
+certified, it is the route on the whole shell; otherwise the trial draws
+the rest of the shell, uniform outside the region, from its own generator
+(:func:`~leoroute.constellation.sample_band_complement`) and routes again
+on all ``n_sat`` satellites. Region and complement together are ``n_sat``
+i.i.d. uniform satellites (the restriction property of the binomial point
+process), so the records follow the same law as routing on a full shell.
 
 A route is certified (:meth:`TrialCell.route_band_first`) when its
 :attr:`~leoroute.routing.Route.band_reach` is at most w, so no satellite
@@ -24,50 +25,36 @@ outside the band could have changed it, and, for a greedy walk, when no
 satellite of the band outside the patch could lie within theta_max of a
 node the walk scanned: cos D + s |u_y| < cos theta_max at src and every
 relay u, D being u's distance in longitude from the patch's edge.
-Equal-interval needs no along-arc test: its targets lie on the arc, so a
-satellite outside the patch is at least m = w from each of them, farther
-than the relay that a certified route's target took. ``leoroute route``
-applies the band rule to one shell (:meth:`TrialCell.route_rows`): it
-routes on the shell's whole band first, and asks for the whole shell only
-when that route is not certified.
-
-Snap windows. An equal-interval target j sits on the arc at longitude
-phi_j = pi/2 - a/2 + j a/n, and a satellite at longitude phi is at least
-|phi - phi_j| from it. So a satellite farther than w in longitude from
-every target cannot beat a pick within w, and where the windows
-|phi - phi_j| <= w hold at most half the patch (starlink: 0.889 and 1.000
-of 3.253 rad), a trial routes only the satellites of its patch inside
-them first (:meth:`TrialCell.window_stack`). Their rows are all it builds
-from the patch's uniforms; a route through them with band reach at most w
-is the route through the whole shell, and any other trial routes again on
-its whole shell: the patch's rows, built from the kept uniforms in drawn
-order, then its complement. Elsewhere the windows would save less than
-picking them costs (kuiper: 2.347 and 2.560 of 3.355 rad; on the sweep
-shell they overlap), and a trial routes its whole patch first.
+Equal-interval needs no along-arc test: a satellite at longitude phi is at
+least |phi - phi_j| from target j, so one outside every window is farther
+than w from each target, farther than the relay that a certified route's
+target took. ``leoroute route`` applies the band rule to one shell
+(:meth:`TrialCell.route_rows`): it routes on the shell's whole band first,
+and asks for the whole shell only when that route is not certified.
 
 Random streams. Trials come in blocks of ``_BLOCK_TRIALS`` (64), counted
 from trial 0: trial i is lane i % 64 of block i // 64. Each block has one
 generator, seeded by :func:`block_seed` (a splitmix64 hash of the base
-seed and the block index). It first draws the patch counts of all 64
-lanes in one call, then the patches' uniforms lane by lane, in lane order.
-The rest of a shell is drawn only for a trial whose patch route is not
+seed and the block index). It first draws the region counts of all 64
+lanes in one call, then the regions' uniforms lane by lane, in lane order.
+The rest of a shell is drawn only for a trial whose region route is not
 certified, from that trial's own generator, seeded by :func:`trial_seed`.
 So a trial's record depends only on the base seed and its index, never on
 how many trials run, how they are batched or how many workers run them.
 Results differ from releases that built one generator per trial.
 
 A block is routed as one batch, for every sampled strategy, unless its
-patch stack, its lanes times its largest patch count plus 2 rows, would
+region stack, its lanes times its largest region count plus 2 rows, would
 pass ``_BATCH_ROWS`` (65536); then it splits into batches of as many
 lanes as fit, at least one. One ``random`` call draws the batch's
-patches, and one trig pass writes every patch's rows (only its window
-satellites', where the cell has snap windows), then its endpoints,
-straight into the batch's :class:`~leoroute.routing.ShellStack`. One batch router
+regions, and one trig pass writes every region's rows, then its
+endpoints, straight into the batch's
+:class:`~leoroute.routing.ShellStack`. One batch router
 call routes the stack: :func:`~leoroute.routing.route_equal_interval_batch`
 computes the cell's targets once, snaps all shells in one lockstep pass
 and repairs them in rounds of one lockstep walk each, and the greedy
 baselines walk all shells in lockstep. The trials that need the
-complement draw it into one more stack, after their patch rows, for one
+complement draw it into one more stack, after their region rows, for one
 more router call.
 
 Worker processes take whole blocks, and records are reduced in trial-index
@@ -106,12 +93,11 @@ from .analysis import (
 )
 from .constellation import (
     PRESET_PARAMS,
+    WHOLE_BAND,
     point_rows,
     sample_band_complement,
     sample_band_counts,
     sample_bands,
-    sample_patches,
-    unit_rows,
 )
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
@@ -119,7 +105,6 @@ from .geometry import R_EARTH_KM, SpherePoint, coincident
 from .routing import (
     Route,
     ShellStack,
-    pack_lanes,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
@@ -167,7 +152,7 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return (base_seed ^ splitmix64(trial_index)) & _MASK64
 
 
-#: Trials whose patches one generator draws: trial i is lane i % 64 of
+#: Trials whose regions one generator draws: trial i is lane i % 64 of
 #: block i // 64.
 _BLOCK_TRIALS = 64
 
@@ -177,7 +162,7 @@ _BLOCK_DOMAIN = 0x626C6F636B5F3634
 
 
 def block_seed(base_seed: int, block: int) -> int:
-    """Seed of the patch stream of trials ``64 block`` to ``64 block + 63``."""
+    """Seed of the region stream of trials ``64 block`` to ``64 block + 63``."""
     return splitmix64(trial_seed(base_seed, block) ^ _BLOCK_DOMAIN)
 
 
@@ -262,13 +247,12 @@ class CellParams:
 class TrialRecord:
     """Outcome of one Monte Carlo trial of a cell.
 
-    Its patch (the satellites of the band around its arc whose longitudes
-    lie within the cell's span of the arc's midpoint) is lane
-    ``trial_index % 64`` of the block ``trial_index // 64``
-    (:func:`block_seed`); the rest of its shell, uniform outside the patch
-    and drawn only when its patch (or snap-window) route is not certified
-    (the band reach, and for a greedy walk the along-arc test), comes from
-    the stream seeded by :func:`trial_seed`. The strategy and base seed are
+    Its region (the satellites of the band around its arc whose longitudes
+    lie in the cell's windows) is lane ``trial_index % 64`` of the block
+    ``trial_index // 64`` (:func:`block_seed`); the rest of its shell,
+    uniform outside the region and drawn only when its region route is not
+    certified (the band reach, and for a greedy walk the along-arc test),
+    comes from the stream seeded by :func:`trial_seed`. The strategy and base seed are
     the caller's.
     """
 
@@ -321,13 +305,13 @@ def reference_latency_ms(params: CellParams) -> float:
     return latency_floor(params.arc_angle, params.theta_max, params.radius)
 
 
-#: Relative widening of the drawn band and patch over the half-width and
-#: half-span that certify a route, so that rounding at their edges cannot
+#: Relative widening of the drawn band and windows over the half-widths
+#: that certify a route, so that rounding at their edges cannot
 #: matter (sin/asin, atan2, and the arc's normal, which is the y axis only
 #: to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the rows of one batch's patch stack: 64 patches of up to 1022
+#: Cap on the rows of one batch's region stack: 64 regions of up to 1022
 #: satellites each, with their endpoints.
 _BATCH_ROWS = 1 << 16
 
@@ -366,49 +350,43 @@ def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
     return contact_band(params.n_sat)
 
 
-def _patch_span(params: CellParams, strategy: str, halfwidth: float) -> float:
-    """Half-span L (rad) of the longitudes |phi - pi/2| <= L of the patch
-    of the band |u_y| <= sin w that certifies routes, pi for the whole band.
+def _region(
+    params: CellParams, strategy: str, plan: HopPlan, halfwidth: float
+) -> tuple[tuple[float, float, int, float], float]:
+    """The longitude windows of the band |u_y| <= sin w that a trial draws
+    first (:func:`~leoroute.constellation.sample_bands`), and the half-span
+    L of the patch |phi - pi/2| <= L whose edge a greedy walk is tested
+    against (:meth:`TrialCell.route_band_first`), pi for none.
 
-    The arc runs from longitude pi/2 - a/2 (src) to pi/2 + a/2 (dst), and
-    L is a/2 plus a margin: w for equal-interval, whose targets lie on the
-    arc, so a satellite outside the patch is more than w from each of them;
-    theta_max + w for the greedy walks, whose nodes the harness also tests
-    against the patch's edge (:meth:`TrialCell.route_band_first`). A band
-    of the whole sphere (w = pi/2) certifies any route, so it stays whole.
+    The arc runs from longitude pi/2 - a/2 (src) to pi/2 + a/2 (dst).
+    Equal-interval target j (1 to n - 1) sits on it at longitude
+    phi_j = pi/2 - a/2 + j a/n, and a satellite at longitude phi is at
+    least |phi - phi_j| from it. So one outside every window
+    |phi - phi_j| <= w is farther than w from every target and cannot beat
+    a pick within w: a route through the windows whose band reach is at
+    most w is the route through the whole shell. Where two windows would
+    meet, the one window they cover, |phi - pi/2| <= a/2 - a/n + w, is
+    drawn. A greedy walk draws the patch L = a/2 + theta_max + w, and a
+    band of the whole sphere (w = pi/2), which certifies any route, is
+    drawn whole. Every drawn half-width is widened by ``_BAND_SLACK``.
     """
     if halfwidth >= math.pi / 2.0:
-        return math.pi
-    margin = halfwidth if strategy == "equal-interval" else params.theta_max + halfwidth
-    return min(params.arc_angle / 2.0 + margin, math.pi)
+        return WHOLE_BAND, math.pi
+    arc = params.arc_angle
+    if strategy != "equal-interval":
+        span = min(arc / 2.0 + (params.theta_max + halfwidth), math.pi)
+        return _patch(span), span
+    step, reach = arc / plan.n_hat, halfwidth * (1.0 + _BAND_SLACK)
+    if plan.n_hat > 1 and 2.0 * reach < step:
+        return (0.5 * (math.pi - arc) + step, step, plan.n_hat - 1, reach), math.pi
+    return _patch(max(arc / 2.0 - step, 0.0) + halfwidth), math.pi
 
 
-def _snap_windows(
-    params: CellParams, strategy: str, plan: HopPlan, halfwidth: float, span: float
-) -> Optional[tuple[float, float, int, float]]:
-    """Equal-interval's snap windows on a patch of half-span ``span``, or
-    None where they would keep more than half of it.
-
-    Target j (1 to n - 1) sits on the arc at longitude
-    phi_j = pi/2 - a/2 + j a/n, and its window is the part of the band
-    within w of it in longitude, widened by ``_BAND_SLACK``. A satellite at
-    longitude phi is at least |phi - phi_j| from target j, so one outside
-    every window is farther than w from every target and cannot beat a
-    pick within w: a route through the windows whose band reach is at most
-    w is the route through the whole shell. Returns the first target's
-    longitude, the targets' spacing, their count and the windows'
-    half-width.
-    """
-    targets = plan.n_hat - 1
-    if strategy != "equal-interval" or span >= math.pi or targets < 1:
-        return None
-    step = params.arc_angle / plan.n_hat
-    reach = halfwidth * (1.0 + _BAND_SLACK)
-    # The windows' union: apart, or each overlapping the next.
-    cover = (targets - 1) * min(2.0 * reach, step) + 2.0 * reach
-    if cover > span:
-        return None
-    return 0.5 * (math.pi - params.arc_angle) + step, step, targets, reach
+def _patch(span: float) -> tuple[float, float, int, float]:
+    """The one window |phi - pi/2| <= ``span``, widened by ``_BAND_SLACK``,
+    or the whole band where it reaches pi."""
+    drawn = span * (1.0 + _BAND_SLACK)
+    return (0.5 * math.pi, 0.0, 1, drawn) if drawn < math.pi else WHOLE_BAND
 
 
 @dataclass(frozen=True)
@@ -423,20 +401,16 @@ class TrialCell:
     #: Half-width w (rad) of the band that certifies a route: one whose
     #: ``band_reach`` is at most w.
     halfwidth: float
-    #: Sine s of the slightly wider band |u_y| <= s whose patch a trial
+    #: Sine s of the slightly wider band |u_y| <= s whose region a trial
     #: draws first.
     band_sine: float
-    #: Half-span L (rad) of the longitudes |phi - pi/2| <= L of the patch
-    #: that certifies a route (:func:`_patch_span`), pi for the whole band.
+    #: Half-span L (rad) of the patch |phi - pi/2| <= L against whose edge
+    #: a greedy walk is tested (:func:`_region`), pi for no test.
     span: float
-    #: Half-span of the slightly wider patch of the band a trial draws
-    #: first.
-    drawn_span: float
+    #: Longitude windows (first centre, pitch, count, half-width) of the
+    #: band that a trial draws first (:func:`_region`).
+    region: tuple[float, float, int, float]
     reference_ms: float
-    #: Equal-interval's snap windows (:func:`_snap_windows`): a trial
-    #: routes only the satellites of its patch inside them first. None
-    #: routes the whole patch first.
-    windows: Optional[tuple[float, float, int, float]]
 
     def stack(self, rows: np.ndarray, counts: list[int]) -> ShellStack:
         """The shells whose satellites are ``rows[b, :counts[b]]``, each
@@ -454,34 +428,6 @@ class TrialCell:
         rows = np.empty((1, len(units) + 2, 3))
         rows[0, : len(units)] = units
         return self.stack(rows, [len(units)])
-
-    def in_windows(self, longitudes: np.ndarray) -> np.ndarray:
-        """Whether each satellite at ``longitudes`` lies in one of the
-        cell's snap windows."""
-        first, step, targets, reach = self.windows
-        along = np.subtract(longitudes, first)
-        along /= step
-        # The index of the nearest target, counted from 0.
-        nearest = np.minimum(np.maximum(along, 0.0), targets - 1.0)
-        along -= np.rint(nearest, out=nearest)
-        return np.abs(along, out=along) <= reach / step
-
-    def window_stack(
-        self, heights: np.ndarray, longitudes: np.ndarray, counts: list[int]
-    ) -> ShellStack:
-        """The shells of the satellites of each patch (heights u_y and
-        longitudes of :func:`~leoroute.constellation.sample_patches`, shell
-        b's the first ``counts[b]``) that lie in the cell's snap windows,
-        in drawn order, each followed by the cell's endpoints. Only their
-        rows are built."""
-        keep = self.in_windows(longitudes)
-        keep &= np.arange(keep.shape[1]) < np.array(counts)[:, None]
-        source, target, kept = pack_lanes(keep)
-        rows = np.zeros((len(counts), max(kept) + 2, 3))
-        rows.reshape(-1, 3)[target] = unit_rows(
-            heights.take(source), longitudes.take(source)
-        )
-        return self.stack(rows, kept)
 
     def route_batch(self, stack: ShellStack) -> list[Route]:
         """Routes between the cell's endpoints through each shell of
@@ -502,19 +448,16 @@ class TrialCell:
         through the whole shells ``whole(redo)`` of the shells k in
         ``redo``, in one more batch; and ``redo``.
 
-        The shells of ``bands`` hold the satellites of a patch of the band
-        (:func:`_patch_span`): the longitudes |phi - pi/2| <= ``span``, pi
-        for the whole band; or only those of its snap windows
-        (:meth:`window_stack`). ``redo`` holds those short of ``n_rows``
-        satellites whose route a satellite they lack could have
-        changed: its route reaches past ``halfwidth``, or it is a greedy
-        walk on a patch narrower than the band and a satellite outside the
-        patch could lie in hop range of a node it scanned
-        (:meth:`_leaves_patch`).
+        The shells of ``bands`` hold the satellites of a region of the band
+        (:func:`_region`). ``redo`` holds those short of ``n_rows``
+        satellites whose route a satellite they lack could have changed:
+        its route reaches past ``halfwidth``, or, with ``span`` below pi,
+        a satellite outside the patch |phi - pi/2| <= ``span`` could lie in
+        hop range of a node its greedy walk scanned (:meth:`_leaves_patch`).
         """
         routes = self.route_batch(bands)
         uncertified = np.array([r.band_reach > self.halfwidth for r in routes])
-        if span < math.pi and self.strategy != "equal-interval":
+        if span < math.pi:
             uncertified |= self._leaves_patch(bands, routes, span)
         redo = [
             k
@@ -584,7 +527,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
     cached like the plan it takes.
 
     ``leoroute route`` (:meth:`TrialCell.route_rows`) and the Monte Carlo
-    trials both route through it, band or patch first
+    trials both route through it, band or region first
     (:meth:`TrialCell.route_band_first`). Raises InvalidInputError for
     ``ideal``, which routes through no satellites, for a strategy not in
     :data:`STRATEGIES`, and when the endpoints coincide
@@ -600,7 +543,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         raise InvalidInputError("src and dst are the same point")
     halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
-    span = _patch_span(params, strategy, halfwidth)
+    region, span = _region(params, strategy, plan, halfwidth)
     return TrialCell(
         params=params,
         strategy=strategy,
@@ -609,9 +552,8 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         halfwidth=halfwidth,
         band_sine=band_sine,
         span=span,
-        drawn_span=min(span * (1.0 + _BAND_SLACK), math.pi),
+        region=region,
         reference_ms=reference_latency_ms(params),
-        windows=_snap_windows(params, strategy, plan, halfwidth, span),
     )
 
 
@@ -622,25 +564,11 @@ def _run_batch(
     counts: list[int],
     start: int,
 ) -> list[TrialRecord]:
-    """Records of the trials from ``start`` on whose patches hold
-    ``counts`` satellites, drawn from their block's generator ``rng`` and
-    routed together: through their snap windows first, when the cell has
-    them, else through their patches."""
-    n_sat, sine, span = cell.params.n_sat, cell.band_sine, cell.drawn_span
-    if cell.windows is None:
-        patches = cell.stack(sample_bands(rng, counts, sine, span), counts)
-
-        def patch(k: int, out: np.ndarray) -> None:
-            out[:] = patches.rows[k, : len(out)]
-
-    else:
-        heights, longitudes = sample_patches(rng, counts, sine, span)
-        patches = cell.window_stack(heights, longitudes, counts)
-
-        def patch(k: int, out: np.ndarray) -> None:
-            # The rows of the patch, bit for bit as its draw builds them.
-            count = len(out)
-            out[:] = unit_rows(heights[k, :count].copy(), longitudes[k, :count])
+    """Records of the trials from ``start`` on whose regions hold ``counts``
+    satellites, drawn from their block's generator ``rng`` and routed
+    together, region first."""
+    n_sat, sine, region = cell.params.n_sat, cell.band_sine, cell.region
+    regions = cell.stack(sample_bands(rng, counts, sine, region), counts)
 
     def whole(redo: list[int]) -> ShellStack:
         # The rest of a shell is drawn only for a trial that needs it, from
@@ -648,12 +576,12 @@ def _run_batch(
         rows = np.empty((len(redo), n_sat + 2, 3))
         for shell, k in zip(rows, redo):
             count = counts[k]
-            patch(k, shell[:count])
+            shell[:count] = regions.rows[k, :count]
             own = np.random.default_rng(trial_seed(base_seed, start + k))
-            sample_band_complement(own, sine, shell[count:n_sat], span)
+            sample_band_complement(own, sine, shell[count:n_sat], region)
         return cell.stack(rows, [n_sat] * len(redo))
 
-    routes, _ = cell.route_band_first(patches, n_sat, whole, cell.span)
+    routes, _ = cell.route_band_first(regions, n_sat, whole, cell.span)
     records = []
     for i, route in enumerate(routes, start):
         latency = None if route.interrupted else route.latency
@@ -671,13 +599,13 @@ def _run_batch(
 
 def _run_chunk(args: tuple) -> list[TrialRecord]:
     """Records of trials ``start`` to ``stop``; ``start`` begins a block.
-    Each block's batches are sized from its patch counts."""
+    Each block's batches are sized from its region counts."""
     cell, base_seed, start, stop = args
     records = []
     for first in range(start, stop, _BLOCK_TRIALS):
         rng = np.random.default_rng(block_seed(base_seed, first // _BLOCK_TRIALS))
         counts = sample_band_counts(
-            rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS, cell.drawn_span
+            rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS, cell.region
         )[: stop - first].tolist()
         batch = max(1, _BATCH_ROWS // (max(counts) + 2))
         for lo in range(0, len(counts), batch):
@@ -786,10 +714,8 @@ def run_cell(
     only; both the measured count and the total are reported so the
     denominator is never ambiguous. Cells with no completed trial carry
     None for both means. The plan facts (``n_hat``, ``reliable_angle``,
-    ``type1_interrupted``) come from one more
-    :func:`~leoroute.analysis.plan_hops` call than the trials make: 6 to
-    14 us a cell, and 85 us for oneweb at epsilon 0.1, whose plan grows n
-    to 69.
+    ``type1_interrupted``) come from the cached
+    :func:`~leoroute.analysis.plan_hops` call that planned the trials.
     """
     records = run_trials(params, strategy, trials, base_seed, threads)
     plan = None if strategy == "ideal" else plan_hops(

@@ -301,10 +301,6 @@ def hop_repair(
     return mids
 
 
-#: A dot product no unit vector reaches: it marks the satellites a snap may
-#: not take and the padding rows of a batch.
-_NEVER = -2.0
-
 #: Most dots one matrix product of the snapping stage computes, and the
 #: most doubles the work area of an equal-interval batch holds: a group of
 #: target dots while it snaps, the lanes of one repair walk while it
@@ -580,7 +576,7 @@ def _snap_near_arc(
     largest shell's satellites on average. The strip is used when the snap
     would compute at least ``_STRIP_DOTS`` dots and at most half the first
     shell's satellites lie within h of the great circle: on batches of
-    whole shells, not on the bands and patches that the harness draws
+    whole shells, not on the bands and regions that the harness draws
     around the arc, nor on a shell or two.
     """
     rows, counts = stack.rows, stack.counts
@@ -623,13 +619,13 @@ def _strip(
     keep &= along >= cos_far
     keep = keep.reshape(rows.shape[:2])
     keep &= np.arange(rows.shape[1]) < np.array(counts)[:, None]
-    source, target, kept = pack_lanes(keep)
+    source, target, kept = _pack_lanes(keep)
     ids = np.zeros(len(rows) * (max(kept) + 2), dtype=np.intp)
     ids[target] = source
     return ids, kept
 
 
-def pack_lanes(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _pack_lanes(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Where the entries that the (B, W) mask ``keep`` marks go when each
     lane keeps only those, in order.
 
@@ -656,29 +652,28 @@ def _snap(stack: np.ndarray, counts: list[int], targets: np.ndarray) -> np.ndarr
 
     The dots come in groups of targets against every row of the stack,
     about ``_PRODUCT_DOTS`` at a time. The group's targets take their
-    satellites one at a time, every shell in lockstep, each target masking
-    the picks before it. The router snaps through
+    satellites one at a time, every shell in lockstep: each adds a penalty
+    row to its dots, 0 where a row may be taken and -inf on the picks before
+    it, the endpoints and the padding, so a shell that has run out takes
+    row 0. The router snaps through
     :func:`_snap_near_arc`, which calls this on a strip of the stack's
     rows near the arc, or on every row.
     """
     batch, width = stack.shape[:2]
     rows = stack.reshape(-1, 3)
     offsets = np.arange(0, batch * width, width)
-    # Rows of the stack no target may take, as indices into it.
-    taken = np.flatnonzero(np.arange(width) >= np.array(counts)[:, None])
+    penalty = np.where(np.arange(width) < np.array(counts)[:, None], 0.0, -np.inf)
+    penalty = penalty.ravel()
     picks = np.empty((len(targets), batch), dtype=np.intp)
     size = min(len(targets), max(2, _PRODUCT_DOTS // len(rows)))
     group = np.empty((size, len(rows)))
     for lo in range(0, len(targets), size):
         hi = min(lo + size, len(targets))
         dots = _target_dots(targets, rows, lo, hi, group)
-        dots[:, taken] = _NEVER
-        held = np.empty((hi - lo, batch), dtype=np.intp)
         for j, row in enumerate(dots):
-            row[held[:j]] = _NEVER
+            row += penalty
             row.reshape(batch, width).argmax(axis=1, out=picks[lo + j])
-            np.add(picks[lo + j], offsets, out=held[j])
-        taken = np.append(taken, held)
+            penalty[picks[lo + j] + offsets] = -np.inf
     return picks
 
 

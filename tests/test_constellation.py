@@ -268,28 +268,49 @@ def test_band_sampler_validates_inputs():
     assert len(sample_band(rng, 25, 1.0)) == 25
 
 
-def patch_longitude(rows):
-    """|phi - pi/2| of each row, phi = atan2(u_z, u_x): its longitude about
-    the y axis from the +z axis."""
-    return np.abs(np.arctan2(rows[:, 0], rows[:, 2]))
+def window_distance(rows, region):
+    """Each row's distance in longitude phi = atan2(u_z, u_x) from the
+    nearest centre of the windows of ``region``, across phi = pi too."""
+    first, pitch, count, _ = region
+    phi = np.arctan2(rows[:, 2], rows[:, 0])
+    centres = first + pitch * np.arange(count)
+    off = np.remainder(phi[:, None] - centres + math.pi, 2.0 * math.pi) - math.pi
+    return np.abs(off).min(axis=1, initial=math.inf)
 
 
-@pytest.mark.parametrize("span", [0.4, 1.8418, 3.0])
-def test_patch_then_complement_is_a_uniform_shell(span):
-    """Patch plus complement from one generator: n_sat i.i.d. uniform
-    satellites, and no complement row inside the patch."""
+def one_window(span):
+    """The patch |phi - pi/2| <= ``span``."""
+    return (0.5 * math.pi, 0.0, 1, span)
+
+
+#: Regions of one window (the patches |phi - pi/2| <= L), of windows apart,
+#: and of windows close together or reaching past phi = pi.
+REGIONS = [
+    pytest.param(one_window(span), id=str(span)) for span in (0.4, 1.8418, 3.0)
+] + [
+    pytest.param((0.9, 0.55, 4, 0.2), id="4-apart"),
+    pytest.param((2.4, 0.6, 5, 0.29), id="5-close-past-pi"),
+    pytest.param((2.9, 1.7, 3, 0.35), id="3-past-pi"),
+]
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_patch_then_complement_is_a_uniform_shell(region):
+    """Region plus complement from one generator: n_sat i.i.d. uniform
+    satellites, and no complement row inside a window."""
     n_sat, band_sine, seeds = 3236, 0.1065, 50
+    halfwidth = region[3]
     counts, heights, longitudes = [], [], []
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
-        (k,) = sample_band_counts(rng, n_sat, band_sine, 1, span).tolist()
-        patch = sample_bands(rng, [k], band_sine, span)[0, :k]
+        (k,) = sample_band_counts(rng, n_sat, band_sine, 1, region).tolist()
+        patch = sample_bands(rng, [k], band_sine, region)[0, :k]
         rest = np.empty((n_sat - k, 3))
-        sample_band_complement(rng, band_sine, rest, span)
+        sample_band_complement(rng, band_sine, rest, region)
         assert np.all(np.abs(patch[:, 1]) <= band_sine)
-        assert np.all(patch_longitude(patch) <= span * (1.0 + 1e-12))
+        assert np.all(window_distance(patch, region) <= halfwidth * (1.0 + 1e-12))
         inside = (np.abs(rest[:, 1]) < band_sine) & (
-            patch_longitude(rest) < span * (1.0 - 1e-12)
+            window_distance(rest, region) < halfwidth * (1.0 - 1e-12)
         )
         assert not inside.any()
         shell = np.vstack([patch, rest])
@@ -305,57 +326,92 @@ def test_patch_then_complement_is_a_uniform_shell(span):
     band = np.abs(y) <= band_sine
     circle = stats.uniform(-math.pi, 2.0 * math.pi).cdf
     assert stats.kstest(phi[band], circle).pvalue > 1e-3
-    # K ~ Binomial(n_sat, s L / pi).
-    p = band_sine * span / math.pi
+    # K ~ Binomial(n_sat, s M / pi), M = count r.
+    p = band_sine * region[2] * halfwidth / math.pi
     standard_error = math.sqrt(n_sat * p * (1.0 - p) / seeds)
     assert abs(np.mean(counts) - n_sat * p) < 5.0 * standard_error
 
 
-def trial_patch(rng, k, band_sine, span):
-    """One patch of ``k`` satellites, drawn with two ``uniform`` calls."""
+def trial_patch(rng, k, band_sine, region):
+    """One region of ``k`` satellites: heights from a ``uniform`` call, and
+    longitudes from one on the window, or, for several windows, uniforms
+    laid on the windows one after the other."""
     y = rng.uniform(-band_sine, band_sine, k)
-    phi = rng.uniform(0.5 * math.pi - span, 0.5 * math.pi + span, k)
-    return trial_band_rows(y, phi)
+    first, pitch, count, r = region
+    if count == 1:
+        return trial_band_rows(y, rng.uniform(first - r, first + r, k))
+    at = rng.random(k) * count
+    j = np.floor(at)
+    return trial_band_rows(y, first + pitch * j - r + 2.0 * r * (at - j))
 
 
-def trial_patch_complement(rng, count, band_sine, span):
-    """One trial's complement of a patch, from three ``random`` calls: the
+def trial_patch_complement(rng, count, band_sine, region):
+    """One trial's complement of a region, from three ``random`` calls: the
     band share q first, then the rest of the shell."""
+    first, pitch, windows, r = region
     u, sign, v = rng.random(count), rng.random(count), rng.random(count)
-    q = band_sine * (math.pi - span) / (math.pi - band_sine * span)
+    half = windows * r
+    q = band_sine * (math.pi - half) / (math.pi - band_sine * half)
     in_band = u < q
     # A band of the whole sphere leaves no rest.
     outer = (u - q) * ((1.0 - band_sine) / (1.0 - q)) + band_sine if q < 1.0 else u
     magnitude = np.where(in_band, u * (band_sine / q), outer)
-    low = 0.5 * math.pi + span
-    phi = np.where(
-        in_band, low + (2.5 * math.pi - span - low) * v, 2.0 * math.pi * v
-    )
+    low = first + r
+    if windows == 1:
+        gap = low + ((first + 2.0 * math.pi - r) - low) * v
+    else:
+        # Along the gaps from window 0 on: past the m windows after it.
+        along = v * (2.0 * math.pi - 2.0 * half)
+        passed = np.minimum(np.floor(along / (pitch - 2.0 * r)), windows - 1.0)
+        gap = low + along + 2.0 * r * passed
+    phi = np.where(in_band, gap, 2.0 * math.pi * v)
     return trial_band_rows(np.where(sign < 0.5, -magnitude, magnitude), phi)
 
 
-@pytest.mark.parametrize("band_sine, span", [(0.0555, 0.9), (0.21, 2.5), (1.0, 1.3)])
-def test_patch_batch_draw_equals_the_trial_by_trial_draws(band_sine, span):
-    """From one generator, the patch counts, then the patches in one batch,
-    in batches of one or in uneven batches, give bit for bit the rows and
-    the generator state of each patch drawn on its own with ``uniform``
-    calls, in order; and the complement the rows of its own three
-    ``random`` calls."""
+@pytest.mark.parametrize(
+    "band_sine, region",
+    [
+        pytest.param(s, one_window(span), id=f"{s}-{span}")
+        for s, span in ((0.0555, 0.9), (0.21, 2.5), (1.0, 1.3))
+    ]
+    + [
+        pytest.param(0.0555, (0.9, 0.55, 4, 0.2), id="0.0555-4-apart"),
+        pytest.param(0.21, (2.4, 0.6, 5, 0.29), id="0.21-5-close-past-pi"),
+    ],
+)
+def test_patch_batch_draw_equals_the_trial_by_trial_draws(band_sine, region):
+    """From one generator, the region counts, then the regions in one
+    batch, in batches of one or in uneven batches, give bit for bit the
+    same rows and the generator state of each region drawn on its own; one
+    window's rows are bit for bit those of ``uniform`` calls, in order, and
+    its complement the rows of its own three ``random`` calls. Several
+    windows' rows agree with the same draws laid on the windows and the
+    gaps one after the other."""
+    one = region[2] == 1
+
+    def same(drawn, reference):
+        if one:
+            return drawn.tobytes() == reference.tobytes()
+        return np.allclose(drawn, reference, rtol=0.0, atol=1e-12)
+
     for n_sat, size in itertools.product((1, 650, 11927), (1, 48)):
         seed = 1000 * n_sat + 7 * size
-        rng, own, one, split = (np.random.default_rng(seed) for _ in range(4))
-        counts = sample_band_counts(rng, n_sat, band_sine, size, span).tolist()
-        assert counts == own.binomial(n_sat, band_sine * span / math.pi, size).tolist()
-        for other in (one, split):
-            again = sample_band_counts(other, n_sat, band_sine, size, span)
+        rng, own, single, split = (np.random.default_rng(seed) for _ in range(4))
+        counts = sample_band_counts(rng, n_sat, band_sine, size, region).tolist()
+        p = band_sine * (region[2] * region[3] / math.pi)
+        assert counts == own.binomial(n_sat, p, size).tolist()
+        for other in (single, split):
+            again = sample_band_counts(other, n_sat, band_sine, size, region)
             assert again.tolist() == counts
-        rows = sample_bands(rng, counts, band_sine, span)
+        rows = sample_bands(rng, counts, band_sine, region)
         assert rows.shape == (size, max(counts) + 2, 3)
-        expected = [trial_patch(own, k, band_sine, span).tobytes() for k in counts]
-        assert [shell[:k].tobytes() for shell, k in zip(rows, counts)] == expected
+        for shell, k in zip(rows, counts):
+            assert same(shell[:k], trial_patch(own, k, band_sine, region))
+        expected = [shell[:k].tobytes() for shell, k in zip(rows, counts)]
         assert not any(shell[k:].any() for shell, k in zip(rows, counts))
         singles = [
-            sample_bands(one, [k], band_sine, span)[0, :k].tobytes() for k in counts
+            sample_bands(single, [k], band_sine, region)[0, :k].tobytes()
+            for k in counts
         ]
         assert singles == expected
         pieces, at = [], 0
@@ -363,34 +419,39 @@ def test_patch_batch_draw_equals_the_trial_by_trial_draws(band_sine, span):
             part = counts[at : at + width]
             if not part:
                 break
-            batch = sample_bands(split, part, band_sine, span)
+            batch = sample_bands(split, part, band_sine, region)
             pieces += [shell[:k].tobytes() for shell, k in zip(batch, part)]
             at += width
         assert pieces == expected
         rest = np.empty((n_sat - counts[-1], 3))
-        sample_band_complement(rng, band_sine, rest, span)
-        expected = trial_patch_complement(own, len(rest), band_sine, span).tobytes()
-        assert rest.tobytes() == expected
-        for other in (one, split):
+        sample_band_complement(rng, band_sine, rest, region)
+        assert same(rest, trial_patch_complement(own, len(rest), band_sine, region))
+        for other in (single, split):
             again = np.empty_like(rest)
-            sample_band_complement(other, band_sine, again, span)
-            assert again.tobytes() == expected
+            sample_band_complement(other, band_sine, again, region)
+            assert again.tobytes() == rest.tobytes()
             assert other.bit_generator.state == own.bit_generator.state
         assert rng.bit_generator.state == own.bit_generator.state
 
 
 def test_patch_sampler_validates_its_span():
+    """Every sampler rejects an empty window and windows that meet, each
+    other or themselves across phi = pi."""
     rng = np.random.default_rng(0)
-    for bad in (0.0, -1.0, 3.2, math.nan):
-        with pytest.raises(InvalidInputError, match="half-span"):
+    empty = [one_window(bad) for bad in (0.0, -1.0, math.nan)]
+    empty += [(0.5, 0.4, 0, 0.1), (math.nan, 0.0, 1, 0.3)]
+    overlapping = [one_window(3.2), (0.5, 0.4, 3, 0.25), (0.0, 2.0, 4, 0.5)]
+    overlapping += [(0.5, 0.5, 3, 0.25)]
+    for bad in empty + overlapping:
+        with pytest.raises(InvalidInputError, match="windows"):
             sample_band_counts(rng, 10, 0.1, 1, bad)
-        with pytest.raises(InvalidInputError, match="half-span"):
+        with pytest.raises(InvalidInputError, match="windows"):
             sample_bands(rng, [3], 0.1, bad)
-        with pytest.raises(InvalidInputError, match="half-span"):
+        with pytest.raises(InvalidInputError, match="windows"):
             sample_band_complement(rng, 0.1, np.empty((3, 3)), bad)
-    # A patch of the whole band is the band.
+    # One window of half-width pi about pi is the band.
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    whole = sample_bands(a, [40], 0.3, math.pi)
+    whole = sample_bands(a, [40], 0.3, (math.pi, 0.0, 1, math.pi))
     assert whole.tobytes() == sample_bands(b, [40], 0.3).tobytes()
 
 

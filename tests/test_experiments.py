@@ -19,13 +19,12 @@ from leoroute.analysis import (
     plan_hops,
 )
 from leoroute.constellation import (
+    WHOLE_BAND,
     Constellation,
     sample_band_complement,
     sample_band_counts,
     sample_bands,
     sample_bpp,
-    sample_patches,
-    unit_rows,
 )
 from leoroute import experiments
 from leoroute.errors import InvalidInputError
@@ -421,9 +420,9 @@ def test_sparse_constellation_interrupts_greedy_walks():
 def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
     """Each trial equals a router call on its whole shell and the cell's plan.
 
-    A trial routes on a patch of the band around the arc first and draws
+    A trial routes on a region of the band around the arc first and draws
     the rest of its shell only when it cannot certify that route; either way
-    its record must be the route over all N satellites (patch, then
+    its record must be the route over all N satellites (region, then
     complement, from the trial's seed) under the plan for N satellites. Each cell runs a
     block of trials, routed as one batch, and 5 more, so trials are routed
     in batches, with collisions, repairs and complement draws among them.
@@ -455,20 +454,21 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
         trials = experiments._BLOCK_TRIALS + 5
         records = run_trials(params, strategy, trials=trials, base_seed=11)
         src, dst = make_endpoints(params.radius, params.arc_angle)
-        band_sine, span = cell.band_sine, cell.drawn_span
+        band_sine, region = cell.band_sine, cell.region
         for rec in records:
-            # The patch is a lane of its block's stream, and the rest of the
+            # The region is a lane of its block's stream, and the rest of the
             # shell comes from the trial's own stream.
             block, lane = divmod(rec.trial_index, experiments._BLOCK_TRIALS)
             rng = np.random.default_rng(block_seed(11, block))
             counts = sample_band_counts(
-                rng, params.n_sat, band_sine, experiments._BLOCK_TRIALS, span
+                rng, params.n_sat, band_sine, experiments._BLOCK_TRIALS, region
             ).tolist()
             k = counts[lane]
             units = np.empty((params.n_sat, 3))
-            units[:k] = sample_bands(rng, counts[: lane + 1], band_sine, span)[lane, :k]
+            drawn = sample_bands(rng, counts[: lane + 1], band_sine, region)
+            units[:k] = drawn[lane, :k]
             rest = np.random.default_rng(trial_seed(11, rec.trial_index))
-            sample_band_complement(rest, band_sine, units[k:], span)
+            sample_band_complement(rest, band_sine, units[k:], region)
             shell = Constellation.from_unit_rows(
                 params.r_earth_km, params.altitude_km, units
             ).with_extra_points([src, dst])
@@ -757,25 +757,25 @@ def test_band_first_route_equals_the_route_on_the_whole_shell():
 
 
 def patch_and_whole_routes(cell, seed, lanes):
-    """The routes of ``lanes`` trial shells through their patches, band
+    """The routes of ``lanes`` trial shells through their regions, band
     first (:meth:`TrialCell.route_band_first`), the shells it re-routed,
-    and the routes through the whole shells: each shell's patch rows, then
-    its own drawn complement."""
-    params, s, span = cell.params, cell.band_sine, cell.drawn_span
+    the routes through the whole shells (each shell's region rows, then its
+    own drawn complement), the region counts and the whole shells' rows."""
+    params, s, region = cell.params, cell.band_sine, cell.region
     rng = np.random.default_rng(seed)
-    counts = sample_band_counts(rng, params.n_sat, s, lanes, span).tolist()
-    patches = cell.stack(sample_bands(rng, counts, s, span), counts)
+    counts = sample_band_counts(rng, params.n_sat, s, lanes, region).tolist()
+    patches = cell.stack(sample_bands(rng, counts, s, region), counts)
     rows = np.empty((lanes, params.n_sat + 2, 3))
     for b, k in enumerate(counts):
         rows[b, :k] = patches.rows[b, :k]
-        sample_band_complement(rng, s, rows[b, k : params.n_sat], span)
+        sample_band_complement(rng, s, rows[b, k : params.n_sat], region)
     wholes = cell.stack(rows, [params.n_sat] * lanes)
 
     def whole(redo):
         return cell.stack(rows[redo], [params.n_sat] * len(redo))
 
     routes, redo = cell.route_band_first(patches, params.n_sat, whole, cell.span)
-    return routes, redo, cell.route_batch(wholes), counts
+    return routes, redo, cell.route_batch(wholes), counts, rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -790,12 +790,12 @@ def patch_and_whole_routes(cell, seed, lanes):
 def test_certified_patch_routes_are_the_routes_on_the_whole_shell(
     shell, arc, strategy, epsilon, narrow, seed
 ):
-    """Whenever a trial's route through its patch is certified, it is hop
-    for hop the route through the patch rows plus that trial's drawn
+    """Whenever a trial's route through its region is certified, it is hop
+    for hop the route through the region rows plus that trial's drawn
     complement. A greedy walk's patch may also be narrowed toward
     a/2 + theta_max (``narrow`` < 1), since its certificate must hold for
-    any patch; equal-interval keeps its margin w, which its certificate
-    needs."""
+    any patch; equal-interval keeps its windows of half-width w about its
+    targets, which its certificate needs."""
     if shell == "800":
         params = CellParams(800, 500.0, arc, epsilon=epsilon)
     else:
@@ -804,16 +804,19 @@ def test_certified_patch_routes_are_the_routes_on_the_whole_shell(
     if strategy == "equal-interval" and plan.immediate_type1:
         return
     cell = trial_cell(params, strategy, plan)
-    if strategy != "equal-interval" and cell.span < math.pi:
+    if cell.span < math.pi:
+        assert strategy != "equal-interval"
         span = arc / 2.0 + params.theta_max + narrow * cell.halfwidth
-        cell = replace(cell, span=span, drawn_span=min(span * (1.0 + 1e-9), math.pi))
-    routes, redo, wholes, counts = patch_and_whole_routes(cell, seed, 8)
+        drawn = span * (1.0 + 1e-9)
+        region = (0.5 * math.pi, 0.0, 1, drawn) if drawn < math.pi else WHOLE_BAND
+        cell = replace(cell, span=span, region=region)
+    routes, redo, wholes, counts, _ = patch_and_whole_routes(cell, seed, 8)
     n_sat = params.n_sat
     for k, (route, on_whole) in enumerate(zip(routes, wholes)):
         if k in redo:
             assert route == on_whole
             continue
-        # The patch route's src and dst are IDs counts[k] and counts[k] + 1.
+        # The region route's src and dst are IDs counts[k] and counts[k] + 1.
         ids = list(range(counts[k])) + [n_sat, n_sat + 1]
         assert [ids[h] for h in route.hops] == list(on_whole.hops)
         assert route.status == on_whole.status
@@ -830,11 +833,12 @@ def test_certified_patch_routes_are_the_routes_on_the_whole_shell(
 def test_certified_window_routes_are_the_routes_on_the_whole_shell(
     shell, arc, epsilon, seed
 ):
-    """An equal-interval route through the satellites of a patch that lie
-    within w of a target's longitude, certified by its band reach (at most
-    w), is hop for hop the route through the whole shell: the patch's rows,
-    then its drawn complement. The windows are set from the arc here, so
-    this holds also where a cell does not take them."""
+    """An equal-interval trial draws the satellites of the band within w of
+    a target's longitude first (its windows, or the one window they cover
+    where two of them meet), and no band satellite of its complement lies
+    in a target's window. A route through them, certified by its band
+    reach (at most w), is hop for hop the route through the whole shell:
+    the drawn rows, then the drawn complement."""
     if shell in ("800", "3000"):
         params = CellParams(int(shell), 500.0, arc, epsilon=epsilon)
     else:
@@ -846,69 +850,94 @@ def test_certified_window_routes_are_the_routes_on_the_whole_shell(
     cell = trial_cell(params, "equal-interval", plan)
     reach = cell.halfwidth * (1.0 + 1e-9)
     first = 0.5 * math.pi - 0.5 * arc + arc / n
-    cell = replace(cell, windows=(first, arc / n, n - 1, reach))
-    s, span = cell.band_sine, cell.drawn_span
-    rng = np.random.default_rng(seed)
-    counts = sample_band_counts(rng, n_sat, s, lanes, span).tolist()
-    heights, longitudes = sample_patches(rng, counts, s, span)
-    windows = cell.window_stack(heights, longitudes, counts)
-    rows = np.empty((lanes, n_sat + 2, 3))
-    for b, k in enumerate(counts):
-        rows[b, :k] = unit_rows(heights[b, :k].copy(), longitudes[b, :k])
-        sample_band_complement(rng, s, rows[b, k:n_sat], span)
-    wholes = cell.route_batch(cell.stack(rows, [n_sat] * lanes))
-    centers = first + np.arange(n - 1) * (arc / n)
-    for b, (route, on_whole) in enumerate(zip(cell.route_batch(windows), wholes)):
-        along = longitudes[b, : counts[b], None]
-        inside = (np.abs(along - centers) <= reach).any(axis=1)
-        assert np.array_equal(cell.in_windows(along[:, 0]), inside)
-        # The window shell's rows are the patch rows inside, in drawn order.
-        ids = np.flatnonzero(inside).tolist()
-        assert windows.counts[b] == len(ids)
-        assert windows.rows[b, : len(ids)].tobytes() == rows[b, ids].tobytes()
+    if 2.0 * reach < arc / n:
+        assert cell.region == (first, arc / n, n - 1, reach)
+    else:
+        assert cell.region[2] == 1
+    routes, redo, wholes, counts, rows = patch_and_whole_routes(cell, seed, lanes)
+    centres = first + np.arange(n - 1) * (arc / n)
+
+    def from_targets(rows):
+        """Each row's distance in longitude from the nearest target."""
+        along = np.arctan2(rows[:, 2], rows[:, 0])[:, None] - centres
+        return np.abs(np.remainder(along + math.pi, 2.0 * math.pi) - math.pi).min(1)
+
+    for b, (route, on_whole) in enumerate(zip(routes, wholes)):
+        rest = rows[b, counts[b] : n_sat]
+        in_window = from_targets(rest) < 0.999 * reach
+        assert not (in_window & (np.abs(rest[:, 1]) < cell.band_sine)).any()
+        assert (from_targets(rows[b, : counts[b]]) <= 1.001 * reach).all()
         if route.band_reach > cell.halfwidth:
+            assert b in redo and route == on_whole
             continue
-        ids += [n_sat, n_sat + 1]
+        ids = list(range(counts[b])) + [n_sat, n_sat + 1]
         assert [ids[h] for h in route.hops] == list(on_whole.hops)
         assert route.status == on_whole.status
         assert route.hop_distances == on_whole.hop_distances
 
 
-def test_windows_only_where_they_drop_half_the_patch(monkeypatch):
-    """Equal-interval trials route through their snap windows first where
-    the windows cover at most half the patch: on starlink (0.889 and 1.000
-    of 3.253 rad), not on kuiper (2.347 and 2.560 of 3.355), nor on the
-    sweep shell, whose windows overlap, nor on a whole-sphere band. A
-    windowed block routes stacks of its window satellites, and its records
-    are those of whole shells (see
-    ``test_trials_route_their_full_shell_with_the_cell_plan``)."""
-    covers = {}
+def covers(region, low, high):
+    """Whether one window of ``region`` holds the longitudes [low, high], to
+    rounding."""
+    if region == WHOLE_BAND:
+        return True
+    first, pitch, count, r = region
+    centres = first + pitch * np.arange(count)
+    return bool(((centres - r <= low + 1e-12) & (high <= centres + r + 1e-12)).any())
+
+
+def test_each_cell_draws_a_region_that_holds_its_target_windows(monkeypatch):
+    """The region a trial draws first, as (windows, half-width): on starlink
+    and kuiper a window of half-width w about each equal-interval target; on
+    the sweep shell, whose target windows meet, the one window they cover;
+    a greedy walk's patch a/2 + theta_max + w; and a whole-sphere band
+    whole. Each holds every target's window |phi - phi_j| <= w (or the
+    greedy patch). A starlink block routes stacks of its window satellites:
+    fewer than half those of the patch a/2 + w that it drew before."""
+    regions = {}
     cells = [
-        CellParams.from_preset(preset, epsilon=eps)
+        (preset, eps, CellParams.from_preset(preset, epsilon=eps))
         for preset in ("starlink", "kuiper", "oneweb")
         for eps in (0.1, 0.01)
     ]
     cells += [
-        CellParams(800, 500.0, d / 6871.0, epsilon=0.1) for d in SWEEP_DISTANCES_KM
+        ("800", d, CellParams(800, 500.0, d / 6871.0, epsilon=0.1))
+        for d in SWEEP_DISTANCES_KM
     ]
-    for params in cells:
+    for name, value, params in cells:
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
         if plan.immediate_type1:
             continue
+        arc, n = params.arc_angle, plan.n_hat
         cell = trial_cell(params, "equal-interval", plan)
+        assert cell.span == math.pi
+        regions[name, value] = (cell.region[2], round(cell.region[3], 4))
+        reach = cell.halfwidth * (1.0 + 1e-9)
+        if name == "800":
+            assert cell.region[3] == pytest.approx(arc / 2.0 - arc / n + reach)
+        for j in range(1, n):
+            target = 0.5 * math.pi - 0.5 * arc + j * arc / n
+            assert covers(cell.region, target - reach, target + reach)
         for strategy in ("min-deflection", "max-stepsize"):
-            assert trial_cell(params, strategy, plan).windows is None
-        if cell.windows is None:
-            continue
-        first, step, targets, reach = cell.windows
-        assert targets == plan.n_hat - 1
-        assert step == pytest.approx(params.arc_angle / plan.n_hat)
-        covers[params.n_sat, params.epsilon] = (
-            round(targets * 2.0 * reach, 3), round(2.0 * cell.span, 3)
-        )
-    assert covers == {(11927, 0.1): (0.889, 3.253), (11927, 0.01): (1.0, 3.253)}
+            greedy = trial_cell(params, strategy, plan)
+            span = greedy.span
+            assert span == pytest.approx(
+                arc / 2.0 + params.theta_max + greedy.halfwidth
+            )
+            assert greedy.region[2] == 1
+            assert covers(greedy.region, 0.5 * math.pi - span, 0.5 * math.pi + span)
+    sweep_regions = [regions.pop(("800", d)) for d in SWEEP_DISTANCES_KM]
+    assert regions == {
+        ("starlink", 0.1): (8, 0.0556),
+        ("starlink", 0.01): (9, 0.0556),
+        ("kuiper", 0.1): (11, 0.1067),
+        ("kuiper", 0.01): (12, 0.1067),
+        ("oneweb", 0.1): (1, round(math.pi, 4)),
+    }
+    assert {count for count, _ in sweep_regions} == {1}
+    assert (sweep_regions[0], sweep_regions[-1]) == ((1, 0.3599), (1, 1.2459))
 
     widths = []
 
@@ -926,8 +955,12 @@ def test_windows_only_where_they_drop_half_the_patch(monkeypatch):
         params.n_sat,
         cell.band_sine,
         64,
-        cell.drawn_span,
+        cell.region,
     )
+    assert widths[0] == max(counts)
+    patch = (0.5 * math.pi, 0.0, 1, params.arc_angle / 2.0 + cell.halfwidth)
+    rng = np.random.default_rng(block_seed(3, 0))
+    counts = sample_band_counts(rng, params.n_sat, cell.band_sine, 64, patch)
     assert widths[0] < 0.5 * max(counts)
 
 
@@ -939,7 +972,7 @@ def test_a_walk_that_overruns_dst_toward_the_patch_edge_is_rerouted():
     params = CellParams(60, 500.0, 2.0, epsilon=0.1)
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
     cell = trial_cell(params, "max-stepsize", plan)
-    assert cell.span < math.pi
+    assert cell.span < math.pi and cell.region[2] == 1
 
     def at(along, latitude):
         """The unit row at ``along`` rad in longitude from the arc's
@@ -958,7 +991,7 @@ def test_a_walk_that_overruns_dst_toward_the_patch_edge_is_rerouted():
     assert route.status.value == "ok" and route.hops == (6, 0, 1, 2, 3, 4, 5, 7)
     assert route.band_reach <= cell.halfwidth
     # A satellite of the band just outside the patch: the rest of the shell.
-    units = np.vstack([patch, [at(cell.drawn_span + 0.01, 0.3)]])
+    units = np.vstack([patch, [at(cell.region[3] + 0.01, 0.3)]])
     asked = []
 
     def whole(redo):
@@ -1030,8 +1063,8 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
     block = experiments._BLOCK_TRIALS
     trials = 2 * block + 5
     blocks = ((0, block), (block, 2 * block), (2 * block, trials))
-    # The default budget, then one of 9 to 11 lanes a batch: these patches
-    # hold 78 +- 8 satellites, at most 103.
+    # The default budget, then one of 9 to 11 lanes a batch: these regions
+    # (one window) hold 76 +- 7 satellites, at most 100.
     for rows in (experiments._BATCH_ROWS, 1000):
         log.clear()
         drawn_counts.clear()
@@ -1113,7 +1146,7 @@ def test_records_do_not_depend_on_the_batch_size(monkeypatch, batch_sizes):
                     params.n_sat,
                     cell.band_sine,
                     block,
-                    cell.drawn_span,
+                    cell.region,
                 )[:lanes]
             )
             + 2
