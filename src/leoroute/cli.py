@@ -82,6 +82,7 @@ from .errors import DegenerateArcError, InternalConsistencyError, InvalidInputEr
 from .experiments import (
     SCHEMA_VERSION,
     STRATEGIES,
+    STRATEGY,
     CellParams,
     SweepSpec,
     make_endpoints,
@@ -345,17 +346,17 @@ def analyze(args: argparse.Namespace) -> int:
 def route(args: argparse.Namespace) -> int:
     """Build one route between endpoints at the given separation."""
     settings = _settings(args)
-    strategy = args.strategy
+    row = STRATEGY[args.strategy]
     shell = None
     if args.constellation_path is not None:
         shell = load_constellation(args.constellation_path)
     params = _cell(settings, args.dome_angle, shell)
     arc, theta_max, radius = params.arc_angle, params.theta_max, params.radius
 
-    payload = {"schema_version": SCHEMA_VERSION, "strategy": strategy}
+    payload = {"schema_version": SCHEMA_VERSION, "strategy": row.name}
     exit_code = 0
     cell = None
-    if strategy == "ideal":
+    if row.router is None:
         # The waypoints resolve antipodal endpoints with the routing
         # convention, so the default half-circle separation works for
         # every strategy.
@@ -373,7 +374,7 @@ def route(args: argparse.Namespace) -> int:
         )
     else:
         plan = plan_hops(arc, theta_max, params.n_sat, params.epsilon)
-        if strategy == "equal-interval":
+        if row.targets:
             payload.update(
                 {
                     "n_hat": plan.n_hat,
@@ -383,11 +384,11 @@ def route(args: argparse.Namespace) -> int:
             )
             if plan.type1_interrupted:
                 exit_code = 2
-        if strategy == "equal-interval" and plan.immediate_type1:
+        if row.targets and plan.immediate_type1:
             payload["status"] = "type2_interrupted"
             payload["hops"] = []
         else:
-            cell = trial_cell(params, strategy, plan)
+            cell = trial_cell(params, row.name, plan)
             n_sat, s = params.n_sat, cell.band_sine
             if shell is None:
                 seed = settings["seed"]

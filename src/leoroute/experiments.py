@@ -118,10 +118,6 @@ from .routing import route_min_deflection  # noqa: F401
 #: Version of the CSV/JSON output layout.
 SCHEMA_VERSION = 1
 
-#: Routing strategies understood by the harness, in canonical output order.
-STRATEGIES = ("ideal", "equal-interval", "min-deflection", "max-stepsize")
-
-
 #: Column order of aggregate-record CSV output.
 CSV_FIELDS = (
     "swept_value",
@@ -333,25 +329,58 @@ def contact_band(n_sat: int) -> float:
     return 2.0 * math.asin(math.sqrt(tail))
 
 
-def _band_halfwidth(params: CellParams, strategy: str, plan: HopPlan) -> float:
-    """Half-width w (rad) of the band around the arc that certifies routes.
+@dataclass(frozen=True)
+class Strategy:
+    """A row of :data:`STRATEGY`. It holds only module-level functions, so
+    a :class:`TrialCell`, which looks its row up by name, pickles."""
 
-    max-stepsize keeps to its belt, ``plan.reliable_angle``. The other
-    strategies take the contact-law band (:func:`contact_band`) of the
-    cell's N satellites, except an equal-interval plan that is type-I
-    interrupted: its routes are mostly repaired or interrupted and would
-    almost never certify (97% of oneweb's trials at epsilon 0.1 did not),
-    so its band is the whole sphere.
-    """
-    if strategy == "max-stepsize":
-        return plan.reliable_angle
-    if strategy == "equal-interval" and plan.type1_interrupted:
-        return math.pi / 2.0
-    return contact_band(params.n_sat)
+    name: str
+    #: Batch router ``(stack, d_max_km, plan) -> routes``; None for a
+    #: strategy that routes through no satellites.
+    router: Optional[Callable] = None
+    #: Snaps to the plan's targets: trials draw their windows and are not
+    #: routed under an immediately type-I plan, sweep rows get the estimates,
+    #: and ``leoroute route`` reports the plan and exits 2 if it is type-I.
+    targets: bool = False
+    #: Keeps to the belt of the plan's reliable angle.
+    belt: bool = False
+
+    def halfwidth(self, params: CellParams, plan: HopPlan) -> float:
+        """Half-width w (rad) of the band that certifies routes: the belt;
+        the whole sphere for a target strategy's type-I plan, whose routes
+        would almost never certify (97% of oneweb's at epsilon 0.1 did not);
+        else the contact-law band (:func:`contact_band`) of N satellites."""
+        if self.belt:
+            return plan.reliable_angle
+        if self.targets and plan.type1_interrupted:
+            return math.pi / 2.0
+        return contact_band(params.n_sat)
+
+
+#: The harness's routing strategies by name, in canonical output order.
+STRATEGY = {
+    row.name: row
+    for row in (
+        # Ideal trials take the latency floor at min_feasible_hops, while
+        # ``leoroute route`` reports the longer equal-hop ideal at n_min_ideal.
+        Strategy("ideal"),
+        Strategy("equal-interval", route_equal_interval_batch, targets=True),
+        Strategy("min-deflection", route_min_deflection_batch),
+        Strategy("max-stepsize", route_max_stepsize_batch, belt=True),
+    )
+}
+STRATEGIES = tuple(STRATEGY)
+
+
+def _strategy(name: str) -> Strategy:
+    """The row of strategy ``name``; InvalidInputError for an unknown one."""
+    if name not in STRATEGY:
+        raise InvalidInputError(f"unknown strategy {name!r}; choose from {STRATEGIES}")
+    return STRATEGY[name]
 
 
 def _region(
-    params: CellParams, strategy: str, plan: HopPlan, halfwidth: float
+    params: CellParams, row: Strategy, plan: HopPlan, halfwidth: float
 ) -> tuple[tuple[float, float, int, float], float]:
     """The longitude windows of the band |u_y| <= sin w that a trial draws
     first (:func:`~leoroute.constellation.sample_bands`), and the half-span
@@ -373,7 +402,7 @@ def _region(
     if halfwidth >= math.pi / 2.0:
         return WHOLE_BAND, math.pi
     arc = params.arc_angle
-    if strategy != "equal-interval":
+    if not row.targets:
         span = min(arc / 2.0 + (params.theta_max + halfwidth), math.pi)
         return _patch(span), span
     step, reach = arc / plan.n_hat, halfwidth * (1.0 + _BAND_SLACK)
@@ -432,13 +461,8 @@ class TrialCell:
     def route_batch(self, stack: ShellStack) -> list[Route]:
         """Routes between the cell's endpoints through each shell of
         ``stack``, in one pass, under ``plan`` and the cell's hop range."""
-        # Looked up at call time, so a test that rebinds one of these module
-        # names reaches every route.
-        router = {
-            "equal-interval": route_equal_interval_batch,
-            "min-deflection": route_min_deflection_batch,
-            "max-stepsize": route_max_stepsize_batch,
-        }[self.strategy]
+        # Looked up at call time, so a replaced row reaches every route.
+        router = STRATEGY[self.strategy].router
         return router(stack, self.params.d_max_km, self.plan)
 
     def route_band_first(
@@ -528,22 +552,23 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
 
     ``leoroute route`` (:meth:`TrialCell.route_rows`) and the Monte Carlo
     trials both route through it, band or region first
-    (:meth:`TrialCell.route_band_first`). Raises InvalidInputError for
-    ``ideal``, which routes through no satellites, for a strategy not in
-    :data:`STRATEGIES`, and when the endpoints coincide
-    (:func:`~leoroute.geometry.great_arc` finds no arc between them).
+    (:meth:`TrialCell.route_band_first`), as the strategy's row of
+    :data:`STRATEGY` says. Raises InvalidInputError for a row with no
+    router (``ideal``) or a name not in the table, and when the endpoints
+    coincide (:func:`~leoroute.geometry.great_arc` finds no arc).
     """
-    if strategy not in STRATEGIES[1:]:
-        raise InvalidInputError(f"{strategy!r} is not one of {STRATEGIES[1:]}")
+    row = _strategy(strategy)
+    if row.router is None:
+        raise InvalidInputError(f"{strategy!r} routes through no satellites")
     src, dst = make_endpoints(params.radius, params.arc_angle)
     endpoints = point_rows([src, dst])
     # Every caller of the cached cell shares them.
     endpoints.setflags(write=False)
     if coincident(*endpoints):
         raise InvalidInputError("src and dst are the same point")
-    halfwidth = min(_band_halfwidth(params, strategy, plan), math.pi / 2.0)
+    halfwidth = min(row.halfwidth(params, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
-    region, span = _region(params, strategy, plan, halfwidth)
+    region, span = _region(params, row, plan, halfwidth)
     return TrialCell(
         params=params,
         strategy=strategy,
@@ -643,24 +668,21 @@ def run_trials(
 
     Raises:
         InvalidInputError: If ``trials`` is below 1 or ``strategy`` is not
-            in :data:`STRATEGIES`, before anything is planned.
+            in :data:`STRATEGY`, before anything is planned.
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    if strategy not in STRATEGIES:
-        raise InvalidInputError(
-            f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
-        )
-    ideal = strategy == "ideal"
+    row = _strategy(strategy)
+    ideal = row.router is None
     plan = None if ideal else plan_hops(
         params.arc_angle, params.theta_max, params.n_sat, params.epsilon
     )
-    if ideal or (strategy == "equal-interval" and plan.immediate_type1):
+    if ideal or (row.targets and plan.immediate_type1):
         # Every trial gets the same record. An ideal trial takes the
         # reference route. A plan with no feasible hop count at all
-        # interrupts every equal-interval trial before routing, so no
-        # constellation is sampled; the greedy baselines do not depend on
-        # planning succeeding and route every trial.
+        # interrupts every trial of a target strategy before routing; the
+        # greedy baselines do not depend on planning succeeding and route
+        # every trial.
         outcome = (
             ("ok", reference_latency_ms(params), reference_hop_count(params), 1.0)
             if ideal
@@ -718,12 +740,13 @@ def run_cell(
     :func:`~leoroute.analysis.plan_hops` call that planned the trials.
     """
     records = run_trials(params, strategy, trials, base_seed, threads)
-    plan = None if strategy == "ideal" else plan_hops(
+    ideal = STRATEGY[strategy].router is None
+    plan = None if ideal else plan_hops(
         params.arc_angle, params.theta_max, params.n_sat, params.epsilon
     )
     type2 = sum(1 for r in records if r.status == "type2_interrupted")
     completed = [r for r in records if r.status != "type2_interrupted"]
-    if strategy == "ideal":
+    if ideal:
         # The records copy the latency floor; their mean can be an ulp off.
         mean_latency, mean_eff = reference_latency_ms(params), 1.0
     elif completed:
@@ -915,15 +938,11 @@ def sweep(
 ) -> tuple[SweepRecord, ...]:
     """Aggregate records for every swept value x strategy.
 
-    The closed-form efficiency estimates are attached to equal-interval
-    rows whose hop plan succeeded; they are not defined for the other
-    strategies or for failed plans and are left empty there.
+    The closed-form efficiency estimates are attached to target-strategy
+    (equal-interval) rows whose hop plan succeeded; they are not defined
+    for the other strategies or for failed plans and are left empty there.
     """
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise InvalidInputError(
-                f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
-            )
+    rows = [_strategy(name) for name in strategies]
     if not strategies or len(set(strategies)) != len(strategies):
         raise InvalidInputError(
             f"strategies must be non-empty and without repeats, got {tuple(strategies)}"
@@ -931,17 +950,17 @@ def sweep(
     records = []
     for value in spec.values:
         params = spec.cell(value)
-        for strategy in strategies:
-            agg = run_cell(params, strategy, spec.trials, spec.base_seed, threads)
+        for row in rows:
+            agg = run_cell(params, row.name, spec.trials, spec.base_seed, threads)
             contour = binomial = None
-            if strategy == "equal-interval" and not agg.type1_interrupted:
+            if row.targets and not agg.type1_interrupted:
                 estimate = (params.arc_angle, agg.n_hat, params.n_sat, params.theta_max)
                 contour = efficiency_contour(*estimate)
                 binomial = efficiency_binomial(*estimate)
             records.append(
                 SweepRecord(
                     swept_value=float(value),
-                    strategy=strategy,
+                    strategy=row.name,
                     mean_latency_ms=agg.mean_latency_ms,
                     type2_rate=agg.type2_rate,
                     eff_measured=agg.mean_efficiency,

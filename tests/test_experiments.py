@@ -263,7 +263,8 @@ def test_run_trials_validation():
         run_trials(params, "dijkstra", trials=5, base_seed=1)
 
 
-def test_run_trials_identical_for_any_worker_count(monkeypatch):
+@pytest.mark.parametrize("strategy", STRATEGIES[1:])
+def test_run_trials_identical_for_any_worker_count(monkeypatch, strategy):
     """130 trials are three blocks, so two workers start even on one CPU."""
     started = []
     pool = experiments.ProcessPoolExecutor
@@ -275,9 +276,9 @@ def test_run_trials_identical_for_any_worker_count(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", counted_pool)
     monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
     params = CellParams(n_sat=500, altitude_km=550.0, arc_angle=2.0, epsilon=0.1)
-    serial = run_trials(params, "equal-interval", trials=130, base_seed=99, threads=1)
+    serial = run_trials(params, strategy, trials=130, base_seed=99, threads=1)
     assert started == []
-    two = run_trials(params, "equal-interval", trials=130, base_seed=99, threads=2)
+    two = run_trials(params, strategy, trials=130, base_seed=99, threads=2)
     assert started == [2]
     assert serial == two
     assert [r.trial_index for r in serial] == list(range(130))
@@ -945,7 +946,8 @@ def test_each_cell_draws_a_region_that_holds_its_target_windows(monkeypatch):
         widths.append(max(stack.counts))
         return route_equal_interval_batch(stack, *args)
 
-    monkeypatch.setattr(experiments, "route_equal_interval_batch", logged)
+    row = replace(experiments.STRATEGY["equal-interval"], router=logged)
+    monkeypatch.setitem(experiments.STRATEGY, "equal-interval", row)
     params = CellParams.from_preset("starlink", epsilon=0.1)
     run_trials(params, "equal-interval", trials=64, base_seed=3)
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
@@ -1054,7 +1056,8 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a trial went through a one-shell router")
 
-    monkeypatch.setattr(experiments, "route_equal_interval_batch", counted)
+    row = replace(experiments.STRATEGY["equal-interval"], router=counted)
+    monkeypatch.setitem(experiments.STRATEGY, "equal-interval", row)
     monkeypatch.setattr(experiments, "sample_bands", bands)
     monkeypatch.setattr(experiments, "sample_band_counts", band_counts)
     monkeypatch.setattr(experiments, "sample_band_complement", complement)

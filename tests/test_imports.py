@@ -1,5 +1,6 @@
 """Every import in the package is used, the root exports what it imports,
-and numpy is the one package needed at run time.
+numpy is the one package needed at run time, and only the strategy table
+names a strategy.
 
 Import statements marked ``# noqa: F401`` are exempt: they keep bindings
 that ``benchmarks/tracing.py`` wraps by name, and each must be one that its
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import leoroute
+from leoroute import experiments
 
 PACKAGE_DIR = Path(leoroute.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -98,6 +100,35 @@ def test_hook_only_imports_are_wrapped_by_the_tracer(monkeypatch):
             if (f"leoroute.{path.stem}", name) not in hooked:
                 unhooked.append(f"{path.name}: {name} (line {line})")
     assert unhooked == []
+
+
+def strategy_literals(node):
+    """Strategy names written as literals in ``node``, or in the tuple, list
+    or set literal that ``node`` is."""
+    elements = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return [
+        e.value
+        for e in elements
+        if isinstance(e, ast.Constant) and e.value in experiments.STRATEGIES
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_decides_by_strategy_name(path):
+    """A strategy's behaviour is read from its row of ``STRATEGY``: no
+    comparison with a strategy-name literal, and no dict literal keyed by
+    one, so adding a strategy is adding a row."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names = [name for o in operands for name in strategy_literals(o)]
+        elif isinstance(node, ast.Dict):
+            names = [name for k in node.keys if k for name in strategy_literals(k)]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names]
+    assert found == []
 
 
 def test_the_command_line_needs_only_numpy():
