@@ -296,23 +296,25 @@ def sample_band_counts(
 
 
 def sample_bands(
-    rng: np.random.Generator,
-    counts: Sequence[int],
+    pieces: Sequence[tuple[np.random.Generator, Sequence[int]]],
     s: float,
     region: tuple[float, float, int, float] = WHOLE_BAND,
 ) -> np.ndarray:
     """Unit rows of the satellites of regions of the band |u_y| <= s, in the
-    windows of ``region``, that hold ``counts[b]`` satellites each: shell
-    b's are ``rows[b, :counts[b]]`` of one zero-padded (B, max K + 2, 3)
-    array, which keeps two rows for each shell's endpoints.
+    windows of ``region``: each piece ``(rng, counts)`` draws from ``rng``
+    regions that hold ``counts[b]`` satellites each, and the pieces' regions,
+    in order, are the shells of one zero-padded (B, max K + 2, 3) array, shell
+    b's satellites being ``rows[b, :K_b]``, with two rows kept for each
+    shell's endpoints. One generator's regions are the one piece
+    ``[(rng, counts)]``.
 
-    Each satellite of a region is uniform in it. One ``random`` call draws
-    2 K uniforms a region, region after region: its K heights, then its K
-    longitudes, bit for bit ``uniform(-s, s)`` and, for one window,
-    ``uniform(first - r, first + r)`` calls; several windows share the
-    longitudes' uniforms (:func:`_spread`). So drawing the regions in one
-    batch or in several, in order, gives the same satellites. One trig pass
-    turns the batch to rows.
+    Each satellite of a region is uniform in it. One ``random`` call per
+    piece draws 2 K uniforms a region, region after region: its K heights,
+    then its K longitudes, bit for bit ``uniform(-s, s)`` and, for one
+    window, ``uniform(first - r, first + r)`` calls; several windows share
+    the longitudes' uniforms (:func:`_spread`). So drawing a generator's
+    regions in one piece or in several, in order, gives the same
+    satellites. One trig pass turns all pieces to rows.
 
     Raises:
         InvalidInputError: If s is outside [0, 1], a window is empty or
@@ -321,16 +323,20 @@ def sample_bands(
     _check_band(s)
     _check_region(region)
     first, pitch, count, r = region
+    counts = [k for _, part in pieces for k in part]
     width = max(counts, default=0) + 2
     heights, longitudes = uniforms = np.zeros((2, len(counts), width))
-    drawn = rng.random(2 * sum(counts))
-    at = 0
-    for b, k in enumerate(counts):
-        uniforms[:, b, :k] = drawn[at : at + 2 * k].reshape(2, k)
-        at += 2 * k
-    # Freed before the rows are made, so the draw's peak stays at the rows
-    # and the padded uniforms.
-    del drawn
+    b = 0
+    for rng, part in pieces:
+        drawn = rng.random(2 * sum(part))
+        at = 0
+        for k in part:
+            uniforms[:, b, :k] = drawn[at : at + 2 * k].reshape(2, k)
+            at += 2 * k
+            b += 1
+        # Freed before the next piece is drawn and the rows are made, so the
+        # draw's peak stays at the rows and the padded uniforms.
+        del drawn
     _scale(heights, -s, s)
     last = first + (count - 1) * pitch
     _spread(longitudes, first - r, last + r, count, pitch, 2.0 * r)

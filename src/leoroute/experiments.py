@@ -39,23 +39,28 @@ seed and the block index). It first draws the region counts of all 64
 lanes in one call, then the regions' uniforms lane by lane, in lane order.
 The rest of a shell is drawn only for a trial whose region route is not
 certified, from that trial's own generator, seeded by :func:`trial_seed`.
-So a trial's record depends only on the base seed and its index, never on
-how many trials run, how they are batched or how many workers run them.
+A batch may take lanes of several blocks, but each block's generator still
+draws its counts before any of its uniforms, and its lanes in order. So a
+trial's record depends only on the base seed and its index, never on how
+many trials run, how they are batched or how many workers run them.
 Results differ from releases that built one generator per trial.
 
-A block is routed as one batch, for every sampled strategy, unless its
-region stack, its lanes times its largest region count plus 2 rows, would
-pass ``_BATCH_ROWS`` (65536); then it splits into batches of as many
-lanes as fit, at least one. One ``random`` call draws the batch's
-regions, and one trig pass writes every region's rows, then its
-endpoints, straight into the batch's
+Runs of consecutive trials are routed as one batch, for every sampled
+strategy, across block boundaries (:func:`_batches`): a batch takes the
+next lane while its region stack, its lanes times its largest region
+count plus 2 rows, stays within ``_BATCH_ROWS`` (65536), and takes one
+lane at least; the 200 trials of a sweep cell on an 800-satellite shell
+are one batch. One ``random`` call per block that
+the batch takes lanes from draws its regions, and one trig pass writes
+every region's rows, then its endpoints, straight into the batch's
 :class:`~leoroute.routing.ShellStack`. One batch router
 call routes the stack: :func:`~leoroute.routing.route_equal_interval_batch`
 computes the cell's targets once, snaps all shells in one lockstep pass
-and repairs them in rounds of one lockstep walk each, and the greedy
-baselines walk all shells in lockstep. The trials that need the
-complement draw it into one more stack, after their region rows, for one
-more router call.
+and repairs them in rounds of one walk each, and the greedy baselines walk
+all shells at once; a walk moves its lanes in lockstep, in chunks of as
+many as its memory budget holds. The trials that need the complement draw
+it, after their region rows, into stacks of at most ``_BATCH_ROWS`` rows,
+one router call each.
 
 Worker processes take whole blocks, and records are reduced in trial-index
 order, so output is byte-identical for any worker count.
@@ -78,7 +83,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -307,8 +312,11 @@ def reference_latency_ms(params: CellParams) -> float:
 #: to within 1e-16).
 _BAND_SLACK = 1e-9
 
-#: Cap on the rows of one batch's region stack: 64 regions of up to 1022
-#: satellites each, with their endpoints.
+#: Cap on the rows of one batch's stack: a run of consecutive lanes, across
+#: blocks, whose regions with their endpoints fill at most this many rows
+#: (64 regions of up to 1022 satellites, or 200 of up to 325), and the whole
+#: shells that the batch routes again. A lane wider than the cap is a batch
+#: of its own.
 _BATCH_ROWS = 1 << 16
 
 
@@ -488,8 +496,11 @@ class TrialCell:
             for k, (count, bad) in enumerate(zip(bands.counts, uncertified.tolist()))
             if count < n_rows and bad
         ]
-        if redo:
-            for k, route in zip(redo, self.route_batch(whole(redo))):
+        # At most ``_BATCH_ROWS`` rows of whole shells a batch, at least one.
+        size = max(1, _BATCH_ROWS // (n_rows + 2))
+        for lo in range(0, len(redo), size):
+            part = redo[lo : lo + size]
+            for k, route in zip(part, self.route_batch(whole(part))):
                 routes[k] = route
         return routes, redo
 
@@ -585,15 +596,16 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
 def _run_batch(
     cell: TrialCell,
     base_seed: int,
-    rng: np.random.Generator,
-    counts: list[int],
+    pieces: list[tuple[np.random.Generator, list[int]]],
     start: int,
 ) -> list[TrialRecord]:
-    """Records of the trials from ``start`` on whose regions hold ``counts``
-    satellites, drawn from their block's generator ``rng`` and routed
-    together, region first."""
+    """Records of the trials from ``start`` on, routed together, region
+    first. Each piece ``(rng, counts)`` is a run of consecutive lanes of one
+    block, whose regions hold ``counts`` satellites and are drawn from the
+    block's generator ``rng``."""
     n_sat, sine, region = cell.params.n_sat, cell.band_sine, cell.region
-    regions = cell.stack(sample_bands(rng, counts, sine, region), counts)
+    counts = [k for _, part in pieces for k in part]
+    regions = cell.stack(sample_bands(pieces, sine, region), counts)
 
     def whole(redo: list[int]) -> ShellStack:
         # The rest of a shell is drawn only for a trial that needs it, from
@@ -622,20 +634,50 @@ def _run_batch(
     return records
 
 
-def _run_chunk(args: tuple) -> list[TrialRecord]:
-    """Records of trials ``start`` to ``stop``; ``start`` begins a block.
-    Each block's batches are sized from its region counts."""
-    cell, base_seed, start, stop = args
-    records = []
+def _batches(
+    cell: TrialCell, base_seed: int, start: int, stop: int
+) -> Iterator[list[tuple[np.random.Generator, list[int]]]]:
+    """Trials ``start`` to ``stop`` in batches of consecutive lanes, each as
+    its pieces ``(block generator, region counts)``, one per block it takes
+    lanes from.
+
+    Each block's generator draws its 64 region counts when the batches
+    reach the block. A batch grows lane by lane, across blocks, while its
+    region stack, its lanes times its largest region count plus 2 rows,
+    stays within ``_BATCH_ROWS``; a batch of one lane may pass it.
+    """
+    batch: list[tuple[np.random.Generator, list[int]]] = []
+    lanes = widest = 0
     for first in range(start, stop, _BLOCK_TRIALS):
         rng = np.random.default_rng(block_seed(base_seed, first // _BLOCK_TRIALS))
         counts = sample_band_counts(
             rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS, cell.region
         )[: stop - first].tolist()
-        batch = max(1, _BATCH_ROWS // (max(counts) + 2))
-        for lo in range(0, len(counts), batch):
-            lanes = counts[lo : lo + batch]
-            records += _run_batch(cell, base_seed, rng, lanes, first + lo)
+        lo = 0
+        if (lanes + len(counts)) * (max(widest, *counts) + 2) <= _BATCH_ROWS:
+            # The whole block fits, so none of its lanes ends the batch.
+            lanes, widest = lanes + len(counts), max(widest, *counts)
+        else:
+            for hi, count in enumerate(counts):
+                wider = max(widest, count)
+                if lanes and (lanes + 1) * (wider + 2) > _BATCH_ROWS:
+                    if hi > lo:
+                        batch.append((rng, counts[lo:hi]))
+                    yield batch
+                    batch, lanes, wider, lo = [], 0, count, hi
+                lanes, widest = lanes + 1, wider
+        batch.append((rng, counts[lo:]))
+    yield batch
+
+
+def _run_chunk(args: tuple) -> list[TrialRecord]:
+    """Records of trials ``start`` to ``stop``; ``start`` begins a block.
+    Runs of consecutive trials, across blocks, are routed as one batch
+    (:func:`_batches`)."""
+    cell, base_seed, start, stop = args
+    records: list[TrialRecord] = []
+    for pieces in _batches(cell, base_seed, start, stop):
+        records += _run_batch(cell, base_seed, pieces, start + len(records))
     return records
 
 
@@ -659,11 +701,13 @@ def run_trials(
     This is the one path from a cell to its records: :func:`run_cell`,
     :func:`run_table1` and :func:`sweep` reduce what it returns.
     ``threads`` caps the number of worker processes, which never exceeds
-    the CPUs this process may run on or the blocks of 64 trials; any value
-    yields byte-identical results because a trial's random draws depend
-    only on the base seed and its index (lane ``i % 64`` of block
-    ``i // 64``, and its own complement stream) and records are reduced in
-    trial order. The records of the first t trials are the same for any
+    the CPUs this process may run on or the blocks of 64 trials; each
+    worker takes whole blocks and routes runs of its consecutive trials,
+    across blocks, as one batch (:func:`_batches`). Any value yields
+    byte-identical results because a trial's random draws depend only on
+    the base seed and its index (lane ``i % 64`` of block ``i // 64``, and
+    its own complement stream), not on its batch, and records are reduced
+    in trial order. The records of the first t trials are the same for any
     ``trials`` >= t.
 
     Raises:

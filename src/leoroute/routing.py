@@ -17,8 +17,9 @@ hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
 Each also has a batch router, ``route_*_batch(stack, d_max, plan)``, for
 a :class:`ShellStack` of shells that share their endpoints: equal-interval
 snaps all of them in one lockstep pass over its targets and repairs them
-in rounds, one lockstep walk per round, and the greedy baselines walk all
-of them in lockstep. On a batch of whole shells, whose satellites mostly
+in rounds, one walk per round, and the greedy baselines walk all of them
+at once; a walk moves its lanes in lockstep, in chunks of as many as its
+memory budget holds. On a batch of whole shells, whose satellites mostly
 lie far from the arc, equal-interval snaps among those of a strip within
 h of the arc, h the radius of a cap that holds 25 satellites on average,
 and snaps again on all its rows only a shell whose picks the strip cannot
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -188,6 +189,57 @@ def _deflection(dots: np.ndarray) -> np.ndarray:
 
 
 def _walk(
+    stack: np.ndarray,
+    shells: list[int],
+    start: np.ndarray,
+    goal: np.ndarray,
+    cos_admissible: float,
+    blocked: np.ndarray,
+    score: Optional[Callable[[np.ndarray, slice], np.ndarray]],
+    cap: int,
+) -> tuple[list[list[int]], list[bool]]:
+    """Relays of each walk toward its goal, and whether the goal came in reach.
+
+    Walk b runs on the rows ``stack[shells[b]]`` (``stack`` has shape
+    (B, W, 3)) from satellite ``start[b]`` to ``goal[b]``. Until its goal
+    is one admissible hop away, each step takes the satellite with the
+    lowest score among those admissible from the current one, not
+    ``blocked[b]`` (nor the goal) and strictly closer to the goal; the
+    scores of the walks ``lanes`` (a slice) on their rows ``units`` are
+    ``score(units, lanes)``, and with no ``score`` the step takes the
+    farthest. A walk gives up when none qualifies or after ``cap`` steps.
+    Marks each goal in ``blocked``.
+
+    The walks go in chunks of consecutive walks, as many at a time as
+    ``_PRODUCT_DOTS`` holds at ``_REPAIR_DOUBLES`` doubles a row, so a
+    chunk's rows, scores and work area stay within that budget whatever the
+    batch. The walks of a chunk move in lockstep (:func:`_lockstep`).
+    """
+    chunk = max(1, _PRODUCT_DOTS // (_REPAIR_DOUBLES * stack.shape[1]))
+    relays: list[list[int]] = []
+    reached: list[bool] = []
+    for lo in range(0, len(shells), chunk):
+        lanes = slice(lo, lo + chunk)
+        rows = shells[lanes]
+        # Walks on consecutive shells read a view of the stack, not a copy.
+        first = rows[0]
+        consecutive = rows == list(range(first, first + len(rows)))
+        units = stack[first : first + len(rows)] if consecutive else stack[rows]
+        mids, done = _lockstep(
+            units,
+            start[lanes],
+            goal[lanes],
+            cos_admissible,
+            blocked[lanes],
+            None if score is None else score(units, lanes),
+            cap,
+        )
+        relays += mids
+        reached += done
+    return relays, reached
+
+
+def _lockstep(
     units: np.ndarray,
     start: np.ndarray,
     goal: np.ndarray,
@@ -196,20 +248,13 @@ def _walk(
     score: Optional[np.ndarray],
     cap: int,
 ) -> tuple[list[list[int]], list[bool]]:
-    """Relays of each walk toward its goal, and whether the goal came in reach.
+    """:func:`_walk` on the rows ``units[b]`` of each walk b, ranked by
+    ``score[b]``, all walks in lockstep.
 
-    Walk b runs on the stack ``units[b]`` (``units`` has shape (B, W, 3))
-    from satellite ``start[b]`` to ``goal[b]``. Until its goal is one
-    admissible hop away, each step takes the satellite with the lowest
-    ``score[b]`` (the farthest when ``score`` is None) among those
-    admissible from the current one, not ``blocked[b]`` (nor the goal) and
-    strictly closer to the goal. A walk gives up when none qualifies or
-    after ``cap`` steps. Marks each goal in ``blocked``.
-
-    The walks move in lockstep: each step takes one matrix product of
-    every walk's rows with its current satellite, one eligibility mask and
-    one argmin along the rows, and a walk that stops leaves the stack.
-    Progress is strict, so a walk never takes a relay twice.
+    Each step takes one matrix product of every walk's rows with its
+    current satellite, one eligibility mask and one argmin along the rows,
+    and a walk that stops leaves the stack. Progress is strict, so a walk
+    never takes a relay twice.
     """
     lanes = np.arange(len(units))
     dots_goal = np.matmul(units, units[lanes, goal][:, :, None])[:, :, 0]
@@ -302,17 +347,20 @@ def hop_repair(
 
 
 #: Most dots one matrix product of the snapping stage computes, and the
-#: most doubles the work area of an equal-interval batch holds: a group of
-#: target dots while it snaps, the lanes of one repair walk while it
-#: repairs. OpenBLAS spreads larger products over threads, and on a shared
+#: most doubles the work area of a batch holds: a group of target dots
+#: while equal-interval snaps, and one chunk of a walk's lanes
+#: (:func:`_walk`) while equal-interval repairs or a greedy baseline walks.
+#: OpenBLAS spreads larger products over threads, and on a shared
 #: 2-core host that made a 224 000-dot product 18x slower than the same
 #: work in one thread.
 _PRODUCT_DOTS = 1 << 16
 
-#: Doubles each row of a repair lane takes at the peak of its walk: the
+#: Doubles each row of a walking lane takes at the peak of its walk, which
+#: sets how many lanes one chunk of a walk takes (:func:`_walk`): a repair
 #: lane's copy of its shell's rows (3), its dots with the arc's normal and
 #: its deflection (2), and the lockstep walk's own (a trace of table1's
-#: oneweb cell peaked at 6.2).
+#: oneweb cell peaked at 6.2). A greedy baseline's lanes read their batch's
+#: rows and deflection in place and take the same chunks.
 _REPAIR_DOUBLES = 12
 
 
@@ -331,8 +379,8 @@ def _repair_round(
     rounds the other way) needs no relay. Every other lane walks from its
     start, scored by the deflection from its own start->goal arc, until its
     goal is one admissible hop away; a lane whose hop has no reference arc
-    or whose walk dead-ends gets None. The lanes walk in lockstep, as many
-    at a time as ``_PRODUCT_DOTS`` holds.
+    or whose walk dead-ends gets None. The lanes walk in lockstep, in
+    chunks of as many as ``_PRODUCT_DOTS`` holds (:func:`_walk`).
     """
     relays: list[Optional[list[int]]] = [None] * len(ids)
     walkers, normals = [], []
@@ -346,32 +394,32 @@ def _repair_round(
         except DegenerateArcError:
             continue
         walkers.append(j)
+    normals = np.array(normals)
     width = stack.shape[1]
-    chunk = max(1, _PRODUCT_DOTS // (_REPAIR_DOUBLES * width))
-    for lo in range(0, len(walkers), chunk):
-        lanes = walkers[lo : lo + chunk]
-        rows = [ids[j] for j in lanes]
-        units = stack if rows == list(range(len(stack))) else stack[rows]
+
+    def tilt(units: np.ndarray, lanes: slice) -> np.ndarray:
         # One matrix-vector product per lane, as for a shell on its own.
-        tilt = np.matmul(units, np.array(normals[lo : lo + chunk])[:, :, None])
-        mids, reached = _walk(
-            units,
-            np.array([start[j] for j in lanes]),
-            np.array([goal[j] for j in lanes]),
-            cos_admissible,
-            blocked[lanes],
-            _deflection(tilt[:, :, 0]),
-            width,
-        )
-        for j, path, done in zip(lanes, mids, reached):
-            if done:
-                relays[j] = path
-            elif len(path) >= width:
-                # A walk never revisits a satellite, so only a bug can use
-                # up the cap.
-                raise InternalConsistencyError(
-                    f"hop repair for {start[j]}->{goal[j]} exceeded the satellite count"
-                )
+        return _deflection(np.matmul(units, normals[lanes][:, :, None])[:, :, 0])
+
+    mids, reached = _walk(
+        stack,
+        [ids[j] for j in walkers],
+        np.array([start[j] for j in walkers]),
+        np.array([goal[j] for j in walkers]),
+        cos_admissible,
+        blocked[walkers],
+        tilt,
+        width,
+    )
+    for j, path, done in zip(walkers, mids, reached):
+        if done:
+            relays[j] = path
+        elif len(path) >= width:
+            # A walk never revisits a satellite, so only a bug can use up
+            # the cap.
+            raise InternalConsistencyError(
+                f"hop repair for {start[j]}->{goal[j]} exceeded the satellite count"
+            )
     return relays
 
 
@@ -765,7 +813,8 @@ def _repaired(
 def _route_greedy(
     stack: ShellStack, d_max: float, plan: HopPlan, pick_farthest: bool
 ) -> list[Route]:
-    """The greedy baselines on each shell of ``stack``, in one lockstep walk.
+    """The greedy baselines on each shell of ``stack``, in one walk whose
+    chunks of shells move in lockstep (:func:`_walk`).
 
     The shells share their sphere, their body and their endpoints, so the
     deflection of the whole stack takes one product with the arc's normal.
@@ -776,12 +825,18 @@ def _route_greedy(
     src = np.array(counts)
     # Padding is never taken.
     blocked = np.arange(units.shape[1]) >= src[:, None] + 2
-    score = None if pick_farthest else deflection
     if pick_farthest:
         # max-stepsize never looks outside its belt.
         blocked |= deflection > plan.reliable_angle
     relays, reached = _walk(
-        units, src, src + 1, cos_admissible, blocked, score, 4 * plan.n_hat
+        units,
+        list(range(len(counts))),
+        src,
+        src + 1,
+        cos_admissible,
+        blocked,
+        None if pick_farthest else lambda _, lanes: deflection[lanes],
+        4 * plan.n_hat,
     )
     paths = [
         [k, *mids, k + 1] if done else [k, *mids]
@@ -823,7 +878,7 @@ def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route
 def route_min_deflection_batch(
     stack: ShellStack, d_max: float, plan: HopPlan
 ) -> list[Route]:
-    """:func:`route_min_deflection` on each shell of ``stack``, in one lockstep walk."""
+    """:func:`route_min_deflection` on each shell of ``stack``, in one walk."""
     return _route_greedy(stack, d_max, plan, pick_farthest=False)
 
 
@@ -843,5 +898,5 @@ def route_max_stepsize(c: Constellation, d_max: float, plan: HopPlan) -> Route:
 def route_max_stepsize_batch(
     stack: ShellStack, d_max: float, plan: HopPlan
 ) -> list[Route]:
-    """:func:`route_max_stepsize` on each shell of ``stack``, in one lockstep walk."""
+    """:func:`route_max_stepsize` on each shell of ``stack``, in one walk."""
     return _route_greedy(stack, d_max, plan, pick_farthest=True)

@@ -148,7 +148,7 @@ def sample_band(rng, n_sat, band_sine):
     """One shell's band rows: its count, then the batch of one of
     ``sample_bands``."""
     counts = sample_band_counts(rng, n_sat, band_sine, 1).tolist()
-    return sample_bands(rng, counts, band_sine)[0, : counts[0]]
+    return sample_bands([(rng, counts)], band_sine)[0, : counts[0]]
 
 
 def sample_rest(rng, count, band_sine):
@@ -219,33 +219,39 @@ def test_batch_draw_equals_the_trial_by_trial_draws(band_sine):
     empty = Counter()
     for n_sat, size in itertools.product((1, 650, 800, 11927), (1, 48)):
         seed = 1000 * n_sat + 7 * size
-        rng, own, one, split = (np.random.default_rng(seed) for _ in range(4))
+        rng, own, one, split, merged = (np.random.default_rng(seed) for _ in range(5))
         counts = sample_band_counts(rng, n_sat, band_sine, size).tolist()
         assert counts == own.binomial(n_sat, band_sine, size).tolist()
-        for other in (one, split):
+        for other in (one, split, merged):
             assert sample_band_counts(other, n_sat, band_sine, size).tolist() == counts
-        rows = sample_bands(rng, counts, band_sine)
+        rows = sample_bands([(rng, counts)], band_sine)
         assert rows.shape == (size, max(counts) + 2, 3)
         empty[size, min(counts) == 0, max(counts) > 0] += 1
         expected = [trial_band(own, k, band_sine).tobytes() for k in counts]
         assert [shell[:k].tobytes() for shell, k in zip(rows, counts)] == expected
         assert not any(shell[k:].any() for shell, k in zip(rows, counts))
-        singles = [sample_bands(one, [k], band_sine)[0, :k].tobytes() for k in counts]
+        singles = [
+            sample_bands([(one, [k])], band_sine)[0, :k].tobytes() for k in counts
+        ]
         assert singles == expected
-        pieces, at = [], 0
+        pieces, parts, at = [], [], 0
         for width in itertools.cycle((5, 1, 17)):
             part = counts[at : at + width]
             if not part:
                 break
-            batch = sample_bands(split, part, band_sine)
+            batch = sample_bands([(split, part)], band_sine)
             pieces += [shell[:k].tobytes() for shell, k in zip(batch, part)]
+            parts.append((merged, part))
             at += width
         assert pieces == expected
+        # The same uneven parts, as the pieces of one call, fill one stack.
+        rows = sample_bands(parts, band_sine)
+        assert [shell[:k].tobytes() for shell, k in zip(rows, counts)] == expected
         rest = np.empty((n_sat - counts[-1], 3))
         sample_band_complement(rng, band_sine, rest)
         expected = trial_complement(own, len(rest), band_sine).tobytes()
         assert rest.tobytes() == expected
-        for other in (one, split):
+        for other in (one, split, merged):
             assert sample_rest(other, len(rest), band_sine).tobytes() == expected
             assert other.bit_generator.state == own.bit_generator.state
         assert rng.bit_generator.state == own.bit_generator.state
@@ -253,6 +259,38 @@ def test_batch_draw_equals_the_trial_by_trial_draws(band_sine):
         # A batch of 48 that mixes empty and non-empty bands, and an empty
         # batch of one.
         assert empty[48, True, True] > 0 and empty[1, True, False] > 0
+
+
+@pytest.mark.parametrize("region", [(math.pi, 0.0, 1, math.pi), (0.9, 0.55, 4, 0.2)])
+def test_pieces_of_several_generators_fill_one_stack(region):
+    """The tail of one generator's regions and the head of another's, drawn
+    as the two pieces of one call, are bit for bit the shells of their own
+    calls, padded to the widest, and leave each generator where its own
+    calls leave it."""
+    band_sine = 0.2
+    drawn, own = [], []
+    for seed in (1, 2):
+        rng, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = sample_band_counts(rng, 800, band_sine, 64, region).tolist()
+        assert sample_band_counts(alone, 800, band_sine, 64, region).tolist() == counts
+        drawn.append((rng, counts))
+        own.append((alone, counts))
+    (a, first), (b, second) = drawn
+    # The first generator has drawn its first 40 regions already.
+    sample_bands([(a, first[:40])], band_sine, region)
+    sample_bands([(own[0][0], first[:40])], band_sine, region)
+    parts = (first[40:], second[:30])
+    rows = sample_bands([(a, parts[0]), (b, parts[1])], band_sine, region)
+    counts = parts[0] + parts[1]
+    assert rows.shape == (len(counts), max(counts) + 2, 3)
+    expected = []
+    for (alone, _), part in zip(own, parts):
+        alone_rows = sample_bands([(alone, part)], band_sine, region)
+        expected += [shell[:k].tobytes() for shell, k in zip(alone_rows, part)]
+    assert [shell[:k].tobytes() for shell, k in zip(rows, counts)] == expected
+    assert not any(shell[k:].any() for shell, k in zip(rows, counts))
+    for rng, (alone, _) in zip((a, b), own):
+        assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def test_band_sampler_validates_inputs():
@@ -304,7 +342,7 @@ def test_patch_then_complement_is_a_uniform_shell(region):
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         (k,) = sample_band_counts(rng, n_sat, band_sine, 1, region).tolist()
-        patch = sample_bands(rng, [k], band_sine, region)[0, :k]
+        patch = sample_bands([(rng, [k])], band_sine, region)[0, :k]
         rest = np.empty((n_sat - k, 3))
         sample_band_complement(rng, band_sine, rest, region)
         assert np.all(np.abs(patch[:, 1]) <= band_sine)
@@ -403,14 +441,14 @@ def test_patch_batch_draw_equals_the_trial_by_trial_draws(band_sine, region):
         for other in (single, split):
             again = sample_band_counts(other, n_sat, band_sine, size, region)
             assert again.tolist() == counts
-        rows = sample_bands(rng, counts, band_sine, region)
+        rows = sample_bands([(rng, counts)], band_sine, region)
         assert rows.shape == (size, max(counts) + 2, 3)
         for shell, k in zip(rows, counts):
             assert same(shell[:k], trial_patch(own, k, band_sine, region))
         expected = [shell[:k].tobytes() for shell, k in zip(rows, counts)]
         assert not any(shell[k:].any() for shell, k in zip(rows, counts))
         singles = [
-            sample_bands(single, [k], band_sine, region)[0, :k].tobytes()
+            sample_bands([(single, [k])], band_sine, region)[0, :k].tobytes()
             for k in counts
         ]
         assert singles == expected
@@ -419,7 +457,7 @@ def test_patch_batch_draw_equals_the_trial_by_trial_draws(band_sine, region):
             part = counts[at : at + width]
             if not part:
                 break
-            batch = sample_bands(split, part, band_sine, region)
+            batch = sample_bands([(split, part)], band_sine, region)
             pieces += [shell[:k].tobytes() for shell, k in zip(batch, part)]
             at += width
         assert pieces == expected
@@ -446,13 +484,13 @@ def test_patch_sampler_validates_its_span():
         with pytest.raises(InvalidInputError, match="windows"):
             sample_band_counts(rng, 10, 0.1, 1, bad)
         with pytest.raises(InvalidInputError, match="windows"):
-            sample_bands(rng, [3], 0.1, bad)
+            sample_bands([(rng, [3])], 0.1, bad)
         with pytest.raises(InvalidInputError, match="windows"):
             sample_band_complement(rng, 0.1, np.empty((3, 3)), bad)
     # One window of half-width pi about pi is the band.
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    whole = sample_bands(a, [40], 0.3, (math.pi, 0.0, 1, math.pi))
-    assert whole.tobytes() == sample_bands(b, [40], 0.3).tobytes()
+    whole = sample_bands([(a, [40])], 0.3, (math.pi, 0.0, 1, math.pi))
+    assert whole.tobytes() == sample_bands([(b, [40])], 0.3).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

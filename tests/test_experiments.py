@@ -466,7 +466,7 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
             ).tolist()
             k = counts[lane]
             units = np.empty((params.n_sat, 3))
-            drawn = sample_bands(rng, counts[: lane + 1], band_sine, region)
+            drawn = sample_bands([(rng, counts[: lane + 1])], band_sine, region)
             units[:k] = drawn[lane, :k]
             rest = np.random.default_rng(trial_seed(11, rec.trial_index))
             sample_band_complement(rest, band_sine, units[k:], region)
@@ -484,18 +484,24 @@ def test_trials_route_their_full_shell_with_the_cell_plan(strategy):
 @pytest.fixture
 def batch_sizes(monkeypatch):
     """``(first trial, lanes)`` of every batch routed from now on. Each batch
-    is checked as it comes: it stays within its block, and a batch of more
-    than one lane holds at most ``_BATCH_ROWS`` band rows."""
+    is checked as it comes: it is a run of consecutive lanes, one piece for
+    each block it takes lanes from, and a batch of more than one lane holds
+    at most ``_BATCH_ROWS`` region rows."""
     sizes = []
     run_batch = experiments._run_batch
 
-    def logged(cell, base_seed, rng, counts, start):
+    def logged(cell, base_seed, pieces, start):
         block = experiments._BLOCK_TRIALS
-        assert start // block == (start + len(counts) - 1) // block
+        at = start
+        for k, (_, part) in enumerate(pieces):
+            assert part and (k == 0 or at % block == 0)
+            assert at // block == (at + len(part) - 1) // block
+            at += len(part)
+        counts = [count for _, part in pieces for count in part]
         rows = len(counts) * (max(counts) + 2)
         assert len(counts) == 1 or rows <= experiments._BATCH_ROWS
         sizes.append((start, len(counts)))
-        return run_batch(cell, base_seed, rng, counts, start)
+        return run_batch(cell, base_seed, pieces, start)
 
     monkeypatch.setattr(experiments, "_run_batch", logged)
     return sizes
@@ -504,6 +510,49 @@ def batch_sizes(monkeypatch):
 def one_by_one(trials):
     """The batches of ``trials`` trials routed one at a time."""
     return [(i, 1) for i in range(trials)]
+
+
+def lane_counts(cell, base_seed, trials):
+    """The region count of each of the first ``trials`` lanes of a cell:
+    each block's generator draws its 64 counts first."""
+    block, n_sat = experiments._BLOCK_TRIALS, cell.params.n_sat
+    counts = []
+    for b in range(-(-trials // block)):
+        rng = np.random.default_rng(block_seed(base_seed, b))
+        counts += sample_band_counts(
+            rng, n_sat, cell.band_sine, block, cell.region
+        ).tolist()
+    return counts[:trials]
+
+
+def greedy_batches(counts, budget):
+    """``(first lane, lanes)`` of the batches of lanes whose regions hold
+    ``counts``: a batch takes the next lane while its lanes times its
+    largest count plus 2 stay within ``budget``, and takes one lane at
+    least. The reference of the harness's batching rule."""
+    batches, first = [], 0
+    for lane in range(1, len(counts)):
+        if (lane - first + 1) * (max(counts[first : lane + 1]) + 2) > budget:
+            batches.append((first, lane - first))
+            first = lane
+    return batches + [(first, len(counts) - first)]
+
+
+def block_batches(cell, base_seed, start, stop):
+    """One batch for each block: the batching of a harness whose batches
+    never cross a block, as the reference for batches that do."""
+    for first in range(start, stop, experiments._BLOCK_TRIALS):
+        rng = np.random.default_rng(
+            block_seed(base_seed, first // experiments._BLOCK_TRIALS)
+        )
+        counts = sample_band_counts(
+            rng,
+            cell.params.n_sat,
+            cell.band_sine,
+            experiments._BLOCK_TRIALS,
+            cell.region,
+        )[: stop - first].tolist()
+        yield [(rng, counts)]
 
 
 def test_batched_trials_equal_trials_routed_one_at_a_time(
@@ -529,7 +578,8 @@ def test_batched_trials_equal_trials_routed_one_at_a_time(
         params: run_trials(params, "equal-interval", trials, base_seed=5)
         for params in cells
     }
-    assert batch_sizes == [(0, experiments._BLOCK_TRIALS), (64, 3)] * len(cells)
+    # Each cell's two blocks fit the budget, so they are one batch.
+    assert batch_sizes == [(0, trials)] * len(cells)
     batch_sizes.clear()
     monkeypatch.setattr(experiments, "_BATCH_ROWS", 0)
     for params, records in batched.items():
@@ -543,10 +593,10 @@ SWEEP_DISTANCES_KM = tuple(4000.0 + 250.0 * k for k in range(48))
 
 
 def test_trial_batches_stay_within_their_budget(monkeypatch, batch_sizes):
-    """A block of every table1 cell and of every benchmark sweep cell is one
-    batch. A block whose band stack would pass ``_BATCH_ROWS`` splits into
-    batches of as many lanes as fit, and its records are those of batches
-    of one."""
+    """A block of every table1 cell and the 200 trials of every benchmark
+    sweep cell are one batch. Trials whose region stack would pass
+    ``_BATCH_ROWS`` split into batches of as many consecutive lanes as fit,
+    across blocks, and their records are those of batches of one."""
     block = experiments._BLOCK_TRIALS
     cells = [
         (CellParams.from_preset(preset, epsilon=eps), ("equal-interval",))
@@ -564,19 +614,21 @@ def test_trial_batches_stay_within_their_budget(monkeypatch, batch_sizes):
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
+        trials = block if len(strategies) == 1 else 200
         for strategy in strategies:
             batch_sizes.clear()
-            run_trials(params, strategy, block, base_seed=3)
+            run_trials(params, strategy, trials, base_seed=3)
             # An immediately type-I equal-interval plan routes nothing.
             skipped = strategy == "equal-interval" and plan.immediate_type1
-            assert batch_sizes == ([] if skipped else [(0, block)])
+            assert batch_sizes == ([] if skipped else [(0, trials)])
 
     # Type-I equal-interval plans route on the whole sphere. With 3000
-    # satellites a batch holds 21 lanes; with 20000, 3.
+    # satellites a batch holds 21 lanes, and the last one takes the first
+    # block's last lane and the second block's 6; with 20000, 3.
     split = CellParams(3000, 550.0, math.pi, d_max_km=1000.0, epsilon=0.5)
     batch_sizes.clear()
     records = run_trials(split, "equal-interval", 70, base_seed=3)
-    assert batch_sizes == [(0, 21), (21, 21), (42, 21), (63, 1), (64, 6)]
+    assert batch_sizes == [(0, 21), (21, 21), (42, 21), (63, 7)]
     assert {r.status for r in records} == {"repaired", "type2_interrupted"}
     # This plan fails at once, so run_trials routes none of its trials; its
     # chunk routes them all the same.
@@ -659,7 +711,7 @@ def test_batched_greedy_trials_equal_trials_routed_one_at_a_time(
             trials = experiments._BLOCK_TRIALS + 5
             batch_sizes.clear()
             records = run_trials(params, strategy, trials, base_seed=5)
-            assert batch_sizes == [(0, experiments._BLOCK_TRIALS), (64, 5)]
+            assert batch_sizes == [(0, trials)]
             batch_sizes.clear()
             patch.setattr(experiments, "_BATCH_ROWS", 0)
             assert run_trials(params, strategy, trials, 5) == records
@@ -765,7 +817,7 @@ def patch_and_whole_routes(cell, seed, lanes):
     params, s, region = cell.params, cell.band_sine, cell.region
     rng = np.random.default_rng(seed)
     counts = sample_band_counts(rng, params.n_sat, s, lanes, region).tolist()
-    patches = cell.stack(sample_bands(rng, counts, s, region), counts)
+    patches = cell.stack(sample_bands([(rng, counts)], s, region), counts)
     rows = np.empty((lanes, params.n_sat + 2, 3))
     for b, k in enumerate(counts):
         rows[b, :k] = patches.rows[b, :k]
@@ -1023,12 +1075,13 @@ def test_trial_cell_rejects_ideal_and_unknown_names():
 
 
 def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
-    """A block draws its patch counts once and is one batch, or, under a
-    smaller ``_BATCH_ROWS``, batches of as many lanes as the budget holds
-    for its largest patch. Each batch draws its patches in one call, routes
-    them in one router call, and routes the whole shells of the trials it
-    cannot certify in one more, each after drawing its complement: never
-    one call per trial, and never through a one-shell router."""
+    """Each block draws its region counts once, before the batch that holds
+    its first lane draws. Runs of consecutive lanes, across blocks, are one
+    batch each, as many lanes as the budget holds. Each batch draws its
+    regions in one call, routes them in one router call, and routes the
+    whole shells of the trials it cannot certify in one more call for each
+    ``_BATCH_ROWS`` rows of whole shells (one shell at least), each after
+    drawing its complement: never through a one-shell router."""
     params = CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5)
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
     cell = trial_cell(params, "equal-interval", plan)
@@ -1038,16 +1091,13 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
         log.append(("route", len(stack.counts)))
         return route_equal_interval_batch(stack, *args)
 
-    def bands(*args):
-        log.append(("bands", len(args[1])))
-        return sample_bands(*args)
-
-    drawn_counts = []
+    def bands(pieces, *args):
+        log.append(("bands", sum(len(part) for _, part in pieces)))
+        return sample_bands(pieces, *args)
 
     def band_counts(*args):
         log.append(("counts", args[3]))
-        drawn_counts.append(sample_band_counts(*args))
-        return drawn_counts[-1]
+        return sample_band_counts(*args)
 
     def complement(*args):
         log.append(("rest", 1))
@@ -1065,38 +1115,41 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
         monkeypatch.setattr(experiments, name, forbidden)
     block = experiments._BLOCK_TRIALS
     trials = 2 * block + 5
-    blocks = ((0, block), (block, 2 * block), (2 * block, trials))
-    # The default budget, then one of 9 to 11 lanes a batch: these regions
-    # (one window) hold 76 +- 7 satellites, at most 100.
+    counts = lane_counts(cell, 11, trials)
+    # The default budget: all 133 lanes are one batch, and its whole shells
+    # (502 rows) one more. Then one of 9 to 11 lanes a batch, whose whole
+    # shells are re-routed one at a time: these regions (one window) hold
+    # 76 +- 7 satellites, at most 100.
     for rows in (experiments._BATCH_ROWS, 1000):
         log.clear()
-        drawn_counts.clear()
         monkeypatch.setattr(experiments, "_BATCH_ROWS", rows)
         records = run_trials(params, "equal-interval", trials, base_seed=11)
-        assert len(records) == trials and len(drawn_counts) == len(blocks)
-        at, rerouted, splits = 0, [], []
-        for counts, (first, stop) in zip(drawn_counts, blocks):
-            # Batches never cross a block, and the last block holds 5 trials.
-            lanes = stop - first
-            size = max(1, rows // (max(counts[:lanes]) + 2))
-            sizes = [min(size, lanes - lo) for lo in range(0, lanes, size)]
-            splits.append(len(sizes) > 1)
-            assert log[at] == ("counts", block)
-            at += 1
-            for size in sizes:
-                assert log[at : at + 2] == [("bands", size), ("route", size)]
-                at += 2
-                drawn = 0
-                while at < len(log) and log[at] == ("rest", 1):
-                    drawn += 1
-                    at += 1
-                if drawn:
-                    assert log[at] == ("route", drawn)
-                    at += 1
-                rerouted.append(drawn)
+        assert len(records) == trials
+        batches = greedy_batches(counts, rows)
+        whole = max(1, rows // (params.n_sat + 2))
+        at, drawn_blocks, rerouted = 0, 0, []
+        for first, lanes in batches:
+            # The counts of every block this batch takes lanes from, and of
+            # the block that its next lane begins, which decides its end.
+            while drawn_blocks * block <= min(first + lanes, trials - 1):
+                assert log[at] == ("counts", block)
+                at += 1
+                drawn_blocks += 1
+            assert log[at : at + 2] == [("bands", lanes), ("route", lanes)]
+            at += 2
+            drawn = 0
+            while at < len(log) and log[at] == ("rest", 1):
+                size = 1
+                while log[at + size] == ("rest", 1):
+                    size += 1
+                assert size <= whole and log[at + size] == ("route", size)
+                at += size + 1
+                drawn += size
+            rerouted.append(drawn)
         assert at == len(log)
         assert any(rerouted)
-        assert any(splits) == (rows == 1000)
+        assert any(first // block != (first + n - 1) // block for first, n in batches)
+        assert (len(batches) > 1) == (rows == 1000)
 
 
 #: Cells whose trials re-route: about half of the equal-interval band
@@ -1132,39 +1185,63 @@ def test_records_are_equal_for_one_two_and_three_workers(monkeypatch):
 
 
 def test_records_do_not_depend_on_the_batch_size(monkeypatch, batch_sizes):
-    """Batches of 1, 2 or 3 trials, forced through ``_BATCH_ROWS``, give
-    the records of whole blocks."""
-    block = experiments._BLOCK_TRIALS
+    """Batches of at least 1, 2 or 3 trials, forced through ``_BATCH_ROWS``,
+    give the records of whole blocks."""
     for params, strategy in REROUTING_CELLS:
         plan = plan_hops(
             params.arc_angle, params.theta_max, params.n_sat, params.epsilon
         )
         cell = trial_cell(params, strategy, plan)
         records = run_trials(params, strategy, trials=70, base_seed=4)
-        # The widest patch stack row of each block: of all 64 lanes, then 6.
-        widths = [
-            max(
-                sample_band_counts(
-                    np.random.default_rng(block_seed(4, b)),
-                    params.n_sat,
-                    cell.band_sine,
-                    block,
-                    cell.region,
-                )[:lanes]
-            )
-            + 2
-            for b, lanes in enumerate((block, 6))
-        ]
+        counts = lane_counts(cell, 4, 70)
         for size in (1, 2, 3):
+            # ``size`` lanes always fit this budget, and more fit while
+            # their regions are narrower than the widest.
+            budget = size * (max(counts) + 2)
             batch_sizes.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(experiments, "_BATCH_ROWS", size * max(widths))
+                patch.setattr(experiments, "_BATCH_ROWS", budget)
                 assert run_trials(params, strategy, 70, base_seed=4) == records
-            assert batch_sizes == [
-                (first + lo, min(size, lanes - lo))
-                for first, lanes in ((0, block), (block, 6))
-                for lo in range(0, lanes, size)
-            ]
+            assert batch_sizes == greedy_batches(counts, budget)
+            assert all(lanes >= size for _, lanes in batch_sizes[:-1])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES[1:])
+def test_merged_batches_equal_one_batch_per_block(
+    strategy, monkeypatch, batch_sizes
+):
+    """The 200 trials of a benchmark sweep cell, at both ends of its range,
+    are one batch across four blocks, and give the records of one batch per
+    block. Their region counts vary, so the per-block batches come from a
+    batcher that cuts at each block's end, not from a budget."""
+    for distance in (4000.0, 15750.0):
+        params = CellParams(
+            n_sat=800, altitude_km=500.0, arc_angle=distance / 6871.0, epsilon=0.1
+        )
+        batch_sizes.clear()
+        merged = run_trials(params, strategy, 200, base_seed=6)
+        assert batch_sizes == [(0, 200)]
+        batch_sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_batches", block_batches)
+            assert run_trials(params, strategy, 200, base_seed=6) == merged
+        assert batch_sizes == [(0, 64), (64, 64), (128, 64), (192, 8)]
+
+
+def test_whole_sphere_batches_cross_blocks_and_equal_block_batches(
+    monkeypatch, batch_sizes
+):
+    """Oneweb's epsilon 0.1 equal-interval trials draw the whole sphere, so
+    each region holds all 650 satellites: the budget takes 100 lanes a
+    batch, across the first block's end, and a budget of 64 such shells
+    forces one batch per block. The records are the same."""
+    params = CellParams.from_preset("oneweb", epsilon=0.1)
+    merged = run_trials(params, "equal-interval", 130, base_seed=9)
+    assert batch_sizes == [(0, 100), (100, 30)]
+    batch_sizes.clear()
+    monkeypatch.setattr(experiments, "_BATCH_ROWS", 64 * (650 + 2))
+    assert run_trials(params, "equal-interval", 130, base_seed=9) == merged
+    assert batch_sizes == [(0, 64), (64, 64), (128, 2)]
 
 
 def test_a_cell_builds_one_generator_per_block_and_per_reroute(monkeypatch):

@@ -679,6 +679,62 @@ def test_greedy_batch_matches_relay_by_relay_reference():
     assert {s[1:] for s in seen} == {(RouteStatus.OK, 1)}
 
 
+@pytest.mark.parametrize("lanes_per_chunk", [1, 3, 7])
+def test_walk_in_chunks_equals_one_lockstep_walk(monkeypatch, lanes_per_chunk):
+    """Walks run in chunks of consecutive lanes, on views of the stack or on
+    gathered shells, give the relays, the ``reached`` flags and the
+    ``blocked`` marks of one lockstep walk of every lane."""
+    src, dst = endpoints(2.2)
+    shells = [
+        sample_bpp(n, R_EARTH, ALT, seed=n).with_extra_points([src, dst])
+        for n in (60, 300, 400, 800, 1200)
+    ]
+    stack = ShellStack.of(shells)
+    rows, counts = stack.rows, stack.counts
+    width = rows.shape[1]
+    cos_min = cos_admissible(shells[0])
+    _, normal = great_arc(src.unit_vector(), dst.unit_vector(), 0.0)
+    monkeypatch.setattr(
+        routing, "_REPAIR_DOUBLES", routing._PRODUCT_DOTS // (lanes_per_chunk * width)
+    )
+    # Every shell in order (views), then shells out of order and repeated
+    # (copies), walked from src to dst and back.
+    walks = (([0, 1, 2, 3, 4], False), ([3, 0, 3, 4, 1, 2, 0, 4], True))
+    for shells_walked, backward in walks:
+        ends = np.array([counts[b] for b in shells_walked])
+        start, goal = (ends + 1, ends) if backward else (ends, ends + 1)
+        padding = np.arange(width) >= ends[:, None] + 2
+        gathered = rows[shells_walked]
+        deflection = routing._deflection(gathered @ normal)
+        for score in (None, deflection):
+            outcomes = []
+            for chunked in (False, True):
+                blocked = padding.copy()
+                blocked[:, ::7] = True
+                blocked[np.arange(len(ends)), start] = False
+                if chunked:
+                    walked = routing._walk(
+                        rows,
+                        shells_walked,
+                        start,
+                        goal,
+                        cos_min,
+                        blocked,
+                        None if score is None else lambda _, lanes: score[lanes],
+                        40,
+                    )
+                else:
+                    walked = routing._lockstep(
+                        gathered, start, goal, cos_min, blocked, score, 40
+                    )
+                outcomes.append((walked, blocked))
+            (relays, reached), blocked = outcomes[0]
+            assert outcomes[1][0] == (relays, reached)
+            assert np.array_equal(outcomes[1][1], blocked)
+            assert blocked[np.arange(len(goal)), goal].all()
+            assert any(reached) and any(map(len, relays))
+
+
 def test_greedy_walk_capped_after_its_last_relay_is_interrupted():
     """A chain whose goal comes in reach right after the cap-th relay stays
     type II, as in the relay-by-relay walk; one more planned hop completes."""
