@@ -653,20 +653,14 @@ def _batches(
         counts = sample_band_counts(
             rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS, cell.region
         )[: stop - first].tolist()
-        lo = 0
-        if (lanes + len(counts)) * (max(widest, *counts) + 2) <= _BATCH_ROWS:
-            # The whole block fits, so none of its lanes ends the batch.
-            lanes, widest = lanes + len(counts), max(widest, *counts)
-        else:
-            for hi, count in enumerate(counts):
-                wider = max(widest, count)
-                if lanes and (lanes + 1) * (wider + 2) > _BATCH_ROWS:
-                    if hi > lo:
-                        batch.append((rng, counts[lo:hi]))
-                    yield batch
-                    batch, lanes, wider, lo = [], 0, count, hi
-                lanes, widest = lanes + 1, wider
-        batch.append((rng, counts[lo:]))
+        for count in counts:
+            if lanes and (lanes + 1) * (max(widest, count) + 2) > _BATCH_ROWS:
+                yield batch
+                batch, lanes, widest = [], 0, 0
+            if not batch or batch[-1][0] is not rng:
+                batch.append((rng, []))
+            batch[-1][1].append(count)
+            lanes, widest = lanes + 1, max(widest, count)
     yield batch
 
 

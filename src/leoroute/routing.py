@@ -197,6 +197,7 @@ def _walk(
     blocked: np.ndarray,
     score: Optional[Callable[[np.ndarray, slice], np.ndarray]],
     cap: int,
+    doubles: int,
 ) -> tuple[list[list[int]], list[bool]]:
     """Relays of each walk toward its goal, and whether the goal came in reach.
 
@@ -211,11 +212,12 @@ def _walk(
     Marks each goal in ``blocked``.
 
     The walks go in chunks of consecutive walks, as many at a time as
-    ``_PRODUCT_DOTS`` holds at ``_REPAIR_DOUBLES`` doubles a row, so a
+    ``_PRODUCT_DOTS`` holds at ``doubles`` a row, the peak a row of a
+    walking lane takes (``_REPAIR_DOUBLES``, ``_GREEDY_DOUBLES``), so a
     chunk's rows, scores and work area stay within that budget whatever the
     batch. The walks of a chunk move in lockstep (:func:`_lockstep`).
     """
-    chunk = max(1, _PRODUCT_DOTS // (_REPAIR_DOUBLES * stack.shape[1]))
+    chunk = max(1, _PRODUCT_DOTS // (doubles * stack.shape[1]))
     relays: list[list[int]] = []
     reached: list[bool] = []
     for lo in range(0, len(shells), chunk):
@@ -264,6 +266,7 @@ def _lockstep(
     # Closeness to the goal of the satellites a walk may take, -inf
     # elsewhere.
     near = np.where(blocked, -np.inf, dots_goal)
+    del dots_goal
     # Per-walk bookkeeping stays in Python: for the few walks of a batch it
     # costs less than operations on arrays of one entry per walk.
     width = units.shape[1]
@@ -277,10 +280,15 @@ def _lockstep(
             if not any(going):
                 break
             walks = [b for b, go in zip(walks, going) if go]
-            here, cur, units, near, score = (
-                None if a is None else a[going]
-                for a in (here, cur, units, near, score)
-            )
+            # The last step's dots go first, then each array is freed as its
+            # going walks are copied, so the copies never pile up on the
+            # arrays they replace.
+            dots = eligible = None
+            here, cur = here[going], cur[going]
+            units = units[going]
+            near = near[going]
+            if score is not None:
+                score = score[going]
             offsets = offsets[: len(walks)]
         dots = np.matmul(units, cur[:, :, None])[:, :, 0]
         eligible = (dots >= cos_admissible) & (near > here[:, None])
@@ -355,13 +363,22 @@ def hop_repair(
 #: work in one thread.
 _PRODUCT_DOTS = 1 << 16
 
-#: Doubles each row of a walking lane takes at the peak of its walk, which
-#: sets how many lanes one chunk of a walk takes (:func:`_walk`): a repair
-#: lane's copy of its shell's rows (3), its dots with the arc's normal and
-#: its deflection (2), and the lockstep walk's own (a trace of table1's
-#: oneweb cell peaked at 6.2). A greedy baseline's lanes read their batch's
-#: rows and deflection in place and take the same chunks.
+#: Doubles each row of a repair lane takes at the peak of its walk, which
+#: sets how many lanes one chunk of a repair walk takes (:func:`_walk`): its
+#: copy of its shell's rows (3), its dots with the arc's normal and its
+#: deflection (2), and the lockstep walk's own (a trace of table1's oneweb
+#: epsilon 0.1 cell peaked at 3.7; it grows with the number of steps at
+#: which a chunk's walks stop, and reached 8 on greedy walks).
 _REPAIR_DOUBLES = 12
+
+#: Doubles each row of a greedy baseline's lane takes at the peak of its
+#: walk, which sets how many lanes one chunk of a greedy walk takes: the
+#: lane reads its batch's rows and deflection in place, so only the
+#: lockstep walk's own count, with the copies of the rows and scores of the
+#: walks still going. A trace of 200-trial min-deflection and max-stepsize
+#: cells (the 800-satellite shell at 4000, 8000 and 15750 km, and the
+#: three presets at pi) peaked at 7.95.
+_GREEDY_DOUBLES = 9
 
 
 def _repair_round(
@@ -410,6 +427,7 @@ def _repair_round(
         blocked[walkers],
         tilt,
         width,
+        _REPAIR_DOUBLES,
     )
     for j, path, done in zip(walkers, mids, reached):
         if done:
@@ -837,6 +855,7 @@ def _route_greedy(
         blocked,
         None if pick_farthest else lambda _, lanes: deflection[lanes],
         4 * plan.n_hat,
+        _GREEDY_DOUBLES,
     )
     paths = [
         [k, *mids, k + 1] if done else [k, *mids]

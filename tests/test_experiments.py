@@ -1079,9 +1079,10 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
     its first lane draws. Runs of consecutive lanes, across blocks, are one
     batch each, as many lanes as the budget holds. Each batch draws its
     regions in one call, routes them in one router call, and routes the
-    whole shells of the trials it cannot certify in one more call for each
-    ``_BATCH_ROWS`` rows of whole shells (one shell at least), each after
-    drawing its complement: never through a one-shell router."""
+    whole shells of the trials it cannot certify in as few more calls as
+    hold ``_BATCH_ROWS`` rows of whole shells each (one shell at least),
+    each after drawing its complement: under the default budget never one
+    call per trial, and never through a one-shell router."""
     params = CellParams(n_sat=500, altitude_km=500.0, arc_angle=math.pi, epsilon=0.5)
     plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
     cell = trial_cell(params, "equal-interval", plan)
@@ -1117,17 +1118,16 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
     trials = 2 * block + 5
     counts = lane_counts(cell, 11, trials)
     # The default budget: all 133 lanes are one batch, and its whole shells
-    # (502 rows) one more. Then one of 9 to 11 lanes a batch, whose whole
-    # shells are re-routed one at a time: these regions (one window) hold
-    # 76 +- 7 satellites, at most 100.
-    for rows in (experiments._BATCH_ROWS, 1000):
+    # (502 rows each) go 130 to a call. Then one of 9 to 11 lanes a batch,
+    # whose whole shells are re-routed one at a time: these regions (one
+    # window) hold 76 +- 7 satellites, at most 100.
+    for rows, whole in ((experiments._BATCH_ROWS, 130), (1000, 1)):
         log.clear()
         monkeypatch.setattr(experiments, "_BATCH_ROWS", rows)
         records = run_trials(params, "equal-interval", trials, base_seed=11)
         assert len(records) == trials
         batches = greedy_batches(counts, rows)
-        whole = max(1, rows // (params.n_sat + 2))
-        at, drawn_blocks, rerouted = 0, 0, []
+        at, drawn_blocks, rerouted, calls = 0, 0, [], []
         for first, lanes in batches:
             # The counts of every block this batch takes lanes from, and of
             # the block that its next lane begins, which decides its end.
@@ -1137,17 +1137,22 @@ def test_each_trial_batch_reroutes_in_one_more_batch(monkeypatch):
                 drawn_blocks += 1
             assert log[at : at + 2] == [("bands", lanes), ("route", lanes)]
             at += 2
-            drawn = 0
+            sizes = []
             while at < len(log) and log[at] == ("rest", 1):
                 size = 1
                 while log[at + size] == ("rest", 1):
                     size += 1
-                assert size <= whole and log[at + size] == ("route", size)
+                assert log[at + size] == ("route", size)
                 at += size + 1
-                drawn += size
+                sizes.append(size)
+            drawn = sum(sizes)
+            assert sizes == [min(whole, drawn - lo) for lo in range(0, drawn, whole)]
             rerouted.append(drawn)
+            calls += sizes
         assert at == len(log)
         assert any(rerouted)
+        # Under the default budget a call re-routes many trials.
+        assert (max(calls) > 1) == (whole > 1)
         assert any(first // block != (first + n - 1) // block for first, n in batches)
         assert (len(batches) > 1) == (rows == 1000)
 

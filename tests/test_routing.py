@@ -680,7 +680,7 @@ def test_greedy_batch_matches_relay_by_relay_reference():
 
 
 @pytest.mark.parametrize("lanes_per_chunk", [1, 3, 7])
-def test_walk_in_chunks_equals_one_lockstep_walk(monkeypatch, lanes_per_chunk):
+def test_walk_in_chunks_equals_one_lockstep_walk(lanes_per_chunk):
     """Walks run in chunks of consecutive lanes, on views of the stack or on
     gathered shells, give the relays, the ``reached`` flags and the
     ``blocked`` marks of one lockstep walk of every lane."""
@@ -694,9 +694,8 @@ def test_walk_in_chunks_equals_one_lockstep_walk(monkeypatch, lanes_per_chunk):
     width = rows.shape[1]
     cos_min = cos_admissible(shells[0])
     _, normal = great_arc(src.unit_vector(), dst.unit_vector(), 0.0)
-    monkeypatch.setattr(
-        routing, "_REPAIR_DOUBLES", routing._PRODUCT_DOTS // (lanes_per_chunk * width)
-    )
+    # Doubles a row at which the budget holds ``lanes_per_chunk`` walks.
+    doubles = routing._PRODUCT_DOTS // (lanes_per_chunk * width)
     # Every shell in order (views), then shells out of order and repeated
     # (copies), walked from src to dst and back.
     walks = (([0, 1, 2, 3, 4], False), ([3, 0, 3, 4, 1, 2, 0, 4], True))
@@ -722,6 +721,7 @@ def test_walk_in_chunks_equals_one_lockstep_walk(monkeypatch, lanes_per_chunk):
                         blocked,
                         None if score is None else lambda _, lanes: score[lanes],
                         40,
+                        doubles,
                     )
                 else:
                     walked = routing._lockstep(
