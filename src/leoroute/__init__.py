@@ -64,6 +64,7 @@ from .experiments import (
     SweepSpec,
     Table1Result,
     TrialRecord,
+    TrialRecords,
     make_endpoints,
     run_cell,
     run_table1,
@@ -151,6 +152,7 @@ __all__ = [
     # experiments
     "CellParams",
     "TrialRecord",
+    "TrialRecords",
     "CellAggregate",
     "Table1Result",
     "SweepSpec",

@@ -157,19 +157,20 @@ def efficiency_binomial(
     return numer / (n_hat * mean_hop_span(theta_h, n_sat, theta_max))
 
 
-def measured_efficiency(ideal_latency_ms: float, achieved_latency_ms: float) -> float:
-    """Measured efficiency: ideal latency over achieved latency.
+def measured_efficiency(ideal_latency_ms: float, achieved_latency_ms):
+    """Measured efficiency: ideal latency over achieved latency, for one
+    achieved latency or for an array of them, checked all at once.
 
     Raises:
-        InternalConsistencyError: If the achieved latency undercuts the
+        InternalConsistencyError: If an achieved latency undercuts the
             ideal one (beyond rounding), which a correct route cannot do.
     """
-    if ideal_latency_ms <= 0.0 or achieved_latency_ms <= 0.0:
+    achieved = np.asarray(achieved_latency_ms)
+    if ideal_latency_ms <= 0.0 or (achieved <= 0.0).any():
         raise InvalidInputError("latencies must be positive")
-    if achieved_latency_ms < ideal_latency_ms - 1e-9:
+    if (achieved < ideal_latency_ms - 1e-9).any():
         raise InternalConsistencyError(
             "achieved latency undercuts the ideal lower bound: "
-            f"{achieved_latency_ms} < {ideal_latency_ms}"
+            f"{achieved.min()} < {ideal_latency_ms}"
         )
     return ideal_latency_ms / achieved_latency_ms
-

@@ -65,23 +65,30 @@ one router call each.
 Worker processes take whole blocks, and records are reduced in trial-index
 order, so output is byte-identical for any worker count.
 
+Routes and records stay arrays inside the harness. A batch router returns
+a :class:`~leoroute.routing.RouteBatch`; the band certificate, the re-routed
+rows and the patch test read its arrays, and each batch's records are
+columns, checked once per batch. :class:`~leoroute.routing.Route` and
+:class:`TrialRecord` objects are built only where a caller asks for one.
+
 A cell has one path to its numbers: :func:`run_trials` checks the request,
 plans the cell and runs its trials, and :func:`run_cell` (and through it
-:func:`run_table1` and :func:`sweep`) reduces the records it returns. A
-:class:`TrialRecord` keeps the trial's index and outcome only; its seeds
-follow from the base seed and that index.
+:func:`run_table1` and :func:`sweep`) reduces the :class:`TrialRecords` it
+returns, with masks, summing left to right. A record keeps the trial's
+index and outcome only; its seeds follow from the base seed and that
+index.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -108,11 +115,16 @@ from .efficiency import efficiency_binomial, efficiency_contour, measured_effici
 from .errors import InvalidInputError
 from .geometry import R_EARTH_KM, SpherePoint, coincident
 from .routing import (
+    _INTERRUPTED,
+    _OK,
+    STATUSES,
     Route,
+    RouteBatch,
     ShellStack,
     route_equal_interval_batch,
     route_max_stepsize_batch,
     route_min_deflection_batch,
+    sequential_sum,
 )
 
 # Unused here; benchmarks/tracing.py wraps these bindings by name.
@@ -244,9 +256,14 @@ class CellParams:
         return max_hop_angle(self.radius, self.r_earth_km, self.d_max_km)
 
 
+#: Route status names by code (:data:`~leoroute.routing.STATUSES`).
+_STATUS_NAMES = tuple(status.value for status in STATUSES)
+
+
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one Monte Carlo trial of a cell.
+    """Outcome of one Monte Carlo trial of a cell: one row of
+    :class:`TrialRecords`, built when a caller indexes or iterates them.
 
     Its region (the satellites of the band around its arc whose longitudes
     lie in the cell's windows) is lane ``trial_index % 64`` of the block
@@ -264,12 +281,115 @@ class TrialRecord:
     efficiency: Optional[float]
 
     def __post_init__(self) -> None:
-        if self.status not in ("ok", "repaired", "type2_interrupted"):
+        if self.status not in _STATUS_NAMES:
             raise InvalidInputError(f"unknown status {self.status!r}")
         if (self.latency_ms is None) != (self.status == "type2_interrupted"):
             raise InvalidInputError(
                 "latency must be present exactly when the route completed"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class TrialRecords:
+    """Outcomes of a run of trials of one cell, as columns in trial order:
+    each trial's index, status code (an index into
+    :data:`~leoroute.routing.STATUSES`), latency in ms and efficiency (NaN
+    for an interrupted trial) and final hop count.
+
+    ``len``, iteration and integer indexing give :class:`TrialRecord`
+    objects, and a slice gives the :class:`TrialRecords` of its trials.
+    Two runs are ``==`` when every column is, NaN equal to NaN.
+
+    Raises:
+        InvalidInputError: As :class:`TrialRecord` does, for any trial: an
+            unknown status code, or a latency not present exactly when the
+            trial completed.
+    """
+
+    trial_index: np.ndarray
+    status: np.ndarray
+    latency_ms: np.ndarray
+    n_hops_final: np.ndarray
+    efficiency: np.ndarray
+
+    def __post_init__(self) -> None:
+        status = self.status
+        if ((status < 0) | (status >= len(_STATUS_NAMES))).any():
+            raise InvalidInputError(f"unknown status codes {np.unique(status)}")
+        if (np.isnan(self.latency_ms) != (status == _INTERRUPTED)).any():
+            raise InvalidInputError(
+                "latency must be present exactly when the route completed"
+            )
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five columns, in field order."""
+        return (
+            self.trial_index,
+            self.status,
+            self.latency_ms,
+            self.n_hops_final,
+            self.efficiency,
+        )
+
+    @classmethod
+    def concatenated(cls, parts: Sequence["TrialRecords"]) -> "TrialRecords":
+        """The records of ``parts``, one after the other."""
+        return cls(*map(np.concatenate, zip(*(part.columns for part in parts))))
+
+    @classmethod
+    def constant(
+        cls,
+        trials: int,
+        status: int,
+        latency_ms: float,
+        n_hops_final: int,
+        efficiency: float,
+    ) -> "TrialRecords":
+        """``trials`` trials with the same outcome."""
+        return cls(
+            np.arange(trials),
+            np.full(trials, status, np.int8),
+            np.full(trials, latency_ms),
+            np.full(trials, n_hops_final),
+            np.full(trials, efficiency),
+        )
+
+    def __len__(self) -> int:
+        return len(self.trial_index)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return TrialRecords(*(column[key] for column in self.columns))
+        return _record(*(column[key].item() for column in self.columns))
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        return itertools.starmap(
+            _record, zip(*(column.tolist() for column in self.columns))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialRecords):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
+            for mine, theirs in zip(self.columns, other.columns)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _record(
+    index: int, status: int, latency: float, hops: int, efficiency: float
+) -> TrialRecord:
+    """The :class:`TrialRecord` of one row of :class:`TrialRecords`."""
+    return TrialRecord(
+        index,
+        _STATUS_NAMES[status],
+        None if math.isnan(latency) else latency,
+        hops,
+        None if math.isnan(efficiency) else efficiency,
+    )
 
 
 def make_endpoints(radius: float, arc_angle: float) -> tuple[SpherePoint, SpherePoint]:
@@ -466,7 +586,7 @@ class TrialCell:
         rows[0, : len(units)] = units
         return self.stack(rows, [len(units)])
 
-    def route_batch(self, stack: ShellStack) -> list[Route]:
+    def route_batch(self, stack: ShellStack) -> RouteBatch:
         """Routes between the cell's endpoints through each shell of
         ``stack``, in one pass, under ``plan`` and the cell's hop range."""
         # Looked up at call time, so a replaced row reaches every route.
@@ -475,10 +595,10 @@ class TrialCell:
 
     def route_band_first(
         self, bands: ShellStack, n_rows: int, whole: Callable, span: float
-    ) -> tuple[list[Route], list[int]]:
+    ) -> tuple[RouteBatch, list[int]]:
         """Routes through the shells of ``bands``, in one batch, and then
         through the whole shells ``whole(redo)`` of the shells k in
-        ``redo``, in one more batch; and ``redo``.
+        ``redo``, in one more batch, which replace their rows; and ``redo``.
 
         The shells of ``bands`` hold the satellites of a region of the band
         (:func:`_region`). ``redo`` holds those short of ``n_rows``
@@ -488,24 +608,23 @@ class TrialCell:
         hop range of a node its greedy walk scanned (:meth:`_leaves_patch`).
         """
         routes = self.route_batch(bands)
-        uncertified = np.array([r.band_reach > self.halfwidth for r in routes])
+        uncertified = routes.band_reach > self.halfwidth
         if span < math.pi:
             uncertified |= self._leaves_patch(bands, routes, span)
-        redo = [
-            k
-            for k, (count, bad) in enumerate(zip(bands.counts, uncertified.tolist()))
-            if count < n_rows and bad
-        ]
+        uncertified &= np.array(bands.counts) < n_rows
+        redo = np.flatnonzero(uncertified).tolist()
         # At most ``_BATCH_ROWS`` rows of whole shells a batch, at least one.
         size = max(1, _BATCH_ROWS // (n_rows + 2))
         for lo in range(0, len(redo), size):
             part = redo[lo : lo + size]
-            for k, route in zip(part, self.route_batch(whole(part))):
-                routes[k] = route
+            rerouted = self.route_batch(whole(part))
+            # ``redo`` ascends, so a part as long as the batch is all of it.
+            same = len(part) == len(routes)
+            routes = rerouted if same else routes.replaced(part, rerouted)
         return routes, redo
 
     def _leaves_patch(
-        self, bands: ShellStack, routes: list[Route], span: float
+        self, bands: ShellStack, routes: RouteBatch, span: float
     ) -> np.ndarray:
         """Whether a satellite of the band outside the patch |phi - pi/2| <=
         ``span`` could lie within theta_max of a node of each route.
@@ -518,21 +637,21 @@ class TrialCell:
         the band |v_y| <= s outside the patch, so no such v is in range when
         this stays below cos theta_max. The drawn patch is slightly wider
         than ``span``, which absorbs rounding. One gather of every route's
-        nodes and one reduction give every route's answer.
+        nodes, the entries of the padded hop matrix, and one reduction give
+        every route's answer.
         """
-        sizes = [len(route.hops) for route in routes]
-        flat = np.fromiter(
-            chain.from_iterable(route.hops for route in routes), np.intp, sum(sizes)
-        )
+        listed = routes.hops >= 0
         width = bands.rows.shape[1]
-        flat += np.repeat(np.arange(0, len(routes) * width, width), sizes)
-        nodes = bands.rows.reshape(-1, 3).take(flat, axis=0)
+        flat = routes.hops + np.arange(0, len(routes) * width, width)[:, None]
+        nodes = bands.rows.reshape(-1, 3).take(flat[listed], axis=0)
         # |phi - pi/2| of a node is its longitude from the arc's midpoint +z.
         edge = span - np.abs(np.arctan2(nodes[:, 0], nodes[:, 2]))
-        reach = np.maximum(np.cos(edge), 0.0)
-        reach += self.band_sine * np.abs(nodes[:, 1])
-        starts = np.cumsum([0] + sizes[:-1])
-        return np.maximum.reduceat(reach, starts) >= math.cos(self.params.theta_max)
+        near = np.maximum(np.cos(edge), 0.0)
+        near += self.band_sine * np.abs(nodes[:, 1])
+        # Every term is at least 0, so padding read as 0 changes no maximum.
+        reach = np.zeros(listed.shape)
+        reach[listed] = near
+        return reach.max(axis=1) >= math.cos(self.params.theta_max)
 
     def route_rows(
         self, n_sat: int, ids: np.ndarray, rows: np.ndarray, whole: Callable
@@ -547,13 +666,11 @@ class TrialCell:
         ``n_sat`` rows and route through them. Hop IDs index the whole
         shell, then src (``n_sat``) and dst.
         """
-        (route,), redo = self.route_band_first(
+        routes, redo = self.route_band_first(
             self.stack_one(rows), n_sat, lambda _: self.stack_one(whole()), math.pi
         )
-        if redo:
-            return route
-        ids = np.append(ids, [n_sat, n_sat + 1])
-        return replace(route, hops=tuple(ids[list(route.hops)].tolist()))
+        # A band route's IDs are band IDs, then src and dst.
+        return routes.route(0, None if redo else np.append(ids, [n_sat, n_sat + 1]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -598,7 +715,7 @@ def _run_batch(
     base_seed: int,
     pieces: list[tuple[np.random.Generator, list[int]]],
     start: int,
-) -> list[TrialRecord]:
+) -> TrialRecords:
     """Records of the trials from ``start`` on, routed together, region
     first. Each piece ``(rng, counts)`` is a run of consecutive lanes of one
     block, whose regions hold ``counts`` satellites and are drawn from the
@@ -619,19 +736,17 @@ def _run_batch(
         return cell.stack(rows, [n_sat] * len(redo))
 
     routes, _ = cell.route_band_first(regions, n_sat, whole, cell.span)
-    records = []
-    for i, route in enumerate(routes, start):
-        latency = None if route.interrupted else route.latency
-        records.append(
-            TrialRecord(
-                trial_index=i,
-                status=route.status.value,
-                latency_ms=latency,
-                n_hops_final=route.n_hops,
-                efficiency=latency and measured_efficiency(cell.reference_ms, latency),
-            )
-        )
-    return records
+    done = routes.status != _INTERRUPTED
+    latency = np.where(done, routes.latency, np.nan)
+    efficiency = np.full(len(routes), np.nan)
+    efficiency[done] = measured_efficiency(cell.reference_ms, latency[done])
+    return TrialRecords(
+        np.arange(start, start + len(routes)),
+        routes.status,
+        latency,
+        routes.n_hops,
+        efficiency,
+    )
 
 
 def _batches(
@@ -644,7 +759,10 @@ def _batches(
     Each block's generator draws its 64 region counts when the batches
     reach the block. A batch grows lane by lane, across blocks, while its
     region stack, its lanes times its largest region count plus 2 rows,
-    stays within ``_BATCH_ROWS``; a batch of one lane may pass it.
+    stays within ``_BATCH_ROWS``; a batch of one lane may pass it. The
+    rows a batch would hold with each next lane of a block come from a
+    running maximum of the block's counts, so a block costs one numpy pass
+    per batch it ends, not a step per lane.
     """
     batch: list[tuple[np.random.Generator, list[int]]] = []
     lanes = widest = 0
@@ -652,27 +770,34 @@ def _batches(
         rng = np.random.default_rng(block_seed(base_seed, first // _BLOCK_TRIALS))
         counts = sample_band_counts(
             rng, cell.params.n_sat, cell.band_sine, _BLOCK_TRIALS, cell.region
-        )[: stop - first].tolist()
-        for count in counts:
-            if lanes and (lanes + 1) * (max(widest, count) + 2) > _BATCH_ROWS:
+        )[: stop - first]
+        while len(counts):
+            taken = np.arange(lanes + 1, lanes + 1 + len(counts))
+            rows = taken * (np.maximum.accumulate(np.maximum(counts, widest)) + 2)
+            over = rows > _BATCH_ROWS
+            # A batch takes one lane at least.
+            over[0] &= lanes > 0
+            take = int(over.argmax()) if over.any() else len(counts)
+            if take:
+                batch.append((rng, counts[:take].tolist()))
+                lanes, widest = lanes + take, max(widest, int(counts[:take].max()))
+                counts = counts[take:]
+            if len(counts):
                 yield batch
                 batch, lanes, widest = [], 0, 0
-            if not batch or batch[-1][0] is not rng:
-                batch.append((rng, []))
-            batch[-1][1].append(count)
-            lanes, widest = lanes + 1, max(widest, count)
     yield batch
 
 
-def _run_chunk(args: tuple) -> list[TrialRecord]:
+def _run_chunk(args: tuple) -> TrialRecords:
     """Records of trials ``start`` to ``stop``; ``start`` begins a block.
     Runs of consecutive trials, across blocks, are routed as one batch
     (:func:`_batches`)."""
     cell, base_seed, start, stop = args
-    records: list[TrialRecord] = []
+    parts, at = [], start
     for pieces in _batches(cell, base_seed, start, stop):
-        records += _run_batch(cell, base_seed, pieces, start + len(records))
-    return records
+        parts.append(_run_batch(cell, base_seed, pieces, at))
+        at += len(parts[-1])
+    return TrialRecords.concatenated(parts)
 
 
 def _cpu_count() -> int:
@@ -689,8 +814,9 @@ def run_trials(
     trials: int,
     base_seed: int,
     threads: int = 1,
-) -> tuple[TrialRecord, ...]:
-    """All trial records for one cell and strategy, in trial order.
+) -> TrialRecords:
+    """All trial records for one cell and strategy, as columns in trial
+    order.
 
     This is the one path from a cell to its records: :func:`run_cell`,
     :func:`run_table1` and :func:`sweep` reduce what it returns.
@@ -722,16 +848,16 @@ def run_trials(
         # greedy baselines do not depend on planning succeeding and route
         # every trial.
         outcome = (
-            ("ok", reference_latency_ms(params), reference_hop_count(params), 1.0)
+            (_OK, reference_latency_ms(params), reference_hop_count(params), 1.0)
             if ideal
-            else ("type2_interrupted", None, 0, None)
+            else (_INTERRUPTED, math.nan, 0, math.nan)
         )
-        return tuple(TrialRecord(i, *outcome) for i in range(trials))
+        return TrialRecords.constant(trials, *outcome)
     cell = trial_cell(params, strategy, plan)
     blocks = -(-trials // _BLOCK_TRIALS)
     workers = min(max(1, int(threads)), _cpu_count(), blocks)
     if workers == 1:
-        return tuple(_run_chunk((cell, base_seed, 0, trials)))
+        return _run_chunk((cell, base_seed, 0, trials))
     # Each worker takes whole blocks.
     bounds = [
         min(round(i * blocks / workers) * _BLOCK_TRIALS, trials)
@@ -740,7 +866,7 @@ def run_trials(
     tasks = [(cell, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     # The chunks come back in task order, which is trial order.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return tuple(rec for chunk in pool.map(_run_chunk, tasks) for rec in chunk)
+        return TrialRecords.concatenated(list(pool.map(_run_chunk, tasks)))
 
 
 @dataclass(frozen=True)
@@ -782,14 +908,16 @@ def run_cell(
     plan = None if ideal else plan_hops(
         params.arc_angle, params.theta_max, params.n_sat, params.epsilon
     )
-    type2 = sum(1 for r in records if r.status == "type2_interrupted")
-    completed = [r for r in records if r.status != "type2_interrupted"]
+    done = records.status != _INTERRUPTED
+    completed = int(np.count_nonzero(done))
+    type2 = trials - completed
     if ideal:
         # The records copy the latency floor; their mean can be an ulp off.
         mean_latency, mean_eff = reference_latency_ms(params), 1.0
     elif completed:
-        mean_latency = sum(r.latency_ms for r in completed) / len(completed)
-        mean_eff = sum(r.efficiency for r in completed) / len(completed)
+        # Summed left to right, as the records come.
+        mean_latency = float(sequential_sum(records.latency_ms[done])) / completed
+        mean_eff = float(sequential_sum(records.efficiency[done])) / completed
     else:
         mean_latency = mean_eff = None
     return CellAggregate(
@@ -799,7 +927,7 @@ def run_cell(
         type2_count=type2,
         type2_rate=type2 / trials,
         type2_ci=wilson_interval(type2, trials),
-        measured_count=len(completed),
+        measured_count=completed,
         mean_latency_ms=mean_latency,
         mean_efficiency=mean_eff,
         type1_interrupted=bool(plan.type1_interrupted) if plan else False,

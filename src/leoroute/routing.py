@@ -14,21 +14,27 @@ They share one signature, ``(constellation, d_max, plan) -> Route``: all of
 them follow the hop plan the caller made for the cell (equal-interval places
 ``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
 hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
-Each also has a batch router, ``route_*_batch(stack, d_max, plan)``, for
-a :class:`ShellStack` of shells that share their endpoints: equal-interval
-snaps all of them in one lockstep pass over its targets and repairs them
-in rounds, one walk per round, and the greedy baselines walk all of them
-at once; a walk moves its lanes in lockstep, in chunks of as many as its
-memory budget holds. On a batch of whole shells, whose satellites mostly
-lie far from the arc, equal-interval snaps among those of a strip within
-h of the arc, h the radius of a cap that holds 25 satellites on average,
-and snaps again on all its rows only a shell whose picks the strip cannot
-certify. The one-shell routers are batches of one
+Each also has a batch router, ``route_*_batch(stack, d_max, plan) ->
+RouteBatch``, for a :class:`ShellStack` of shells that share their
+endpoints: equal-interval snaps all of them in one lockstep pass over its
+targets and repairs them in rounds, one walk per round, and the greedy
+baselines walk all of them at once; a walk moves its lanes in lockstep, in
+chunks of as many as its memory budget holds. On a batch of whole shells,
+whose satellites mostly lie far from the arc, equal-interval snaps among
+those of a strip within h of the arc, h the radius of a cap that holds 25
+satellites on average, and snaps again on all its rows only a shell whose
+picks the strip cannot certify. The one-shell routers are batches of one
 (:meth:`ShellStack.of`), and :func:`hop_repair` is a repair round of one
 lane. Repairs and both baselines run one greedy relay walk, a batch of
 walks at a time, and differ only in its score, the satellites they block
 and the step cap. Every router builds its routes from hop paths over its
-stack in one place.
+stack in one place (:func:`_routes`).
+
+A :class:`RouteBatch` holds a batch's routes as arrays: a hop matrix padded
+with -1, the hop counts, a chord matrix padded with 0.0, status codes
+(indices into :data:`STATUSES`), band reaches and latencies. It checks all
+its routes at once, as :class:`Route` checks one, and builds a
+:class:`Route` only when one is asked for (``batch[b]``, iteration).
 
 The shell alone describes the rest of the route's setting: its endpoints
 are its last two satellites (src second to last, dst last), as the Monte
@@ -38,7 +44,8 @@ sphere and the occluding body. Routing works on unit vectors;
 positions of the ideal route (equal hops along the great-circle arc). A
 hop is admissible when its chord is at most min(d_max, line-of-sight
 limit), tested as one dot product of unit vectors; latency is the summed
-chord over the signal speed ``SIGNAL_SPEED_KM_MS``. Routes never fail with
+chord, added left to right (:func:`sequential_sum`), over the signal speed
+``SIGNAL_SPEED_KM_MS``. Routes never fail with
 an exception on a valid input: infeasibility is reported as
 ``type2_interrupted`` status.
 
@@ -53,10 +60,10 @@ the shell is needed (:mod:`leoroute.experiments`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import AbstractSet, Callable, Optional, Sequence
+from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +96,27 @@ class RouteStatus(Enum):
     OK = "ok"
     REPAIRED = "repaired"
     TYPE2_INTERRUPTED = "type2_interrupted"
+
+
+#: The statuses in code order: a :class:`RouteBatch` holds each route's
+#: status as its index here.
+STATUSES = tuple(RouteStatus)
+_OK, _REPAIRED, _INTERRUPTED = range(len(STATUSES))
+
+
+def sequential_sum(values: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` along their last axis, each added left to right
+    (0.0 for none).
+
+    Bit for bit what CPython 3.11's ``sum()`` gives for a list of floats.
+    ``np.sum`` adds pairwise, and Python 3.12's ``sum()`` compensates its
+    rounding, so either would move the last digits of a latency or a mean
+    and make them depend on the interpreter.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1])
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -137,12 +165,106 @@ class Route:
     @property
     def latency(self) -> float:
         """Propagation latency in ms of the hops listed."""
-        return sum(self.hop_distances) / SIGNAL_SPEED_KM_MS
+        return float(sequential_sum(self.hop_distances)) / SIGNAL_SPEED_KM_MS
 
     @property
     def direct_hop(self) -> bool:
         """True when the route reached dst in one hop, with no relay."""
         return self.n_hops == 1 and not self.interrupted
+
+
+@dataclass(frozen=True, eq=False)
+class RouteBatch:
+    """The routes of a batch of shells, route b through shell b, as arrays.
+
+    Route b visits the satellites ``hops[b, :n_hops[b] + 1]`` (see
+    :attr:`Route.hops`); the rest of its row is -1. ``chords[b, h]`` is the
+    chord in km of its hop h, and 0.0 past its last hop. ``status[b]``
+    indexes :data:`STATUSES`, and ``band_reach[b]`` is as in
+    :attr:`Route.band_reach`. ``latency`` (ms) follows from the chords, each
+    row added left to right (:func:`sequential_sum`), as :attr:`Route.latency`
+    adds them.
+
+    ``len(batch)`` counts the routes, and ``batch[b]`` and iteration build
+    :class:`Route` objects, at the edge only.
+
+    Raises:
+        InvalidInputError: As :class:`Route` does, for any route of the
+            batch: one without its source, one whose hop count does not
+            match its hops and chords, or one that visits a satellite twice.
+    """
+
+    hops: np.ndarray
+    n_hops: np.ndarray
+    chords: np.ndarray
+    status: np.ndarray
+    band_reach: np.ndarray
+    latency: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        # np.count_nonzero tests a small mask faster than its any().
+        hops, chords = self.hops, self.chords
+        if hops.shape[1] < 1 or np.count_nonzero(hops[:, 0] < 0):
+            raise InvalidInputError("a route must contain at least its source")
+        listed = np.arange(hops.shape[1]) <= self.n_hops[:, None]
+        if (
+            chords.shape != (len(hops), hops.shape[1] - 1)
+            or np.count_nonzero((hops >= 0) != listed)
+            or np.count_nonzero(chords[~listed[:, 1:]])
+        ):
+            raise InvalidInputError("need exactly one distance per hop")
+        # Padding sorts first, so only a repeated ID can equal its neighbour.
+        ordered = np.sort(hops, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+        if np.count_nonzero(repeats):
+            raise InvalidInputError("a route may not visit a satellite twice")
+        latency = sequential_sum(chords) / SIGNAL_SPEED_KM_MS
+        object.__setattr__(self, "latency", latency)
+
+    def __len__(self) -> int:
+        return len(self.hops)
+
+    def __getitem__(self, b: int) -> Route:
+        return self.route(b)
+
+    def route(self, b: int, ids: Optional[np.ndarray] = None) -> Route:
+        """Route b as a :class:`Route`, its hop IDs read through ``ids``
+        when given."""
+        n = int(self.n_hops[b])
+        hops = self.hops[b, : n + 1]
+        return Route(
+            tuple((hops if ids is None else ids[hops]).tolist()),
+            tuple(self.chords[b, :n].tolist()),
+            STATUSES[self.status[b]],
+            float(self.band_reach[b]),
+        )
+
+    def __iter__(self) -> Iterator[Route]:
+        return (self[b] for b in range(len(self)))
+
+    def replaced(self, rows: Sequence[int], other: "RouteBatch") -> "RouteBatch":
+        """This batch with its routes ``rows`` replaced by those of
+        ``other``, in order."""
+        width = max(self.hops.shape[1], other.hops.shape[1])
+        hops = _widened(self.hops, width, -1)
+        chords = _widened(self.chords, width - 1, 0.0)
+        n_hops, status = self.n_hops.copy(), self.status.copy()
+        reach = self.band_reach.copy()
+        hops[rows] = _widened(other.hops, width, -1)
+        chords[rows] = _widened(other.chords, width - 1, 0.0)
+        n_hops[rows], status[rows], reach[rows] = (
+            other.n_hops,
+            other.status,
+            other.band_reach,
+        )
+        return RouteBatch(hops, n_hops, chords, status, reach)
+
+
+def _widened(matrix: np.ndarray, width: int, pad: float) -> np.ndarray:
+    """A copy of ``matrix`` with its rows padded with ``pad`` to ``width``."""
+    wide = np.full((len(matrix), width), pad, dtype=matrix.dtype)
+    wide[:, : matrix.shape[1]] = matrix
+    return wide
 
 
 def _cos_admissible(c: "Constellation | ShellStack", d_max: float) -> float:
@@ -495,30 +617,38 @@ class ShellStack:
 
 
 def _routes(
-    stack: ShellStack,
-    lanes: Sequence[int],
-    paths: Sequence[Sequence[int]],
-    statuses: Sequence[RouteStatus],
-    reaches: Sequence[float],
-) -> list[Route]:
-    """The routes along ``paths``, path j through shell ``lanes[j]`` of the
-    stack, with status ``statuses[j]`` and band reach ``reaches[j]``.
+    stack: ShellStack, hops: np.ndarray, status: np.ndarray, reach: np.ndarray
+) -> RouteBatch:
+    """The routes along the hop rows ``hops`` (padded with -1), row b
+    through shell b of the stack, with status codes ``status`` and band
+    reaches ``reach``.
 
     Every route is built here: one gather of the rows the paths visit and
     one chord (km) from each to the next, r * |u_a - u_b|.
     """
-    sizes = [len(path) for path in paths]
-    flat = np.fromiter(chain.from_iterable(paths), np.intp, sum(sizes))
-    flat += np.repeat(np.multiply(lanes, stack.rows.shape[1]), sizes)
-    steps = np.diff(stack.rows.reshape(-1, 3).take(flat, axis=0), axis=0)
-    # A path's last chord leads to the next path and means nothing.
-    chords = (stack.radius * np.linalg.norm(steps, axis=1)).tolist()
-    routes, at = [], 0
-    for path, size, status, reach in zip(paths, sizes, statuses, reaches):
-        end = at + size
-        routes.append(Route(tuple(path), tuple(chords[at : end - 1]), status, reach))
-        at = end
-    return routes
+    listed = hops >= 0
+    width = stack.rows.shape[1]
+    # Padding reads the row before its lane's, or the last row: any row.
+    flat = hops + np.arange(0, len(hops) * width, width)[:, None]
+    nodes = stack.rows.reshape(-1, 3).take(flat, axis=0)
+    steps = nodes[:, 1:] - nodes[:, :-1]
+    # The sum of squares of np.linalg.norm, without its wrapper's cost.
+    chords = stack.radius * np.sqrt((steps * steps).sum(axis=2))
+    # A chord past a route's last hop leads to padding and means nothing.
+    chords[~listed[:, 1:]] = 0.0
+    n_hops = np.count_nonzero(listed, axis=1) - 1
+    return RouteBatch(hops, n_hops, chords, status, reach)
+
+
+def _padded(paths: Sequence[Sequence[int]], width: int = 1) -> np.ndarray:
+    """The hop rows of ``paths``, padded with -1 to the longest path or to
+    ``width``."""
+    sizes = np.fromiter(map(len, paths), np.intp, len(paths))
+    hops = np.full((len(paths), max(width, int(sizes.max(initial=0)))), -1)
+    hops[np.arange(hops.shape[1]) < sizes[:, None]] = np.fromiter(
+        chain.from_iterable(paths), np.intp, int(sizes.sum())
+    )
+    return hops
 
 
 def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -547,7 +677,7 @@ def route_equal_interval(c: Constellation, d_max: float, plan: HopPlan) -> Route
 
 def route_equal_interval_batch(
     stack: ShellStack, d_max: float, plan: HopPlan
-) -> list[Route]:
+) -> RouteBatch:
     """:func:`route_equal_interval` on each shell of ``stack``, in one pass.
 
     The shells share their sphere, their body and their endpoints, so the
@@ -567,9 +697,8 @@ def route_equal_interval_batch(
     rows, counts, batch = stack.rows, stack.counts, len(stack.counts)
     src, dst = stack.ends
     if float(src @ dst) >= cos_admissible:
-        paths = [[k, k + 1] for k in counts]
-        statuses, reaches = [RouteStatus.OK] * batch, [0.0] * batch
-        return _routes(stack, range(batch), paths, statuses, reaches)
+        hops = np.column_stack([counts, np.add(counts, 1)])
+        return _routes(stack, hops, np.zeros(batch, np.int8), np.zeros(batch))
 
     n = plan.n_hat
     targets, normal = great_arc(src, dst, np.arange(1, n) / n)
@@ -584,22 +713,22 @@ def route_equal_interval_batch(
     # not have won a snap.
     gaps = np.linalg.norm(path[1:-1] - targets[:, None], axis=2)
     reach = 2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(axis=0, initial=0.0)
-    paths, statuses, reaches = hops.T.tolist(), [RouteStatus.OK] * batch, reach.tolist()
-    bad = []
-    for b, (k, fit) in enumerate(zip(counts, fits.all(axis=0).tolist())):
-        if k < n - 1:
-            # A shell with fewer satellites than targets runs out at its last one.
-            del paths[b][k + 1 :]
-            statuses[b], reaches[b] = RouteStatus.TYPE2_INTERRUPTED, math.pi / 2.0
-        elif not fit:
-            bad.append(b)
-    if bad:
+    paths, status = hops.T.copy(), np.zeros(batch, np.int8)
+    # A shell with fewer satellites than targets runs out at its last one.
+    sizes = np.array(counts)
+    short = sizes < n - 1
+    paths[short[:, None] & (np.arange(n + 1) > sizes[:, None])] = -1
+    status[short], reach[short] = _INTERRUPTED, math.pi / 2.0
+    bad = np.flatnonzero(~short & ~fits.all(axis=0))
+    if len(bad):
         fixed, settled = _repaired(
-            stack, bad, hops[:, bad], fits[:, bad], cos_admissible
+            stack, bad.tolist(), hops[:, bad], fits[:, bad], cos_admissible
         )
-        for b, repaired, status in zip(bad, fixed, settled):
-            paths[b], statuses[b], reaches[b] = repaired, status, math.pi / 2.0
-    return _routes(stack, range(batch), paths, statuses, reaches)
+        repaired = _padded(fixed, paths.shape[1])
+        paths = _widened(paths, repaired.shape[1], -1)
+        paths[bad] = repaired
+        status[bad], reach[bad] = settled, math.pi / 2.0
+    return _routes(stack, paths, status, reach)
 
 
 #: Satellites that a cap of the strip's half-width h around a point of the
@@ -768,10 +897,10 @@ def _repaired(
     planned: np.ndarray,
     fits: np.ndarray,
     cos_admissible: float,
-) -> tuple[list[list[int]], list[RouteStatus]]:
+) -> tuple[list[list[int]], list[int]]:
     """Paths along the planned hops ``planned[:, j]`` through shell
     ``ids[j]`` of the batch, with every hop that does not fit repaired, and
-    their statuses.
+    their status codes.
 
     Round r repairs the r-th hop that does not fit of every route still
     repairing, in one :func:`_repair_round`: a relay may not be a planned
@@ -818,19 +947,19 @@ def _repaired(
             at = h + 1
         paths.append(path + hops[at : end + 1])
         if end < n:
-            statuses.append(RouteStatus.TYPE2_INTERRUPTED)
+            statuses.append(_INTERRUPTED)
         elif any(inserted.values()):
-            statuses.append(RouteStatus.REPAIRED)
+            statuses.append(_REPAIRED)
         else:
             # A hop that fits after all leaves the route ok, but its band
             # reach is not known.
-            statuses.append(RouteStatus.OK)
+            statuses.append(_OK)
     return paths, statuses
 
 
 def _route_greedy(
     stack: ShellStack, d_max: float, plan: HopPlan, pick_farthest: bool
-) -> list[Route]:
+) -> RouteBatch:
     """The greedy baselines on each shell of ``stack``, in one walk whose
     chunks of shells move in lockstep (:func:`_walk`).
 
@@ -857,28 +986,25 @@ def _route_greedy(
         4 * plan.n_hat,
         _GREEDY_DOUBLES,
     )
-    paths = [
-        [k, *mids, k + 1] if done else [k, *mids]
-        for k, mids, done in zip(counts, relays, reached)
-    ]
-    statuses = [
-        RouteStatus.OK if done else RouteStatus.TYPE2_INTERRUPTED for done in reached
-    ]
+    hops = _padded(
+        [
+            [k, *mids, k + 1] if done else [k, *mids]
+            for k, mids, done in zip(counts, relays, reached)
+        ]
+    )
+    done = np.array(reached, dtype=bool)
+    status = np.where(done, _OK, _INTERRUPTED).astype(np.int8)
     if pick_farthest:
-        reaches = [min(plan.reliable_angle, math.pi / 2.0)] * len(paths)
+        reach = np.full(len(counts), min(plan.reliable_angle, math.pi / 2.0))
     else:
         # A completed min-deflection walk took the least-deflecting
         # candidate at every step, so no satellite deflecting more than all
         # its relays could have been taken.
-        width = units.shape[1]
-        flat = [b * width + h for b, mids in enumerate(relays) for h in mids]
-        seen = deflection.take(np.array(flat, dtype=np.intp)).tolist()
-        reaches, at = [], 0
-        for mids, done in zip(relays, reached):
-            end = at + len(mids)
-            reaches.append(max(seen[at:end], default=0.0) if done else math.pi / 2.0)
-            at = end
-    return _routes(stack, range(len(paths)), paths, statuses, reaches)
+        # Relays are the IDs below src's; padding is -1.
+        relay = (hops >= 0) & (hops < src[:, None])
+        seen = deflection[np.arange(len(hops))[:, None], np.maximum(hops, 0)]
+        reach = np.where(done, np.where(relay, seen, 0.0).max(axis=1), math.pi / 2.0)
+    return _routes(stack, hops, status, reach)
 
 
 def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route:
@@ -896,7 +1022,7 @@ def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route
 
 def route_min_deflection_batch(
     stack: ShellStack, d_max: float, plan: HopPlan
-) -> list[Route]:
+) -> RouteBatch:
     """:func:`route_min_deflection` on each shell of ``stack``, in one walk."""
     return _route_greedy(stack, d_max, plan, pick_farthest=False)
 
@@ -916,6 +1042,6 @@ def route_max_stepsize(c: Constellation, d_max: float, plan: HopPlan) -> Route:
 
 def route_max_stepsize_batch(
     stack: ShellStack, d_max: float, plan: HopPlan
-) -> list[Route]:
+) -> RouteBatch:
     """:func:`route_max_stepsize` on each shell of ``stack``, in one walk."""
     return _route_greedy(stack, d_max, plan, pick_farthest=True)

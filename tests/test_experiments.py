@@ -27,7 +27,7 @@ from leoroute.constellation import (
     sample_bpp,
 )
 from leoroute import experiments
-from leoroute.errors import InvalidInputError
+from leoroute.errors import InternalConsistencyError, InvalidInputError
 from leoroute.experiments import (
     _TABLE1_ROWS,
     CSV_FIELDS,
@@ -35,6 +35,7 @@ from leoroute.experiments import (
     CellParams,
     SweepSpec,
     TrialRecord,
+    TrialRecords,
     block_seed,
     contact_band,
     make_endpoints,
@@ -57,6 +58,7 @@ from leoroute.experiments import (
 )
 from leoroute.geometry import R_EARTH_KM, dome_angle
 from leoroute.routing import (
+    RouteBatch,
     route_equal_interval,
     route_equal_interval_batch,
     route_max_stepsize,
@@ -241,6 +243,59 @@ def test_trial_record_validation():
             "efficiency": None,
         }
     )
+
+
+def test_trial_records_check_every_trial_as_a_record_does():
+    """Columns with an unknown status code, a completed trial without a
+    latency or an interrupted one with a latency raise what a
+    :class:`TrialRecord` raises."""
+    ok = TrialRecords.constant(3, 0, 50.0, 9, 0.99)
+    with pytest.raises(InvalidInputError, match="status"):
+        replace(ok, status=np.array([0, 3, 0], np.int8))
+    with pytest.raises(InvalidInputError, match="latency"):
+        replace(ok, latency_ms=np.array([50.0, np.nan, 50.0]))
+    with pytest.raises(InvalidInputError, match="latency"):
+        replace(ok, status=np.array([0, 2, 0], np.int8))
+
+
+def test_a_route_under_the_latency_floor_fails_its_batch(monkeypatch):
+    """A router whose routes undercut the cell's latency floor makes the
+    batch's one efficiency check raise, as a record's check did."""
+
+    def too_short(stack, d_max, plan):
+        batch = len(stack.counts)
+        return RouteBatch(
+            np.column_stack([stack.counts, np.add(stack.counts, 1)]),
+            np.ones(batch, np.intp),
+            np.full((batch, 1), 1.0),
+            np.zeros(batch, np.int8),
+            np.zeros(batch),
+        )
+
+    row = replace(experiments.STRATEGY["min-deflection"], router=too_short)
+    monkeypatch.setitem(experiments.STRATEGY, "min-deflection", row)
+    params = CellParams(n_sat=800, altitude_km=500.0, arc_angle=2.0, epsilon=0.1)
+    with pytest.raises(InternalConsistencyError, match="undercuts"):
+        run_trials(params, "min-deflection", trials=70, base_seed=1)
+
+
+def test_trial_records_are_columns_that_give_records():
+    """Indexing and iteration give :class:`TrialRecord` objects, a slice
+    gives columns, and ``==`` is a plain bool that takes NaN for NaN."""
+    params = CellParams(n_sat=60, altitude_km=500.0, arc_angle=2.0, epsilon=0.1)
+    records = run_trials(params, "min-deflection", trials=70, base_seed=17)
+    rows = list(records)
+    assert len(records) == len(rows) == 70
+    assert all(isinstance(row, TrialRecord) for row in rows)
+    assert [records[i] for i in range(70)] == rows and records[-1] == rows[-1]
+    part = records[10:20]
+    assert isinstance(part, TrialRecords) and list(part) == rows[10:20]
+    assert {row.latency_ms is None for row in rows} == {True, False}
+    same = run_trials(params, "min-deflection", 70, 17)
+    assert (records == same) is True
+    assert (records == records[:69]) is False
+    assert (records == replace(same, n_hops_final=same.n_hops_final + 1)) is False
+    assert records != rows
 
 
 def test_ideal_strategy_yields_reference_values():
@@ -738,7 +793,7 @@ def band_first_route(cell, units):
         return units
 
     route = cell.route_rows(len(units), ids, units[ids], whole)
-    assert [route] == cell.route_batch(cell.stack_one(units))
+    assert [route] == list(cell.route_batch(cell.stack_one(units)))
     sure = bool(
         len(ids) < len(units)
         and cell.route_batch(cell.stack_one(units[ids]))[0].band_reach
@@ -1056,7 +1111,7 @@ def test_a_walk_that_overruns_dst_toward_the_patch_edge_is_rerouted():
         cell.stack_one(patch), len(units), whole, cell.span
     )
     assert redo == [0] and asked == [[0]]
-    assert [patch_first] == cell.route_batch(cell.stack_one(units))
+    assert [patch_first] == list(cell.route_batch(cell.stack_one(units)))
     # The same rows as a whole band are certified by the band alone.
     _, redo = cell.route_band_first(cell.stack_one(patch), len(units), whole, math.pi)
     assert redo == []

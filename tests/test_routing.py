@@ -1,11 +1,16 @@
 """Route construction: ideal optimum, target-snapping search, greedy baselines."""
 
+import functools
 import itertools
 import math
+import operator
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leoroute import (
     Constellation,
@@ -35,6 +40,8 @@ from leoroute import (
 from leoroute import routing
 from leoroute.experiments import contact_band
 from leoroute.routing import (
+    STATUSES,
+    RouteBatch,
     ShellStack,
     route_equal_interval_batch,
     route_max_stepsize_batch,
@@ -102,6 +109,89 @@ def test_route_rejects_duplicates():
 def test_route_requires_matching_distances():
     with pytest.raises(InvalidInputError):
         Route(hops=(1, 2), hop_distances=(), status=RouteStatus.OK)
+
+
+def route_batch(hops, n_hops, chords, status=None, reach=None):
+    """A hand-built batch of routes; all ok, reaching pi/2, by default."""
+    batch = len(hops)
+    return RouteBatch(
+        np.array(hops),
+        np.array(n_hops),
+        np.array(chords, dtype=float).reshape(batch, -1),
+        np.zeros(batch, np.int8) if status is None else np.array(status, np.int8),
+        np.full(batch, math.pi / 2.0) if reach is None else np.array(reach),
+    )
+
+
+def test_route_batch_builds_the_routes_it_holds():
+    """Rows padded with -1 and 0.0 give the routes their prefixes list, with
+    the latency :class:`Route` computes."""
+    routes = route_batch(
+        [[4, 0, 2, 5], [4, 1, -1, -1], [7, -1, -1, -1]],
+        [3, 1, 0],
+        [[900.0, 1100.5, 700.25], [1500.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        status=[1, 2, 2],
+        reach=[0.1, 0.2, 0.3],
+    )
+    assert len(routes) == 3
+    assert list(routes) == [
+        Route((4, 0, 2, 5), (900.0, 1100.5, 700.25), RouteStatus.REPAIRED, 0.1),
+        Route((4, 1), (1500.0,), RouteStatus.TYPE2_INTERRUPTED, 0.2),
+        Route((7,), (), RouteStatus.TYPE2_INTERRUPTED, 0.3),
+    ]
+    assert routes.latency.tolist() == [route.latency for route in routes]
+    assert routes[-1] == routes[2]
+    assert STATUSES == tuple(RouteStatus)
+
+
+def test_route_batch_checks_every_route_as_a_route_does():
+    """Each fault of one route of a batch raises what :class:`Route` raises
+    for it."""
+    ok = ([[4, 0, 5], [4, 1, 5]], [2, 2], [[1.0, 2.0], [3.0, 4.0]])
+    route_batch(*ok)
+    with pytest.raises(InvalidInputError, match="twice"):
+        route_batch([[4, 0, 5], [4, 1, 4]], *ok[1:])
+    # A hop count that matches neither the hops nor the chords listed.
+    with pytest.raises(InvalidInputError, match="one distance per hop"):
+        route_batch(ok[0], [2, 1], ok[2])
+    # A chord past the last hop, and a row of chords short of the hops.
+    with pytest.raises(InvalidInputError, match="one distance per hop"):
+        route_batch([[4, 0, 5], [4, 1, -1]], [2, 1], ok[2])
+    with pytest.raises(InvalidInputError, match="one distance per hop"):
+        route_batch(ok[0], ok[1], [[1.0], [3.0]])
+    # A hop listed past the padding.
+    with pytest.raises(InvalidInputError, match="one distance per hop"):
+        route_batch([[4, -1, 5], [4, 1, 5]], [2, 2], ok[2])
+    with pytest.raises(InvalidInputError, match="source"):
+        route_batch([[-1, -1, -1], [4, 1, 5]], [-1, 2], [[0.0, 0.0], [3.0, 4.0]])
+    # The same faults as routes.
+    with pytest.raises(InvalidInputError, match="twice"):
+        Route((4, 1, 4), (3.0, 4.0), RouteStatus.OK)
+    with pytest.raises(InvalidInputError, match="one distance per hop"):
+        Route((4, 1, 5), (3.0,), RouteStatus.OK)
+
+
+def bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+#: Floats whose sums of 30 cannot overflow.
+FINITE = st.floats(-1e300, 1e300)
+
+
+@given(st.lists(st.lists(FINITE, max_size=30), min_size=1, max_size=4))
+def test_sequential_sum_adds_left_to_right(rows):
+    """Each row's sum is bit for bit that of adding its floats in order, as
+    CPython 3.11's ``sum()`` does, and 0.0 for no floats."""
+    expected = [
+        functools.reduce(operator.add, row) if row else 0.0 for row in rows
+    ]
+    for row, total in zip(rows, expected):
+        assert bits([float(routing.sequential_sum(row))]) == bits([total])
+    width = max(map(len, rows))
+    if all(len(row) == width for row in rows):
+        matrix = np.array(rows).reshape(len(rows), width)
+        assert bits(routing.sequential_sum(matrix)) == bits(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +640,10 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
 
     ids = list(range(len(shells)))
     paths, statuses = routing._repaired(stack, ids, planned, fits, cos_min)
-    reaches = [math.pi / 2.0] * len(ids)
-    routes = routing._routes(stack, ids, paths, statuses, reaches)
+    reaches = np.full(len(ids), math.pi / 2.0)
+    routes = routing._routes(
+        stack, routing._padded(paths), np.array(statuses, np.int8), reaches
+    )
     outcomes = []
     for shell, hops, fit, route in zip(shells, planned.T, fits.T, routes):
         expected, rounds = reference_repaired(shell, hops.tolist(), fit.tolist())
