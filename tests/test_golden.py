@@ -1,5 +1,5 @@
 """Golden digests: sha256 of the Monte Carlo records, a sweep CSV and the
-JSON of ``leoroute route`` calls, recorded once and never re-recorded.
+JSON of ``leoroute route`` calls, each recorded once and never re-recorded.
 
 A change to the trial path that claims byte-identical outputs must leave
 every digest as it is. The digests hold for the interpreter and numpy of
@@ -90,6 +90,21 @@ ROUTE_CALLS = (
 
 ROUTE_JSON_DIGEST = "702876f51ec9bb6187f1756bf940434c776f6061cdf7c9d56d2d02a5dec4cad2"
 
+#: (preset, strategy, epsilon) of every call of the benchmark's route
+#: workload, oneweb equal-interval at epsilon 0.01 (type-I before any hop
+#: count is feasible) among them; each is called at both seeds.
+ROUTE_COMBOS = tuple(
+    (preset, strategy, eps)
+    for eps in (0.1, 0.01)
+    for preset in ("starlink", "kuiper", "oneweb")
+    for strategy in ("equal-interval", "min-deflection", "max-stepsize")
+)
+ROUTE_COMBO_SEEDS = (21, 22)
+
+ROUTE_COMBOS_DIGEST = (
+    "637b84d1621cc2ee354c11a1fea0425f207341ecedaed0815cb21c2675389014"
+)
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -123,15 +138,29 @@ def test_sweep_csv_matches_its_digest(tmp_path):
     assert sha256(text) == SWEEP_CSV_DIGEST
 
 
+def route_text(out, preset: str, strategy: str, eps: float, seed: int, *extra):
+    """Exit code and JSON file of one ``leoroute route`` call."""
+    code = main(
+        [
+            "route", "--preset", preset, "--strategy", strategy,
+            "--epsilon", repr(eps), *extra, "--seed", str(seed), "--out", str(out),
+        ]
+    )
+    return f"{code}\n{out.read_text()}"
+
+
 def test_route_json_matches_its_digest(tmp_path):
     out = tmp_path / "route.json"
-    texts = []
-    for preset, strategy, eps, seed in ROUTE_CALLS:
-        code = main(
-            [
-                "route", "--preset", preset, "--strategy", strategy,
-                "--epsilon", repr(eps), "--seed", str(seed), "--out", str(out),
-            ]
-        )
-        texts.append(f"{code}\n{out.read_text()}")
+    texts = [route_text(out, *call) for call in ROUTE_CALLS]
     assert sha256("".join(texts)) == ROUTE_JSON_DIGEST
+
+
+def test_route_json_of_every_route_workload_combo_matches_its_digest(tmp_path):
+    out = tmp_path / "route.json"
+    extra = ("--d-max", "3000", "--dome-angle", "pi")
+    texts = [
+        route_text(out, *combo, seed, *extra)
+        for combo in ROUTE_COMBOS
+        for seed in ROUTE_COMBO_SEEDS
+    ]
+    assert sha256("".join(texts)) == ROUTE_COMBOS_DIGEST
