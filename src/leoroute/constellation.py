@@ -117,7 +117,8 @@ def _check_sphere(r_earth: float, altitude: float) -> None:
 
 
 def _normalized(units: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.divide(units, np.linalg.norm(units, axis=1)[:, None], out=out)
+    # The sum of squares and root of np.linalg.norm, without its wrapper.
+    return np.divide(units, np.sqrt((units * units).sum(axis=1))[:, None], out=out)
 
 
 def point_rows(points: Sequence[SpherePoint]) -> np.ndarray:
@@ -125,26 +126,27 @@ def point_rows(points: Sequence[SpherePoint]) -> np.ndarray:
     return _normalized(np.array([p.unit_vector() for p in points]).reshape(-1, 3))
 
 
-def _bpp_draw(n_sat: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(theta), phi and sin(theta) of the ``n_sat`` satellites that
-    ``seed`` draws."""
+def _bpp_draw(n_sat: int, seed: int) -> np.ndarray:
+    """cos(theta), and the uniform v of phi = 2 pi v, of the ``n_sat``
+    satellites that ``seed`` draws, the rows of one (2, n_sat) array."""
     if n_sat < 1:
         raise InvalidInputError(f"n_sat must be >= 1, got {n_sat}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, n_sat)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_sat)
+    draw = np.empty((2, n_sat))
+    # Bit for bit uniform(-1, 1), then the uniforms of uniform(0, 2 pi).
+    _scale(rng.random(out=draw[0]), -1.0, 1.0)
+    rng.random(out=draw[1])
+    return draw
+
+
+def _bpp_rows(cos_theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unit rows of the satellites at polar angles theta and longitudes phi =
+    2 pi v (written over ``v``), each bit for bit the same in any subset."""
+    phi = _scale(v, 0.0, 2.0 * math.pi)
     sin_theta = np.square(cos_theta)
     np.sqrt(np.subtract(1.0, sin_theta, out=sin_theta), out=sin_theta)
-    return cos_theta, phi, sin_theta
-
-
-def _bpp_rows(
-    cos_theta: np.ndarray, phi: np.ndarray, sin_theta: np.ndarray
-) -> np.ndarray:
-    """Unit rows of the satellites at polar angles theta and longitudes phi,
-    each row bit for bit the same for any subset of satellites."""
     # Built and normalized in one array, as the constructor would normalize
     # them, without its copies.
     units = np.empty((len(phi), 3))
@@ -178,8 +180,9 @@ def sample_bpp_band(n_sat: int, seed: int, s: float) -> tuple[np.ndarray, np.nda
 
     With d = |phi - pi rint(phi / pi)|, |u_y| = sin(theta) |sin(phi)| >=
     sin(theta) 2 d / pi, so every satellite of the band has
-    d sin(theta) <= s pi / 2. Only the satellites that meet this bound (with
-    a relative margin for rounding) are turned into rows, and the rows are
+    (d / pi)^2 (1 - cos(theta)^2) <= (s / 2)^2, d / pi = |2 v - rint(2 v)|
+    for phi = 2 pi v. Only the satellites that meet this bound (with a
+    relative margin for rounding) are turned into rows, and the rows are
     then held to |u_y| <= s exactly.
 
     Raises:
@@ -187,23 +190,23 @@ def sample_bpp_band(n_sat: int, seed: int, s: float) -> tuple[np.ndarray, np.nda
             [0, 1].
     """
     _check_band(s)
-    cos_theta, phi, sin_theta = _bpp_draw(n_sat, seed)
+    draw = _bpp_draw(n_sat, seed)
     ids = None
     # A band of sine 1 is the whole sphere, which no bound narrows.
     if s < 1.0:
-        d = np.divide(phi, math.pi)
-        np.rint(d, out=d)
-        d *= -math.pi
-        d += phi
-        np.abs(d, out=d)
-        d *= sin_theta
-        ids = np.flatnonzero(d <= 0.5 * math.pi * s * (1.0 + _BAND_MARGIN))
+        cos_theta, v = draw
+        bound = np.multiply(v, 2.0)
+        bound -= np.rint(bound)
+        bound *= bound
+        sin_squared = np.square(cos_theta)
+        bound *= np.subtract(1.0, sin_squared, out=sin_squared)
+        (ids,) = (bound <= (0.5 * s * (1.0 + _BAND_MARGIN)) ** 2).nonzero()
         # Freed before the rows are made, so the draw's peak stays at its
-        # three whole-shell arrays.
-        del d
-        cos_theta, phi, sin_theta = cos_theta[ids], phi[ids], sin_theta[ids]
-    rows = _bpp_rows(cos_theta, phi, sin_theta)
-    keep = np.flatnonzero(np.abs(rows[:, 1]) <= s)
+        # whole-shell arrays.
+        del bound, sin_squared
+        draw = draw.take(ids, axis=1)
+    rows = _bpp_rows(*draw)
+    (keep,) = (np.abs(rows[:, 1]) <= s).nonzero()
     return (keep if ids is None else ids[keep]), rows[keep]
 
 

@@ -23,14 +23,9 @@ A route is certified (:meth:`TrialCell.route_band_first`) when its
 :attr:`~leoroute.routing.Route.band_reach` is at most w, so no satellite
 outside the band could have changed it, and, for a greedy walk, when no
 satellite of the band outside the patch could lie within theta_max of a
-node the walk scanned: cos D + s |u_y| < cos theta_max at src and every
-relay u, D being u's distance in longitude from the patch's edge.
-Equal-interval needs no along-arc test: a satellite at longitude phi is at
-least |phi - phi_j| from target j, so one outside every window is farther
-than w from each target, farther than the relay that a certified route's
-target took. ``leoroute route`` applies the band rule to one shell
-(:meth:`TrialCell.route_rows`): it routes on the shell's whole band first,
-and asks for the whole shell only when that route is not certified.
+node the walk scanned (:meth:`TrialCell._leaves_patch`); equal-interval's
+windows need no such test (:func:`_region`). ``leoroute route`` applies
+the band rule to one shell (:meth:`TrialCell.route_rows`).
 
 Random streams. Trials come in blocks of ``_BLOCK_TRIALS`` (64), counted
 from trial 0: trial i is lane i % 64 of block i // 64. Each block has one
@@ -45,31 +40,16 @@ trial's record depends only on the base seed and its index, never on how
 many trials run, how they are batched or how many workers run them.
 Results differ from releases that built one generator per trial.
 
-Runs of consecutive trials are routed as one batch, for every sampled
-strategy, across block boundaries (:func:`_batches`): a batch takes the
-next lane while its region stack, its lanes times its largest region
-count plus 2 rows, stays within ``_BATCH_ROWS`` (65536), and takes one
-lane at least; the 200 trials of a sweep cell on an 800-satellite shell
-are one batch. One ``random`` call per block that
-the batch takes lanes from draws its regions, and one trig pass writes
-every region's rows, then its endpoints, straight into the batch's
-:class:`~leoroute.routing.ShellStack`. One batch router
-call routes the stack: :func:`~leoroute.routing.route_equal_interval_batch`
-computes the cell's targets once, snaps all shells in one lockstep pass
-and repairs them in rounds of one walk each, and the greedy baselines walk
-all shells at once; a walk moves its lanes in lockstep, in chunks of as
-many as its memory budget holds. The trials that need the complement draw
-it, after their region rows, into stacks of at most ``_BATCH_ROWS`` rows,
-one router call each.
-
-Worker processes take whole blocks, and records are reduced in trial-index
-order, so output is byte-identical for any worker count.
-
-Routes and records stay arrays inside the harness. A batch router returns
-a :class:`~leoroute.routing.RouteBatch`; the band certificate, the re-routed
-rows and the patch test read its arrays, and each batch's records are
-columns, checked once per batch. :class:`~leoroute.routing.Route` and
-:class:`TrialRecord` objects are built only where a caller asks for one.
+Runs of consecutive trials, across block boundaries, are routed as one
+batch (:func:`_batches`): one trig pass writes every region's rows into the
+batch's :class:`~leoroute.routing.ShellStack`, one batch router call routes
+it, and the trials that need the complement route again in stacks of at
+most ``_BATCH_ROWS`` rows. Worker processes take whole blocks, and records
+are reduced in trial-index order, so output is byte-identical for any
+worker count. Inside the harness routes and records stay arrays (a
+:class:`~leoroute.routing.RouteBatch`, :class:`TrialRecords`);
+:class:`~leoroute.routing.Route` and :class:`TrialRecord` objects are built
+only where a caller asks for one.
 
 A cell has one path to its numbers: :func:`run_trials` checks the request,
 plans the cell and runs its trials, and :func:`run_cell` (and through it
@@ -113,7 +93,7 @@ from .constellation import (
 )
 from .efficiency import efficiency_binomial, efficiency_contour, measured_efficiency
 from .errors import InvalidInputError
-from .geometry import R_EARTH_KM, SpherePoint, coincident
+from .geometry import R_EARTH_KM, SpherePoint, coincident, great_arc
 from .routing import (
     _INTERRUPTED,
     _OK,
@@ -555,6 +535,9 @@ class TrialCell:
     plan: HopPlan
     #: Unit rows of src and dst, the last two satellites of every shell.
     endpoints: np.ndarray
+    #: The arc's unit normal and its points at 1/n, ..., (n - 1)/n for the
+    #: plan's n hops, which every stack of the cell carries.
+    arc: tuple[np.ndarray, np.ndarray]
     #: Half-width w (rad) of the band that certifies a route: one whose
     #: ``band_reach`` is at most w.
     halfwidth: float
@@ -577,14 +560,12 @@ class TrialCell:
         rows[lanes, counts] = self.endpoints[0]
         rows[lanes, np.add(counts, 1)] = self.endpoints[1]
         p = self.params
-        return ShellStack(rows, counts, p.radius, p.r_earth_km)
+        return ShellStack(rows, counts, p.radius, p.r_earth_km, *self.arc)
 
     def stack_one(self, units: np.ndarray) -> ShellStack:
         """The stack of one shell: the satellites ``units``, then the cell's
         endpoints."""
-        rows = np.empty((1, len(units) + 2, 3))
-        rows[0, : len(units)] = units
-        return self.stack(rows, [len(units)])
+        return self.stack(np.concatenate((units, self.endpoints))[None], [len(units)])
 
     def route_batch(self, stack: ShellStack) -> RouteBatch:
         """Routes between the cell's endpoints through each shell of
@@ -611,16 +592,13 @@ class TrialCell:
         uncertified = routes.band_reach > self.halfwidth
         if span < math.pi:
             uncertified |= self._leaves_patch(bands, routes, span)
-        uncertified &= np.array(bands.counts) < n_rows
-        redo = np.flatnonzero(uncertified).tolist()
+        uncertified &= np.less(bands.counts, n_rows)
+        redo = uncertified.nonzero()[0].tolist()
         # At most ``_BATCH_ROWS`` rows of whole shells a batch, at least one.
         size = max(1, _BATCH_ROWS // (n_rows + 2))
         for lo in range(0, len(redo), size):
             part = redo[lo : lo + size]
-            rerouted = self.route_batch(whole(part))
-            # ``redo`` ascends, so a part as long as the batch is all of it.
-            same = len(part) == len(routes)
-            routes = rerouted if same else routes.replaced(part, rerouted)
+            routes = routes.replaced(part, self.route_batch(whole(part)))
         return routes, redo
 
     def _leaves_patch(
@@ -670,7 +648,8 @@ class TrialCell:
             self.stack_one(rows), n_sat, lambda _: self.stack_one(whole()), math.pi
         )
         # A band route's IDs are band IDs, then src and dst.
-        return routes.route(0, None if redo else np.append(ids, [n_sat, n_sat + 1]))
+        ids = None if redo else np.concatenate((ids, (n_sat, n_sat + 1)))
+        return routes.route(0, ids)
 
 
 @functools.lru_cache(maxsize=64)
@@ -690,10 +669,12 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         raise InvalidInputError(f"{strategy!r} routes through no satellites")
     src, dst = make_endpoints(params.radius, params.arc_angle)
     endpoints = point_rows([src, dst])
-    # Every caller of the cached cell shares them.
-    endpoints.setflags(write=False)
     if coincident(*endpoints):
         raise InvalidInputError("src and dst are the same point")
+    targets, normal = great_arc(*endpoints, np.arange(1, plan.n_hat) / plan.n_hat)
+    # Every caller of the cached cell shares them.
+    for shared in (endpoints, targets, normal):
+        shared.setflags(write=False)
     halfwidth = min(row.halfwidth(params, plan), math.pi / 2.0)
     band_sine = math.sin(min(halfwidth * (1.0 + _BAND_SLACK), math.pi / 2.0))
     region, span = _region(params, row, plan, halfwidth)
@@ -702,6 +683,7 @@ def trial_cell(params: CellParams, strategy: str, plan: HopPlan) -> TrialCell:
         strategy=strategy,
         plan=plan,
         endpoints=endpoints,
+        arc=(normal, targets),
         halfwidth=halfwidth,
         band_sine=band_sine,
         span=span,

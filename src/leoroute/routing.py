@@ -10,28 +10,20 @@ Three strategies route through sampled satellites:
 * :func:`route_max_stepsize` — greedy baseline that always picks the
   farthest admissible satellite inside a belt around the arc.
 
-They share one signature, ``(constellation, d_max, plan) -> Route``: all of
-them follow the hop plan the caller made for the cell (equal-interval places
-``plan.n_hat - 1`` targets, the greedy walks stop after ``4 * plan.n_hat``
-hops, and max-stepsize keeps to a belt of ``plan.reliable_angle``).
-Each also has a batch router, ``route_*_batch(stack, d_max, plan) ->
-RouteBatch``, for a :class:`ShellStack` of shells that share their
-endpoints: equal-interval snaps all of them in one lockstep pass over its
-targets and repairs them in rounds, one walk per round, and the greedy
-baselines walk all of them at once; a walk moves its lanes in lockstep, in
-chunks of as many as its memory budget holds. On a batch of whole shells,
-whose satellites mostly lie far from the arc, equal-interval snaps among
-those of a strip within h of the arc, h the radius of a cap that holds 25
-satellites on average, and snaps again on all its rows only a shell whose
-picks the strip cannot certify. The one-shell routers are batches of one
-(:meth:`ShellStack.of`), and :func:`hop_repair` is a repair round of one
-lane. Repairs and both baselines run one greedy relay walk, a batch of
-walks at a time, and differ only in its score, the satellites they block
-and the step cap. Every router builds its routes from hop paths over its
-stack in one place (:func:`_routes`).
-
-A :class:`RouteBatch` holds a batch's routes as arrays: a hop matrix padded
-with -1, the hop counts, a chord matrix padded with 0.0, status codes
+They share one signature, ``(constellation, d_max, plan) -> Route``, and
+follow the caller's hop plan (equal-interval places ``plan.n_hat - 1``
+targets, the greedy walks stop after ``4 * plan.n_hat`` hops, and
+max-stepsize keeps to a belt of ``plan.reliable_angle``). Each is the batch
+of one (:meth:`ShellStack.of`) of a batch router, ``route_*_batch(stack,
+d_max, plan) -> RouteBatch``, which routes every shell of a
+:class:`ShellStack` at once, and :func:`hop_repair` is a repair round of
+one lane. On a batch of whole shells equal-interval snaps among the
+satellites of a strip near the arc (:func:`_snap_near_arc`). Repairs and
+both baselines run one greedy relay walk, whose lanes move in lockstep in
+chunks that a memory budget bounds (:func:`_walk`), and differ only in its
+score, the satellites they block and the step cap. Every router builds its routes in one place
+(:func:`_routes`): a :class:`RouteBatch`, whose arrays hold the hop matrix
+padded with -1, the hop counts, the chords padded with 0.0, status codes
 (indices into :data:`STATUSES`), band reaches and latencies. It checks all
 its routes at once, as :class:`Route` checks one, and builds a
 :class:`Route` only when one is asked for (``batch[b]``, iteration).
@@ -60,7 +52,7 @@ the shell is needed (:mod:`leoroute.experiments`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
@@ -116,7 +108,7 @@ def sequential_sum(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1])
-    return np.cumsum(values, axis=-1)[..., -1]
+    return values.cumsum(axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -183,7 +175,8 @@ class RouteBatch:
     indexes :data:`STATUSES`, and ``band_reach[b]`` is as in
     :attr:`Route.band_reach`. ``latency`` (ms) follows from the chords, each
     row added left to right (:func:`sequential_sum`), as :attr:`Route.latency`
-    adds them.
+    adds them. ``listed`` is the mask ``arange(W) <= n_hops[:, None]``, when
+    the builder has it (:func:`_routes` zeroes its chords by it).
 
     ``len(batch)`` counts the routes, and ``batch[b]`` and iteration build
     :class:`Route` objects, at the edge only.
@@ -200,13 +193,15 @@ class RouteBatch:
     status: np.ndarray
     band_reach: np.ndarray
     latency: np.ndarray = field(init=False)
+    listed: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, listed: Optional[np.ndarray]) -> None:
         # np.count_nonzero tests a small mask faster than its any().
         hops, chords = self.hops, self.chords
         if hops.shape[1] < 1 or np.count_nonzero(hops[:, 0] < 0):
             raise InvalidInputError("a route must contain at least its source")
-        listed = np.arange(hops.shape[1]) <= self.n_hops[:, None]
+        if listed is None:
+            listed = np.arange(hops.shape[1]) <= self.n_hops[:, None]
         if (
             chords.shape != (len(hops), hops.shape[1] - 1)
             or np.count_nonzero((hops >= 0) != listed)
@@ -214,7 +209,8 @@ class RouteBatch:
         ):
             raise InvalidInputError("need exactly one distance per hop")
         # Padding sorts first, so only a repeated ID can equal its neighbour.
-        ordered = np.sort(hops, axis=1)
+        ordered = hops.copy()
+        ordered.sort(axis=1)
         repeats = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
         if np.count_nonzero(repeats):
             raise InvalidInputError("a route may not visit a satellite twice")
@@ -246,22 +242,25 @@ class RouteBatch:
         """This batch with its routes ``rows`` replaced by those of
         ``other``, in order."""
         width = max(self.hops.shape[1], other.hops.shape[1])
-        hops = _widened(self.hops, width, -1)
-        chords = _widened(self.chords, width - 1, 0.0)
-        n_hops, status = self.n_hops.copy(), self.status.copy()
-        reach = self.band_reach.copy()
-        hops[rows] = _widened(other.hops, width, -1)
-        chords[rows] = _widened(other.chords, width - 1, 0.0)
-        n_hops[rows], status[rows], reach[rows] = (
-            other.n_hops,
-            other.status,
-            other.band_reach,
+        # Route b of the result is route order[b] of this batch, then other.
+        order = np.arange(len(self))
+        order[rows] = np.arange(len(self), len(self) + len(other))
+        both = (self, other)
+        pairs = (
+            [_widened(batch.hops, width, -1) for batch in both],
+            [batch.n_hops for batch in both],
+            [_widened(batch.chords, width - 1, 0.0) for batch in both],
+            [batch.status for batch in both],
+            [batch.band_reach for batch in both],
         )
-        return RouteBatch(hops, n_hops, chords, status, reach)
+        return RouteBatch(*(np.concatenate(pair).take(order, axis=0) for pair in pairs))
 
 
 def _widened(matrix: np.ndarray, width: int, pad: float) -> np.ndarray:
-    """A copy of ``matrix`` with its rows padded with ``pad`` to ``width``."""
+    """``matrix`` with its rows padded with ``pad`` to ``width``: a copy when
+    it is narrower, else ``matrix`` itself."""
+    if matrix.shape[1] == width:
+        return matrix
     wide = np.full((len(matrix), width), pad, dtype=matrix.dtype)
     wide[:, : matrix.shape[1]] = matrix
     return wide
@@ -571,14 +570,18 @@ class ShellStack:
 
     Shell b holds ``counts[b]`` satellites, then src (ID ``counts[b]``) and
     dst, as the rows ``rows[b, :counts[b] + 2]`` of one (B, W, 3) array of
-    unit vectors, zero-padded to W rows. The routers trust the stack as
-    given; :meth:`of` checks the shells it stacks.
+    unit vectors, zero-padded to W rows. ``normal`` is the unit normal of
+    the src-dst arc and ``targets``, if given, its points at 1/n, ...,
+    (n - 1)/n for the plan routed (:func:`~leoroute.geometry.great_arc`).
+    The routers trust the stack as given; :meth:`of` checks its shells.
     """
 
     rows: np.ndarray
     counts: list[int]
     radius: float
     r_earth: float
+    normal: np.ndarray
+    targets: Optional[np.ndarray] = None
 
     @property
     def ends(self) -> np.ndarray:
@@ -613,20 +616,25 @@ class ShellStack:
         rows = np.zeros((len(shells), max(counts) + 2, 3))
         for b, c in enumerate(shells):
             rows[b, : c.n_sat] = c.unit_vectors
-        return cls(rows, counts, first.radius, first.r_earth)
+        normal = arc_normal(*first.unit_vectors[-2:])
+        return cls(rows, counts, first.radius, first.r_earth, normal)
 
 
 def _routes(
-    stack: ShellStack, hops: np.ndarray, status: np.ndarray, reach: np.ndarray
+    stack: ShellStack,
+    hops: np.ndarray,
+    n_hops: np.ndarray,
+    status: np.ndarray,
+    reach: np.ndarray,
 ) -> RouteBatch:
-    """The routes along the hop rows ``hops`` (padded with -1), row b
-    through shell b of the stack, with status codes ``status`` and band
-    reaches ``reach``.
+    """The routes along the hop rows ``hops`` (padded with -1) of
+    ``n_hops`` hops, row b through shell b of the stack, with status codes
+    ``status`` and band reaches ``reach``.
 
     Every route is built here: one gather of the rows the paths visit and
     one chord (km) from each to the next, r * |u_a - u_b|.
     """
-    listed = hops >= 0
+    listed = np.arange(hops.shape[1]) <= n_hops[:, None]
     width = stack.rows.shape[1]
     # Padding reads the row before its lane's, or the last row: any row.
     flat = hops + np.arange(0, len(hops) * width, width)[:, None]
@@ -634,10 +642,10 @@ def _routes(
     steps = nodes[:, 1:] - nodes[:, :-1]
     # The sum of squares of np.linalg.norm, without its wrapper's cost.
     chords = stack.radius * np.sqrt((steps * steps).sum(axis=2))
-    # A chord past a route's last hop leads to padding and means nothing.
-    chords[~listed[:, 1:]] = 0.0
-    n_hops = np.count_nonzero(listed, axis=1) - 1
-    return RouteBatch(hops, n_hops, chords, status, reach)
+    # A chord past a route's last hop leads to padding and means nothing;
+    # chords are finite and not negative, so this zeroes exactly those.
+    chords *= listed[:, 1:]
+    return RouteBatch(hops, n_hops, chords, status, reach, listed)
 
 
 def _padded(paths: Sequence[Sequence[int]], width: int = 1) -> np.ndarray:
@@ -680,15 +688,10 @@ def route_equal_interval_batch(
 ) -> RouteBatch:
     """:func:`route_equal_interval` on each shell of ``stack``, in one pass.
 
-    The shells share their sphere, their body and their endpoints, so the
-    targets are computed once. Every shell snaps in one lockstep pass over
-    the targets, among its satellites near the arc when most of them lie
-    far from it (:func:`_snap_near_arc`); the endpoints and the padding can
-    never win a snap. The
-    hop fits and the band reach are computed for all shells at once. The
-    shells with an inadmissible hop are repaired together: round r walks
-    the r-th such hop of every shell still repairing, all in one lockstep
-    walk.
+    The shells share their endpoints, so they share the targets, which are
+    the stack's own when it has them. Every shell snaps in one lockstep
+    pass over the targets (:func:`_snap_near_arc`), and the shells with an
+    inadmissible hop are repaired together, in rounds (:func:`_repaired`).
 
     Raises:
         InvalidInputError: If ``d_max`` is not positive.
@@ -696,30 +699,36 @@ def route_equal_interval_batch(
     cos_admissible = _cos_admissible(stack, d_max)
     rows, counts, batch = stack.rows, stack.counts, len(stack.counts)
     src, dst = stack.ends
+    status = np.zeros(batch, np.int8)
     if float(src @ dst) >= cos_admissible:
         hops = np.column_stack([counts, np.add(counts, 1)])
-        return _routes(stack, hops, np.zeros(batch, np.int8), np.zeros(batch))
+        return _routes(stack, hops, np.ones(batch, np.intp), status, np.zeros(batch))
 
     n = plan.n_hat
-    targets, normal = great_arc(src, dst, np.arange(1, n) / n)
+    targets = stack.targets
+    if targets is None:
+        targets, _ = great_arc(src, dst, np.arange(1, n) / n)
     hops = np.empty((n + 1, batch), dtype=np.intp)
     hops[0] = counts
-    hops[1:-1] = _snap_near_arc(stack, targets, normal)
+    hops[1:-1] = _snap_near_arc(stack, targets, stack.normal)
     hops[-1] = hops[0] + 1
     path = rows.reshape(-1, 3)[hops + rows.shape[1] * np.arange(batch)]
     fits = np.einsum("hbj,hbj->hb", path[:-1], path[1:]) >= cos_admissible
     # A satellite deviating from the arc by more than every relay's angle
     # to its target is farther than that from each target, so it could
-    # not have won a snap.
-    gaps = np.linalg.norm(path[1:-1] - targets[:, None], axis=2)
+    # not have won a snap. (np.linalg.norm's sum of squares, without its
+    # wrapper's cost.)
+    gaps = path[1:-1] - targets[:, None]
+    gaps = np.sqrt((gaps * gaps).sum(axis=2))
     reach = 2.0 * np.arcsin(np.minimum(gaps / 2.0, 1.0)).max(axis=0, initial=0.0)
-    paths, status = hops.T.copy(), np.zeros(batch, np.int8)
+    paths = hops.T.copy()
     # A shell with fewer satellites than targets runs out at its last one.
     sizes = np.array(counts)
     short = sizes < n - 1
-    paths[short[:, None] & (np.arange(n + 1) > sizes[:, None])] = -1
+    n_hops = np.where(short, sizes, n)
+    paths[np.arange(n + 1) > n_hops[:, None]] = -1
     status[short], reach[short] = _INTERRUPTED, math.pi / 2.0
-    bad = np.flatnonzero(~short & ~fits.all(axis=0))
+    (bad,) = (~short & ~fits.all(axis=0)).nonzero()
     if len(bad):
         fixed, settled = _repaired(
             stack, bad.tolist(), hops[:, bad], fits[:, bad], cos_admissible
@@ -727,8 +736,9 @@ def route_equal_interval_batch(
         repaired = _padded(fixed, paths.shape[1])
         paths = _widened(paths, repaired.shape[1], -1)
         paths[bad] = repaired
+        n_hops[bad] = [len(path) - 1 for path in fixed]
         status[bad], reach[bad] = settled, math.pi / 2.0
-    return _routes(stack, paths, status, reach)
+    return _routes(stack, paths, n_hops, status, reach)
 
 
 #: Satellites that a cap of the strip's half-width h around a point of the
@@ -968,7 +978,7 @@ def _route_greedy(
     """
     cos_admissible = _cos_admissible(stack, d_max)
     counts, units = stack.counts, stack.rows
-    deflection = _deflection(units @ arc_normal(*stack.ends))
+    deflection = _deflection(units @ stack.normal)
     src = np.array(counts)
     # Padding is never taken.
     blocked = np.arange(units.shape[1]) >= src[:, None] + 2
@@ -992,8 +1002,7 @@ def _route_greedy(
             for k, mids, done in zip(counts, relays, reached)
         ]
     )
-    done = np.array(reached, dtype=bool)
-    status = np.where(done, _OK, _INTERRUPTED).astype(np.int8)
+    status = np.where(reached, _OK, _INTERRUPTED).astype(np.int8)
     if pick_farthest:
         reach = np.full(len(counts), min(plan.reliable_angle, math.pi / 2.0))
     else:
@@ -1003,8 +1012,8 @@ def _route_greedy(
         # Relays are the IDs below src's; padding is -1.
         relay = (hops >= 0) & (hops < src[:, None])
         seen = deflection[np.arange(len(hops))[:, None], np.maximum(hops, 0)]
-        reach = np.where(done, np.where(relay, seen, 0.0).max(axis=1), math.pi / 2.0)
-    return _routes(stack, hops, status, reach)
+        reach = np.where(reached, np.where(relay, seen, 0.0).max(axis=1), math.pi / 2.0)
+    return _routes(stack, hops, np.add(list(map(len, relays)), reached), status, reach)
 
 
 def route_min_deflection(c: Constellation, d_max: float, plan: HopPlan) -> Route:

@@ -25,6 +25,7 @@ from leoroute import (
 )
 from leoroute.analysis import contact_cdf
 from leoroute.constellation import (
+    _normalized,
     sample_band_complement,
     sample_band_counts,
     sample_bands,
@@ -98,6 +99,26 @@ def test_constellation_rejects_rows_without_a_direction(bad, message):
 def test_constellation_rejects_a_non_finite_body_or_shell(r_earth, altitude):
     with pytest.raises(InvalidInputError, match="finite r_earth > 0"):
         Constellation(r_earth=r_earth, altitude=altitude, unit_vectors=np.eye(3))
+
+
+@given(
+    rows=st.lists(
+        st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+        min_size=1,
+        max_size=8,
+    ),
+    scale=st.sampled_from([1e-310, 1e-170, 1.0, 1e160, 1e300]),
+)
+def test_normalized_is_dividing_by_the_linalg_norm(rows, scale):
+    """Rows are normalized bit for bit as by ``np.linalg.norm``, for rows of
+    any magnitude: subnormal, with squares that underflow or overflow."""
+    with np.errstate(all="ignore"):
+        units = np.array(rows) * scale
+        want = units / np.linalg.norm(units, axis=1)[:, None]
+        assert _normalized(units).tobytes() == want.tobytes()
+        out = np.empty_like(units)
+        assert _normalized(units, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 def test_mean_direction_near_zero():

@@ -642,7 +642,11 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
     paths, statuses = routing._repaired(stack, ids, planned, fits, cos_min)
     reaches = np.full(len(ids), math.pi / 2.0)
     routes = routing._routes(
-        stack, routing._padded(paths), np.array(statuses, np.int8), reaches
+        stack,
+        routing._padded(paths),
+        np.array([len(path) - 1 for path in paths]),
+        np.array(statuses, np.int8),
+        reaches,
     )
     outcomes = []
     for shell, hops, fit, route in zip(shells, planned.T, fits.T, routes):
