@@ -67,7 +67,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -846,6 +845,9 @@ def run_trials(
         for i in range(workers + 1)
     ]
     tasks = [(cell, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # Imported here: loading multiprocessing costs every serial run memory.
+    from concurrent.futures import ProcessPoolExecutor
+
     # The chunks come back in task order, which is trial order.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return TrialRecords.concatenated(list(pool.map(_run_chunk, tasks)))

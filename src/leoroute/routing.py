@@ -21,7 +21,9 @@ one lane. On a batch of whole shells equal-interval snaps among the
 satellites of a strip near the arc (:func:`_snap_near_arc`). Repairs and
 both baselines run one greedy relay walk, whose lanes move in lockstep in
 chunks that a memory budget bounds (:func:`_walk`), and differ only in its
-score, the satellites they block and the step cap. Every router builds its routes in one place
+score, the satellites they block and the step cap; a repair walks only the
+satellites closer to its goal than its start (:func:`_repair_round`).
+Every router builds its routes in one place
 (:func:`_routes`): a :class:`RouteBatch`, whose arrays hold the hop matrix
 padded with -1, the hop counts, the chords padded with 0.0, status codes
 (indices into :data:`STATUSES`), band reaches and latencies. It checks all
@@ -309,13 +311,17 @@ def _deflection(dots: np.ndarray) -> np.ndarray:
     return np.abs(np.arcsin(np.minimum(np.maximum(dots, -1.0), 1.0)))
 
 
+#: The start of each walk of a chunk on its rows ``units``: its satellite's
+#: unit row, that satellite's closeness to the goal (its dot with the goal)
+#: and each row's closeness, -inf where the walk may not step.
+_WalkStart = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _walk(
     stack: np.ndarray,
     shells: list[int],
-    start: np.ndarray,
-    goal: np.ndarray,
+    begin: Callable[[np.ndarray, slice], _WalkStart],
     cos_admissible: float,
-    blocked: np.ndarray,
     score: Optional[Callable[[np.ndarray, slice], np.ndarray]],
     cap: int,
     doubles: int,
@@ -323,14 +329,14 @@ def _walk(
     """Relays of each walk toward its goal, and whether the goal came in reach.
 
     Walk b runs on the rows ``stack[shells[b]]`` (``stack`` has shape
-    (B, W, 3)) from satellite ``start[b]`` to ``goal[b]``. Until its goal
-    is one admissible hop away, each step takes the satellite with the
-    lowest score among those admissible from the current one, not
-    ``blocked[b]`` (nor the goal) and strictly closer to the goal; the
-    scores of the walks ``lanes`` (a slice) on their rows ``units`` are
+    (B, W, 3)). The walks ``lanes`` (a slice) start as
+    ``begin(units, lanes)`` gives on their rows ``units`` (a
+    :data:`_WalkStart`, as :func:`_walk_start` finds it). Until its goal is
+    one admissible hop away, each step takes the satellite with the lowest
+    score among those admissible from the current one that it may step to
+    and that are strictly closer to the goal; the scores of the walks are
     ``score(units, lanes)``, and with no ``score`` the step takes the
     farthest. A walk gives up when none qualifies or after ``cap`` steps.
-    Marks each goal in ``blocked``.
 
     The walks go in chunks of consecutive walks, as many at a time as
     ``_PRODUCT_DOTS`` holds at ``doubles`` a row, the peak a row of a
@@ -343,17 +349,11 @@ def _walk(
     reached: list[bool] = []
     for lo in range(0, len(shells), chunk):
         lanes = slice(lo, lo + chunk)
-        rows = shells[lanes]
-        # Walks on consecutive shells read a view of the stack, not a copy.
-        first = rows[0]
-        consecutive = rows == list(range(first, first + len(rows)))
-        units = stack[first : first + len(rows)] if consecutive else stack[rows]
+        units = _lane_rows(stack, shells[lanes])
         mids, done = _lockstep(
             units,
-            start[lanes],
-            goal[lanes],
+            *begin(units, lanes),
             cos_admissible,
-            blocked[lanes],
             None if score is None else score(units, lanes),
             cap,
         )
@@ -362,37 +362,45 @@ def _walk(
     return relays, reached
 
 
+def _walk_start(
+    units: np.ndarray, start: np.ndarray, goal: np.ndarray, blocked: np.ndarray
+) -> _WalkStart:
+    """The :data:`_WalkStart` of walks from row ``start[b]`` to row
+    ``goal[b]`` of ``units[b]`` that may not step to ``blocked[b]`` (nor to
+    the goal). Marks each goal in ``blocked``."""
+    lanes = np.arange(len(units))
+    dots_goal = np.matmul(units, units[lanes, goal][:, :, None])[:, :, 0]
+    blocked[lanes, goal] = True
+    return (
+        units[lanes, start],
+        dots_goal[lanes, start],
+        np.where(blocked, -np.inf, dots_goal),
+    )
+
+
 def _lockstep(
     units: np.ndarray,
-    start: np.ndarray,
-    goal: np.ndarray,
+    cur: np.ndarray,
+    here: np.ndarray,
+    near: np.ndarray,
     cos_admissible: float,
-    blocked: np.ndarray,
     score: Optional[np.ndarray],
     cap: int,
 ) -> tuple[list[list[int]], list[bool]]:
-    """:func:`_walk` on the rows ``units[b]`` of each walk b, ranked by
-    ``score[b]``, all walks in lockstep.
+    """:func:`_walk` on the rows ``units[b]`` of each walk b, from the
+    :data:`_WalkStart` ``(cur, here, near)``, ranked by ``score[b]``, all
+    walks in lockstep.
 
     Each step takes one matrix product of every walk's rows with its
     current satellite, one eligibility mask and one argmin along the rows,
     and a walk that stops leaves the stack. Progress is strict, so a walk
     never takes a relay twice.
     """
-    lanes = np.arange(len(units))
-    dots_goal = np.matmul(units, units[lanes, goal][:, :, None])[:, :, 0]
-    here = dots_goal[lanes, start]
-    cur = units[lanes, start]
-    blocked[lanes, goal] = True
-    # Closeness to the goal of the satellites a walk may take, -inf
-    # elsewhere.
-    near = np.where(blocked, -np.inf, dots_goal)
-    del dots_goal
     # Per-walk bookkeeping stays in Python: for the few walks of a batch it
     # costs less than operations on arrays of one entry per walk.
     width = units.shape[1]
     offsets = np.arange(0, len(units) * width, width)
-    walks = lanes.tolist()
+    walks = list(range(len(units)))
     relays: list[list[int]] = [[] for _ in walks]
     reached = [closeness >= cos_admissible for closeness in here.tolist()]
     going = [not done for done in reached]
@@ -405,11 +413,12 @@ def _lockstep(
             # going walks are copied, so the copies never pile up on the
             # arrays they replace.
             dots = eligible = None
-            here, cur = here[going], cur[going]
-            units = units[going]
-            near = near[going]
+            stay = np.array(going).nonzero()[0]
+            here, cur = here.take(stay), cur.take(stay, axis=0)
+            units = units.take(stay, axis=0)
+            near = near.take(stay, axis=0)
             if score is not None:
-                score = score[going]
+                score = score.take(stay, axis=0)
             offsets = offsets[: len(walks)]
         dots = np.matmul(units, cur[:, :, None])[:, :, 0]
         eligible = (dots >= cos_admissible) & (near > here[:, None])
@@ -448,6 +457,10 @@ def hop_repair(
     in visit order (empty when the hop was already admissible). An
     equal-interval route repairs its hops with this walk, many at once.
 
+    Only the satellites strictly closer to ``to_id`` than ``from_id`` could
+    ever be taken, since every step gets strictly closer, so the walk reads
+    only those (:func:`_repair_round`).
+
     Raises:
         InvalidInputError: If ``d_max`` is not positive, ``c`` holds
             fewer than two satellites, or ``from_id`` or ``to_id`` is not
@@ -465,6 +478,7 @@ def hop_repair(
     blocked = np.zeros((1, c.n_sat), dtype=bool)
     ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
     blocked[0, ids[(ids >= 0) & (ids < c.n_sat)]] = True
+    blocked[0, to_id] = True
     (mids,) = _repair_round(
         c.unit_vectors[None], [0], [from_id], [to_id], cos_admissible, blocked
     )
@@ -484,13 +498,14 @@ def hop_repair(
 #: work in one thread.
 _PRODUCT_DOTS = 1 << 16
 
-#: Doubles each row of a repair lane takes at the peak of its walk, which
-#: sets how many lanes one chunk of a repair walk takes (:func:`_walk`): its
-#: copy of its shell's rows (3), its dots with the arc's normal and its
-#: deflection (2), and the lockstep walk's own (a trace of table1's oneweb
-#: epsilon 0.1 cell peaked at 3.7; it grows with the number of steps at
-#: which a chunk's walks stop, and reached 8 on greedy walks).
-_REPAIR_DOUBLES = 12
+#: Doubles each packed row of a repair lane (:func:`_repair_round`) takes at
+#: the peak of its walk, which sets how many lanes one chunk of a repair
+#: walk takes (:func:`_walk`): its deflection and the lockstep walk's own,
+#: with the copies of the rows, closeness and scores of the walks still
+#: going. A trace of table1's oneweb epsilon 0.1 rounds peaked at 4.0, and
+#: one of long walks (hops of 0.6-1.5 rad on 800- to 6000-satellite
+#: shells, 40 lanes and up to 18 relays) at 5.5.
+_REPAIR_DOUBLES = 6
 
 #: Doubles each row of a greedy baseline's lane takes at the peak of its
 #: walk, which sets how many lanes one chunk of a greedy walk takes: the
@@ -500,6 +515,21 @@ _REPAIR_DOUBLES = 12
 #: cells (the 800-satellite shell at 4000, 8000 and 15750 km, and the
 #: three presets at pi) peaked at 7.95.
 _GREEDY_DOUBLES = 9
+
+#: Doubles each shell row of a repair lane takes while its cap is found
+#: (:func:`_repair_round`), which sets how many lanes one product takes:
+#: the lane's copy of its shell's rows (3) and their dots with its start
+#: and its goal (2).
+_CAP_DOUBLES = 5
+
+#: The axes each term of a cross product reads, as geometry's ``_cross``
+#: takes them: (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}.
+_TURNS = np.array([1, 2, 0, 2, 0, 1])
+
+#: Sine above which an arc lies far from the coincident and the antipodal
+#: thresholds of :func:`~leoroute.geometry.great_arc` (1e-9 rad either
+#: way), so that its normal is its cross product over its length.
+_CLEAR_SINE = 1e-6
 
 
 def _repair_round(
@@ -513,53 +543,152 @@ def _repair_round(
     """Relays that repair hop ``start[j]`` -> ``goal[j]`` of each lane j.
 
     Lane j routes on the rows ``stack[ids[j]]`` and may not take the
-    satellites of ``blocked[j]``. A hop that fits after all (its scalar dot
-    rounds the other way) needs no relay. Every other lane walks from its
-    start, scored by the deflection from its own start->goal arc, until its
-    goal is one admissible hop away; a lane whose hop has no reference arc
-    or whose walk dead-ends gets None. The lanes walk in lockstep, in
-    chunks of as many as ``_PRODUCT_DOTS`` holds (:func:`_walk`).
+    satellites of ``blocked[j]``, which must hold its goal. A hop that fits
+    after all (its scalar dot rounds the other way) needs no relay. Every
+    other lane walks from its start, scored by the deflection from its own
+    start->goal arc, until its goal is one admissible hop away; a lane
+    whose hop has no reference arc or whose walk dead-ends gets None.
+
+    A lane walks only on its cap: the rows strictly closer to its goal than
+    its start, and not blocked. That loses no relay, because a step only
+    takes a row strictly closer to the goal than the current one, and the
+    current one's closeness only grows from the start's. One product of
+    each lane's rows with its start and its goal (in chunks of as many
+    lanes as ``_PRODUCT_DOTS`` holds at ``_CAP_DOUBLES`` a row) gives its
+    cap and the cap's rows admissible from the start; a lane with none
+    dead-ends at its first step, and a round in which every lane does ends
+    there. The caps are packed in ID order (:func:`_pack_lanes`), so ties
+    still go to the lowest ID, walked in lockstep (:func:`_walk`) and their
+    relays mapped back to the shell's IDs; a product of packed rows rounds
+    as on the whole shell. The fit checks and arc normals of all lanes come
+    from one batched pass that rounds as the scalar dot and
+    :func:`~leoroute.geometry.arc_normal` do, and a hop near the coincident
+    or antipodal threshold takes ``arc_normal`` itself.
     """
-    relays: list[Optional[list[int]]] = [None] * len(ids)
-    walkers, normals = [], []
-    for j, (b, a, z) in enumerate(zip(ids, start, goal)):
-        units = stack[b]
-        if float(units[a] @ units[z]) >= cos_admissible:
+    n, width = len(ids), stack.shape[1]
+    flat = stack.reshape(-1, 3)
+    rows = np.multiply(ids + ids, width)
+    rows += start + goal
+    ends = flat.take(rows, axis=0)
+    a, z = ends[:n], ends[n:]
+    spans, normals, clear = _hop_arcs(ends)
+
+    # Each lane's cap, the rows strictly closer to its goal than its start
+    # and not blocked, and the first steps its walk may take, the cap's rows
+    # admissible from its start, by the products its walk takes.
+    lanes = np.arange(n)
+    here = np.empty(n)
+    cap = np.empty((n, width), dtype=bool)
+    first = np.empty((n, width), dtype=bool)
+    chunk = max(1, _PRODUCT_DOTS // (_CAP_DOUBLES * width))
+    # The dots of each lane's rows with its start and with its goal.
+    pair = ends.reshape(2, n, 3, 1)
+    for lo in range(0, n, chunk):
+        part = slice(lo, lo + chunk)
+        dots = np.matmul(_lane_rows(stack, ids[part]), pair[:, part])[:, :, :, 0]
+        here[part] = dots[1, lanes[: dots.shape[1]], start[part]]
+        np.greater(dots[1], here[part, None], out=cap[part])
+        np.greater_equal(dots[0], cos_admissible, out=first[part])
+    # Where not blocked (True > False only).
+    np.greater(cap, blocked, out=cap)
+    first &= cap
+
+    relays: list[Optional[list[int]]] = [None] * n
+    walking = [False] * n
+    for j, fit, far, done, moves in zip(
+        range(n),
+        (spans >= cos_admissible).tolist(),
+        clear.tolist(),
+        (here >= cos_admissible).tolist(),
+        first.any(axis=1).tolist(),
+    ):
+        if fit:
             relays[j] = []
             continue
-        try:
-            normals.append(arc_normal(units[a], units[z]))
-        except DegenerateArcError:
-            continue
-        walkers.append(j)
-    normals = np.array(normals)
-    width = stack.shape[1]
+        if not far:
+            # Near the coincident or antipodal threshold, the arc's own rule.
+            try:
+                normals[j] = arc_normal(a[j], z[j])
+            except DegenerateArcError:
+                continue
+        if done:
+            # The goal is in reach of the start after all.
+            relays[j] = []
+        else:
+            walking[j] = moves
+    if not any(walking):
+        return relays
+    if not all(walking):
+        cap[np.logical_not(walking)] = False
+
+    # Each lane walks on its cap in ID order, padded with copies of its
+    # start, which is no closer to its goal than itself and so never
+    # qualifies.
+    source, target, kept, wide = _pack_lanes(cap)
+    cols = source % width
+    units = np.repeat(a, wide, axis=0)
+    units[target] = flat.take(cols + np.repeat(rows[:n] - start, kept), axis=0)
+    units = units.reshape(n, wide, 3)
+    near = np.matmul(units, z[:, :, None])[:, :, 0]
 
     def tilt(units: np.ndarray, lanes: slice) -> np.ndarray:
         # One matrix-vector product per lane, as for a shell on its own.
         return _deflection(np.matmul(units, normals[lanes][:, :, None])[:, :, 0])
 
     mids, reached = _walk(
-        stack,
-        [ids[j] for j in walkers],
-        np.array([start[j] for j in walkers]),
-        np.array([goal[j] for j in walkers]),
+        units,
+        lanes.tolist(),
+        lambda _, lanes: (a[lanes], here[lanes], near[lanes]),
         cos_admissible,
-        blocked[walkers],
         tilt,
-        width,
+        wide,
         _REPAIR_DOUBLES,
     )
-    for j, path, done in zip(walkers, mids, reached):
-        if done:
-            relays[j] = path
-        elif len(path) >= width:
+    ids_of = cols.tolist()
+    at = 0
+    for j, count, path, done in zip(range(n), kept.tolist(), mids, reached):
+        if walking[j] and done:
+            relays[j] = [ids_of[at + p] for p in path]
+        elif len(path) >= wide:
             # A walk never revisits a satellite, so only a bug can use up
             # the cap.
             raise InternalConsistencyError(
                 f"hop repair for {start[j]}->{goal[j]} exceeded the satellite count"
             )
+        at += count
     return relays
+
+
+def _hop_arcs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dot of each hop ``ends[j]`` -> ``ends[n + j]`` of the 2n unit rows
+    ``ends``, the unit normal of its arc, and whether that arc is clear of
+    the coincident and antipodal thresholds.
+
+    Each dot rounds as the scalar ``a @ z`` does, and the normal of a clear
+    arc as :func:`~leoroute.geometry.arc_normal` gives it: the cross product
+    of geometry's ``_cross``, term for term, over its length. The normal of
+    an arc that is not clear means nothing.
+    """
+    n = len(ends) // 2
+    a, z = ends[:n], ends[n:]
+    # A product of 1 x 3 by 3 x 1 matrices rounds as the 1-D a @ z does.
+    dots = np.matmul(a[:, None], z[:, :, None]).ravel()
+    # turned[:, i] is axis i + 1 of each row, turned[:, 3 + i] axis i + 2.
+    turned = ends.take(_TURNS, axis=1)
+    cross = turned[:n, :3] * turned[n:, 3:]
+    cross -= turned[:n, 3:] * turned[n:, :3]
+    sines = np.sqrt(np.matmul(cross[:, None], cross[:, :, None]).ravel())
+    clear = sines > _CLEAR_SINE
+    return dots, cross / np.maximum(sines, _CLEAR_SINE)[:, None], clear
+
+
+def _lane_rows(stack: np.ndarray, shells: list[int]) -> np.ndarray:
+    """The rows ``stack[shells]``: a view of the stack when the shells are
+    consecutive, else a copy."""
+    first = shells[0]
+    if shells == list(range(first, first + len(shells))):
+        return stack[first : first + len(shells)]
+    return stack[shells]
 
 
 @dataclass(frozen=True)
@@ -824,26 +953,33 @@ def _strip(
     keep &= along >= cos_far
     keep = keep.reshape(rows.shape[:2])
     keep &= np.arange(rows.shape[1]) < np.array(counts)[:, None]
-    source, target, kept = _pack_lanes(keep)
-    ids = np.zeros(len(rows) * (max(kept) + 2), dtype=np.intp)
+    source, target, kept, wide = _pack_lanes(keep)
+    ids = np.zeros(len(rows) * wide, dtype=np.intp)
     ids[target] = source
-    return ids, kept
+    return ids, kept.tolist()
 
 
-def _pack_lanes(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _pack_lanes(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Where the entries that the (B, W) mask ``keep`` marks go when each
     lane keeps only those, in order.
 
     Returns their flat indices in the (B, W) layout, lane by lane; their
     flat indices in a (B, W') layout, W' being the most entries a lane
-    keeps plus 2 (room for a shell's endpoints); and how many each lane
-    keeps.
+    keeps plus 2 (room for a shell's endpoints); how many each lane keeps;
+    and W'.
     """
-    kept = np.count_nonzero(keep, axis=1)
-    width = int(kept.max(initial=0)) + 2
-    source = np.flatnonzero(keep)
-    shift = np.arange(0, len(keep) * width, width) - (np.cumsum(kept) - kept)
-    return source, np.arange(len(source)) + np.repeat(shift, kept), kept.tolist()
+    batch, width = keep.shape
+    source = keep.ravel().nonzero()[0]
+    lane = source // width
+    kept = np.bincount(lane, minlength=batch)
+    wide = max(kept.tolist()) + 2
+    # Entry i goes to lane * W' + i - (the lane's first entry).
+    shift = np.arange(0, batch * wide, wide)
+    shift -= kept.cumsum()
+    shift += kept
+    target = shift.take(lane)
+    target += np.arange(len(source))
+    return source, target, kept, wide
 
 
 def _snap(stack: np.ndarray, counts: list[int], targets: np.ndarray) -> np.ndarray:
@@ -916,19 +1052,24 @@ def _repaired(
     repairing, in one :func:`_repair_round`: a relay may not be a planned
     satellite, a relay of an earlier round or padding (shell b holds
     ``stack.counts[b] + 2`` satellites). A failed repair ends its route with
-    ``type2_interrupted`` status at the satellite before the hop.
+    ``type2_interrupted`` status at the satellite before the hop. The rounds
+    stop when no route is still repairing, so none is empty.
     """
     n = len(planned) - 1
-    bad = [np.flatnonzero(~f).tolist() for f in fits.T]
+    # The hops of each route that do not fit, in hop order.
+    bad: list[list[int]] = [[] for _ in ids]
+    routes, unfit = (~fits.T).nonzero()
+    for j, h in zip(routes.tolist(), unfit.tolist()):
+        bad[j].append(h)
     sizes = np.array([stack.counts[b] + 2 for b in ids])
     blocked = np.arange(stack.rows.shape[1]) >= sizes[:, None]
     blocked[np.arange(len(ids)), planned] = True
     planned = planned.T.tolist()
     relays: list[dict[int, list[int]]] = [{} for _ in ids]
     ends = [n] * len(ids)
-    going = list(range(len(ids)))
-    for r in range(max(map(len, bad))):
-        going = [j for j in going if r < len(bad[j])]
+    going = [j for j, hops in enumerate(bad) if hops]
+    r = 0
+    while going:
         hops = [bad[j][r] for j in going]
         found = _repair_round(
             stack.rows,
@@ -946,7 +1087,8 @@ def _repaired(
             relays[j][h] = mids
             blocked[j, mids] = True
             still.append(j)
-        going = still
+        r += 1
+        going = [j for j in still if r < len(bad[j])]
 
     paths, statuses = [], []
     for hops, inserted, end in zip(planned, relays, ends):
@@ -988,10 +1130,10 @@ def _route_greedy(
     relays, reached = _walk(
         units,
         list(range(len(counts))),
-        src,
-        src + 1,
+        lambda rows, lanes: _walk_start(
+            rows, src[lanes], src[lanes] + 1, blocked[lanes]
+        ),
         cos_admissible,
-        blocked,
         None if pick_farthest else lambda _, lanes: deflection[lanes],
         4 * plan.n_hat,
         _GREEDY_DOUBLES,

@@ -16,6 +16,7 @@ the failing assertions document the gap precisely:
   at 800-satellite density for every probed distance).
 """
 
+import concurrent.futures
 import math
 import time
 
@@ -330,13 +331,13 @@ def test_trials_are_reproducible_across_worker_counts(monkeypatch):
     # 130 trials are three blocks of 64, so a pool of two workers starts,
     # even on a host with one CPU.
     started = []
-    pool = experiments.ProcessPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def counted_pool(max_workers):
         started.append(max_workers)
         return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
     monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
     params = CellParams(n_sat=400, altitude_km=550.0, arc_angle=1.8, epsilon=0.1)
     serial = run_trials(params, "min-deflection", trials=130, base_seed=5, threads=1)

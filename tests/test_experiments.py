@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: seeding, aggregation, sweeps, table."""
 
+import concurrent.futures
 import csv
 import itertools
 import json
@@ -322,13 +323,13 @@ def test_run_trials_validation():
 def test_run_trials_identical_for_any_worker_count(monkeypatch, strategy):
     """130 trials are three blocks, so two workers start even on one CPU."""
     started = []
-    pool = experiments.ProcessPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def counted_pool(max_workers):
         started.append(max_workers)
         return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
     monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
     params = CellParams(n_sat=500, altitude_km=550.0, arc_angle=2.0, epsilon=0.1)
     serial = run_trials(params, strategy, trials=130, base_seed=99, threads=1)
@@ -357,7 +358,7 @@ def test_worker_processes_capped_at_cpu_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
     monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
     params = CellParams(n_sat=500, altitude_km=550.0, arc_angle=2.0, epsilon=0.1)
     # Workers take whole blocks of 64 trials, so 130 trials give three.

@@ -1,5 +1,6 @@
-"""Golden digests: sha256 of the Monte Carlo records, a sweep CSV and the
-JSON of ``leoroute route`` calls, each recorded once and never re-recorded.
+"""Golden digests: sha256 of the Monte Carlo records, a sweep CSV, the
+JSON of ``leoroute route`` calls and the relays of ``hop_repair`` on whole
+oneweb shells, each recorded once and never re-recorded.
 
 A change to the trial path that claims byte-identical outputs must leave
 every digest as it is. The digests hold for the interpreter and numpy of
@@ -13,8 +14,11 @@ import platform
 import numpy as np
 import pytest
 
+from leoroute import RepairFailedError, hop_repair, make_endpoints, plan_hops
 from leoroute.cli import main
+from leoroute.constellation import sample_bpp
 from leoroute.experiments import STRATEGIES, CellParams, SweepSpec, run_trials
+from leoroute.geometry import great_arc
 
 #: Python (major.minor) and numpy under which the digests were recorded.
 RECORDED_WITH = {"python": "3.11", "numpy": "2.4.6"}
@@ -106,6 +110,15 @@ ROUTE_COMBOS_DIGEST = (
 )
 
 
+#: sha256 of the relays ``hop_repair`` finds for every planned hop of the
+#: epsilon 0.1 plan on the first :data:`REPAIR_SHELLS` whole oneweb shells
+#: (:func:`repair_text`), which the record digests do not show.
+HOP_REPAIR_DIGEST = (
+    "ece8ddcd4ccdbd9898a578fe2eb2281fff22686b2206a60c2b612efcf729c6ca"
+)
+REPAIR_SHELLS = 64
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -164,3 +177,43 @@ def test_route_json_of_every_route_workload_combo_matches_its_digest(tmp_path):
         for seed in ROUTE_COMBO_SEEDS
     ]
     assert sha256("".join(texts)) == ROUTE_COMBOS_DIGEST
+
+
+def repair_text() -> str:
+    """One line per planned hop of every shell: the shell's seed, the hop
+    and its relays, None when its repair fails.
+
+    Each whole oneweb shell takes the epsilon 0.1 plan's targets in arc
+    order, each snapping to its nearest satellite not taken before, and
+    every hop is repaired with the satellites planned or taken by an
+    earlier repair excluded, the failed ones included.
+    """
+    params = CellParams.from_preset("oneweb", epsilon=0.1)
+    plan = plan_hops(params.arc_angle, params.theta_max, params.n_sat, params.epsilon)
+    src, dst = make_endpoints(params.radius, params.arc_angle)
+    lines = []
+    for seed in range(REPAIR_SHELLS):
+        c = sample_bpp(params.n_sat, params.r_earth_km, params.altitude_km, seed)
+        c = c.with_extra_points([src, dst])
+        units = c.unit_vectors
+        fractions = np.arange(1, plan.n_hat) / plan.n_hat
+        targets, _ = great_arc(units[-2], units[-1], fractions)
+        planned = [params.n_sat]
+        for target in targets:
+            dots = units[:-2] @ target
+            dots[planned[1:]] = -2.0
+            planned.append(int(dots.argmax()))
+        planned.append(params.n_sat + 1)
+        used = set(planned)
+        for a, b in zip(planned, planned[1:]):
+            try:
+                mids = hop_repair(c, a, b, params.d_max_km, exclude=used)
+            except RepairFailedError:
+                mids = None
+            used.update(mids or ())
+            lines.append(f"{seed} {a} {b} {mids}\n")
+    return "".join(lines)
+
+
+def test_hop_repair_relays_on_whole_oneweb_shells_match_their_digest():
+    assert sha256(repair_text()) == HOP_REPAIR_DIGEST

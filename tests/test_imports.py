@@ -132,8 +132,9 @@ def test_no_module_decides_by_strategy_name(path):
 
 
 def test_the_command_line_needs_only_numpy():
-    """A fresh interpreter imports the command line without click, and the
-    package declares numpy as its only run-time dependency."""
+    """A fresh interpreter imports the command line without click or
+    multiprocessing (a serial run starts no pool), and the package declares
+    numpy as its only run-time dependency."""
     path = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
@@ -143,6 +144,7 @@ def test_the_command_line_needs_only_numpy():
     loaded = ast.literal_eval(done.stdout)
     assert "leoroute.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] == "click"] == []
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
     tomllib = pytest.importorskip("tomllib")
     required = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in required] == ["numpy"]

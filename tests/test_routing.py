@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leoroute import (
@@ -39,6 +39,7 @@ from leoroute import (
 )
 from leoroute import routing
 from leoroute.experiments import contact_band
+from leoroute.geometry import arc_normal
 from leoroute.routing import (
     STATUSES,
     RouteBatch,
@@ -598,7 +599,11 @@ def reference_repaired(c, planned, fits):
 def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
     """A padded batch of planned routes whose lanes need 0, 1 and several
     repair rounds; some fail in their first round and some in a later one.
-    Zig-zag routes walk back over the relays of their previous round."""
+    Zig-zag routes walk back over the relays of their previous round.
+
+    Caps are found and walked in chunks of ``lanes_per_walk`` lanes. No
+    round is without lanes, and each route is in as many rounds as the
+    reference repairs hops."""
     arc = 2.0
     src, dst = endpoints(arc)
     even = (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6)
@@ -631,8 +636,24 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
     stack = ShellStack.of(shells)
     width = stack.rows.shape[1]
     monkeypatch.setattr(
-        routing, "_REPAIR_DOUBLES", routing._PRODUCT_DOTS // (lanes_per_walk * width)
+        routing, "_CAP_DOUBLES", routing._PRODUCT_DOTS // (lanes_per_walk * width)
     )
+    walks, rounds = [], []
+    walk, repair_round = routing._walk, routing._repair_round
+
+    def walk_in_chunks(units, shells, begin, cos_min, score, cap, doubles):
+        # Packed caps are narrower than their shells: as many doubles a row
+        # as put ``lanes_per_walk`` lanes in a chunk of these.
+        walks.append(len(shells))
+        doubles = routing._PRODUCT_DOTS // (lanes_per_walk * units.shape[1])
+        return walk(units, shells, begin, cos_min, score, cap, doubles)
+
+    def counted_round(rows, ids, *rest):
+        rounds.append(list(ids))
+        return repair_round(rows, ids, *rest)
+
+    monkeypatch.setattr(routing, "_walk", walk_in_chunks)
+    monkeypatch.setattr(routing, "_repair_round", counted_round)
     planned = np.array(planned).T
     cos_min = cos_admissible(shells[0])
     path = np.stack([c.unit_vectors[hops] for c, hops in zip(shells, planned.T)])
@@ -650,9 +671,12 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
     )
     outcomes = []
     for shell, hops, fit, route in zip(shells, planned.T, fits.T, routes):
-        expected, rounds = reference_repaired(shell, hops.tolist(), fit.tolist())
+        expected, repairs = reference_repaired(shell, hops.tolist(), fit.tolist())
         assert route == expected
-        outcomes.append((rounds, route.status))
+        outcomes.append((repairs, route.status))
+    assert all(rounds)
+    assert [sum(j in lanes for lanes in rounds) for j in ids] == [r for r, _ in outcomes]
+    assert max(walks) > 3
     assert outcomes == [
         (0, RouteStatus.OK),
         (1, RouteStatus.REPAIRED),
@@ -662,6 +686,112 @@ def test_repair_rounds_match_hop_by_hop_reference(monkeypatch, lanes_per_walk):
         (2, RouteStatus.TYPE2_INTERRUPTED),
         (3, RouteStatus.TYPE2_INTERRUPTED),
     ]
+
+
+#: How a lane of the pruned-repair property test picks its goal: any
+#: satellite, one in reach of its start, a copy of its start, its antipode,
+#: or a point 1e-7 rad short of its antipode.
+GOALS = ("any", "in reach", "coincident", "antipodal", "near antipodal")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(2, 600),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from(GOALS),
+            st.floats(0.0, 0.5),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_pruned_repair_equals_the_walk_over_every_row(lanes, order):
+    """On random shells, hops and blocked sets, a round of several lanes and
+    ``hop_repair`` both repair each hop as the relay-by-relay walk over
+    every row of its shell does. The lanes read their shells in a shuffled
+    order, so their rows are gathered, not viewed."""
+    shells, hops, excluded = [], [], []
+    for n_sat, seed, kind, share in lanes:
+        rng = np.random.default_rng(seed)
+        units = sample_bpp(n_sat, R_EARTH, ALT, seed=seed).unit_vectors
+        start = int(rng.integers(n_sat))
+        u = units[start]
+        extra = {
+            "in reach": turned(u, 0.02),
+            "coincident": u,
+            "antipodal": -u,
+            "near antipodal": turned(-u, 1e-7),
+        }.get(kind)
+        if extra is None:
+            goal = int(rng.integers(n_sat))
+        else:
+            units = np.vstack([units, extra])
+            goal = n_sat
+        exclude = set(np.flatnonzero(rng.random(len(units)) < share).tolist())
+        exclude -= {start, goal}
+        shells.append(constellation_from_units(units))
+        hops.append((start, goal))
+        excluded.append(exclude)
+    perm = list(range(len(shells)))
+    order.shuffle(perm)
+    width = max(c.n_sat for c in shells)
+    rows = np.zeros((len(shells), width, 3))
+    for b, c in enumerate(shells):
+        rows[b, : c.n_sat] = c.unit_vectors
+    # Lane j repairs the hop of shell perm[j].
+    blocked = np.arange(width) >= np.array([shells[b].n_sat for b in perm])[:, None]
+    for j, b in enumerate(perm):
+        blocked[j, [*excluded[b], hops[b][1]]] = True
+    found = routing._repair_round(
+        rows,
+        perm,
+        [hops[b][0] for b in perm],
+        [hops[b][1] for b in perm],
+        cos_admissible(shells[0]),
+        blocked,
+    )
+    for j, b in enumerate(perm):
+        c, (start, goal), exclude = shells[b], hops[b], excluded[b]
+        expected = reference_hop_repair(c, start, goal, exclude)
+        assert found[j] == expected
+        if expected is None:
+            with pytest.raises(RepairFailedError):
+                hop_repair(c, start, goal, D_MAX, exclude)
+        else:
+            assert hop_repair(c, start, goal, D_MAX, exclude) == expected
+
+
+def turned(unit, angle):
+    """``unit`` turned by ``angle`` rad toward a direction orthogonal to it."""
+    axis = np.cross(unit, (0.0, 0.0, 1.0) if abs(unit[2]) < 0.9 else (1.0, 0.0, 0.0))
+    axis /= np.linalg.norm(axis)
+    return math.cos(angle) * unit + math.sin(angle) * axis
+
+
+def test_batched_hop_arcs_round_as_the_scalar_dot_and_arc_normal():
+    """On 10^5 random hops, and hops near the coincident and antipodal
+    thresholds, the batched pass gives each hop's dot as ``float(a @ z)``
+    and each clear arc's normal as ``arc_normal``, bit for bit; it leaves
+    every hop near a threshold to ``arc_normal``."""
+    rng = np.random.default_rng(33)
+    a, z = rng.normal(size=(2, 100_000, 3))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    # Hops 1e-12 to 1e-7 rad from each threshold.
+    near = a[:200] + rng.normal(size=(200, 3)) * np.logspace(-12, -7, 200)[:, None]
+    near /= np.linalg.norm(near, axis=1)[:, None]
+    a = np.vstack([a, a[:200], a[:200]])
+    z = np.vstack([z, near, -near])
+    dots, normals, clear = routing._hop_arcs(np.vstack([a, z]))
+    scalar = np.array([float(u @ v) for u, v in zip(a, z)])
+    assert dots.tobytes() == scalar.tobytes()
+    assert not clear[-400:].any()
+    assert clear.mean() > 0.99
+    exact = np.array([arc_normal(u, v) for u, v in zip(a[clear], z[clear])])
+    assert normals[clear].tobytes() == exact.tobytes()
 
 
 def reference_walk(units, start, goal, cos_admissible, blocked, score, cap):
@@ -811,17 +941,21 @@ def test_walk_in_chunks_equals_one_lockstep_walk(lanes_per_chunk):
                     walked = routing._walk(
                         rows,
                         shells_walked,
-                        start,
-                        goal,
+                        lambda units, lanes: routing._walk_start(
+                            units, start[lanes], goal[lanes], blocked[lanes]
+                        ),
                         cos_min,
-                        blocked,
                         None if score is None else lambda _, lanes: score[lanes],
                         40,
                         doubles,
                     )
                 else:
                     walked = routing._lockstep(
-                        gathered, start, goal, cos_min, blocked, score, 40
+                        gathered,
+                        *routing._walk_start(gathered, start, goal, blocked),
+                        cos_min,
+                        score,
+                        40,
                     )
                 outcomes.append((walked, blocked))
             (relays, reached), blocked = outcomes[0]
